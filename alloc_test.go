@@ -8,6 +8,7 @@ package scorep_test
 import (
 	"testing"
 
+	"repro/internal/bottleneck"
 	"repro/internal/clock"
 	"repro/internal/measure"
 	"repro/internal/omp"
@@ -149,4 +150,63 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		m.Finish()
 		rec.Finish()
 	})
+}
+
+// taskRingTrace is a four-thread trace of tasks tasks in rounds: every
+// thread creates eight, runs the eight its left neighbour created from
+// a taskwait, and goes round again; all meet in the region's implicit
+// barrier.
+func taskRingTrace(tasks int) *trace.Trace {
+	const threads, batch = 4, 8
+	reg := region.NewRegistry()
+	rs := newZeroAllocRegions(reg)
+	ibar := reg.Register("za.par", "alloc.go", 1, region.ImplicitBarrier)
+	tr := &trace.Trace{Threads: make(map[int][]trace.Event, threads)}
+	for th := 0; th < threads; th++ {
+		now := int64(th)
+		ev := func(d int64, typ trace.EventType, r *region.Region, id uint64) trace.Event {
+			now += d
+			return trace.Event{Time: now, Type: typ, Region: r, TaskID: id}
+		}
+		evs := []trace.Event{ev(1, trace.EvThreadBegin, nil, 0), ev(1, trace.EvEnter, rs.par, 0)}
+		for round := 0; round < tasks/threads/batch; round++ {
+			id := func(th, i int) uint64 { return uint64((round*threads+th)*batch + i + 1) }
+			for i := 0; i < batch; i++ {
+				evs = append(evs, ev(2, trace.EvTaskCreateBegin, rs.task, 0), ev(3, trace.EvTaskCreateEnd, rs.task, id(th, i)))
+			}
+			evs = append(evs, ev(int64(1+th), trace.EvEnter, rs.tw, 0))
+			for i := 0; i < batch; i++ {
+				left := id((th+threads-1)%threads, i)
+				evs = append(evs, ev(4, trace.EvTaskBegin, rs.task, left), ev(int64(5+i%7), trace.EvTaskEnd, rs.task, left), ev(1, trace.EvTaskSwitch, nil, 0))
+			}
+			evs = append(evs, ev(int64(5-th), trace.EvExit, rs.tw, 0))
+		}
+		evs = append(evs, ev(1, trace.EvEnter, ibar, 0), ev(int64(40-10*th), trace.EvExit, ibar, 0),
+			ev(1, trace.EvExit, rs.par, 0), ev(1, trace.EvThreadEnd, nil, 0))
+		tr.Threads[th] = evs
+	}
+	return tr
+}
+
+// TestBottleneckAnalysisAllocs is the allocation gate of the offline
+// bottleneck analysis: a pass allocates per thread and per buffer, not
+// per task, fragment or idle span. Ten times the tasks may change the
+// count only by what formatting larger numbers into the findings takes;
+// a buffer that grew by doubling would add a fifth.
+func TestBottleneckAnalysisAllocs(t *testing.T) {
+	const ceiling = 300
+	var allocs [2]float64
+	for i, tasks := range []int{2_048, 20_480} {
+		tr := taskRingTrace(tasks)
+		if a := bottleneck.Analyze(tr); len(a.WaitStates) == 0 || a.CriticalPath.Segments == 0 {
+			t.Fatalf("%d tasks: the trace exercises nothing: %+v", tasks, a)
+		}
+		allocs[i] = testing.AllocsPerRun(5, func() { bottleneck.Analyze(tr) })
+		if allocs[i] > ceiling {
+			t.Errorf("%d tasks: bottleneck.Analyze allocates %v times, ceiling %d", tasks, allocs[i], ceiling)
+		}
+	}
+	if allocs[1] > 1.05*allocs[0] {
+		t.Errorf("bottleneck.Analyze allocates %v times on 2k tasks and %v on 20k: allocations grow with the tasks", allocs[0], allocs[1])
+	}
 }

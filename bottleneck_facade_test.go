@@ -215,3 +215,45 @@ func TestFleetBottlenecks(t *testing.T) {
 		t.Fatalf("FleetBottlenecks = %+v, want MergeBottleneckAnalyses of the shards %+v", fleet, want)
 	}
 }
+
+// TestBottlenecksAcrossRegions is the regression test for task ids that
+// restarted at 1 in every parallel region: the second region's tasks
+// were then taken for the first region's, its task region vanished from
+// the critical path, and the walk jumped back to the first region's
+// creations, booking the time between as spawn wait.
+func TestBottlenecksAcrossRegions(t *testing.T) {
+	par := scorep.RegisterRegion("br.parallel", "bottleneck_facade_test.go", 20, scorep.RegionParallel)
+	taskA := scorep.RegisterRegion("br.taskA", "bottleneck_facade_test.go", 21, scorep.RegionTask)
+	taskB := scorep.RegisterRegion("br.taskB", "bottleneck_facade_test.go", 22, scorep.RegionTask)
+	tw := scorep.RegisterRegion("br.taskwait", "bottleneck_facade_test.go", 23, scorep.RegionTaskwait)
+	work := scorep.RegisterRegion("br.work", "bottleneck_facade_test.go", 24, scorep.RegionFunction)
+
+	s := scorep.NewSession(scorep.WithTracing(), scorep.WithClock(countingClock()))
+	for _, task := range []*scorep.Region{taskA, taskB} {
+		s.Parallel(1, par, func(th *scorep.Thread) {
+			for i := 0; i < 8; i++ {
+				th.NewTask(task, func(th *scorep.Thread) {
+					for j := 0; j < 20; j++ {
+						scorep.InstrumentFunction(th, work, func() {})
+					}
+				})
+				th.Taskwait(tw)
+			}
+		})
+	}
+	res, err := s.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := res.Bottlenecks().CriticalPath
+	onPath := map[string]int64{}
+	for _, pr := range cp.Regions {
+		onPath[pr.Region] = pr.Time
+	}
+	if onPath["br.taskA"] == 0 || onPath["br.taskB"] == 0 {
+		t.Fatalf("critical path regions = %+v, want both br.taskA and br.taskB on it", cp.Regions)
+	}
+	if cp.SpawnWait*10 > cp.Length {
+		t.Fatalf("spawn wait %d of a %d path: the walk left the second region", cp.SpawnWait, cp.Length)
+	}
+}

@@ -610,10 +610,50 @@
 // a FleetSummary: per wait-state kind the fleet-summed time and the
 // worst shard, plus the shard with the longest critical path.
 //
-// The stream/analyze/bottlenecks benches measure the out-of-core
-// bottleneck pass on the 1M-event archive (sequential vs 4 workers;
-// see BENCH_PR8.json), and CI cmp's the -bottlenecks -json outputs at
-// -parallel 1 and 4 on every change.
+// Data layout. The analysis makes one pass over each thread's events
+// into compact per-thread buffers and finishes in time linear in the
+// records, with a number of allocations that depends on the threads
+// and not on the tasks:
+//
+//   - Records. A task fragment is one 40-byte record that also carries
+//     the dispatch gap that ended at its begin and whether it was the
+//     task's first fragment and closed by the task's end; a creation
+//     is 24 bytes. Regions are numbered per collector, so no record
+//     holds a string and no descriptor is formatted per event. The
+//     buffers are sized from the thread's event count — the length of
+//     the in-memory stream, or what the archive's footer index says
+//     the selected chunks hold — and double when that falls short.
+//   - Dense task table. Task ids come from one counter per session,
+//     so the merged view of all tasks is one slab of values indexed by
+//     id - minID. It is used when the id range is at most twice the
+//     records seen; a window that resumes old tasks sees few records
+//     over a wide range, and its ids are sorted once into a table
+//     searched by id, so the table's size follows the records, never
+//     the ids.
+//   - Merge or sort. The pending windows (by creation end) and the
+//     task completions (by time) are needed in global order. Each
+//     thread's records are in that order already, which is checked
+//     with one comparison per record, so the threads' runs are merged
+//     pairwise; only when a clock ran backwards is the list sorted
+//     instead.
+//   - CSR fragments. The critical-path walk asks when a resumed task
+//     was suspended: every task's fragment ends are laid out by task
+//     slot, offsets plus one flat array, by a counting sort. The
+//     thread timelines are not copied: the walk binary-searches the
+//     fragment records and synthesises the implicit-task filler
+//     between neighbours.
+//
+// With more than one worker the walk's lookup tables are built beside
+// the classification. On the benchmark's fib-fine workload (BOTS fib
+// without cut-off, 556 416 events from 93 k tasks, two threads;
+// benchmark/README.md) a traced run reads, before and after this
+// layout: bottleneck.analyze_ns_per_event 290 -> 46 (31 to 46 over five
+// such runs; 31 with two workers), bottleneck.allocs_per_event
+// 0.84 -> 0.0003, and bottleneck.vs_trace_ratio (against the trace
+// analyzer over the same events) 43 -> 6.6. CI cmp's the -bottlenecks -json outputs at
+// -parallel 1 and 4 on every change, and
+// internal/bottleneck/testdata pins the analyses of 24 BOTS traces
+// byte for byte.
 //
 // See examples/ for runnable programs (quickstart is the Session-API
 // walkthrough) and internal/exp for the harness that regenerates every

@@ -35,6 +35,7 @@ package bottleneck
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/analyze"
@@ -171,68 +172,114 @@ type PathRegion struct {
 type span struct{ start, end int64 }
 
 // taskCreate is one observed task creation (EvTaskCreateBegin ..
-// EvTaskCreateEnd on the creating thread's stream).
+// EvTaskCreateEnd on the creating thread's stream): the task, the time
+// its creation ended and the collector's number for its region. slot is
+// the task's place in the task table, set when the collectors finish
+// (-1 for a repeated creation of an id already seen).
 type taskCreate struct {
-	id         uint64
-	region     string
-	begin, end int64
+	id     uint64
+	end    int64
+	region int32
+	slot   int32
 }
 
-// taskStamp is a (task, time) pair for begins and ends.
+// taskStamp is a (task, time) pair.
 type taskStamp struct {
 	id   uint64
 	time int64
 }
 
-// frag is one executed task fragment.
-type frag struct {
-	task       uint64
-	start, end int64
-}
+// Facts a frag carries about the events that began and ended it.
+const (
+	fragFirst = 1 << iota // began via EvTaskBegin: the task's very first fragment
+	fragGap               // a dispatch gap [gapStart, start) ended at its begin
+	fragEnded             // closed by the task's own EvTaskEnd
+)
 
-// dispatchGap is one consumed readiness window ending at a fragment
-// begin; firstBegin records whether the fragment began via EvTaskBegin
-// (the task's very first fragment) rather than a resume switch.
-type dispatchGap struct {
-	task       uint64
-	start, end int64
-	firstBegin bool
+// frag is one executed task fragment, together with the readiness
+// window it consumed, if any. slot is the task's place in the task
+// table, set when the collectors finish.
+type frag struct {
+	task     uint64
+	start    int64
+	end      int64
+	gapStart int64
+	slot     int32
+	flags    uint8
 }
 
 // barrierVisit is one enter/exit of an explicit or implicit barrier
-// region on one thread. key is the region's full descriptor (used for
-// cross-thread matching), name its display name.
+// region on one thread; region is the collector's number for it.
 type barrierVisit struct {
-	key, name   string
+	region      int32
 	enter, exit int64
 }
 
-// threadCollector accumulates one thread's raw material. It owns no
-// references into pipeline-recycled event slices: only region names and
-// scalar facts are retained.
+// threadCollector accumulates one thread's raw material in one pass. It
+// owns no references into pipeline-recycled event slices: only region
+// descriptors (which the registry owns) and scalar facts are retained.
 type threadCollector struct {
 	tid int
 
-	sc        trace.SyncCoverage
-	coverEnd  int64 // end of the last covered span in the open sync instance
-	fragStart int64
-	inFrag    bool
-	curTask   uint64
-	inCreate  bool
-	createAt  int64
+	sc       trace.SyncCoverage
+	coverEnd int64 // end of the last covered span in the open sync instance
+	inFrag   bool  // the last frag is still open
+	inCreate bool
 
 	firstValid bool
 	firstTime  int64
 	lastTime   int64
 
-	created  []taskCreate
-	begins   []taskStamp
-	ends     []taskStamp
-	frags    []frag
-	gaps     []dispatchGap
-	idles    []span
-	barriers []barrierVisit
-	barStack []barrierVisit // open barrier enters (exit pending)
+	// regions numbers the region descriptors this thread's records
+	// refer to, so a record carries four bytes and no name is formatted
+	// per event; lastRegion short-cuts a run of the same region.
+	regions    []*region.Region
+	regionIDs  map[*region.Region]int32
+	lastRegion *region.Region
+	lastID     int32
+
+	created   []taskCreate
+	frags     []frag      // in stream order: starts and ends ascend with the clock
+	strayEnds []taskStamp // EvTaskEnd of a task other than the one running
+	idles     []span
+	barriers  []barrierVisit
+	barStack  []barrierVisit // open barrier enters (exit pending)
+}
+
+// Shares of a thread's events that become fragment and creation
+// records in BOTS fib without cut-off, the finest-grained stream the
+// suite records. reserve sizes the buffers by them, so such a stream
+// never grows one; a stream richer in records doubles. Idle spans
+// number from none to one per fragment: their buffer starts at a small
+// share, so that how often it doubles depends on the stream's shape
+// and not on its length.
+const (
+	fragShare   = 3
+	createShare = 6
+	idleShare   = 32
+	// maxReserve bounds what an event count read from an archive's
+	// index may reserve.
+	maxReserve = 1 << 21
+)
+
+// reserve sizes the record buffers for a stream of n events.
+func (tc *threadCollector) reserve(n int) {
+	n = min(n, maxReserve)
+	if n <= 0 {
+		return
+	}
+	tc.frags = make([]frag, 0, n/fragShare+n/64+16)
+	tc.created = make([]taskCreate, 0, n/createShare+n/64+16)
+	tc.idles = make([]span, 0, n/idleShare+16)
+}
+
+// push appends v, doubling a full buffer: a stream of n records copies
+// fewer than n of them, where append's growth by a quarter copies 4n.
+func push[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 64))
+	}
+	return append(s, v)
 }
 
 func barrierRegion(r *region.Region) bool {
@@ -242,7 +289,25 @@ func barrierRegion(r *region.Region) bool {
 	return r.Type == region.Barrier || r.Type == region.ImplicitBarrier
 }
 
-func (tc *threadCollector) observe(ev trace.Event) {
+// regionID numbers r (nil included) within this collector.
+func (tc *threadCollector) regionID(r *region.Region) int32 {
+	if r == tc.lastRegion && len(tc.regions) > 0 {
+		return tc.lastID
+	}
+	id, ok := tc.regionIDs[r]
+	if !ok {
+		if tc.regionIDs == nil {
+			tc.regionIDs = make(map[*region.Region]int32)
+		}
+		id = int32(len(tc.regions))
+		tc.regions = append(tc.regions, r)
+		tc.regionIDs[r] = id
+	}
+	tc.lastRegion, tc.lastID = r, id
+	return id
+}
+
+func (tc *threadCollector) observe(ev *trace.Event) {
 	if !tc.firstValid {
 		tc.firstTime = ev.Time
 		tc.firstValid = true
@@ -251,24 +316,22 @@ func (tc *threadCollector) observe(ev trace.Event) {
 
 	switch ev.Type {
 	case trace.EvEnter:
-		if trace.SchedulingPointEvent(ev) {
+		if trace.SchedulingPointEvent(*ev) {
 			if tc.sc.Depth == 0 {
 				tc.coverEnd = ev.Time
 			}
 			tc.sc.EnterSync(ev.Time)
 		}
 		if barrierRegion(ev.Region) {
-			tc.barStack = append(tc.barStack, barrierVisit{
-				key: ev.Region.String(), name: ev.Region.Name, enter: ev.Time,
-			})
+			tc.barStack = append(tc.barStack, barrierVisit{region: tc.regionID(ev.Region), enter: ev.Time})
 		}
 	case trace.EvExit:
-		if trace.SchedulingPointEvent(ev) {
+		if trace.SchedulingPointEvent(*ev) {
 			if _, _, closed := tc.sc.ExitSync(ev.Time); closed {
 				// Trailing idle: the tail of the instance no fragment
 				// or dispatch gap covered.
 				if ev.Time > tc.coverEnd {
-					tc.idles = append(tc.idles, span{tc.coverEnd, ev.Time})
+					tc.idles = push(tc.idles, span{tc.coverEnd, ev.Time})
 				}
 			}
 		}
@@ -276,36 +339,32 @@ func (tc *threadCollector) observe(ev trace.Event) {
 			b := tc.barStack[len(tc.barStack)-1]
 			tc.barStack = tc.barStack[:len(tc.barStack)-1]
 			b.exit = ev.Time
-			tc.barriers = append(tc.barriers, b)
+			tc.barriers = push(tc.barriers, b)
 		}
 	case trace.EvTaskCreateBegin:
-		tc.createAt = ev.Time
 		tc.inCreate = true
 	case trace.EvTaskCreateEnd:
 		if tc.inCreate {
-			name := UnknownRegion
-			if ev.Region != nil {
-				name = ev.Region.Name
-			}
-			tc.created = append(tc.created, taskCreate{
-				id: ev.TaskID, region: name, begin: tc.createAt, end: ev.Time,
-			})
+			tc.created = push(tc.created, taskCreate{id: ev.TaskID, end: ev.Time, region: tc.regionID(ev.Region)})
 			tc.inCreate = false
 		}
 	case trace.EvTaskBegin:
 		tc.endFragment(ev.Time)
-		tc.beginFragment(ev.Time, ev.TaskID, true)
-		tc.begins = append(tc.begins, taskStamp{ev.TaskID, ev.Time})
+		tc.beginFragment(ev.Time, ev.TaskID, fragFirst)
 	case trace.EvTaskEnd:
+		if tc.inFrag && tc.frags[len(tc.frags)-1].task == ev.TaskID {
+			tc.frags[len(tc.frags)-1].flags |= fragEnded
+		} else {
+			tc.strayEnds = append(tc.strayEnds, taskStamp{ev.TaskID, ev.Time})
+		}
 		tc.endFragment(ev.Time)
-		tc.ends = append(tc.ends, taskStamp{ev.TaskID, ev.Time})
 		if tc.sc.Depth > 0 {
 			tc.sc.MarkReady(ev.Time)
 		}
 	case trace.EvTaskSwitch:
 		tc.endFragment(ev.Time)
 		if ev.TaskID != 0 {
-			tc.beginFragment(ev.Time, ev.TaskID, false)
+			tc.beginFragment(ev.Time, ev.TaskID, 0)
 		} else if tc.sc.Depth > 0 {
 			tc.sc.MarkReady(ev.Time)
 		}
@@ -316,56 +375,89 @@ func (tc *threadCollector) endFragment(t int64) {
 	if !tc.inFrag {
 		return
 	}
-	tc.frags = append(tc.frags, frag{tc.curTask, tc.fragStart, t})
-	tc.sc.Cover(t - tc.fragStart)
+	f := &tc.frags[len(tc.frags)-1]
+	f.end = t
+	tc.sc.Cover(t - f.start)
 	if tc.sc.Depth > 0 {
 		tc.coverEnd = t
 	}
 	tc.inFrag = false
 }
 
-func (tc *threadCollector) beginFragment(t int64, task uint64, firstBegin bool) {
+func (tc *threadCollector) beginFragment(t int64, task uint64, flags uint8) {
+	f := frag{task: task, start: t, end: t, flags: flags}
 	if start, _, ok := tc.sc.TakeDispatch(t); ok {
 		// Idle between the last covered span and the (possibly
 		// re-stamped) readiness the gap starts at.
 		if tc.sc.Depth > 0 && start > tc.coverEnd {
-			tc.idles = append(tc.idles, span{tc.coverEnd, start})
+			tc.idles = push(tc.idles, span{tc.coverEnd, start})
 		}
-		tc.gaps = append(tc.gaps, dispatchGap{task: task, start: start, end: t, firstBegin: firstBegin})
+		f.gapStart = start
+		f.flags |= fragGap
 		if tc.sc.Depth > 0 {
 			tc.coverEnd = t
 		}
 	} else if tc.sc.Depth > 0 && t > tc.coverEnd {
 		// Fragment begins with no open readiness (e.g. directly after a
 		// suspension): the uncovered span before it is idle.
-		tc.idles = append(tc.idles, span{tc.coverEnd, t})
+		tc.idles = push(tc.idles, span{tc.coverEnd, t})
 		tc.coverEnd = t
 	}
-	tc.fragStart = t
-	tc.curTask = task
+	tc.frags = push(tc.frags, f)
 	tc.inFrag = true
+}
+
+// closedFrags are the fragments that ended inside the stream: all but
+// one still open at its end (a truncated trace).
+func (tc *threadCollector) closedFrags() []frag {
+	if tc.inFrag {
+		return tc.frags[:len(tc.frags)-1]
+	}
+	return tc.frags
+}
+
+// collectors is the thread table both collectors share.
+type collectors map[int]*threadCollector
+
+// thread returns tid's collector, creating it with buffers sized for a
+// stream of events events (0: unknown).
+func (c collectors) thread(tid, events int) *threadCollector {
+	tc, ok := c[tid]
+	if !ok {
+		tc = &threadCollector{tid: tid}
+		tc.reserve(events)
+		c[tid] = tc
+	}
+	return tc
+}
+
+func (c collectors) finish(concurrent bool) *Analysis {
+	tcs := make([]*threadCollector, 0, len(c))
+	for _, tc := range c {
+		tcs = append(tcs, tc)
+	}
+	return finish(tcs, concurrent)
 }
 
 // Collector is the sequential bottleneck collector. Feed every event of
 // every thread in per-thread order via Observe, then call Finish once.
 type Collector struct {
-	threads map[int]*threadCollector
+	threads collectors
+	last    *threadCollector // of the previous Observe: streams arrive in runs
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{threads: make(map[int]*threadCollector)}
+	return &Collector{threads: make(collectors)}
 }
 
 // Observe feeds one event of thread tid. Events of one thread must
 // arrive in stream order; threads may interleave arbitrarily.
 func (c *Collector) Observe(tid int, ev trace.Event) {
-	tc, ok := c.threads[tid]
-	if !ok {
-		tc = &threadCollector{tid: tid}
-		c.threads[tid] = tc
+	if c.last == nil || c.last.tid != tid {
+		c.last = c.threads.thread(tid, 0)
 	}
-	tc.observe(ev)
+	c.last.observe(&ev)
 }
 
 // ObserveQuery is Observe restricted to events matching q.
@@ -377,7 +469,7 @@ func (c *Collector) ObserveQuery(tid int, ev trace.Event, q trace.Query) {
 
 // Finish runs classification and path reconstruction and returns the
 // analysis. The collector must not be reused afterwards.
-func (c *Collector) Finish() *Analysis { return finishCollectors(c.threads) }
+func (c *Collector) Finish() *Analysis { return c.threads.finish(false) }
 
 // ParallelCollector is the shard-safe collector: ObserveBatch may be
 // called concurrently for different threads, with each thread's batches
@@ -386,74 +478,52 @@ func (c *Collector) Finish() *Analysis { return finishCollectors(c.threads) }
 // sequential Collector on the same stream.
 type ParallelCollector struct {
 	mu      sync.Mutex
-	threads map[int]*threadCollector
+	threads collectors
+	events  map[int]int
 }
 
-// NewParallelCollector returns an empty parallel collector.
-func NewParallelCollector() *ParallelCollector {
-	return &ParallelCollector{threads: make(map[int]*threadCollector)}
+// NewParallelCollector returns an empty parallel collector. events,
+// when not nil, tells how many events each thread's stream will hold
+// (an archive's index knows); the thread's buffers are sized by it.
+func NewParallelCollector(events map[int]int) *ParallelCollector {
+	return &ParallelCollector{threads: make(collectors), events: events}
+}
+
+func (p *ParallelCollector) thread(tid int) *threadCollector {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.threads.thread(tid, p.events[tid])
 }
 
 // ObserveBatch feeds one in-order run of thread tid's events. The lock
 // covers only the shard lookup; the scan runs unlocked under the
 // per-thread serialization contract. The batch slice is not retained.
 func (p *ParallelCollector) ObserveBatch(tid int, events []trace.Event) {
-	p.mu.Lock()
-	tc, ok := p.threads[tid]
-	if !ok {
-		tc = &threadCollector{tid: tid}
-		p.threads[tid] = tc
-	}
-	p.mu.Unlock()
+	tc := p.thread(tid)
 	for i := range events {
-		tc.observe(events[i])
+		tc.observe(&events[i])
 	}
 }
 
 // ObserveBatchQuery is ObserveBatch restricted to events matching q.
-// Like trace.ParallelAnalyzer.ObserveBatchQuery, the thread's state is
-// created lazily on the first matching event so threads the query
-// excludes never surface in PerThread.
 func (p *ParallelCollector) ObserveBatchQuery(tid int, events []trace.Event, q trace.Query) {
 	if !q.MatchThread(tid) {
 		return
 	}
-	if !q.Windowed {
-		p.ObserveBatch(tid, events)
-		return
-	}
-	var tc *threadCollector
+	tc := p.thread(tid)
 	for i := range events {
-		if !q.MatchTime(events[i].Time) {
-			continue
+		if q.MatchTime(events[i].Time) {
+			tc.observe(&events[i])
 		}
-		if tc == nil {
-			p.mu.Lock()
-			tc = p.threads[tid]
-			if tc == nil {
-				tc = &threadCollector{tid: tid}
-				p.threads[tid] = tc
-			}
-			p.mu.Unlock()
-		}
-		tc.observe(events[i])
 	}
 }
 
 // Finish runs classification and returns the analysis. All ObserveBatch
 // calls must have completed; the collector must not be reused.
-func (p *ParallelCollector) Finish() *Analysis { return finishCollectors(p.threads) }
+func (p *ParallelCollector) Finish() *Analysis { return p.threads.finish(true) }
 
 // Analyze runs the bottleneck analysis over an in-memory trace.
-func Analyze(tr *trace.Trace) *Analysis {
-	c := NewCollector()
-	for tid, events := range tr.Threads {
-		for i := range events {
-			c.Observe(tid, events[i])
-		}
-	}
-	return c.Finish()
-}
+func Analyze(tr *trace.Trace) *Analysis { return AnalyzeQuery(tr, trace.Query{}, 1) }
 
 // AnalyzeQuery analyzes the sub-trace matching q using up to workers
 // goroutines (one per thread at a time; workers <= 0 uses GOMAXPROCS).
@@ -462,27 +532,30 @@ func AnalyzeQuery(tr *trace.Trace, q trace.Query, workers int) *Analysis {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || len(tr.Threads) <= 1 {
-		c := NewCollector()
-		for tid, events := range tr.Threads {
-			for i := range events {
-				c.ObserveQuery(tid, events[i], q)
-			}
-		}
-		return c.Finish()
-	}
-	pc := NewParallelCollector()
+	tcs := make([]*threadCollector, 0, len(tr.Threads))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for tid, events := range tr.Threads {
+		if !q.MatchThread(tid) {
+			continue
+		}
+		tc := &threadCollector{tid: tid}
+		if !q.Windowed {
+			tc.reserve(len(events))
+		}
+		tcs = append(tcs, tc)
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(tid int, events []trace.Event) {
+		go func() {
 			defer wg.Done()
-			pc.ObserveBatchQuery(tid, events, q)
+			for i := range events {
+				if q.MatchTime(events[i].Time) {
+					tc.observe(&events[i])
+				}
+			}
 			<-sem
-		}(tid, events)
+		}()
 	}
 	wg.Wait()
-	return pc.Finish()
+	return finish(tcs, workers > 1)
 }

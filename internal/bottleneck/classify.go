@@ -1,184 +1,333 @@
 package bottleneck
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/analyze"
 )
 
+// Counts of the two slow paths finish can take, for tests: a record
+// stream that was not in time order had to be sorted, and task ids too
+// scattered for the dense table were sorted into a sparse one.
+var sortFallbacks, sparseTables atomic.Int64
+
+// regionNames numbers the region names an analysis reports, so that
+// tallies are indexed or keyed by a small integer. Names, not
+// descriptors, are what results carry: two descriptors of one name
+// share a number.
+type regionNames struct {
+	ids   map[string]int32
+	names []string
+}
+
+// The two pseudo-regions are numbered first: UnknownRegion is 0, so a
+// zero taskInfo is a task of unknown region.
+const implicitRegionID = 1
+
+func newRegionNames() *regionNames {
+	n := &regionNames{ids: make(map[string]int32)}
+	n.id(UnknownRegion)
+	n.id(ImplicitRegion)
+	return n
+}
+
+func (n *regionNames) id(name string) int32 {
+	id, ok := n.ids[name]
+	if !ok {
+		id = int32(len(n.names))
+		n.ids[name] = id
+		n.names = append(n.names, name)
+	}
+	return id
+}
+
 // taskInfo is the merged cross-thread view of one task instance.
+// Threads are positions in the sorted thread list.
 type taskInfo struct {
-	id          uint64
-	region      string
-	creator     int
-	createBegin int64
 	createEnd   int64
-	created     bool
-	beginThread int
 	firstBegin  int64
+	creator     int32
+	beginThread int32
+	region      int32
+	created     bool
 	hasBegin    bool
-	endThread   int
-	end         int64
-	hasEnd      bool
 }
 
 // pendingWindow is a task's created-but-unstarted span.
 type pendingWindow struct {
 	task    uint64
-	creator int
-	region  string
 	start   int64 // createEnd
 	end     int64 // firstBegin, or analysis end when never begun
+	creator int32
+	region  int32
 }
 
-// finishCollectors merges the per-thread raw material and runs
-// classification and critical-path reconstruction. Every loop iterates
-// threads in sorted-tid order and uses deterministic tie-breaks, so the
-// result is identical regardless of observation sharding.
-func finishCollectors(threads map[int]*threadCollector) *Analysis {
-	a := &Analysis{PerThread: make(map[int]*ThreadWaits)}
+func comparePending(a, b pendingWindow) int {
+	return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.task, b.task))
+}
 
-	tids := make([]int, 0, len(threads))
-	for tid := range threads {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	a.Threads = len(tids)
-	if len(tids) == 0 {
+// finish merges the per-thread raw material and runs classification
+// and critical-path reconstruction. Every pass takes the threads in
+// sorted-tid order and breaks ties deterministically, so the result is
+// identical however the observation was sharded. A thread that observed
+// no event is not part of the analysis. With concurrent set, the
+// critical path's lookup tables, which depend on nothing classification
+// computes, are built beside it on a second goroutine.
+func finish(tcs []*threadCollector, concurrent bool) *Analysis {
+	tcs = slices.DeleteFunc(tcs, func(tc *threadCollector) bool { return !tc.firstValid })
+	slices.SortFunc(tcs, func(x, y *threadCollector) int { return cmp.Compare(x.tid, y.tid) })
+
+	a := &Analysis{PerThread: make(map[int]*ThreadWaits, len(tcs)), Threads: len(tcs)}
+	if len(tcs) == 0 {
 		a.CriticalPath.Regions = []PathRegion{}
 		a.WaitStates = []WaitState{}
 		a.Barriers = []BarrierInstance{}
 		a.Findings = []analyze.Finding{}
 		return a
 	}
-
-	first := true
-	for _, tid := range tids {
-		tc := threads[tid]
-		if !tc.firstValid {
-			continue
-		}
-		if first || tc.firstTime < a.StartTime {
-			a.StartTime = tc.firstTime
-		}
-		if first || tc.lastTime > a.EndTime {
-			a.EndTime = tc.lastTime
-		}
-		first = false
+	a.StartTime, a.EndTime = tcs[0].firstTime, tcs[0].lastTime
+	perThread := make([]ThreadWaits, len(tcs))
+	for i, tc := range tcs {
+		a.StartTime = min(a.StartTime, tc.firstTime)
+		a.EndTime = max(a.EndTime, tc.lastTime)
+		perThread[i].ThreadID = tc.tid
+		a.PerThread[tc.tid] = &perThread[i]
 	}
 	a.WallTime = a.EndTime - a.StartTime
 
-	tasks := mergeTasks(threads, tids)
-	waits := newWaitTally()
+	names := newRegionNames()
+	tasks := mergeTasks(tcs, names)
+	tables := make(chan pathTables, 1)
+	buildTables := func() { tables <- newPathTables(tcs, tasks) }
+	if concurrent {
+		go buildTables()
+	}
+	waits := &waitTally{names: names, index: make(map[waitKey]int), states: []WaitState{}}
 
-	classifyDispatchGaps(a, threads, tids, tasks, waits)
-	instances, visitIndex := matchBarriers(a, threads, tids)
-	classifyIdle(a, threads, tids, tasks, instances, waits)
+	classifyDispatchGaps(perThread, tcs, tasks, waits)
+	visits := matchBarriers(a, tcs, names)
+	classifyIdle(perThread, tcs, pendingWindows(a.EndTime, tcs, tasks), visits, waits)
 
 	a.WaitStates = waits.sorted()
-	buildCriticalPath(a, threads, tids, tasks, instances, visitIndex)
+	if !concurrent {
+		buildTables()
+	}
+	buildCriticalPath(a, tcs, tasks, <-tables, visits, names)
 	a.Findings = emitFindings(a)
 	return a
 }
 
-// mergeTasks builds the global task table from all threads' create,
-// begin and end stamps. Iteration is in sorted-tid order; duplicate
-// records for one task id (malformed or windowed traces) keep the first
-// seen in that order.
-func mergeTasks(threads map[int]*threadCollector, tids []int) map[uint64]*taskInfo {
-	tasks := make(map[uint64]*taskInfo)
-	get := func(id uint64) *taskInfo {
-		ti, ok := tasks[id]
-		if !ok {
-			ti = &taskInfo{id: id, region: UnknownRegion, creator: -1, beginThread: -1, endThread: -1}
-			tasks[id] = ti
+// mergeTasks builds the global task table from all threads' creation
+// and fragment records and writes every record's slot. Iteration is in
+// sorted-tid order; duplicate records for one task id (malformed or
+// windowed traces) keep the first seen in that order.
+//
+// The table is one slab of values. Task ids are handed out by one
+// counter, so those of a recording are dense, and the slab is indexed
+// by id - minID whenever the id range is at most twice the records
+// seen; the table's size therefore follows the records, never the ids
+// (a narrow window over a long archive sees few records and, through
+// resumed old tasks, a wide range). Scattered ids are sorted once into
+// a table searched by id.
+func mergeTasks(tcs []*threadCollector, names *regionNames) []taskInfo {
+	lo, hi, records := ^uint64(0), uint64(0), 0
+	for _, tc := range tcs {
+		for i := range tc.created {
+			lo, hi = min(lo, tc.created[i].id), max(hi, tc.created[i].id)
 		}
-		return ti
+		for i := range tc.frags {
+			lo, hi = min(lo, tc.frags[i].task), max(hi, tc.frags[i].task)
+		}
+		records += len(tc.created) + len(tc.frags)
 	}
-	for _, tid := range tids {
-		tc := threads[tid]
+	if records == 0 {
+		return nil
+	}
+	var tasks []taskInfo
+	slot := func(id uint64) int32 { return int32(id - lo) }
+	if hi-lo < 2*uint64(records) {
+		tasks = make([]taskInfo, hi-lo+1)
+	} else {
+		sparseTables.Add(1)
+		ids := make([]uint64, 0, records)
+		for _, tc := range tcs {
+			for i := range tc.created {
+				ids = append(ids, tc.created[i].id)
+			}
+			for i := range tc.frags {
+				ids = append(ids, tc.frags[i].task)
+			}
+		}
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		tasks = make([]taskInfo, len(ids))
+		slot = func(id uint64) int32 {
+			i, _ := slices.BinarySearch(ids, id)
+			return int32(i)
+		}
+	}
+
+	for ti, tc := range tcs {
+		regions := make([]int32, len(tc.regions))
+		for i, r := range tc.regions {
+			if r != nil {
+				regions[i] = names.id(r.Name)
+			}
+		}
 		for i := range tc.created {
 			c := &tc.created[i]
-			ti := get(c.id)
-			if !ti.created {
-				ti.created = true
-				ti.creator = tid
-				ti.createBegin = c.begin
-				ti.createEnd = c.end
-				ti.region = c.region
+			c.slot = slot(c.id)
+			t := &tasks[c.slot]
+			if t.created {
+				c.slot = -1
+				continue
 			}
+			t.created = true
+			t.creator = int32(ti)
+			t.createEnd = c.end
+			t.region = regions[c.region]
 		}
-		for _, b := range tc.begins {
-			ti := get(b.id)
-			if !ti.hasBegin {
-				ti.hasBegin = true
-				ti.beginThread = tid
-				ti.firstBegin = b.time
-			}
-		}
-		for _, e := range tc.ends {
-			ti := get(e.id)
-			// Keep the latest end: a task may be suspended and resumed,
-			// but EvTaskEnd is terminal, so any duplicate means a
-			// malformed stream — the latest is the safest completion.
-			if !ti.hasEnd || e.time > ti.end {
-				ti.hasEnd = true
-				ti.endThread = tid
-				ti.end = e.time
+		for i := range tc.frags {
+			f := &tc.frags[i]
+			f.slot = slot(f.task)
+			if t := &tasks[f.slot]; f.flags&fragFirst != 0 && !t.hasBegin {
+				t.hasBegin = true
+				t.beginThread = int32(ti)
+				t.firstBegin = f.start
 			}
 		}
 	}
 	return tasks
 }
 
+// mergeRuns puts flat, the concatenation of runs delimited by bounds,
+// into cmp order. Each run is one thread's records in stream order, so
+// the runs are sorted unless a thread's clock ran backwards — one
+// comparison per record tells — and merging neighbours pairwise is
+// linear in the records; otherwise the whole is sorted.
+func mergeRuns[T any](flat []T, bounds []int, cmp func(a, b T) int) []T {
+	for i := 1; i < len(bounds); i++ {
+		if !slices.IsSortedFunc(flat[bounds[i-1]:bounds[i]], cmp) {
+			sortFallbacks.Add(1)
+			slices.SortFunc(flat, cmp)
+			return flat
+		}
+	}
+	var tmp []T
+	for len(bounds) > 2 {
+		next := bounds[:1:1]
+		for i := 2; i < len(bounds); i += 2 {
+			tmp = mergeNeighbours(flat[bounds[i-2]:bounds[i]], bounds[i-1]-bounds[i-2], tmp, cmp)
+			next = append(next, bounds[i])
+		}
+		if len(bounds)%2 == 0 {
+			next = append(next, bounds[len(bounds)-1])
+		}
+		bounds = next
+	}
+	return flat
+}
+
+// mergeNeighbours merges the sorted s[:mid] and s[mid:] in place, equal
+// records keeping their order. Only the shorter side is copied out, to
+// tmp, which is returned for the next call.
+func mergeNeighbours[T any](s []T, mid int, tmp []T, cmp func(a, b T) int) []T {
+	if mid <= len(s)-mid {
+		tmp = append(tmp[:0], s[:mid]...)
+		x, y, k := tmp, s[mid:], 0
+		for ; len(x) > 0 && len(y) > 0; k++ {
+			if cmp(y[0], x[0]) < 0 {
+				s[k], y = y[0], y[1:]
+			} else {
+				s[k], x = x[0], x[1:]
+			}
+		}
+		copy(s[k:], x)
+		return tmp
+	}
+	tmp = append(tmp[:0], s[mid:]...)
+	x, y, k := s[:mid], tmp, len(s)
+	for len(x) > 0 && len(y) > 0 {
+		k--
+		if last := len(x) - 1; cmp(y[len(y)-1], x[last]) < 0 {
+			s[k], x = x[last], x[:last]
+		} else {
+			s[k], y = y[len(y)-1], y[:len(y)-1]
+		}
+	}
+	copy(s[k-len(y):], y)
+	return tmp
+}
+
+// pendingWindows lists every created task's created-but-unstarted span,
+// ordered by (start, task): each thread's creations are in that order
+// already, so the threads' runs are merged.
+func pendingWindows(endTime int64, tcs []*threadCollector, tasks []taskInfo) []pendingWindow {
+	n := 0
+	for _, tc := range tcs {
+		n += len(tc.created)
+	}
+	flat := make([]pendingWindow, 0, n)
+	bounds := make([]int, 0, len(tcs)+1)
+	for _, tc := range tcs {
+		bounds = append(bounds, len(flat))
+		for i := range tc.created {
+			c := &tc.created[i]
+			if c.slot < 0 {
+				continue
+			}
+			t := &tasks[c.slot]
+			end := endTime
+			if t.hasBegin {
+				end = t.firstBegin
+			}
+			if end <= c.end {
+				continue
+			}
+			flat = append(flat, pendingWindow{task: c.id, creator: t.creator, region: t.region, start: c.end, end: end})
+		}
+	}
+	return mergeRuns(flat, append(bounds, len(flat)), comparePending)
+}
+
 // waitTally aggregates classified waits per (kind, victim, cause,
 // region).
 type waitTally struct {
-	m map[waitKey]*WaitState
+	names  *regionNames
+	index  map[waitKey]int
+	states []WaitState
 }
 
 type waitKey struct {
 	kind        analyze.Kind
 	thread      int
 	causeThread int
-	region      string
+	region      int32
 }
 
-func newWaitTally() *waitTally { return &waitTally{m: make(map[waitKey]*WaitState)} }
-
-func (t *waitTally) add(kind analyze.Kind, victim, cause int, region string, d int64) {
+func (t *waitTally) add(kind analyze.Kind, victim, cause int, region int32, d int64) {
 	if d <= 0 {
 		return
 	}
 	k := waitKey{kind, victim, cause, region}
-	ws, ok := t.m[k]
+	i, ok := t.index[k]
 	if !ok {
-		ws = &WaitState{Kind: kind, Thread: victim, CauseThread: cause, Region: region}
-		t.m[k] = ws
+		i = len(t.states)
+		t.index[k] = i
+		t.states = append(t.states, WaitState{Kind: kind, Thread: victim, CauseThread: cause, Region: t.names.names[region]})
 	}
-	ws.Time += d
-	ws.Count++
+	t.states[i].Time += d
+	t.states[i].Count++
 }
 
 func (t *waitTally) sorted() []WaitState {
-	out := make([]WaitState, 0, len(t.m))
-	for _, ws := range t.m {
-		out = append(out, *ws)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		if a.Thread != b.Thread {
-			return a.Thread < b.Thread
-		}
-		if a.CauseThread != b.CauseThread {
-			return a.CauseThread < b.CauseThread
-		}
-		return a.Region < b.Region
+	slices.SortFunc(t.states, func(a, b WaitState) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Thread, b.Thread),
+			cmp.Compare(a.CauseThread, b.CauseThread), cmp.Compare(a.Region, b.Region))
 	})
-	return out
+	return t.states
 }
 
 // classifyDispatchGaps splits every dispatch gap into a late-spawn
@@ -191,32 +340,46 @@ func (t *waitTally) sorted() []WaitState {
 // LateTaskSpawn wait caused by c on T's region. Everything else —
 // resume gaps, self-created tasks, tasks whose creation fell outside
 // the window — is plain dispatch latency.
-func classifyDispatchGaps(a *Analysis, threads map[int]*threadCollector, tids []int, tasks map[uint64]*taskInfo, waits *waitTally) {
-	for _, tid := range tids {
-		tc := threads[tid]
-		tw := perThread(a, tid)
-		for _, g := range tc.gaps {
-			gapLen := g.end - g.start
-			if gapLen <= 0 {
+func classifyDispatchGaps(perThread []ThreadWaits, tcs []*threadCollector, tasks []taskInfo, waits *waitTally) {
+	for ti, tc := range tcs {
+		tw := &perThread[ti]
+		for i := range tc.frags {
+			f := &tc.frags[i]
+			gapLen := f.start - f.gapStart
+			if f.flags&fragGap == 0 || gapLen <= 0 {
 				continue
 			}
 			late := int64(0)
-			var ti *taskInfo
-			if g.firstBegin {
-				ti = tasks[g.task]
-			}
-			if ti != nil && ti.created && ti.creator != tid && g.start < ti.createEnd {
-				lateEnd := ti.createEnd
-				if lateEnd > g.end {
-					lateEnd = g.end
-				}
-				late = lateEnd - g.start
-				waits.add(analyze.LateTaskSpawn, tid, ti.creator, ti.region, late)
+			if t := &tasks[f.slot]; f.flags&fragFirst != 0 && t.created && int(t.creator) != ti && f.gapStart < t.createEnd {
+				late = min(t.createEnd, f.start) - f.gapStart
+				waits.add(analyze.LateTaskSpawn, tc.tid, tcs[t.creator].tid, t.region, late)
 			}
 			tw.LateSpawnWait += late
 			tw.PlainDispatchWait += gapLen - late
 		}
 	}
+}
+
+// instance is one matched collective barrier. Threads are positions in
+// the sorted thread list.
+type instance struct {
+	region      int32 // number of the barrier's display name
+	lastArrival int64
+	lastThread  int
+	handedOff   bool // the critical path already crossed it
+}
+
+// visitRef ties one thread's barrier visit to its matched instance.
+type visitRef struct {
+	inst        *instance
+	enter, exit int64
+}
+
+// barrierVisits holds, per thread, its visits to matched instances:
+// in instance order (region descriptor, ordinal) for wait attribution,
+// and by exit time for the critical-path walk.
+type barrierVisits struct {
+	byInstance, byExit [][]visitRef
 }
 
 // matchBarriers matches the per-thread barrier visits into collective
@@ -227,110 +390,89 @@ func classifyDispatchGaps(a *Analysis, threads map[int]*threadCollector, tids []
 //
 // Taskwait regions are thread-local synchronization and are not
 // collectively matched.
-func matchBarriers(a *Analysis, threads map[int]*threadCollector, tids []int) (map[instanceKey]*instance, map[int][]visitRef) {
+func matchBarriers(a *Analysis, tcs []*threadCollector, names *regionNames) barrierVisits {
+	type instanceKey struct {
+		region  string
+		ordinal int
+	}
 	type visit struct {
-		tid         int
+		thread      int
 		enter, exit int64
 	}
 	byKey := make(map[instanceKey][]visit)
-	names := make(map[string]string)
-	for _, tid := range tids {
+	display := make(map[string]string)
+	for ti, tc := range tcs {
+		// The descriptor is formatted once per region, not per visit.
+		keys := make([]string, len(tc.regions))
 		ordinal := make(map[string]int)
-		tc := threads[tid]
 		for _, bv := range tc.barriers {
-			n := ordinal[bv.key]
-			ordinal[bv.key] = n + 1
-			k := instanceKey{region: bv.key, ordinal: n}
-			byKey[k] = append(byKey[k], visit{tid, bv.enter, bv.exit})
-			names[bv.key] = bv.name
+			key := keys[bv.region]
+			if key == "" {
+				key = tc.regions[bv.region].String()
+				keys[bv.region] = key
+				display[key] = tc.regions[bv.region].Name
+			}
+			n := ordinal[key]
+			ordinal[key] = n + 1
+			k := instanceKey{key, n}
+			byKey[k] = append(byKey[k], visit{ti, bv.enter, bv.exit})
 		}
 	}
 
-	instances := make(map[instanceKey]*instance)
-	visitIndex := make(map[int][]visitRef)
 	keys := make([]instanceKey, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
+	for k, vs := range byKey {
+		if len(vs) >= 2 {
+			keys = append(keys, k)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].region != keys[j].region {
-			return keys[i].region < keys[j].region
-		}
-		return keys[i].ordinal < keys[j].ordinal
+	slices.SortFunc(keys, func(x, y instanceKey) int {
+		return cmp.Or(cmp.Compare(x.region, y.region), cmp.Compare(x.ordinal, y.ordinal))
 	})
-	for _, k := range keys {
+	instances := make([]instance, len(keys))
+	bv := barrierVisits{byInstance: make([][]visitRef, len(tcs)), byExit: make([][]visitRef, len(tcs))}
+	a.Barriers = make([]BarrierInstance, 0, len(keys))
+	for i, k := range keys {
 		vs := byKey[k]
-		if len(vs) < 2 {
-			continue
-		}
-		inst := &instance{key: k, name: names[k.region]}
-		inst.firstArrival = vs[0].enter
-		inst.lastArrival = vs[0].enter
-		inst.lastThread = vs[0].tid
-		inst.arrivals = make(map[int]int64, len(vs))
-		inst.exits = make(map[int]int64, len(vs))
+		inst := &instances[i]
+		*inst = instance{region: names.id(display[k.region]), lastArrival: vs[0].enter, lastThread: vs[0].thread}
+		first := vs[0].enter
+		// Visits are in thread order, so the first of the latest
+		// arrivals is the one with the smallest tid.
 		for _, v := range vs {
-			inst.arrivals[v.tid] = v.enter
-			inst.exits[v.tid] = v.exit
-			if v.enter < inst.firstArrival {
-				inst.firstArrival = v.enter
-			}
+			first = min(first, v.enter)
 			if v.enter > inst.lastArrival {
 				inst.lastArrival = v.enter
-				inst.lastThread = v.tid
+				inst.lastThread = v.thread
 			}
-		}
-		// Deterministic last-arriver tie-break: smallest tid among the
-		// latest arrivals.
-		for _, v := range vs {
-			if v.enter == inst.lastArrival && v.tid < inst.lastThread {
-				inst.lastThread = v.tid
-			}
-		}
-		instances[k] = inst
-		for _, v := range vs {
-			visitIndex[v.tid] = append(visitIndex[v.tid], visitRef{inst: inst, enter: v.enter, exit: v.exit})
+			bv.byInstance[v.thread] = append(bv.byInstance[v.thread], visitRef{inst: inst, enter: v.enter, exit: v.exit})
 		}
 		a.Barriers = append(a.Barriers, BarrierInstance{
-			Region:       inst.name,
+			Region:       display[k.region],
 			Ordinal:      k.ordinal,
 			Threads:      len(vs),
-			FirstArrival: inst.firstArrival,
+			FirstArrival: first,
 			LastArrival:  inst.lastArrival,
-			LastThread:   inst.lastThread,
-			Skew:         inst.lastArrival - inst.firstArrival,
+			LastThread:   tcs[inst.lastThread].tid,
+			Skew:         inst.lastArrival - first,
 		})
 	}
-	if a.Barriers == nil {
-		a.Barriers = []BarrierInstance{}
+	for ti, refs := range bv.byInstance {
+		bv.byExit[ti] = slices.Clone(refs)
+		slices.SortFunc(bv.byExit[ti], func(x, y visitRef) int { return cmp.Compare(x.exit, y.exit) })
 	}
-	for tid := range visitIndex {
-		refs := visitIndex[tid]
-		sort.Slice(refs, func(i, j int) bool { return refs[i].exit < refs[j].exit })
-	}
-	return instances, visitIndex
+	return bv
 }
 
-type instanceKey struct {
-	region  string
-	ordinal int
-}
-
-type instance struct {
-	key          instanceKey
-	name         string
-	firstArrival int64
-	lastArrival  int64
-	lastThread   int
-	arrivals     map[int]int64
-	exits        map[int]int64
-}
-
-// visitRef ties one thread's barrier visit to its matched instance,
-// sorted by exit time per thread for the critical-path walk.
-type visitRef struct {
-	inst        *instance
-	enter, exit int64
+// idleScratch is the working memory classifyIdle reuses from one idle
+// span to the next.
+type idleScratch struct {
+	active    []int32 // pending windows open around the span, as indices
+	overlaps  []span
+	remainder []span
+	creators  []int   // threads holding work during the span
+	held      []int64 // per thread: summed overlap of its pending tasks
+	bestTask  []int32 // per thread: its most-overlapping pending window
+	bestTime  []int64
 }
 
 // classifyIdle splits every idle span inside a sync region into a
@@ -340,143 +482,109 @@ type visitRef struct {
 // arrival of a matched barrier instance), and unclassified idle.
 // Starved-thief takes precedence over barrier imbalance: work that
 // existed but was not distributed is the actionable diagnosis.
-func classifyIdle(a *Analysis, threads map[int]*threadCollector, tids []int, tasks map[uint64]*taskInfo, instances map[instanceKey]*instance, waits *waitTally) {
-	// Pending windows, sorted by start, for the sweep.
-	var pending []pendingWindow
-	taskIDs := make([]uint64, 0, len(tasks))
-	for id := range tasks {
-		taskIDs = append(taskIDs, id)
-	}
-	sort.Slice(taskIDs, func(i, j int) bool { return taskIDs[i] < taskIDs[j] })
-	for _, id := range taskIDs {
-		ti := tasks[id]
-		if !ti.created {
-			continue
-		}
-		end := a.EndTime
-		if ti.hasBegin {
-			end = ti.firstBegin
-		}
-		if end <= ti.createEnd {
-			continue
-		}
-		pending = append(pending, pendingWindow{
-			task: id, creator: ti.creator, region: ti.region, start: ti.createEnd, end: end,
-		})
-	}
-	sort.Slice(pending, func(i, j int) bool {
-		if pending[i].start != pending[j].start {
-			return pending[i].start < pending[j].start
-		}
-		return pending[i].task < pending[j].task
-	})
-
-	for _, tid := range tids {
-		tc := threads[tid]
-		tw := perThread(a, tid)
+func classifyIdle(perThread []ThreadWaits, tcs []*threadCollector, pending []pendingWindow, visits barrierVisits, waits *waitTally) {
+	s := idleScratch{held: make([]int64, len(tcs)), bestTask: make([]int32, len(tcs)), bestTime: make([]int64, len(tcs))}
+	var barWins []span
+	for ti, tc := range tcs {
+		tw := &perThread[ti]
 		// Barrier wait windows for this thread: [arrival, lastArrival]
 		// of every matched instance it participated in where it was not
 		// the last arriver.
-		var barWins []span
-		for _, inst := range instancesFor(instances, tid) {
-			arr := inst.arrivals[tid]
-			if inst.lastThread != tid && inst.lastArrival > arr {
-				barWins = append(barWins, span{arr, inst.lastArrival})
+		mine := visits.byInstance[ti]
+		barWins = barWins[:0]
+		for _, v := range mine {
+			if v.inst.lastThread != ti && v.inst.lastArrival > v.enter {
+				barWins = append(barWins, span{v.enter, v.inst.lastArrival})
 			}
 		}
-		sort.Slice(barWins, func(i, j int) bool { return barWins[i].start < barWins[j].start })
+		slices.SortFunc(barWins, func(x, y span) int { return cmp.Compare(x.start, y.start) })
 
 		next := 0
-		var active []pendingWindow
+		s.active = s.active[:0]
 		for _, idle := range tc.idles {
 			idleLen := idle.end - idle.start
 			if idleLen <= 0 {
 				continue
 			}
-			// Sweep pending windows into the active set.
+			// Sweep pending windows into the active set, and prune those
+			// that ended before this idle span.
 			for next < len(pending) && pending[next].start < idle.end {
-				active = append(active, pending[next])
+				s.active = append(s.active, int32(next))
 				next++
 			}
-			// Prune windows that ended before this idle span.
-			live := active[:0]
-			for _, pw := range active {
-				if pw.end > idle.start {
-					live = append(live, pw)
-				}
-			}
-			active = live
+			s.active = slices.DeleteFunc(s.active, func(i int32) bool { return pending[i].end <= idle.start })
 
 			// Starved-thief: overlap with other threads' pending tasks.
 			// The classified portion is the union of the overlaps; the
 			// cause is the creator with the largest summed overlap, the
 			// region its single most-overlapping task.
-			var overlaps []span
-			perCreator := make(map[int]int64)
-			bestTask := make(map[int]*pendingWindow)
-			bestTaskOv := make(map[int]int64)
-			for i := range active {
-				pw := &active[i]
-				if pw.creator == tid || pw.creator < 0 {
-					continue
-				}
+			s.overlaps, s.creators = s.overlaps[:0], s.creators[:0]
+			for _, i := range s.active {
+				pw := &pending[i]
+				c := int(pw.creator)
 				ov := overlap(idle, span{pw.start, pw.end})
-				if ov.end <= ov.start {
+				if c == ti || ov.end <= ov.start {
 					continue
 				}
-				overlaps = append(overlaps, ov)
+				s.overlaps = append(s.overlaps, ov)
 				d := ov.end - ov.start
-				perCreator[pw.creator] += d
-				if d > bestTaskOv[pw.creator] || (d == bestTaskOv[pw.creator] && bestTask[pw.creator] != nil && pw.task < bestTask[pw.creator].task) {
-					bestTaskOv[pw.creator] = d
-					bestTask[pw.creator] = pw
+				if s.held[c] == 0 {
+					s.creators = append(s.creators, c)
+					s.bestTime[c] = 0
+				}
+				s.held[c] += d
+				if d > s.bestTime[c] || (d == s.bestTime[c] && pw.task < pending[s.bestTask[c]].task) {
+					s.bestTime[c] = d
+					s.bestTask[c] = i
 				}
 			}
-			merged := mergeSpans(overlaps)
+			merged := mergeSpans(s.overlaps)
 			var starved int64
-			for _, s := range merged {
-				starved += s.end - s.start
+			for _, m := range merged {
+				starved += m.end - m.start
 			}
 			if starved > 0 {
-				cause := -1
-				var causeTime int64
-				creators := make([]int, 0, len(perCreator))
-				for c := range perCreator {
-					creators = append(creators, c)
-				}
-				sort.Ints(creators)
-				for _, c := range creators {
-					if perCreator[c] > causeTime {
-						causeTime = perCreator[c]
+				// The largest holder; of equals, the smallest tid.
+				slices.Sort(s.creators)
+				cause := s.creators[0]
+				for _, c := range s.creators[1:] {
+					if s.held[c] > s.held[cause] {
 						cause = c
 					}
 				}
-				reg := UnknownRegion
-				if bt := bestTask[cause]; bt != nil {
-					reg = bt.region
-				}
-				waits.add(analyze.StarvedThief, tid, cause, reg, starved)
+				waits.add(analyze.StarvedThief, tc.tid, tcs[cause].tid, pending[s.bestTask[cause]].region, starved)
 				tw.StarvedWait += starved
+			}
+			for _, c := range s.creators {
+				s.held[c] = 0
 			}
 
 			// Barrier imbalance: the unclaimed remainder intersected
 			// with this thread's barrier wait windows.
-			remainder := subtractSpans(idle, merged)
+			s.remainder = subtractSpans(s.remainder[:0], idle, merged)
 			var barrier int64
-			for _, r := range remainder {
+			for _, r := range s.remainder {
 				for _, bw := range barWins {
-					ov := overlap(r, bw)
-					if ov.end > ov.start {
+					if ov := overlap(r, bw); ov.end > ov.start {
 						barrier += ov.end - ov.start
 					}
 				}
 			}
 			if barrier > 0 {
-				// Attribute to the instance containing the idle span's
-				// start (deterministic: windows are per-thread disjoint
-				// in well-formed traces; first match wins).
-				cause, reg := barrierCause(instances, tid, idle)
-				waits.add(analyze.BarrierImbalance, tid, cause, reg, barrier)
+				// Attribute to the first instance, in instance order,
+				// whose wait window overlaps the idle span (windows are
+				// per-thread disjoint in well-formed traces).
+				cause, region := -1, waits.names.id("")
+				for _, v := range mine {
+					if v.inst.lastThread == ti {
+						continue
+					}
+					if ov := overlap(idle, span{v.enter, v.inst.lastArrival}); ov.end > ov.start {
+						cause, region = tcs[v.inst.lastThread].tid, v.inst.region
+						break
+					}
+				}
+				waits.add(analyze.BarrierImbalance, tc.tid, cause, region, barrier)
 				tw.BarrierWait += barrier
 			}
 
@@ -485,76 +593,22 @@ func classifyIdle(a *Analysis, threads map[int]*threadCollector, tids []int, tas
 	}
 }
 
-// instancesFor lists the matched instances thread tid participated in,
-// in deterministic key order.
-func instancesFor(instances map[instanceKey]*instance, tid int) []*instance {
-	keys := make([]instanceKey, 0, len(instances))
-	for k, inst := range instances {
-		if _, ok := inst.arrivals[tid]; ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].region != keys[j].region {
-			return keys[i].region < keys[j].region
-		}
-		return keys[i].ordinal < keys[j].ordinal
-	})
-	out := make([]*instance, len(keys))
-	for i, k := range keys {
-		out[i] = instances[k]
-	}
-	return out
-}
-
-// barrierCause names the last arriver and region of the instance whose
-// wait window overlaps the idle span (first in key order).
-func barrierCause(instances map[instanceKey]*instance, tid int, idle span) (int, string) {
-	for _, inst := range instancesFor(instances, tid) {
-		arr := inst.arrivals[tid]
-		if inst.lastThread == tid {
-			continue
-		}
-		if ov := overlap(idle, span{arr, inst.lastArrival}); ov.end > ov.start {
-			return inst.lastThread, inst.name
-		}
-	}
-	return -1, ""
-}
-
-func perThread(a *Analysis, tid int) *ThreadWaits {
-	tw, ok := a.PerThread[tid]
-	if !ok {
-		tw = &ThreadWaits{ThreadID: tid}
-		a.PerThread[tid] = tw
-	}
-	return tw
-}
-
 func overlap(a, b span) span {
-	s, e := a.start, a.end
-	if b.start > s {
-		s = b.start
-	}
-	if b.end < e {
-		e = b.end
-	}
-	return span{s, e}
+	return span{max(a.start, b.start), min(a.end, b.end)}
 }
 
-// mergeSpans unions possibly-overlapping spans into disjoint ones.
+// mergeSpans unions possibly-overlapping spans, in place, into disjoint
+// ones.
 func mergeSpans(spans []span) []span {
 	if len(spans) == 0 {
 		return nil
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].start < spans[j].start })
+	slices.SortFunc(spans, func(x, y span) int { return cmp.Compare(x.start, y.start) })
 	out := spans[:1]
 	for _, s := range spans[1:] {
 		last := &out[len(out)-1]
 		if s.start <= last.end {
-			if s.end > last.end {
-				last.end = s.end
-			}
+			last.end = max(last.end, s.end)
 		} else {
 			out = append(out, s)
 		}
@@ -562,17 +616,15 @@ func mergeSpans(spans []span) []span {
 	return out
 }
 
-// subtractSpans removes the (disjoint, sorted) holes from base.
-func subtractSpans(base span, holes []span) []span {
-	var out []span
+// subtractSpans appends to out what the (disjoint, sorted) holes leave
+// of base.
+func subtractSpans(out []span, base span, holes []span) []span {
 	cur := base.start
 	for _, h := range holes {
 		if h.start > cur {
 			out = append(out, span{cur, h.start})
 		}
-		if h.end > cur {
-			cur = h.end
-		}
+		cur = max(cur, h.end)
 	}
 	if base.end > cur {
 		out = append(out, span{cur, base.end})

@@ -1,21 +1,160 @@
 package bottleneck
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 )
 
-// pathSegment is one span of a thread's timeline: a task fragment
-// (task != 0) or implicit-task filler (task == 0).
-type pathSegment struct {
-	task       uint64
-	start, end int64
+// completion is one observed task end. Threads are positions in the
+// sorted thread list.
+type completion struct {
+	time   int64
+	task   uint64
+	thread int32
 }
 
-// timeline is one thread's complete, gap-free segment sequence over
-// [firstTime, lastTime].
-type timeline struct {
-	tid  int
-	segs []pathSegment
+func compareCompletions(a, b completion) int {
+	return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.thread, b.thread), cmp.Compare(a.task, b.task))
+}
+
+// pathTables are what the critical-path walk looks up at a resumed
+// fragment: every task end in (time, thread, task) order, for the join
+// edge, and every task's fragment ends by task slot
+// (fragEnds[fragOffsets[s]:fragOffsets[s+1]], ascending), for the
+// suspension window the join must fall in.
+type pathTables struct {
+	ends        []completion
+	fragOffsets []int32
+	fragEnds    []int64
+}
+
+func newPathTables(tcs []*threadCollector, tasks []taskInfo) pathTables {
+	pt := pathTables{ends: completions(tcs)}
+	pt.fragOffsets, pt.fragEnds = fragmentEnds(tcs, tasks)
+	return pt
+}
+
+// completions lists every task end in (time, thread, task) order. A
+// thread's ends are those of its fragments, which are in stream order,
+// and the few ends that closed no fragment of their own task (the head
+// of a window, a malformed stream); both runs ascend with the thread's
+// clock, so the runs are merged.
+func completions(tcs []*threadCollector) []completion {
+	n := 0
+	for _, tc := range tcs {
+		n += len(tc.strayEnds)
+		for _, f := range tc.closedFrags() {
+			if f.flags&fragEnded != 0 {
+				n++
+			}
+		}
+	}
+	flat := make([]completion, 0, n)
+	bounds := make([]int, 0, 2*len(tcs)+1)
+	for ti, tc := range tcs {
+		bounds = append(bounds, len(flat))
+		for _, f := range tc.closedFrags() {
+			if f.flags&fragEnded != 0 {
+				flat = append(flat, completion{f.end, f.task, int32(ti)})
+			}
+		}
+		bounds = append(bounds, len(flat))
+		for _, e := range tc.strayEnds {
+			flat = append(flat, completion{e.time, e.id, int32(ti)})
+		}
+	}
+	return mergeRuns(flat, append(bounds, len(flat)), compareCompletions)
+}
+
+// fragmentEnds lays the end times of every task's closed fragments out
+// by task slot, ascending: a counting sort on the slot. A task's
+// fragments ascend already unless it moved between threads.
+func fragmentEnds(tcs []*threadCollector, tasks []taskInfo) (offsets []int32, ends []int64) {
+	offsets = make([]int32, len(tasks)+2)
+	for _, tc := range tcs {
+		for _, f := range tc.closedFrags() {
+			offsets[f.slot+2]++
+		}
+	}
+	for s := 2; s < len(offsets); s++ {
+		offsets[s] += offsets[s-1]
+	}
+	// offsets[s+1] is now where slot s starts; filling advances it to
+	// where slot s ends, which is where slot s+1 starts.
+	ends = make([]int64, offsets[len(offsets)-1])
+	for _, tc := range tcs {
+		for _, f := range tc.closedFrags() {
+			ends[offsets[f.slot+1]] = f.end
+			offsets[f.slot+1]++
+		}
+	}
+	offsets = offsets[:len(tasks)+1]
+	for s := range tasks {
+		if of := ends[offsets[s]:offsets[s+1]]; !slices.IsSorted(of) {
+			slices.Sort(of)
+		}
+	}
+	return offsets, ends
+}
+
+// countSegments is the number of pieces in tc's gap-free timeline over
+// [firstTime, lastTime]: its fragments, the implicit-task filler
+// between them, and a fragment still open at stream end (a truncated
+// trace), closed at the last observed time.
+func (tc *threadCollector) countSegments() int {
+	n := 0
+	cur := tc.firstTime
+	for _, f := range tc.closedFrags() {
+		if f.start > cur {
+			n++
+		}
+		if f.end > f.start {
+			n++
+		}
+		cur = max(cur, f.end)
+	}
+	if tc.inFrag && tc.lastTime > cur {
+		if open := tc.frags[len(tc.frags)-1]; open.start > cur {
+			n++
+		}
+		n++
+		cur = tc.lastTime
+	}
+	if tc.lastTime > cur {
+		n++
+	}
+	return n
+}
+
+// segmentAt finds the piece of tc's timeline covering (start, t]: the
+// fragment tc.frags[fi], or implicit-task filler when fi < 0. The
+// fragments are searched in place and the filler between neighbours is
+// synthesised. ok is false when t is at or before the thread's first
+// event.
+func (tc *threadCollector) segmentAt(t int64) (fi int, start int64, ok bool) {
+	closed := tc.closedFrags()
+	i := sort.Search(len(closed), func(i int) bool { return closed[i].end >= t })
+	if i < len(closed) && closed[i].start < t {
+		return i, closed[i].start, true
+	}
+	// Not inside a closed fragment: t lies after fragment i-1 and at or
+	// before the start of fragment i.
+	fi, start = -1, tc.firstTime
+	if i > 0 {
+		start = closed[i-1].end
+	}
+	if i == len(closed) {
+		if t > tc.lastTime {
+			return 0, 0, false
+		}
+		if tc.inFrag {
+			if open := tc.frags[i].start; t > open || open <= start {
+				fi, start = i, max(start, open)
+			}
+		}
+	}
+	return fi, start, start < t
 }
 
 // buildCriticalPath reconstructs the task-graph critical path by a
@@ -42,7 +181,7 @@ type timeline struct {
 // JoinWait + Other == Length. If the walk gets stuck before the global
 // start (a thread began later than the recording with no inbound
 // edge), the remainder is Other.
-func buildCriticalPath(a *Analysis, threads map[int]*threadCollector, tids []int, tasks map[uint64]*taskInfo, instances map[instanceKey]*instance, visitIndex map[int][]visitRef) {
+func buildCriticalPath(a *Analysis, tcs []*threadCollector, tasks []taskInfo, pt pathTables, visits barrierVisits, names *regionNames) {
 	cp := &a.CriticalPath
 	cp.StartTime = a.StartTime
 	cp.EndTime = a.EndTime
@@ -52,242 +191,112 @@ func buildCriticalPath(a *Analysis, threads map[int]*threadCollector, tids []int
 		return
 	}
 
-	// Per-thread timelines.
-	lines := make(map[int]*timeline, len(tids))
-	totalSegs := 0
-	for _, tid := range tids {
-		tc := threads[tid]
-		if !tc.firstValid {
-			continue
-		}
-		tl := &timeline{tid: tid}
-		cur := tc.firstTime
-		for _, f := range tc.frags {
-			if f.start > cur {
-				tl.segs = append(tl.segs, pathSegment{0, cur, f.start})
-			}
-			if f.end > f.start {
-				tl.segs = append(tl.segs, pathSegment{f.task, f.start, f.end})
-			}
-			if f.end > cur {
-				cur = f.end
-			}
-		}
-		if tc.inFrag && tc.lastTime > cur {
-			// A fragment still open at stream end (truncated trace):
-			// close it at the last observed time.
-			if tc.fragStart > cur {
-				tl.segs = append(tl.segs, pathSegment{0, cur, tc.fragStart})
-				cur = tc.fragStart
-			}
-			tl.segs = append(tl.segs, pathSegment{tc.curTask, cur, tc.lastTime})
-			cur = tc.lastTime
-		}
-		if tc.lastTime > cur {
-			tl.segs = append(tl.segs, pathSegment{0, cur, tc.lastTime})
-		}
-		lines[tid] = tl
-		totalSegs += len(tl.segs)
-	}
-
-	// Global task completions, sorted by time, for join edges.
-	type completion struct {
-		time int64
-		tid  int
-		task uint64
-	}
-	var completions []completion
-	for _, tid := range tids {
-		for _, e := range threads[tid].ends {
-			completions = append(completions, completion{e.time, tid, e.id})
-		}
-	}
-	sort.Slice(completions, func(i, j int) bool {
-		if completions[i].time != completions[j].time {
-			return completions[i].time < completions[j].time
-		}
-		if completions[i].tid != completions[j].tid {
-			return completions[i].tid < completions[j].tid
-		}
-		return completions[i].task < completions[j].task
-	})
-
-	// Per-task fragments sorted by end, for suspension windows.
-	taskFrags := make(map[uint64][]span)
-	for _, tid := range tids {
-		for _, f := range threads[tid].frags {
-			taskFrags[f.task] = append(taskFrags[f.task], span{f.start, f.end})
-		}
-	}
-	for id := range taskFrags {
-		fs := taskFrags[id]
-		sort.Slice(fs, func(i, j int) bool { return fs[i].end < fs[j].end })
-	}
-
-	// Walk state.
-	pathTime := make(map[string]int64)
-	attr := func(region string, d int64) {
+	pathTime := make([]int64, len(names.names))
+	attr := func(region int32, d int64) {
 		if d > 0 {
 			pathTime[region] += d
 			cp.Segments++
 		}
 	}
-	regionOf := func(task uint64) string {
-		if task == 0 {
-			return ImplicitRegion
-		}
-		if ti := tasks[task]; ti != nil {
-			return ti.region
-		}
-		return UnknownRegion
-	}
 
 	// Start on the thread whose timeline ends last (tie: smallest tid).
-	w := -1
-	for _, tid := range tids {
-		tc := threads[tid]
-		if !tc.firstValid {
-			continue
+	w, maxSteps := 0, 16
+	for ti, tc := range tcs {
+		if tc.lastTime > tcs[w].lastTime {
+			w = ti
 		}
-		if w == -1 || tc.lastTime > threads[w].lastTime {
-			w = tid
-		}
+		maxSteps += 4 * tc.countSegments()
 	}
-	if w == -1 {
-		return
-	}
-	t := threads[w].lastTime
-	if t < cp.EndTime {
-		// Another thread's extent ends the recording but has no events?
-		// Cannot happen (EndTime is a thread's lastTime), but guard.
-		cp.Other += cp.EndTime - t
+	t := tcs[w].lastTime
+	// back moves the cursor to an earlier time and returns the time
+	// crossed. It stops at the recording's start: a clock that ran
+	// backwards can have put an event before the first one observed.
+	back := func(to int64) int64 {
+		to = max(to, cp.StartTime)
+		d := t - to
+		t = to
+		return d
 	}
 
-	consumed := make(map[instanceKey]bool)
-	maxSteps := 4*totalSegs + 16
 	for steps := 0; t > cp.StartTime; steps++ {
-		if steps >= maxSteps {
-			cp.Other += t - cp.StartTime
+		fi, start, ok := tcs[w].segmentAt(t)
+		if steps >= maxSteps || !ok {
+			// The step bound, or below this thread's first event with
+			// no inbound edge.
+			cp.Other += back(cp.StartTime)
 			break
 		}
-		tl := lines[w]
-		seg := segmentAt(tl, t)
-		if seg == nil {
-			// Below this thread's first event with no inbound edge.
-			cp.Other += t - cp.StartTime
-			break
-		}
-		if seg.task != 0 {
-			attr(regionOf(seg.task), t-seg.start)
-			t = seg.start
-			ti := tasks[seg.task]
-			if ti != nil && ti.hasBegin && ti.beginThread == w && ti.firstBegin == seg.start {
-				// First fragment: spawn edge to the creator.
-				if ti.created && ti.createEnd <= t {
-					cp.SpawnWait += t - ti.createEnd
-					w = ti.creator
-					t = ti.createEnd
-				}
-				// Unknown creation: continue backward on this thread.
-			} else {
-				// Resumed fragment: join edge to the latest completion
-				// in the suspension window.
-				suspStart := int64(-1)
-				if fs := taskFrags[seg.task]; len(fs) > 0 {
-					i := sort.Search(len(fs), func(i int) bool { return fs[i].end > seg.start })
-					if i > 0 {
-						suspStart = fs[i-1].end
-					}
-				}
-				i := sort.Search(len(completions), func(i int) bool { return completions[i].time > t })
-				for i--; i >= 0; i-- {
-					c := completions[i]
-					if c.time < suspStart {
-						break
-					}
-					if c.task == seg.task {
-						continue
-					}
-					cp.JoinWait += t - c.time
-					w = c.tid
-					t = c.time
-					break
-				}
-				// Without a candidate the walk continues backward on
-				// this thread.
-			}
-		} else {
+		if fi < 0 || tcs[w].frags[fi].task == 0 {
 			// Implicit filler: prefer a barrier hand-off whose exit
 			// falls inside the span.
-			if ref := latestBarrierExit(visitIndex[w], seg.start, t, consumed); ref != nil {
-				inst := ref.inst
-				attr(ImplicitRegion, t-ref.exit)
-				consumed[inst.key] = true
-				last, arr := inst.lastThread, inst.lastArrival
-				if arr > ref.exit {
-					arr = ref.exit // malformed clocks: never move forward
-				}
-				cp.Other += ref.exit - arr
-				w = last
-				t = arr
+			if ref := latestBarrierExit(visits.byExit[w], start, t); ref != nil {
+				attr(implicitRegionID, back(ref.exit))
+				ref.inst.handedOff = true
+				// Malformed clocks: never move forward.
+				cp.Other += back(min(ref.inst.lastArrival, ref.exit))
+				w = ref.inst.lastThread
 			} else {
-				attr(ImplicitRegion, t-seg.start)
-				t = seg.start
+				attr(implicitRegionID, back(start))
+			}
+			continue
+		}
+		f := &tcs[w].frags[fi]
+		task := &tasks[f.slot]
+		attr(task.region, back(start))
+		if task.hasBegin && int(task.beginThread) == w && task.firstBegin == start {
+			// First fragment: spawn edge to the creator. With the
+			// creation unknown, continue backward on this thread.
+			if task.created && task.createEnd <= t {
+				cp.SpawnWait += back(task.createEnd)
+				w = int(task.creator)
+			}
+			continue
+		}
+		// Resumed fragment: join edge to the latest completion in the
+		// suspension window, which opened at the task's previous
+		// fragment end. Without a candidate the walk continues backward
+		// on this thread.
+		suspStart := int64(-1)
+		mine := pt.fragEnds[pt.fragOffsets[f.slot]:pt.fragOffsets[f.slot+1]]
+		if i := sort.Search(len(mine), func(i int) bool { return mine[i] > start }); i > 0 {
+			suspStart = mine[i-1]
+		}
+		ends := pt.ends
+		for i := sort.Search(len(ends), func(i int) bool { return ends[i].time > t }) - 1; i >= 0 && ends[i].time >= suspStart; i-- {
+			if c := ends[i]; c.task != f.task {
+				cp.JoinWait += back(c.time)
+				w = int(c.thread)
+				break
 			}
 		}
 	}
 
-	// Fold the per-region path time into the sorted report with what-if
-	// projections.
-	names := make([]string, 0, len(pathTime))
-	for name := range pathTime {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		d := pathTime[name]
-		pr := PathRegion{
-			Region:   name,
-			Time:     d,
-			Share:    float64(d) / float64(cp.Length),
-			WhatIf10: d / 10,
-			WhatIf25: d / 4,
-			WhatIf50: d / 2,
+	// Fold the per-region path time into the report with what-if
+	// projections: descending by time, equal times by name.
+	for region, d := range pathTime {
+		if d > 0 {
+			cp.Regions = append(cp.Regions, PathRegion{
+				Region:   names.names[region],
+				Time:     d,
+				Share:    float64(d) / float64(cp.Length),
+				WhatIf10: d / 10,
+				WhatIf25: d / 4,
+				WhatIf50: d / 2,
+			})
 		}
-		cp.Regions = append(cp.Regions, pr)
 	}
-	sort.SliceStable(cp.Regions, func(i, j int) bool { return cp.Regions[i].Time > cp.Regions[j].Time })
+	slices.SortFunc(cp.Regions, func(x, y PathRegion) int {
+		return cmp.Or(cmp.Compare(y.Time, x.Time), cmp.Compare(x.Region, y.Region))
+	})
 }
 
-// segmentAt returns the segment of tl covering (start, t], or nil when
-// t is at or before the thread's first event.
-func segmentAt(tl *timeline, t int64) *pathSegment {
-	if tl == nil || len(tl.segs) == 0 {
-		return nil
-	}
-	// First segment whose end >= t; its start must be < t.
-	i := sort.Search(len(tl.segs), func(i int) bool { return tl.segs[i].end >= t })
-	if i == len(tl.segs) {
-		return nil
-	}
-	if tl.segs[i].start >= t {
-		return nil
-	}
-	return &tl.segs[i]
-}
-
-// latestBarrierExit finds the unconsumed matched-barrier visit of one
-// thread with the largest exit in (start, end], or nil.
-func latestBarrierExit(refs []visitRef, start, end int64, consumed map[instanceKey]bool) *visitRef {
-	// refs are sorted by exit; binary search the upper bound.
-	i := sort.Search(len(refs), func(i int) bool { return refs[i].exit > end })
-	for i--; i >= 0; i-- {
-		r := &refs[i]
-		if r.exit <= start {
-			return nil
-		}
-		if !consumed[r.inst.key] {
-			return r
+// latestBarrierExit finds the matched-barrier visit of one thread, not
+// yet handed off through, with the largest exit in (start, end], or
+// nil. refs are sorted by exit.
+func latestBarrierExit(refs []visitRef, start, end int64) *visitRef {
+	for i := sort.Search(len(refs), func(i int) bool { return refs[i].exit > end }) - 1; i >= 0 && refs[i].exit > start; i-- {
+		if !refs[i].inst.handedOff {
+			return &refs[i]
 		}
 	}
 	return nil

@@ -106,6 +106,12 @@ type Runtime struct {
 
 	lastStats TeamStats
 	statsMu   sync.Mutex
+
+	// nextTaskID numbers the tasks of every region this runtime runs,
+	// so an id names one task per session, not per region. It sits
+	// behind lastStats, more than a cache line from the fields every
+	// event reads: task creation must not invalidate them.
+	nextTaskID atomic.Uint64
 }
 
 // NewRuntime returns a runtime emitting events to l (nil for an
@@ -182,9 +188,8 @@ type Team struct {
 	// are signaled on task publication, completion and barrier release.
 	idle idleNotifier
 
-	pending    atomic.Int64 // created but not yet completed tasks
-	created    atomic.Int64
-	nextTaskID atomic.Uint64
+	pending atomic.Int64 // created but not yet completed tasks
+	created atomic.Int64
 
 	barrier centralBarrier
 

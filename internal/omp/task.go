@@ -145,7 +145,7 @@ func (t *Thread) NewTask(r *region.Region, fn TaskFunc, opts ...TaskOpt) {
 
 	tk := t.allocTask()
 	tk.Region = r
-	tk.ID = team.nextTaskID.Add(1)
+	tk.ID = team.rt.nextTaskID.Add(1)
 	tk.fn = fn
 	tk.parent = t.current
 	tk.creator = t.ID

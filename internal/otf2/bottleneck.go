@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/bottleneck"
@@ -27,7 +28,14 @@ func AnalyzeBottlenecks(r io.Reader, q Query, workers int) (*bottleneck.Analysis
 	workers = normWorkers(workers)
 	if rs, ok := r.(io.ReadSeeker); ok {
 		if ix, err := ReadIndex(rs); err == nil {
-			pc := bottleneck.NewParallelCollector()
+			// The index knows how many events each thread's selected
+			// chunks hold: the collector sizes its buffers by that.
+			events := make(map[int]int, len(ix.Threads))
+			sel, _ := ix.selectChunks(q.MatchThread, q.Overlaps)
+			for _, pc := range sel {
+				events[pc.tid] += int(min(pc.ref.Events, math.MaxInt32))
+			}
+			pc := bottleneck.NewParallelCollector(events)
 			consume := func(tid int, events []trace.Event) {
 				if len(events) > 0 {
 					pc.ObserveBatch(tid, events)
@@ -69,7 +77,7 @@ func AnalyzeBottlenecks(r io.Reader, q Query, workers int) (*bottleneck.Analysis
 			c.ObserveQuery(tid, ev, q)
 		}
 	}
-	pc := bottleneck.NewParallelCollector()
+	pc := bottleneck.NewParallelCollector(nil)
 	err := runPipeline(r, region.NewRegistry(), workers, true, func(tid int, events []trace.Event) {
 		pc.ObserveBatchQuery(tid, events, q)
 	})
