@@ -6,12 +6,15 @@
 package scorep_test
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/bottleneck"
 	"repro/internal/clock"
 	"repro/internal/measure"
 	"repro/internal/omp"
+	"repro/internal/otf2"
 	"repro/internal/pomp"
 	"repro/internal/region"
 	"repro/internal/trace"
@@ -208,5 +211,52 @@ func TestBottleneckAnalysisAllocs(t *testing.T) {
 	}
 	if allocs[1] > 1.05*allocs[0] {
 		t.Errorf("bottleneck.Analyze allocates %v times on 2k tasks and %v on 20k: allocations grow with the tasks", allocs[0], allocs[1])
+	}
+}
+
+// TestArchiveLoadAllocs is the allocation gate of the archive load: a
+// full load of an indexed archive allocates the trace it returns — 32
+// bytes an event, each thread's slice made once at its final length —
+// plus chunk buffers and plan state that together stay below the
+// archive's own size, in a number of allocations that depends on the
+// threads and workers, not on the chunks. (Before the load went by the
+// index it allocated 6.3 times its result, and at least once per chunk.)
+func TestArchiveLoadAllocs(t *testing.T) {
+	tr := taskRingTrace(38_400)
+	events := tr.NumEvents()
+	if events < 200_000 {
+		t.Fatalf("the trace has %d events, want 200k", events)
+	}
+	var allocs, chunks [2]float64
+	for i, chunkBytes := range []int{32 << 10, 1 << 10} {
+		var archive bytes.Buffer
+		if err := otf2.Write(&archive, tr, otf2.WithChunkBytes(chunkBytes)); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := otf2.ReadIndex(bytes.NewReader(archive.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks[i] = float64(ix.NumChunks())
+		load := func() {
+			got, err := otf2.ReadAllParallel(bytes.NewReader(archive.Bytes()), region.NewRegistry(), 2)
+			if err != nil || got.NumEvents() != events {
+				t.Fatalf("load: %d events, err %v", got.NumEvents(), err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		load()
+		runtime.ReadMemStats(&after)
+		if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(1.15*32*float64(events))+uint64(archive.Len()); got > ceiling {
+			t.Errorf("%d-byte chunks: the load allocates %d bytes for %d events in a %d-byte archive, ceiling %d", chunkBytes, got, events, archive.Len(), ceiling)
+		}
+		allocs[i] = testing.AllocsPerRun(5, load)
+	}
+	if chunks[1] < 20*chunks[0] {
+		t.Fatalf("%v and %v chunks: the two archives do not differ enough in chunk count", chunks[0], chunks[1])
+	}
+	if allocs[1] > allocs[0]+2 {
+		t.Errorf("the load allocates %v times over %v chunks and %v times over %v: allocations grow with the chunks", allocs[0], chunks[0], allocs[1], chunks[1])
 	}
 }

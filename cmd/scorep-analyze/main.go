@@ -105,7 +105,7 @@ func main() {
 		tracePath   = flag.String("trace", "", "saved event trace to analyze (.otf2 = binary archive, otherwise JSONL)")
 		expDir      = flag.String("exp", "", "experiment directory: analyze it (without -code) or write the live run's archive to it (with -code)")
 		saveTrace   = flag.String("save-trace", "", "save the live run's trace (format by extension)")
-		parallel    = flag.Int("parallel", 0, "trace decode/analysis workers (0 = one per processor, 1 = sequential; results are identical)")
+		parallel    = flag.Int("parallel", 0, "trace decode/analysis workers (0 = one per processor; results are identical at every count)")
 		asJSON      = flag.Bool("json", false, "emit the analysis as one JSON object instead of text")
 		bottlenecks = flag.Bool("bottlenecks", false, "with a trace-bearing input: run the automatic bottleneck analysis (wait states, critical path, what-if savings)")
 		window      = flag.String("window", "", "clip trace analysis to the inclusive time window t0:t1 (either bound may be empty)")

@@ -43,7 +43,7 @@ func main() {
 		expDir   = flag.String("exp", "", "input experiment directory (its trace.otf2 is converted)")
 		out      = flag.String("out", "", "output trace; format chosen by extension (optional with -stats)")
 		stats    = flag.Bool("stats", false, "print size/event-count/bytes-per-event statistics (and archive layout)")
-		parallel = flag.Int("parallel", 0, "archive decode workers (0 = one per processor, 1 = sequential; the loaded trace is identical)")
+		parallel = flag.Int("parallel", 0, "archive decode workers (0 = one per processor; the loaded trace is identical at every count)")
 		window   = flag.String("window", "", "convert only the inclusive time window t0:t1 (either bound may be empty)")
 		threads  = flag.String("threads", "", "convert only a comma-separated thread-ID subset")
 		compress = flag.Bool("compress", false, "flate-compress event chunks of an .otf2 output")

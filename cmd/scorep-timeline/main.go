@@ -41,7 +41,7 @@ func main() {
 		expDir   = flag.String("exp", "", "experiment directory: render its trace (without -code) or write the live run's archive to it (with -code)")
 		width    = flag.Int("width", 100, "timeline width in characters")
 		save     = flag.String("save", "", "also save the recorded trace (format by extension)")
-		parallel = flag.Int("parallel", 0, "archive decode workers (0 = one per processor, 1 = sequential; the loaded trace is identical)")
+		parallel = flag.Int("parallel", 0, "archive decode workers (0 = one per processor; the loaded trace is identical at every count)")
 		window   = flag.String("window", "", "render only the inclusive time window t0:t1 (either bound may be empty)")
 		tids     = flag.String("tids", "", "render only a comma-separated thread-ID subset")
 		compress = flag.Bool("compress", false, "with -save to an .otf2 archive: flate-compress event chunks")

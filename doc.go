@@ -374,13 +374,15 @@
 // flushing progress on other threads (before, a single writer mutex
 // serialized all of it). On the read side, AnalyzeTraceArchiveParallel
 // (otf2.AnalyzeParallel; scorep-analyze/-timeline/-convert -parallel N)
-// runs the out-of-core analysis with a sequential frame scanner
-// fanning chunk decoding out to a worker pool, while per-thread shards
-// re-serialize each thread's chunks in archive order — Scalasca's
-// parallel trace-analysis structure. Memory stays O(workers x chunk),
-// and the merged result is reflect.DeepEqual- and JSON-byte-identical
-// to the sequential analysis, also for truncated archives (CI cmp's
-// the -parallel 1 and -parallel 4 JSON outputs on every change).
+// runs the out-of-core analysis with chunk decoding on a worker pool,
+// while per-thread shards re-serialize each thread's chunks in archive
+// order — Scalasca's parallel trace-analysis structure; the workers
+// read their own chunks by the footer index, or decode behind a
+// sequential frame scanner when an archive has none (see Reading
+// archives). Memory stays O(workers x chunk), and the merged result is
+// reflect.DeepEqual- and JSON-byte-identical to the sequential
+// analysis, also for truncated archives (CI cmp's the -parallel 1 and
+// -parallel 4 JSON outputs on every change).
 //
 // Archive pipeline throughput on the same 1-core container (1.05M-event
 // archive, 4 trace threads, min of 3 reps; see BENCH_PR5.json — a
@@ -529,12 +531,95 @@
 // machines in O(chunk) memory — out-of-core analysis of traces far
 // larger than RAM. AnalyzeTraceArchiveParallel and
 // ReadTraceArchiveParallel spread the chunk decoding over a worker
-// pool with per-thread in-order shards (O(workers x chunk) memory,
-// identical results); the CLIs expose the knob as -parallel N (0 = one
-// worker per processor, 1 = sequential). The scorep-convert command
-// converts between the two formats and reports size/event statistics;
-// scorep-timeline and scorep-analyze accept either format, chosen by
-// file extension (".otf2" is binary).
+// pool (identical results at every worker count); the CLIs expose the
+// knob as -parallel N (0 = one worker per processor). The
+// scorep-convert command converts between the two formats and reports
+// size/event statistics; scorep-timeline and scorep-analyze accept
+// either format, chosen by file extension (".otf2" is binary).
+//
+// # Reading archives
+//
+// Every archive this module finishes — a saved experiment, a daemon
+// shard, a flight dump — carries the footer index, and every
+// multi-chunk read of one goes by it, as an OTF2 reader sizes a
+// location's buffer from the event count in its definitions. A read
+// is planned, then its chunks are placed or delivered:
+//
+//   - Plan. The definition chunks are loaded through the index. The
+//     event chunks a TraceQuery can match are selected by their
+//     indexed thread and time bounds (the zero query selects all), and
+//     each selected chunk's framing is read. An index is input, and
+//     nothing it says is believed beyond what the chunk it points at
+//     backs: the chunk's thread and event count must be the index's,
+//     the count must fit the chunk's bytes (and a compressed chunk's
+//     declared size what DEFLATE can expand), chunks must not overlap,
+//     each chunk's base time must be where its thread's clock stood,
+//     a plan that selects everything must account for every definition
+//     and event chunk between header and index, and the index chunk
+//     must end where the trailer starts. A lying index is a
+//     corruption error — never a different trace, never an allocation
+//     sized by the lie. (Before, the count in the index was reported
+//     by scorep-convert -stats and sized the bottleneck buffers, and
+//     no reader compared it with the chunk's.)
+//   - Place (loads: ReadTraceArchiveParallel, ReadTraceArchiveQuery,
+//     Experiment.Trace, scorep-timeline, scorep-convert). Each
+//     thread's event slice is allocated once, at the length its
+//     selected chunks add up to; chunk k's destination is the
+//     prefix-sum window of the counts before it. Workers take chunks in
+//     offset order, read each with ReadAt (no scanner goroutine, no
+//     shared read position, no whole-file buffer), inflate compressed
+//     chunks on the worker, and decode straight into the window with
+//     absolute times from the chunk's indexed base time. There is no
+//     per-chunk slice, no append and no ordering between workers. A
+//     windowed load sizes by the selected chunks, places the interior
+//     ones whole, clips the few the window's edges cut in place, and
+//     closes the gaps. It is the same path at one worker and at many.
+//   - Deliver (analyses: AnalyzeTraceArchiveParallel,
+//     AnalyzeTraceArchiveQuery, AnalyzeTraceArchiveBottlenecks). A
+//     chunk decodes into a pooled run buffer and per-thread shards
+//     hand the runs to the analysis in archive order, one run per
+//     thread at a time; a bounded window of decoded runs keeps memory
+//     at O(workers x chunk).
+//
+// There is one fallback, chosen by what the input is and never by an
+// option: an input without a readable index (a v1 archive, the prefix
+// a crashed run left, a damaged trailer) or without random access (a
+// pipe; anything but a file or a bytes.Reader) is read front to back —
+// loads by the sequential ReadTraceArchive, whatever the worker count;
+// analyses behind a sequential frame scanner — with identical results
+// and the ErrTruncated salvage contract. The parallel append path
+// index-less loads used to take is gone: measured, it was 4 % faster
+// than the sequential read it duplicated. Every path decodes events in
+// one loop that writes through a pointer into its destination and
+// resolves regions in a table indexed by region ID (IDs above 2^20 are
+// corruption; the writer numbers regions from 0).
+//
+// On the benchmark's archive-query workload (a seeded 1.12 M-event,
+// 4-thread archive, 6.2 MB raw in 192 chunks, two workers on a two-CPU
+// host; benchmark/README.md), before and after the load went by the
+// index — medians of three interleaved traced pairs, and of ten
+// untraced pairs for the end-to-end metric:
+//
+//	otf2.decode_ns_per_event        68.7 -> 20.2   (one worker)
+//	otf2.decode_par_ns_per_event    74.7 ->  8.8   (two workers)
+//	otf2.analyze_file_ns_per_event  20.3 -> 11.2   (full scan, two workers)
+//	dump_ms_p50 (one raw load)     111   -> 40 ms  (10 of 10 pairs)
+//
+// Before, the second worker cost 9 %: every chunk was decoded into a
+// fresh zeroed slice and appended to its thread's, which regrew and
+// copied, so a load allocated 228 MB to build a 36 MB trace and the
+// collector ran beside it. Now it allocates the 36 MB and two chunk
+// buffers per worker (alloc_test.go pins that: at most 1.15 x 32 B x
+// events plus the archive's size, in a number of allocations that does
+// not grow with the chunks), and two workers take 0.44 of one's time. The
+// compressed archive loads at 19 M events/s where it loaded at 9 M
+// (ingest_events_per_s). Full scans gained too (scan_events_per_s
+// 50 M -> 84 M events/s) — from the shared decode loop and, for
+// compressed archives, from inflating on the workers where the
+// sequential scanner used to inflate inline — which is why
+// archive-query's overhead_ratio, the compressed scan over the raw one,
+// rose from 2.9 to 3.3 while both of its terms fell (68 -> 46 ms over
+// 22.5 -> 13.4 ms): what is left of the compressed scan is DEFLATE.
 //
 // # Bottleneck analysis
 //

@@ -295,10 +295,10 @@ type Experiment struct {
 	Meta ExperimentMeta
 
 	// AnalysisParallelism is the worker count used to decode and
-	// analyze the archived trace (<= 0: one per processor, 1: strictly
-	// sequential). Per-thread trace streams are independent, so the
-	// result is identical at every setting. Set it before the first
-	// Trace/TraceAnalysis call; the loaded artifacts are cached.
+	// analyze the archived trace (<= 0: one per processor). Per-thread
+	// trace streams are independent, so the result is identical at
+	// every setting. Set it before the first Trace/TraceAnalysis call;
+	// the loaded artifacts are cached.
 	AnalysisParallelism int
 
 	mu            sync.Mutex

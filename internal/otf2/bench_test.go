@@ -2,6 +2,7 @@ package otf2
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 
@@ -143,3 +144,35 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 var _ io.Writer = (*countingWriter)(nil)
+
+// BenchmarkLoad measures a whole-archive load by plan (raw and flate, one
+// and two workers) against the sequential ReadAll every index-less input
+// falls back to.
+func BenchmarkLoad(b *testing.B) {
+	tr := benchTrace(4, 50_000)
+	events := tr.NumEvents()
+	for _, comp := range []Compression{CompressionNone, CompressionFlate} {
+		var buf bytes.Buffer
+		if err := Write(&buf, tr, WithCompression(comp)); err != nil {
+			b.Fatal(err)
+		}
+		data := buf.Bytes()
+		run := func(name string, load func() (*trace.Trace, error)) {
+			b.Run(comp.String()+"/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := load(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+			})
+		}
+		run("sequential", func() (*trace.Trace, error) { return ReadAll(bytes.NewReader(data), region.NewRegistry()) })
+		for _, workers := range []int{1, 2} {
+			run(fmt.Sprintf("planned-%d", workers), func() (*trace.Trace, error) {
+				return ReadAllParallel(bytes.NewReader(data), region.NewRegistry(), workers)
+			})
+		}
+	}
+}

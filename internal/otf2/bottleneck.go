@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/bottleneck"
@@ -26,65 +25,27 @@ import (
 // at every worker count and on both access paths.
 func AnalyzeBottlenecks(r io.Reader, q Query, workers int) (*bottleneck.Analysis, QueryStats, error) {
 	workers = normWorkers(workers)
-	if rs, ok := r.(io.ReadSeeker); ok {
-		if ix, err := ReadIndex(rs); err == nil {
-			// The index knows how many events each thread's selected
-			// chunks hold: the collector sizes its buffers by that.
-			events := make(map[int]int, len(ix.Threads))
-			sel, _ := ix.selectChunks(q.MatchThread, q.Overlaps)
-			for _, pc := range sel {
-				events[pc.tid] += int(min(pc.ref.Events, math.MaxInt32))
-			}
-			pc := bottleneck.NewParallelCollector(events)
-			consume := func(tid int, events []trace.Event) {
-				if len(events) > 0 {
-					pc.ObserveBatch(tid, events)
-				}
-			}
-			st, err := runIndexed(rs, ix, q, region.NewRegistry(), workers, true, consume)
-			if err != nil {
-				return nil, st, err
-			}
-			return pc.Finish(), st, nil
-		}
-		// No readable index (v1 archive, crashed run, damaged trailer):
-		// rewind and scan sequentially.
-		if _, err := rs.Seek(0, io.SeekStart); err != nil {
-			return nil, QueryStats{}, err
-		}
-	}
-	var st QueryStats
-	if workers == 1 {
-		c := bottleneck.NewCollector()
-		rd, err := NewReader(r, region.NewRegistry())
+	if src, ix := indexed(r); ix != nil {
+		p, err := newPlan(src, ix, q, region.NewRegistry())
 		if err != nil {
-			if errors.Is(err, ErrTruncated) {
-				return c.Finish(), st, err
-			}
-			return nil, st, err
+			return nil, p.st, err
 		}
-		for {
-			tid, ev, err := rd.Next()
-			if err == io.EOF {
-				return c.Finish(), st, nil
-			}
-			if errors.Is(err, ErrTruncated) {
-				return c.Finish(), st, err
-			}
-			if err != nil {
-				return nil, st, err
-			}
-			c.ObserveQuery(tid, ev, q)
+		// The plan knows how many events each thread's selected chunks
+		// hold: the collector sizes its buffers by that.
+		pc := bottleneck.NewParallelCollector(p.threadEvents())
+		if err := p.analyze(workers, pc.ObserveBatch); err != nil {
+			return nil, p.st, err
 		}
+		return pc.Finish(), p.st, nil
 	}
 	pc := bottleneck.NewParallelCollector(nil)
-	err := runPipeline(r, region.NewRegistry(), workers, true, func(tid int, events []trace.Event) {
+	err := runPipeline(r, region.NewRegistry(), workers, func(tid int, events []trace.Event) {
 		pc.ObserveBatchQuery(tid, events, q)
 	})
 	if err != nil && !errors.Is(err, ErrTruncated) {
-		return nil, st, err
+		return nil, QueryStats{}, err
 	}
-	return pc.Finish(), st, err
+	return pc.Finish(), QueryStats{}, err
 }
 
 // AnalyzeFileBottlenecks runs the bottleneck analysis over the

@@ -15,10 +15,12 @@ import (
 // ReadFile loads a trace file in the format chosen by its extension
 // (".otf2" is a binary archive, anything else JSONL), interning regions
 // into reg. Archives are decoded with workers goroutines (<= 0 one per
-// processor, 1 strictly sequential; JSONL is always sequential). An
-// archive cut off mid-chunk (crashed run) is salvaged: the intact
-// prefix is returned together with an error wrapping ErrTruncated, and
-// the caller decides whether to use it.
+// processor; JSONL is always sequential): by plan when the archive has
+// its footer index, one worker or many, and by the sequential ReadAll
+// when it does not — see ReadAllParallel. An archive cut off mid-chunk
+// (crashed run) is salvaged: the intact prefix is returned together
+// with an error wrapping ErrTruncated, and the caller decides whether
+// to use it.
 func ReadFile(path string, reg *region.Registry, workers int) (*trace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -48,8 +50,8 @@ func ReadFileLenient(path string, reg *region.Registry, workers int) (*trace.Tra
 // AnalyzeFile runs the trace analysis over a trace file in either
 // format (by extension, like ReadFile). Archives are replayed streaming
 // in O(workers x chunk) memory, so they may be far larger than RAM;
-// workers <= 0 analyzes with one worker per processor, workers == 1
-// strictly sequentially — the result is identical either way.
+// workers <= 0 analyzes with one worker per processor — the result is
+// identical at every worker count.
 // Truncated archives are salvaged under the same lenient policy as
 // ReadFileLenient: the analysis of the intact prefix is returned with a
 // warning.

@@ -15,7 +15,7 @@ import (
 
 // flightTestTrace builds a small deterministic trace plus the matching
 // eviction accounting, as a flight snapshot would produce them.
-func flightTestTrace(t *testing.T) (*trace.Trace, trace.FlightStats) {
+func flightTestTrace(t testing.TB) (*trace.Trace, trace.FlightStats) {
 	t.Helper()
 	reg := region.NewRegistry()
 	work := reg.Register("work", "f.go", 1, region.Task)

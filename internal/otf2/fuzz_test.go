@@ -48,6 +48,7 @@ func FuzzCodec(f *testing.F) {
 	f.Add(corruptTail(compressed.Bytes(), 30))                                            // inside the index chunk
 	f.Add(corruptTail(compressed.Bytes(), 80))                                            // inside a flate stream
 	f.Add(valid.Bytes()[: len(valid.Bytes())-trailerLen : len(valid.Bytes())-trailerLen]) // trailer sheared off
+	f.Add([]byte(magic + "\x02F\x04\x00\x00\x00\x30"))                                    // damaged flight accounting: no path may be alone in rejecting it
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The query planner must never panic either, whatever the bytes

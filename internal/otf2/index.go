@@ -7,7 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"math"
 	"sync"
 )
 
@@ -40,6 +40,10 @@ type ThreadChunks struct {
 type Index struct {
 	DefOffsets []int64
 	Threads    []ThreadChunks
+
+	// end is the offset of the index chunk itself: every chunk the index
+	// describes lies before it.
+	end int64
 }
 
 // NumChunks returns the total number of event chunks in the index.
@@ -51,12 +55,15 @@ func (ix *Index) NumChunks() int {
 	return n
 }
 
-// NumEvents returns the total event count declared by the index.
+// NumEvents returns the total event count declared by the index,
+// saturating at math.MaxInt (an index is input: its counts may lie).
 func (ix *Index) NumEvents() int {
 	n := uint64(0)
 	for i := range ix.Threads {
 		for _, c := range ix.Threads[i].Chunks {
-			n += c.Events
+			if n += c.Events; n < c.Events || n > math.MaxInt {
+				return math.MaxInt
+			}
 		}
 	}
 	return int(n)
@@ -122,25 +129,38 @@ func ReadIndex(rs io.ReadSeeker) (*Index, error) {
 	if kind != chunkIndex {
 		return nil, corrupt("trailer points at %q chunk, want index", kind)
 	}
-	return decodeIndex(payload, size)
+	var lenbuf [binary.MaxVarintLen64]byte
+	framed := 1 + binary.PutUvarint(lenbuf[:], uint64(len(payload))) + len(payload)
+	if idxOff+int64(framed) != size-trailerLen {
+		// Bytes between index and trailer are no part of a finished
+		// archive, and a front-to-back read would trip over them.
+		return nil, corrupt("index chunk does not end at the trailer")
+	}
+	return decodeIndex(payload, idxOff)
 }
 
-// decodeIndex parses an index-chunk payload; size bounds the offsets it
-// may declare.
-func decodeIndex(payload []byte, size int64) (*Index, error) {
+// decodeIndex parses an index-chunk payload; end is the index chunk's
+// own offset, which bounds the offsets it may declare.
+func decodeIndex(payload []byte, end int64) (*Index, error) {
 	c := cursor{payload: payload}
 	ndefs, err := c.uvarint("index def count")
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{}
+	// Lists are made once, at their declared length clamped by what the
+	// rest of the payload could hold (an offset takes a byte at least, a
+	// thread two, a chunk entry five).
+	sized := func(n uint64, entryBytes int) int {
+		return int(min(n, uint64((len(payload)-c.pos)/entryBytes)))
+	}
+	ix := &Index{end: end, DefOffsets: make([]int64, 0, sized(ndefs, 1))}
 	var prevDef int64 = -1
 	for i := uint64(0); i < ndefs; i++ {
 		off, err := c.uvarint("index def offset")
 		if err != nil {
 			return nil, err
 		}
-		if int64(off) <= prevDef || int64(off) >= size {
+		if int64(off) <= prevDef || int64(off) >= end {
 			return nil, corrupt("index def offset %d out of order or range", off)
 		}
 		prevDef = int64(off)
@@ -150,6 +170,7 @@ func decodeIndex(payload []byte, size int64) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	ix.Threads = make([]ThreadChunks, 0, sized(nthreads, 2))
 	prevTid := int64(0)
 	for i := uint64(0); i < nthreads; i++ {
 		tid, err := c.varint("index thread id")
@@ -164,7 +185,7 @@ func decodeIndex(payload []byte, size int64) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		tc := ThreadChunks{Thread: int(tid)}
+		tc := ThreadChunks{Thread: int(tid), Chunks: make([]ChunkRef, 0, sized(nchunks, 5))}
 		prevOff := int64(-1)
 		for j := uint64(0); j < nchunks; j++ {
 			var cr ChunkRef
@@ -185,7 +206,7 @@ func decodeIndex(payload []byte, size int64) (*Index, error) {
 			if cr.MaxTime, err = c.varint("index chunk max time"); err != nil {
 				return nil, err
 			}
-			if cr.Offset <= prevOff || cr.Offset >= size {
+			if cr.Offset <= prevOff || cr.Offset >= end {
 				return nil, corrupt("index chunk offset %d out of order or range", cr.Offset)
 			}
 			if cr.MinTime > cr.MaxTime {
@@ -266,36 +287,4 @@ func inflateChunk(dst, payload []byte) ([]byte, error) {
 		return dst, corrupt("compressed chunk longer than declared %d bytes", rawLen)
 	}
 	return dst, nil
-}
-
-// selectChunks plans a query over an index: it returns, in ascending
-// offset order, every event chunk whose thread passes the query and
-// whose time bounds overlap the window, tagged with its per-thread
-// sequence number (position among that thread's selected chunks).
-// total is the archive's total event-chunk count, for QueryStats.
-func (ix *Index) selectChunks(match func(tid int) bool, overlaps func(min, max int64) bool) (sel []plannedChunk, total int) {
-	for ti := range ix.Threads {
-		tc := &ix.Threads[ti]
-		total += len(tc.Chunks)
-		if !match(tc.Thread) {
-			continue
-		}
-		seq := 0
-		for _, cr := range tc.Chunks {
-			if !overlaps(cr.MinTime, cr.MaxTime) {
-				continue
-			}
-			sel = append(sel, plannedChunk{tid: tc.Thread, seq: seq, ref: cr})
-			seq++
-		}
-	}
-	sort.Slice(sel, func(i, j int) bool { return sel[i].ref.Offset < sel[j].ref.Offset })
-	return sel, total
-}
-
-// plannedChunk is one selected chunk of a query plan.
-type plannedChunk struct {
-	tid int
-	seq int
-	ref ChunkRef
 }

@@ -154,18 +154,21 @@
 // archive event by event via Next in O(chunk) memory; ReadAll loads a
 // whole archive into a trace.Trace, and Analyze runs the streaming
 // trace analysis without ever materializing the trace. AnalyzeParallel
-// and ReadAllParallel are the multi-core variants: a sequential frame
-// scanner fans chunk decoding out to a worker pool while per-thread
-// shards replay each thread's chunks in archive order, keeping memory
-// at O(workers x chunk) and the results identical to the sequential
-// paths (reflect.DeepEqual, including for truncated archives).
+// and ReadAllParallel are their multi-core variants.
 //
-// Queries are the seekable layer on top: ReadIndex locates and decodes
-// the footer index in O(1) seeks, Reader.Seek repositions at an indexed
-// chunk, and AnalyzeQuery/ReadAllQuery plan a trace.Query (time window
-// + thread subset) over the index so only matching chunks are read and
-// decoded — falling back to the sequential scan, with identical
-// results and the same ErrTruncated salvage, when no index is present.
+// Every multi-chunk read of an archive that carries its footer index
+// goes by the index (query.go): a plan selects the chunks a trace.Query
+// (time window + thread subset; the zero query selects all) can match,
+// holds what the index says against the chunks themselves, and workers
+// read and decode their own chunks — loads straight into place in
+// slices made once (ReadAllQuery, ReadAllParallel), analyses through
+// per-thread in-order shards in O(workers x chunk) memory (AnalyzeQuery,
+// AnalyzeParallel, AnalyzeBottlenecks). An input without a readable
+// index or without random access is read front to back instead, with
+// identical results and the ErrTruncated salvage contract; the input
+// decides, no option does. ReadIndex locates and decodes the index in
+// O(1) seeks; Reader.PrimeDefinitions and Reader.Seek reposition a
+// Reader at an indexed chunk.
 package otf2
 
 import (
@@ -214,6 +217,11 @@ const (
 	// allocate, guarding against corrupt or hostile headers. It also
 	// caps the declared rawLen of a compressed chunk.
 	maxChunkLen = 1 << 26
+
+	// maxRegions caps the region IDs a reader accepts. IDs index the
+	// region table directly — the writer numbers regions densely from 0
+	// — so an ID is also a table size.
+	maxRegions = 1 << 20
 
 	// maxEventType is the highest trace.EventType ordinal in format
 	// versions 1 and 2.

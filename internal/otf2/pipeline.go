@@ -2,9 +2,9 @@ package otf2
 
 import (
 	"bufio"
-	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,17 +12,18 @@ import (
 	"repro/internal/trace"
 )
 
-// This file implements the parallel out-of-core side of the archive
-// format: a sequential frame scanner splits the archive into chunks and
-// fans decoded-chunk work out to a bounded worker pool, while
-// per-thread shards re-serialize each thread's chunks in archive order
-// — the structure of Scalasca's parallel trace analysis, where one
-// analysis process owns each trace location. Decoding (the varint-heavy
-// part) runs fully parallel across chunks of all threads; only the
-// cheap consume step (feeding a trace.ParallelAnalyzer shard, or
-// appending to a thread's event slice) is serialized per thread, so the
-// pipeline scales with min(worker count, chunk parallelism), not with
-// the archive's thread count alone.
+// This file implements parallel out-of-core analysis: chunks decode on
+// a bounded worker pool, while per-thread shards re-serialize each
+// thread's chunks in archive order — the structure of Scalasca's
+// parallel trace analysis, where one analysis process owns each trace
+// location. Decoding (the varint-heavy part) runs fully parallel across
+// chunks of all threads; only the consume step (feeding an analyzer's
+// per-thread shard) is serialized per thread, so analysis scales with
+// min(worker count, chunk parallelism), not with the archive's thread
+// count alone. An archive with a footer index is scanned by plan
+// (query.go), its workers reading their own chunks; runPipeline here is
+// the fallback for one without, where only a sequential frame scanner
+// can find the chunks.
 
 // normWorkers resolves a worker-count knob: <= 0 means "one per
 // processor".
@@ -41,7 +42,7 @@ type chunkJob struct {
 	payload []byte
 	pos     int // payload offset past the thread/count head
 	count   uint64
-	regions map[uint64]*region.Region // immutable snapshot at scan time
+	regions []*region.Region // immutable snapshot at scan time
 }
 
 // decodedRun is one chunk's events with chunk-relative timestamps;
@@ -52,20 +53,20 @@ type decodedRun struct {
 	total  int64
 }
 
-// runPool recycles decoded event slices for consumers that do not
-// retain them (analysis). Reuse matters beyond allocator pressure: a
-// fresh chunk-sized []trace.Event must be zeroed at allocation (it
-// holds pointers), which costs more than the decode itself on large
-// chunks.
+// runPool recycles the decoded event slices of analysis runs, which no
+// consumer retains. Reuse matters beyond allocator pressure: a fresh
+// chunk-sized []trace.Event must be zeroed at allocation (it holds
+// pointers), which costs more than the decode itself on large chunks.
 var runPool sync.Pool
 
+// newRunBuf returns a run buffer of length n with stale contents.
 func newRunBuf(n int) []trace.Event {
 	if v := runPool.Get(); v != nil {
 		if b := v.([]trace.Event); cap(b) >= n {
-			return b[:0]
+			return b[:n]
 		}
 	}
-	return make([]trace.Event, 0, n)
+	return make([]trace.Event, n)
 }
 
 func putRunBuf(b []trace.Event) {
@@ -82,13 +83,11 @@ func putRunBuf(b []trace.Event) {
 // dedicated per-thread goroutine exists.
 type shard struct {
 	tid     int
-	scanSeq int  // next sequence number to assign (scanner only)
-	recycle bool // return applied runs to runPool (consumer does not retain them)
+	scanSeq int // next sequence number to assign (scanner only)
 
 	// absolute marks runs decoded with absolute timestamps already (the
-	// indexed query path, which primes each chunk from its indexed
-	// BaseTime): deliver then applies them without rebasing, and `last`
-	// is unused.
+	// planned scan, which primes each chunk from its indexed BaseTime):
+	// deliver then applies them without rebasing, and `last` is unused.
 	absolute bool
 
 	mu      sync.Mutex
@@ -98,7 +97,8 @@ type shard struct {
 }
 
 // deliver hands a decoded run to the shard. consume is invoked with
-// absolute-time events, per-thread serially and in archive order;
+// absolute-time events, per-thread serially and in archive order, and
+// never with an empty run; the run's buffer then goes back to runPool.
 // release returns one in-flight-budget token per applied run.
 func (sh *shard) deliver(seq int, run *decodedRun, consume func(int, []trace.Event), release func()) {
 	sh.mu.Lock()
@@ -122,10 +122,10 @@ func (sh *shard) deliver(seq int, run *decodedRun, consume func(int, []trace.Eve
 			}
 			sh.last = base + run.total
 		}
-		consume(sh.tid, evs)
-		if sh.recycle {
-			putRunBuf(evs)
+		if len(evs) > 0 {
+			consume(sh.tid, evs)
 		}
+		putRunBuf(evs)
 		release()
 		sh.mu.Lock()
 		sh.next++
@@ -143,30 +143,17 @@ func (sh *shard) deliver(seq int, run *decodedRun, consume func(int, []trace.Eve
 // decodeRun decodes one chunk's events with chunk-relative timestamps.
 func decodeRun(j *chunkJob) (*decodedRun, error) {
 	c := cursor{payload: j.payload, pos: j.pos}
-	n := int(j.count)
 	// Clamp the declared count by what the payload could hold before
-	// pre-sizing, like Reader.chunkRemaining.
-	if maxFit := (len(j.payload)-j.pos)/minEventBytes + 1; n > maxFit {
-		n = maxFit
+	// taking a buffer, like Reader.chunkRemaining: decoding one event more
+	// than fits fails.
+	n := min(j.count, uint64(len(j.payload)-j.pos)/minEventBytes+1)
+	events := newRunBuf(int(n))
+	total, err := decodeEvents(&c, j.regions, 0, events)
+	if err != nil {
+		putRunBuf(events)
+		return nil, err
 	}
-	var events []trace.Event
-	if j.sh.recycle {
-		events = newRunBuf(n)
-	} else {
-		events = make([]trace.Event, 0, n)
-	}
-	var last int64
-	for i := uint64(0); i < j.count; i++ {
-		ev, err := decodeEvent(&c, j.regions, &last)
-		if err != nil {
-			if j.sh.recycle {
-				putRunBuf(events)
-			}
-			return nil, err
-		}
-		events = append(events, ev)
-	}
-	return &decodedRun{events: events, total: last}, nil
+	return &decodedRun{events: events, total: total}, nil
 }
 
 // errAt orders pipeline errors by archive position, so the parallel
@@ -202,12 +189,13 @@ func (l *errLatch) get() error {
 	return nil
 }
 
-// runPipeline scans an archive and feeds every event, in per-thread
-// order and with absolute timestamps, to consume — using workers
-// decode goroutines. consume is called with at most one run per thread
-// at a time. In-flight decoded chunks are bounded, so memory stays
-// O(workers x chunk) regardless of archive size.
-func runPipeline(r io.Reader, reg *region.Registry, workers int, recycle bool, consume func(int, []trace.Event)) error {
+// runPipeline scans an archive front to back and feeds every event, in
+// per-thread order and with absolute timestamps, to consume — using
+// workers decode goroutines. consume is called with at most one run per
+// thread at a time and must not retain it. In-flight decoded chunks are
+// bounded, so memory stays O(workers x chunk) regardless of archive
+// size.
+func runPipeline(r io.Reader, reg *region.Registry, workers int, consume func(int, []trace.Event)) error {
 	br := bufio.NewReader(r)
 	if _, err := readHeader(br); err != nil {
 		return err
@@ -283,9 +271,9 @@ scan:
 		case chunkDefs:
 			// Copy-on-write, but only when a dispatched job actually
 			// holds the current table — runs of back-to-back 'D' chunks
-			// mutate one fork instead of copying the table per chunk.
+			// mutate one clone instead of copying the table per chunk.
 			if snapshotHeld {
-				tables.forkRegions()
+				tables.regions = slices.Clone(tables.regions)
 				snapshotHeld = false
 			}
 			c := cursor{payload: payload}
@@ -307,7 +295,7 @@ scan:
 				if err == nil {
 					sh := shards[int(tid)]
 					if sh == nil {
-						sh = &shard{tid: int(tid), recycle: recycle}
+						sh = &shard{tid: int(tid)}
 						shards[int(tid)] = sh
 					}
 					job := &chunkJob{
@@ -348,59 +336,26 @@ scan:
 }
 
 // AnalyzeParallel is Analyze with the decode and per-thread analysis
-// work spread over a worker pool (workers <= 0 uses GOMAXPROCS;
-// workers == 1 is exactly Analyze). Memory stays O(workers x chunk).
-// The analysis is reflect.DeepEqual-identical to the sequential one —
-// also for an archive cut off mid-chunk, where both return the intact
-// prefix's analysis alongside an error wrapping ErrTruncated.
+// work spread over a worker pool (workers <= 0 uses GOMAXPROCS): the
+// zero query of AnalyzeQuery, so an archive with a footer index is
+// scanned by plan and any other front to back. Memory stays
+// O(workers x chunk). The analysis is reflect.DeepEqual-identical to
+// the sequential one at every worker count — also for an archive cut
+// off mid-chunk, where both return the intact prefix's analysis
+// alongside an error wrapping ErrTruncated.
 func AnalyzeParallel(r io.Reader, workers int) (*trace.Analysis, error) {
-	workers = normWorkers(workers)
-	if workers == 1 {
-		return Analyze(r)
-	}
-	pa := trace.NewParallelAnalyzer()
-	err := runPipeline(r, region.NewRegistry(), workers, true, pa.ObserveBatch)
-	if err != nil && !errors.Is(err, ErrTruncated) {
-		return nil, err
-	}
-	return pa.Finish(), err
+	a, _, err := AnalyzeQuery(r, Query{}, workers)
+	return a, err
 }
 
 // ReadAllParallel is ReadAll with chunk decoding spread over a worker
-// pool (workers <= 0 uses GOMAXPROCS; workers == 1 is exactly ReadAll).
-// The loaded trace is identical to ReadAll's, including the salvaged
-// prefix + ErrTruncated contract for archives cut off mid-chunk.
+// pool (workers <= 0 uses GOMAXPROCS): the zero query of ReadAllQuery.
+// An archive with a footer index is loaded by plan at every worker
+// count, one worker included; any other input is read by ReadAll,
+// whatever workers says. The loaded trace is identical to ReadAll's,
+// including the salvaged prefix + ErrTruncated contract for archives
+// cut off mid-chunk.
 func ReadAllParallel(r io.Reader, reg *region.Registry, workers int) (*trace.Trace, error) {
-	workers = normWorkers(workers)
-	if workers == 1 {
-		return ReadAll(r, reg)
-	}
-	tr := &trace.Trace{Threads: make(map[int][]trace.Event)}
-	type slot struct{ evs []trace.Event }
-	var mu sync.Mutex
-	slots := make(map[int]*slot)
-	consume := func(tid int, events []trace.Event) {
-		mu.Lock()
-		s := slots[tid]
-		if s == nil {
-			s = &slot{}
-			slots[tid] = s
-		}
-		mu.Unlock()
-		// Per-thread serial by the shard contract; only the map lookup
-		// above needs the lock.
-		if s.evs == nil {
-			s.evs = events
-			return
-		}
-		s.evs = append(s.evs, events...)
-	}
-	err := runPipeline(r, reg, workers, false, consume)
-	if err != nil && !errors.Is(err, ErrTruncated) {
-		return nil, err
-	}
-	for tid, s := range slots {
-		tr.Threads[tid] = s.evs
-	}
+	tr, _, err := ReadAllQuery(r, reg, Query{}, workers)
 	return tr, err
 }

@@ -1,10 +1,12 @@
 package otf2
 
 import (
-	"bufio"
 	"errors"
+	"fmt"
 	"io"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/region"
 	"repro/internal/trace"
@@ -29,316 +31,496 @@ type QueryStats struct {
 
 // AnalyzeQuery runs the trace analysis over the sub-trace of an archive
 // matching q, using up to workers decode goroutines (<= 0 one per
-// processor). When r is an io.ReadSeeker and the archive carries a
-// footer index, only the chunks whose thread and time bounds can match
-// are read and decoded — O(matching chunks), not O(archive). Otherwise
-// it falls back to the sequential scan with event-level filtering,
-// preserving the v1 salvage contract: a truncated archive yields the
-// intact prefix's (filtered) analysis alongside an error wrapping
-// ErrTruncated.
+// processor). When r can be read at any offset (an *os.File, a
+// *bytes.Reader) and the archive carries a footer index, only the
+// chunks whose thread and time bounds can match are read and decoded —
+// O(matching chunks), not O(archive). Otherwise it falls back to the
+// sequential scan with event-level filtering, preserving the v1 salvage
+// contract: a truncated archive yields the intact prefix's (filtered)
+// analysis alongside an error wrapping ErrTruncated.
 //
 // The result is reflect.DeepEqual-identical to fully decoding the
 // archive, filtering with q.Filter, and analyzing that — at every
 // worker count and on both the indexed and the fallback path.
 func AnalyzeQuery(r io.Reader, q Query, workers int) (*trace.Analysis, QueryStats, error) {
 	workers = normWorkers(workers)
-	if rs, ok := r.(io.ReadSeeker); ok {
-		if ix, err := ReadIndex(rs); err == nil {
-			pa := trace.NewParallelAnalyzer()
-			consume := func(tid int, events []trace.Event) {
-				if len(events) > 0 {
-					pa.ObserveBatch(tid, events)
-				}
-			}
-			st, err := runIndexed(rs, ix, q, region.NewRegistry(), workers, true, consume)
-			if err != nil {
-				return nil, st, err
-			}
-			return pa.Finish(), st, nil
-		}
-		// No readable index (v1 archive, crashed run, damaged trailer):
-		// rewind and scan sequentially.
-		if _, err := rs.Seek(0, io.SeekStart); err != nil {
-			return nil, QueryStats{}, err
-		}
-	}
-	var st QueryStats
-	if workers == 1 {
-		sa := trace.NewStreamAnalyzer()
-		rd, err := NewReader(r, region.NewRegistry())
-		if err != nil {
-			if errors.Is(err, ErrTruncated) {
-				return sa.Finish(), st, err
-			}
-			return nil, st, err
-		}
-		for {
-			tid, ev, err := rd.Next()
-			if err == io.EOF {
-				return sa.Finish(), st, nil
-			}
-			if errors.Is(err, ErrTruncated) {
-				return sa.Finish(), st, err
-			}
-			if err != nil {
-				return nil, st, err
-			}
-			sa.ObserveQuery(tid, ev, q)
-		}
-	}
 	pa := trace.NewParallelAnalyzer()
-	err := runPipeline(r, region.NewRegistry(), workers, true, func(tid int, events []trace.Event) {
+	if src, ix := indexed(r); ix != nil {
+		p, err := newPlan(src, ix, q, region.NewRegistry())
+		if err == nil {
+			err = p.analyze(workers, pa.ObserveBatch)
+		}
+		if err != nil {
+			return nil, p.st, err
+		}
+		return pa.Finish(), p.st, nil
+	}
+	err := runPipeline(r, region.NewRegistry(), workers, func(tid int, events []trace.Event) {
 		pa.ObserveBatchQuery(tid, events, q)
 	})
 	if err != nil && !errors.Is(err, ErrTruncated) {
-		return nil, st, err
+		return nil, QueryStats{}, err
 	}
-	return pa.Finish(), st, err
+	return pa.Finish(), QueryStats{}, err
 }
 
 // ReadAllQuery loads the sub-trace of an archive matching q, interning
 // regions into reg — the decode counterpart of AnalyzeQuery, with the
-// same index-driven access, sequential fallback and salvage contract.
-// The loaded trace is reflect.DeepEqual-identical to
-// q.Filter(ReadAll(...)): threads without matching events are absent.
+// same index-driven access and salvage contract. An indexed archive is
+// loaded by plan (see plan.load) at every worker count; anything else —
+// a v1 archive, a crashed run, a reader without random access — by the
+// sequential ReadAll, then filtered. The loaded trace is
+// reflect.DeepEqual-identical to q.Filter(ReadAll(...)): threads
+// without matching events are absent.
 func ReadAllQuery(r io.Reader, reg *region.Registry, q Query, workers int) (*trace.Trace, QueryStats, error) {
-	workers = normWorkers(workers)
-	if rs, ok := r.(io.ReadSeeker); ok {
-		if ix, err := ReadIndex(rs); err == nil {
-			tr := &trace.Trace{Threads: make(map[int][]trace.Event)}
-			var mu sync.Mutex
-			consume := func(tid int, events []trace.Event) {
-				if len(events) == 0 {
-					return
-				}
-				mu.Lock()
-				evs := tr.Threads[tid]
-				mu.Unlock()
-				// Per-thread serial by the shard contract; only the map
-				// access needs the lock.
-				if evs == nil {
-					mu.Lock()
-					tr.Threads[tid] = events
-					mu.Unlock()
-					return
-				}
-				evs = append(evs, events...)
-				mu.Lock()
-				tr.Threads[tid] = evs
-				mu.Unlock()
-			}
-			st, err := runIndexed(rs, ix, q, reg, workers, false, consume)
-			if err != nil {
-				return nil, st, err
-			}
-			return tr, st, nil
+	if src, ix := indexed(r); ix != nil {
+		var tr *trace.Trace
+		p, err := newPlan(src, ix, q, reg)
+		if err == nil {
+			tr, err = p.load(normWorkers(workers))
 		}
-		if _, err := rs.Seek(0, io.SeekStart); err != nil {
-			return nil, QueryStats{}, err
-		}
+		return tr, p.st, err
 	}
-	// Sequential fallback: full decode, then the reference filter — the
-	// semantics every query path is defined against.
-	var st QueryStats
-	tr, err := ReadAllParallel(r, reg, workers)
+	tr, err := ReadAll(r, reg)
 	if err != nil && !errors.Is(err, ErrTruncated) {
-		return nil, st, err
+		return nil, QueryStats{}, err
 	}
-	return q.Filter(tr), st, err
+	if !q.All() {
+		tr = q.Filter(tr) // the semantics every query path is defined against
+	}
+	return tr, QueryStats{}, err
 }
 
-// iJob is one indexed chunk handed to the query worker pool. Unlike the
-// sequential pipeline's chunkJob, the payload may still be compressed
-// (the index names the thread, so inflation can run on the workers) and
-// decoding starts from the chunk's indexed BaseTime, producing absolute
-// timestamps immediately.
-type iJob struct {
-	sh         *shard
-	seq        int
-	idx        int // dispatch index, for earliest-error selection
-	payload    []byte
-	compressed bool
-	ref        ChunkRef
-	q          Query
-	regions    map[uint64]*region.Region
+// source is an archive that several goroutines can read at any offset:
+// an *os.File, a *bytes.Reader.
+type source interface {
+	io.ReadSeeker
+	io.ReaderAt
 }
 
-// decodeIndexedRun inflates (if needed) and decodes one indexed chunk,
-// keeping only events inside the query window. It consumes j.payload
-// (returning it to the chunk pool) and produces absolute timestamps.
-func decodeIndexedRun(j *iJob) (*decodedRun, error) {
-	payload := j.payload
-	if j.compressed {
-		raw, err := inflateChunk(newChunkBuf(0), payload)
-		putChunkBuf(payload)
-		if err != nil {
-			putChunkBuf(raw)
-			return nil, err
-		}
-		payload = raw
+// indexed returns r as a source together with its footer index, when r
+// is one and the index is readable. Otherwise — a v1 archive, a crashed
+// run, a damaged trailer, a plain stream — the index is nil, r is back
+// at its start, and the caller reads it front to back: the one fallback
+// of every reading function, decided by the input and by no option.
+func indexed(r io.Reader) (source, *Index) {
+	src, ok := r.(source)
+	if !ok {
+		return nil, nil
 	}
-	c := cursor{payload: payload}
-	tid, err := c.varint("event chunk thread")
-	if err == nil && int(tid) != j.sh.tid {
-		err = corrupt("index lists chunk at %d under thread %d, payload says %d", j.ref.Offset, j.sh.tid, tid)
+	if ix, err := ReadIndex(src); err == nil {
+		return src, ix
 	}
-	var count uint64
-	if err == nil {
-		count, err = c.uvarint("event chunk count")
-	}
-	if err != nil {
-		putChunkBuf(payload)
-		return nil, err
-	}
-	n := int(count)
-	if maxFit := (len(payload)-c.pos)/minEventBytes + 1; n > maxFit {
-		n = maxFit
-	}
-	var events []trace.Event
-	if j.sh.recycle {
-		events = newRunBuf(n)
-	} else {
-		events = make([]trace.Event, 0, n)
-	}
-	last := j.ref.BaseTime
-	for i := uint64(0); i < count; i++ {
-		ev, err := decodeEvent(&c, j.regions, &last)
-		if err != nil {
-			if j.sh.recycle {
-				putRunBuf(events)
-			}
-			putChunkBuf(payload)
-			return nil, err
-		}
-		if j.q.MatchTime(ev.Time) {
-			events = append(events, ev)
-		}
-	}
-	putChunkBuf(payload)
-	return &decodedRun{events: events}, nil
+	// A source that cannot rewind (a pipe behind an *os.File) could not
+	// seek to its trailer either: ReadIndex read nothing.
+	_, _ = src.Seek(0, io.SeekStart)
+	return nil, nil
 }
 
-// runIndexed executes a query plan over an indexed archive: it loads
-// all definition chunks via the index, selects the event chunks whose
-// thread and time bounds can match, and streams exactly those — in
-// ascending offset order, one seek each — to a worker pool that
-// inflates, decodes and window-filters them. Per-thread shards apply
-// runs in archive order (without rebasing: indexed chunks decode with
-// absolute timestamps), so consume sees each thread's events in order.
-func runIndexed(rs io.ReadSeeker, ix *Index, q Query, reg *region.Registry, workers int, recycle bool, consume func(int, []trace.Event)) (QueryStats, error) {
-	st := QueryStats{Indexed: true}
+// plannedChunk is one selected event chunk: what the index says about
+// it, what its own framing says, and — once scanned — what came out.
+type plannedChunk struct {
+	tid int
+	pos int // position among the thread's chunks in the index
+	seq int // position among the thread's selected chunks
+	ref ChunkRef
+	chunkHead
+
+	dst []trace.Event // load: the window of the thread's slice its events go to
+	end int64         // the thread's timestamp after its last event
+}
+
+// chunkHead is a chunk's framing: its kind, and where its payload lies.
+type chunkHead struct {
+	kind byte
+	body int64
+	size int
+}
+
+// plan is a query over an indexed archive, ready to run: definitions
+// loaded, chunks selected in ascending offset order, and every selected
+// chunk's framing read and held against the index. An index is input:
+// nothing it claims is believed beyond what the chunk it points at can
+// hold, so whatever is sized from a plan (thread slices, collector
+// hints) is bounded by the archive's content, not by a hostile count.
+type plan struct {
+	src     source
+	ix      *Index
+	q       Query
+	st      QueryStats
+	regions []*region.Region
+	sel     []plannedChunk
+	hdr     [2*10 + 2]byte // headAt's scratch: kind, length, method, raw length
+
+	// The largest stored and inflated payloads selected: a scan worker
+	// makes its two chunk buffers once, at these sizes.
+	maxStored, maxRaw int
+}
+
+// maxInflate bounds the raw length a compressed chunk may declare per
+// stored byte: DEFLATE cannot expand further (a 258-byte match costs at
+// least two bits).
+const maxInflate = 1032
+
+func newPlan(src source, ix *Index, q Query, reg *region.Registry) (*plan, error) {
+	p := &plan{src: src, ix: ix, q: q, st: QueryStats{Indexed: true, ChunksTotal: ix.NumChunks()}}
 	tables := newDefTables()
-	for _, off := range ix.DefOffsets {
-		kind, payload, err := ReadChunkAt(rs, off)
+	defEnds := make([]int64, len(ix.DefOffsets))
+	var buf []byte
+	for i, off := range ix.DefOffsets {
+		h, _, err := p.headAt(off)
+		if err == nil && h.kind != chunkDefs {
+			err = corrupt("index lists definition chunk at %d, found %q", off, h.kind)
+		}
+		if err == nil {
+			buf, err = p.readBody(h, buf)
+		}
+		if err == nil {
+			err = tables.decodeDefs(&cursor{payload: buf}, reg)
+		}
 		if err != nil {
-			return st, err
+			return p, err
 		}
-		if kind != chunkDefs {
-			return st, corrupt("index lists definition chunk at %d, found %q", off, kind)
-		}
-		c := cursor{payload: payload}
-		if err := tables.decodeDefs(&c, reg); err != nil {
-			return st, err
-		}
+		defEnds[i] = h.body + int64(h.size)
 	}
-	var sel []plannedChunk
-	if q.Empty() {
-		st.ChunksTotal = ix.NumChunks()
-	} else {
-		sel, st.ChunksTotal = ix.selectChunks(q.MatchThread, q.Overlaps)
-	}
-	st.ChunksRead = len(sel)
-	if len(sel) == 0 {
-		return st, nil
-	}
+	p.regions = tables.regions
 
-	lat := &errLatch{done: make(chan struct{})}
-	jobs := make(chan *iJob, workers)
-	inflight := make(chan struct{}, 4*workers)
-	release := func() { <-inflight }
-
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if lat.p.Load() != nil {
-					putChunkBuf(j.payload)
-					release()
-					continue
-				}
-				run, err := decodeIndexedRun(j)
-				if err != nil {
-					lat.latch(j.idx, err)
-					release()
-					continue
-				}
-				j.sh.deliver(j.seq, run, consume, release)
+	if !q.Windowed {
+		p.sel = make([]plannedChunk, 0, p.st.ChunksTotal)
+	}
+	for ti := range ix.Threads {
+		tc := &ix.Threads[ti]
+		if q.Empty() || !q.MatchThread(tc.Thread) {
+			continue
+		}
+		seq := 0
+		for pos, cr := range tc.Chunks {
+			if q.Overlaps(cr.MinTime, cr.MaxTime) {
+				p.sel = append(p.sel, plannedChunk{tid: tc.Thread, pos: pos, seq: seq, ref: cr})
+				seq++
 			}
-		}()
+		}
 	}
+	sort.Slice(p.sel, func(i, j int) bool { return p.sel[i].ref.Offset < p.sel[j].ref.Offset })
+	p.st.ChunksRead = len(p.sel)
+	end := int64(0)
+	for i := range p.sel {
+		pc := &p.sel[i]
+		if pc.ref.Offset < end {
+			// One chunk listed twice (under two threads, say) would be
+			// sized for twice.
+			return p, corrupt("index lists overlapping chunks at %d", pc.ref.Offset)
+		}
+		if err := p.checkHead(pc); err != nil {
+			return p, err
+		}
+		end = pc.body + int64(pc.size)
+	}
+	if len(p.sel) == p.st.ChunksTotal {
+		return p, p.checkComplete(defEnds)
+	}
+	return p, nil
+}
 
-	shards := make(map[int]*shard)
-	br := bufio.NewReader(rs)
-	var scanErr error
-	scanned := len(sel)
-scan:
-	for i, pc := range sel {
-		if lat.p.Load() != nil {
-			scanned = i
-			break
+// headAt reads the framing of the chunk at off. The cursor it returns
+// stands at the first payload byte within the few bytes read.
+func (p *plan) headAt(off int64) (chunkHead, cursor, error) {
+	n, err := p.src.ReadAt(p.hdr[:], off)
+	if n == 0 || (err != nil && err != io.EOF) {
+		return chunkHead{}, cursor{}, fmt.Errorf("otf2: reading chunk at %d: %w", off, err)
+	}
+	c := cursor{payload: p.hdr[:n], pos: 1}
+	size, err := c.uvarint("chunk length")
+	if err != nil {
+		return chunkHead{}, c, err
+	}
+	if size > maxChunkLen {
+		return chunkHead{}, c, corrupt("chunk length %d exceeds limit", size)
+	}
+	h := chunkHead{kind: p.hdr[0], body: off + int64(c.pos), size: int(size)}
+	if h.body+int64(size) > p.ix.end {
+		return h, c, corrupt("chunk at %d runs into the index", off)
+	}
+	return h, c, nil
+}
+
+// readBody reads the payload of a chunk headAt accepted into buf, grown
+// as needed. It is safe for concurrent use.
+func (p *plan) readBody(h chunkHead, buf []byte) ([]byte, error) {
+	if cap(buf) < h.size {
+		buf = make([]byte, h.size)
+	}
+	buf = buf[:h.size]
+	// The payload lies inside the file (headAt checked), so a short read
+	// is an I/O failure, not a crashed run's truncation.
+	if n, err := p.src.ReadAt(buf, h.body); n < len(buf) {
+		return buf, fmt.Errorf("otf2: reading chunk payload at %d: %w", h.body, err)
+	}
+	return buf, nil
+}
+
+// checkHead reads the framing of a selected chunk and holds the index's
+// event count against it: an event record takes minEventBytes at least.
+func (p *plan) checkHead(pc *plannedChunk) error {
+	h, c, err := p.headAt(pc.ref.Offset)
+	if err != nil {
+		return err
+	}
+	raw := uint64(h.size)
+	switch h.kind {
+	case chunkEvents:
+	case chunkCompressed:
+		if c.pos++; c.pos >= len(c.payload) { // past the method byte, which inflateChunk checks
+			return corrupt("compressed chunk of %d bytes", h.size)
 		}
-		if _, err := rs.Seek(pc.ref.Offset, io.SeekStart); err != nil {
-			scanErr = err
-			scanned = i
-			break
+		if raw, err = c.uvarint("compressed raw length"); err != nil {
+			return err
 		}
-		br.Reset(rs)
-		kind, payload, err := readChunkInto(br, newChunkBuf(0))
-		if err == io.EOF {
-			err = cutOrIOErr("reading chunk", io.ErrUnexpectedEOF)
+		if raw > maxChunkLen || raw > maxInflate*uint64(h.size) {
+			return corrupt("compressed chunk at %d declares %d raw bytes for %d stored", pc.ref.Offset, raw, h.size)
 		}
-		if err != nil {
-			putChunkBuf(payload)
-			scanErr = err
-			scanned = i
-			break
+	default:
+		return corrupt("index lists event chunk at %d, found %q", pc.ref.Offset, h.kind)
+	}
+	if pc.ref.Events > raw/minEventBytes {
+		return corrupt("index lists %d events in the %d-byte chunk at %d", pc.ref.Events, raw, pc.ref.Offset)
+	}
+	pc.chunkHead = h
+	p.maxStored = max(p.maxStored, h.size)
+	if h.kind == chunkCompressed {
+		p.maxRaw = max(p.maxRaw, int(raw))
+	}
+	return nil
+}
+
+// checkComplete holds a plan that selected every indexed chunk against
+// the archive's framing: walking from the header to the index, each
+// definition or event chunk must be the next one the index lists. An
+// index that leaves a chunk out — the one lie no chunk-by-chunk check
+// sees — fails here; chunks of other kinds (flight accounting, future
+// ones) are stepped over, as every reader does.
+func (p *plan) checkComplete(defEnds []int64) error {
+	off, di, ci := int64(len(magic))+1, 0, 0
+	for off < p.ix.end {
+		switch {
+		case di < len(defEnds) && p.ix.DefOffsets[di] == off:
+			off, di = defEnds[di], di+1
+		case ci < len(p.sel) && p.sel[ci].ref.Offset == off:
+			off, ci = p.sel[ci].body+int64(p.sel[ci].size), ci+1
+		default:
+			h, _, err := p.headAt(off)
+			if err != nil {
+				return err
+			}
+			if h.kind == chunkDefs || h.kind == chunkEvents || h.kind == chunkCompressed {
+				return corrupt("index omits the %q chunk at %d", h.kind, off)
+			}
+			off = h.body + int64(h.size)
 		}
-		if kind != chunkEvents && kind != chunkCompressed {
-			putChunkBuf(payload)
-			scanErr = corrupt("index lists event chunk at %d, found %q", pc.ref.Offset, kind)
-			scanned = i
-			break
-		}
-		sh := shards[pc.tid]
-		if sh == nil {
-			sh = &shard{tid: pc.tid, recycle: recycle, absolute: true}
-			shards[pc.tid] = sh
-		}
-		job := &iJob{
-			sh: sh, seq: pc.seq, idx: i,
-			payload: payload, compressed: kind == chunkCompressed,
-			ref: pc.ref, q: q, regions: tables.regions,
+	}
+	if di < len(defEnds) || ci < len(p.sel) {
+		return corrupt("index lists a chunk that is none of the archive's")
+	}
+	return nil
+}
+
+// threadEvents returns how many events the selected chunks of each
+// thread hold (before any clipping to the query window).
+func (p *plan) threadEvents() map[int]int {
+	events := make(map[int]int, len(p.ix.Threads))
+	for i := range p.sel {
+		events[p.sel[i].tid] += int(p.sel[i].ref.Events)
+	}
+	return events
+}
+
+// scan hands each selected chunk's event records to decode, on up to
+// workers goroutines that take the chunks in offset order and read
+// their own (see open) — no scanner goroutine, no shared read position.
+// inflight, when not nil, is a semaphore taken before a chunk is
+// claimed (claiming in offset order is what lets a bounded window
+// always drain); a decode that returns nil gives the token back itself,
+// when it is done with the chunk's memory. The error of the earliest
+// chunk that has one is returned. After a clean scan the index's base
+// times are held against the decoded streams: each chunk must start
+// where its thread's previous one ended.
+func (p *plan) scan(workers int, inflight chan struct{}, decode func(pc *plannedChunk, c cursor) error) error {
+	lat := &errLatch{done: make(chan struct{})}
+	acquire := func() bool {
+		if inflight == nil {
+			return true
 		}
 		select {
 		case inflight <- struct{}{}:
-		case <-lat.done:
-			// A worker failed; stop scanning rather than wait on a
-			// window that may never drain.
-			putChunkBuf(payload)
-			scanned = i
-			break scan
+			return true
+		case <-lat.done: // the window may never drain after a failure
+			return false
 		}
-		jobs <- job
 	}
-	close(jobs)
+	release := func() {
+		if inflight != nil {
+			<-inflight
+		}
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(workers, len(p.sel)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stored, raw := make([]byte, p.maxStored), make([]byte, p.maxRaw)
+			for acquire() {
+				i := int(next.Add(1)) - 1
+				// Chunks before a failed one are still decoded: one of them
+				// may hold the earlier error.
+				if failed := lat.p.Load(); i >= len(p.sel) || (failed != nil && failed.idx < i) {
+					release()
+					return
+				}
+				pc := &p.sel[i]
+				c, err := p.open(pc, &stored, &raw)
+				if err == nil {
+					err = decode(pc, c)
+				}
+				if err != nil {
+					lat.latch(i, err)
+					release()
+				}
+			}
+		}()
+	}
 	wg.Wait()
-
-	// A decode error earlier in the plan outranks a later scan error,
-	// matching the order a sequential execution would hit them in.
-	if werr := lat.p.Load(); werr != nil && (scanErr == nil || werr.idx < scanned) {
-		return st, werr.err
+	if err := lat.get(); err != nil {
+		return err
 	}
-	return st, scanErr
+	prev := make(map[int]*plannedChunk, len(p.ix.Threads))
+	for i := range p.sel {
+		pc := &p.sel[i]
+		was, known := int64(0), pc.pos == 0
+		if pv := prev[pc.tid]; pv != nil && pv.pos+1 == pc.pos {
+			was, known = pv.end, true
+		}
+		if known && pc.ref.BaseTime != was {
+			return corrupt("index gives the chunk at %d base time %d, its thread's clock stood at %d", pc.ref.Offset, pc.ref.BaseTime, was)
+		}
+		prev[pc.tid] = pc
+	}
+	return nil
+}
+
+// open reads a selected chunk into the worker's buffers, inflates it if
+// compressed, and returns a cursor at its first event record — after
+// requiring the thread/count head before it to say what the index said.
+func (p *plan) open(pc *plannedChunk, stored, raw *[]byte) (c cursor, err error) {
+	if *stored, err = p.readBody(pc.chunkHead, *stored); err != nil {
+		return c, err
+	}
+	c.payload = *stored
+	if pc.kind == chunkCompressed {
+		if *raw, err = inflateChunk(*raw, *stored); err != nil {
+			return c, err
+		}
+		c.payload = *raw
+	}
+	tid, err := c.varint("event chunk thread")
+	if err != nil {
+		return c, err
+	}
+	count, err := c.uvarint("event chunk count")
+	if err != nil {
+		return c, err
+	}
+	if tid != int64(pc.tid) || count != pc.ref.Events {
+		return c, corrupt("index lists the chunk at %d as %d events of thread %d, the chunk holds %d of thread %d",
+			pc.ref.Offset, pc.ref.Events, pc.tid, count, tid)
+	}
+	return c, nil
+}
+
+// clip drops the events outside the query window from a decoded chunk,
+// in place. A chunk whose indexed time bounds lie inside the window —
+// all but the few a window's edges cut — is returned whole, unread.
+func (p *plan) clip(pc *plannedChunk, events []trace.Event) []trace.Event {
+	if q := p.q; q.Windowed && (pc.ref.MinTime < q.MinTime || pc.ref.MaxTime > q.MaxTime) {
+		kept := events[:0]
+		for i := range events {
+			if q.MatchTime(events[i].Time) {
+				kept = append(kept, events[i])
+			}
+		}
+		return kept
+	}
+	return events
+}
+
+// analyze runs the plan for an analysis: chunks decode with absolute
+// timestamps (from their indexed BaseTime) into pooled run buffers, and
+// per-thread shards hand the clipped runs to consume in archive order,
+// one run per thread at a time. consume must not retain a run. Decoded
+// runs waiting for their turn are bounded by the in-flight window.
+func (p *plan) analyze(workers int, consume func(int, []trace.Event)) error {
+	shards := make(map[int]*shard, len(p.ix.Threads))
+	for i := range p.sel {
+		if tid := p.sel[i].tid; shards[tid] == nil {
+			shards[tid] = &shard{tid: tid, absolute: true}
+		}
+	}
+	// As in runPipeline: 4 decoded chunks per worker may wait for an
+	// earlier chunk of their thread.
+	inflight := make(chan struct{}, 4*workers)
+	release := func() { <-inflight }
+	return p.scan(workers, inflight, func(pc *plannedChunk, c cursor) (err error) {
+		events := newRunBuf(int(pc.ref.Events))
+		if pc.end, err = decodeEvents(&c, p.regions, pc.ref.BaseTime, events); err != nil {
+			putRunBuf(events)
+			return err
+		}
+		shards[pc.tid].deliver(pc.seq, &decodedRun{events: p.clip(pc, events)}, consume, release)
+		return nil
+	})
+}
+
+// load runs the plan for a load. Each thread's event slice is made
+// once, at the length its selected chunks add up to (the index's counts,
+// which newPlan held against the chunks), and every chunk decodes
+// straight into its own window of it from its indexed BaseTime: no
+// per-chunk slice, no append, no ordering between workers. A windowed
+// load sizes by the selected chunks, clips the few that straddle the
+// window in place, and closes the gaps that leaves.
+func (p *plan) load(workers int) (*trace.Trace, error) {
+	tr := &trace.Trace{Threads: make(map[int][]trace.Event)}
+	for tid, n := range p.threadEvents() {
+		if n > 0 { // as in ReadAll, a thread without events is absent
+			tr.Threads[tid] = make([]trace.Event, n)
+		}
+	}
+	filled := make(map[int]int, len(tr.Threads))
+	for i := range p.sel {
+		pc := &p.sel[i]
+		lo := filled[pc.tid]
+		filled[pc.tid] = lo + int(pc.ref.Events)
+		pc.dst = tr.Threads[pc.tid][lo:filled[pc.tid]]
+	}
+	err := p.scan(workers, nil, func(pc *plannedChunk, c cursor) (err error) {
+		pc.end, err = decodeEvents(&c, p.regions, pc.ref.BaseTime, pc.dst)
+		pc.dst = p.clip(pc, pc.dst)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !p.q.Windowed {
+		return tr, nil // nothing was clipped
+	}
+	clear(filled)
+	for i := range p.sel {
+		pc := &p.sel[i]
+		filled[pc.tid] += copy(tr.Threads[pc.tid][filled[pc.tid]:], pc.dst)
+	}
+	for tid, n := range filled {
+		if tr.Threads[tid] = tr.Threads[tid][:n]; n == 0 {
+			delete(tr.Threads, tid)
+		}
+	}
+	return tr, nil
 }

@@ -38,34 +38,22 @@ func (c *cursor) varint(what string) (int64, error) {
 }
 
 // defTables holds an archive's decoded definitions: the clock
-// properties and the string and region interning tables event records
-// reference. The sequential Reader mutates one instance in place; the
-// parallel pipeline copy-on-write-forks the region table per
-// definition chunk so already-dispatched decode jobs keep an immutable
-// snapshot.
+// properties, the string table, and the region table event records
+// reference — dense by region ID (the writer numbers regions from 0),
+// nil where an ID is undefined. The sequential Reader mutates one
+// instance in place; the index-less pipeline clones the region table
+// before a definition chunk changes it, so already-dispatched decode
+// jobs keep an immutable snapshot.
 type defTables struct {
 	strings map[uint64]string
-	regions map[uint64]*region.Region
+	regions []*region.Region
 
 	clockResolution uint64
 	clockOffset     int64
 }
 
 func newDefTables() *defTables {
-	return &defTables{
-		strings: make(map[uint64]string),
-		regions: make(map[uint64]*region.Region),
-	}
-}
-
-// forkRegions replaces the region table with a copy, leaving previously
-// handed-out snapshots untouched.
-func (t *defTables) forkRegions() {
-	nr := make(map[uint64]*region.Region, len(t.regions)+8)
-	for id, r := range t.regions {
-		nr[id] = r
-	}
-	t.regions = nr
+	return &defTables{strings: make(map[uint64]string)}
 }
 
 // decodeDefs consumes a definitions payload, interning regions into reg.
@@ -130,6 +118,12 @@ func (t *defTables) decodeDefs(c *cursor, reg *region.Registry) error {
 			if typ > maxRegionType {
 				return corrupt("region %d has unknown type %d", id, typ)
 			}
+			if id >= maxRegions {
+				return corrupt("region id %d exceeds limit", id)
+			}
+			if grow := int(id) + 1 - len(t.regions); grow > 0 {
+				t.regions = append(t.regions, make([]*region.Region, grow)...)
+			}
 			t.regions[id] = reg.Register(name, file, int(line), region.Type(typ))
 		default:
 			return corrupt("unknown definition tag %#x", tag)
@@ -138,41 +132,62 @@ func (t *defTables) decodeDefs(c *cursor, reg *region.Registry) error {
 	return nil
 }
 
-// decodeEvent consumes one event record from c, resolving region
-// references in regions and advancing the running per-thread timestamp
-// at *last.
-func decodeEvent(c *cursor, regions map[uint64]*region.Region, last *int64) (trace.Event, error) {
-	if c.pos >= len(c.payload) {
-		return trace.Event{}, corrupt("event chunk shorter than declared count")
-	}
-	typ := c.payload[c.pos]
-	c.pos++
-	if typ > maxEventType {
-		return trace.Event{}, corrupt("unknown event type %d", typ)
-	}
-	dt, err := c.varint("event time delta")
-	if err != nil {
-		return trace.Event{}, err
-	}
-	ref, err := c.uvarint("event region ref")
-	if err != nil {
-		return trace.Event{}, err
-	}
-	task, err := c.uvarint("event task id")
-	if err != nil {
-		return trace.Event{}, err
-	}
-	ev := trace.Event{Type: trace.EventType(typ), TaskID: task}
-	*last += dt
-	ev.Time = *last
-	if ref != 0 {
-		reg, ok := regions[ref-1]
-		if !ok {
-			return trace.Event{}, corrupt("event references undefined region %d", ref-1)
+// eventFields names the three varints of an event record after its type
+// byte, for decodeEvents' error messages.
+var eventFields = [3]string{"varint in event time delta", "uvarint in event region ref", "uvarint in event task id"}
+
+// decodeEvents consumes len(dst) event records from c into dst,
+// resolving region references in regions and running the thread's
+// timestamp on from last; it returns the final timestamp. Every reader
+// decodes through this one loop: the sequential Reader an event or a
+// chunk at a time, the planned loader a chunk straight into its place.
+func decodeEvents(c *cursor, regions []*region.Region, last int64, dst []trace.Event) (int64, error) {
+	p, pos := c.payload, c.pos
+	for i := range dst {
+		if pos >= len(p) {
+			return last, corrupt("event chunk shorter than declared count")
 		}
-		ev.Region = reg
+		typ := p[pos]
+		pos++
+		if typ > maxEventType {
+			return last, corrupt("unknown event type %d", typ)
+		}
+		// The record's three varints, decoded in place: binary.Uvarint
+		// does not inline, and a call per field is most of a decode.
+		var f [3]uint64
+		for k := range f {
+			if pos < len(p) && p[pos] < 0x80 { // one byte: most region refs
+				f[k] = uint64(p[pos])
+				pos++
+				continue
+			}
+			for shift := uint(0); ; shift += 7 {
+				if pos >= len(p) || shift > 63 {
+					return last, corrupt("bad %s", eventFields[k])
+				}
+				b := p[pos]
+				pos++
+				f[k] |= uint64(b&0x7f) << shift
+				if b < 0x80 {
+					if shift == 63 && b > 1 {
+						return last, corrupt("bad %s", eventFields[k]) // overflows 64 bits
+					}
+					break
+				}
+			}
+		}
+		last += int64(f[0]>>1) ^ -int64(f[0]&1) // zig-zag, as binary.Varint
+		ev := &dst[i]
+		ev.Time, ev.Type, ev.TaskID, ev.Region = last, trace.EventType(typ), f[2], nil
+		if ref := f[1]; ref != 0 {
+			if ref > uint64(len(regions)) || regions[ref-1] == nil {
+				return last, corrupt("event references undefined region %d", ref-1)
+			}
+			ev.Region = regions[ref-1]
+		}
 	}
-	return ev, nil
+	c.pos = pos
+	return last, nil
 }
 
 // minEventBytes is the smallest encoding of one event record (type byte
@@ -326,12 +341,21 @@ func (r *Reader) Next() (int, trace.Event, error) {
 			return 0, trace.Event{}, r.fail(err)
 		}
 	}
-	ev, err := decodeEvent(&r.cur, r.tables.regions, &r.curLast)
-	if err != nil {
-		return 0, trace.Event{}, r.fail(err)
+	var ev [1]trace.Event
+	if err := r.decode(ev[:]); err != nil {
+		return 0, trace.Event{}, err
 	}
-	r.remaining--
-	return r.curThread, ev, nil
+	return r.curThread, ev[0], nil
+}
+
+// decode fills dst with the next len(dst) events of the current chunk
+// (at most chunkRemaining of them).
+func (r *Reader) decode(dst []trace.Event) (err error) {
+	if r.curLast, err = decodeEvents(&r.cur, r.tables.regions, r.curLast, dst); err != nil {
+		return r.fail(err)
+	}
+	r.remaining -= uint64(len(dst))
+	return nil
 }
 
 // chunkRemaining reports how many events of the current chunk's run are
@@ -372,11 +396,12 @@ func (r *Reader) nextChunk() error {
 	case chunkEvents:
 		return r.startEvents()
 	case chunkFlight:
-		info, err := decodeFlightInfo(payload)
-		if err != nil {
-			return err
+		// The accounting is advisory, and every other path steps over
+		// the chunk: a damaged one means "none" here too (as in
+		// StatFile), not an archive only this reader rejects.
+		if info, err := decodeFlightInfo(payload); err == nil {
+			r.flight = info
 		}
-		r.flight = info
 		return nil
 	default:
 		// Index, trailer, and any future chunk kind: skip.
@@ -478,7 +503,9 @@ func ReadAll(r io.Reader, reg *region.Registry) (*trace.Trace, error) {
 		return nil, err
 	}
 	for {
-		tid, ev, err := rd.Next()
+		for rd.remaining == 0 && err == nil {
+			err = rd.nextChunk()
+		}
 		if err == io.EOF {
 			return tr, nil
 		}
@@ -488,22 +515,21 @@ func ReadAll(r io.Reader, reg *region.Registry) (*trace.Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		evs := tr.Threads[tid]
-		if len(evs) == cap(evs) {
-			// Pre-size from the chunk's remaining run length instead of
-			// growing append-by-append: one allocation per chunk (or
-			// fewer), combined with geometric growth so repeated small
-			// chunks of one thread stay amortized O(1) per event.
-			need := len(evs) + 1 + rd.chunkRemaining()
-			newCap := 2 * cap(evs)
-			if newCap < need {
-				newCap = need
-			}
-			grown := make([]trace.Event, len(evs), newCap)
+		// Decode the whole chunk in place at the end of its thread's
+		// slice, growing geometrically so repeated small chunks of one
+		// thread stay amortized O(1) per event. A chunk that declares more
+		// events than it holds fails in decode, after the clamp kept the
+		// pre-sizing honest.
+		evs, n := tr.Threads[rd.curThread], rd.chunkRemaining()
+		if need := len(evs) + n; need > cap(evs) {
+			grown := make([]trace.Event, len(evs), max(need, 2*cap(evs)))
 			copy(grown, evs)
 			evs = grown
 		}
-		tr.Threads[tid] = append(evs, ev)
+		if err = rd.decode(evs[len(evs) : len(evs)+n]); err != nil {
+			return nil, err
+		}
+		tr.Threads[rd.curThread] = evs[:len(evs)+n]
 	}
 }
 

@@ -409,8 +409,12 @@ func ReadTraceArchive(r io.Reader) (*Trace, error) {
 }
 
 // ReadTraceArchiveParallel is ReadTraceArchive with chunk decoding
-// spread over up to workers goroutines (<= 0: one per processor, 1:
-// strictly sequential); the loaded trace is identical either way.
+// spread over up to workers goroutines (<= 0: one per processor). An
+// archive with a footer index, read from a file or a bytes.Reader, is
+// loaded by plan at every worker count, one included: each thread's
+// events are allocated once and every chunk decodes into its place.
+// Any other input is read by ReadTraceArchive whatever workers says.
+// The loaded trace is identical either way.
 func ReadTraceArchiveParallel(r io.Reader, workers int) (*Trace, error) {
 	return otf2.ReadAllParallel(r, region.NewRegistry(), workers)
 }
@@ -430,12 +434,14 @@ type TraceArchiveStats = otf2.ArchiveStats
 // decoding its events (see scorep-convert -stats).
 func StatTraceArchive(path string) (*TraceArchiveStats, error) { return otf2.StatFile(path) }
 
-// AnalyzeTraceArchiveParallel is AnalyzeTraceArchive with a sequential
-// frame scanner fanning chunk decoding out to a worker pool and
-// per-thread analysis shards (the parallel out-of-core mode; memory
-// stays O(workers x chunk)). workers <= 0 uses one worker per
-// processor, workers == 1 is exactly AnalyzeTraceArchive; the analysis
-// is reflect.DeepEqual-identical at every setting.
+// AnalyzeTraceArchiveParallel is AnalyzeTraceArchive with chunk
+// decoding on a worker pool and per-thread analysis shards (the
+// parallel out-of-core mode; memory stays O(workers x chunk)): the
+// workers read their own chunks where the footer index says they are,
+// or decode behind a sequential frame scanner when there is no index.
+// workers <= 0 uses one worker per processor; the analysis is
+// reflect.DeepEqual-identical to AnalyzeTraceArchive's at every
+// setting.
 func AnalyzeTraceArchiveParallel(r io.Reader, workers int) (*TraceAnalysis, error) {
 	return otf2.AnalyzeParallel(r, workers)
 }
