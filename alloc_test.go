@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 
+	scorep "repro"
 	"repro/internal/bottleneck"
 	"repro/internal/clock"
 	"repro/internal/measure"
@@ -258,5 +259,68 @@ func TestArchiveLoadAllocs(t *testing.T) {
 	}
 	if allocs[1] > allocs[0]+2 {
 		t.Errorf("the load allocates %v times over %v chunks and %v times over %v: allocations grow with the chunks", allocs[0], chunks[0], allocs[1], chunks[1])
+	}
+}
+
+// footprintRun records events events on two threads (enter/exit pairs of
+// one function, a task per 64 of them) under a session made from opts,
+// and returns the results with the growth of the live heap from before
+// NewSession until after End, each measured after a forced collection.
+func footprintRun(t *testing.T, events int, opts ...scorep.Option) (*scorep.Results, int64) {
+	t.Helper()
+	rs := newZeroAllocRegions(region.Default)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := scorep.NewSession(opts...)
+	s.Parallel(2, rs.par, func(th *scorep.Thread) {
+		for i := 0; i < events/4; i++ {
+			pomp.Function(th, rs.work, zeroAllocNopFn)
+			if i%64 == 63 {
+				th.NewTask(rs.task, zeroAllocNopTask)
+			}
+		}
+		th.Taskwait(rs.tw)
+	})
+	res, err := s.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return res, int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// TestLocalSessionFootprint is the memory gate of a local tracing
+// session: what End leaves reachable for the trace is its archive — a
+// few bytes an event, not 32 — and saving it is a copy, whose
+// allocations do not depend on how many events there are. (A session
+// that kept []trace.Event held 6.4 MB here, and a save that encodes
+// allocates per chunk.)
+func TestLocalSessionFootprint(t *testing.T) {
+	const events = 200_000
+	_, base := footprintRun(t, events)
+	res, traced := footprintRun(t, events, scorep.WithTracing())
+	if n := len(bytes.Join(res.TraceArchive(), nil)); n == 0 || n > 8*events {
+		t.Fatalf("the session retains an archive of %d bytes for %d events", n, events)
+	}
+	if grown, ceiling := traced-base, int64(8*events+512<<10); grown > ceiling {
+		t.Errorf("tracing %d events leaves %d bytes more on the heap than not tracing, ceiling %d", events, grown, ceiling)
+	}
+
+	// Without the profile, whose JSON is not what this gate is about.
+	small, _ := footprintRun(t, events/10, scorep.WithTracing(), scorep.WithoutProfiling())
+	large, _ := footprintRun(t, events, scorep.WithTracing(), scorep.WithoutProfiling())
+	dir := t.TempDir()
+	var allocs [2]float64
+	for i, r := range []*scorep.Results{small, large} {
+		allocs[i] = testing.AllocsPerRun(3, func() {
+			if err := r.SaveExperiment(dir); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if d := allocs[1] - allocs[0]; d > 5 || d < -5 {
+		t.Errorf("SaveExperiment allocates %v times for %d events and %v times for %d: a save is a copy", allocs[0], events/10, allocs[1], events)
 	}
 }

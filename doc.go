@@ -52,6 +52,40 @@
 // Results.TraceAnalysis shards over (default: one per processor; the
 // analysis result is identical at every setting).
 //
+// A WithTracing session records the way Score-P does, into encoded
+// chunks instead of a growing slice of event structs: each thread
+// stages its events in a block of 4096, a full block is encoded into
+// the thread's chunk buffer of an archive writer (see Trace formats),
+// sealed chunks go into memory the session owns (64 KiB segments, so
+// nothing written is ever copied to make room), and End closes the
+// archive, index and trailer included. The Results holds those bytes —
+// about 6 per event, pointer-free, where the structs took 32 — and
+// reads them with the reader that reads a file: Results.Trace decodes
+// them on first use, once; TraceAnalysis and Bottlenecks scan them
+// unless the trace is already decoded; SaveExperiment writes them out
+// as they are. It is the path of WithStreamingTrace with the session as
+// its own sink, so the only failure it has is the writer's (a region
+// name too long to encode), reported by End like a sink failure. Three
+// things about it show:
+//
+//   - The trace.otf2 of a local session holds its chunks in the order
+//     the threads sealed them, threads interleaved, like every streamed
+//     archive and daemon shard, not thread by thread. Readers go by the
+//     per-thread index and none depends on the order. With more than one
+//     thread the file's bytes (chunk order, region numbering by first
+//     use) differ from run to run even under a deterministic clock; the
+//     decoded trace does not.
+//   - The first Results.Trace costs one decode (about 10 ns an event on
+//     two workers) and the events' 32 bytes each from then on. A flow
+//     that records and saves (scorep-bots -exp, WithExperimentDirectory)
+//     never pays either. WithTraceCompression is applied by
+//     SaveExperiment, which then writes the decoded trace anew; no
+//     recording thread compresses.
+//   - Events come back referencing the regions of the default registry,
+//     which for registered regions are the very descriptors the run
+//     used. A region interned in some other registry comes back as the
+//     equal descriptor interned in the default one.
+//
 // # Experiment archives
 //
 // Results.SaveExperiment(dir) writes the Score-P measurement-directory
@@ -352,17 +386,42 @@
 // cached per interned region, and call-tree nodes and task instances
 // are recycled through per-thread pools backed by chunked arenas.
 //
-// Measured per-event cost on a 1-core linux/amd64 container (Go 1.24,
-// ~33ns clock read; enter+exit pair, i.e. two events per op — see
-// bench_baseline.json and BENCH_PR4.json for the full trajectory):
+// What that path costs end to end is measured by the repository's
+// benchmark (benchmark/README.md; `bash benchmark/run.sh -workload
+// fib-fine -seed N -seconds 18 -trace 0`), and every claim about it is
+// a parent-against-change comparison in interleaved pairs of such runs.
+// Its fib-fine workload is the paper's worst case — BOTS fib without
+// cut-off, 556 416 events from ~93 k tiny tasks on two threads, under
+// NewSession(WithTracing()) — and its overhead_ratio is the paper's
+// Fig. 13/14 number. Recording into an in-memory archive instead of a
+// growing []TraceEvent per thread (see Session lifecycle) moved it as
+// follows: medians of ten interleaved pairs on a two-vCPU host, the
+// change better in ten pairs of ten on every row but the last, where
+// the parent was in nine:
 //
-//	configuration            before       after     allocs/op
-//	uninstrumented           3.3 ns       3.4 ns    0
-//	profiling                83 ns        85 ns     0
-//	profiling+filter         112 ns       95 ns     0      (-15%)
-//	tracing (streaming)      86 ns        83 ns     0
-//	profiling+tracing        210 ns       94 ns     0      (-55%, fused Tee)
-//	task, 5 events           583 ns       325 ns    2->0   (-44%, profiling+tracing)
+//	fib-fine                  before      after
+//	heap_live_mb              19.73       3.60     live heap after End: the trace, and the profile
+//	overhead_ratio            3.97        2.46     instrumented / uninstrumented wall
+//	inst_run_s                0.156       0.090    NewSession until End returned
+//	dump_ms_p50               9.17        1.56     SaveExperiment: a copy, no encoding
+//	ingest_events_per_s       3.35 M      6.07 M   events / (run + save)
+//	pipeline_s                0.203       0.134    session, save, open, analyses, render
+//	time_to_report_s          0.0382      0.0411   open until rendered: see below
+//
+// The event structs cost three to seven times what encoding them does:
+// 32 bytes an event written into memory that append-doubling copies
+// about twice over, the kernel faults in fresh every run, and the
+// collector scans for pointers while the measured code runs, against 6
+// pointer-free bytes written once, into segments that are never copied
+// (growing one buffer by doubling instead cost a tenth of the run: the
+// copies and the fresh memory's page faults happen under the writer's
+// io lock). time_to_report_s pays for the smaller heap: the bottleneck
+// analysis allocates ~22 MB of transient slabs, which on a 20 MB heap
+// full of just-freed recorder garbage was one collection and on a 4 MB
+// heap is two or three. The reader and the archive are the same on both
+// sides; a fresh scorep-analyze process always paid the higher figure.
+// On coarse-suite (five BOTS codes with few, large tasks, ~30 k events
+// a round) nothing moves but dump_ms_p50.
 //
 // Downstream of the per-event path, the trace pipeline is parallel end
 // to end. On the write side, the archive Writer encodes every event in
@@ -384,66 +443,18 @@
 // analysis, also for truncated archives (CI cmp's the -parallel 1 and
 // -parallel 4 JSON outputs on every change).
 //
-// Archive pipeline throughput on the same 1-core container (1.05M-event
-// archive, 4 trace threads, min of 3 reps; see BENCH_PR5.json — a
-// single hardware thread cannot exhibit parallel speedup, so the
-// multi-worker rows bound the coordination overhead from above; the
-// scaling acceptance runs on multi-core CI):
-//
-//	stage                           throughput       per event
-//	concurrent write, 1 thread      119M events/s    8.4 ns, 6.3 bytes
-//	concurrent write, 4 threads     54M events/s     (4 goroutines timeslicing 1 core)
-//	decode (ReadAll, pre-sized)     5.7M events/s    175 ns
-//	analyze sequential              17.3M events/s   58 ns
-//	analyze parallel, 4 workers     20.1M events/s   50 ns — faster than
-//	  sequential even on one core (decode overlaps the frame scan);
-//	  identical results, scaling with cores on multi-core hosts
-//
-// The format v2 refactor (footer index, per-chunk time bounds, optional
-// compression — see Trace formats below) left the write hot path at
-// parity and made windowed reads an order of magnitude cheaper. On the
-// same 1-core container (1.05M-event archive; see BENCH_PR6.json):
-//
-//	v2 write, 1 thread              97M events/s     10.3 ns, 6.3 bytes — vs
-//	  v1 96M events/s: the index costs two compares per event plus one
-//	  ChunkRef per sealed chunk (CI gates the v2:v1 ratio at 95%)
-//	flate-compressed write          21M events/s     1.37 bytes/event (4.6x
-//	  smaller; DEFLATE runs outside all shared locks)
-//	indexed seek + chunk decode     120 us/chunk     42M events/s, 0 allocs
-//	windowed analyze (10% window)   3.6 ms           reads 12% of chunks —
-//	  11x faster than the 40 ms full sequential analysis, identical output
-//
-// The remote sink adds a net section measuring the same event stream
-// shipped through the daemon socket versus written straight to a file
-// (net/write/{file,socket} at 1 and 4 concurrent streams, events/sec;
-// see BENCH_PR7.json) — the socket numbers include framing, the unix
-// socket hop, the daemon's ingest write and the seal acknowledgment.
-// On the 1-core container a single stream runs at sink parity (15M
-// events/s either way: the background sender overlaps the socket hop
-// with encoding); at 4 streams the client senders and daemon ingest
-// goroutines timeslice the one core (26M file vs 9M socket), with 0
-// steady-state allocs/op in both variants.
-//
-// Reproduce with:
-//
-//	go run ./cmd/scorep-bench -baseline BENCH_PR7.json -out BENCH_PR8.json
-//
-// scorep-bench runs the Fig. 13/14/15 experiments and these
-// microbenchmarks with warmup and repetitions and emits machine-readable
-// JSON (ns/op, allocs/op, bytes/event, events/sec, deltas vs. the
-// committed baseline). The stream section covers the whole pipeline:
-// stream/record (per-event record path), stream/write (concurrent
-// archive writes, 1 vs 4 threads at GOMAXPROCS 1 and 4, plus v1 and
-// compressed encodings), stream/decode and stream/analyze (sequential
-// vs parallel, incl. stream/analyze/bottlenecks for the bottleneck
-// pass), stream/seek (index-driven random chunk access) and
-// stream/analyze/windowed (time-window queries, with a chunk-read-frac
-// metric). CI runs `scorep-bench -quick -check-allocs -check-write-gate`
-// on every change and fails when a hot-path benchmark allocates more
-// per op than the committed baseline, or when v2 write throughput falls
-// below 95% of v1 measured in the same run (paired fixed-work rounds,
-// upper-quartile ratio — machine-independent where committed wall-clock
-// numbers are not).
+// cmd/scorep-bench is an older series of microbenchmarks (per-event
+// record path, archive write, decode, analyze, seek, windowed queries,
+// the Fig. 13/14/15 experiments at tiny sizes), kept for two CI gates
+// and not for comparisons: its committed BENCH_PR*.json files were
+// taken on one core under changing bench names and are comparable
+// neither with each other nor with the benchmark above. CI runs
+// `scorep-bench -quick -check-allocs -check-write-gate` on every change
+// and fails when a hot-path benchmark allocates more per op than
+// bench_baseline.json, or when v2 write throughput falls below 95% of
+// v1 measured in the same run (paired fixed-work rounds, upper-quartile
+// ratio — machine-independent where committed wall-clock numbers are
+// not).
 //
 // # Scheduler design
 //

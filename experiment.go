@@ -160,6 +160,12 @@ type ExperimentMeta struct {
 // it traced in memory) and meta.json. meta.json is written last, so a
 // directory with readable metadata is a completely saved experiment.
 // Load it back with OpenExperiment.
+//
+// The trace.otf2 of a local tracing session is a copy of the archive
+// the session recorded into: no event is decoded or encoded, whether
+// or not Trace was called, and its chunks lie in the order the threads
+// sealed them. Only WithTraceCompression makes a save encode: it
+// writes the decoded trace anew, compressed.
 func (r *Results) SaveExperiment(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("experiment: %w", err)
@@ -196,19 +202,31 @@ func (r *Results) SaveExperiment(dir string) error {
 	} else if err := removeExperimentFile(dir, experimentProfileFile); err != nil {
 		return err
 	}
-	if tr := r.Trace(); tr != nil {
+	// r.trace is read only where End set it: a local session, whose
+	// first Trace call sets it later, is known by its archive.
+	if r.archive != nil || r.trace != nil {
 		meta.HasTrace = true
 		meta.TraceFormat = fmt.Sprintf("spotf2-v%d", otf2.FormatVersion)
 		meta.Config.TraceCompression = r.cfg.traceComp.String()
 		if err := writeExperimentFile(dir, experimentTraceFile, func(f *os.File) error {
-			// A flight-recorder run archives its retained window with
-			// the eviction-accounting chunk up front; full traces are
-			// written plain.
-			if r.flightStats != nil {
+			switch {
+			case r.flightStats != nil:
+				// A flight-recorder run archives its retained window with
+				// the eviction-accounting chunk up front.
 				meta.FlightRecorder = flightRecorderInfo(*r.flightStats, "end", nil)
-				return otf2.WriteFlightDump(f, tr, otf2.FlightInfoFromStats(*r.flightStats), otf2.WithCompression(r.cfg.traceComp))
+				return otf2.WriteFlightDump(f, r.trace, otf2.FlightInfoFromStats(*r.flightStats), otf2.WithCompression(r.cfg.traceComp))
+			case r.archive != nil && r.cfg.traceComp == TraceCompressionNone:
+				// The recording already is the archive: a save copies it.
+				for _, seg := range r.archive.Segments() {
+					if _, err := f.Write(seg); err != nil {
+						return err
+					}
+				}
+				return nil
 			}
-			return otf2.Write(f, tr, otf2.WithCompression(r.cfg.traceComp))
+			// Compression happens here, at save, never on a recording
+			// thread; so does the encoding of a recording cut short.
+			return otf2.Write(f, r.Trace(), otf2.WithCompression(r.cfg.traceComp))
 		}); err != nil {
 			return err
 		}

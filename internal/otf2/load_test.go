@@ -138,9 +138,56 @@ func loadArchives(t testing.TB, tasks int) map[string][]byte {
 	}
 }
 
+// memoryOf holds data in a Memory, written in pieces that fit its
+// segments in no way.
+func memoryOf(data []byte) *Memory {
+	m := new(Memory)
+	for piece := 1; len(data) > 0; piece = piece*7%9973 + 1 {
+		n, _ := m.Write(data[:min(piece, len(data))])
+		data = data[n:]
+	}
+	m.Clip()
+	return m
+}
+
+// TestMemory holds a Memory against the bytes written into it: whole,
+// at every kind of offset, and past its end.
+func TestMemory(t *testing.T) {
+	data := make([]byte, 3*memorySegment+memorySegment/3)
+	rand.New(rand.NewSource(17)).Read(data)
+	m := memoryOf(data)
+	if got := bytes.Join(m.Segments(), nil); !bytes.Equal(got, data) {
+		t.Fatalf("the segments hold %d bytes, not the %d written", len(got), len(data))
+	}
+	if last := m.Segments()[3]; cap(last) > len(last)*5/4 { // the allocator's size classes round up by an eighth at most
+		t.Errorf("after Clip the last segment holds %d bytes in %d", len(last), cap(last))
+	}
+	if got, err := io.ReadAll(m.Reader()); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("reading it through: %d bytes, err %v", len(got), err)
+	}
+	for _, c := range []struct{ off, n int }{
+		{0, 10}, {memorySegment - 3, 7}, {memorySegment, memorySegment}, {5, 3 * memorySegment}, {len(data) - 4, 4},
+	} {
+		buf := make([]byte, c.n)
+		if n, err := m.ReadAt(buf, int64(c.off)); n != c.n || err != nil || !bytes.Equal(buf, data[c.off:c.off+c.n]) {
+			t.Errorf("ReadAt(%d bytes at %d) = %d, %v", c.n, c.off, n, err)
+		}
+	}
+	buf := make([]byte, 8)
+	if n, err := m.ReadAt(buf, int64(len(data)-3)); n != 3 || err != io.EOF || !bytes.Equal(buf[:3], data[len(data)-3:]) {
+		t.Errorf("ReadAt across the end = %d, %v, want 3 bytes and io.EOF", n, err)
+	}
+	if n, err := m.ReadAt(buf, int64(len(data))+5); n != 0 || err != io.EOF {
+		t.Errorf("ReadAt past the end = %d, %v, want io.EOF", n, err)
+	}
+	if n, err := new(Memory).ReadAt(buf, 0); n != 0 || err != io.EOF {
+		t.Errorf("ReadAt of an empty Memory = %d, %v, want io.EOF", n, err)
+	}
+}
+
 // TestLoadMatrix holds every load against the sequential ReadAll: each
-// archive kind, from an *os.File, a *bytes.Reader and a plain io.Reader,
-// at one, two and eight workers. The planned path (an indexed archive
+// archive kind, from an *os.File, a *bytes.Reader, a Memory and a plain
+// io.Reader, at one, two and eight workers. The planned path (an indexed archive
 // on a random-access source) and the fallback (anything else) must both
 // return what ReadAll returns, error included.
 func TestLoadMatrix(t *testing.T) {
@@ -164,6 +211,7 @@ func TestLoadMatrix(t *testing.T) {
 		}
 		sources := map[string]func() (io.Reader, func()){
 			"bytes.Reader": func() (io.Reader, func()) { return bytes.NewReader(data), func() {} },
+			"Memory":       func() (io.Reader, func()) { return memoryOf(data).Reader(), func() {} },
 			"io.Reader":    func() (io.Reader, func()) { return plainReader{bytes.NewReader(data)}, func() {} },
 			"os.File": func() (io.Reader, func()) {
 				f, err := os.Open(path)
@@ -207,6 +255,9 @@ func TestLoadTakesThePlan(t *testing.T) {
 		}
 		if st.Indexed != wantIndexed {
 			t.Errorf("%s on a bytes.Reader: Indexed = %v, want %v", name, st.Indexed, wantIndexed)
+		}
+		if _, st, _ := ReadAllQuery(memoryOf(data).Reader(), region.NewRegistry(), Query{}, 2); st.Indexed != wantIndexed {
+			t.Errorf("%s in a Memory: Indexed = %v, want %v", name, st.Indexed, wantIndexed)
 		}
 		if _, st, _ := ReadAllQuery(plainReader{bytes.NewReader(data)}, region.NewRegistry(), Query{}, 2); st.Indexed {
 			t.Errorf("%s on a plain io.Reader took the planned path", name)

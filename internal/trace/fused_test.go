@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -196,11 +197,15 @@ func TestFusedTeeRace(t *testing.T) {
 	}
 }
 
+// errSinkFull is what a failingSink returns once it fails.
+var errSinkFull = errors.New("sink full")
+
 // failingSink fails every write after the first n.
 type failingSink struct {
 	mu     sync.Mutex
 	okLeft int
 	calls  int
+	wrote  int // events accepted
 }
 
 func (s *failingSink) WriteEvents(thread int, evs []Event) error {
@@ -209,33 +214,47 @@ func (s *failingSink) WriteEvents(thread int, evs []Event) error {
 	s.calls++
 	if s.okLeft > 0 {
 		s.okLeft--
+		s.wrote += len(evs)
 		return nil
 	}
-	return errors.New("sink full")
+	return errSinkFull
 }
 
 // TestStreamingErrorLatch verifies the atomic sink-error latch: the
 // first failure is latched, later chunks are discarded without calling
-// the sink again, and Err reports the first error.
+// the sink again, and Err wraps the first error and counts every event
+// that did not reach the sink — the refused batch included — for a sink
+// failing on its first, second and fourth call.
 func TestStreamingErrorLatch(t *testing.T) {
 	reg := region.NewRegistry()
 	work := reg.Register("lw", "fused.go", 20, region.UserFunction)
-	sink := &failingSink{okLeft: 1}
-	rec := NewStreamingRecorder(clock.NewManual(0), sink, 4)
-	rt := omp.NewRuntimeWithRegistry(rec, reg)
 	par := reg.Register("lpar", "fused.go", 21, region.Parallel)
-	rt.Parallel(1, par, func(th *omp.Thread) {
-		for i := 0; i < 40; i++ { // 80+ events -> many chunk flushes
-			instrument(th, work, func() {})
-		}
-	})
-	rec.Finish()
-	if err := rec.Err(); err == nil || err.Error() != "sink full" {
-		t.Fatalf("Err = %v, want latched sink error", err)
+	run := func(rec *Recorder) *Trace {
+		rt := omp.NewRuntimeWithRegistry(rec, reg)
+		rt.Parallel(1, par, func(th *omp.Thread) {
+			for i := 0; i < 40; i++ { // 80+ events -> many chunk flushes
+				instrument(th, work, func() {})
+			}
+		})
+		return rec.Finish()
 	}
-	// One successful write, one failing write; everything after the
-	// latch must be dropped without touching the sink.
-	if sink.calls != 2 {
-		t.Errorf("sink called %d times, want 2 (ok + first failure)", sink.calls)
+	total := run(NewRecorder(clock.NewManual(0))).NumEvents()
+	for _, ok := range []int{0, 1, 3} {
+		sink := &failingSink{okLeft: ok}
+		rec := NewStreamingRecorder(clock.NewManual(0), sink, 4)
+		run(rec)
+		err := rec.Err()
+		want := fmt.Sprintf("sink full (%d events discarded)", total-sink.wrote)
+		if !errors.Is(err, errSinkFull) || err.Error() != want {
+			t.Fatalf("failing on call %d: Err = %v, want %q wrapping the sink's error", ok+1, err, want)
+		}
+		if sink.wrote != 4*ok {
+			t.Errorf("failing on call %d: sink accepted %d events, want %d", ok+1, sink.wrote, 4*ok)
+		}
+		// Everything after the latch must be dropped without touching
+		// the sink.
+		if sink.calls != ok+1 {
+			t.Errorf("sink called %d times, want %d (the successes and the first failure)", sink.calls, ok+1)
+		}
 	}
 }

@@ -134,7 +134,10 @@ type Recorder struct {
 	// sinkErr latches the first sink failure. It is an atomic pointer
 	// (not a mutex-guarded field) so the steady-state record path —
 	// including the pre-flush failed-check — never touches a lock.
-	sinkErr atomic.Pointer[error]
+	// discarded counts the events dropped because of it: the batch the
+	// sink refused and every batch after.
+	sinkErr   atomic.Pointer[error]
+	discarded atomic.Int64
 
 	mu      sync.Mutex
 	buffers map[int]*buffer
@@ -172,8 +175,8 @@ const DefaultChunkEvents = 4096
 // the buffer is reset. Finish flushes the remaining partial chunks and
 // returns an empty trace; the recording lives in whatever the sink
 // wrote. The first sink error is latched (see Err) and recording
-// continues by discarding flushed chunks, so a failing disk cannot
-// stall or OOM the instrumented run.
+// continues by discarding — and counting — flushed chunks, so a failing
+// disk cannot stall or OOM the instrumented run.
 func NewStreamingRecorder(clk clock.Clock, sink EventSink, chunkEvents int) *Recorder {
 	if chunkEvents <= 0 {
 		chunkEvents = DefaultChunkEvents
@@ -182,10 +185,12 @@ func NewStreamingRecorder(clk clock.Clock, sink EventSink, chunkEvents int) *Rec
 }
 
 // Err returns the first sink error encountered while flushing chunks,
-// or nil. Events recorded after a sink error are dropped.
+// or nil. The batch the sink refused and everything flushed after it
+// are dropped; the error says how many events that is so far, and
+// wraps the sink's own.
 func (r *Recorder) Err() error {
 	if p := r.sinkErr.Load(); p != nil {
-		return *p
+		return fmt.Errorf("%w (%d events discarded)", *p, r.discarded.Load())
 	}
 	return nil
 }
@@ -198,10 +203,15 @@ func (r *Recorder) flush(id int, b *buffer) {
 	if len(b.events) == 0 {
 		return
 	}
-	if r.sinkErr.Load() == nil {
+	failed := r.sinkErr.Load() != nil
+	if !failed {
 		if err := r.sink.WriteEvents(id, b.events); err != nil {
 			r.sinkErr.CompareAndSwap(nil, &err)
+			failed = true
 		}
+	}
+	if failed {
+		r.discarded.Add(int64(len(b.events)))
 	}
 	b.events = b.events[:0]
 }

@@ -70,10 +70,13 @@ func WithoutProfiling() Option {
 	return func(c *sessionConfig) { c.profiling = false }
 }
 
-// WithTracing enables in-memory event tracing. Session.End then exposes
-// the recording via Results.Trace and its derived metrics via
-// Results.TraceAnalysis. For runs whose trace may outgrow memory use
-// WithStreamingTrace instead. Combined with profiling (the default),
+// WithTracing enables in-memory event tracing. The session records into
+// a trace archive it keeps in memory — each thread stages its events in
+// a block and encodes a full block into the archive's chunks, about six
+// bytes an event — and Session.End closes that archive. Results.Trace
+// decodes it on first use, Results.TraceAnalysis and Bottlenecks scan
+// it, SaveExperiment copies it. For runs whose trace may outgrow memory
+// even so, use WithStreamingTrace. Combined with profiling (the default),
 // the session wires the fused profiling+tracing Tee: both listeners
 // share one clock read per event and see identical timestamps.
 func WithTracing() Option {

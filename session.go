@@ -11,6 +11,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/measure"
 	"repro/internal/omp"
+	"repro/internal/otf2"
 	"repro/internal/region"
 	"repro/internal/sink"
 	"repro/internal/trace"
@@ -41,6 +42,13 @@ type Session struct {
 	rt  *Runtime
 	m   *Measurement
 	rec *TraceRecorder
+
+	// A local tracing session (WithTracing) records into an archive in
+	// memory: the recorder flushes its staging blocks into archive, which
+	// encodes them into store. End closes the archive and hands the store
+	// to the Results.
+	archive *otf2.Writer
+	store   *otf2.Memory
 
 	// net is the remote trace sink client of a WithRemoteTrace session
 	// (owned by the session: End closes it); netErr records a remote
@@ -123,7 +131,9 @@ func NewSession(opts ...Option) *Session {
 		case cfg.streamingSink != nil:
 			s.rec = trace.NewStreamingRecorder(clk, cfg.streamingSink, cfg.streamingChunk)
 		default:
-			s.rec = trace.NewRecorder(clk)
+			s.store = new(otf2.Memory)
+			s.archive = otf2.NewWriter(s.store)
+			s.rec = trace.NewStreamingRecorder(clk, s.archive, 0)
 		}
 		listeners = append(listeners, s.rec)
 	}
@@ -195,7 +205,9 @@ func (s *Session) RemoteTraceSink() *TraceSinkClient { return s.net }
 // runtime's scheduler statistics. The returned Results exposes every
 // product of the run; calling End again returns the same Results.
 //
-// The error reports a streaming-trace sink failure or, when an
+// The error reports a trace the session could not record in full — a
+// streaming-trace sink failure, or the in-memory archive refusing a
+// record, each with the number of events discarded — or, when an
 // experiment directory is configured (WithExperimentDirectory or
 // SCOREP_EXPERIMENT_DIRECTORY), a failure to save the experiment
 // archive. The Results is valid even when err != nil.
@@ -211,31 +223,47 @@ func (s *Session) End() (*Results, error) {
 		s.m.Finish()
 	}
 	var tr *Trace
+	var archive *otf2.Memory
 	var err error
 	var flightStats *trace.FlightStats
-	if s.rec != nil {
-		if s.flight != nil {
-			// Flight mode: stop the dump triggers, then take the final
-			// window with its exactly matching eviction accounting.
-			s.flight.stop()
-			ftr, fst := s.rec.FlightSnapshot()
-			tr, flightStats = ftr, &fst
+	switch {
+	case s.rec == nil:
+	case s.flight != nil:
+		// Flight mode: stop the dump triggers, then take the final
+		// window with its exactly matching eviction accounting.
+		s.flight.stop()
+		ftr, fst := s.rec.FlightSnapshot()
+		tr, flightStats = ftr, &fst
+	case s.archive != nil:
+		// Local mode: the recording is the archive. Close it and keep
+		// it, at its length; nothing is decoded.
+		s.rec.Finish()
+		err = s.rec.Err()
+		if cerr := s.archive.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			s.store.Clip()
+			archive = s.store
 		} else {
-			tr = s.rec.Finish()
+			// The writer refused a record and wrote nothing after it:
+			// the store holds the intact prefix of a cut archive, and the
+			// results keep the events of that prefix.
+			err = fmt.Errorf("trace archive: %w", err)
+			tr, _ = otf2.ReadAll(s.store.Reader(), region.Default)
 		}
-		if s.cfg.streamingSink != nil {
-			// Streaming mode: the recording lives in the sink; the
-			// returned trace is empty by contract.
-			tr = nil
-			err = s.rec.Err()
-		}
+		s.archive, s.store = nil, nil
+	default:
+		// Streaming mode: the recording lives in the caller's sink.
+		s.rec.Finish()
+		err = s.rec.Err()
 	}
 	if s.net != nil {
 		// Close the remote stream: flush the archive tail, send the
 		// end-of-stream frame and wait for the daemon's seal ack. The
 		// recorder latches the client's WriteEvents error, so skip a
 		// Close error that merely repeats it.
-		if cerr := s.net.Close(); cerr != nil && (err == nil || err.Error() != cerr.Error()) {
+		if cerr := s.net.Close(); cerr != nil && !errors.Is(err, cerr) {
 			err = errors.Join(err, fmt.Errorf("remote trace sink: %w", cerr))
 		}
 	}
@@ -246,6 +274,7 @@ func (s *Session) End() (*Results, error) {
 	s.results = &Results{
 		cfg:         s.cfg,
 		m:           s.m,
+		archive:     archive,
 		trace:       tr,
 		stats:       s.rt.LastTeamStats(),
 		wall:        wall,
@@ -281,9 +310,16 @@ func (s *Session) End() (*Results, error) {
 type Results struct {
 	cfg   sessionConfig
 	m     *Measurement
-	trace *Trace
 	stats TeamStats
 	wall  time.Duration
+
+	// archive is the recording of a local tracing session: the complete,
+	// indexed trace archive End closed, which SaveExperiment copies to
+	// disk and every accessor reads like a file. It never changes. trace
+	// is the recording as events: a flight recorder's final window (set
+	// by End), or archive decoded by the first Trace call (guarded by mu).
+	archive *otf2.Memory
+	trace   *Trace
 
 	// Remote-tracing stream fate (see Session.End): recorded in the
 	// experiment's meta.json and exposed via RemoteFallback.
@@ -320,19 +356,47 @@ func (r *Results) reportLocked() *Report {
 }
 
 // Trace returns the recorded event trace, or nil when the session did
-// not trace in memory (streaming traces live in their sink).
-func (r *Results) Trace() *Trace { return r.trace }
+// not trace in memory (streaming traces live in their sink). A local
+// tracing session holds its recording encoded, at a few bytes per
+// event; the first Trace call decodes it, once, into events that
+// reference the regions of the default registry, and the result is
+// kept (32 bytes per event) for every later call and analysis.
+func (r *Results) Trace() *Trace {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.trace == nil && r.archive != nil {
+		r.trace = ownArchive(otf2.ReadAllParallel(r.archive.Reader(), region.Default, r.cfg.analysisWorkers))
+	}
+	return r.trace
+}
+
+// ownArchive passes on what a read of the session's own archive
+// returned. The session wrote those bytes and End closed them without
+// an error, so a read that fails is a bug in the writer or the reader,
+// not bad input, and must not pass for an empty result.
+func ownArchive[T any](v T, err error) T {
+	if err != nil {
+		panic(fmt.Errorf("scorep: reading the session's own trace archive: %w", err))
+	}
+	return v
+}
 
 // TraceAnalysis derives the paper's §VII metrics (dispatch latency,
 // management/execution ratio) from the recorded trace, or returns nil
-// when no in-memory trace exists. On multi-core hosts the analysis
+// when no in-memory trace exists. Like Experiment.TraceAnalysis it
+// reuses the events when Trace already materialized them and scans the
+// archive in bounded memory otherwise. On multi-core hosts the analysis
 // shards across per-thread workers (see WithAnalysisParallelism); the
 // result is identical to the sequential analysis.
 func (r *Results) TraceAnalysis() *TraceAnalysis {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.analysis == nil && r.trace != nil {
+	switch {
+	case r.analysis != nil:
+	case r.trace != nil:
 		r.analysis = trace.AnalyzeParallel(r.trace, r.cfg.analysisWorkers)
+	case r.archive != nil:
+		r.analysis = ownArchive(otf2.AnalyzeParallel(r.archive.Reader(), r.cfg.analysisWorkers))
 	}
 	return r.analysis
 }
@@ -346,8 +410,13 @@ func (r *Results) TraceAnalysis() *TraceAnalysis {
 func (r *Results) Bottlenecks() *BottleneckAnalysis {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.bottlenecks == nil && r.trace != nil {
+	switch {
+	case r.bottlenecks != nil:
+	case r.trace != nil:
 		r.bottlenecks = bottleneck.AnalyzeQuery(r.trace, trace.Query{}, r.cfg.analysisWorkers)
+	case r.archive != nil:
+		a, _, err := otf2.AnalyzeBottlenecks(r.archive.Reader(), trace.Query{}, r.cfg.analysisWorkers)
+		r.bottlenecks = ownArchive(a, err)
 	}
 	return r.bottlenecks
 }

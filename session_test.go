@@ -169,19 +169,22 @@ func TestSessionFilter(t *testing.T) {
 	}
 }
 
-// countingListener counts Enter events, standing in for a user-supplied
-// extra listener.
-type countingListener struct{ enters atomic.Int64 }
+// countingListener counts Enter events and all events, standing in for
+// a user-supplied extra listener.
+type countingListener struct{ enters, events atomic.Int64 }
 
-func (c *countingListener) ThreadBegin(*scorep.Thread)                     {}
-func (c *countingListener) ThreadEnd(*scorep.Thread)                       {}
-func (c *countingListener) Enter(*scorep.Thread, *scorep.Region)           { c.enters.Add(1) }
-func (c *countingListener) Exit(*scorep.Thread, *scorep.Region)            {}
-func (c *countingListener) TaskCreateBegin(*scorep.Thread, *scorep.Region) {}
-func (c *countingListener) TaskCreateEnd(*scorep.Thread, *scorep.Task)     {}
-func (c *countingListener) TaskBegin(*scorep.Thread, *scorep.Task)         {}
-func (c *countingListener) TaskEnd(*scorep.Thread, *scorep.Task)           {}
-func (c *countingListener) TaskSwitch(t *scorep.Thread, tk *scorep.Task)   {}
+func (c *countingListener) ThreadBegin(*scorep.Thread) { c.events.Add(1) }
+func (c *countingListener) ThreadEnd(*scorep.Thread)   { c.events.Add(1) }
+func (c *countingListener) Enter(*scorep.Thread, *scorep.Region) {
+	c.enters.Add(1)
+	c.events.Add(1)
+}
+func (c *countingListener) Exit(*scorep.Thread, *scorep.Region)            { c.events.Add(1) }
+func (c *countingListener) TaskCreateBegin(*scorep.Thread, *scorep.Region) { c.events.Add(1) }
+func (c *countingListener) TaskCreateEnd(*scorep.Thread, *scorep.Task)     { c.events.Add(1) }
+func (c *countingListener) TaskBegin(*scorep.Thread, *scorep.Task)         { c.events.Add(1) }
+func (c *countingListener) TaskEnd(*scorep.Thread, *scorep.Task)           { c.events.Add(1) }
+func (c *countingListener) TaskSwitch(*scorep.Thread, *scorep.Task)        { c.events.Add(1) }
 
 func TestSessionWithListener(t *testing.T) {
 	extra := &countingListener{}
