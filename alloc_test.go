@@ -48,6 +48,14 @@ func newZeroAllocRegions(reg *region.Registry) zeroAllocRegions {
 func assertZeroAllocs(t *testing.T, cfg string, l omp.Listener, reg *region.Registry, rs zeroAllocRegions) {
 	t.Helper()
 	rt := omp.NewRuntimeWithRegistry(l, reg)
+	// What every BOTS kernel's task does: enter a region, spawn a child,
+	// wait for it. Its instance tree has a root with three children, so
+	// a recycled root that lost its child slice would grow one again.
+	busyTask := func(th *omp.Thread) {
+		pomp.Function(th, rs.work, zeroAllocNopFn)
+		th.NewTask(rs.task, zeroAllocNopTask)
+		th.Taskwait(rs.tw)
+	}
 	rt.Parallel(1, rs.par, func(th *omp.Thread) {
 		// Warm every path this test measures: call-tree nodes, the
 		// create-region cache, task/instance pools, deque and
@@ -57,6 +65,7 @@ func assertZeroAllocs(t *testing.T, cfg string, l omp.Listener, reg *region.Regi
 			pomp.Function(th, rs.work, zeroAllocNopFn)
 			th.NewTask(rs.task, zeroAllocNopTask, omp.If(false))
 			th.NewTask(rs.task, zeroAllocNopTask)
+			th.NewTask(rs.task, busyTask)
 			if i%32 == 31 {
 				th.Taskwait(rs.tw)
 			}
@@ -82,6 +91,16 @@ func assertZeroAllocs(t *testing.T, cfg string, l omp.Listener, reg *region.Regi
 			}
 		}); a != 0 {
 			t.Errorf("%s: deferred spawn+execute allocates %v/op, want 0", cfg, a)
+		}
+		th.Taskwait(rs.tw)
+		if a := testing.AllocsPerRun(512, func() {
+			th.NewTask(rs.task, busyTask)
+			n++
+			if n%32 == 0 {
+				th.Taskwait(rs.tw)
+			}
+		}); a != 0 {
+			t.Errorf("%s: task that enters a region, spawns and waits allocates %v/op, want 0", cfg, a)
 		}
 		th.Taskwait(rs.tw)
 	})

@@ -667,19 +667,67 @@
 //   - STARVED_THIEF: idle while a task created by a different thread
 //     was pending — created but not yet begun anywhere. Work existed
 //     and was not distributed. The cause is the creator whose pending
-//     windows overlap the idle span longest (ties: smallest thread
-//     id); the region is that creator's most-overlapping task's.
+//     windows, summed, overlap the idle span longest (ties: smallest
+//     thread id); the region is that of the creator's single
+//     longest-overlapping window (ties: smallest task id).
 //   - BARRIER_IMBALANCE: idle (not already classified as starvation)
 //     between the thread's own arrival at a collective barrier
 //     instance and the last participant's arrival. Barrier instances
 //     are matched across threads by region and per-thread visit
 //     ordinal, and need >= 2 participants; the cause is the last
-//     arriver (ties: smallest thread id).
+//     arriver (ties: smallest thread id) of the first instance, in
+//     (region, ordinal) order, whose wait overlaps the idle span.
 //
 // The remainder is reported as unclassified idle. Wait states are
 // aggregated per (kind, victim, cause, region) with interval counts,
 // and per-thread totals (ThreadWaits) partition each thread's idle
-// exactly.
+// exactly: a nanosecond under several pending windows, or under the
+// overlapping barrier waits a window that cuts a thread's visits can
+// produce, is still counted once.
+//
+// The classification is a sweep, not a search per idle span. Each
+// creator's pending windows are laid out once, in the creator's stream
+// order — which is their start order, and the order of its task ids —
+// as arrays of starts, ends and the running maximum of the ends; a
+// thread's barrier waits likewise. The windows that can overlap a span
+// are then one index range, found by two searches in whatever order
+// the spans come; a search starts where the last one in that array
+// ended, in doubling steps and then by bisection, so spans in time
+// order cost a few probes each and any other order O(log n). The
+// covered part of a span is read off the running maximum, walking only
+// windows that start inside the span: a span inside one long window
+// costs the two searches however many windows are open around it. The
+// longest-overlapping window is the first to reach the running maximum
+// taken at the span's start — so a window around the whole span always
+// wins, and of equals the earliest created, the smallest id — or one
+// of those that start inside the span. The summed overlap per creator,
+// needed only where several creators hold work over one span, is two
+// rank lookups in prefix sums over the starts and over the sorted
+// ends, built on first use; the sums wrap on a long recording and
+// their differences are exact (internal/bottleneck tests a trace at
+// 2^62). The cost is O((windows + idle spans x threads + barrier
+// visits) x log windows) plus one step per window or barrier wait that
+// starts inside a span, each once per victim thread for the disjoint
+// spans of a well-formed stream; a damaged stream (spans unordered or
+// overlapping) gets the same answers span by span, without the bound.
+//
+// Until PR 18 every idle span re-walked every window open around it —
+// O(idle spans x pending tasks), quadratic when one thread creates the
+// tasks (BOTS alignment and sparselu, any producer loop). A two-thread
+// session whose thread 0 creates 20 000 tasks (100 016 events) spent
+// 1.2-1.4 s in Results.Bottlenecks against 2 ms in TraceAnalysis, and
+// spends 6-14 ms now, 4-5 of them in the analysis proper (10 000
+// tasks: 0.3 s -> 4-6 ms; 200 000: 47-75 ms); counted in search probes
+// and windows walked, twice the tasks cost twice the steps, not four
+// times.
+// The benchmark's coarse-suite workload holds that shape — alignment's
+// 1 128 tasks all come from one thread — and over ten interleaved
+// pairs of runs its time_to_report_s fell from 12.5 to 5.6 ms
+// (scorep.bottlenecks_ms 9.0 -> 2.65 of it), and fib-fine's, which
+// only lost the merge of a cross-thread window list, from 46.3 to
+// 43.7 ms. The quadratic version lives on in the package's tests as
+// the reference the sweep must equal on every well-formed random task
+// graph.
 //
 // Critical path. The task-graph critical path is reconstructed by a
 // backward walk from the last-finishing thread's last event: task
@@ -707,9 +755,10 @@
 // worst shard, plus the shard with the longest critical path.
 //
 // Data layout. The analysis makes one pass over each thread's events
-// into compact per-thread buffers and finishes in time linear in the
-// records, with a number of allocations that depends on the threads
-// and not on the tasks:
+// into compact per-thread buffers and finishes in O(n log n) for n
+// records — linear but for the binary searches of the idle sweep and
+// of the critical-path walk — with a number of allocations that
+// depends on the threads and not on the tasks:
 //
 //   - Records. A task fragment is one 40-byte record that also carries
 //     the dispatch gap that ended at its begin and whether it was the
@@ -726,12 +775,12 @@
 //     over a wide range, and its ids are sorted once into a table
 //     searched by id, so the table's size follows the records, never
 //     the ids.
-//   - Merge or sort. The pending windows (by creation end) and the
-//     task completions (by time) are needed in global order. Each
-//     thread's records are in that order already, which is checked
-//     with one comparison per record, so the threads' runs are merged
-//     pairwise; only when a clock ran backwards is the list sorted
-//     instead.
+//   - Merge or sort. The task completions are needed in global time
+//     order. Each thread's records are in that order already, which is
+//     checked with one comparison per record, so the threads' runs are
+//     merged pairwise; only when a clock ran backwards is the list
+//     sorted instead. The pending windows are never brought into one
+//     order: the idle sweep keeps them per creator, as recorded.
 //   - CSR fragments. The critical-path walk asks when a resumed task
 //     was suspended: every task's fragment ends are laid out by task
 //     slot, offsets plus one flat array, by a counting sort. The
@@ -748,7 +797,7 @@
 // 0.84 -> 0.0003, and bottleneck.vs_trace_ratio (against the trace
 // analyzer over the same events) 43 -> 6.6. CI cmp's the -bottlenecks -json outputs at
 // -parallel 1 and 4 on every change, and
-// internal/bottleneck/testdata pins the analyses of 24 BOTS traces
+// internal/bottleneck/testdata pins the analyses of 30 BOTS traces
 // byte for byte.
 //
 // See examples/ for runnable programs (quickstart is the Session-API

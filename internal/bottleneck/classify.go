@@ -2,16 +2,20 @@ package bottleneck
 
 import (
 	"cmp"
+	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
 	"repro/internal/analyze"
 )
 
-// Counts of the two slow paths finish can take, for tests: a record
+// Counts for tests. Of the two slow paths finish can take: a record
 // stream that was not in time order had to be sorted, and task ids too
-// scattered for the dense table were sorted into a sparse one.
-var sortFallbacks, sparseTables atomic.Int64
+// scattered for the dense table were sorted into a sparse one. Of the
+// work classifyIdle did: search probes made and windows walked or laid
+// out.
+var sortFallbacks, sparseTables, classifySteps atomic.Int64
 
 // regionNames numbers the region names an analysis reports, so that
 // tallies are indexed or keyed by a small integer. Names, not
@@ -55,19 +59,6 @@ type taskInfo struct {
 	hasBegin    bool
 }
 
-// pendingWindow is a task's created-but-unstarted span.
-type pendingWindow struct {
-	task    uint64
-	start   int64 // createEnd
-	end     int64 // firstBegin, or analysis end when never begun
-	creator int32
-	region  int32
-}
-
-func comparePending(a, b pendingWindow) int {
-	return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.task, b.task))
-}
-
 // finish merges the per-thread raw material and runs classification
 // and critical-path reconstruction. Every pass takes the threads in
 // sorted-tid order and breaks ties deterministically, so the result is
@@ -108,7 +99,7 @@ func finish(tcs []*threadCollector, concurrent bool) *Analysis {
 
 	classifyDispatchGaps(perThread, tcs, tasks, waits)
 	visits := matchBarriers(a, tcs, names)
-	classifyIdle(perThread, tcs, pendingWindows(a.EndTime, tcs, tasks), visits, waits)
+	classifyIdle(perThread, tcs, tasks, a.EndTime, visits, waits)
 
 	a.WaitStates = waits.sorted()
 	if !concurrent {
@@ -259,37 +250,6 @@ func mergeNeighbours[T any](s []T, mid int, tmp []T, cmp func(a, b T) int) []T {
 	}
 	copy(s[k-len(y):], y)
 	return tmp
-}
-
-// pendingWindows lists every created task's created-but-unstarted span,
-// ordered by (start, task): each thread's creations are in that order
-// already, so the threads' runs are merged.
-func pendingWindows(endTime int64, tcs []*threadCollector, tasks []taskInfo) []pendingWindow {
-	n := 0
-	for _, tc := range tcs {
-		n += len(tc.created)
-	}
-	flat := make([]pendingWindow, 0, n)
-	bounds := make([]int, 0, len(tcs)+1)
-	for _, tc := range tcs {
-		bounds = append(bounds, len(flat))
-		for i := range tc.created {
-			c := &tc.created[i]
-			if c.slot < 0 {
-				continue
-			}
-			t := &tasks[c.slot]
-			end := endTime
-			if t.hasBegin {
-				end = t.firstBegin
-			}
-			if end <= c.end {
-				continue
-			}
-			flat = append(flat, pendingWindow{task: c.id, creator: t.creator, region: t.region, start: c.end, end: end})
-		}
-	}
-	return mergeRuns(flat, append(bounds, len(flat)), comparePending)
 }
 
 // waitTally aggregates classified waits per (kind, victim, cause,
@@ -463,16 +423,202 @@ func matchBarriers(a *Analysis, tcs []*threadCollector, names *regionNames) barr
 	return bv
 }
 
+// rank returns how many elements of the ascending xs are below t. It
+// searches outward from *finger, where the last search of xs ended, in
+// doubling steps and then by bisection: the idle spans of a well-formed
+// stream come in time order, so the answer is mostly a few elements on,
+// and it is O(log n) away wherever else it lies. steps counts the
+// probes.
+func rank(xs []int64, t int64, finger *int, steps *int64) int {
+	n := len(xs)
+	i := min(*finger, n)
+	lo, hi := 0, n // every element before lo is below t, none from hi on
+	if i < n && xs[i] < t {
+		for step := 1; ; step *= 2 {
+			lo = i + 1
+			if i += step; i >= n || xs[i] >= t {
+				hi = min(i, n)
+				break
+			}
+			*steps++
+		}
+	} else {
+		for step := 1; ; step *= 2 {
+			hi = i
+			if i -= step; i < 0 || xs[i] < t {
+				lo = max(i+1, 0)
+				break
+			}
+			*steps++
+		}
+	}
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); xs[m] < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+		*steps++
+	}
+	*steps++
+	*finger = lo
+	return lo
+}
+
+// windowSet is a set of time windows [start, end) in start order, with
+// the running maximum of their ends. The windows that can overlap a
+// span then lie in one index range, found by two searches in whatever
+// order the spans come: before it every window has ended, after it none
+// has started.
+type windowSet struct {
+	start, end, maxEnd []int64
+	startAt, maxEndAt  int    // fingers of the searches
+	steps              *int64 // search probes made and windows walked
+}
+
+// newWindowSet returns a set of n windows for the caller to fill and
+// seal.
+func newWindowSet(n int, steps *int64) windowSet {
+	slab := make([]int64, 3*n)
+	return windowSet{start: slab[:n], end: slab[n : 2*n], maxEnd: slab[2*n:], steps: steps}
+}
+
+func (w *windowSet) seal() {
+	m := int64(math.MinInt64)
+	for i, e := range w.end {
+		m = max(m, e)
+		w.maxEnd[i] = m
+	}
+	*w.steps += int64(len(w.end))
+}
+
+// overlapping returns the index range outside which no window overlaps
+// s: window lo is the first to end after s starts, window hi the first
+// to start at or after the end of s.
+func (w *windowSet) overlapping(s span) (lo, hi int) {
+	return rank(w.maxEnd, s.start+1, &w.maxEndAt, w.steps), rank(w.start, s.end, &w.startAt, w.steps)
+}
+
+// cover appends to out the parts of s the windows cover, disjoint and
+// ascending. It walks the windows that start inside s and stops at one
+// that reaches the end of s: a span inside a long window costs the two
+// searches, however many windows are open around it.
+func (w *windowSet) cover(out []span, s span) []span {
+	lo, hi := w.overlapping(s)
+	i := lo
+	for ; i < hi; i++ {
+		from := max(s.start, w.start[i])
+		for w.maxEnd[i] < s.end && i+1 < hi && w.start[i+1] <= w.maxEnd[i] {
+			i++
+		}
+		out = append(out, span{from, min(w.maxEnd[i], s.end)})
+		if w.maxEnd[i] >= s.end {
+			break
+		}
+	}
+	*w.steps += int64(i-lo) + 1
+	return out
+}
+
+// pendingSet is one creator's pending windows: its tasks'
+// created-but-unstarted spans, from the end of the creation to the
+// first begin, or to the end of the analysis for a task never begun.
+// Window i is that of created[i]; created holds the creations that have
+// a window, by (start, task id), which is the creator's stream order
+// unless its clock ran backwards.
+type pendingSet struct {
+	windowSet
+	created []taskCreate
+	// For held, built at its first call: the ends in ascending order and
+	// the prefix sums of the starts and of the sorted ends.
+	sortedEnd, startSum, endSum []int64
+	sortedEndAt                 int
+}
+
+func newPendingSet(tc *threadCollector, tasks []taskInfo, endTime int64, steps *int64) pendingSet {
+	windowEnd := func(c taskCreate) int64 {
+		if c.slot < 0 {
+			return c.end // a repeated creation: no window
+		}
+		if t := &tasks[c.slot]; t.hasBegin {
+			return t.firstBegin
+		}
+		return endTime
+	}
+	tc.created = slices.DeleteFunc(tc.created, func(c taskCreate) bool { return windowEnd(c) <= c.end })
+	byStart := func(a, b taskCreate) int { return cmp.Or(cmp.Compare(a.end, b.end), cmp.Compare(a.id, b.id)) }
+	if !slices.IsSortedFunc(tc.created, byStart) {
+		sortFallbacks.Add(1)
+		slices.SortFunc(tc.created, byStart)
+	}
+	p := pendingSet{windowSet: newWindowSet(len(tc.created), steps), created: tc.created}
+	for i, c := range tc.created {
+		p.start[i], p.end[i] = c.end, windowEnd(c)
+	}
+	p.seal()
+	return p
+}
+
+// held is the summed overlap of the windows with s, each window counted
+// for itself. What the windows cover before a time t is
+// sum(min(t, end)) - sum(min(t, start)), which the prefix sums give from
+// the rank of t among the starts and among the sorted ends; the overlap
+// with s is the difference of two such. The sums wrap on a long
+// recording and the result is exact all the same: the arithmetic is
+// modulo 2^64 and the true value is at most windows x span.
+func (p *pendingSet) held(s span) int64 {
+	n := len(p.start)
+	if p.startSum == nil {
+		slab := make([]int64, 3*n+2)
+		p.sortedEnd, p.startSum, p.endSum = slab[:n], slab[n:2*n+1], slab[2*n+1:]
+		copy(p.sortedEnd, p.end)
+		slices.Sort(p.sortedEnd)
+		for i := range n {
+			p.startSum[i+1] = p.startSum[i] + p.start[i]
+			p.endSum[i+1] = p.endSum[i] + p.sortedEnd[i]
+		}
+		*p.steps += int64(n * bits.Len(uint(n)))
+	}
+	before := func(t int64) int64 {
+		i, j := rank(p.start, t, &p.startAt, p.steps), rank(p.sortedEnd, t, &p.sortedEndAt, p.steps)
+		return p.endSum[j] - p.startSum[i] + t*int64(i-j)
+	}
+	return before(s.end) - before(s.start)
+}
+
+// heaviest returns the creation whose window overlaps s longest; of
+// equals, the one with the smallest task id. Of the windows that
+// started by s.start the longest overlap is that of the latest end,
+// which the running maximum holds, and the first window to reach it —
+// or to reach the end of s: a window around the whole span always wins
+// — is the earliest created, the smallest id since a creator's ids
+// ascend. The windows that start inside s are compared one by one.
+func (p *pendingSet) heaviest(s span) *taskCreate {
+	best, bestTime := -1, int64(0)
+	k := rank(p.start, s.start+1, &p.startAt, p.steps)
+	if k > 0 {
+		if m := min(p.maxEnd[k-1], s.end); m > s.start {
+			best, bestTime = rank(p.maxEnd, m, &p.maxEndAt, p.steps), m-s.start
+		}
+	}
+	i := k
+	for ; i < len(p.start) && p.start[i] < s.end; i++ {
+		d := min(p.end[i], s.end) - p.start[i]
+		if d > bestTime || d == bestTime && p.created[i].id < p.created[best].id {
+			best, bestTime = i, d
+		}
+	}
+	*p.steps += int64(i - k)
+	return &p.created[best]
+}
+
 // idleScratch is the working memory classifyIdle reuses from one idle
 // span to the next.
 type idleScratch struct {
-	active    []int32 // pending windows open around the span, as indices
 	overlaps  []span
 	remainder []span
-	creators  []int   // threads holding work during the span
-	held      []int64 // per thread: summed overlap of its pending tasks
-	bestTask  []int32 // per thread: its most-overlapping pending window
-	bestTime  []int64
+	creators  []int   // threads holding work during the span, ascending
+	barVisits []int32 // the thread's barrier waits, as places in its visit list
 }
 
 // classifyIdle splits every idle span inside a sync region into a
@@ -482,81 +628,75 @@ type idleScratch struct {
 // arrival of a matched barrier instance), and unclassified idle.
 // Starved-thief takes precedence over barrier imbalance: work that
 // existed but was not distributed is the actionable diagnosis.
-func classifyIdle(perThread []ThreadWaits, tcs []*threadCollector, pending []pendingWindow, visits barrierVisits, waits *waitTally) {
-	s := idleScratch{held: make([]int64, len(tcs)), bestTask: make([]int32, len(tcs)), bestTime: make([]int64, len(tcs))}
-	var barWins []span
+//
+// Every creator's pending windows and every thread's barrier waits are
+// laid out once as a windowSet, and an idle span asks them by rank
+// search: the cost is at most O((windows + idle spans x threads +
+// barrier visits) x log), plus the windows and waits that start inside
+// a span, which for the disjoint spans of a well-formed stream are each
+// walked once per victim. No answer depends on the order of the spans.
+func classifyIdle(perThread []ThreadWaits, tcs []*threadCollector, tasks []taskInfo, endTime int64, visits barrierVisits, waits *waitTally) {
+	var steps int64
+	pending := make([]pendingSet, len(tcs))
+	for ti, tc := range tcs {
+		pending[ti] = newPendingSet(tc, tasks, endTime, &steps)
+	}
+	var s idleScratch
 	for ti, tc := range tcs {
 		tw := &perThread[ti]
 		// Barrier wait windows for this thread: [arrival, lastArrival]
 		// of every matched instance it participated in where it was not
 		// the last arriver.
 		mine := visits.byInstance[ti]
-		barWins = barWins[:0]
-		for _, v := range mine {
+		s.barVisits = s.barVisits[:0]
+		for i, v := range mine {
 			if v.inst.lastThread != ti && v.inst.lastArrival > v.enter {
-				barWins = append(barWins, span{v.enter, v.inst.lastArrival})
+				s.barVisits = append(s.barVisits, int32(i))
 			}
 		}
-		slices.SortFunc(barWins, func(x, y span) int { return cmp.Compare(x.start, y.start) })
+		slices.SortFunc(s.barVisits, func(x, y int32) int { return cmp.Compare(mine[x].enter, mine[y].enter) })
+		bars := newWindowSet(len(s.barVisits), &steps)
+		for i, v := range s.barVisits {
+			bars.start[i], bars.end[i] = mine[v].enter, mine[v].inst.lastArrival
+		}
+		bars.seal()
 
-		next := 0
-		s.active = s.active[:0]
 		for _, idle := range tc.idles {
 			idleLen := idle.end - idle.start
 			if idleLen <= 0 {
 				continue
 			}
-			// Sweep pending windows into the active set, and prune those
-			// that ended before this idle span.
-			for next < len(pending) && pending[next].start < idle.end {
-				s.active = append(s.active, int32(next))
-				next++
-			}
-			s.active = slices.DeleteFunc(s.active, func(i int32) bool { return pending[i].end <= idle.start })
-
 			// Starved-thief: overlap with other threads' pending tasks.
 			// The classified portion is the union of the overlaps; the
 			// cause is the creator with the largest summed overlap, the
 			// region its single most-overlapping task.
 			s.overlaps, s.creators = s.overlaps[:0], s.creators[:0]
-			for _, i := range s.active {
-				pw := &pending[i]
-				c := int(pw.creator)
-				ov := overlap(idle, span{pw.start, pw.end})
-				if c == ti || ov.end <= ov.start {
+			for c := range pending {
+				if c == ti {
 					continue
 				}
-				s.overlaps = append(s.overlaps, ov)
-				d := ov.end - ov.start
-				if s.held[c] == 0 {
+				n := len(s.overlaps)
+				if s.overlaps = pending[c].cover(s.overlaps, idle); len(s.overlaps) > n {
 					s.creators = append(s.creators, c)
-					s.bestTime[c] = 0
-				}
-				s.held[c] += d
-				if d > s.bestTime[c] || (d == s.bestTime[c] && pw.task < pending[s.bestTask[c]].task) {
-					s.bestTime[c] = d
-					s.bestTask[c] = i
 				}
 			}
 			merged := mergeSpans(s.overlaps)
-			var starved int64
-			for _, m := range merged {
-				starved += m.end - m.start
-			}
+			starved := totalTime(merged)
 			if starved > 0 {
-				// The largest holder; of equals, the smallest tid.
-				slices.Sort(s.creators)
+				// The largest holder; of equals, the smallest tid. A lone
+				// holder's sum is not needed.
 				cause := s.creators[0]
-				for _, c := range s.creators[1:] {
-					if s.held[c] > s.held[cause] {
-						cause = c
+				if len(s.creators) > 1 {
+					most := pending[cause].held(idle)
+					for _, c := range s.creators[1:] {
+						if h := pending[c].held(idle); h > most {
+							cause, most = c, h
+						}
 					}
 				}
-				waits.add(analyze.StarvedThief, tc.tid, tcs[cause].tid, pending[s.bestTask[cause]].region, starved)
+				region := tasks[pending[cause].heaviest(idle).slot].region
+				waits.add(analyze.StarvedThief, tc.tid, tcs[cause].tid, region, starved)
 				tw.StarvedWait += starved
-			}
-			for _, c := range s.creators {
-				s.held[c] = 0
 			}
 
 			// Barrier imbalance: the unclaimed remainder intersected
@@ -564,37 +704,37 @@ func classifyIdle(perThread []ThreadWaits, tcs []*threadCollector, pending []pen
 			s.remainder = subtractSpans(s.remainder[:0], idle, merged)
 			var barrier int64
 			for _, r := range s.remainder {
-				for _, bw := range barWins {
-					if ov := overlap(r, bw); ov.end > ov.start {
-						barrier += ov.end - ov.start
-					}
-				}
+				s.overlaps = bars.cover(s.overlaps[:0], r)
+				barrier += totalTime(s.overlaps)
 			}
 			if barrier > 0 {
 				// Attribute to the first instance, in instance order,
-				// whose wait window overlaps the idle span (windows are
-				// per-thread disjoint in well-formed traces).
-				cause, region := -1, waits.names.id("")
-				for _, v := range mine {
-					if v.inst.lastThread == ti {
-						continue
-					}
-					if ov := overlap(idle, span{v.enter, v.inst.lastArrival}); ov.end > ov.start {
-						cause, region = tcs[v.inst.lastThread].tid, v.inst.region
-						break
+				// whose wait window overlaps the idle span.
+				lo, hi := bars.overlapping(idle)
+				first := int32(len(mine))
+				for i := lo; i < hi; i++ {
+					if bars.end[i] > idle.start {
+						first = min(first, s.barVisits[i])
 					}
 				}
-				waits.add(analyze.BarrierImbalance, tc.tid, cause, region, barrier)
+				steps += int64(hi - lo)
+				inst := mine[first].inst
+				waits.add(analyze.BarrierImbalance, tc.tid, tcs[inst.lastThread].tid, inst.region, barrier)
 				tw.BarrierWait += barrier
 			}
 
 			tw.UnclassifiedIdle += idleLen - starved - barrier
 		}
 	}
+	classifySteps.Add(steps)
 }
 
-func overlap(a, b span) span {
-	return span{max(a.start, b.start), min(a.end, b.end)}
+// totalTime sums the lengths of spans.
+func totalTime(spans []span) (d int64) {
+	for _, s := range spans {
+		d += s.end - s.start
+	}
+	return d
 }
 
 // mergeSpans unions possibly-overlapping spans, in place, into disjoint

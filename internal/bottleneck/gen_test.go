@@ -16,6 +16,7 @@ type genConfig struct {
 	Phases   int   // barrier-separated phases
 	MaxDepth int   // nesting limit for child tasks
 	Grid     int64 // timestamps are multiples of Grid: > 1 plants ties
+	Producer bool  // thread 0 alone creates the roots, Roots of them a phase
 }
 
 type genTask struct {
@@ -99,10 +100,12 @@ func randomTrace(rng *rand.Rand, cfg genConfig) *trace.Trace {
 		for p := 0; p < cfg.Phases; p++ {
 			ops = append(ops, opWork)
 			// A random subset of the threads creates this phase's roots.
-			if i == p%cfg.Threads || rng.Intn(3) == 0 {
-				for n := 1 + rng.Intn(cfg.Roots); n > 0; n-- {
-					ops = append(ops, opCreate)
-				}
+			creates, roots := i == p%cfg.Threads || rng.Intn(3) == 0, 1+rng.Intn(cfg.Roots)
+			if cfg.Producer {
+				creates, roots = i == 0, cfg.Roots
+			}
+			for ; creates && roots > 0; roots-- {
+				ops = append(ops, opCreate)
 			}
 			if rng.Intn(2) == 0 {
 				ops = append(ops, opWork, opWait)
@@ -252,16 +255,27 @@ func randomTrace(rng *rand.Rand, cfg genConfig) *trace.Trace {
 	return tr
 }
 
-// randomConfig draws a small graph shape.
+// randomConfig draws a small graph shape: one time in four a single
+// producer (one thread creates hundreds of leaf tasks, whose pending
+// windows pile up under the other threads' idle spans), one time in
+// four many barriers (phases far outnumber threads), else a few nested
+// tasks from every thread.
 func randomConfig(rng *rand.Rand) genConfig {
 	grids := []int64{1, 1, 10, 50}
-	return genConfig{
+	cfg := genConfig{
 		Threads:  1 + rng.Intn(5),
 		Roots:    1 + rng.Intn(6),
 		Phases:   1 + rng.Intn(3),
 		MaxDepth: rng.Intn(4),
 		Grid:     grids[rng.Intn(len(grids))],
 	}
+	switch rng.Intn(4) {
+	case 0:
+		cfg.Producer, cfg.Roots, cfg.MaxDepth = true, 100+rng.Intn(300), 0
+	case 1:
+		cfg.Threads, cfg.Phases = 1+rng.Intn(3), 12+rng.Intn(30)
+	}
+	return cfg
 }
 
 // The hostile mutations below each break one thing a recorder

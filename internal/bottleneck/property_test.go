@@ -3,18 +3,22 @@ package bottleneck
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/analyze"
 	"repro/internal/trace"
 )
 
 // checkInvariants analyzes tr and reports what breaks: the critical
 // path must partition into its buckets, every thread's wait buckets
-// must add up to the dispatch gaps and idle spans collected for it, and
-// the analysis must not depend on the worker count — whole or windowed.
-func checkInvariants(t *testing.T, tr *trace.Trace) bool {
+// must be non-negative and add up to the dispatch gaps and idle spans
+// collected for it, and the analysis must not depend on the worker
+// count — whole or windowed. The waits of a well-formed trace, whole
+// and windowed, must be those the reference classification finds.
+func checkInvariants(t *testing.T, tr *trace.Trace, wellFormed bool) bool {
 	t.Helper()
 	tids := make([]int, 0, len(tr.Threads))
 	for tid := range tr.Threads {
@@ -63,7 +67,7 @@ func checkInvariants(t *testing.T, tr *trace.Trace) bool {
 			t.Errorf("thread %d: dispatch waits %+v, gaps hold %d", tid, tw, gaps[tid])
 			ok = false
 		}
-		if got := tw.StarvedWait + tw.BarrierWait + tw.UnclassifiedIdle; got != idles[tid] {
+		if got := tw.StarvedWait + tw.BarrierWait + tw.UnclassifiedIdle; got != idles[tid] || tw.StarvedWait < 0 || tw.BarrierWait < 0 || tw.UnclassifiedIdle < 0 {
 			t.Errorf("thread %d: idle waits %+v, idle spans hold %d", tid, tw, idles[tid])
 			ok = false
 		}
@@ -79,15 +83,62 @@ func checkInvariants(t *testing.T, tr *trace.Trace) bool {
 			t.Errorf("query %+v: 3 workers\n got %+v\nwant %+v", q, got, want)
 			ok = false
 		}
+		if !wellFormed {
+			continue
+		}
+		gotThreads, gotStates := threadWaits(want.PerThread), slices.Clone(want.WaitStates)
+		refThreads, refStates := referenceWaits(tr, q)
+		if q.Windowed {
+			// A window can cut a thread's barrier visits so that the n-th
+			// it holds is not the n-th its peers hold; the mismatched
+			// instances give it wait windows that overlap, and where they
+			// do the reference counts an idle nanosecond once per window
+			// (its unclassified idle goes negative). How the idle that
+			// starvation left splits between barrier and unclassified is
+			// therefore compared on whole traces only.
+			foldBarrierTime(gotThreads, gotStates)
+			foldBarrierTime(refThreads, refStates)
+		}
+		if !reflect.DeepEqual(gotThreads, refThreads) || !reflect.DeepEqual(gotStates, refStates) {
+			t.Errorf("query %+v: waits\n got %+v %+v\nwant %+v %+v", q, gotThreads, gotStates, refThreads, refStates)
+			ok = false
+		}
 	}
 	return ok
 }
 
+// foldBarrierTime moves every thread's barrier wait into its
+// unclassified idle and clears the barrier wait states' times, keeping
+// their victims, causes, regions and counts.
+func foldBarrierTime(threads []ThreadWaits, states []WaitState) {
+	for i := range threads {
+		threads[i].UnclassifiedIdle += threads[i].BarrierWait
+		threads[i].BarrierWait = 0
+	}
+	for i := range states {
+		if states[i].Kind == analyze.BarrierImbalance {
+			states[i].Time = 0
+		}
+	}
+}
+
+// threadWaits lists m's values by thread id.
+func threadWaits(m map[int]*ThreadWaits) []ThreadWaits {
+	out := make([]ThreadWaits, 0, len(m))
+	for _, tw := range m {
+		out = append(out, *tw)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ThreadID < out[j].ThreadID })
+	return out
+}
+
 // TestRandomTaskGraphs holds the analysis to its invariants on random
-// task graphs, well formed and then damaged in each way a recorder
+// task graphs, well formed — where the wait states must also be the
+// reference classification's — and then damaged in each way a recorder
 // promises not to: events lost, task ids repeated, task ids scattered
-// over the whole id space, and a clock that runs backwards. The last
-// two must take the slow paths built for them.
+// over the whole id space, and a clock that runs backwards, which
+// leaves idle spans and windows unordered and overlapping. The last two
+// must take the slow paths built for them.
 func TestRandomTaskGraphs(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -111,7 +162,7 @@ func TestRandomTaskGraphs(t *testing.T) {
 				if tc.damage != nil {
 					tc.damage(rng, tr)
 				}
-				return checkInvariants(t, tr)
+				return checkInvariants(t, tr, tc.damage == nil)
 			}
 			if err := quick.Check(property, nil); err != nil {
 				t.Fatal(err)

@@ -167,7 +167,10 @@ func (p *ThreadProfile) allocNode() *Node {
 
 // releaseSubtree resets and returns all nodes of the subtree rooted at n
 // to the pool. Called when a completed task-instance tree has been merged
-// (Section V-B: "released task-instance tree nodes are reused").
+// (Section V-B: "released task-instance tree nodes are reused"). A node
+// keeps its emptied child slice: the pool is last in, first out, so the
+// next instance's root is the one released last and would otherwise
+// grow the slice again for the same children.
 func (p *ThreadProfile) releaseSubtree(n *Node) {
 	if p.poolingDisabled {
 		return // ablation: leave nodes to the garbage collector
@@ -175,7 +178,8 @@ func (p *ThreadProfile) releaseSubtree(n *Node) {
 	for _, c := range n.Children {
 		p.releaseSubtree(c)
 	}
-	*n = Node{free: p.nodePool}
+	clear(n.Children)
+	*n = Node{Children: n.Children[:0], free: p.nodePool}
 	p.nodePool = n
 }
 

@@ -165,12 +165,23 @@ func TestInstanceRecyclingBoundsAllocation(t *testing.T) {
 	p, clk := f.p, f.clk
 	p.Enter(f.par)
 	p.Enter(f.barR)
-	for i := 0; i < 10000; i++ {
+	// An instance whose root has two children: the recycled root must
+	// come back with room for both.
+	cycle := func() {
 		p.TaskBegin(f.task)
 		p.Enter(f.foo)
 		clk.Advance(1)
 		p.Exit(f.foo)
+		p.Enter(f.bar)
+		clk.Advance(1)
+		p.Exit(f.bar)
 		p.TaskEnd()
+	}
+	for i := 0; i < 10000; i++ {
+		cycle()
+	}
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Errorf("a steady-state task cycle allocates %v times, want 0", a)
 	}
 	p.Exit(f.barR)
 	p.Exit(f.par)
@@ -179,8 +190,8 @@ func TestInstanceRecyclingBoundsAllocation(t *testing.T) {
 	if p.InstancesAllocated() != 1 {
 		t.Errorf("instances allocated = %d, want 1 (recycled)", p.InstancesAllocated())
 	}
-	// Nodes: thread root + par + barrier + stub + merged tree(2) + one
-	// working set for the live instance (2). Anything near the task count
+	// Nodes: thread root + par + barrier + stub + merged tree(3) + one
+	// working set for the live instance (3). Anything near the task count
 	// means pooling is broken.
 	if p.NodesAllocated() > 16 {
 		t.Errorf("nodes allocated = %d, want bounded by tree size, not task count", p.NodesAllocated())

@@ -25,9 +25,10 @@ import (
 // bounded stall, not unbounded memory. (The bound is deliberately not
 // on unacked bytes: the server acks in DefaultAckIntervalBytes strides,
 // so a small buffer would deadlock waiting for an ack that only comes
-// after more bytes than the buffer holds. Steady-state memory is
-// bounded by retain + the server's ack stride + maxUnacked.) A latched
-// failure empties the buffer and
+// after more bytes than the buffer holds. The window is bounded by
+// retain + the server's ack stride + maxUnacked, and the buffer by twice
+// that: evicted bytes stay in front of the window until they are as
+// many as it holds, see ackLocked.) A latched failure empties the buffer and
 // wakes every waiter, so no recording thread can stay blocked on a
 // dead connection; entering spill mode does the same but redirects the
 // stream into a local fallback archive instead of discarding it.
@@ -38,10 +39,12 @@ type sendWindow struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	buf   []byte
-	base  int64 // archive offset of buf[0]
-	acked int64 // server-durable bytes (v1: sent bytes)
-	sent  int64 // next unsent archive offset
+	buf   []byte // buf[head:] is the window
+	head  int    // evicted bytes not yet moved over
+	base  int64  // archive offset of buf[head]
+	acked int64  // server-durable bytes (v1: sent bytes)
+	sent  int64  // next unsent archive offset
+	moved int64  // bytes eviction has copied, for tests
 
 	maxUnacked int
 	retain     int
@@ -67,7 +70,7 @@ func newSendWindow(maxUnacked, retain int, block, v1 bool) *sendWindow {
 	return w
 }
 
-func (w *sendWindow) end() int64 { return w.base + int64(len(w.buf)) }
+func (w *sendWindow) end() int64 { return w.base + int64(len(w.buf)-w.head) }
 
 // admit is the pre-encode backpressure gate. It returns (true, nil) to
 // encode, (false, nil) to drop the batch (drop policy, window full), or
@@ -161,7 +164,7 @@ func (w *sendWindow) next(scratch []byte) (batch []byte, done, kicked bool) {
 	if max := int64(cap(scratch)); max > 0 && n > max {
 		n = max
 	}
-	off := w.sent - w.base
+	off := int64(w.head) + w.sent - w.base
 	batch = append(scratch[:0], w.buf[off:off+n]...)
 	w.sent += n
 	if w.v1 {
@@ -201,9 +204,17 @@ func (w *sendWindow) ackLocked(n int64) {
 		w.sent = n
 	}
 	if cut := w.acked - int64(w.retain); cut > w.base {
-		drop := cut - w.base
-		w.buf = w.buf[:copy(w.buf, w.buf[drop:])]
+		// The bytes below cut leave the window at once and the buffer
+		// lazily: the window is moved over them only when they are at
+		// least as many as it holds, so however long the stream runs, a
+		// byte is moved at most once per byte evicted — this runs under
+		// the lock recording threads take in Write.
+		w.head += int(cut - w.base)
 		w.base = cut
+		if live := len(w.buf) - w.head; w.head >= live {
+			w.moved += int64(copy(w.buf, w.buf[w.head:]))
+			w.buf, w.head = w.buf[:live], 0
+		}
 	}
 	w.cond.Broadcast()
 }
@@ -273,7 +284,7 @@ func (w *sendWindow) beginSpill(path string, reason error) (int64, error) {
 		w.failLocked(fmt.Errorf("sink: creating fallback archive: %w", err))
 		return 0, w.failed
 	}
-	if _, err := f.Write(w.buf); err != nil {
+	if _, err := f.Write(w.buf[w.head:]); err != nil {
 		_ = f.Close()
 		w.failLocked(fmt.Errorf("sink: fallback archive: %w", err))
 		return 0, w.failed
@@ -282,7 +293,7 @@ func (w *sendWindow) beginSpill(path string, reason error) (int64, error) {
 	w.spillPath = path
 	w.spillStart = w.base
 	w.spillReason = reason
-	w.buf = nil
+	w.buf, w.head = nil, 0
 	w.cond.Broadcast()
 	return w.spillStart, nil
 }
@@ -319,7 +330,7 @@ func (w *sendWindow) failLocked(err error) {
 	if w.failed == nil {
 		w.failed = err
 	}
-	w.buf = nil
+	w.buf, w.head = nil, 0
 	w.cond.Broadcast()
 }
 
