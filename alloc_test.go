@@ -7,7 +7,10 @@ package scorep_test
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	scorep "repro"
@@ -129,25 +132,32 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		}
 	})
 	t.Run("flight-trace", func(t *testing.T) {
-		// Ring 4 x 64 events: 1024 warmup iterations fill the ring many
-		// times over, so the probes measure steady-state eviction — the
-		// sealed chunk swaps into the ring and the evicted chunk's
-		// backing array is reused, with no allocation per event.
+		// The recorder a flight session runs, ring 4 x 64 events: 1024
+		// warmup iterations fill the ring many times over, so the probes
+		// measure steady-state eviction — a full block is encoded into
+		// the buffer of the chunk it evicts, with no allocation per
+		// event.
 		reg := region.NewRegistry()
 		rs := newZeroAllocRegions(reg)
-		rec := trace.NewFlightRecorder(clock.NewSystem(), 4, 64)
-		assertZeroAllocs(t, "flight-trace", rec, reg, rs)
-		rec.Finish()
+		f := otf2.NewFlight(clock.NewSystem(), 4, 64)
+		assertZeroAllocs(t, "flight-trace", f.Recorder(), reg, rs)
+		if st := f.Stats(); st.DroppedChunks == 0 || st.RetainedBytes == 0 {
+			t.Fatalf("the ring never evicted: %+v", st)
+		}
+		f.Release()
 	})
 	t.Run("fused-profile+flight", func(t *testing.T) {
 		reg := region.NewRegistry()
 		rs := newZeroAllocRegions(reg)
 		clk := clock.NewSystem()
 		m := measure.NewWithClock(clk, reg)
-		rec := trace.NewFlightRecorder(clk, 4, 64)
-		assertZeroAllocs(t, "fused-profile+flight", trace.NewTee(m, rec), reg, rs)
+		f := otf2.NewFlight(clk, 4, 64)
+		assertZeroAllocs(t, "fused-profile+flight", trace.NewTee(m, f.Recorder()), reg, rs)
+		if st := f.Stats(); st.DroppedChunks == 0 {
+			t.Fatalf("the ring never evicted: %+v", st)
+		}
 		m.Finish()
-		rec.Finish()
+		f.Release()
 	})
 	t.Run("fused-profile+trace", func(t *testing.T) {
 		reg := region.NewRegistry()
@@ -211,19 +221,63 @@ func taskRingTrace(tasks int) *trace.Trace {
 	return tr
 }
 
+// heldPrinter is a fmt.Stringer that, while fmt formats it, holds one of
+// fmt's pooled printers until release closes.
+type heldPrinter struct {
+	held    *sync.WaitGroup
+	release <-chan struct{}
+}
+
+func (h heldPrinter) String() string {
+	h.held.Done()
+	<-h.release
+	return ""
+}
+
+// fillFmtPool leaves about n printers, with room for a long line each,
+// in fmt's sync.Pool, by having n goroutines return theirs at once.
+func fillFmtPool(n int) {
+	var held, done sync.WaitGroup
+	release := make(chan struct{})
+	held.Add(n)
+	done.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer done.Done()
+			_ = fmt.Sprintf("%v%256s", heldPrinter{&held, release}, "")
+		}()
+	}
+	held.Wait()
+	close(release)
+	done.Wait()
+}
+
 // TestBottleneckAnalysisAllocs is the allocation gate of the offline
 // bottleneck analysis: a pass allocates per thread and per buffer, not
 // per task, fragment or idle span. Ten times the tasks may change the
 // count only by what formatting larger numbers into the findings takes;
 // a buffer that grew by doubling would add a fifth.
+//
+// The findings are formatted with fmt, whose printers come from a
+// sync.Pool, and a pool that comes up empty allocates: after a
+// collection, which the longer pass sees more of, and under the race
+// detector, which drops one Put in four at random. Neither is the
+// analysis's doing, so the passes are counted with the collector off
+// and the pool holding more printers than they can lose.
 func TestBottleneckAnalysisAllocs(t *testing.T) {
 	const ceiling = 300
+	// A change of GOMAXPROCS empties every pool: make AllocsPerRun's own
+	// a no-op.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var allocs [2]float64
 	for i, tasks := range []int{2_048, 20_480} {
 		tr := taskRingTrace(tasks)
 		if a := bottleneck.Analyze(tr); len(a.WaitStates) == 0 || a.CriticalPath.Segments == 0 {
 			t.Fatalf("%d tasks: the trace exercises nothing: %+v", tasks, a)
 		}
+		runtime.GC()
+		fillFmtPool(512)
 		allocs[i] = testing.AllocsPerRun(5, func() { bottleneck.Analyze(tr) })
 		if allocs[i] > ceiling {
 			t.Errorf("%d tasks: bottleneck.Analyze allocates %v times, ceiling %d", tasks, allocs[i], ceiling)
@@ -308,6 +362,80 @@ func footprintRun(t *testing.T, events int, opts ...scorep.Option) (*scorep.Resu
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	return res, int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// TestFlightSessionFootprint is the memory gate of a flight recorder
+// session at the benchmark's shape, two threads with rings of 16 chunks
+// of 4096 events: what the full rings and staging blocks hold while the
+// session records, and what End leaves in the Results once it has let
+// them go, are each at most 12 bytes per retained event — encoded chunks,
+// where rings of events held 32 and End's copy of them 32 more — in a
+// number of heap objects that depends on the ring's depth, not on its
+// events: no pointer per event for the collector to follow.
+func TestFlightSessionFootprint(t *testing.T) {
+	const events = 600_000 // four times what the rings hold
+	rs := newZeroAllocRegions(region.Default)
+	work := func(s *scorep.Session) {
+		s.Parallel(2, rs.par, func(th *scorep.Thread) {
+			for i := 0; i < events/4; i++ {
+				pomp.Function(th, rs.work, zeroAllocNopFn)
+			}
+		})
+	}
+	heap := func() (bytes, objects int64) {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc), int64(ms.HeapObjects)
+	}
+	flight := []scorep.Option{scorep.WithFlightRecorder(16), scorep.WithDumpSignal(nil), scorep.WithoutProfiling()}
+	// The same run without the recorder, for what is not the window's.
+	b0, o0 := heap()
+	base := scorep.NewSession(scorep.WithoutProfiling())
+	work(base)
+	b1, o1 := heap()
+	runtime.KeepAlive(base)
+	baseBytes, baseObjects := b1-b0, o1-o0
+
+	b0, o0 = heap()
+	s := scorep.NewSession(flight...)
+	work(s)
+	b1, o1 = heap()
+	st := s.FlightRecorderStats()
+	if st.DroppedChunks == 0 || st.RetainedEvents < 2*16*4096 {
+		t.Fatalf("the rings are not full: %+v", st)
+	}
+	if st.RetainedBytes == 0 || st.RetainedBytes > int64(8*st.RetainedEvents) {
+		t.Fatalf("the rings hold %d encoded bytes for %d events", st.RetainedBytes, st.RetainedEvents)
+	}
+	if held, ceiling := b1-b0-baseBytes, int64(12*st.RetainedEvents); held > ceiling {
+		t.Errorf("recording, the session holds %d bytes for a window of %d events, ceiling %d", held, st.RetainedEvents, ceiling)
+	}
+	if objects := o1 - o0 - baseObjects; objects > 200 {
+		t.Errorf("recording, the session holds %d heap objects more than without the recorder: they grow with the events", objects)
+	}
+	res, err := s.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, o2 := heap()
+	fr := res.FlightRecorder()
+	if fr.RetainedEvents != st.RetainedEvents || s.FlightRecorderStats().RetainedBytes != 0 {
+		t.Fatalf("End kept %d of %d events, and the rings still hold %d bytes", fr.RetainedEvents, st.RetainedEvents, s.FlightRecorderStats().RetainedBytes)
+	}
+	if n := len(bytes.Join(res.TraceArchive(), nil)); n == 0 || n > 8*fr.RetainedEvents {
+		t.Fatalf("the results retain an archive of %d bytes for %d events", n, fr.RetainedEvents)
+	}
+	if held, ceiling := b2-b0-baseBytes, int64(12*fr.RetainedEvents); held > ceiling {
+		t.Errorf("ended, session and results hold %d bytes for a window of %d events, ceiling %d", held, fr.RetainedEvents, ceiling)
+	}
+	if objects := o2 - o0 - baseObjects; objects > 200 {
+		t.Errorf("ended, session and results hold %d heap objects more than without the recorder", objects)
+	}
+	if got := res.Trace().NumEvents(); got != fr.RetainedEvents {
+		t.Errorf("the results decode to %d events, the accounting says %d", got, fr.RetainedEvents)
+	}
+	runtime.KeepAlive(s)
 }
 
 // TestLocalSessionFootprint is the memory gate of a local tracing

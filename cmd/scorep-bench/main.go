@@ -311,13 +311,14 @@ func benchStreamRecord(b *testing.B) {
 }
 
 // benchFlightRecord measures steady-state flight-recorder recording:
-// the ring is filled during warmup, so every measured event goes through
-// the seal-and-evict path's amortized cost (mutex, append, occasional
-// backing-array reuse) — the price of always-on crash-safe measurement.
+// the ring is filled during warmup, so every measured event pays its
+// share of the seal-and-evict path (stage and publish, then one encode
+// per block into the evicted chunk's buffer) — the price of always-on
+// crash-safe measurement.
 func benchFlightRecord(b *testing.B) {
 	b.ReportAllocs()
-	rec := trace.NewFlightRecorder(clock.NewSystem(), 8, 256)
-	rt := omp.NewRuntime(rec)
+	rec := otf2.NewFlight(clock.NewSystem(), 8, 256)
+	rt := omp.NewRuntime(rec.Recorder())
 	rt.Parallel(1, benchPar, func(t *omp.Thread) {
 		for i := 0; i < 4096; i++ { // > ring capacity: reach steady-state eviction
 			pomp.Function(t, benchWork, nopFn)
@@ -328,11 +329,10 @@ func benchFlightRecord(b *testing.B) {
 		}
 		b.StopTimer()
 	})
-	st := rec.FlightStatsNow()
-	if st.DroppedEvents == 0 {
+	if st := rec.Stats(); st.DroppedEvents == 0 {
 		b.Fatal("flight bench never reached steady-state eviction")
 	}
-	rec.Finish()
+	rec.Release()
 }
 
 // benchClock measures the timestamp read cost.

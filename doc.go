@@ -304,36 +304,64 @@
 // production and still capture the moments that matter: the window
 // that led up to a crash, a stall, or an operator's signal.
 //
-// The retention mechanism: events accumulate into the thread's current
-// chunk of WithFlightChunkEvents(n) events (default: the streaming
-// chunk size); a full chunk is sealed into a per-thread ring of
-// ringChunks chunks (<= 0 picks DefaultFlightRingChunks); once the
-// ring is full, each seal evicts the oldest chunk whole, adding its
-// event count to the thread's dropped-events and dropped-chunks
-// counters. Memory is O(threads x ringChunks x chunkEvents) regardless
-// of run length, and steady-state recording reuses the evicted chunk's
-// backing array — the per-event path stays zero-allocation (the
-// flight/record bench and the alloc gate in CI hold it there). Nothing
-// is ever dropped silently: every evicted event is counted, the counts
-// travel inside every dump, and every CLI surfaces them.
+// The retention mechanism: a thread stages its events, without a lock,
+// into a block of WithFlightChunkEvents(n) events (default: the
+// streaming chunk size, 4096); when the block is full the thread
+// encodes it, once, into one chunk of the archive format — the encoding
+// and the definition table every archive writer uses, about 6 bytes an
+// event, no pointers — and puts the chunk into its ring of ringChunks
+// chunks (<= 0 picks DefaultFlightRingChunks). Once the ring is full
+// each new chunk evicts the oldest whole, into whose buffer it is
+// encoded, and the evicted chunk's event count is added to the
+// thread's dropped-events and dropped-chunks counters. What the rings
+// hold is therefore encoded chunks, not events: memory is about
+// threads x (ringChunks x chunkEvents x ~6 B + one staging block of
+// chunkEvents x 32 B), whatever the run length, where a ring of events
+// took 32 B for each. Ring depth means what it always meant — the
+// default keeps the same ringChunks x chunkEvents events of history per
+// thread as before, in about a fifth of the memory — and steady-state
+// recording allocates nothing (the flight/record bench and the alloc
+// gate in CI hold it there). Nothing is ever dropped silently: every
+// evicted event is counted, the counts travel inside every dump, and
+// every CLI surfaces them.
 //
 // A dump — Session.DumpFlightRecorder(dir), or any trigger below —
-// snapshots every thread's retained window (concurrently with
-// recording; the rings are only briefly locked per thread, the session
-// is never paused) and writes an ordinary experiment directory:
-// trace.otf2, a valid SPOTF2 v2 archive holding the window's events,
-// definitions and footer index, plus meta.json with the session
-// configuration and the eviction accounting (meta's "flightRecorder"
-// object: ringChunks, chunkEvents, retainedEvents, droppedEvents,
-// droppedChunks, trigger, and partial+error when the archive write
-// failed midway). The archive additionally embeds the accounting as a
-// chunk of kind 'F' placed directly after the header, before all event
-// data — so even a dump cut off by a full disk keeps its accounting
-// inside the salvageable prefix (see Trace formats for the payload
-// layout). Dump directories are read by OpenExperiment and every CLI
-// like any experiment; an empty dir argument auto-numbers flight-NNN
-// under the session's experiment directory (scorep-flight-NNN in the
-// working directory otherwise).
+// takes every thread's window, concurrently with recording (the
+// session is never paused), and writes an ordinary experiment
+// directory: trace.otf2, a valid SPOTF2 v2 archive holding the
+// window's events, definitions and footer index, plus meta.json with
+// the session configuration and the eviction accounting (meta's
+// "flightRecorder" object: ringChunks, chunkEvents, retainedEvents,
+// droppedEvents, droppedChunks, trigger, and partial+error when the
+// archive write failed midway). The archive additionally embeds the
+// accounting as a chunk of kind 'F' placed directly after the header,
+// before all event data — so even a dump cut off by a full disk keeps
+// its accounting inside the salvageable prefix (see Trace formats for
+// the payload layout). Dump directories are read by OpenExperiment and
+// every CLI like any experiment; an empty dir argument auto-numbers
+// flight-NNN under the session's experiment directory
+// (scorep-flight-NNN in the working directory otherwise).
+//
+// A dump is mostly a copy. The retained chunks go into the archive as
+// they lie in the rings; what a dump encodes is each thread's open
+// block — the events staged since the thread's last full block, up to
+// the last one it recorded, written as one final, partial chunk, so
+// the window a panic leaves ends at the panic — and one record per
+// thread: a ring starts mid-stream, its oldest chunk's first timestamp
+// a delta against a chunk that is gone, and the dump rewrites that
+// record as a delta against 0. In the archive every thread's first
+// chunk therefore has base time 0 and every later chunk continues the
+// one before it, like the chunks of any archive; readers, indexed or
+// sequential, know no difference. Compression (WithTraceCompression)
+// is applied to the copies, at the dump, never on a recording thread.
+// Per thread the window and its accounting are taken under the
+// thread's seal lock, the only lock recording knows: the dumped events
+// are a gap-free suffix of what the thread had recorded and retained +
+// dropped is exactly that count. A recording thread publishes each
+// event with one atomic store and takes the lock only when its block
+// fills, once per chunkEvents events; it can wait on a dump only
+// there, and only while the dump copies that thread's chunks into
+// memory — the write to disk happens after the lock is released.
 //
 // Four triggers produce dumps. (1) The explicit API call above.
 // (2) An OS signal: SIGUSR1 by default, rebindable or disableable via
@@ -343,29 +371,46 @@
 // window that led up to a panic and then re-panics with the original
 // value, so the crash still crashes but its prehistory survives.
 // (4) A bottleneck threshold: WithBottleneckTrigger(minSeverity,
-// interval) analyzes the current window every interval with the
-// automatic bottleneck analysis and dumps once when any finding's
-// severity (0..1) reaches minSeverity — the trace of a degradation is
-// captured while it happens, not reconstructed after.
+// interval) dumps the current window into memory every interval, scans
+// that archive with the automatic bottleneck analysis as it would any
+// other, and dumps once to disk when any finding's severity (0..1)
+// reaches minSeverity — the trace of a degradation is captured while
+// it happens, not reconstructed after.
 //
 // Introspection is live and free of event copying:
-// Session.FlightRecorderStats returns the ring configuration,
-// per-thread retained/dropped counters and the dump-trigger history;
-// Session.FlightRecorderHandler serves the same JSON over HTTP (GET)
-// and accepts dump-now requests (POST, optional "dir" parameter); the
-// expvar "scorep.flightrecorder" publishes it to any expvar scraper.
-// Session.End of a flight session returns the final window as the
-// trace, Results.FlightRecorder reports its accounting, and a saved
+// Session.FlightRecorderStats returns the ring configuration, the
+// retained events and — as retainedBytes — the encoded bytes the rings
+// hold for them, per-thread retained/dropped counters and the
+// dump-trigger history; Session.FlightRecorderHandler serves the same
+// JSON over HTTP (GET) and accepts dump-now requests (POST, optional
+// "dir" parameter); the expvar "scorep.flightrecorder" publishes it to
+// any expvar scraper. Session.End of a flight session takes the final
+// window as one last dump into memory and lets the rings and staging
+// blocks go: the Results holds that archive and nothing else of the
+// window, exactly as a local tracing session's does — Trace decodes it
+// on first use, the analyses scan it, SaveExperiment copies it —
+// Results.FlightRecorder reports its accounting, and a saved
 // experiment records both. Session.WriteFlightRecorderArchive streams
 // the current window as a bare archive to any io.Writer for custom
 // sinks.
+//
+// Below the Session layer the recorder is NewFlightTraceRecorder, which
+// since the rings hold encoded chunks returns a *TraceFlightRecorder
+// (its Recorder method is the listener, Dump writes the window to an
+// io.Writer, Stats is the live accounting) where it used to return a
+// *TraceRecorder, and TraceFlightStats is now the accounting of a
+// dump (TraceFlightInfo) plus the retained bytes and the per-thread
+// retained events. Three names went with the ring of events and are
+// removed: TraceRecorder.FlightSnapshot, which copied the window out
+// as events — decode a Dump instead — WriteTraceFlightDump, which
+// encoded such a copy, and TraceFlightThreadStats.
 //
 // # Power-user layer
 //
 // The session owns the wiring; the pieces stay exported for custom
 // setups: NewMeasurement/NewMeasurementWithClock (profiling),
 // NewTraceRecorder/NewStreamingTraceRecorder (tracing),
-// NewFlightTraceRecorder (flight-recorder tracing), NewFilter,
+// NewFlightTraceRecorder (flight-recorder tracing, see above), NewFilter,
 // NewTee (fan out one event stream to several listeners), NewRuntime,
 // and the report/trace serialization functions. Results.Locations
 // exposes the raw per-thread profiles behind Results.Report.

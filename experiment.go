@@ -165,18 +165,15 @@ type ExperimentMeta struct {
 // the session recorded into: no event is decoded or encoded, whether
 // or not Trace was called, and its chunks lie in the order the threads
 // sealed them. Only WithTraceCompression makes a save encode: it
-// writes the decoded trace anew, compressed.
+// writes the decoded trace anew, compressed. The trace.otf2 of a flight
+// recorder session is always a copy, of the window End dumped —
+// compressed then, if at all — with the accounting chunk at its front.
 func (r *Results) SaveExperiment(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("experiment: %w", err)
 	}
 	meta := ExperimentMeta{
-		FormatVersion: ExperimentMetaVersion,
-		CreatedUnixNs: time.Now().UnixNano(),
-		WallTimeNs:    int64(r.wall),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
-		GoVersion:     runtime.Version(),
+		WallTimeNs: int64(r.wall),
 		Config: ExperimentConfig{
 			Profiling:      r.cfg.profiling,
 			Tracing:        r.cfg.tracing,
@@ -208,14 +205,9 @@ func (r *Results) SaveExperiment(dir string) error {
 		meta.HasTrace = true
 		meta.TraceFormat = fmt.Sprintf("spotf2-v%d", otf2.FormatVersion)
 		meta.Config.TraceCompression = r.cfg.traceComp.String()
+		meta.FlightRecorder = r.FlightRecorder()
 		if err := writeExperimentFile(dir, experimentTraceFile, func(f *os.File) error {
-			switch {
-			case r.flightStats != nil:
-				// A flight-recorder run archives its retained window with
-				// the eviction-accounting chunk up front.
-				meta.FlightRecorder = flightRecorderInfo(*r.flightStats, "end", nil)
-				return otf2.WriteFlightDump(f, r.trace, otf2.FlightInfoFromStats(*r.flightStats), otf2.WithCompression(r.cfg.traceComp))
-			case r.archive != nil && r.cfg.traceComp == TraceCompressionNone:
+			if r.archive != nil && (r.flight != nil || r.cfg.traceComp == TraceCompressionNone) {
 				// The recording already is the archive: a save copies it.
 				for _, seg := range r.archive.Segments() {
 					if _, err := f.Write(seg); err != nil {
@@ -233,6 +225,16 @@ func (r *Results) SaveExperiment(dir string) error {
 	} else if err := removeExperimentFile(dir, experimentTraceFile); err != nil {
 		return err
 	}
+	return writeExperimentMeta(dir, &meta)
+}
+
+// writeExperimentMeta stamps meta with what every experiment directory
+// records of its writer — format version, time, processors, Go version
+// — and writes it as dir's meta.json.
+func writeExperimentMeta(dir string, meta *ExperimentMeta) error {
+	meta.FormatVersion = ExperimentMetaVersion
+	meta.CreatedUnixNs = time.Now().UnixNano()
+	meta.GOMAXPROCS, meta.NumCPU, meta.GoVersion = runtime.GOMAXPROCS(0), runtime.NumCPU(), runtime.Version()
 	return writeExperimentFile(dir, experimentMetaFile, func(f *os.File) error {
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
@@ -252,12 +254,7 @@ func SaveFleetExperiment(dir string, wall time.Duration, shards []TraceShard) er
 		return fmt.Errorf("experiment: %w", err)
 	}
 	meta := ExperimentMeta{
-		FormatVersion: ExperimentMetaVersion,
-		CreatedUnixNs: time.Now().UnixNano(),
-		WallTimeNs:    int64(wall),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
-		GoVersion:     runtime.Version(),
+		WallTimeNs: int64(wall),
 		Config: ExperimentConfig{
 			// The shards were produced by (possibly heterogeneous)
 			// remote sessions; the daemon records only what it knows:
@@ -268,11 +265,7 @@ func SaveFleetExperiment(dir string, wall time.Duration, shards []TraceShard) er
 		TraceFormat: fmt.Sprintf("spotf2-v%d", otf2.FormatVersion),
 		TraceShards: shards,
 	}
-	return writeExperimentFile(dir, experimentMetaFile, func(f *os.File) error {
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		return enc.Encode(meta)
-	})
+	return writeExperimentMeta(dir, &meta)
 }
 
 // removeExperimentFile deletes an artifact a re-save into an existing

@@ -10,25 +10,18 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"repro/internal/bottleneck"
 	"repro/internal/otf2"
 	"repro/internal/trace"
 )
 
 // DefaultFlightRingChunks is the per-thread ring depth WithFlightRecorder
 // uses when given ringChunks <= 0.
-const DefaultFlightRingChunks = trace.DefaultFlightRingChunks
-
-// flightDumpTraceFile is the archive file name inside a dump directory —
-// the same name an experiment directory uses, so every trace-consuming
-// tool opens a dump like any experiment.
-const flightDumpTraceFile = experimentTraceFile
+const DefaultFlightRingChunks = otf2.DefaultFlightRingChunks
 
 // FlightRecorderInfo is the flight recorder's eviction accounting as
 // recorded in a dump's (or experiment's) meta.json: what the ring
@@ -57,8 +50,8 @@ type FlightRecorderInfo struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// flightRecorderInfo builds the meta.json form of a recorder snapshot.
-func flightRecorderInfo(st trace.FlightStats, trigger string, writeErr error) *FlightRecorderInfo {
+// flightRecorderInfo builds the meta.json form of a dump's accounting.
+func flightRecorderInfo(st *otf2.FlightInfo, trigger string, writeErr error) *FlightRecorderInfo {
 	info := &FlightRecorderInfo{
 		RingChunks:     st.RingChunks,
 		ChunkEvents:    st.ChunkEvents,
@@ -90,13 +83,17 @@ type FlightRecorderThreadStats struct {
 // the introspection endpoint (FlightRecorderHandler, and the
 // "scorep.flightrecorder" expvar).
 type FlightRecorderStats struct {
-	Enabled        bool                        `json:"enabled"`
-	RingChunks     int                         `json:"ringChunks,omitempty"`
-	ChunkEvents    int                         `json:"chunkEvents,omitempty"`
-	RetainedEvents int                         `json:"retainedEvents"`
-	DroppedEvents  uint64                      `json:"droppedEvents"`
-	DroppedChunks  uint64                      `json:"droppedChunks"`
-	Threads        []FlightRecorderThreadStats `json:"threads,omitempty"`
+	Enabled        bool `json:"enabled"`
+	RingChunks     int  `json:"ringChunks,omitempty"`
+	ChunkEvents    int  `json:"chunkEvents,omitempty"`
+	RetainedEvents int  `json:"retainedEvents"`
+	// RetainedBytes is what the rings hold of RetainedEvents now: the
+	// encoded bytes of their chunks (the events of the open blocks are
+	// not encoded before a dump).
+	RetainedBytes int64                       `json:"retainedBytes"`
+	DroppedEvents uint64                      `json:"droppedEvents"`
+	DroppedChunks uint64                      `json:"droppedChunks"`
+	Threads       []FlightRecorderThreadStats `json:"threads,omitempty"`
 	// Dumps counts completed dump attempts (successful or not);
 	// LastTrigger/LastDumpDir/LastDumpError describe the most recent one.
 	Dumps         int64  `json:"dumps"`
@@ -109,6 +106,10 @@ type FlightRecorderStats struct {
 // flight-recorder session.
 type flightState struct {
 	s *Session
+
+	// ring is the recorder and the window it retains; the session's
+	// trace listener is ring.Recorder().
+	ring *otf2.Flight
 
 	// dumpMu serializes dumps (concurrent triggers queue up rather than
 	// interleave directory writes) and guards seq, the auto-directory
@@ -129,8 +130,8 @@ type flightState struct {
 // newFlightState wires the configured triggers of a flight-recorder
 // session: the dump signal (SIGUSR1 unless overridden or disabled) and
 // the bottleneck threshold trigger, plus the shared expvar.
-func newFlightState(s *Session) *flightState {
-	f := &flightState{s: s, stopCh: make(chan struct{})}
+func newFlightState(s *Session, ring *otf2.Flight) *flightState {
+	f := &flightState{s: s, ring: ring, stopCh: make(chan struct{})}
 	sig := s.cfg.dumpSignal
 	if !s.cfg.dumpSignalSet {
 		sig = syscall.SIGUSR1
@@ -163,9 +164,10 @@ func (f *flightState) startSignal(sig os.Signal) {
 	}()
 }
 
-// startBottleneckTrigger arms the analysis-driven trigger: snapshot the
-// window every interval, run the bottleneck analysis over it, and dump
-// once when any finding's severity reaches the bound.
+// startBottleneckTrigger arms the analysis-driven trigger: every
+// interval dump the window into memory, scan that archive with the
+// bottleneck analysis like any other, and dump once to disk when any
+// finding's severity reaches the bound.
 func (f *flightState) startBottleneckTrigger(tc bottleneckTriggerConfig) {
 	interval := tc.interval
 	if interval <= 0 {
@@ -185,8 +187,12 @@ func (f *flightState) startBottleneckTrigger(tc bottleneckTriggerConfig) {
 			case <-f.stopCh:
 				return
 			case <-t.C:
-				tr, _ := f.s.rec.FlightSnapshot()
-				a := bottleneck.AnalyzeQuery(tr, trace.Query{}, f.s.cfg.analysisWorkers)
+				var window otf2.Memory
+				_, err := f.ring.Dump(&window)
+				a, _, aerr := otf2.AnalyzeBottlenecks(window.Reader(), trace.Query{}, f.s.cfg.analysisWorkers)
+				if err != nil || aerr != nil {
+					continue // what fails here fails the dump to disk too, which reports it
+				}
 				for _, fd := range a.Findings {
 					if fd.Severity >= minSev {
 						f.dump("", "bottleneck") //nolint:errcheck // recorded in LastDumpError
@@ -228,16 +234,15 @@ func (f *flightState) autoDir() string {
 	}
 }
 
-// dump snapshots the retained window and materializes it at dir (auto-
-// numbered when empty), recording the attempt in the trigger stats.
+// dump materializes the retained window at dir (auto-numbered when
+// empty), recording the attempt in the trigger stats.
 func (f *flightState) dump(dir, trigger string) (string, error) {
 	f.dumpMu.Lock()
 	defer f.dumpMu.Unlock()
 	if dir == "" {
 		dir = f.autoDir()
 	}
-	tr, st := f.s.rec.FlightSnapshot()
-	err := writeFlightDumpDir(dir, tr, st, trigger, f.s.cfg)
+	err := f.writeDumpDir(dir, trigger)
 
 	f.dumps.Add(1)
 	f.statMu.Lock()
@@ -249,33 +254,30 @@ func (f *flightState) dump(dir, trigger string) (string, error) {
 	return dir, err
 }
 
-// writeFlightDumpDir materializes one consistent window snapshot as an
-// experiment-shaped directory: trace.otf2 (the accounting chunk first,
-// then the retained events, then the footer index) and meta.json
-// written last. A failed archive write — a full disk, typically — still
-// writes the metadata, marked Partial with the error, so the salvage
-// state of the directory is self-describing; the write error is
-// returned either way.
-func writeFlightDumpDir(dir string, tr *Trace, st trace.FlightStats, trigger string, cfg sessionConfig) error {
+// writeDumpDir materializes the window as an experiment-shaped
+// directory: trace.otf2 (the accounting chunk first, then the retained
+// events, then the footer index) and meta.json, which carries the same
+// accounting, written last. A failed archive write — a full disk,
+// typically — still writes the metadata, marked Partial with the error,
+// so the salvage state of the directory is self-describing; the write
+// error is returned either way.
+func (f *flightState) writeDumpDir(dir, trigger string) error {
+	cfg := f.s.cfg
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("flight dump: %w", err)
 	}
+	st := new(otf2.FlightInfo)
 	var werr error
-	af, err := os.Create(filepath.Join(dir, flightDumpTraceFile))
+	af, err := os.Create(filepath.Join(dir, experimentTraceFile))
 	if err != nil {
 		werr = err
 	} else {
-		werr = otf2.WriteFlightDump(af, tr, otf2.FlightInfoFromStats(st), otf2.WithCompression(cfg.traceComp))
+		st, werr = f.ring.Dump(af, otf2.WithCompression(cfg.traceComp))
 		if cerr := af.Close(); werr == nil {
 			werr = cerr
 		}
 	}
 	meta := ExperimentMeta{
-		FormatVersion: ExperimentMetaVersion,
-		CreatedUnixNs: time.Now().UnixNano(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
-		GoVersion:     runtime.Version(),
 		Config: ExperimentConfig{
 			Profiling:        cfg.profiling,
 			Tracing:          true,
@@ -288,13 +290,9 @@ func writeFlightDumpDir(dir string, tr *Trace, st trace.FlightStats, trigger str
 		TraceFormat:    fmt.Sprintf("spotf2-v%d", otf2.FormatVersion),
 		FlightRecorder: flightRecorderInfo(st, trigger, werr),
 	}
-	merr := writeExperimentFile(dir, experimentMetaFile, func(mf *os.File) error {
-		enc := json.NewEncoder(mf)
-		enc.SetIndent("", "  ")
-		return enc.Encode(meta)
-	})
+	merr := writeExperimentMeta(dir, &meta)
 	if werr != nil {
-		return fmt.Errorf("flight dump: writing %s: %w", filepath.Join(dir, flightDumpTraceFile), werr)
+		return fmt.Errorf("flight dump: writing %s: %w", filepath.Join(dir, experimentTraceFile), werr)
 	}
 	return merr
 }
@@ -309,7 +307,7 @@ var errNoFlightRecorder = errors.New("scorep: session has no flight recorder (se
 // index and the eviction-accounting chunk — plus meta.json stating the
 // dropped-event/chunk counts. An empty dir picks the next auto-numbered
 // directory (flight-NNN under the experiment directory, scorep-flight-NNN
-// otherwise). The snapshot is taken concurrently with recording; the
+// otherwise). The window is taken concurrently with recording; the
 // session continues undisturbed. The resolved directory is returned
 // even on error (a partial dump salvages its intact prefix and a
 // Partial-marked meta.json).
@@ -328,8 +326,8 @@ func (s *Session) WriteFlightRecorderArchive(w io.Writer) error {
 	if s.flight == nil {
 		return errNoFlightRecorder
 	}
-	tr, st := s.rec.FlightSnapshot()
-	return otf2.WriteFlightDump(w, tr, otf2.FlightInfoFromStats(st), otf2.WithCompression(s.cfg.traceComp))
+	_, err := s.flight.ring.Dump(w, otf2.WithCompression(s.cfg.traceComp))
+	return err
 }
 
 // DumpOnPanic is the panic-salvage trigger: deferred around measured
@@ -359,23 +357,19 @@ func (s *Session) FlightRecorderStats() FlightRecorderStats {
 	if s.flight == nil {
 		return FlightRecorderStats{}
 	}
-	st := s.rec.FlightStatsNow()
+	st := s.flight.ring.Stats()
 	out := FlightRecorderStats{
 		Enabled:        true,
 		RingChunks:     st.RingChunks,
 		ChunkEvents:    st.ChunkEvents,
 		RetainedEvents: st.RetainedEvents,
+		RetainedBytes:  st.RetainedBytes,
 		DroppedEvents:  st.DroppedEvents,
 		DroppedChunks:  st.DroppedChunks,
 		Dumps:          s.flight.dumps.Load(),
 	}
-	for _, ts := range st.Threads {
-		out.Threads = append(out.Threads, FlightRecorderThreadStats{
-			Thread:         ts.Thread,
-			RetainedEvents: ts.RetainedEvents,
-			DroppedEvents:  ts.DroppedEvents,
-			DroppedChunks:  ts.DroppedChunks,
-		})
+	for i, ts := range st.Threads {
+		out.Threads = append(out.Threads, FlightRecorderThreadStats{ts.Thread, st.ThreadRetained[i], ts.DroppedEvents, ts.DroppedChunks})
 	}
 	s.flight.statMu.Lock()
 	out.LastTrigger, out.LastDumpDir, out.LastDumpError =

@@ -11,7 +11,7 @@
 // reference implementation.
 //
 // Input sizes are scaled down from BOTS "medium" so the complete
-// evaluation runs on a laptop; EXPERIMENTS.md documents the scaling.
+// evaluation runs on a laptop; each code's file holds its sizes.
 package bots
 
 import (
@@ -27,7 +27,7 @@ type Size int
 const (
 	SizeTiny Size = iota // unit tests
 	SizeSmall
-	SizeMedium // experiment default ("medium" in EXPERIMENTS.md)
+	SizeMedium // experiment default
 )
 
 // String returns the lower-case size name.

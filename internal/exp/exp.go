@@ -3,7 +3,7 @@
 // formatter that prints the same columns the paper reports. Absolute
 // numbers differ from the paper (Juropa/GCC vs. a Go runtime on this
 // host); the shapes — who has overhead, how it scales with threads, where
-// time goes — are the reproduction target (see EXPERIMENTS.md).
+// time goes — are the reproduction target.
 package exp
 
 import (

@@ -15,7 +15,7 @@ import (
 
 // flightTestTrace builds a small deterministic trace plus the matching
 // eviction accounting, as a flight snapshot would produce them.
-func flightTestTrace(t testing.TB) (*trace.Trace, trace.FlightStats) {
+func flightTestTrace(t testing.TB) (*trace.Trace, *FlightInfo) {
 	t.Helper()
 	reg := region.NewRegistry()
 	work := reg.Register("work", "f.go", 1, region.Task)
@@ -29,13 +29,13 @@ func flightTestTrace(t testing.TB) (*trace.Trace, trace.FlightStats) {
 			retained++
 		}
 	}
-	st := trace.FlightStats{
+	st := &FlightInfo{
 		RingChunks: 4, ChunkEvents: 8, RetainedEvents: retained,
 		DroppedEvents: 1234, DroppedChunks: 17,
-		Threads: []trace.FlightThreadStats{
-			{Thread: 0, RetainedEvents: 10, DroppedEvents: 1000, DroppedChunks: 10},
-			{Thread: 1, RetainedEvents: 11, DroppedEvents: 200, DroppedChunks: 5},
-			{Thread: 2, RetainedEvents: 12, DroppedEvents: 34, DroppedChunks: 2},
+		Threads: []FlightThreadInfo{
+			{Thread: 0, DroppedEvents: 1000, DroppedChunks: 10},
+			{Thread: 1, DroppedEvents: 200, DroppedChunks: 5},
+			{Thread: 2, DroppedEvents: 34, DroppedChunks: 2},
 		},
 	}
 	return tr, st
@@ -43,7 +43,7 @@ func flightTestTrace(t testing.TB) (*trace.Trace, trace.FlightStats) {
 
 func TestWriteFlightDumpRoundTrip(t *testing.T) {
 	tr, st := flightTestTrace(t)
-	info := FlightInfoFromStats(st)
+	info := st
 
 	for _, comp := range []Compression{CompressionNone, CompressionFlate} {
 		var buf bytes.Buffer
@@ -97,7 +97,7 @@ func TestWriteFlightDumpIndexedAndStatted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFlightDump(f, tr, FlightInfoFromStats(st)); err != nil {
+	if err := WriteFlightDump(f, tr, st); err != nil {
 		t.Fatalf("WriteFlightDump: %v", err)
 	}
 	if err := f.Close(); err != nil {
@@ -170,7 +170,7 @@ func TestWriteFlightInfoRequiresV2(t *testing.T) {
 // salvage every fully-written event chunk.
 func TestFlightDumpDiskFullSalvage(t *testing.T) {
 	tr, st := flightTestTrace(t)
-	info := FlightInfoFromStats(st)
+	info := st
 
 	var full bytes.Buffer
 	if err := WriteFlightDump(&full, tr, info, WithCompression(CompressionNone)); err != nil {
@@ -225,7 +225,7 @@ func TestFlightInfoChunkSkippedByOldReaders(t *testing.T) {
 	if err := w.WriteEvents(ids[0], tr.Threads[ids[0]]); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteFlightInfo(FlightInfoFromStats(st)); err != nil {
+	if err := w.WriteFlightInfo(st); err != nil {
 		t.Fatal(err)
 	}
 	for _, tid := range ids[1:] {

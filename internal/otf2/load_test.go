@@ -107,7 +107,7 @@ func loadArchives(t testing.TB, tasks int) map[string][]byte {
 	tr := benchTrace(4, tasks)
 	flightTr, flightSt := flightTestTrace(t)
 	var flight bytes.Buffer
-	if err := WriteFlightDump(&flight, flightTr, FlightInfoFromStats(flightSt)); err != nil {
+	if err := WriteFlightDump(&flight, flightTr, flightSt); err != nil {
 		t.Fatal(err)
 	}
 	write := func(tr *trace.Trace, opts ...WriterOption) []byte {

@@ -66,19 +66,12 @@ type Writer struct {
 	// never while events are encoded.
 	iomu sync.Mutex
 
-	// Interning state. regionRefs maps *region.Region to its event
-	// regionRef (regionID+1) and is published atomically after the
-	// region's definition record has been queued, so lookups are
-	// lock-free. internMu guards ID assignment, the string table, the
-	// pending-definitions buffer and the thread registration list.
-	internMu   sync.Mutex
-	regionRefs sync.Map // *region.Region -> uint64 regionRef
-	strings    map[string]uint64
-	nregions   uint64
-	defs       []byte      // open definition-record buffer, framed before the next event chunk
-	defsSealed [][]byte    // full definition payloads sealed at record boundaries, each chunk-bounded
-	defsBig    atomic.Bool // set when definitions were sealed; drained outside internMu
-	threadSeen []int       // first-registration order, for deterministic Flush
+	// defs interns regions and strings and queues their definition
+	// records until the next chunk is written; defs.mu also guards
+	// threadSeen, the threads in first-registration order, which makes
+	// Flush deterministic.
+	defs       defTable
+	threadSeen []int
 
 	threads sync.Map // int -> *threadBuf
 
@@ -99,16 +92,23 @@ type Writer struct {
 // correct for callers that share a thread ID across goroutines and for
 // Flush sealing partial chunks concurrently with writes.
 type threadBuf struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	chunkEncoder
+}
+
+// chunkEncoder encodes one thread's events, in order, into the chunk it
+// has open. It is the one event encoder: a Writer's thread buffers and a
+// Flight's rings both encode through it, against their own defTable.
+type chunkEncoder struct {
 	buf      []byte
 	count    uint64
 	lastTime int64
 
-	// Per-chunk index metadata: chunkBase is the thread's running
-	// timestamp before the open chunk's first event (the value the
-	// chunk's first delta is relative to); minT/maxT bound the open
-	// chunk's absolute timestamps. Reset by seal.
-	chunkBase  int64
+	// Per-chunk index metadata: base is the thread's running timestamp
+	// before the open chunk's first event (the value the chunk's first
+	// delta is relative to); minT/maxT bound the open chunk's absolute
+	// timestamps. Reset by begin.
+	base       int64
 	minT, maxT int64
 
 	// Two-entry region-ref cache: consecutive events overwhelmingly
@@ -118,6 +118,60 @@ type threadBuf struct {
 	// of pointer compares instead of a concurrent-map load.
 	reg0, reg1 *region.Region
 	ref0, ref1 uint64
+}
+
+// begin opens a fresh chunk in buf: the next delta is relative to
+// lastTime, and the time bounds start at their sentinels (minT > maxT
+// means "no events yet").
+func (c *chunkEncoder) begin(buf []byte) {
+	c.buf, c.count = buf[:0], 0
+	c.base = c.lastTime
+	c.minT = int64(^uint64(0) >> 1) // math.MaxInt64
+	c.maxT = -c.minT - 1            // math.MinInt64
+}
+
+// ref returns the open chunk's index entry, but for its offset.
+func (c *chunkEncoder) ref() ChunkRef {
+	return ChunkRef{Events: c.count, BaseTime: c.base, MinTime: c.minT, MaxTime: c.maxT}
+}
+
+// encode appends events to the open chunk until it holds limit bytes,
+// interning their regions in defs, and returns how many it took.
+func (c *chunkEncoder) encode(defs *defTable, events []trace.Event, limit int) int {
+	for i := range events {
+		ev := &events[i]
+		var ref uint64
+		switch r := ev.Region; r {
+		case nil:
+		case c.reg0:
+			ref = c.ref0
+		case c.reg1:
+			ref = c.ref1
+		default:
+			ref = defs.region(r)
+			c.reg1, c.ref1 = c.reg0, c.ref0
+			c.reg0, c.ref0 = r, ref
+		}
+		c.buf = append(c.buf, byte(ev.Type))
+		c.buf = binary.AppendVarint(c.buf, ev.Time-c.lastTime)
+		c.buf = binary.AppendUvarint(c.buf, ref)
+		c.buf = binary.AppendUvarint(c.buf, ev.TaskID)
+		c.lastTime = ev.Time
+		// Chunk time bounds for the footer index: two predictable
+		// compares per event, no branches taken on a monotone clock
+		// beyond the max update.
+		if ev.Time < c.minT {
+			c.minT = ev.Time
+		}
+		if ev.Time > c.maxT {
+			c.maxT = ev.Time
+		}
+		c.count++
+		if len(c.buf) >= limit {
+			return i + 1
+		}
+	}
+	return len(events)
 }
 
 // chunkPool recycles sealed chunk buffers (and the reader side's
@@ -198,8 +252,8 @@ func NewWriter(w io.Writer, opts ...WriterOption) *Writer {
 		chunkBytes: cfg.chunkBytes,
 		version:    cfg.version,
 		comp:       cfg.comp,
-		strings:    make(map[string]uint64),
 	}
+	wr.defs.init(cfg.chunkBytes, wr.setErr)
 	switch {
 	case cfg.version != version1 && cfg.version != version2:
 		wr.setErr(fmt.Errorf("otf2: unsupported format version %d", cfg.version))
@@ -219,9 +273,9 @@ func NewWriter(w io.Writer, opts ...WriterOption) *Writer {
 	wr.off = int64(len(magic)) + 1
 	// Clock properties: the runtime clock ticks in nanoseconds from an
 	// arbitrary epoch.
-	wr.defs = append(wr.defs, defClock)
-	wr.defs = binary.AppendUvarint(wr.defs, 1e9)
-	wr.defs = binary.AppendVarint(wr.defs, 0)
+	wr.defs.open = append(wr.defs.open, defClock)
+	wr.defs.open = binary.AppendUvarint(wr.defs.open, 1e9)
+	wr.defs.open = binary.AppendVarint(wr.defs.open, 0)
 	return wr
 }
 
@@ -246,10 +300,38 @@ func (w *Writer) setErr(err error) {
 	}
 }
 
+// defTable is the definition side of an archive being written: it
+// interns regions and strings, assigning the IDs event records refer to,
+// and queues a definition record for each on first use. It is an
+// atomic-publish structure — lookups of an interned region are
+// lock-free; mu guards ID assignment, the string table and the queue.
+// The queue is open, the records since the last seal, behind sealed,
+// full payloads cut at record boundaries once they reach sealAt bytes:
+// each at most sealAt plus one record (a string record is bounded by
+// internStringLocked's length check), well under the reader's
+// maxChunkLen limit, so a 'D' chunk written from one can never be an
+// archive its own Reader rejects. big tells the owner, without the lock,
+// that sealed payloads wait to be written.
+type defTable struct {
+	mu       sync.Mutex
+	refs     sync.Map // *region.Region -> uint64 regionRef
+	strings  map[string]uint64
+	nregions uint64
+	open     []byte
+	sealed   [][]byte
+	big      atomic.Bool
+	sealAt   int
+	fail     func(error) // latches a definition that cannot be encoded
+}
+
+func (d *defTable) init(sealAt int, fail func(error)) {
+	d.strings, d.sealAt, d.fail = make(map[string]uint64), sealAt, fail
+}
+
 // internStringLocked interns s, queueing a definition record on first
-// use. Caller holds internMu.
-func (w *Writer) internStringLocked(s string) uint64 {
-	id, ok := w.strings[s]
+// use. Caller holds mu.
+func (d *defTable) internStringLocked(s string) uint64 {
+	id, ok := d.strings[s]
 	if ok {
 		return id
 	}
@@ -258,81 +340,85 @@ func (w *Writer) internStringLocked(s string) uint64 {
 		// a string this long would produce a 'D' chunk the Reader
 		// rejects; refuse it up front instead of writing an unreadable
 		// archive.
-		w.setErr(fmt.Errorf("otf2: string of %d bytes exceeds the encodable limit", len(s)))
+		d.fail(fmt.Errorf("otf2: string of %d bytes exceeds the encodable limit", len(s)))
 		return 0
 	}
-	id = uint64(len(w.strings))
-	w.strings[s] = id
-	w.defs = append(w.defs, defString)
-	w.defs = binary.AppendUvarint(w.defs, id)
-	w.defs = binary.AppendUvarint(w.defs, uint64(len(s)))
-	w.defs = append(w.defs, s...)
-	w.sealDefsLocked()
+	id = uint64(len(d.strings))
+	d.strings[s] = id
+	d.open = append(d.open, defString)
+	d.open = binary.AppendUvarint(d.open, id)
+	d.open = binary.AppendUvarint(d.open, uint64(len(s)))
+	d.open = append(d.open, s...)
+	d.sealLocked()
 	return id
 }
 
-// sealDefsLocked moves the open definition buffer onto the sealed list
-// once it reaches the chunk threshold. Sealing happens only at record
-// boundaries, so every sealed payload is at most chunkBytes plus one
-// record (a string record is bounded by internStringLocked's length
-// check) — well under the reader's maxChunkLen limit, preserving the
-// invariant that the Writer can never produce an archive its own
-// Reader rejects. Caller holds internMu.
-func (w *Writer) sealDefsLocked() {
-	if len(w.defs) >= w.chunkBytes {
-		w.defsSealed = append(w.defsSealed, w.defs)
-		w.defs = nil
-		w.defsBig.Store(true)
+// sealLocked moves the open records onto the sealed list once they
+// reach the threshold. Caller holds mu.
+func (d *defTable) sealLocked() {
+	if len(d.open) >= d.sealAt {
+		d.sealed = append(d.sealed, d.open)
+		d.open = nil
+		d.big.Store(true)
 	}
 }
 
-// internRegion returns r's event-record regionRef (regionID+1),
-// interning it on first use. The fast path is a lock-free map load; the
-// slow path runs once per distinct region.
-func (w *Writer) internRegion(r *region.Region) uint64 {
+// region returns r's event-record regionRef (regionID+1), interning it
+// on first use. The fast path is a lock-free map load; the slow path
+// runs once per distinct region.
+func (d *defTable) region(r *region.Region) uint64 {
 	if r == nil {
 		return 0
 	}
-	if v, ok := w.regionRefs.Load(r); ok {
+	if v, ok := d.refs.Load(r); ok {
 		return v.(uint64)
 	}
-	return w.internRegionSlow(r)
-}
-
-func (w *Writer) internRegionSlow(r *region.Region) uint64 {
-	w.internMu.Lock()
-	defer w.internMu.Unlock()
-	if v, ok := w.regionRefs.Load(r); ok {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if v, ok := d.refs.Load(r); ok {
 		return v.(uint64)
 	}
-	name := w.internStringLocked(r.Name)
-	file := w.internStringLocked(r.File)
-	id := w.nregions
-	w.nregions++
-	w.defs = append(w.defs, defRegion)
-	w.defs = binary.AppendUvarint(w.defs, id)
-	w.defs = binary.AppendUvarint(w.defs, name)
-	w.defs = binary.AppendUvarint(w.defs, file)
-	w.defs = binary.AppendUvarint(w.defs, uint64(r.Line))
-	w.defs = binary.AppendUvarint(w.defs, uint64(r.Type))
+	name := d.internStringLocked(r.Name)
+	file := d.internStringLocked(r.File)
+	id := d.nregions
+	d.nregions++
+	d.open = append(d.open, defRegion)
+	d.open = binary.AppendUvarint(d.open, id)
+	d.open = binary.AppendUvarint(d.open, name)
+	d.open = binary.AppendUvarint(d.open, file)
+	d.open = binary.AppendUvarint(d.open, uint64(r.Line))
+	d.open = binary.AppendUvarint(d.open, uint64(r.Type))
 	// Definitions accumulate independently of event chunks (many
 	// distinct regions, few events); seal them like event chunks so a
-	// 'D' chunk can never outgrow the reader's limit. The drain itself
-	// happens outside internMu (lock order: iomu before internMu).
-	w.sealDefsLocked()
+	// 'D' chunk can never outgrow the reader's limit.
+	d.sealLocked()
 	// Publish last: by the time another thread sees the ref, the
 	// definition record is queued ahead of any chunk seal.
-	w.regionRefs.Store(r, id+1)
+	d.refs.Store(r, id+1)
 	return id + 1
 }
 
-// resetChunkMeta opens a fresh chunk's index metadata: the next delta
-// is relative to lastTime, and the time bounds start at their
-// sentinels (minT > maxT means "no events yet").
-func (tb *threadBuf) resetChunkMeta() {
-	tb.chunkBase = tb.lastTime
-	tb.minT = int64(^uint64(0) >> 1) // math.MaxInt64
-	tb.maxT = -tb.minT - 1           // math.MinInt64
+// take empties the queue into the caller's hands.
+func (d *defTable) take() (sealed [][]byte, open []byte) {
+	d.mu.Lock()
+	sealed, open = d.sealed, d.open
+	d.sealed, d.open = nil, nil
+	d.big.Store(false)
+	d.mu.Unlock()
+	return sealed, open
+}
+
+// queueOn appends a copy of d's queue — every definition d has made, if
+// nothing ever took from it — to dst's, so that an archive written
+// through dst defines what chunks encoded against d refer to. dst must
+// intern nothing itself: the IDs are d's.
+func (d *defTable) queueOn(dst *defTable) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	dst.mu.Lock()
+	dst.sealed = append(dst.sealed, d.sealed...) // a sealed payload never changes
+	dst.open = append(dst.open, d.open...)
+	dst.mu.Unlock()
 }
 
 // threadBuf returns (registering on first use) thread id's chunk buffer.
@@ -340,15 +426,15 @@ func (w *Writer) threadBuf(id int) *threadBuf {
 	if v, ok := w.threads.Load(id); ok {
 		return v.(*threadBuf)
 	}
-	tb := &threadBuf{buf: newChunkBuf(w.chunkBytes)}
-	tb.resetChunkMeta()
+	tb := new(threadBuf)
+	tb.begin(newChunkBuf(w.chunkBytes))
 	if v, loaded := w.threads.LoadOrStore(id, tb); loaded {
 		putChunkBuf(tb.buf)
 		return v.(*threadBuf)
 	}
-	w.internMu.Lock()
+	w.defs.mu.Lock()
 	w.threadSeen = append(w.threadSeen, id)
-	w.internMu.Unlock()
+	w.defs.mu.Unlock()
 	return tb
 }
 
@@ -383,20 +469,15 @@ func (w *Writer) writeChunkLocked(kind byte, head, body []byte) {
 }
 
 // flushDefsLocked takes ownership of the pending definition records and
-// writes them as a chunk. Caller holds iomu; internMu is taken only for
-// the swap, so interning threads are never blocked on sink I/O.
+// writes them as a chunk. Caller holds iomu (lock order: iomu before
+// defs.mu); defs.mu is taken only for the swap, so interning threads are
+// never blocked on sink I/O.
 // Emitting definitions early is always safe — the format only requires
 // them before the first event chunk that references them, and the swap
 // happens under iomu, so a definition queued before a seal can never be
 // written after that seal's event chunk.
 func (w *Writer) flushDefsLocked() {
-	w.internMu.Lock()
-	sealed := w.defsSealed
-	w.defsSealed = nil
-	defs := w.defs
-	w.defs = nil
-	w.defsBig.Store(false)
-	w.internMu.Unlock()
+	sealed, defs := w.defs.take()
 	for _, p := range sealed {
 		w.recordDefLocked()
 		w.writeChunkLocked(chunkDefs, p, nil)
@@ -467,23 +548,25 @@ func compressChunk(head, body []byte) (c []byte, ok bool) {
 }
 
 // seal frames tb's buffered events and appends them to the archive,
-// handing tb a fresh pooled buffer. Caller holds tb.mu; compression (if
-// configured) runs here, outside every shared lock; iomu is held only
-// for the final append of the already-framed bytes.
+// handing tb a fresh pooled buffer. Caller holds tb.mu.
 func (w *Writer) seal(tid int, tb *threadBuf) {
 	if tb.count == 0 {
 		return
 	}
-	payload := tb.buf
-	count := tb.count
-	base, minT, maxT := tb.chunkBase, tb.minT, tb.maxT
-	tb.buf = newChunkBuf(w.chunkBytes)
-	tb.count = 0
-	tb.resetChunkMeta()
+	payload, ref := tb.buf, tb.ref()
+	tb.begin(newChunkBuf(w.chunkBytes))
+	w.writeEventChunk(tid, ref, payload)
+	putChunkBuf(payload)
+}
 
+// writeEventChunk appends one thread's encoded chunk to the archive:
+// payload is its event records, ref its count and times. Compression
+// (if configured) runs here, outside every shared lock; iomu is held
+// only for the final append of the already-framed bytes.
+func (w *Writer) writeEventChunk(tid int, ref ChunkRef, payload []byte) {
 	var head [2 * binary.MaxVarintLen64]byte
 	n := binary.PutVarint(head[:], int64(tid))
-	n += binary.PutUvarint(head[n:], count)
+	n += binary.PutUvarint(head[n:], ref.Events)
 
 	kind := byte(chunkEvents)
 	outHead, outBody := head[:n], payload
@@ -497,14 +580,11 @@ func (w *Writer) seal(tid int, tb *threadBuf) {
 	w.iomu.Lock()
 	w.flushDefsLocked()
 	if w.version == version2 && w.Err() == nil {
-		w.chunkMeta[tid] = append(w.chunkMeta[tid], ChunkRef{
-			Offset: w.off, Events: count,
-			BaseTime: base, MinTime: minT, MaxTime: maxT,
-		})
+		ref.Offset = w.off
+		w.chunkMeta[tid] = append(w.chunkMeta[tid], ref)
 	}
 	w.writeChunkLocked(kind, outHead, outBody)
 	w.iomu.Unlock()
-	putChunkBuf(payload)
 	if cbuf != nil {
 		putChunkBuf(cbuf)
 	}
@@ -521,41 +601,14 @@ func (w *Writer) WriteEvents(thread int, events []trace.Event) error {
 	}
 	tb := w.threadBuf(thread)
 	tb.mu.Lock()
-	for i := range events {
-		ev := &events[i]
-		var ref uint64
-		switch r := ev.Region; r {
-		case nil:
-		case tb.reg0:
-			ref = tb.ref0
-		case tb.reg1:
-			ref = tb.ref1
-		default:
-			ref = w.internRegion(r)
-			tb.reg1, tb.ref1 = tb.reg0, tb.ref0
-			tb.reg0, tb.ref0 = r, ref
-		}
-		tb.buf = append(tb.buf, byte(ev.Type))
-		tb.buf = binary.AppendVarint(tb.buf, ev.Time-tb.lastTime)
-		tb.buf = binary.AppendUvarint(tb.buf, ref)
-		tb.buf = binary.AppendUvarint(tb.buf, ev.TaskID)
-		tb.lastTime = ev.Time
-		// Chunk time bounds for the footer index: two predictable
-		// compares per event, no branches taken on a monotone clock
-		// beyond the max update.
-		if ev.Time < tb.minT {
-			tb.minT = ev.Time
-		}
-		if ev.Time > tb.maxT {
-			tb.maxT = ev.Time
-		}
-		tb.count++
+	for len(events) > 0 {
+		events = events[tb.encode(&w.defs, events, w.chunkBytes):]
 		if len(tb.buf) >= w.chunkBytes {
 			w.seal(thread, tb)
 		}
 	}
 	tb.mu.Unlock()
-	if w.defsBig.Load() {
+	if w.defs.big.Load() {
 		w.flushDefs()
 	}
 	return w.Err()
@@ -570,9 +623,9 @@ func (w *Writer) WriteEvent(thread int, ev trace.Event) error {
 // thread order, for deterministic output) and flushes the underlying
 // buffered writer. The Writer remains usable.
 func (w *Writer) Flush() error {
-	w.internMu.Lock()
+	w.defs.mu.Lock()
 	seen := append([]int(nil), w.threadSeen...)
-	w.internMu.Unlock()
+	w.defs.mu.Unlock()
 	for _, tid := range seen {
 		v, ok := w.threads.Load(tid)
 		if !ok {

@@ -6,212 +6,59 @@ import (
 	"repro/internal/clock"
 )
 
-// DefaultFlightRingChunks is the per-thread ring depth used by
-// NewFlightRecorder when ringChunks <= 0.
-const DefaultFlightRingChunks = 8
-
-// NewFlightRecorder creates a flight-recorder: an always-on bounded
-// recorder that retains only the most recent window of each thread's
-// event stream. Events accumulate into per-thread chunks of chunkEvents
-// events (<= 0 picks DefaultChunkEvents); a full chunk is sealed into a
-// ring of ringChunks chunks (<= 0 picks DefaultFlightRingChunks), and
-// once the ring is full each seal evicts the oldest chunk, counting its
-// events into the thread's dropped-events/dropped-chunks totals. Memory
-// is therefore O(threads x ringChunks x chunkEvents) regardless of run
-// length, and steady-state recording reuses the evicted chunk's backing
-// array — no allocation after the ring has filled.
-//
-// FlightSnapshot copies out the retained window plus its eviction
-// accounting at any time, concurrently with recording; Finish returns
-// the window as an ordinary Trace.
-func NewFlightRecorder(clk clock.Clock, ringChunks, chunkEvents int) *Recorder {
-	if ringChunks <= 0 {
-		ringChunks = DefaultFlightRingChunks
-	}
-	if chunkEvents <= 0 {
-		chunkEvents = DefaultChunkEvents
-	}
-	return &Recorder{clk: clk, ring: ringChunks, chunkEvents: chunkEvents, buffers: make(map[int]*buffer)}
+// NewOpenRecorder creates a streaming recorder whose unflushed blocks
+// can be read while it records — the recording half of a flight
+// recorder, whose sink keeps the flushed blocks and whose dumps must
+// also hold the last few thousand events no block has flushed yet.
+// Every thread stages into one fixed block of chunkEvents events (<= 0
+// picks DefaultChunkEvents), publishes the block's length with one
+// atomic store after each event, and hands the sink exactly one full
+// block at a time; OpenBlocks reads what is published. Recording takes
+// no lock but the thread's own seal lock, once per full block.
+func NewOpenRecorder(clk clock.Clock, sink EventSink, chunkEvents int) *Recorder {
+	r := NewStreamingRecorder(clk, sink, chunkEvents)
+	r.open = true
+	return r
 }
 
-// FlightEnabled reports whether r is a flight recorder.
-func (r *Recorder) FlightEnabled() bool { return r.ring > 0 }
-
-// FlightRingChunks returns the per-thread ring depth (0 when r is not a
-// flight recorder).
-func (r *Recorder) FlightRingChunks() int { return r.ring }
-
-// FlightChunkEvents returns the events-per-chunk granularity of a
-// flight recorder (0 when r is not one).
-func (r *Recorder) FlightChunkEvents() int {
-	if r.ring == 0 {
-		return 0
-	}
-	return r.chunkEvents
+// NewFlightRecorder creates the recording half of a flight recorder
+// with nothing behind it: an open recorder that drops every full block.
+// It is a forwarder kept for benchmark/probes.go, which times the
+// staging a flight session runs per event (the ring's share, one encode
+// per block, is the archive encoder's); ROADMAP item 3 removes it. The
+// flight recorder itself is otf2.Flight.
+func NewFlightRecorder(clk clock.Clock, _, chunkEvents int) *Recorder {
+	return NewOpenRecorder(clk, dropSink{}, chunkEvents)
 }
 
-// recordFlight appends ev to the thread's current chunk, sealing it
-// into the ring when full. The per-buffer mutex makes concurrent
-// snapshots safe; it is uncontended in steady state (only the owning
-// thread records, dumps are rare) and allocation-free.
-func (b *buffer) recordFlight(r *Recorder, ev Event) {
-	b.mu.Lock()
-	if cap(b.events) == 0 {
-		b.events = make([]Event, 0, r.chunkEvents)
-	}
-	b.events = append(b.events, ev)
-	if len(b.events) >= r.chunkEvents {
-		b.sealFlightLocked(r)
-	}
-	b.mu.Unlock()
-}
+type dropSink struct{}
 
-// sealFlightLocked moves the current chunk into the ring. While the
-// ring is still filling the chunk is appended and a fresh buffer
-// allocated; once full, the oldest chunk is evicted — its event count
-// added to the dropped totals — and its backing array reused for the
-// next chunk, so a full ring records without allocating.
-func (b *buffer) sealFlightLocked(r *Recorder) {
-	if len(b.ringv) < r.ring {
-		b.ringv = append(b.ringv, b.events)
-		b.events = make([]Event, 0, r.chunkEvents)
-		return
-	}
-	old := b.ringv[b.head]
-	b.ringv[b.head] = b.events
-	b.head = (b.head + 1) % r.ring
-	b.droppedChunks++
-	b.droppedEvents += uint64(len(old))
-	b.events = old[:0]
-}
+func (dropSink) WriteEvents(int, []Event) error { return nil }
 
-// FlightThreadStats is one thread's flight-recorder accounting.
-type FlightThreadStats struct {
-	Thread         int
-	RetainedEvents int
-	DroppedEvents  uint64
-	DroppedChunks  uint64
-}
-
-// FlightStats is a point-in-time summary of a flight recorder: the ring
-// configuration, how many events the rings currently retain, and how
-// many were evicted since recording began. Threads is ascending by
-// thread ID and includes every thread that recorded at least one event.
-type FlightStats struct {
-	RingChunks     int
-	ChunkEvents    int
-	RetainedEvents int
-	DroppedEvents  uint64
-	DroppedChunks  uint64
-	Threads        []FlightThreadStats
-}
-
-// snapshotBuffers copies the buffer map under r.mu so per-buffer locks
-// are taken outside it.
-func (r *Recorder) snapshotBuffers() map[int]*buffer {
+// OpenBlocks calls visit once for every thread that has recorded, in
+// ascending thread order, with the events of the block the thread has
+// not flushed yet, oldest first. The visit runs under the thread's seal
+// lock, so between two flushes of that thread: whatever the sink holds
+// of the thread when visit looks continues, without gap or overlap, in
+// open. The thread itself keeps recording behind the events visit sees
+// and waits for the visit only if it fills its block; visit must not
+// keep open, which the thread overwrites after its next flush. For a
+// recorder not made by NewOpenRecorder open is always empty.
+func (r *Recorder) OpenBlocks(visit func(thread int, open []Event)) {
 	r.mu.Lock()
-	bufs := make(map[int]*buffer, len(r.buffers))
-	for id, b := range r.buffers {
-		bufs[id] = b
-	}
-	r.mu.Unlock()
-	return bufs
-}
-
-// FlightStatsNow returns the recorder's current accounting without
-// copying any events. It is safe concurrently with recording and
-// returns the zero FlightStats when r is not a flight recorder.
-func (r *Recorder) FlightStatsNow() FlightStats {
-	if r.ring == 0 {
-		return FlightStats{}
-	}
-	st := FlightStats{RingChunks: r.ring, ChunkEvents: r.chunkEvents}
-	bufs := r.snapshotBuffers()
-	for _, id := range sortedBufferIDs(bufs) {
-		b := bufs[id]
-		b.mu.Lock()
-		n := len(b.events)
-		for _, c := range b.ringv {
-			n += len(c)
-		}
-		ts := FlightThreadStats{
-			Thread:         id,
-			RetainedEvents: n,
-			DroppedEvents:  b.droppedEvents,
-			DroppedChunks:  b.droppedChunks,
-		}
-		b.mu.Unlock()
-		if ts.RetainedEvents == 0 && ts.DroppedEvents == 0 {
-			continue
-		}
-		st.Threads = append(st.Threads, ts)
-		st.RetainedEvents += ts.RetainedEvents
-		st.DroppedEvents += ts.DroppedEvents
-		st.DroppedChunks += ts.DroppedChunks
-	}
-	return st
-}
-
-// FlightSnapshot copies the retained window out of the rings as a
-// Trace, together with the accounting that matches it exactly. Each
-// thread's events are in recording order (oldest retained chunk first,
-// then the current partial chunk). The snapshot is consistent per
-// thread — a thread's events and dropped counts are read under one
-// lock — and safe concurrently with recording; threads recording during
-// the snapshot may contribute events to some threads' windows and not
-// others, as in any online trace capture. Returns (nil, zero) when r is
-// not a flight recorder.
-func (r *Recorder) FlightSnapshot() (*Trace, FlightStats) {
-	if r.ring == 0 {
-		return nil, FlightStats{}
-	}
-	st := FlightStats{RingChunks: r.ring, ChunkEvents: r.chunkEvents}
-	bufs := r.snapshotBuffers()
-	tr := &Trace{Threads: make(map[int][]Event, len(bufs))}
-	for _, id := range sortedBufferIDs(bufs) {
-		b := bufs[id]
-		b.mu.Lock()
-		n := len(b.events)
-		for _, c := range b.ringv {
-			n += len(c)
-		}
-		evs := make([]Event, 0, n)
-		if len(b.ringv) == r.ring {
-			for i := 0; i < r.ring; i++ {
-				evs = append(evs, b.ringv[(b.head+i)%r.ring]...)
-			}
-		} else {
-			for _, c := range b.ringv {
-				evs = append(evs, c...)
-			}
-		}
-		evs = append(evs, b.events...)
-		ts := FlightThreadStats{
-			Thread:         id,
-			RetainedEvents: len(evs),
-			DroppedEvents:  b.droppedEvents,
-			DroppedChunks:  b.droppedChunks,
-		}
-		b.mu.Unlock()
-		if ts.RetainedEvents == 0 && ts.DroppedEvents == 0 {
-			continue
-		}
-		if len(evs) > 0 {
-			tr.Threads[id] = evs
-		}
-		st.Threads = append(st.Threads, ts)
-		st.RetainedEvents += ts.RetainedEvents
-		st.DroppedEvents += ts.DroppedEvents
-		st.DroppedChunks += ts.DroppedChunks
-	}
-	return tr, st
-}
-
-func sortedBufferIDs(bufs map[int]*buffer) []int {
-	ids := make([]int, 0, len(bufs))
-	for id := range bufs {
+	ids := make([]int, 0, len(r.buffers))
+	for id := range r.buffers {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	return ids
+	bufs := make([]*buffer, len(ids))
+	for i, id := range ids {
+		bufs[i] = r.buffers[id]
+	}
+	r.mu.Unlock()
+	for i, b := range bufs {
+		b.seal.Lock()
+		visit(ids[i], b.block[:b.n.Load()])
+		b.seal.Unlock()
+	}
 }

@@ -121,15 +121,18 @@ type EventSink interface {
 // sink attached (NewStreamingRecorder), a thread's buffer is flushed to
 // the sink whenever it reaches the configured chunk size, so recording
 // holds at most one chunk per thread in memory regardless of run length.
+// An open recorder (NewOpenRecorder) also lets another goroutine read the
+// events no flush has handed on yet: the flight recorder's front half.
 type Recorder struct {
 	clk clock.Clock
 
 	sink        EventSink
 	chunkEvents int
 
-	// ring > 0 selects flight-recorder mode (NewFlightRecorder): each
-	// thread retains only its last ring sealed chunks; see flight.go.
-	ring int
+	// open marks a recorder whose unflushed blocks another goroutine may
+	// read while the threads record (NewOpenRecorder, OpenBlocks): its
+	// threads publish their block's length after every event.
+	open bool
 
 	// sinkErr latches the first sink failure. It is an atomic pointer
 	// (not a mutex-guarded field) so the steady-state record path —
@@ -149,15 +152,15 @@ type buffer struct {
 	rec    *Recorder
 	events []Event
 
-	// Flight-recorder state, used only when rec.ring > 0 and then
-	// guarded by mu (the ring is mutated by its thread but snapshotted
-	// by dump triggers running on arbitrary goroutines). ringv holds the
-	// sealed chunks, oldest at head once the ring is full.
-	mu            sync.Mutex
-	ringv         [][]Event
-	head          int
-	droppedEvents uint64
-	droppedChunks uint64
+	// seal is the thread's seal lock: a flush holds it from before the
+	// sink sees the block until the block is empty again, OpenBlocks
+	// around its visit, so a visitor finds each event either with the
+	// sink or in the open block, never in both or neither. An open
+	// recorder only: block is the fixed backing array of events, n the
+	// length of events its thread last published.
+	seal  sync.Mutex
+	block []Event
+	n     atomic.Int32
 }
 
 // NewRecorder creates a trace recorder reading time from clk (use
@@ -196,13 +199,15 @@ func (r *Recorder) Err() error {
 }
 
 // flush hands b's events for thread id to the sink and resets the
-// buffer in place, preserving its capacity. The error latch is a single
-// atomic: one load on the happy path, one CompareAndSwap when the first
-// failure is recorded.
+// buffer in place, preserving its capacity, all under the thread's seal
+// lock (uncontended unless OpenBlocks is visiting the thread). The error
+// latch is a single atomic: one load on the happy path, one
+// CompareAndSwap when the first failure is recorded.
 func (r *Recorder) flush(id int, b *buffer) {
 	if len(b.events) == 0 {
 		return
 	}
+	b.seal.Lock()
 	failed := r.sinkErr.Load() != nil
 	if !failed {
 		if err := r.sink.WriteEvents(id, b.events); err != nil {
@@ -214,6 +219,8 @@ func (r *Recorder) flush(id int, b *buffer) {
 		r.discarded.Add(int64(len(b.events)))
 	}
 	b.events = b.events[:0]
+	b.n.Store(0)
+	b.seal.Unlock()
 }
 
 // bufferFor returns (creating on first use) the registered buffer of
@@ -223,6 +230,11 @@ func (r *Recorder) bufferFor(id int) *buffer {
 	b, ok := r.buffers[id]
 	if !ok {
 		b = &buffer{rec: r}
+		if r.open {
+			// Never regrown, so a reader of block sees every append.
+			b.block = make([]Event, r.chunkEvents)
+			b.events = b.block[:0]
+		}
 		r.buffers[id] = b
 	}
 	r.mu.Unlock()
@@ -252,12 +264,14 @@ func (r *Recorder) record(t *omp.Thread, typ EventType, reg *region.Region, task
 // uses it to share a single clock read between profile and trace.
 func (r *Recorder) recordAt(t *omp.Thread, now int64, typ EventType, reg *region.Region, task uint64) {
 	b := r.buffer(t)
-	if r.ring > 0 {
-		b.recordFlight(r, Event{Time: now, Type: typ, Region: reg, TaskID: task})
+	b.events = append(b.events, Event{Time: now, Type: typ, Region: reg, TaskID: task})
+	if r.sink == nil {
 		return
 	}
-	b.events = append(b.events, Event{Time: now, Type: typ, Region: reg, TaskID: task})
-	if r.sink != nil && len(b.events) >= r.chunkEvents {
+	if r.open {
+		b.n.Store(int32(len(b.events)))
+	}
+	if len(b.events) >= r.chunkEvents {
 		r.flush(t.ID, b)
 	}
 }
@@ -321,17 +335,9 @@ func (r *Recorder) TaskSwitch(t *omp.Thread, tk *omp.Task) {
 // In streaming mode (NewStreamingRecorder) the remaining partial chunks
 // are flushed to the sink and the returned trace is empty: the
 // recording is whatever the sink wrote. Check Err (and close the sink)
-// afterwards.
+// afterwards. An open recorder (NewOpenRecorder) flushes nothing: its
+// blocks are their reader's to take before, and Finish lets them go.
 func (r *Recorder) Finish() *Trace {
-	if r.ring > 0 {
-		// Flight mode: the recording is the retained window. Reset the
-		// buffer map so the recorder can be reused like the other modes.
-		tr, _ := r.FlightSnapshot()
-		r.mu.Lock()
-		r.buffers = make(map[int]*buffer)
-		r.mu.Unlock()
-		return tr
-	}
 	if r.sink != nil {
 		// Snapshot the buffer map under the lock, flush outside it, so
 		// r.mu is never held across sink I/O.
@@ -339,8 +345,10 @@ func (r *Recorder) Finish() *Trace {
 		buffers := r.buffers
 		r.buffers = make(map[int]*buffer)
 		r.mu.Unlock()
-		for id, b := range buffers {
-			r.flush(id, b)
+		if !r.open {
+			for id, b := range buffers {
+				r.flush(id, b)
+			}
 		}
 		return &Trace{Threads: make(map[int][]Event)}
 	}

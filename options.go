@@ -151,7 +151,7 @@ func WithRemoteTrace(addr string) Option {
 // Session.DumpFlightRecorder, the configured dump signal (SIGUSR1 by
 // default; see WithDumpSignal), Session.DumpOnPanic, or the bottleneck
 // threshold trigger (WithBottleneckTrigger); at End the retained window
-// becomes Results.Trace like an ordinary in-memory recording, with its
+// becomes the Results' recording like a local session's, with its
 // eviction accounting in Results.FlightRecorder and meta.json.
 //
 // Flight recording is an exclusive tracing mode: it overrides an
@@ -172,7 +172,7 @@ func WithFlightRecorder(ringChunks int) Option {
 // WithFlightChunkEvents sets the flight recorder's chunk granularity:
 // events per sealed ring chunk (<= 0 picks the default, 4096). The
 // retained window is ringChunks x chunkEvents events per thread, plus
-// one partial chunk. Ignored without WithFlightRecorder.
+// the block being filled. Ignored without WithFlightRecorder.
 func WithFlightChunkEvents(n int) Option {
 	return func(c *sessionConfig) { c.flightChunk = n }
 }
@@ -192,7 +192,7 @@ func WithDumpSignal(sig os.Signal) Option {
 
 // WithBottleneckTrigger arms the analysis-driven dump trigger of a
 // flight-recorder session: every interval (<= 0 picks 1s) the retained
-// window is snapshotted and run through the bottleneck analysis, and
+// window is dumped into memory and run through the bottleneck analysis, and
 // when any finding's severity reaches minSeverity (clamped to [0,1];
 // severities are wait time over the run's total thread-time budget) a
 // dump is written to an automatically numbered directory and the

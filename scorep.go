@@ -358,42 +358,35 @@ func NewStreamingTraceRecorder(sink TraceEventSink, chunkEvents int) *TraceRecor
 	return trace.NewStreamingRecorder(clock.NewSystem(), sink, chunkEvents)
 }
 
-// TraceFlightStats is a flight-recorder retention/eviction snapshot:
-// what the per-thread rings currently hold and what they have dropped.
-type TraceFlightStats = trace.FlightStats
-
-// TraceFlightThreadStats is one thread's share of a TraceFlightStats.
-type TraceFlightThreadStats = trace.FlightThreadStats
+// TraceFlightRecorder is a flight recorder below the Session layer: its
+// Recorder is the listener to hand a runtime, Stats its live
+// accounting, and Dump writes the retained window as a complete archive
+// at any time while it records.
+type TraceFlightRecorder = otf2.Flight
 
 // TraceFlightInfo is the eviction accounting embedded in a
 // flight-recorder dump archive (the 'F' chunk): how much the dump
 // retained and how much the rings had evicted before it.
 type TraceFlightInfo = otf2.FlightInfo
 
+// TraceFlightStats is a flight recorder's live accounting: the
+// TraceFlightInfo a dump taken now would carry, the encoded bytes the
+// rings hold, and the retained events thread by thread.
+type TraceFlightStats = otf2.FlightStats
+
 // TraceFlightThreadInfo is one thread's share of a TraceFlightInfo.
 type TraceFlightThreadInfo = otf2.FlightThreadInfo
 
-// NewFlightTraceRecorder creates a flight-recorder event-trace recorder
-// on the system clock: each thread retains only its last ringChunks
-// sealed chunks of chunkEvents events (plus the partial chunk being
+// NewFlightTraceRecorder creates a flight recorder on the system clock:
+// each thread retains only its last ringChunks chunks of chunkEvents
+// events, encoded as an archive holds them (plus the block being
 // filled), evicting the oldest chunk whole when the ring is full —
 // always-on recording in O(ringChunks*chunkEvents) memory per thread.
 // ringChunks <= 0 picks DefaultFlightRingChunks, chunkEvents <= 0 the
-// streaming default. Snapshot the retained window any time with
-// FlightSnapshot; Finish returns the final window. Most callers want
-// the Session layer instead (WithFlightRecorder), which adds triggered
-// dumps.
-func NewFlightTraceRecorder(ringChunks, chunkEvents int) *TraceRecorder {
-	return trace.NewFlightRecorder(clock.NewSystem(), ringChunks, chunkEvents)
-}
-
-// WriteTraceFlightDump serializes a flight-recorder snapshot as a valid
-// binary trace archive with the eviction accounting (info) embedded as
-// the archive's first chunk, before definitions and events — so even a
-// truncated dump that kept only a short prefix still states its dropped
-// counts. Readers treat the result like any other archive.
-func WriteTraceFlightDump(w io.Writer, tr *Trace, info *TraceFlightInfo, opts ...TraceArchiveOption) error {
-	return otf2.WriteFlightDump(w, tr, info, opts...)
+// streaming default. Most callers want the Session layer instead
+// (WithFlightRecorder), which adds triggered dumps.
+func NewFlightTraceRecorder(ringChunks, chunkEvents int) *TraceFlightRecorder {
+	return otf2.NewFlight(clock.NewSystem(), ringChunks, chunkEvents)
 }
 
 // WriteTraceArchive serializes a trace in the binary archive format —

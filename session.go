@@ -127,7 +127,8 @@ func NewSession(opts ...Option) *Session {
 	if cfg.tracing {
 		switch {
 		case cfg.flightRing > 0:
-			s.rec = trace.NewFlightRecorder(clk, cfg.flightRing, cfg.flightChunk)
+			s.flight = newFlightState(s, otf2.NewFlight(clk, cfg.flightRing, cfg.flightChunk))
+			s.rec = s.flight.ring.Recorder()
 		case cfg.streamingSink != nil:
 			s.rec = trace.NewStreamingRecorder(clk, cfg.streamingSink, cfg.streamingChunk)
 		default:
@@ -150,9 +151,6 @@ func NewSession(opts ...Option) *Session {
 	}
 	s.rt = omp.NewRuntime(l)
 	s.rt.Sched = cfg.sched
-	if s.rec != nil && s.rec.FlightEnabled() {
-		s.flight = newFlightState(s)
-	}
 	return s
 }
 
@@ -225,15 +223,20 @@ func (s *Session) End() (*Results, error) {
 	var tr *Trace
 	var archive *otf2.Memory
 	var err error
-	var flightStats *trace.FlightStats
+	var flight *FlightRecorderInfo
 	switch {
 	case s.rec == nil:
 	case s.flight != nil:
 		// Flight mode: stop the dump triggers, then take the final
-		// window with its exactly matching eviction accounting.
+		// window, with its exactly matching eviction accounting, as one
+		// last dump into memory, and let the rings go: the recording is
+		// that archive, as in local mode.
 		s.flight.stop()
-		ftr, fst := s.rec.FlightSnapshot()
-		tr, flightStats = ftr, &fst
+		s.store = new(otf2.Memory)
+		var st *otf2.FlightInfo
+		st, err = s.flight.ring.Dump(s.store, otf2.WithCompression(s.cfg.traceComp))
+		flight = flightRecorderInfo(st, "end", nil)
+		s.flight.ring.Release()
 	case s.archive != nil:
 		// Local mode: the recording is the archive. Close it and keep
 		// it, at its length; nothing is decoded.
@@ -242,6 +245,12 @@ func (s *Session) End() (*Results, error) {
 		if cerr := s.archive.Close(); err == nil {
 			err = cerr
 		}
+	default:
+		// Streaming mode: the recording lives in the caller's sink.
+		s.rec.Finish()
+		err = s.rec.Err()
+	}
+	if s.store != nil {
 		if err == nil {
 			s.store.Clip()
 			archive = s.store
@@ -253,10 +262,6 @@ func (s *Session) End() (*Results, error) {
 			tr, _ = otf2.ReadAll(s.store.Reader(), region.Default)
 		}
 		s.archive, s.store = nil, nil
-	default:
-		// Streaming mode: the recording lives in the caller's sink.
-		s.rec.Finish()
-		err = s.rec.Err()
 	}
 	if s.net != nil {
 		// Close the remote stream: flush the archive tail, send the
@@ -272,13 +277,13 @@ func (s *Session) End() (*Results, error) {
 	}
 
 	s.results = &Results{
-		cfg:         s.cfg,
-		m:           s.m,
-		archive:     archive,
-		trace:       tr,
-		stats:       s.rt.LastTeamStats(),
-		wall:        wall,
-		flightStats: flightStats,
+		cfg:     s.cfg,
+		m:       s.m,
+		archive: archive,
+		trace:   tr,
+		stats:   s.rt.LastTeamStats(),
+		wall:    wall,
+		flight:  flight,
 	}
 	if s.net != nil {
 		// Surface the stream's fate into the results (and thereby the
@@ -313,11 +318,12 @@ type Results struct {
 	stats TeamStats
 	wall  time.Duration
 
-	// archive is the recording of a local tracing session: the complete,
-	// indexed trace archive End closed, which SaveExperiment copies to
-	// disk and every accessor reads like a file. It never changes. trace
-	// is the recording as events: a flight recorder's final window (set
-	// by End), or archive decoded by the first Trace call (guarded by mu).
+	// archive is the recording of a local tracing session, or the final
+	// window of a flight recorder: the complete, indexed trace archive End
+	// closed, which SaveExperiment copies to disk and every accessor reads
+	// like a file. It never changes. trace is the recording as events:
+	// archive decoded by the first Trace call (guarded by mu), or what End
+	// could read of an archive that was cut short.
 	archive *otf2.Memory
 	trace   *Trace
 
@@ -328,9 +334,9 @@ type Results struct {
 	remoteGapBytes int64
 
 	// Flight-recorder accounting of the final window (see Session.End):
-	// recorded in the experiment's meta.json and its trace archive, and
-	// exposed via FlightRecorder.
-	flightStats *trace.FlightStats
+	// recorded in the experiment's meta.json, as it is in archive's
+	// accounting chunk, and exposed via FlightRecorder.
+	flight *FlightRecorderInfo
 
 	mu          sync.Mutex
 	report      *Report
@@ -441,12 +447,7 @@ func (r *Results) Findings() []Finding {
 // for sessions without a flight recorder. The same information is
 // recorded in the experiment's meta.json and in the archived trace's
 // accounting chunk.
-func (r *Results) FlightRecorder() *FlightRecorderInfo {
-	if r.flightStats == nil {
-		return nil
-	}
-	return flightRecorderInfo(*r.flightStats, "end", nil)
-}
+func (r *Results) FlightRecorder() *FlightRecorderInfo { return r.flight }
 
 // RemoteFallback reports the local archive a remote-tracing session
 // spilled to after losing its daemon for good, or nil when the stream
