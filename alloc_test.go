@@ -8,12 +8,16 @@ package scorep_test
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"net"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
 
 	scorep "repro"
+	"repro/internal/bots"
 	"repro/internal/bottleneck"
 	"repro/internal/clock"
 	"repro/internal/measure"
@@ -459,15 +463,137 @@ func TestLocalSessionFootprint(t *testing.T) {
 	small, _ := footprintRun(t, events/10, scorep.WithTracing(), scorep.WithoutProfiling())
 	large, _ := footprintRun(t, events, scorep.WithTracing(), scorep.WithoutProfiling())
 	dir := t.TempDir()
+	// A save formats its metadata with fmt and encoding/json, whose
+	// buffers come from sync.Pools, and a pool that comes up empty
+	// allocates, three times or more: after a collection, and under the
+	// race detector, which drops one Put in four at random. That is not
+	// the save's doing, so each size counts as its cheapest of 16 saves,
+	// the one that found every pool filled (four in ten do).
 	var allocs [2]float64
 	for i, r := range []*scorep.Results{small, large} {
-		allocs[i] = testing.AllocsPerRun(3, func() {
-			if err := r.SaveExperiment(dir); err != nil {
-				t.Fatal(err)
-			}
-		})
+		allocs[i] = math.Inf(1)
+		for round := 0; round < 16; round++ {
+			allocs[i] = min(allocs[i], testing.AllocsPerRun(1, func() {
+				if err := r.SaveExperiment(dir); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
 	}
 	if d := allocs[1] - allocs[0]; d > 5 || d < -5 {
 		t.Errorf("SaveExperiment allocates %v times for %d events and %v times for %d: a save is a copy", allocs[0], events/10, allocs[1], events)
+	}
+}
+
+// TestStreamingSessionFootprint is the memory gate of a session that
+// streams its trace to a daemon (WithRemoteTrace), here an in-process
+// server on a unix socket. The send window keeps the stream in fixed
+// segments, each allocated once and filled again when the daemon has
+// acknowledged it, and gives them up when the stream ends: streaming BOTS
+// fib small (3.4 MB of trace, below the replay window, so every byte is
+// kept until the end) allocates, client and server together, little more
+// than recording the same trace locally, and after End the Results pin
+// next to nothing of it; a stream far longer than the window allocates
+// the window, once. (A window that grew one contiguous slice allocated
+// 14 MB more than the local session and left 3.7 MB reachable from the
+// Results.)
+func TestStreamingSessionFootprint(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := scorep.NewTraceSinkServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := "unix://" + filepath.Join(dir, "d.sock")
+	ln, err := net.Listen("unix", filepath.Join(dir, "d.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+
+	kernel := bots.FibSpec.Prepare(bots.SizeSmall, false)
+	// session runs the kernel on one thread under opts and returns what
+	// the process allocated from NewSession until End returned, and what
+	// the Results alone still held once the session was gone.
+	session := func(opts ...scorep.Option) (allocated, pinned uint64) {
+		var before, ended, held, freed runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s := scorep.NewSession(append(opts, scorep.WithoutProfiling())...)
+		kernel(s.Runtime(), 1)
+		res, err := s.End()
+		runtime.ReadMemStats(&ended)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s = nil
+		runtime.GC()
+		runtime.GC() // twice: what End left in a sync.Pool is nobody's, and goes with the second
+		runtime.ReadMemStats(&held)
+		runtime.KeepAlive(res)
+		res = nil
+		runtime.GC()
+		runtime.ReadMemStats(&freed)
+		return ended.TotalAlloc - before.TotalAlloc, held.HeapAlloc - min(held.HeapAlloc, freed.HeapAlloc)
+	}
+	session(scorep.WithTracing()) // warm the pools both kinds of session draw on
+	local, _ := session(scorep.WithTracing())
+	streamed, pinned := session(scorep.WithRemoteTrace(addr), scorep.WithRemoteTraceStream("fib"))
+	if local < 3<<20 {
+		t.Fatalf("the local session allocated %d bytes: the trace is not the 3.4 MB this gate is about", local)
+	}
+	if more, ceiling := int64(streamed)-int64(local), int64(2<<20); more > ceiling {
+		t.Errorf("streaming the trace allocates %d bytes, recording it locally %d: %d more, ceiling %d", streamed, local, more, ceiling)
+	}
+	if pinned >= 64<<10 {
+		t.Errorf("after End the streaming session's Results pin %d bytes", pinned)
+	}
+
+	// 64 MiB through a client at its defaults. Its window: 4 MiB kept for
+	// replay; what is sent and not yet acknowledged, which is the daemon's
+	// 256 KiB between acks, the frame of up to 256 KiB that crosses them
+	// and the one being written; 1 MiB of backlog before a producer waits,
+	// and the chunk that crosses it; a segment's rounding at either end.
+	const long, window = 64 << 20, 4<<20 + 3*256<<10 + 1<<20 + 32<<10 + 2*otf2.MemorySegment
+	task := region.Default.Register("za.long", "alloc.go", 5, region.Task)
+	batch := make([]trace.Event, 4096)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cl, err := scorep.DialTraceSink(addr, scorep.TraceSinkStreamID("long"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	now, events := int64(0), 0
+	for sent := 0; sent < long; sent += 17 * len(batch) { // 17 bytes an event, see below
+		for i := range batch {
+			now += 1 << 40 // six bytes of time, nine of task id: fewer events to the megabyte
+			batch[i] = trace.Event{Time: now, Type: trace.EvTaskBegin + trace.EventType(i&1), Region: task, TaskID: 1<<62 + uint64(events/2)}
+			events++
+		}
+		if err := cl.WriteEvents(0, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-served
+	for _, st := range srv.Streams() {
+		if !st.Complete || st.DroppedEvents != 0 || st.Resumes != 0 {
+			t.Errorf("stream %+v", st)
+		}
+		if st.ID == "long" && st.Bytes < long {
+			t.Fatalf("the long stream is %d bytes, want %d", st.Bytes, long)
+		}
+	}
+	// Nothing bounds the second term but the ack reader's getting to run,
+	// and the writer's index grows with the stream: two megabytes for both.
+	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(window+2<<20); got > ceiling && !raceDetector {
+		t.Errorf("streaming %d bytes allocates %d, client and server together; ceiling %d, the window and two megabytes", long, got, ceiling)
 	}
 }

@@ -207,7 +207,8 @@
 // all (the resumed shard is bit-identical to an undisturbed run).
 //
 // Wire protocol version 2 adds resumable streams to the v1 byte
-// stream above; a v2 daemon still accepts v1 sessions unchanged. The
+// stream above. The daemon still accepts v1 sessions unchanged; the
+// client of this library speaks v2 only, and requires a v2 daemon. The
 // v2 handshake is the v1 handshake with version byte 0x02 and one
 // extra field: uvarint(token), a nonzero random stream token. The
 // daemon replies with a hello — 'H', one status byte (0 new stream, 1
@@ -218,7 +219,18 @@
 // followed by uvarint(durable) (every 256 KiB by default; the
 // WithAckInterval server option tunes it). The client keeps a bounded
 // replay window of bytes at and above the last ack (WithReplayWindow,
-// default 4 MiB), evicting only below it. When a connection dies
+// default 4 MiB), evicting only below it. What a client holds while it
+// streams is that window and what lies before it: the replay window,
+// plus what is sent and not yet acknowledged (the daemon's ack
+// interval, the frame of up to 256 KiB that crosses it and the frame
+// on its way), plus the unsent backlog at which recording threads
+// block or drop (WithBufferBytes, default 1 MiB). It lies in segments
+// of 64 KiB, allocated as the stream grows and filled again once the
+// daemon has acknowledged them, so a stream holds at most that sum and
+// two segments — about 6 MiB at the defaults, however long it runs —
+// sends from where the bytes lie without copying them, and Close (or
+// the failure or fallback that ends the stream) releases all of it: a
+// closed client holds none of its stream. When a connection dies
 // mid-stream, the client redials with jittered exponential backoff
 // under a per-outage attempt count and elapsed-time budget
 // (WithReconnect) and handshakes again with the same id and token:

@@ -153,7 +153,7 @@ func memoryOf(data []byte) *Memory {
 // TestMemory holds a Memory against the bytes written into it: whole,
 // at every kind of offset, and past its end.
 func TestMemory(t *testing.T) {
-	data := make([]byte, 3*memorySegment+memorySegment/3)
+	data := make([]byte, 3*MemorySegment+MemorySegment/3)
 	rand.New(rand.NewSource(17)).Read(data)
 	m := memoryOf(data)
 	if got := bytes.Join(m.Segments(), nil); !bytes.Equal(got, data) {
@@ -166,7 +166,7 @@ func TestMemory(t *testing.T) {
 		t.Fatalf("reading it through: %d bytes, err %v", len(got), err)
 	}
 	for _, c := range []struct{ off, n int }{
-		{0, 10}, {memorySegment - 3, 7}, {memorySegment, memorySegment}, {5, 3 * memorySegment}, {len(data) - 4, 4},
+		{0, 10}, {MemorySegment - 3, 7}, {MemorySegment, MemorySegment}, {5, 3 * MemorySegment}, {len(data) - 4, 4},
 	} {
 		buf := make([]byte, c.n)
 		if n, err := m.ReadAt(buf, int64(c.off)); n != c.n || err != nil || !bytes.Equal(buf, data[c.off:c.off+c.n]) {
@@ -182,6 +182,49 @@ func TestMemory(t *testing.T) {
 	}
 	if n, err := new(Memory).ReadAt(buf, 0); n != 0 || err != io.EOF {
 		t.Errorf("ReadAt of an empty Memory = %d, %v, want io.EOF", n, err)
+	}
+}
+
+// TestMemoryDiscard writes a Memory at one end and discards it at the
+// other, as a send window does: what lies between reads as it was
+// written and is viewed where it lies, what was discarded reads as
+// nothing, and however much goes through, the Memory holds no more
+// segments than its longest stretch took.
+func TestMemoryDiscard(t *testing.T) {
+	const keep = 3*MemorySegment + 100 // bytes kept behind the end
+	data := make([]byte, 40*MemorySegment)
+	rand.New(rand.NewSource(23)).Read(data)
+	var m Memory
+	for off, piece := 0, 1; off < len(data); piece = piece*7%9973 + 1 {
+		n, _ := m.Write(data[off:min(off+piece, len(data))])
+		off += n
+		from := max(off-keep, 0)
+		m.Discard(int64(from))
+		if got := bytes.Join(m.Views(nil, int64(from), int64(off-from)), nil); !bytes.Equal(got, data[from:off]) {
+			t.Fatalf("with %d bytes written, the views from %d on are not what was written", off, from)
+		}
+		buf := make([]byte, 2*MemorySegment)
+		at := max(from-MemorySegment-1, 0) // a read from before what is kept reads nothing
+		if n, err := m.ReadAt(buf, int64(at)); at < from/MemorySegment*MemorySegment && (n != 0 || err != io.EOF) {
+			t.Fatalf("with %d bytes written and %d discarded, ReadAt(%d) = %d, %v", off, from, at, n, err)
+		}
+		want := data[from:min(from+len(buf), off)]
+		if n, _ := m.ReadAt(buf, int64(from)); !bytes.Equal(buf[:n], want) {
+			t.Fatalf("with %d bytes written, ReadAt(%d) is not what was written", off, from)
+		}
+	}
+	if most := int64(keep/MemorySegment+3) * MemorySegment; m.Held() > most {
+		t.Errorf("the Memory holds %d bytes for a stretch of %d written in pieces below 10000", m.Held(), keep)
+	}
+	// A view outlives the writes that follow it, and Discard moves no byte.
+	view := m.Views(nil, int64(len(data)-keep), keep)
+	first := &view[0][0]
+	if _, err := m.Write(data[:MemorySegment]); err != nil {
+		t.Fatal(err)
+	}
+	m.Discard(int64(len(data) - keep))
+	if again := m.Views(nil, int64(len(data)-keep), keep); &again[0][0] != first || !bytes.Equal(bytes.Join(view, nil), data[len(data)-keep:]) {
+		t.Error("a view changed, or its bytes moved, under a Write and a Discard")
 	}
 }
 

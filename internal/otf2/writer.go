@@ -136,8 +136,13 @@ func (c *chunkEncoder) ref() ChunkRef {
 }
 
 // encode appends events to the open chunk until it holds limit bytes,
-// interning their regions in defs, and returns how many it took.
+// interning their regions in defs, and returns how many it took. The
+// chunk's buffer and times are in locals meanwhile and stored once at
+// the end: stored per field into the encoder, a heap object, each append
+// goes through the write barrier whenever a collection is marking.
 func (c *chunkEncoder) encode(defs *defTable, events []trace.Event, limit int) int {
+	buf, lastTime, minT, maxT := c.buf, c.lastTime, c.minT, c.maxT
+	n := len(events)
 	for i := range events {
 		ev := &events[i]
 		var ref uint64
@@ -152,26 +157,28 @@ func (c *chunkEncoder) encode(defs *defTable, events []trace.Event, limit int) i
 			c.reg1, c.ref1 = c.reg0, c.ref0
 			c.reg0, c.ref0 = r, ref
 		}
-		c.buf = append(c.buf, byte(ev.Type))
-		c.buf = binary.AppendVarint(c.buf, ev.Time-c.lastTime)
-		c.buf = binary.AppendUvarint(c.buf, ref)
-		c.buf = binary.AppendUvarint(c.buf, ev.TaskID)
-		c.lastTime = ev.Time
+		buf = append(buf, byte(ev.Type))
+		buf = binary.AppendVarint(buf, ev.Time-lastTime)
+		buf = binary.AppendUvarint(buf, ref)
+		buf = binary.AppendUvarint(buf, ev.TaskID)
+		lastTime = ev.Time
 		// Chunk time bounds for the footer index: two predictable
 		// compares per event, no branches taken on a monotone clock
 		// beyond the max update.
-		if ev.Time < c.minT {
-			c.minT = ev.Time
+		if ev.Time < minT {
+			minT = ev.Time
 		}
-		if ev.Time > c.maxT {
-			c.maxT = ev.Time
+		if ev.Time > maxT {
+			maxT = ev.Time
 		}
-		c.count++
-		if len(c.buf) >= limit {
-			return i + 1
+		if len(buf) >= limit {
+			n = i + 1
+			break
 		}
 	}
-	return len(events)
+	c.buf, c.lastTime, c.minT, c.maxT = buf, lastTime, minT, maxT
+	c.count += uint64(n)
+	return n
 }
 
 // chunkPool recycles sealed chunk buffers (and the reader side's

@@ -56,10 +56,10 @@ const (
 	// seal acknowledgment.
 	DefaultAckTimeout = 10 * time.Second
 	// DefaultReconnectAttempts, DefaultReconnectBackoff and
-	// DefaultReconnectBudget shape the per-outage reconnect loop of a
-	// v2 stream: after a mid-stream sever the sender redials with
-	// jittered doubling backoff until one of the three budgets runs
-	// out, then degrades (fallback archive or latched error).
+	// DefaultReconnectBudget shape the per-outage reconnect loop: after
+	// a mid-stream sever the sender redials with jittered doubling
+	// backoff until one of the three budgets runs out, then degrades
+	// (fallback archive or latched error).
 	DefaultReconnectAttempts = 8
 	DefaultReconnectBackoff  = 100 * time.Millisecond
 	DefaultReconnectBudget   = 20 * time.Second
@@ -76,7 +76,6 @@ type ClientOption func(*clientConfig)
 type clientConfig struct {
 	streamID          string
 	token             uint64
-	protocol          byte
 	bufBytes          int
 	replayBytes       int
 	policy            BackpressurePolicy
@@ -101,19 +100,11 @@ func WithStreamID(id string) ClientOption {
 	return func(c *clientConfig) { c.streamID = id }
 }
 
-// WithStreamToken fixes the stream token a v2 client presents in its
+// WithStreamToken fixes the stream token the client presents in its
 // handshake (default: random). The token identifies the stream across
 // reconnects; tests fix it to exercise resume determinism.
 func WithStreamToken(token uint64) ClientOption {
 	return func(c *clientConfig) { c.token = token }
-}
-
-// WithProtocolVersion pins the wire protocol the client speaks:
-// ProtocolV2 (the default — resumable streams, requires a v2 daemon)
-// or ProtocolV1 (fire-and-forget, talks to old daemons; reconnection
-// is disabled because v1 cannot resume).
-func WithProtocolVersion(v int) ClientOption {
-	return func(c *clientConfig) { c.protocol = byte(v) }
 }
 
 // WithBufferBytes bounds the unacked archive bytes buffered between
@@ -166,10 +157,10 @@ func WithDialBudget(d time.Duration) ClientOption {
 	return func(c *clientConfig) { c.dialBudget = d }
 }
 
-// WithReconnect shapes the per-outage reconnect loop of a v2 stream:
-// up to attempts redials per outage, jittered doubling backoff, and a
-// total elapsed budget per outage. attempts <= 0 disables reconnection
-// entirely — a severed connection is then terminal, as under v1.
+// WithReconnect shapes the per-outage reconnect loop: up to attempts
+// redials per outage, jittered doubling backoff, and a total elapsed
+// budget per outage. attempts <= 0 disables reconnection entirely — a
+// severed connection is then terminal.
 func WithReconnect(attempts int, backoff, budget time.Duration) ClientOption {
 	return func(c *clientConfig) {
 		c.reconnectAttempts = attempts
@@ -222,15 +213,17 @@ func WithWriterOptions(opts ...otf2.WriterOption) ClientOption {
 // is established lazily by that sender, with retry/backoff, so
 // constructing a Client never blocks the measured program's start.
 //
-// Under protocol v2 the window doubles as a replay buffer: a severed
-// connection is survived by reconnect (jittered backoff, per-outage
-// attempt and elapsed budgets) and byte-exact replay from the server's
-// durable offset. Only when the stream is lost for good — budgets
-// exhausted, an unresumable gap, a daemon-side ingest failure — does
-// the client degrade: to a lossless local fallback archive when
-// WithFallbackArchive is set, else by latching the error (Err) and
-// unblocking all waiting recording threads, exactly like a failing
-// local disk under the streaming recorder's contract.
+// The client speaks wire protocol v2 only, and the window doubles as a
+// replay buffer: a severed connection is survived by reconnect
+// (jittered backoff, per-outage attempt and elapsed budgets) and
+// byte-exact replay from the server's durable offset. Only when the
+// stream is lost for good — budgets exhausted, an unresumable gap, a
+// daemon-side ingest failure — does the client degrade: to a lossless
+// local fallback archive when WithFallbackArchive is set, else by
+// latching the error (Err) and unblocking all waiting recording
+// threads, exactly like a failing local disk under the streaming
+// recorder's contract. Close leaves the client holding none of its
+// stream.
 type Client struct {
 	cfg clientConfig
 	win *sendWindow
@@ -297,7 +290,6 @@ func NewClientConn(conn net.Conn, opts ...ClientOption) (*Client, error) {
 func defaultClientConfig() clientConfig {
 	return clientConfig{
 		streamID:          fmt.Sprintf("p%d", os.Getpid()),
-		protocol:          ProtocolVersion,
 		bufBytes:          DefaultBufferBytes,
 		replayBytes:       DefaultReplayBytes,
 		dialAttempts:      DefaultDialAttempts,
@@ -315,20 +307,11 @@ func newClient(cfg clientConfig) (*Client, error) {
 		return nil, fmt.Errorf("sink: invalid stream id %q (want 1..%d bytes of [A-Za-z0-9._-])",
 			cfg.streamID, MaxStreamIDLen)
 	}
-	if cfg.protocol != ProtocolV1 && cfg.protocol != ProtocolV2 {
-		return nil, fmt.Errorf("sink: unsupported protocol version %d (want %d or %d)",
-			cfg.protocol, ProtocolV1, ProtocolV2)
-	}
-	if cfg.protocol == ProtocolV1 {
-		// v1 has no durable acks, so there is nothing to resume from.
-		cfg.reconnectAttempts = 0
-	}
 	if cfg.token == 0 {
 		cfg.token = randomToken()
 	}
 	c := &Client{cfg: cfg, done: make(chan struct{})}
-	c.win = newSendWindow(cfg.bufBytes, cfg.replayBytes,
-		cfg.policy == BackpressureBlock, cfg.protocol == ProtocolV1)
+	c.win = newSendWindow(cfg.bufBytes, cfg.replayBytes, cfg.policy == BackpressureBlock)
 	c.w = otf2.NewWriter(c.win, cfg.writerOpts...)
 	go c.run()
 	return c, nil
@@ -402,7 +385,7 @@ func (c *Client) terminal(reason error) {
 		c.fail(reason)
 		return
 	}
-	start, err := c.win.beginSpill(c.cfg.fallbackPath, reason)
+	start, err := c.win.beginSpill(c.cfg.fallbackPath)
 	if err != nil {
 		c.fail(errors.Join(reason, err))
 		return
@@ -473,12 +456,13 @@ func isTransient(err error) bool {
 }
 
 // run is the background sender: it connects (with retry/backoff and
-// budgets), performs the handshake, pumps the window to the
-// connection, and — under v2 — survives severed connections by
-// reconnecting and replaying from the server's durable offset.
+// budgets), performs the handshake, pumps the window to the connection,
+// and survives severed connections by reconnecting and replaying from
+// the server's durable offset. However it ends, it leaves the window
+// empty: a closed Client holds none of its stream.
 func (c *Client) run() {
 	defer close(c.done)
-	scratch := make([]byte, 0, 256<<10)
+	defer c.win.release()
 	reconnects := 0
 	for {
 		conn, durable, err := c.connect(reconnects > 0)
@@ -486,27 +470,21 @@ func (c *Client) run() {
 			c.terminal(err)
 			return
 		}
-		if c.cfg.protocol >= ProtocolV2 {
-			if reconnects > 0 {
-				c.resumes.Add(1)
-			}
-			if err := c.win.rewind(durable); err != nil {
-				var ge *gapError
-				if errors.As(err, &ge) {
-					gap := ge.have - ge.durable
-					c.gapBytes.Store(gap)
-					c.declareGap(conn, gap)
-					_ = conn.Close()
-					c.terminal(err)
-					return
-				}
-				_ = conn.Close()
-				c.terminal(err)
-				return
-			}
+		if reconnects > 0 {
+			c.resumes.Add(1)
 		}
-		err = c.pump(conn, scratch)
-		_ = conn.Close()
+		if err := c.win.rewind(durable); err != nil {
+			var ge *gapError
+			if errors.As(err, &ge) {
+				gap := ge.have - ge.durable
+				c.gapBytes.Store(gap)
+				c.declareGap(conn, gap)
+			}
+			_ = conn.Close()
+			c.terminal(err)
+			return
+		}
+		err = c.pump(conn)
 		if err == nil {
 			return
 		}
@@ -520,8 +498,8 @@ func (c *Client) run() {
 
 // connect dials (with jittered doubling backoff, an attempt cap, an
 // elapsed-time budget and optional context cancellation) and completes
-// the handshake, returning the connection and — under v2 — the
-// server's durable offset for this stream.
+// the handshake, returning the connection and the server's durable
+// offset for this stream.
 func (c *Client) connect(reconnect bool) (net.Conn, int64, error) {
 	attempts, backoff, budget := c.cfg.dialAttempts, c.cfg.dialBackoff, c.cfg.dialBudget
 	what := "connect"
@@ -604,8 +582,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// handshake writes the client handshake on conn and, under v2, reads
-// the server hello, returning the durable offset to resume from.
+// handshake writes the client handshake on conn and reads the server
+// hello, returning the durable offset to resume from.
 func (c *Client) handshake(conn net.Conn) (int64, error) {
 	if c.cfg.ackTimeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(c.cfg.ackTimeout))
@@ -613,17 +591,12 @@ func (c *Client) handshake(conn net.Conn) (int64, error) {
 	}
 	hs := make([]byte, 0, len(Magic)+1+2*binary.MaxVarintLen64+len(c.cfg.streamID))
 	hs = append(hs, Magic...)
-	hs = append(hs, c.cfg.protocol)
+	hs = append(hs, ProtocolVersion)
 	hs = binary.AppendUvarint(hs, uint64(len(c.cfg.streamID)))
 	hs = append(hs, c.cfg.streamID...)
-	if c.cfg.protocol >= ProtocolV2 {
-		hs = binary.AppendUvarint(hs, c.cfg.token)
-	}
+	hs = binary.AppendUvarint(hs, c.cfg.token)
 	if _, err := conn.Write(hs); err != nil {
 		return 0, fmt.Errorf("handshake: %w", err)
-	}
-	if c.cfg.protocol < ProtocolV2 {
-		return 0, nil
 	}
 	// Read the hello byte by byte: nothing may be buffered past it,
 	// the ack reader owns every later byte.
@@ -714,26 +687,44 @@ func (cs *connState) getErr() error {
 	return cs.err
 }
 
+// sendBatchBytes is the most the sender takes from the window at a time,
+// the payload of one data frame (so at most MaxFramePayload).
+const sendBatchBytes = 256 << 10
+
 // pump drains the window into conn until the stream completes (nil) or
-// the connection fails (transient error: the caller reconnects).
-func (c *Client) pump(conn net.Conn, scratch []byte) error {
+// the connection fails (transient error: the caller reconnects). It
+// closes conn and returns only once the connection's ack reader has
+// ended, so no ack of this connection can reach the window after the
+// next one's rewind.
+func (c *Client) pump(conn net.Conn) error {
 	cs := &connState{conn: conn, dead: make(chan struct{}), final: make(chan byte, 1)}
-	v2 := c.cfg.protocol >= ProtocolV2
-	if v2 {
-		go c.readAcks(cs)
-	}
+	go c.readAcks(cs)
+	defer func() {
+		_ = conn.Close()
+		<-cs.dead
+	}()
+	var (
+		hdr   [1 + binary.MaxVarintLen64]byte
+		parts = make([][]byte, 1, 8) // a data frame: its header, then its payload where it lies in the window
+		bufs  net.Buffers            // parts, for WriteTo to consume
+	)
+	hdr[0] = frameData
 	for {
-		if v2 {
-			if err := cs.getErr(); err != nil {
-				return err
-			}
+		if err := cs.getErr(); err != nil {
+			return err
 		}
-		batch, done, kicked := c.win.next(scratch)
+		var n int64
+		var done, kicked bool
+		parts, n, done, kicked = c.win.next(parts[:1], sendBatchBytes)
 		if kicked {
 			continue
 		}
-		if len(batch) > 0 {
-			if err := writeFrames(conn, batch); err != nil {
+		if n > 0 {
+			// One writev on a socket, the same bytes in sequence on any
+			// other connection.
+			parts[0] = hdr[:1+binary.PutUvarint(hdr[1:], uint64(n))]
+			bufs = parts
+			if _, err := bufs.WriteTo(conn); err != nil {
 				return transient(fmt.Errorf("sink: send: %w", err))
 			}
 		}
@@ -746,9 +737,6 @@ func (c *Client) pump(conn net.Conn, scratch []byte) error {
 	eos = binary.AppendUvarint(eos, uint64(c.dropped.Load()))
 	if _, err := conn.Write(eos); err != nil {
 		return transient(fmt.Errorf("sink: end of stream: %w", err))
-	}
-	if !v2 {
-		return c.readFinalAckV1(conn)
 	}
 	var timeout <-chan time.Time
 	if c.cfg.ackTimeout > 0 {
@@ -780,22 +768,7 @@ func (c *Client) pump(conn net.Conn, scratch []byte) error {
 	}
 }
 
-// readFinalAckV1 implements the v1 tail: one 2-byte ack after eos.
-func (c *Client) readFinalAckV1(conn net.Conn) error {
-	if c.cfg.ackTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(c.cfg.ackTimeout))
-	}
-	var ack [2]byte
-	if _, err := io.ReadFull(conn, ack[:]); err != nil {
-		return transient(fmt.Errorf("sink: reading seal ack: %w", err))
-	}
-	if ack[0] != ackByte || ack[1] != ackOK {
-		return fmt.Errorf("sink: daemon reported ingest failure (ack %q status %d)", ack[0], ack[1])
-	}
-	return nil
-}
-
-// readAcks consumes the server's side of a v2 connection: durable
+// readAcks consumes the server's side of a connection: durable
 // acks feed the window (freeing producer space and replay history),
 // the final ack ends the stream. Any exit closes cs.dead and kicks the
 // sender awake so it notices promptly even while idle.
@@ -835,26 +808,4 @@ func (c *Client) readAcks(cs *connState) {
 			return
 		}
 	}
-}
-
-// writeFrames ships a run of archive bytes as data frames, splitting
-// at MaxFramePayload.
-func writeFrames(conn net.Conn, p []byte) error {
-	var hdr [1 + binary.MaxVarintLen64]byte
-	for len(p) > 0 {
-		chunk := p
-		if len(chunk) > MaxFramePayload {
-			chunk = chunk[:MaxFramePayload]
-		}
-		hdr[0] = frameData
-		n := binary.PutUvarint(hdr[1:], uint64(len(chunk)))
-		if _, err := conn.Write(hdr[:1+n]); err != nil {
-			return err
-		}
-		if _, err := conn.Write(chunk); err != nil {
-			return err
-		}
-		p = p[len(chunk):]
-	}
-	return nil
 }

@@ -1,6 +1,8 @@
 package sink
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"net"
 	"path/filepath"
@@ -222,27 +224,38 @@ func TestDialFailureLatches(t *testing.T) {
 
 // TestDaemonAckFailure checks the client surfaces a daemon that saw the
 // end of stream but could not seal the shard (ackFailed path). The fake
-// daemon speaks no hello, so the client is pinned to protocol v1; the
-// v2 mid-stream failure ack is covered by the disk-fault tests.
+// daemon greets the stream as new, takes every frame and answers the end
+// of stream with the failure ack; the mid-stream failure ack is covered
+// by the disk-fault tests.
 func TestDaemonAckFailure(t *testing.T) {
 	c1, c2 := net.Pipe()
-	cl, err := NewClientConn(c1, WithStreamID("unsealed"), WithProtocolVersion(ProtocolV1))
+	cl, err := NewClientConn(c1, WithStreamID("unsealed"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fake daemon: one goroutine drains the stream, another offers the
-	// failure ack. net.Pipe is synchronous, so the ack write simply
-	// blocks until the client turns around to read it after its EOS.
 	go func() {
-		buf := make([]byte, 4096)
+		br := bufio.NewReader(c2)
+		if _, _, _, err := readHandshake(br); err != nil {
+			return
+		}
+		c2.Write([]byte{frameHello, helloNew, 0})
 		for {
-			if _, err := c2.Read(buf); err != nil {
+			kind, err := br.ReadByte()
+			if err != nil {
+				return
+			}
+			n, err := binary.ReadUvarint(br)
+			if err != nil {
+				return
+			}
+			if kind == frameEOS {
+				c2.Write([]byte{ackByte, ackFailed})
+				return
+			}
+			if _, err := br.Discard(int(n)); err != nil {
 				return
 			}
 		}
-	}()
-	go func() {
-		c2.Write([]byte{ackByte, ackFailed})
 	}()
 	reg := region.NewRegistry()
 	task := reg.Register("work", "fault_test.go", 3, region.Task)

@@ -81,8 +81,8 @@
 // prefix; under v2 the stream stays resumable until the server shuts
 // down. Unknown frame kinds are a protocol error, not skipped — unlike
 // the archive format there is no forward-compatibility promise inside
-// one protocol version. A v2 server accepts v1 sessions unchanged; a
-// v2 client requires a v2 server.
+// one protocol version. The Server accepts v1 sessions unchanged; the
+// Client speaks v2 only and requires a v2 server.
 package sink
 
 import (
@@ -98,12 +98,12 @@ const (
 	// Magic opens the client handshake.
 	Magic = "SPSINK\x00"
 	// ProtocolV1 is the original fire-and-forget protocol: no resume,
-	// no durable acks.
+	// no durable acks. The Server still accepts it.
 	ProtocolV1 = 1
 	// ProtocolV2 adds the stream token, the server hello, durable-offset
 	// acks and the gap frame — resumable streams.
 	ProtocolV2 = 2
-	// ProtocolVersion is the version this build speaks by default.
+	// ProtocolVersion is the version the Client speaks.
 	ProtocolVersion = ProtocolV2
 
 	frameData  byte = 'F'

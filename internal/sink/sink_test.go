@@ -2,6 +2,7 @@ package sink
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"io"
 	"net"
@@ -41,15 +42,12 @@ func synthBatches(reg *region.Registry, threads, batches, perBatch int) map[int]
 	return out
 }
 
-// writeLocal records the same batches through a plain file-backed
-// archive writer — the reference a streamed shard must match.
-func writeLocal(t *testing.T, path string, batches map[int][][]trace.Event, opts ...otf2.WriterOption) {
+// archiveOf is the archive a plain writer makes of batches — the bytes a
+// streamed shard must match.
+func archiveOf(t testing.TB, batches map[int][][]trace.Event, opts ...otf2.WriterOption) []byte {
 	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := otf2.NewWriter(f, opts...)
+	var buf bytes.Buffer
+	w := otf2.NewWriter(&buf, opts...)
 	for th := 0; th < len(batches); th++ {
 		for _, evs := range batches[th] {
 			if err := w.WriteEvents(th, evs); err != nil {
@@ -60,7 +58,13 @@ func writeLocal(t *testing.T, path string, batches map[int][][]trace.Event, opts
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
+	return buf.Bytes()
+}
+
+// writeLocal writes that archive to a file.
+func writeLocal(t *testing.T, path string, batches map[int][][]trace.Event, opts ...otf2.WriterOption) {
+	t.Helper()
+	if err := os.WriteFile(path, archiveOf(t, batches, opts...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

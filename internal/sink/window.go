@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
+
+	"repro/internal/otf2"
 )
 
 // sendWindow sits between the archive writer and the sender goroutine.
@@ -25,52 +28,71 @@ import (
 // bounded stall, not unbounded memory. (The bound is deliberately not
 // on unacked bytes: the server acks in DefaultAckIntervalBytes strides,
 // so a small buffer would deadlock waiting for an ack that only comes
-// after more bytes than the buffer holds. The window is bounded by
-// retain + the server's ack stride + maxUnacked, and the buffer by twice
-// that: evicted bytes stay in front of the window until they are as
-// many as it holds, see ackLocked.) A latched failure empties the buffer and
-// wakes every waiter, so no recording thread can stay blocked on a
-// dead connection; entering spill mode does the same but redirects the
-// stream into a local fallback archive instead of discarding it.
+// after more bytes than the buffer holds.)
 //
-// In v1 mode (no server acks) sent bytes are treated as acked — the
-// pre-resume semantics: the buffer holds unsent bytes only.
+// The bytes lie in fixed segments (otf2.Memory) at their archive
+// offsets. Write fills the last segment and takes another when it is
+// full; an ack hands the segments wholly below base back for Write to
+// fill again. No byte is moved or copied on its way through, and a
+// stream longer than the window stops allocating once the window is
+// full: retain, plus what is sent and not yet acked (the server's ack
+// stride, the frame that crosses it and the frame on its way), plus
+// maxUnacked and the write that crosses it, rounded out to whole
+// segments at both ends. The sender writes to the connection straight
+// from the segments: bytes below end never change, and a segment is
+// filled again only once it lies below acked - retain, after the server
+// has read and flushed every byte of it. That is the server's word, so
+// an ack gives up no segment from the start of the batch the sender took
+// last: a server that acks what it has not read cannot have a segment
+// filled again while the sender still writes from it.
+//
+// A latched failure empties the window and wakes every waiter, so no
+// recording thread can stay blocked on a dead connection; entering
+// spill mode does the same but redirects the stream into a local
+// fallback archive instead of discarding it; and a sender that ends for
+// any other reason releases the segments too.
 type sendWindow struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	buf   []byte // buf[head:] is the window
-	head  int    // evicted bytes not yet moved over
-	base  int64  // archive offset of buf[head]
-	acked int64  // server-durable bytes (v1: sent bytes)
-	sent  int64  // next unsent archive offset
-	moved int64  // bytes eviction has copied, for tests
+	store otf2.Memory // the stream from base's segment on, until released
+	base  int64       // first archive offset held for replay
+	acked int64       // server-durable bytes
+	sent  int64       // next unsent archive offset
+	end   int64       // bytes produced; base once failed or spilling
+	out   int64       // start of the batch next gave the sender last, which may still be on its way
+
+	// Occupancy, written under mu: the most bytes [base, end) has held,
+	// the segments allocated for them, and the time producers have
+	// waited for the sender in Write and admit.
+	highWater int64
+	segments  int
+	blockedNs int64
 
 	maxUnacked int
 	retain     int
 	block      bool
-	v1         bool
 
 	closed bool
 	failed error
 	kicked bool
 
-	spill       *os.File
-	spillPath   string
-	spillStart  int64 // archive offset of the fallback file's first byte
-	spillReason error
+	spill      *os.File
+	spillStart int64 // archive offset of the fallback file's first byte
 }
 
-func newSendWindow(maxUnacked, retain int, block, v1 bool) *sendWindow {
-	w := &sendWindow{maxUnacked: maxUnacked, retain: retain, block: block, v1: v1}
-	if v1 {
-		w.retain = 0
-	}
+func newSendWindow(maxUnacked, retain int, block bool) *sendWindow {
+	w := &sendWindow{maxUnacked: maxUnacked, retain: retain, block: block}
 	w.cond = sync.NewCond(&w.mu)
 	return w
 }
 
-func (w *sendWindow) end() int64 { return w.base + int64(len(w.buf)-w.head) }
+// waitLocked is a producer's wait for the sender.
+func (w *sendWindow) waitLocked() {
+	t := time.Now()
+	w.cond.Wait()
+	w.blockedNs += int64(time.Since(t))
+}
 
 // admit is the pre-encode backpressure gate. It returns (true, nil) to
 // encode, (false, nil) to drop the batch (drop policy, window full), or
@@ -88,12 +110,12 @@ func (w *sendWindow) admit() (bool, error) {
 			// Spilling to local disk: no window bound applies, the
 			// fallback archive takes everything.
 			return true, nil
-		case w.end()-w.sent < int64(w.maxUnacked):
+		case w.end-w.sent < int64(w.maxUnacked):
 			return true, nil
 		case !w.block:
 			return false, nil
 		}
-		w.cond.Wait()
+		w.waitLocked()
 	}
 }
 
@@ -114,8 +136,8 @@ func (w *sendWindow) Write(p []byte) (int, error) {
 		return w.writeSpillLocked(p)
 	}
 	if w.block {
-		for w.end()-w.sent >= int64(w.maxUnacked) && w.failed == nil && !w.closed && w.spill == nil {
-			w.cond.Wait()
+		for w.end-w.sent >= int64(w.maxUnacked) && w.failed == nil && !w.closed && w.spill == nil {
+			w.waitLocked()
 		}
 		if w.failed != nil {
 			return 0, w.failed
@@ -124,7 +146,10 @@ func (w *sendWindow) Write(p []byte) (int, error) {
 			return w.writeSpillLocked(p)
 		}
 	}
-	w.buf = append(w.buf, p...)
+	_, _ = w.store.Write(p) // never fails
+	w.end += int64(len(p))
+	w.highWater = max(w.highWater, w.end-w.base)
+	w.segments = max(w.segments, int(w.store.Held()/otf2.MemorySegment))
 	w.cond.Broadcast()
 	return len(p), nil
 }
@@ -142,37 +167,32 @@ func (w *sendWindow) writeSpillLocked(p []byte) (int, error) {
 	return n, nil
 }
 
-// next hands the sender the next run of unsent bytes, copied into
-// scratch (so the window lock is not held during the network write).
+// next hands the sender the next run of unsent bytes, n <= limit of
+// them, as views of the window's segments appended to views: they are
+// not copied, and the window lock is not held during the network write.
 // It waits when everything is sent; done reports that the stream was
 // closed and fully sent, and kicked that an interrupt (reader-observed
 // connection death) asked the sender to re-check its connection state.
-func (w *sendWindow) next(scratch []byte) (batch []byte, done, kicked bool) {
+func (w *sendWindow) next(views [][]byte, limit int64) (batch [][]byte, n int64, done, kicked bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.sent == w.end() && !w.closed && w.failed == nil && w.spill == nil && !w.kicked {
+	for w.sent == w.end && !w.closed && w.failed == nil && w.spill == nil && !w.kicked {
 		w.cond.Wait()
 	}
 	if w.kicked {
 		w.kicked = false
-		return nil, false, true
+		return views, 0, false, true
 	}
 	if w.failed != nil || w.spill != nil {
-		return nil, true, false
+		return views, 0, true, false
 	}
-	n := w.end() - w.sent
-	if max := int64(cap(scratch)); max > 0 && n > max {
-		n = max
-	}
-	off := int64(w.head) + w.sent - w.base
-	batch = append(scratch[:0], w.buf[off:off+n]...)
+	n = min(w.end-w.sent, limit)
+	batch = w.store.Views(views, w.sent, n)
+	w.out = w.sent
 	w.sent += n
-	if w.v1 {
-		w.ackLocked(w.sent)
-	}
 	// sent advanced: producers gated on the unsent backlog can move.
 	w.cond.Broadcast()
-	return batch, w.closed && w.sent == w.end(), false
+	return batch, n, w.closed && w.sent == w.end, false
 }
 
 // kick wakes the sender out of an idle next wait so it can notice a
@@ -189,32 +209,19 @@ func (w *sendWindow) kick() {
 func (w *sendWindow) ack(n int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.ackLocked(n)
-}
-
-func (w *sendWindow) ackLocked(n int64) {
 	if n <= w.acked {
 		return
 	}
-	if n > w.end() {
-		n = w.end()
+	if n > w.end {
+		n = w.end
 	}
 	w.acked = n
 	if n > w.sent {
 		w.sent = n
 	}
 	if cut := w.acked - int64(w.retain); cut > w.base {
-		// The bytes below cut leave the window at once and the buffer
-		// lazily: the window is moved over them only when they are at
-		// least as many as it holds, so however long the stream runs, a
-		// byte is moved at most once per byte evicted — this runs under
-		// the lock recording threads take in Write.
-		w.head += int(cut - w.base)
 		w.base = cut
-		if live := len(w.buf) - w.head; w.head >= live {
-			w.moved += int64(copy(w.buf, w.buf[w.head:]))
-			w.buf, w.head = w.buf[:live], 0
-		}
+		w.store.Discard(min(cut, w.out))
 	}
 	w.cond.Broadcast()
 }
@@ -240,8 +247,8 @@ func (w *sendWindow) rewind(durable int64) error {
 	if durable < w.base {
 		return &gapError{durable: durable, have: w.base}
 	}
-	if durable > w.end() {
-		return fmt.Errorf("sink: server claims %d durable bytes, only %d were ever produced", durable, w.end())
+	if durable > w.end {
+		return fmt.Errorf("sink: server claims %d durable bytes, only %d were ever produced", durable, w.end)
 	}
 	w.sent = durable
 	// The server's word overrides the old connection's acks in both
@@ -257,16 +264,15 @@ func (w *sendWindow) rewind(durable int64) error {
 func (w *sendWindow) snapshot() (base, acked, sent, end int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.base, w.acked, w.sent, w.end()
+	return w.base, w.acked, w.sent, w.end
 }
 
 // beginSpill switches the stream into local-fallback mode: the whole
 // retained window [base, end) is written to a fresh archive file at
 // path and every later Write goes straight there. Returns the archive
-// offset of the file's first byte. The caller records the reason; the
-// window keeps accepting bytes so the measured program finishes its
-// run with a lossless local copy.
-func (w *sendWindow) beginSpill(path string, reason error) (int64, error) {
+// offset of the file's first byte. The window keeps accepting bytes so
+// the measured program finishes its run with a lossless local copy.
+func (w *sendWindow) beginSpill(path string) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failed != nil {
@@ -284,17 +290,16 @@ func (w *sendWindow) beginSpill(path string, reason error) (int64, error) {
 		w.failLocked(fmt.Errorf("sink: creating fallback archive: %w", err))
 		return 0, w.failed
 	}
-	if _, err := f.Write(w.buf[w.head:]); err != nil {
-		_ = f.Close()
-		w.failLocked(fmt.Errorf("sink: fallback archive: %w", err))
-		return 0, w.failed
+	for _, seg := range w.store.Views(nil, w.base, w.end-w.base) {
+		if _, err := f.Write(seg); err != nil {
+			_ = f.Close()
+			w.failLocked(fmt.Errorf("sink: fallback archive: %w", err))
+			return 0, w.failed
+		}
 	}
 	w.spill = f
-	w.spillPath = path
 	w.spillStart = w.base
-	w.spillReason = reason
-	w.buf, w.head = nil, 0
-	w.cond.Broadcast()
+	w.emptyLocked()
 	return w.spillStart, nil
 }
 
@@ -330,8 +335,21 @@ func (w *sendWindow) failLocked(err error) {
 	if w.failed == nil {
 		w.failed = err
 	}
-	w.buf, w.head = nil, 0
+	w.emptyLocked()
+}
+
+// emptyLocked lets the window's bytes go, for the fallback archive or
+// for good, and wakes every waiter.
+func (w *sendWindow) emptyLocked() {
+	w.store, w.end = otf2.Memory{}, w.base
 	w.cond.Broadcast()
+}
+
+// release lets the segments go once no sender is left to read them.
+func (w *sendWindow) release() {
+	w.mu.Lock()
+	w.store = otf2.Memory{}
+	w.mu.Unlock()
 }
 
 // closeStream marks the end of the stream: the sender drains what is
