@@ -1,13 +1,14 @@
 // Allocation-regression tests for the per-event hot path: in steady
 // state (pools warm, caches populated, chunk buffers at capacity) no
-// event may allocate — the zero-alloc contract behind the overhead
-// numbers in doc.go's "Overhead" section and the scorep-bench gate in
-// CI.
+// event may allocate — the zero-alloc contract of doc.go's "Overhead"
+// section, one subtest per listener configuration.
 package scorep_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"path/filepath"
@@ -114,15 +115,25 @@ func assertZeroAllocs(t *testing.T, cfg string, l omp.Listener, reg *region.Regi
 }
 
 // TestHotPathZeroAllocs asserts the zero-alloc contract for the
-// profiling listener alone, the streaming trace recorder alone
-// (amortized over chunk flushes), and the canonical fused
-// profiling+tracing Tee.
+// profiling listener alone and behind a filter, the streaming trace
+// recorder alone (amortized over chunk flushes) and into the archive
+// encoder, the flight recorder, and the canonical fused
+// profiling+tracing Tees.
 func TestHotPathZeroAllocs(t *testing.T) {
 	t.Run("profile", func(t *testing.T) {
 		reg := region.NewRegistry()
 		rs := newZeroAllocRegions(reg)
 		m := measure.NewWithClock(clock.NewSystem(), reg)
 		assertZeroAllocs(t, "profile", m, reg, rs)
+		m.Finish()
+	})
+	t.Run("profile+filter", func(t *testing.T) {
+		// A filter that excludes nothing but is consulted per event, alone
+		// (under a Tee with a recorder it takes the fused path below).
+		reg := region.NewRegistry()
+		rs := newZeroAllocRegions(reg)
+		m := measure.NewWithClock(clock.NewSystem(), reg)
+		assertZeroAllocs(t, "profile+filter", measure.NewFilter(m, "zz_never_*", "zz_nomatch"), reg, rs)
 		m.Finish()
 	})
 	t.Run("stream-trace", func(t *testing.T) {
@@ -132,6 +143,21 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		assertZeroAllocs(t, "stream-trace", rec, reg, rs)
 		rec.Finish()
 		if err := rec.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("stream-archive", func(t *testing.T) {
+		// The same recorder flushing into the archive encoder, as a local
+		// session does: a full block is encoded into the thread's chunk
+		// buffer and a sealed chunk appended to the output, with nothing
+		// allocated per event (per chunk, the index's entry amortizes).
+		reg := region.NewRegistry()
+		rs := newZeroAllocRegions(reg)
+		w := otf2.NewWriter(io.Discard)
+		rec := trace.NewStreamingRecorder(clock.NewSystem(), w, 256)
+		assertZeroAllocs(t, "stream-archive", rec, reg, rs)
+		rec.Finish()
+		if err := errors.Join(rec.Err(), w.Close()); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -25,8 +25,7 @@ import (
 )
 
 // benchSize keeps `go test -bench=.` affordable; the cmd/scorep-exp tool
-// runs the full medium-size evaluation (and cmd/scorep-bench emits the
-// machine-readable perf trajectory).
+// runs the full medium-size evaluation.
 const benchSize = bots.SizeSmall
 
 var benchThreads = []int{1, 4}

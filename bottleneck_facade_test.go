@@ -44,7 +44,7 @@ func TestResultsBottlenecks(t *testing.T) {
 		t.Fatal("Bottlenecks not cached")
 	}
 	for _, workers := range []int{1, 4} {
-		if want := scorep.AnalyzeBottlenecks(res.Trace(), workers); !reflect.DeepEqual(b, want) {
+		if want := scorep.AnalyzeBottlenecks(res.Trace(), scorep.TraceQuery{}, workers); !reflect.DeepEqual(b, want) {
 			t.Fatalf("Bottlenecks != AnalyzeBottlenecks(trace, %d)", workers)
 		}
 	}
@@ -103,7 +103,7 @@ func TestExperimentBottlenecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qwant := scorep.AnalyzeBottlenecks(q.Filter(res.Trace()), 1); !reflect.DeepEqual(qgot, qwant) {
+	if qwant := scorep.AnalyzeBottlenecks(q.Filter(res.Trace()), scorep.TraceQuery{}, 1); !reflect.DeepEqual(qgot, qwant) {
 		t.Fatal("BottlenecksQuery != AnalyzeBottlenecks(filtered trace)")
 	}
 	if len(exp.Warnings()) != 0 {

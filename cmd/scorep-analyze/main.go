@@ -65,9 +65,11 @@ import (
 
 	scorep "repro"
 	"repro/internal/bots"
+	"repro/internal/bottleneck"
 	"repro/internal/cliq"
 	"repro/internal/otf2"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // analysisJSON is the envelope -json emits: every analysis product of
@@ -171,7 +173,15 @@ func main() {
 		scorep.FormatFindings(os.Stdout, findings)
 
 	case *tracePath != "":
-		a, qst, warning, err := otf2.AnalyzeFileQuery(*tracePath, query, *parallel)
+		// One scan of the file feeds both analyses.
+		ta := trace.NewAnalyzer()
+		consumers := []trace.Consumer{ta}
+		var bc *bottleneck.Collector
+		if *bottlenecks {
+			bc = bottleneck.NewCollector(*parallel)
+			consumers = append(consumers, bc)
+		}
+		qst, warning, err := otf2.ScanFile(*tracePath, query, *parallel, consumers...)
 		if err != nil {
 			fail(err)
 		}
@@ -179,16 +189,10 @@ func main() {
 		if qst.Indexed && !query.All() {
 			fmt.Fprintf(os.Stderr, "index: read %d of %d chunks\n", qst.ChunksRead, qst.ChunksTotal)
 		}
+		a := ta.Finish()
 		var b *scorep.BottleneckAnalysis
-		if *bottlenecks {
-			var bwarn string
-			b, _, bwarn, err = otf2.AnalyzeFileBottlenecks(*tracePath, query, *parallel)
-			if err != nil {
-				fail(err)
-			}
-			if bwarn != warning {
-				warn(bwarn)
-			}
+		if bc != nil {
+			b = bc.Finish()
 		}
 		if *asJSON {
 			out := analysisJSON{TraceAnalysis: a, Bottlenecks: b}

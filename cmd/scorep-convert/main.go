@@ -103,7 +103,7 @@ func main() {
 		return
 	}
 
-	tr, _, warning, err := otf2.ReadFileQuery(*in, region.NewRegistry(), query, *parallel)
+	tr, _, warning, err := otf2.LoadFile(*in, region.NewRegistry(), query, *parallel)
 	if err != nil {
 		fail(err)
 	}

@@ -73,7 +73,7 @@ func main() {
 	case *in != "":
 		var warning string
 		var err error
-		tr, _, warning, err = otf2.ReadFileQuery(*in, region.NewRegistry(), query, *parallel)
+		tr, _, warning, err = otf2.LoadFile(*in, region.NewRegistry(), query, *parallel)
 		if err != nil {
 			fail(err)
 		}
@@ -88,7 +88,7 @@ func main() {
 			fail(fmt.Errorf("%s: experiment holds no trace", *expDir))
 		}
 		var warning string
-		tr, _, warning, err = otf2.ReadFileQuery(exp.TracePath(), region.NewRegistry(), query, *parallel)
+		tr, _, warning, err = otf2.LoadFile(exp.TracePath(), region.NewRegistry(), query, *parallel)
 		if err != nil {
 			fail(err)
 		}

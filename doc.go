@@ -260,7 +260,7 @@
 // "sealed", "err"}, ...]}. A daemon restarted over the directory
 // replays it: for each stream it re-derives the durable byte count
 // from the shard file itself by scanning the longest intact chunk
-// prefix (the same cut-point logic the lenient readers use) and
+// prefix (the cut the file readers salvage to, see Reading archives) and
 // truncating the file to that boundary — so a flush torn by the crash
 // is discarded rather than resumed after. Sealed streams keep their
 // recorded fate (a sealed-complete shard that lost bytes on disk is
@@ -424,8 +424,14 @@
 // NewTraceRecorder/NewStreamingTraceRecorder (tracing),
 // NewFlightTraceRecorder (flight-recorder tracing, see above), NewFilter,
 // NewTee (fan out one event stream to several listeners), NewRuntime,
-// and the report/trace serialization functions. Results.Locations
-// exposes the raw per-thread profiles behind Results.Report.
+// and the report/trace serialization functions. A recording outside a
+// Session or an Experiment is analyzed by five functions, each taking a
+// TraceQuery (zero: everything) and a worker count (<= 0: one per
+// processor): AnalyzeTrace and AnalyzeBottlenecks over a Trace,
+// ReadTraceArchive, AnalyzeTraceArchive and
+// AnalyzeTraceArchiveBottlenecks over an archive (see Reading
+// archives). Results.Locations exposes the raw per-thread profiles
+// behind Results.Report.
 //
 // # Overhead
 //
@@ -450,35 +456,10 @@
 // Its fib-fine workload is the paper's worst case — BOTS fib without
 // cut-off, 556 416 events from ~93 k tiny tasks on two threads, under
 // NewSession(WithTracing()) — and its overhead_ratio is the paper's
-// Fig. 13/14 number. Recording into an in-memory archive instead of a
-// growing []TraceEvent per thread (see Session lifecycle) moved it as
-// follows: medians of ten interleaved pairs on a two-vCPU host, the
-// change better in ten pairs of ten on every row but the last, where
-// the parent was in nine:
-//
-//	fib-fine                  before      after
-//	heap_live_mb              19.73       3.60     live heap after End: the trace, and the profile
-//	overhead_ratio            3.97        2.46     instrumented / uninstrumented wall
-//	inst_run_s                0.156       0.090    NewSession until End returned
-//	dump_ms_p50               9.17        1.56     SaveExperiment: a copy, no encoding
-//	ingest_events_per_s       3.35 M      6.07 M   events / (run + save)
-//	pipeline_s                0.203       0.134    session, save, open, analyses, render
-//	time_to_report_s          0.0382      0.0411   open until rendered: see below
-//
-// The event structs cost three to seven times what encoding them does:
-// 32 bytes an event written into memory that append-doubling copies
-// about twice over, the kernel faults in fresh every run, and the
-// collector scans for pointers while the measured code runs, against 6
-// pointer-free bytes written once, into segments that are never copied
-// (growing one buffer by doubling instead cost a tenth of the run: the
-// copies and the fresh memory's page faults happen under the writer's
-// io lock). time_to_report_s pays for the smaller heap: the bottleneck
-// analysis allocates ~22 MB of transient slabs, which on a 20 MB heap
-// full of just-freed recorder garbage was one collection and on a 4 MB
-// heap is two or three. The reader and the archive are the same on both
-// sides; a fresh scorep-analyze process always paid the higher figure.
-// On coarse-suite (five BOTS codes with few, large tasks, ~30 k events
-// a round) nothing moves but dump_ms_p50.
+// Fig. 13/14 number. The measurements themselves, change by change, are
+// in CHANGES.md. The zero-allocation contract is held by
+// TestHotPathZeroAllocs (alloc_test.go), one subtest per listener
+// configuration.
 //
 // Downstream of the per-event path, the trace pipeline is parallel end
 // to end. On the write side, the archive Writer encodes every event in
@@ -488,30 +469,22 @@
 // of a framed chunk to the underlying file. One thread blocked in a
 // slow sink write therefore never stalls recording, encoding, or even
 // flushing progress on other threads (before, a single writer mutex
-// serialized all of it). On the read side, AnalyzeTraceArchiveParallel
-// (otf2.AnalyzeParallel; scorep-analyze/-timeline/-convert -parallel N)
-// runs the out-of-core analysis with chunk decoding on a worker pool,
-// while per-thread shards re-serialize each thread's chunks in archive
-// order — Scalasca's parallel trace-analysis structure; the workers
-// read their own chunks by the footer index, or decode behind a
+// serialized all of it). The footer index must stay nearly free on that
+// path: CI runs BenchmarkIndexedWriteGate (internal/otf2), which times
+// v2 against v1 single-thread writes in paired fixed-work rounds of one
+// run and fails when the upper-quartile throughput ratio falls below
+// 0.95 — a ratio, where committed wall-clock numbers would not carry
+// from one machine to the next. On the read side, a scan
+// (AnalyzeTraceArchive, Experiment.TraceAnalysis;
+// scorep-analyze/-timeline/-convert -parallel N) decodes chunks on a
+// worker pool while per-thread shards re-serialize each thread's chunks
+// in archive order — Scalasca's parallel trace-analysis structure; the
+// workers read their own chunks by the footer index, or decode behind a
 // sequential frame scanner when an archive has none (see Reading
 // archives). Memory stays O(workers x chunk), and the merged result is
-// reflect.DeepEqual- and JSON-byte-identical to the sequential
-// analysis, also for truncated archives (CI cmp's the -parallel 1 and
-// -parallel 4 JSON outputs on every change).
-//
-// cmd/scorep-bench is an older series of microbenchmarks (per-event
-// record path, archive write, decode, analyze, seek, windowed queries,
-// the Fig. 13/14/15 experiments at tiny sizes), kept for two CI gates
-// and not for comparisons: its committed BENCH_PR*.json files were
-// taken on one core under changing bench names and are comparable
-// neither with each other nor with the benchmark above. CI runs
-// `scorep-bench -quick -check-allocs -check-write-gate` on every change
-// and fails when a hot-path benchmark allocates more per op than
-// bench_baseline.json, or when v2 write throughput falls below 95% of
-// v1 measured in the same run (paired fixed-work rounds, upper-quartile
-// ratio — machine-independent where committed wall-clock numbers are
-// not).
+// reflect.DeepEqual- and JSON-byte-identical at every worker count,
+// also for truncated archives (CI cmp's the -parallel 1 and -parallel 4
+// JSON outputs on every change).
 //
 // # Scheduler design
 //
@@ -577,7 +550,7 @@
 //
 // The index exists for time-window queries: a TraceQuery (a time window
 // [MinTime, MaxTime] and/or a thread-ID subset) handed to
-// AnalyzeTraceArchiveQuery/ReadTraceArchiveQuery — or to the tools as
+// AnalyzeTraceArchive/ReadTraceArchive — or to the tools as
 // -window t0:t1 and -threads a,b,c (-tids on scorep-analyze and
 // scorep-timeline, whose -threads already names the live-run width) —
 // prunes non-matching chunks by their indexed bounds and reads only the
@@ -597,21 +570,40 @@
 // TraceArchiveWriter instead of buffering the run in RAM), and
 // AnalyzeTraceArchive replays an archive through per-thread state
 // machines in O(chunk) memory — out-of-core analysis of traces far
-// larger than RAM. AnalyzeTraceArchiveParallel and
-// ReadTraceArchiveParallel spread the chunk decoding over a worker
-// pool (identical results at every worker count); the CLIs expose the
-// knob as -parallel N (0 = one worker per processor). The
-// scorep-convert command converts between the two formats and reports
-// size/event statistics; scorep-timeline and scorep-analyze accept
-// either format, chosen by file extension (".otf2" is binary).
+// larger than RAM. Both it and ReadTraceArchive take a worker count
+// and spread the chunk decoding over that many goroutines (identical
+// results at every count); the CLIs expose the knob as -parallel N
+// (0 = one worker per processor). The scorep-convert command converts
+// between the two formats and reports size/event statistics;
+// scorep-timeline and scorep-analyze accept either format, chosen by
+// file extension (".otf2" is binary).
 //
 // # Reading archives
 //
+// There are two ways to read a recording, whatever holds it. A scan
+// feeds the events matching a TraceQuery to consumers — the trace
+// analysis, the bottleneck collector, any number on one pass — in
+// bounded memory and without materializing the trace; a consumer gets a
+// thread's next in-order run, must not keep it, and is told once,
+// before any run, how many events each thread's stream holds at most
+// when the source knows (an index does, an in-memory trace does). A
+// load decodes the matching events into a Trace. Everything else is
+// these two under another name: AnalyzeTraceArchive and
+// AnalyzeTraceArchiveBottlenecks scan an archive, AnalyzeTrace and
+// AnalyzeBottlenecks scan a Trace, ReadTraceArchive loads; Results and
+// Experiment (whole or windowed, trace.otf2 or a fleet's shards) scan
+// their recording, or the events once Trace has materialized them; the
+// tools scan or load a file by its extension, and scorep-analyze -trace
+// -bottlenecks feeds both analyses from one scan. Every such path gives
+// the result of decoding the whole recording front to back, filtering
+// with TraceQuery.Filter and analyzing that, at every worker count; a
+// thread with no matching event is in no result.
+//
 // Every archive this module finishes — a saved experiment, a daemon
-// shard, a flight dump — carries the footer index, and every
-// multi-chunk read of one goes by it, as an OTF2 reader sizes a
-// location's buffer from the event count in its definitions. A read
-// is planned, then its chunks are placed or delivered:
+// shard, a flight dump — carries the footer index, and every scan or
+// load of one goes by it, as an OTF2 reader sizes a location's buffer
+// from the event count in its definitions. The read is planned, then
+// its chunks are placed or delivered:
 //
 //   - Plan. The definition chunks are loaded through the index. The
 //     event chunks a TraceQuery can match are selected by their
@@ -626,68 +618,56 @@
 //     and event chunk between header and index, and the index chunk
 //     must end where the trailer starts. A lying index is a
 //     corruption error — never a different trace, never an allocation
-//     sized by the lie. (Before, the count in the index was reported
-//     by scorep-convert -stats and sized the bottleneck buffers, and
-//     no reader compared it with the chunk's.)
-//   - Place (loads: ReadTraceArchiveParallel, ReadTraceArchiveQuery,
-//     Experiment.Trace, scorep-timeline, scorep-convert). Each
-//     thread's event slice is allocated once, at the length its
-//     selected chunks add up to; chunk k's destination is the
-//     prefix-sum window of the counts before it. Workers take chunks in
-//     offset order, read each with ReadAt (no scanner goroutine, no
-//     shared read position, no whole-file buffer), inflate compressed
-//     chunks on the worker, and decode straight into the window with
-//     absolute times from the chunk's indexed base time. There is no
-//     per-chunk slice, no append and no ordering between workers. A
-//     windowed load sizes by the selected chunks, places the interior
-//     ones whole, clips the few the window's edges cut in place, and
-//     closes the gaps. It is the same path at one worker and at many.
-//   - Deliver (analyses: AnalyzeTraceArchiveParallel,
-//     AnalyzeTraceArchiveQuery, AnalyzeTraceArchiveBottlenecks). A
-//     chunk decodes into a pooled run buffer and per-thread shards
-//     hand the runs to the analysis in archive order, one run per
-//     thread at a time; a bounded window of decoded runs keeps memory
-//     at O(workers x chunk).
+//     sized by the lie.
+//   - Place (a load: ReadTraceArchive, Results.Trace, Experiment.Trace,
+//     scorep-timeline, scorep-convert). Each thread's event slice is
+//     allocated once, at the length its selected chunks add up to;
+//     chunk k's destination is the prefix-sum window of the counts
+//     before it. Workers take chunks in offset order, read each with
+//     ReadAt (no scanner goroutine, no shared read position, no
+//     whole-file buffer), inflate compressed chunks on the worker, and
+//     decode straight into the window with absolute times from the
+//     chunk's indexed base time. There is no per-chunk slice, no append
+//     and no ordering between workers. A windowed load sizes by the
+//     selected chunks, places the interior ones whole, clips the few
+//     the window's edges cut in place, and closes the gaps. It is the
+//     same path at one worker and at many. A load is not a scan with a
+//     consumer that appends: that would copy every event once more.
+//   - Deliver (a scan: AnalyzeTraceArchive,
+//     AnalyzeTraceArchiveBottlenecks, the analyses of Results and
+//     Experiment, scorep-analyze). A chunk decodes into a pooled run
+//     buffer, the chunks a window's edges cut are clipped in place,
+//     and per-thread shards hand the runs to the consumers in archive
+//     order, one run per thread at a time; a bounded window of decoded
+//     runs keeps memory at O(workers x chunk). The consumers' hint is
+//     the event count of each thread's selected chunks.
 //
 // There is one fallback, chosen by what the input is and never by an
 // option: an input without a readable index (a v1 archive, the prefix
 // a crashed run left, a damaged trailer) or without random access (a
-// pipe; anything but a file or a bytes.Reader) is read front to back —
-// loads by the sequential ReadTraceArchive, whatever the worker count;
-// analyses behind a sequential frame scanner — with identical results
-// and the ErrTruncated salvage contract. The parallel append path
-// index-less loads used to take is gone: measured, it was 4 % faster
-// than the sequential read it duplicated. Every path decodes events in
-// one loop that writes through a pointer into its destination and
-// resolves regions in a table indexed by region ID (IDs above 2^20 are
-// corruption; the writer numbers regions from 0).
+// pipe; anything but a file, a bytes.Reader or a session's archive in
+// memory) is read front to back — a load by one goroutine, whatever the
+// worker count, then filtered; a scan behind a sequential frame
+// scanner, every run filtered in place, with no hint — with identical
+// results. A JSONL file is decoded whole and scanned or filtered as a
+// Trace. Every path decodes events in one loop that writes through a
+// pointer into its destination and resolves regions in a table indexed
+// by region ID (IDs above 2^20 are corruption; the writer numbers
+// regions from 0).
 //
-// On the benchmark's archive-query workload (a seeded 1.12 M-event,
-// 4-thread archive, 6.2 MB raw in 192 chunks, two workers on a two-CPU
-// host; benchmark/README.md), before and after the load went by the
-// index — medians of three interleaved traced pairs, and of ten
-// untraced pairs for the end-to-end metric:
+// The salvage contract is the same on every path: an archive cut off
+// mid-chunk — the typical state after a crashed or killed run — gives
+// the result of its intact prefix. From a reader (ReadTraceArchive,
+// AnalyzeTraceArchive, AnalyzeTraceArchiveBottlenecks) it comes with an
+// error the caller can tell from corruption; from a file (Experiment,
+// the tools) the cut becomes a warning, worded one way and reported
+// once per file however often and whichever way the file is read.
+// Anything else — I/O failures, corruption — is an error and no result.
+// A session's own archive cannot be cut: a failed read of it panics.
 //
-//	otf2.decode_ns_per_event        68.7 -> 20.2   (one worker)
-//	otf2.decode_par_ns_per_event    74.7 ->  8.8   (two workers)
-//	otf2.analyze_file_ns_per_event  20.3 -> 11.2   (full scan, two workers)
-//	dump_ms_p50 (one raw load)     111   -> 40 ms  (10 of 10 pairs)
-//
-// Before, the second worker cost 9 %: every chunk was decoded into a
-// fresh zeroed slice and appended to its thread's, which regrew and
-// copied, so a load allocated 228 MB to build a 36 MB trace and the
-// collector ran beside it. Now it allocates the 36 MB and two chunk
-// buffers per worker (alloc_test.go pins that: at most 1.15 x 32 B x
-// events plus the archive's size, in a number of allocations that does
-// not grow with the chunks), and two workers take 0.44 of one's time. The
-// compressed archive loads at 19 M events/s where it loaded at 9 M
-// (ingest_events_per_s). Full scans gained too (scan_events_per_s
-// 50 M -> 84 M events/s) — from the shared decode loop and, for
-// compressed archives, from inflating on the workers where the
-// sequential scanner used to inflate inline — which is why
-// archive-query's overhead_ratio, the compressed scan over the raw one,
-// rose from 2.9 to 3.3 while both of its terms fell (68 -> 46 ms over
-// 22.5 -> 13.4 ms): what is left of the compressed scan is DEFLATE.
+// alloc_test.go pins what a planned load allocates: at most 1.15 x 32 B
+// x events plus the archive's size, in a number of allocations that
+// does not grow with the chunks.
 //
 // # Bottleneck analysis
 //
@@ -695,11 +675,12 @@
 // paper's conclusion points to: it consumes the per-thread event
 // streams (in memory, out of core over an archive, or per shard of a
 // fleet experiment) and answers "where did the time go, whose fault
-// was it, and what would fixing it buy". Entry points:
+// was it, and what would fixing it buy". It is a consumer of a scan
+// (see Reading archives) like the trace analysis. Entry points:
 // Results.Bottlenecks, Experiment.Bottlenecks / BottlenecksQuery /
 // ShardBottlenecks / FleetBottlenecks, AnalyzeBottlenecks (in-memory),
 // AnalyzeTraceArchiveBottlenecks (out-of-core, same access structure
-// and salvage contract as AnalyzeTraceArchiveQuery) and
+// and salvage contract as AnalyzeTraceArchive) and
 // MergeBottleneckAnalyses (fleet). On the command line:
 // scorep-analyze -bottlenecks (any trace-bearing input; honors
 // -window, -tids, -parallel and -json), and scorep-report prints the
@@ -768,23 +749,10 @@
 // spans of a well-formed stream; a damaged stream (spans unordered or
 // overlapping) gets the same answers span by span, without the bound.
 //
-// Until PR 18 every idle span re-walked every window open around it —
-// O(idle spans x pending tasks), quadratic when one thread creates the
-// tasks (BOTS alignment and sparselu, any producer loop). A two-thread
-// session whose thread 0 creates 20 000 tasks (100 016 events) spent
-// 1.2-1.4 s in Results.Bottlenecks against 2 ms in TraceAnalysis, and
-// spends 6-14 ms now, 4-5 of them in the analysis proper (10 000
-// tasks: 0.3 s -> 4-6 ms; 200 000: 47-75 ms); counted in search probes
-// and windows walked, twice the tasks cost twice the steps, not four
-// times.
-// The benchmark's coarse-suite workload holds that shape — alignment's
-// 1 128 tasks all come from one thread — and over ten interleaved
-// pairs of runs its time_to_report_s fell from 12.5 to 5.6 ms
-// (scorep.bottlenecks_ms 9.0 -> 2.65 of it), and fib-fine's, which
-// only lost the merge of a cross-thread window list, from 46.3 to
-// 43.7 ms. The quadratic version lives on in the package's tests as
-// the reference the sweep must equal on every well-formed random task
-// graph.
+// The quadratic classification the sweep replaced — every idle span
+// re-walking every window open around it — lives on in the package's
+// tests as the reference the sweep must equal on every well-formed
+// random task graph.
 //
 // Critical path. The task-graph critical path is reconstructed by a
 // backward walk from the last-finishing thread's last event: task
@@ -822,9 +790,10 @@
 //     task's first fragment and closed by the task's end; a creation
 //     is 24 bytes. Regions are numbered per collector, so no record
 //     holds a string and no descriptor is formatted per event. The
-//     buffers are sized from the thread's event count — the length of
-//     the in-memory stream, or what the archive's footer index says
-//     the selected chunks hold — and double when that falls short.
+//     buffers are sized from the scan's hint — the length of the
+//     in-memory stream, or what the archive's footer index says the
+//     selected chunks hold — and double when that falls short or there
+//     is none.
 //   - Dense task table. Task ids come from one counter per session,
 //     so the merged view of all tasks is one slab of values indexed by
 //     id - minID. It is used when the id range is at most twice the
@@ -846,16 +815,10 @@
 //     between neighbours.
 //
 // With more than one worker the walk's lookup tables are built beside
-// the classification. On the benchmark's fib-fine workload (BOTS fib
-// without cut-off, 556 416 events from 93 k tasks, two threads;
-// benchmark/README.md) a traced run reads, before and after this
-// layout: bottleneck.analyze_ns_per_event 290 -> 46 (31 to 46 over five
-// such runs; 31 with two workers), bottleneck.allocs_per_event
-// 0.84 -> 0.0003, and bottleneck.vs_trace_ratio (against the trace
-// analyzer over the same events) 43 -> 6.6. CI cmp's the -bottlenecks -json outputs at
-// -parallel 1 and 4 on every change, and
-// internal/bottleneck/testdata pins the analyses of 30 BOTS traces
-// byte for byte.
+// the classification. CI cmp's the -bottlenecks -json outputs at
+// -parallel 1 and 4 on every change, whole and windowed, on the indexed
+// and on the sequential path, and internal/bottleneck/testdata pins the
+// analyses of 30 BOTS traces byte for byte.
 //
 // See examples/ for runnable programs (quickstart is the Session-API
 // walkthrough) and internal/exp for the harness that regenerates every

@@ -105,7 +105,7 @@ func runStreaming(tasks, workUnits int) {
 	if _, err := f.Seek(0, 0); err != nil {
 		panic(err)
 	}
-	a, err := scorep.AnalyzeTraceArchive(f)
+	a, _, err := scorep.AnalyzeTraceArchive(f, scorep.TraceQuery{}, 0)
 	f.Close()
 	if err != nil {
 		panic(err)

@@ -199,17 +199,17 @@ func (r *Results) SaveExperiment(dir string) error {
 	} else if err := removeExperimentFile(dir, experimentProfileFile); err != nil {
 		return err
 	}
-	// r.trace is read only where End set it: a local session, whose
-	// first Trace call sets it later, is known by its archive.
-	if r.archive != nil || r.trace != nil {
+	// Unlocked: src.trace is read only where End set it — a local session,
+	// whose first Trace call sets it later, is known by its archive.
+	if r.src.recorded() {
 		meta.HasTrace = true
 		meta.TraceFormat = fmt.Sprintf("spotf2-v%d", otf2.FormatVersion)
 		meta.Config.TraceCompression = r.cfg.traceComp.String()
 		meta.FlightRecorder = r.FlightRecorder()
 		if err := writeExperimentFile(dir, experimentTraceFile, func(f *os.File) error {
-			if r.archive != nil && (r.flight != nil || r.cfg.traceComp == TraceCompressionNone) {
+			if mem := r.src.mem; mem != nil && (r.flight != nil || r.cfg.traceComp == TraceCompressionNone) {
 				// The recording already is the archive: a save copies it.
-				for _, seg := range r.archive.Segments() {
+				for _, seg := range mem.Segments() {
 					if _, err := f.Write(seg); err != nil {
 						return err
 					}
@@ -312,20 +312,14 @@ type Experiment struct {
 	// the loaded artifacts are cached.
 	AnalysisParallelism int
 
-	mu            sync.Mutex
-	report        *Report
-	trace         *Trace
-	traceLoaded   bool
-	analysis      *TraceAnalysis
-	findings      []Finding
-	findingsSet   bool
-	warnings      []string
-	shards        []TraceShard
-	shardsSet     bool
-	shardAnalyses map[int]*TraceAnalysis
-
-	bottlenecks      *BottleneckAnalysis
-	shardBottlenecks map[int]*BottleneckAnalysis
+	mu          sync.Mutex
+	report      *Report
+	findings    []Finding
+	findingsSet bool
+	src         traceSource // trace.otf2
+	shards      []TraceShard
+	shardSrcs   []traceSource // the shard files, as shards lists them
+	shardsSet   bool
 }
 
 // OpenExperiment loads the experiment archive at dir, the counterpart
@@ -345,7 +339,19 @@ func OpenExperiment(dir string) (*Experiment, error) {
 		return nil, fmt.Errorf("experiment: %s has format version %d, this build reads <= %d",
 			dir, meta.FormatVersion, ExperimentMetaVersion)
 	}
-	return &Experiment{Dir: dir, Meta: meta}, nil
+	e := &Experiment{Dir: dir, Meta: meta}
+	if meta.HasTrace {
+		e.src = traceSource{path: e.TracePath(), name: e.TracePath(), reg: region.NewRegistry()}
+	}
+	return e, nil
+}
+
+// readErr words a failure to read src the way every accessor reports it.
+func readErr(src *traceSource, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("experiment: %s: %w", src.name, err)
 }
 
 // ProfilePath returns the path of the archived profile JSON (which
@@ -388,17 +394,8 @@ func (e *Experiment) reportLocked() (*Report, error) {
 func (e *Experiment) Trace() (*Trace, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.traceLoaded || !e.Meta.HasTrace {
-		return e.trace, nil
-	}
-	tr, warn, err := otf2.ReadFileLenient(e.TracePath(), region.NewRegistry(), e.AnalysisParallelism)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %s: %w", e.TracePath(), err)
-	}
-	e.addWarning(warn)
-	e.trace = tr
-	e.traceLoaded = true
-	return tr, nil
+	tr, err := e.src.load(e.AnalysisParallelism)
+	return tr, readErr(&e.src, err)
 }
 
 // TraceAnalysis derives the paper's §VII metrics from the archived
@@ -409,20 +406,8 @@ func (e *Experiment) Trace() (*Trace, error) {
 func (e *Experiment) TraceAnalysis() (*TraceAnalysis, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.analysis != nil || !e.Meta.HasTrace {
-		return e.analysis, nil
-	}
-	if e.traceLoaded {
-		e.analysis = trace.AnalyzeParallel(e.trace, e.AnalysisParallelism)
-		return e.analysis, nil
-	}
-	a, warn, err := otf2.AnalyzeFile(e.TracePath(), e.AnalysisParallelism)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %s: %w", e.TracePath(), err)
-	}
-	e.addWarning(warn)
-	e.analysis = a
-	return a, nil
+	a, err := e.src.traceAnalysis(e.AnalysisParallelism)
+	return a, readErr(&e.src, err)
 }
 
 // TraceAnalysisQuery derives the trace metrics restricted to the
@@ -437,18 +422,8 @@ func (e *Experiment) TraceAnalysis() (*TraceAnalysis, error) {
 func (e *Experiment) TraceAnalysisQuery(q TraceQuery) (*TraceAnalysis, TraceQueryStats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.Meta.HasTrace {
-		return nil, TraceQueryStats{}, nil
-	}
-	if e.traceLoaded {
-		return trace.AnalyzeParallel(q.Filter(e.trace), e.AnalysisParallelism), TraceQueryStats{}, nil
-	}
-	a, st, warn, err := otf2.AnalyzeFileQuery(e.TracePath(), q, e.AnalysisParallelism)
-	if err != nil {
-		return nil, st, fmt.Errorf("experiment: %s: %w", e.TracePath(), err)
-	}
-	e.addWarning(warn)
-	return a, st, nil
+	a, st, err := e.src.analysisOf(e.AnalysisParallelism, q)
+	return a, st, readErr(&e.src, err)
 }
 
 // Bottlenecks runs the bottleneck analysis (wait-state classification,
@@ -460,20 +435,8 @@ func (e *Experiment) TraceAnalysisQuery(q TraceQuery) (*TraceAnalysis, TraceQuer
 func (e *Experiment) Bottlenecks() (*BottleneckAnalysis, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.bottlenecks != nil || !e.Meta.HasTrace {
-		return e.bottlenecks, nil
-	}
-	if e.traceLoaded {
-		e.bottlenecks = bottleneck.AnalyzeQuery(e.trace, TraceQuery{}, e.AnalysisParallelism)
-		return e.bottlenecks, nil
-	}
-	a, _, warn, err := otf2.AnalyzeFileBottlenecks(e.TracePath(), TraceQuery{}, e.AnalysisParallelism)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %s: %w", e.TracePath(), err)
-	}
-	e.addWarning(warn)
-	e.bottlenecks = a
-	return a, nil
+	a, err := e.src.bottleneckAnalysis(e.AnalysisParallelism)
+	return a, readErr(&e.src, err)
 }
 
 // BottlenecksQuery is Bottlenecks restricted to the sub-trace matching
@@ -483,18 +446,8 @@ func (e *Experiment) Bottlenecks() (*BottleneckAnalysis, error) {
 func (e *Experiment) BottlenecksQuery(q TraceQuery) (*BottleneckAnalysis, TraceQueryStats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.Meta.HasTrace {
-		return nil, TraceQueryStats{}, nil
-	}
-	if e.traceLoaded {
-		return bottleneck.AnalyzeQuery(q.Filter(e.trace), TraceQuery{}, e.AnalysisParallelism), TraceQueryStats{}, nil
-	}
-	a, st, warn, err := otf2.AnalyzeFileBottlenecks(e.TracePath(), q, e.AnalysisParallelism)
-	if err != nil {
-		return nil, st, fmt.Errorf("experiment: %s: %w", e.TracePath(), err)
-	}
-	e.addWarning(warn)
-	return a, st, nil
+	a, st, err := e.src.bottlenecksOf(e.AnalysisParallelism, q)
+	return a, st, readErr(&e.src, err)
 }
 
 // TraceShards enumerates the per-process trace shards of a
@@ -509,21 +462,30 @@ func (e *Experiment) BottlenecksQuery(q TraceQuery) (*BottleneckAnalysis, TraceQ
 func (e *Experiment) TraceShards() []TraceShard {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.shardsSet {
-		return e.shards
+	if !e.shardsSet {
+		e.shardsSet = true
+		e.shards = e.listShards()
+		e.shardSrcs = make([]traceSource, len(e.shards))
+		for i, sh := range e.shards {
+			e.shardSrcs[i] = traceSource{path: filepath.Join(e.Dir, sh.File), name: "shard " + sh.File}
+		}
 	}
-	e.shardsSet = true
+	return e.shards
+}
+
+func (e *Experiment) listShards() []TraceShard {
 	if len(e.Meta.TraceShards) > 0 {
-		e.shards = make([]TraceShard, len(e.Meta.TraceShards))
+		shards := make([]TraceShard, len(e.Meta.TraceShards))
 		for i, sh := range e.Meta.TraceShards {
 			// Shard files live flat in the experiment directory; a path
 			// that says otherwise is reduced to its base name rather
 			// than followed.
 			sh.File = filepath.Base(sh.File)
-			e.shards[i] = sh
+			shards[i] = sh
 		}
-		return e.shards
+		return shards
 	}
+	var shards []TraceShard
 	matches, _ := filepath.Glob(filepath.Join(e.Dir, experimentShardPattern))
 	sort.Strings(matches)
 	for _, m := range matches {
@@ -536,9 +498,9 @@ func (e *Experiment) TraceShards() []TraceShard {
 			sh.Bytes = fi.Size()
 		}
 		sh.Complete = shardHasIndex(m)
-		e.shards = append(e.shards, sh)
+		shards = append(shards, sh)
 	}
-	return e.shards
+	return shards
 }
 
 // shardHasIndex reports whether the archive at path carries a readable
@@ -558,28 +520,22 @@ func shardHasIndex(path string) bool {
 // shard. A truncated shard (severed stream) is salvaged to its intact
 // prefix with a per-shard warning in Warnings, naming the shard file.
 func (e *Experiment) ShardTraceAnalysis(i int) (*TraceAnalysis, error) {
-	shards := e.TraceShards()
-	if i < 0 || i >= len(shards) {
-		return nil, fmt.Errorf("experiment: shard %d out of range (%d shards)", i, len(shards))
+	src, err := e.shardSrc(i)
+	if err != nil {
+		return nil, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if a, ok := e.shardAnalyses[i]; ok {
-		return a, nil
+	a, err := src.traceAnalysis(e.AnalysisParallelism)
+	return a, readErr(src, err)
+}
+
+// shardSrc returns shard i of TraceShards as a source.
+func (e *Experiment) shardSrc(i int) (*traceSource, error) {
+	if n := len(e.TraceShards()); i < 0 || i >= n {
+		return nil, fmt.Errorf("experiment: shard %d out of range (%d shards)", i, n)
 	}
-	path := filepath.Join(e.Dir, shards[i].File)
-	a, warn, err := otf2.AnalyzeFile(path, e.AnalysisParallelism)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: shard %s: %w", shards[i].File, err)
-	}
-	if warn != "" {
-		e.addWarning(fmt.Sprintf("shard %s: %s", shards[i].File, warn))
-	}
-	if e.shardAnalyses == nil {
-		e.shardAnalyses = make(map[int]*TraceAnalysis)
-	}
-	e.shardAnalyses[i] = a
-	return a, nil
+	return &e.shardSrcs[i], nil
 }
 
 // FleetTraceAnalysis merges the analyses of every trace shard into the
@@ -609,28 +565,14 @@ func (e *Experiment) FleetTraceAnalysis() (*TraceAnalysis, error) {
 // TraceShards, out-of-core and cached per shard, salvaging truncated
 // shards with a per-shard warning like ShardTraceAnalysis.
 func (e *Experiment) ShardBottlenecks(i int) (*BottleneckAnalysis, error) {
-	shards := e.TraceShards()
-	if i < 0 || i >= len(shards) {
-		return nil, fmt.Errorf("experiment: shard %d out of range (%d shards)", i, len(shards))
+	src, err := e.shardSrc(i)
+	if err != nil {
+		return nil, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if a, ok := e.shardBottlenecks[i]; ok {
-		return a, nil
-	}
-	path := filepath.Join(e.Dir, shards[i].File)
-	a, _, warn, err := otf2.AnalyzeFileBottlenecks(path, TraceQuery{}, e.AnalysisParallelism)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: shard %s: %w", shards[i].File, err)
-	}
-	if warn != "" {
-		e.addWarning(fmt.Sprintf("shard %s: %s", shards[i].File, warn))
-	}
-	if e.shardBottlenecks == nil {
-		e.shardBottlenecks = make(map[int]*BottleneckAnalysis)
-	}
-	e.shardBottlenecks[i] = a
-	return a, nil
+	a, err := src.bottleneckAnalysis(e.AnalysisParallelism)
+	return a, readErr(src, err)
 }
 
 // FleetBottlenecks aggregates the per-shard bottleneck analyses into
@@ -672,26 +614,22 @@ func (e *Experiment) Findings() ([]Finding, error) {
 	return e.findings, nil
 }
 
-// addWarning records a non-empty warning once (loading the trace twice
-// through different accessors must not duplicate it). Callers hold e.mu.
-func (e *Experiment) addWarning(w string) {
-	if w == "" {
-		return
-	}
-	for _, have := range e.warnings {
-		if have == w {
-			return
-		}
-	}
-	e.warnings = append(e.warnings, w)
-}
-
 // Warnings returns non-fatal conditions observed while loading the
-// archive (currently: a truncated trace salvaged to its intact prefix).
+// archive (currently: a truncated trace salvaged to its intact prefix,
+// once per file however it was read; a shard's names the shard file).
 // Warnings accumulate as artifacts are loaded, so check after the
 // accessors that interest you.
 func (e *Experiment) Warnings() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]string(nil), e.warnings...)
+	var ws []string
+	if w := e.src.warning; w != "" {
+		ws = append(ws, w)
+	}
+	for i := range e.shardSrcs {
+		if src := &e.shardSrcs[i]; src.warning != "" {
+			ws = append(ws, src.name+": "+src.warning)
+		}
+	}
+	return ws
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	scorep "repro"
@@ -221,6 +222,36 @@ func TestOpenExperimentTruncatedTrace(t *testing.T) {
 	}
 	if got := len(exp.Warnings()); got != 1 {
 		t.Errorf("warnings = %d (%v), want the truncation reported exactly once", got, exp.Warnings())
+	}
+	// One cut, one warning: whichever accessors read the file, in
+	// whichever order, scanning it or loading it.
+	window := scorep.TraceQuery{Windowed: true, MinTime: tr.Threads[0][0].Time, MaxTime: tr.Threads[0][len(tr.Threads[0])/2].Time}
+	accessors := []func(*scorep.Experiment) error{
+		func(e *scorep.Experiment) error { _, err := e.TraceAnalysis(); return err },
+		func(e *scorep.Experiment) error { _, err := e.Bottlenecks(); return err },
+		func(e *scorep.Experiment) error { _, _, err := e.TraceAnalysisQuery(window); return err },
+		func(e *scorep.Experiment) error { _, _, err := e.BottlenecksQuery(window); return err },
+		func(e *scorep.Experiment) error { _, err := e.Trace(); return err },
+	}
+	for _, reverse := range []bool{false, true} {
+		exp, err := scorep.OpenExperiment(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range accessors {
+			if reverse {
+				i = len(accessors) - 1 - i
+			}
+			if err := accessors[i](exp); err != nil {
+				t.Fatalf("accessor %d (reverse=%v): %v", i, reverse, err)
+			}
+			if got := exp.Warnings(); len(got) != 1 || !strings.HasSuffix(got[0], "; using the intact prefix") {
+				t.Fatalf("after accessor %d (reverse=%v): warnings %q, want the one cut reported once", i, reverse, got)
+			}
+		}
+		if a, err := exp.TraceAnalysis(); err != nil || !reflect.DeepEqual(a, scorep.AnalyzeTrace(tr, scorep.TraceQuery{}, 1)) {
+			t.Errorf("reverse=%v: analysis of the salvaged prefix differs from the analysis of its events (%v)", reverse, err)
+		}
 	}
 	// The profile is unaffected by the trace truncation.
 	rep, err := exp.Report()

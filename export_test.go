@@ -3,7 +3,7 @@ package scorep
 // TraceArchive returns the archive a local tracing session's results
 // hold, in pieces — the bytes themselves, so a test can compare or
 // damage them.
-func (r *Results) TraceArchive() [][]byte { return r.archive.Segments() }
+func (r *Results) TraceArchive() [][]byte { return r.src.mem.Segments() }
 
 // ForgetAnalyses drops the cached trace analyses, so a test can take
 // both of their paths (archive scan, materialized trace) over one
@@ -11,5 +11,5 @@ func (r *Results) TraceArchive() [][]byte { return r.archive.Segments() }
 func (r *Results) ForgetAnalyses() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.analysis, r.bottlenecks = nil, nil
+	r.src.analysis, r.src.bottlenecks = nil, nil
 }

@@ -36,7 +36,7 @@ func TestFacadeTraceAndTimeline(t *testing.T) {
 	m.Finish()
 	tr := rec.Finish()
 
-	a := scorep.AnalyzeTrace(tr)
+	a := scorep.AnalyzeTrace(tr, scorep.TraceQuery{}, 1)
 	if a.TaskExecution.Count != 16 {
 		t.Errorf("trace analysis fragments = %d, want 16", a.TaskExecution.Count)
 	}

@@ -248,6 +248,13 @@ func TestFleetTruncatedShardSalvage(t *testing.T) {
 	if fleet.Switches != wholeA.Switches+cutA.Switches {
 		t.Fatalf("fleet switches = %d, want %d", fleet.Switches, wholeA.Switches+cutA.Switches)
 	}
+	// A second kind of pass over the shards words the cut no second way.
+	if _, err := exp.FleetBottlenecks(); err != nil {
+		t.Fatal(err)
+	}
+	if ws := exp.Warnings(); len(ws) != 1 || !strings.HasPrefix(ws[0], "shard trace-cut.otf2: ") {
+		t.Fatalf("warnings %q, want the one cut shard named once", ws)
+	}
 }
 
 // TestRemoteTraceEnvAndErrors covers the facade-level failure modes:

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/otf2"
-	"repro/internal/trace"
 )
 
 // DefaultFlightRingChunks is the per-thread ring depth WithFlightRecorder
@@ -189,7 +188,8 @@ func (f *flightState) startBottleneckTrigger(tc bottleneckTriggerConfig) {
 			case <-t.C:
 				var window otf2.Memory
 				_, err := f.ring.Dump(&window)
-				a, _, aerr := otf2.AnalyzeBottlenecks(window.Reader(), trace.Query{}, f.s.cfg.analysisWorkers)
+				src := traceSource{mem: &window}
+				a, _, aerr := src.bottlenecksOf(f.s.cfg.analysisWorkers, TraceQuery{})
 				if err != nil || aerr != nil {
 					continue // what fails here fails the dump to disk too, which reports it
 				}

@@ -23,18 +23,17 @@
 // how much wall time a 10/25/50% reduction of one region's on-path time
 // could save, bounded by the critical path.
 //
-// The collectors mirror internal/trace's analyzers: a sequential
-// Collector, and a ParallelCollector shardable per thread whose Finish
-// is reflect.DeepEqual-identical to the sequential one at any worker
-// count. The sync-region bookkeeping is driven through the same
-// trace.SyncCoverage state machine as ThreadAnalysis.IdleInSync, so the
-// two layers share one definition of sync coverage by construction.
+// The Collector mirrors internal/trace's Analyzer: a trace.Consumer fed
+// per thread by whatever scan reads the source, whose Finish is
+// reflect.DeepEqual-identical at any worker count. The sync-region
+// bookkeeping is driven through the same trace.SyncCoverage state
+// machine as ThreadAnalysis.IdleInSync, so the two layers share one
+// definition of sync coverage by construction.
 // Analysis results carry region *names*, never *region.Region pointers,
 // so results from different Registry instances compare equal.
 package bottleneck
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 
@@ -316,7 +315,7 @@ func (tc *threadCollector) observe(ev *trace.Event) {
 
 	switch ev.Type {
 	case trace.EvEnter:
-		if trace.SchedulingPointEvent(*ev) {
+		if r := ev.Region; r != nil && r.Type.WaitPoint() {
 			if tc.sc.Depth == 0 {
 				tc.coverEnd = ev.Time
 			}
@@ -326,7 +325,7 @@ func (tc *threadCollector) observe(ev *trace.Event) {
 			tc.barStack = append(tc.barStack, barrierVisit{region: tc.regionID(ev.Region), enter: ev.Time})
 		}
 	case trace.EvExit:
-		if trace.SchedulingPointEvent(*ev) {
+		if r := ev.Region; r != nil && r.Type.WaitPoint() {
 			if _, _, closed := tc.sc.ExitSync(ev.Time); closed {
 				// Trailing idle: the tail of the instance no fragment
 				// or dispatch gap covered.
@@ -416,146 +415,65 @@ func (tc *threadCollector) closedFrags() []frag {
 	return tc.frags
 }
 
-// collectors is the thread table both collectors share.
-type collectors map[int]*threadCollector
+// Collector is the bottleneck analysis as a trace.Consumer: it gathers
+// each thread's raw material as the runs of a scan arrive — a thread's
+// in order and one at a time, different threads' possibly from different
+// goroutines at once — and Finish classifies. The Analysis is
+// reflect.DeepEqual-identical however the runs were cut and at every
+// worker count.
+type Collector struct {
+	mu         sync.Mutex
+	threads    map[int]*threadCollector
+	events     map[int]int // the scan's hint: buffers are sized by it
+	concurrent bool
+}
 
-// thread returns tid's collector, creating it with buffers sized for a
-// stream of events events (0: unknown).
-func (c collectors) thread(tid, events int) *threadCollector {
-	tc, ok := c[tid]
+// NewCollector returns an empty collector for a scan on workers
+// goroutines (<= 0: one per processor). With more than one, Finish
+// builds its path tables beside the classification instead of after it.
+func NewCollector(workers int) *Collector {
+	return &Collector{threads: make(map[int]*threadCollector), concurrent: trace.Workers(workers) > 1}
+}
+
+// Hint implements trace.Consumer: a thread's record buffers are made
+// once, at its first run, for a stream of the length the source gave.
+func (c *Collector) Hint(threadEvents map[int]int) { c.events = threadEvents }
+
+// Consume feeds one in-order run of thread tid's events. The lock covers
+// only the thread lookup; the scan of the run is unlocked, owned by the
+// calling goroutine under the Consumer contract. The run is not retained.
+func (c *Collector) Consume(tid int, events []trace.Event) {
+	c.mu.Lock()
+	tc, ok := c.threads[tid]
 	if !ok {
 		tc = &threadCollector{tid: tid}
-		tc.reserve(events)
-		c[tid] = tc
+		tc.reserve(c.events[tid])
+		c.threads[tid] = tc
 	}
-	return tc
-}
-
-func (c collectors) finish(concurrent bool) *Analysis {
-	tcs := make([]*threadCollector, 0, len(c))
-	for _, tc := range c {
-		tcs = append(tcs, tc)
-	}
-	return finish(tcs, concurrent)
-}
-
-// Collector is the sequential bottleneck collector. Feed every event of
-// every thread in per-thread order via Observe, then call Finish once.
-type Collector struct {
-	threads collectors
-	last    *threadCollector // of the previous Observe: streams arrive in runs
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{threads: make(collectors)}
-}
-
-// Observe feeds one event of thread tid. Events of one thread must
-// arrive in stream order; threads may interleave arbitrarily.
-func (c *Collector) Observe(tid int, ev trace.Event) {
-	if c.last == nil || c.last.tid != tid {
-		c.last = c.threads.thread(tid, 0)
-	}
-	c.last.observe(&ev)
-}
-
-// ObserveQuery is Observe restricted to events matching q.
-func (c *Collector) ObserveQuery(tid int, ev trace.Event, q trace.Query) {
-	if q.Match(tid, ev) {
-		c.Observe(tid, ev)
-	}
-}
-
-// Finish runs classification and path reconstruction and returns the
-// analysis. The collector must not be reused afterwards.
-func (c *Collector) Finish() *Analysis { return c.threads.finish(false) }
-
-// ParallelCollector is the shard-safe collector: ObserveBatch may be
-// called concurrently for different threads, with each thread's batches
-// delivered in order by one goroutine at a time (the same contract as
-// trace.ParallelAnalyzer). Finish is reflect.DeepEqual-identical to the
-// sequential Collector on the same stream.
-type ParallelCollector struct {
-	mu      sync.Mutex
-	threads collectors
-	events  map[int]int
-}
-
-// NewParallelCollector returns an empty parallel collector. events,
-// when not nil, tells how many events each thread's stream will hold
-// (an archive's index knows); the thread's buffers are sized by it.
-func NewParallelCollector(events map[int]int) *ParallelCollector {
-	return &ParallelCollector{threads: make(collectors), events: events}
-}
-
-func (p *ParallelCollector) thread(tid int) *threadCollector {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.threads.thread(tid, p.events[tid])
-}
-
-// ObserveBatch feeds one in-order run of thread tid's events. The lock
-// covers only the shard lookup; the scan runs unlocked under the
-// per-thread serialization contract. The batch slice is not retained.
-func (p *ParallelCollector) ObserveBatch(tid int, events []trace.Event) {
-	tc := p.thread(tid)
+	c.mu.Unlock()
 	for i := range events {
 		tc.observe(&events[i])
 	}
 }
 
-// ObserveBatchQuery is ObserveBatch restricted to events matching q.
-func (p *ParallelCollector) ObserveBatchQuery(tid int, events []trace.Event, q trace.Query) {
-	if !q.MatchThread(tid) {
-		return
+// Finish runs classification and path reconstruction and returns the
+// analysis. All Consume calls must have returned; the collector must not
+// be reused afterwards.
+func (c *Collector) Finish() *Analysis {
+	tcs := make([]*threadCollector, 0, len(c.threads))
+	for _, tc := range c.threads {
+		tcs = append(tcs, tc)
 	}
-	tc := p.thread(tid)
-	for i := range events {
-		if q.MatchTime(events[i].Time) {
-			tc.observe(&events[i])
-		}
-	}
+	return finish(tcs, c.concurrent)
 }
 
-// Finish runs classification and returns the analysis. All ObserveBatch
-// calls must have completed; the collector must not be reused.
-func (p *ParallelCollector) Finish() *Analysis { return p.threads.finish(true) }
-
-// Analyze runs the bottleneck analysis over an in-memory trace.
+// Analyze and AnalyzeQuery are trace.Scan with a Collector, kept under
+// these names only because benchmark/ calls them (ROADMAP item 3 removes
+// them).
 func Analyze(tr *trace.Trace) *Analysis { return AnalyzeQuery(tr, trace.Query{}, 1) }
 
-// AnalyzeQuery analyzes the sub-trace matching q using up to workers
-// goroutines (one per thread at a time; workers <= 0 uses GOMAXPROCS).
-// The result is reflect.DeepEqual-identical at every worker count.
 func AnalyzeQuery(tr *trace.Trace, q trace.Query, workers int) *Analysis {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	tcs := make([]*threadCollector, 0, len(tr.Threads))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for tid, events := range tr.Threads {
-		if !q.MatchThread(tid) {
-			continue
-		}
-		tc := &threadCollector{tid: tid}
-		if !q.Windowed {
-			tc.reserve(len(events))
-		}
-		tcs = append(tcs, tc)
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			for i := range events {
-				if q.MatchTime(events[i].Time) {
-					tc.observe(&events[i])
-				}
-			}
-			<-sem
-		}()
-	}
-	wg.Wait()
-	return finish(tcs, workers > 1)
+	c := NewCollector(workers)
+	trace.Scan(tr, q, workers, c)
+	return c.Finish()
 }

@@ -140,7 +140,7 @@ func TestGoldenAnalyses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, err := otf2.ReadAll(bytes.NewReader(data), region.NewRegistry())
+			tr, _, err := otf2.Load(bytes.NewReader(data), region.NewRegistry(), otf2.Query{}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,11 +168,11 @@ func TestGoldenAnalyses(t *testing.T) {
 					if got := marshalAnalysis(t, bottleneck.AnalyzeQuery(tr, q, workers)); !bytes.Equal(got, want[i]) {
 						t.Errorf("query %d %+v workers=%d in memory:\n got %s\nwant %s", i, q, workers, got, want[i])
 					}
-					a, _, err := otf2.AnalyzeBottlenecks(bytes.NewReader(data), q, workers)
-					if err != nil {
+					c := bottleneck.NewCollector(workers)
+					if _, err := otf2.Scan(bytes.NewReader(data), q, workers, c); err != nil {
 						t.Fatal(err)
 					}
-					if got := marshalAnalysis(t, a); !bytes.Equal(got, want[i]) {
+					if got := marshalAnalysis(t, c.Finish()); !bytes.Equal(got, want[i]) {
 						t.Errorf("query %d %+v workers=%d out of core:\n got %s\nwant %s", i, q, workers, got, want[i])
 					}
 				}

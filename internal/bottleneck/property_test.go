@@ -25,10 +25,10 @@ func checkInvariants(t *testing.T, tr *trace.Trace, wellFormed bool) bool {
 		tids = append(tids, tid)
 	}
 	sort.Ints(tids)
-	c := NewCollector()
+	c := NewCollector(1)
 	for _, tid := range tids {
 		for _, ev := range tr.Threads[tid] {
-			c.Observe(tid, ev)
+			c.Consume(tid, []trace.Event{ev}) // the shortest runs a scan can cut
 		}
 	}
 	gaps, idles := map[int]int64{}, map[int]int64{}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/region"
 	"repro/internal/trace"
@@ -76,7 +78,7 @@ func BenchmarkDecode(b *testing.B) {
 	data := buf.Bytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadAll(bytes.NewReader(data), region.NewRegistry()); err != nil {
+		if _, err := loadSequential(bytes.NewReader(data), region.NewRegistry()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +97,7 @@ func BenchmarkStreamAnalyze(b *testing.B) {
 	data := buf.Bytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(bytes.NewReader(data)); err != nil {
+		if _, err := analyzeParallel(bytes.NewReader(data), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -135,6 +137,58 @@ func BenchmarkWriteThroughput(b *testing.B) {
 	})
 }
 
+// BenchmarkIndexedWriteGate is CI's write gate (`go test ./internal/otf2
+// -run '^$' -bench IndexedWriteGate -benchtime 1x`): the footer index
+// must stay nearly free on the write path. Each round times the same 4 M
+// events of one thread's stream (batches of 512, cycling) through a
+// fresh v1 writer and then a fresh v2 writer, Close excluded — the index
+// itself is paid once per archive, not per event — so the two timings of
+// a round lie tens of milliseconds apart and sample the same noise. It
+// fails when the upper quartile of the rounds' v2:v1 throughput ratios is
+// below 0.95: a busy neighbour only drags single rounds down, never up,
+// so a healthy writer shows ratios near 1 in its quietest rounds, while a
+// regression of the encode path shifts every round. It is a benchmark
+// and not a test so that `go test ./...` never runs a wall-clock gate.
+func BenchmarkIndexedWriteGate(b *testing.B) {
+	evs := benchTrace(1, 4096).Threads[0]
+	writeNs := func(events int, opts ...WriterOption) float64 {
+		var n countingWriter
+		w := NewWriter(&n, opts...)
+		start := time.Now()
+		for done := 0; done < events; {
+			lo := done % len(evs)
+			hi := min(lo+512, len(evs), lo+events-done)
+			if err := w.WriteEvents(0, evs[lo:hi]); err != nil {
+				b.Fatal(err)
+			}
+			done += hi - lo
+		}
+		ns := float64(time.Since(start).Nanoseconds())
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+		return ns
+	}
+	const events, rounds = 4 << 20, 15
+	writeNs(events / 4) // one untimed pass a side: pools and branch state
+	writeNs(events/4, WithVersion(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ratios := make([]float64, rounds)
+		for r := range ratios {
+			v1 := writeNs(events, WithVersion(1))
+			ratios[r] = v1 / writeNs(events)
+		}
+		slices.Sort(ratios)
+		p75 := ratios[rounds*3/4]
+		b.ReportMetric(p75, "v2:v1-p75")
+		b.ReportMetric(ratios[rounds/2], "v2:v1-p50")
+		if p75 < 0.95 {
+			b.Fatalf("v2 write throughput is below 95%% of v1: upper-quartile ratio %.3f (rounds sorted: %.2f)", p75, ratios)
+		}
+	}
+}
+
 // countingWriter discards bytes, counting them.
 type countingWriter int64
 
@@ -146,7 +200,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 var _ io.Writer = (*countingWriter)(nil)
 
 // BenchmarkLoad measures a whole-archive load by plan (raw and flate, one
-// and two workers) against the sequential ReadAll every index-less input
+// and two workers) against the sequential load every index-less input
 // falls back to.
 func BenchmarkLoad(b *testing.B) {
 	tr := benchTrace(4, 50_000)
@@ -168,7 +222,7 @@ func BenchmarkLoad(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 			})
 		}
-		run("sequential", func() (*trace.Trace, error) { return ReadAll(bytes.NewReader(data), region.NewRegistry()) })
+		run("sequential", func() (*trace.Trace, error) { return loadSequential(bytes.NewReader(data), region.NewRegistry()) })
 		for _, workers := range []int{1, 2} {
 			run(fmt.Sprintf("planned-%d", workers), func() (*trace.Trace, error) {
 				return ReadAllParallel(bytes.NewReader(data), region.NewRegistry(), workers)

@@ -12,7 +12,7 @@ import (
 )
 
 // TestBottlenecksMatchInMemoryReference checks the defining property of
-// the out-of-core bottleneck analysis: AnalyzeBottlenecks over an
+// the out-of-core bottleneck analysis: Scan into a Collector over an
 // archive equals fully decoding it, filtering with the query, and
 // running the in-memory analysis — at worker counts 1 and 4, on
 // indexed (v2), compressed, and fallback (v1) archives.
@@ -24,19 +24,19 @@ func TestBottlenecksMatchInMemoryReference(t *testing.T) {
 		"v1":       queryArchive(t, tr, WithVersion(1)),
 	}
 	for name, archive := range archives {
-		full, err := ReadAll(bytes.NewReader(archive), region.NewRegistry())
+		full, err := loadSequential(bytes.NewReader(archive), region.NewRegistry())
 		if err != nil {
-			t.Fatalf("%s: ReadAll: %v", name, err)
+			t.Fatalf("%s: loadSequential: %v", name, err)
 		}
 		for _, q := range queryCases(full) {
 			want := bottleneck.Analyze(q.Filter(full))
 			for _, workers := range []int{1, 4} {
-				got, st, err := AnalyzeBottlenecks(bytes.NewReader(archive), q, workers)
+				got, st, err := analyzeBottlenecks(bytes.NewReader(archive), q, workers)
 				if err != nil {
-					t.Fatalf("%s workers=%d %v: AnalyzeBottlenecks: %v", name, workers, q, err)
+					t.Fatalf("%s workers=%d %v: Scan into a Collector: %v", name, workers, q, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s workers=%d %v: AnalyzeBottlenecks != analyze(filter(full))", name, workers, q)
+					t.Errorf("%s workers=%d %v: Scan into a Collector != analyze(filter(full))", name, workers, q)
 				}
 				if wantIndexed := name != "v1"; st.Indexed != wantIndexed {
 					t.Errorf("%s workers=%d %v: stats.Indexed = %v, want %v", name, workers, q, st.Indexed, wantIndexed)
@@ -58,15 +58,15 @@ func TestBottlenecksTruncatedSalvage(t *testing.T) {
 	if _, err := ReadIndex(bytes.NewReader(archive[:cut])); err == nil {
 		t.Fatal("truncated archive still has a readable index")
 	}
-	// The reference: the events ReadAllQuery itself salvages from the
+	// The reference: the events Load itself salvages from the
 	// same prefix, analyzed in memory.
-	prefix, _, err := ReadAllQuery(bytes.NewReader(archive[:cut]), region.NewRegistry(), Query{}, 1)
+	prefix, _, err := Load(bytes.NewReader(archive[:cut]), region.NewRegistry(), Query{}, 1)
 	if !errors.Is(err, ErrTruncated) {
-		t.Fatalf("ReadAllQuery err = %v, want ErrTruncated", err)
+		t.Fatalf("Load err = %v, want ErrTruncated", err)
 	}
 	want := bottleneck.Analyze(prefix)
 	for _, workers := range []int{1, 4} {
-		a, st, err := AnalyzeBottlenecks(bytes.NewReader(archive[:cut]), Query{}, workers)
+		a, st, err := analyzeBottlenecks(bytes.NewReader(archive[:cut]), Query{}, workers)
 		if !errors.Is(err, ErrTruncated) {
 			t.Fatalf("workers=%d: err = %v, want ErrTruncated", workers, err)
 		}

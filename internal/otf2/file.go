@@ -7,159 +7,91 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 
 	"repro/internal/region"
 	"repro/internal/trace"
 )
 
-// ReadFile loads a trace file in the format chosen by its extension
-// (".otf2" is a binary archive, anything else JSONL), interning regions
-// into reg. Archives are decoded with workers goroutines (<= 0 one per
-// processor; JSONL is always sequential): by plan when the archive has
-// its footer index, one worker or many, and by the sequential ReadAll
-// when it does not — see ReadAllParallel. An archive cut off mid-chunk
-// (crashed run) is salvaged: the intact prefix is returned together
-// with an error wrapping ErrTruncated, and the caller decides whether
-// to use it.
-func ReadFile(path string, reg *region.Registry, workers int) (*trace.Trace, error) {
+// ScanFile feeds the events of a trace file matching q to the consumers:
+// Scan for a binary archive (".otf2"), trace.Scan of the decoded file for
+// anything else (JSONL). It is the one way an analysis reads a file, and
+// with LoadFile the one place a cut archive becomes a warning: the
+// typical state after a crashed or killed run delivers its intact prefix
+// and a human-readable warning ("" for an intact trace) instead of an
+// error. Anything else — I/O failures, corruption, a bad JSONL line —
+// still fails.
+func ScanFile(path string, q Query, workers int, consumers ...trace.Consumer) (QueryStats, string, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return QueryStats{}, "", err
+	}
+	defer f.Close()
+	var st QueryStats
+	if IsArchivePath(path) {
+		st, err = Scan(f, q, workers, consumers...)
+	} else {
+		var tr *trace.Trace
+		if tr, err = trace.ReadJSONL(f, region.NewRegistry()); err == nil {
+			trace.Scan(tr, q, workers, consumers...)
+		}
+	}
+	warning, err := salvage(err)
+	return st, warning, err
+}
+
+// LoadFile loads the sub-trace of a trace file matching q, in the format
+// chosen by its extension like ScanFile, interning regions into reg:
+// Load for an archive, the filtered decode for JSONL (always
+// sequential). A cut archive yields its intact prefix and a warning.
+func LoadFile(path string, reg *region.Registry, q Query, workers int) (*trace.Trace, QueryStats, string, error) {
+	tr, st, err := loadFile(path, reg, q, workers)
+	warning, err := salvage(err)
+	return tr, st, warning, err
+}
+
+// loadFile is LoadFile before the salvage: a cut archive's prefix comes
+// with an error wrapping ErrTruncated.
+func loadFile(path string, reg *region.Registry, q Query, workers int) (*trace.Trace, QueryStats, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, QueryStats{}, err
 	}
 	defer f.Close()
 	if IsArchivePath(path) {
-		return ReadAllParallel(f, reg, workers)
+		return Load(f, reg, q, workers)
 	}
-	return trace.ReadJSONL(f, reg)
+	tr, err := trace.ReadJSONL(f, reg)
+	if err == nil && !q.All() {
+		tr = q.Filter(tr)
+	}
+	return tr, QueryStats{}, err
 }
 
-// ReadFileLenient is ReadFile with the warn-and-continue truncation
-// policy applied: an archive cut off mid-chunk (the typical state after
-// a crashed or killed run) yields the salvaged intact prefix and a
-// human-readable warning instead of an error. Anything else — I/O
-// failures, corruption, a bad JSONL line — still fails. The warning is
-// "" for an intact trace.
-func ReadFileLenient(path string, reg *region.Registry, workers int) (*trace.Trace, string, error) {
-	tr, err := ReadFile(path, reg, workers)
+// salvage applies the warn-and-continue policy to what reading a file
+// returned: truncation, and only truncation, becomes a warning.
+func salvage(err error) (warning string, _ error) {
 	if errors.Is(err, ErrTruncated) {
-		return tr, fmt.Sprintf("%v; using the intact prefix (%d events)", err, tr.NumEvents()), nil
+		return fmt.Sprintf("%v; using the intact prefix", err), nil
 	}
-	return tr, "", err
+	return "", err
 }
 
-// AnalyzeFile runs the trace analysis over a trace file in either
-// format (by extension, like ReadFile). Archives are replayed streaming
-// in O(workers x chunk) memory, so they may be far larger than RAM;
-// workers <= 0 analyzes with one worker per processor — the result is
-// identical at every worker count.
-// Truncated archives are salvaged under the same lenient policy as
-// ReadFileLenient: the analysis of the intact prefix is returned with a
-// warning.
-func AnalyzeFile(path string, workers int) (*trace.Analysis, string, error) {
-	if !IsArchivePath(path) {
-		tr, warn, err := ReadFileLenient(path, region.NewRegistry(), 1)
-		if err != nil {
-			return nil, "", err
-		}
-		return trace.AnalyzeParallel(tr, workers), warn, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, "", err
-	}
-	defer f.Close()
-	a, err := AnalyzeParallel(f, workers)
-	if errors.Is(err, ErrTruncated) {
-		return a, fmt.Sprintf("%v; analyzing the intact prefix", err), nil
-	}
-	return a, "", err
-}
+// eventCount is the consumer that counts what a scan delivers.
+type eventCount struct{ n atomic.Int64 }
 
-// CountFileEvents counts a trace file's events. Archives are iterated
+func (*eventCount) Hint(map[int]int) {}
+
+func (c *eventCount) Consume(_ int, events []trace.Event) { c.n.Add(int64(len(events))) }
+
+// CountFileEvents counts a trace file's events. Archives are scanned
 // without materializing the trace, in O(chunk) memory; truncation is
-// salvaged leniently, returning the intact prefix's count plus a
+// salvaged as in ScanFile, returning the intact prefix's count plus a
 // warning.
 func CountFileEvents(path string) (int, string, error) {
-	if !IsArchivePath(path) {
-		tr, warn, err := ReadFileLenient(path, region.NewRegistry(), 1)
-		if err != nil {
-			return 0, "", err
-		}
-		return tr.NumEvents(), warn, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, "", err
-	}
-	defer f.Close()
-	rd, err := NewReader(f, region.NewRegistry())
-	events := 0
-	if err == nil {
-		for {
-			if _, _, err = rd.Next(); err != nil {
-				break
-			}
-			events++
-		}
-	}
-	if err != nil && err != io.EOF {
-		if !errors.Is(err, ErrTruncated) {
-			return 0, "", err
-		}
-		return events, fmt.Sprintf("%v; counting the intact prefix", err), nil
-	}
-	return events, "", nil
-}
-
-// AnalyzeFileQuery runs the trace analysis over the sub-trace of a
-// trace file matching q, with the same lenient truncation policy as
-// AnalyzeFile. Archives carrying a footer index are accessed through
-// it, reading only the chunks whose thread and time bounds can match;
-// v1, truncated and JSONL traces fall back to a full scan with
-// event-level filtering. The analysis is always identical to
-// filtering the fully decoded trace with q and analyzing that.
-func AnalyzeFileQuery(path string, q Query, workers int) (*trace.Analysis, QueryStats, string, error) {
-	if !IsArchivePath(path) {
-		tr, warn, err := ReadFileLenient(path, region.NewRegistry(), 1)
-		if err != nil {
-			return nil, QueryStats{}, "", err
-		}
-		return trace.AnalyzeParallel(q.Filter(tr), workers), QueryStats{}, warn, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, QueryStats{}, "", err
-	}
-	defer f.Close()
-	a, st, err := AnalyzeQuery(f, q, workers)
-	if errors.Is(err, ErrTruncated) {
-		return a, st, fmt.Sprintf("%v; analyzing the intact prefix", err), nil
-	}
-	return a, st, "", err
-}
-
-// ReadFileQuery loads the sub-trace of a trace file matching q, with
-// the same index-driven access, fallback and lenient salvage as
-// AnalyzeFileQuery. The loaded trace equals q.Filter of the full
-// trace: threads without matching events are absent.
-func ReadFileQuery(path string, reg *region.Registry, q Query, workers int) (*trace.Trace, QueryStats, string, error) {
-	if !IsArchivePath(path) {
-		tr, warn, err := ReadFileLenient(path, reg, 1)
-		if err != nil {
-			return nil, QueryStats{}, "", err
-		}
-		return q.Filter(tr), QueryStats{}, warn, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, QueryStats{}, "", err
-	}
-	defer f.Close()
-	tr, st, err := ReadAllQuery(f, reg, q, workers)
-	if errors.Is(err, ErrTruncated) {
-		return tr, st, fmt.Sprintf("%v; using the intact prefix (%d events)", err, tr.NumEvents()), nil
-	}
-	return tr, st, "", err
+	var c eventCount
+	_, warning, err := ScanFile(path, Query{}, 1, &c)
+	return int(c.n.Load()), warning, err
 }
 
 // ArchiveStats describes the physical layout of a binary archive — the
@@ -292,7 +224,7 @@ func scanFlightInfo(f io.Reader) *FlightInfo {
 // IntactPrefixSize scans the chunk framing of the archive at path and
 // returns the byte length of its intact prefix: the 8-byte header plus
 // every complete chunk before the first truncated or over-long one.
-// This is the cut point the lenient readers salvage to, computed
+// This is the cut point ScanFile and LoadFile salvage to, computed
 // without decoding any payload (chunk headers are read, payloads are
 // skipped), so it is O(chunks) in time and O(1) in memory. A file
 // shorter than the header, or one whose magic or version byte is wrong,

@@ -31,6 +31,12 @@ func fileTestTrace(reg *region.Registry, n int) *trace.Trace {
 	return &trace.Trace{Threads: map[int][]trace.Event{0: evs}}
 }
 
+// loadWhole is LoadFile of the whole file on one worker.
+func loadWhole(path string) (*trace.Trace, string, error) {
+	tr, _, warning, err := LoadFile(path, region.NewRegistry(), Query{}, 1)
+	return tr, warning, err
+}
+
 func TestReadFileLenientIntact(t *testing.T) {
 	dir := t.TempDir()
 	reg := region.NewRegistry()
@@ -40,9 +46,9 @@ func TestReadFileLenientIntact(t *testing.T) {
 		if err := WriteFile(path, tr); err != nil {
 			t.Fatal(err)
 		}
-		got, warning, err := ReadFileLenient(path, region.NewRegistry(), 1)
+		got, warning, err := loadWhole(path)
 		if err != nil || warning != "" {
-			t.Fatalf("%s: ReadFileLenient = (_, %q, %v), want no warning, no error", name, warning, err)
+			t.Fatalf("%s: LoadFile = (_, %q, %v), want no warning, no error", name, warning, err)
 		}
 		if got.NumEvents() != tr.NumEvents() {
 			t.Errorf("%s: events = %d, want %d", name, got.NumEvents(), tr.NumEvents())
@@ -86,7 +92,7 @@ func TestReadFileLenientTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, warning, err := ReadFileLenient(path, region.NewRegistry(), 1)
+	got, warning, err := loadWhole(path)
 	if err != nil {
 		t.Fatalf("truncated archive must salvage, got %v", err)
 	}
@@ -102,7 +108,7 @@ func TestReadFileLenientTruncated(t *testing.T) {
 		t.Fatalf("CountFileEvents = (_, %q, %v), want warning and no error", warning2, err)
 	}
 	if n != got.NumEvents() {
-		t.Errorf("CountFileEvents = %d, ReadFileLenient salvaged %d", n, got.NumEvents())
+		t.Errorf("CountFileEvents = %d, LoadFile salvaged %d", n, got.NumEvents())
 	}
 
 	a, warning3, err := AnalyzeFile(path, 1)
@@ -111,6 +117,10 @@ func TestReadFileLenientTruncated(t *testing.T) {
 	}
 	if want := trace.Analyze(got); !reflect.DeepEqual(a, want) {
 		t.Errorf("streaming analysis of the prefix differs from in-memory analysis")
+	}
+	// One cut, one wording, whichever way the file is read.
+	if warning2 != warning || warning3 != warning {
+		t.Errorf("the cut is worded three ways: %q, %q, %q", warning, warning2, warning3)
 	}
 }
 
@@ -189,14 +199,14 @@ func TestIntactPrefixSize(t *testing.T) {
 	if prefix <= int64(len(magic)+1) || prefix >= cut {
 		t.Fatalf("IntactPrefixSize = %d, want a chunk boundary in (8, %d)", prefix, cut)
 	}
-	salvaged, warning, err := ReadFileLenient(cutPath, region.NewRegistry(), 1)
+	salvaged, warning, err := loadWhole(cutPath)
 	if err != nil || warning == "" {
-		t.Fatalf("ReadFileLenient(cut) = (_, %q, %v), want salvage warning", warning, err)
+		t.Fatalf("LoadFile(cut) = (_, %q, %v), want salvage warning", warning, err)
 	}
 	if err := os.Truncate(cutPath, prefix); err != nil {
 		t.Fatal(err)
 	}
-	clean, warning, err := ReadFileLenient(cutPath, region.NewRegistry(), 1)
+	clean, warning, err := loadWhole(cutPath)
 	if err != nil || warning != "" {
 		t.Fatalf("truncated-to-prefix archive = (_, %q, %v), want clean read", warning, err)
 	}
@@ -225,8 +235,8 @@ func TestIntactPrefixSize(t *testing.T) {
 
 func TestLenientHelpersRealErrors(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.otf2")
-	if _, _, err := ReadFileLenient(missing, region.NewRegistry(), 1); err == nil {
-		t.Error("ReadFileLenient accepted a missing file")
+	if _, _, err := loadWhole(missing); err == nil {
+		t.Error("LoadFile accepted a missing file")
 	}
 	if _, _, err := AnalyzeFile(missing, 1); err == nil {
 		t.Error("AnalyzeFile accepted a missing file")

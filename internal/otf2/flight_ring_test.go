@@ -401,7 +401,7 @@ func TestFlightDumpAnalysesMatchReference(t *testing.T) {
 	if !inside {
 		t.Fatal("no thread's window starts inside a task")
 	}
-	got, err := ReadAll(bytes.NewReader(data), reg)
+	got, err := loadSequential(bytes.NewReader(data), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestFlightDumpAnalysesMatchReference(t *testing.T) {
 	if a, b := bottleneck.Analyze(got), bottleneck.Analyze(want); !reflect.DeepEqual(a, b) {
 		t.Errorf("bottleneck.Analyze over the dump: %+v\nover the reference window: %+v", a, b)
 	}
-	scanned, _, err := AnalyzeBottlenecks(bytes.NewReader(data), Query{}, 2)
+	scanned, _, err := analyzeBottlenecks(bytes.NewReader(data), Query{}, 2)
 	if err != nil || !reflect.DeepEqual(scanned, bottleneck.Analyze(want)) {
 		t.Errorf("the bottleneck scan of the dump differs from the analysis of the reference window (err %v)", err)
 	}
@@ -461,7 +461,7 @@ func TestFlightDumpReaderRules(t *testing.T) {
 			if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			salv, _, err := ReadFileLenient(path, reg, 2)
+			salv, _, _, err := LoadFile(path, reg, Query{}, 2)
 			if err != nil || salv.NumEvents() == 0 {
 				t.Fatalf("%v: dump cut at %d: %d events, err %v", comp, cut, salv.NumEvents(), err)
 			}
@@ -477,7 +477,7 @@ func TestFlightDumpReaderRules(t *testing.T) {
 
 		evs := want.Threads[1]
 		q := Query{Windowed: true, MinTime: evs[len(evs)/3].Time, MaxTime: evs[2*len(evs)/3].Time}
-		got, qst, err := ReadAllQuery(bytes.NewReader(data), reg, q, 2)
+		got, qst, err := Load(bytes.NewReader(data), reg, q, 2)
 		if err != nil || !qst.Indexed || qst.ChunksRead >= qst.ChunksTotal {
 			t.Fatalf("%v: window query: %+v, err %v", comp, qst, err)
 		}

@@ -195,9 +195,9 @@ func TestFlightDumpDiskFullSalvage(t *testing.T) {
 	if n, err := IntactPrefixSize(path); err != nil || n <= 0 {
 		t.Fatalf("IntactPrefixSize = %d, %v", n, err)
 	}
-	salv, _, err := ReadFileLenient(path, region.NewRegistry(), 1)
+	salv, _, _, err := LoadFile(path, region.NewRegistry(), Query{}, 1)
 	if err != nil {
-		t.Fatalf("ReadFileLenient on partial dump: %v", err)
+		t.Fatalf("LoadFile on partial dump: %v", err)
 	}
 	if salv.NumEvents() == 0 || salv.NumEvents() >= tr.NumEvents() {
 		t.Fatalf("salvaged %d events, want a proper non-empty prefix of %d", salv.NumEvents(), tr.NumEvents())
@@ -236,9 +236,9 @@ func TestFlightInfoChunkSkippedByOldReaders(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()), region.NewRegistry())
+	got, err := loadSequential(bytes.NewReader(buf.Bytes()), region.NewRegistry())
 	if err != nil {
-		t.Fatalf("ReadAll with mid-archive accounting chunk: %v", err)
+		t.Fatalf("loadSequential with mid-archive accounting chunk: %v", err)
 	}
 	if got.NumEvents() != tr.NumEvents() {
 		t.Fatalf("events = %d, want %d", got.NumEvents(), tr.NumEvents())

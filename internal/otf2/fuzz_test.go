@@ -55,16 +55,16 @@ func FuzzCodec(f *testing.F) {
 		// (it exercises ReadIndex, ReadChunkAt, inflateChunk and the
 		// indexed worker pool on top of the plain decoder).
 		q := Query{Windowed: true, MinTime: 10, MaxTime: 1 << 40}
-		if a, _, err := AnalyzeQuery(bytes.NewReader(data), q, 2); err == nil {
-			ref, _, rerr := ReadAllQuery(bytes.NewReader(data), region.NewRegistry(), q, 1)
+		if a, _, err := analyzeQuery(bytes.NewReader(data), q, 2); err == nil {
+			ref, _, rerr := Load(bytes.NewReader(data), region.NewRegistry(), q, 1)
 			if rerr != nil {
-				t.Fatalf("AnalyzeQuery accepted input ReadAllQuery rejects: %v", rerr)
+				t.Fatalf("Scan accepted input Load rejects: %v", rerr)
 			}
 			if want := trace.Analyze(ref); !reflect.DeepEqual(a, want) {
-				t.Fatalf("AnalyzeQuery != analyze(ReadAllQuery): %+v vs %+v", a, want)
+				t.Fatalf("Scan != analyze(Load): %+v vs %+v", a, want)
 			}
 		}
-		tr, err := ReadAll(bytes.NewReader(data), region.NewRegistry())
+		tr, err := loadSequential(bytes.NewReader(data), region.NewRegistry())
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
@@ -72,7 +72,7 @@ func FuzzCodec(f *testing.F) {
 		if err := Write(&buf, tr); err != nil {
 			t.Fatalf("re-encoding decoded trace: %v", err)
 		}
-		tr2, err := ReadAll(bytes.NewReader(buf.Bytes()), region.NewRegistry())
+		tr2, err := loadSequential(bytes.NewReader(buf.Bytes()), region.NewRegistry())
 		if err != nil {
 			t.Fatalf("re-decoding re-encoded trace: %v", err)
 		}

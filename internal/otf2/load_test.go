@@ -236,9 +236,9 @@ func TestMemoryDiscard(t *testing.T) {
 func TestLoadMatrix(t *testing.T) {
 	dir := t.TempDir()
 	for name, data := range loadArchives(t, 600) {
-		want, werr := ReadAll(bytes.NewReader(data), region.NewRegistry())
+		want, werr := loadSequential(bytes.NewReader(data), region.NewRegistry())
 		if truncated := name == "cut"; errors.Is(werr, ErrTruncated) != truncated || (werr != nil && !truncated) {
-			t.Fatalf("%s: ReadAll: %v", name, werr)
+			t.Fatalf("%s: loadSequential: %v", name, werr)
 		}
 		if name == "cut" && want.NumEvents() == 0 {
 			t.Fatal("cut: no intact prefix to salvage")
@@ -292,17 +292,17 @@ func TestLoadMatrix(t *testing.T) {
 func TestLoadTakesThePlan(t *testing.T) {
 	for name, data := range loadArchives(t, 600) {
 		wantIndexed := name != "v1" && name != "cut"
-		_, st, err := ReadAllQuery(bytes.NewReader(data), region.NewRegistry(), Query{}, 2)
+		_, st, err := Load(bytes.NewReader(data), region.NewRegistry(), Query{}, 2)
 		if err != nil && !errors.Is(err, ErrTruncated) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if st.Indexed != wantIndexed {
 			t.Errorf("%s on a bytes.Reader: Indexed = %v, want %v", name, st.Indexed, wantIndexed)
 		}
-		if _, st, _ := ReadAllQuery(memoryOf(data).Reader(), region.NewRegistry(), Query{}, 2); st.Indexed != wantIndexed {
+		if _, st, _ := Load(memoryOf(data).Reader(), region.NewRegistry(), Query{}, 2); st.Indexed != wantIndexed {
 			t.Errorf("%s in a Memory: Indexed = %v, want %v", name, st.Indexed, wantIndexed)
 		}
-		if _, st, _ := ReadAllQuery(plainReader{bytes.NewReader(data)}, region.NewRegistry(), Query{}, 2); st.Indexed {
+		if _, st, _ := Load(plainReader{bytes.NewReader(data)}, region.NewRegistry(), Query{}, 2); st.Indexed {
 			t.Errorf("%s on a plain io.Reader took the planned path", name)
 		}
 	}
@@ -314,7 +314,7 @@ func TestLoadTakesThePlan(t *testing.T) {
 func TestWindowedLoadMatchesFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for name, data := range loadArchives(t, 600) {
-		full, err := ReadAll(bytes.NewReader(data), region.NewRegistry())
+		full, err := loadSequential(bytes.NewReader(data), region.NewRegistry())
 		if err != nil && !errors.Is(err, ErrTruncated) {
 			t.Fatal(err)
 		}
@@ -337,7 +337,7 @@ func TestWindowedLoadMatchesFilter(t *testing.T) {
 			}
 			want := q.Filter(full)
 			for _, workers := range []int{1, 4} {
-				got, _, err := ReadAllQuery(bytes.NewReader(data), region.NewRegistry(), q, workers)
+				got, _, err := Load(bytes.NewReader(data), region.NewRegistry(), q, workers)
 				if err != nil && !errors.Is(err, ErrTruncated) {
 					t.Fatalf("%s %v: %v", name, q, err)
 				}
@@ -423,14 +423,14 @@ func TestIndexLiesAreCorruption(t *testing.T) {
 		}
 		paths := map[string]func() error{
 			"ReadAllParallel": func() error { _, err := ReadAllParallel(bytes.NewReader(bad), region.NewRegistry(), 2); return err },
-			"ReadAllQuery": func() error {
-				_, _, err := ReadAllQuery(bytes.NewReader(bad), region.NewRegistry(), zero, 1)
+			"Load": func() error {
+				_, _, err := Load(bytes.NewReader(bad), region.NewRegistry(), zero, 1)
 				return err
 			},
-			"AnalyzeParallel": func() error { _, err := AnalyzeParallel(bytes.NewReader(bad), 2); return err },
-			"AnalyzeQuery":    func() error { _, _, err := AnalyzeQuery(bytes.NewReader(bad), zero, 1); return err },
-			"AnalyzeBottlenecks": func() error {
-				_, _, err := AnalyzeBottlenecks(bytes.NewReader(bad), zero, 2)
+			"Scan, two workers": func() error { _, err := analyzeParallel(bytes.NewReader(bad), 2); return err },
+			"Scan":              func() error { _, _, err := analyzeQuery(bytes.NewReader(bad), zero, 1); return err },
+			"Scan into a Collector": func() error {
+				_, _, err := analyzeBottlenecks(bytes.NewReader(bad), zero, 2)
 				return err
 			},
 		}
@@ -452,14 +452,14 @@ func TestIndexLiesAreCorruption(t *testing.T) {
 	q := Query{Windowed: true, MinTime: victims[0].MinTime, MaxTime: victims[1].MaxTime}
 	for _, name := range []string{"count too high", "count too low", "base time"} {
 		bad := reindexed(t, archive, lies[name])
-		if _, _, err := ReadAllQuery(bytes.NewReader(bad), region.NewRegistry(), q, 2); err == nil || !strings.Contains(err.Error(), "corrupt") {
-			t.Errorf("%s: windowed ReadAllQuery returned %v, want a corruption error", name, err)
+		if _, _, err := Load(bytes.NewReader(bad), region.NewRegistry(), q, 2); err == nil || !strings.Contains(err.Error(), "corrupt") {
+			t.Errorf("%s: windowed Load returned %v, want a corruption error", name, err)
 		}
-		if _, _, err := AnalyzeBottlenecks(bytes.NewReader(bad), q, 2); err == nil || !strings.Contains(err.Error(), "corrupt") {
-			t.Errorf("%s: windowed AnalyzeBottlenecks returned %v, want a corruption error", name, err)
+		if _, _, err := analyzeBottlenecks(bytes.NewReader(bad), q, 2); err == nil || !strings.Contains(err.Error(), "corrupt") {
+			t.Errorf("%s: windowed Scan into a Collector returned %v, want a corruption error", name, err)
 		}
 	}
-	if _, _, err := ReadAllQuery(bytes.NewReader(archive), region.NewRegistry(), q, 2); err != nil {
+	if _, _, err := Load(bytes.NewReader(archive), region.NewRegistry(), q, 2); err != nil {
 		t.Fatalf("the window on the honest archive: %v", err)
 	}
 }
@@ -479,11 +479,11 @@ func TestRegionIDLimit(t *testing.T) {
 		out = append(append(out, defs...), chunkEvents, byte(len(events)))
 		return append(out, events...)
 	}
-	tr, err := ReadAll(bytes.NewReader(archive(300)), region.NewRegistry())
+	tr, err := loadSequential(bytes.NewReader(archive(300)), region.NewRegistry())
 	if err != nil || tr.NumEvents() != 1 || tr.Threads[0][0].Region.Name != "r" {
 		t.Fatalf("region id 300: %v", err)
 	}
-	if _, err := ReadAll(bytes.NewReader(archive(maxRegions)), region.NewRegistry()); err == nil || !strings.Contains(err.Error(), "corrupt") {
+	if _, err := loadSequential(bytes.NewReader(archive(maxRegions)), region.NewRegistry()); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("region id %d: %v, want a corruption error", maxRegions, err)
 	}
 }
@@ -555,17 +555,17 @@ func FuzzIndexedLoad(f *testing.F) {
 		if err != nil && !errors.Is(err, ErrTruncated) {
 			return // refused
 		}
-		want, werr := ReadAll(bytes.NewReader(mutated), region.NewRegistry())
+		want, werr := loadSequential(bytes.NewReader(mutated), region.NewRegistry())
 		if (werr == nil) != (err == nil) || !reflect.DeepEqual(got, want) {
 			t.Fatalf("the load returned %d events (err %v), the sequential read %d (err %v)", got.NumEvents(), err, want.NumEvents(), werr)
 		}
 		// What a load accepts, the analyses accept and agree on.
-		a, _, aerr := AnalyzeBottlenecks(bytes.NewReader(mutated), Query{}, 2)
+		a, _, aerr := analyzeBottlenecks(bytes.NewReader(mutated), Query{}, 2)
 		if aerr != nil && !errors.Is(aerr, ErrTruncated) {
-			t.Fatalf("the load accepted an archive AnalyzeBottlenecks refuses: %v", aerr)
+			t.Fatalf("the load accepted an archive Scan into a Collector refuses: %v", aerr)
 		}
 		if ref := bottleneck.Analyze(want); !reflect.DeepEqual(a, ref) {
-			t.Fatal("AnalyzeBottlenecks differs from the analysis of the loaded trace")
+			t.Fatal("Scan into a Collector differs from the analysis of the loaded trace")
 		}
 	})
 }

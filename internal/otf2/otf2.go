@@ -150,25 +150,28 @@
 // shared lock is held just for the append of a framed chunk to the
 // underlying io.Writer — one thread's slow sink flush never blocks
 // recording or flushing on the others; with WithCompression, chunk
-// payloads are compressed outside that lock too. Reader iterates an
-// archive event by event via Next in O(chunk) memory; ReadAll loads a
-// whole archive into a trace.Trace, and Analyze runs the streaming
-// trace analysis without ever materializing the trace. AnalyzeParallel
-// and ReadAllParallel are their multi-core variants.
+// payloads are compressed outside that lock too.
 //
-// Every multi-chunk read of an archive that carries its footer index
-// goes by the index (query.go): a plan selects the chunks a trace.Query
-// (time window + thread subset; the zero query selects all) can match,
-// holds what the index says against the chunks themselves, and workers
-// read and decode their own chunks — loads straight into place in
-// slices made once (ReadAllQuery, ReadAllParallel), analyses through
-// per-thread in-order shards in O(workers x chunk) memory (AnalyzeQuery,
-// AnalyzeParallel, AnalyzeBottlenecks). An input without a readable
-// index or without random access is read front to back instead, with
+// Reading has three entry points and their file forms. Reader iterates
+// an archive event by event via Next in O(chunk) memory. Scan feeds the
+// events matching a trace.Query (time window + thread subset; the zero
+// query matches everything) to any number of trace.Consumers — the trace
+// analysis, the bottleneck collector — in O(workers x chunk) memory,
+// without materializing the trace. Load decodes them into a trace.Trace.
+// ScanFile and LoadFile open a file, pick the format by its extension
+// and turn a cut archive into a warning.
+//
+// Scan and Load go by the footer index whenever the archive carries one
+// and the input can be read at any offset (query.go): a plan selects the
+// chunks the query can match, holds what the index says against the
+// chunks themselves, and workers read and decode their own chunks —
+// Load straight into place in slices made once, Scan through per-thread
+// in-order shards that deliver each run to the consumers. An input
+// without a readable index or without random access is read front to
+// back instead (pipeline.go for Scan, loadSequential for Load), with
 // identical results and the ErrTruncated salvage contract; the input
 // decides, no option does. ReadIndex locates and decodes the index in
-// O(1) seeks; Reader.PrimeDefinitions and Reader.Seek reposition a
-// Reader at an indexed chunk.
+// O(1) seeks.
 package otf2
 
 import (

@@ -87,7 +87,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := Write(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()), region.NewRegistry())
+	got, err := loadSequential(bytes.NewReader(buf.Bytes()), region.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRoundTripEmptyTrace(t *testing.T) {
 	if err := Write(&buf, &trace.Trace{Threads: map[int][]trace.Event{}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()), region.NewRegistry())
+	got, err := loadSequential(bytes.NewReader(buf.Bytes()), region.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestReadPreservesRegionIdentity(t *testing.T) {
 	if err := Write(&buf, sampleTrace(region.NewRegistry())); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()), region.NewRegistry())
+	got, err := loadSequential(bytes.NewReader(buf.Bytes()), region.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestReadAllSalvagesTruncatedPrefix(t *testing.T) {
 	// lost too, so this also exercises the v2 salvage degradation to
 	// the sequential walk.
 	cut := int(lastEventChunkOffset(t, full)) + 3
-	tr, err := ReadAll(bytes.NewReader(full[:cut]), region.NewRegistry())
+	tr, err := loadSequential(bytes.NewReader(full[:cut]), region.NewRegistry())
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
@@ -222,7 +222,7 @@ func TestReadAllSalvagesTruncatedPrefix(t *testing.T) {
 		t.Fatalf("salvaged %d events from a %d-event archive missing its tail", tr.NumEvents(), want.NumEvents())
 	}
 
-	a, err := Analyze(bytes.NewReader(full[:cut]))
+	a, err := analyzeSequential(bytes.NewReader(full[:cut]))
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("Analyze err = %v, want ErrTruncated", err)
 	}
@@ -258,19 +258,19 @@ func TestReadAllHeaderTruncationReturnsEmptyPrefix(t *testing.T) {
 	// before the first flush: ReadAll/Analyze must return a usable
 	// empty prefix alongside ErrTruncated, never a nil result.
 	for _, data := range [][]byte{{}, []byte("SPO")} {
-		tr, err := ReadAll(bytes.NewReader(data), region.NewRegistry())
+		tr, err := loadSequential(bytes.NewReader(data), region.NewRegistry())
 		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("ReadAll(%q) err = %v, want ErrTruncated", data, err)
+			t.Fatalf("loadSequential(%q) err = %v, want ErrTruncated", data, err)
 		}
 		if tr == nil || tr.NumEvents() != 0 {
-			t.Fatalf("ReadAll(%q) trace = %v, want empty non-nil", data, tr)
+			t.Fatalf("loadSequential(%q) trace = %v, want empty non-nil", data, tr)
 		}
-		a, err := Analyze(bytes.NewReader(data))
+		a, err := analyzeSequential(bytes.NewReader(data))
 		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("Analyze(%q) err = %v, want ErrTruncated", data, err)
+			t.Fatalf("analyzeSequential(%q) err = %v, want ErrTruncated", data, err)
 		}
 		if a == nil {
-			t.Fatalf("Analyze(%q) returned nil analysis", data)
+			t.Fatalf("analyzeSequential(%q) returned nil analysis", data)
 		}
 	}
 }
@@ -323,7 +323,7 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 	}
 
 	want := trace.Analyze(tr)
-	got, err := Analyze(bytes.NewReader(buf.Bytes()))
+	got, err := analyzeSequential(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestStreamingRecorderBoundedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()), region.NewRegistry())
+	got, err := loadSequential(bytes.NewReader(buf.Bytes()), region.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 			t.Logf("write: %v", err)
 			return false
 		}
-		got, err := ReadAll(bytes.NewReader(buf.Bytes()), region.NewRegistry())
+		got, err := loadSequential(bytes.NewReader(buf.Bytes()), region.NewRegistry())
 		if err != nil {
 			t.Logf("read: %v", err)
 			return false

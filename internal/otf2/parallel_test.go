@@ -39,12 +39,12 @@ func TestAnalyzeParallelMatchesSequential(t *testing.T) {
 	tr := benchTrace(4, 3000)
 	data := multiChunkArchive(t, tr, 1024)
 
-	want, err := Analyze(bytes.NewReader(data))
+	want, err := analyzeSequential(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 4, 8} {
-		got, err := AnalyzeParallel(bytes.NewReader(data), workers)
+		got, err := analyzeParallel(bytes.NewReader(data), workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -57,11 +57,11 @@ func TestAnalyzeParallelMatchesSequential(t *testing.T) {
 	// parallelism: every chunk decodes concurrently, one shard applies.
 	one := benchTrace(1, 5000)
 	oneData := multiChunkArchive(t, one, 1024)
-	want1, err := Analyze(bytes.NewReader(oneData))
+	want1, err := analyzeSequential(bytes.NewReader(oneData))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got1, err := AnalyzeParallel(bytes.NewReader(oneData), 4)
+	got1, err := analyzeParallel(bytes.NewReader(oneData), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestAnalyzeParallelTruncated(t *testing.T) {
 
 	for _, cut := range []int{len(data) - 7, len(data) / 2, len(data) / 3} {
 		prefix := data[:cut]
-		want, serr := Analyze(bytes.NewReader(prefix))
+		want, serr := analyzeSequential(bytes.NewReader(prefix))
 		if !errors.Is(serr, ErrTruncated) {
 			t.Fatalf("cut %d: sequential err = %v, want ErrTruncated", cut, serr)
 		}
-		got, perr := AnalyzeParallel(bytes.NewReader(prefix), 4)
+		got, perr := analyzeParallel(bytes.NewReader(prefix), 4)
 		if !errors.Is(perr, ErrTruncated) {
 			t.Fatalf("cut %d: parallel err = %v, want ErrTruncated", cut, perr)
 		}
@@ -99,7 +99,7 @@ func TestReadAllParallelMatchesReadAll(t *testing.T) {
 	tr := benchTrace(4, 2000)
 	data := multiChunkArchive(t, tr, 1024)
 
-	want, err := ReadAll(bytes.NewReader(data), region.NewRegistry())
+	want, err := loadSequential(bytes.NewReader(data), region.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestReadAllParallelMatchesReadAll(t *testing.T) {
 	tracesEqual(t, want, got)
 
 	cut := len(data) - 9
-	wantCut, serr := ReadAll(bytes.NewReader(data[:cut]), region.NewRegistry())
+	wantCut, serr := loadSequential(bytes.NewReader(data[:cut]), region.NewRegistry())
 	if !errors.Is(serr, ErrTruncated) {
 		t.Fatalf("sequential err = %v, want ErrTruncated", serr)
 	}
@@ -194,7 +194,7 @@ func TestConcurrentWriterStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()), region.NewRegistry())
+	got, err := loadSequential(bytes.NewReader(buf.Bytes()), region.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +218,11 @@ func TestConcurrentWriterStreams(t *testing.T) {
 
 	// The concurrently written archive must analyze identically to its
 	// own parallel re-analysis — the full write→read determinism loop.
-	want, err := Analyze(bytes.NewReader(buf.Bytes()))
+	want, err := analyzeSequential(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotA, err := AnalyzeParallel(bytes.NewReader(buf.Bytes()), 4)
+	gotA, err := analyzeParallel(bytes.NewReader(buf.Bytes()), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestWriterManyDefsOneBatch(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()), region.NewRegistry())
+	got, err := loadSequential(bytes.NewReader(buf.Bytes()), region.NewRegistry())
 	if err != nil {
 		t.Fatalf("archive with a one-batch definition flood failed to decode: %v", err)
 	}
@@ -380,7 +380,7 @@ func TestWriterDefsBeforeEvents(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(bytes.NewReader(buf.Bytes()), region.NewRegistry())
+	got, err := loadSequential(bytes.NewReader(buf.Bytes()), region.NewRegistry())
 	if err != nil {
 		t.Fatalf("archive with racing definitions failed to decode: %v", err)
 	}

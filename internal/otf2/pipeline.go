@@ -3,7 +3,6 @@ package otf2
 import (
 	"bufio"
 	"io"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -24,15 +23,6 @@ import (
 // (query.go), its workers reading their own chunks; runPipeline here is
 // the fallback for one without, where only a sequential frame scanner
 // can find the chunks.
-
-// normWorkers resolves a worker-count knob: <= 0 means "one per
-// processor".
-func normWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
 
 // chunkJob is one event chunk handed to the worker pool.
 type chunkJob struct {
@@ -333,29 +323,4 @@ scan:
 		return werr
 	}
 	return scanErr
-}
-
-// AnalyzeParallel is Analyze with the decode and per-thread analysis
-// work spread over a worker pool (workers <= 0 uses GOMAXPROCS): the
-// zero query of AnalyzeQuery, so an archive with a footer index is
-// scanned by plan and any other front to back. Memory stays
-// O(workers x chunk). The analysis is reflect.DeepEqual-identical to
-// the sequential one at every worker count — also for an archive cut
-// off mid-chunk, where both return the intact prefix's analysis
-// alongside an error wrapping ErrTruncated.
-func AnalyzeParallel(r io.Reader, workers int) (*trace.Analysis, error) {
-	a, _, err := AnalyzeQuery(r, Query{}, workers)
-	return a, err
-}
-
-// ReadAllParallel is ReadAll with chunk decoding spread over a worker
-// pool (workers <= 0 uses GOMAXPROCS): the zero query of ReadAllQuery.
-// An archive with a footer index is loaded by plan at every worker
-// count, one worker included; any other input is read by ReadAll,
-// whatever workers says. The loaded trace is identical to ReadAll's,
-// including the salvaged prefix + ErrTruncated contract for archives
-// cut off mid-chunk.
-func ReadAllParallel(r io.Reader, reg *region.Registry, workers int) (*trace.Trace, error) {
-	tr, _, err := ReadAllQuery(r, reg, Query{}, workers)
-	return tr, err
 }

@@ -1,7 +1,6 @@
 package otf2
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -29,63 +28,71 @@ type QueryStats struct {
 	ChunksRead  int
 }
 
-// AnalyzeQuery runs the trace analysis over the sub-trace of an archive
-// matching q, using up to workers decode goroutines (<= 0 one per
-// processor). When r can be read at any offset (an *os.File, a
-// *bytes.Reader) and the archive carries a footer index, only the
-// chunks whose thread and time bounds can match are read and decoded —
-// O(matching chunks), not O(archive). Otherwise it falls back to the
-// sequential scan with event-level filtering, preserving the v1 salvage
-// contract: a truncated archive yields the intact prefix's (filtered)
-// analysis alongside an error wrapping ErrTruncated.
+// Scan feeds the events of an archive matching q to the consumers, a
+// thread's in stream order and with absolute timestamps, on up to workers
+// decode goroutines (<= 0 one per processor) and in O(workers x chunk)
+// memory. It is the one way an analysis reads an archive. When r can be
+// read at any offset (an *os.File, a *bytes.Reader, a Memory's Reader)
+// and the archive carries a footer index, a plan selects the chunks
+// whose thread and time bounds can match and only those are read —
+// O(matching chunks), not O(archive) — and the consumers are told
+// beforehand how many events the selected chunks of each thread hold.
+// Any other input — a v1 archive, a crashed run, a plain stream — is
+// read front to back, every run filtered in place. Either way no empty
+// run and no thread q excludes reaches a consumer, and what the
+// consumers see equals fully decoding the archive, filtering with
+// q.Filter and feeding that, at every worker count.
 //
-// The result is reflect.DeepEqual-identical to fully decoding the
-// archive, filtering with q.Filter, and analyzing that — at every
-// worker count and on both the indexed and the fallback path.
-func AnalyzeQuery(r io.Reader, q Query, workers int) (*trace.Analysis, QueryStats, error) {
-	workers = normWorkers(workers)
-	pa := trace.NewParallelAnalyzer()
+// An archive cut off mid-chunk delivers its intact prefix, and Scan
+// returns an error wrapping ErrTruncated: the consumers' results are
+// then those of the prefix. After any other error they are of no use.
+func Scan(r io.Reader, q Query, workers int, consumers ...trace.Consumer) (QueryStats, error) {
+	workers = trace.Workers(workers)
+	all := trace.Consumers(consumers)
 	if src, ix := indexed(r); ix != nil {
 		p, err := newPlan(src, ix, q, region.NewRegistry())
-		if err == nil {
-			err = p.analyze(workers, pa.ObserveBatch)
-		}
 		if err != nil {
-			return nil, p.st, err
+			return p.st, err
 		}
-		return pa.Finish(), p.st, nil
+		all.Hint(p.threadEvents())
+		return p.st, p.analyze(workers, all.Consume)
 	}
-	err := runPipeline(r, region.NewRegistry(), workers, func(tid int, events []trace.Event) {
-		pa.ObserveBatchQuery(tid, events, q)
-	})
-	if err != nil && !errors.Is(err, ErrTruncated) {
-		return nil, QueryStats{}, err
+	all.Hint(nil)
+	consume := all.Consume
+	if !q.All() {
+		consume = func(tid int, events []trace.Event) {
+			if !q.MatchThread(tid) {
+				return
+			}
+			if events = q.Clip(events); len(events) > 0 { // the run is the pipeline's pooled buffer
+				all.Consume(tid, events)
+			}
+		}
 	}
-	return pa.Finish(), QueryStats{}, err
+	return QueryStats{}, runPipeline(r, region.NewRegistry(), workers, consume)
 }
 
-// ReadAllQuery loads the sub-trace of an archive matching q, interning
-// regions into reg — the decode counterpart of AnalyzeQuery, with the
-// same index-driven access and salvage contract. An indexed archive is
-// loaded by plan (see plan.load) at every worker count; anything else —
-// a v1 archive, a crashed run, a reader without random access — by the
-// sequential ReadAll, then filtered. The loaded trace is
-// reflect.DeepEqual-identical to q.Filter(ReadAll(...)): threads
-// without matching events are absent.
-func ReadAllQuery(r io.Reader, reg *region.Registry, q Query, workers int) (*trace.Trace, QueryStats, error) {
+// Load decodes the sub-trace of an archive matching q into memory,
+// interning regions into reg. It is not a Scan with a consumer that
+// appends: an indexed archive is loaded by plan.load, which makes each
+// thread's slice once and decodes every chunk into its place, at every
+// worker count; anything else — a v1 archive, a crashed run, a reader
+// without random access — is read front to back by one goroutine, then
+// filtered. The loaded trace is reflect.DeepEqual-identical to q.Filter
+// of the full decode: threads without matching events are absent. An
+// archive cut off mid-chunk yields its intact prefix together with an
+// error wrapping ErrTruncated.
+func Load(r io.Reader, reg *region.Registry, q Query, workers int) (*trace.Trace, QueryStats, error) {
 	if src, ix := indexed(r); ix != nil {
 		var tr *trace.Trace
 		p, err := newPlan(src, ix, q, reg)
 		if err == nil {
-			tr, err = p.load(normWorkers(workers))
+			tr, err = p.load(trace.Workers(workers))
 		}
 		return tr, p.st, err
 	}
-	tr, err := ReadAll(r, reg)
-	if err != nil && !errors.Is(err, ErrTruncated) {
-		return nil, QueryStats{}, err
-	}
-	if !q.All() {
+	tr, err := loadSequential(r, reg)
+	if tr != nil && !q.All() {
 		tr = q.Filter(tr) // the semantics every query path is defined against
 	}
 	return tr, QueryStats{}, err
@@ -325,7 +332,8 @@ func (p *plan) checkComplete(defEnds []int64) error {
 }
 
 // threadEvents returns how many events the selected chunks of each
-// thread hold (before any clipping to the query window).
+// thread hold (before any clipping to the query window): a load's slice
+// lengths, a scan's hint to its consumers.
 func (p *plan) threadEvents() map[int]int {
 	events := make(map[int]int, len(p.ix.Threads))
 	for i := range p.sel {
@@ -442,13 +450,7 @@ func (p *plan) open(pc *plannedChunk, stored, raw *[]byte) (c cursor, err error)
 // all but the few a window's edges cut — is returned whole, unread.
 func (p *plan) clip(pc *plannedChunk, events []trace.Event) []trace.Event {
 	if q := p.q; q.Windowed && (pc.ref.MinTime < q.MinTime || pc.ref.MaxTime > q.MaxTime) {
-		kept := events[:0]
-		for i := range events {
-			if q.MatchTime(events[i].Time) {
-				kept = append(kept, events[i])
-			}
-		}
-		return kept
+		return q.Clip(events)
 	}
 	return events
 }
@@ -490,7 +492,7 @@ func (p *plan) analyze(workers int, consume func(int, []trace.Event)) error {
 func (p *plan) load(workers int) (*trace.Trace, error) {
 	tr := &trace.Trace{Threads: make(map[int][]trace.Event)}
 	for tid, n := range p.threadEvents() {
-		if n > 0 { // as in ReadAll, a thread without events is absent
+		if n > 0 { // as in loadSequential, a thread without events is absent
 			tr.Threads[tid] = make([]trace.Event, n)
 		}
 	}

@@ -74,27 +74,27 @@ func TestQueryMatchesFilterReference(t *testing.T) {
 		"v1":       queryArchive(t, tr, WithVersion(1)),
 	}
 	for name, archive := range archives {
-		full, err := ReadAll(bytes.NewReader(archive), region.NewRegistry())
+		full, err := loadSequential(bytes.NewReader(archive), region.NewRegistry())
 		if err != nil {
-			t.Fatalf("%s: ReadAll: %v", name, err)
+			t.Fatalf("%s: loadSequential: %v", name, err)
 		}
 		for _, q := range queryCases(full) {
 			wantTr := q.Filter(full)
 			wantA := trace.Analyze(wantTr)
 			for _, workers := range []int{1, 4} {
-				gotA, st, err := AnalyzeQuery(bytes.NewReader(archive), q, workers)
+				gotA, st, err := analyzeQuery(bytes.NewReader(archive), q, workers)
 				if err != nil {
-					t.Fatalf("%s workers=%d %v: AnalyzeQuery: %v", name, workers, q, err)
+					t.Fatalf("%s workers=%d %v: Scan: %v", name, workers, q, err)
 				}
 				if !reflect.DeepEqual(gotA, wantA) {
-					t.Errorf("%s workers=%d %v: AnalyzeQuery != analyze(filter(full))", name, workers, q)
+					t.Errorf("%s workers=%d %v: Scan != analyze(filter(full))", name, workers, q)
 				}
 				if wantIndexed := name != "v1"; st.Indexed != wantIndexed {
 					t.Errorf("%s workers=%d %v: stats.Indexed = %v, want %v", name, workers, q, st.Indexed, wantIndexed)
 				}
-				gotTr, _, err := ReadAllQuery(bytes.NewReader(archive), region.NewRegistry(), q, workers)
+				gotTr, _, err := Load(bytes.NewReader(archive), region.NewRegistry(), q, workers)
 				if err != nil {
-					t.Fatalf("%s workers=%d %v: ReadAllQuery: %v", name, workers, q, err)
+					t.Fatalf("%s workers=%d %v: Load: %v", name, workers, q, err)
 				}
 				tracesEqual(t, wantTr, gotTr)
 			}
@@ -131,7 +131,7 @@ func TestQueryReadsOnlyMatchingChunks(t *testing.T) {
 	// A narrow interior window: an eighth of the time range.
 	q := Query{Windowed: true, MinTime: minT + (maxT-minT)/2, MaxTime: minT + (maxT-minT)/2 + (maxT-minT)/8}
 
-	got, st, err := AnalyzeQuery(bytes.NewReader(archive), q, 4)
+	got, st, err := analyzeQuery(bytes.NewReader(archive), q, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestQueryReadsOnlyMatchingChunks(t *testing.T) {
 	if st.ChunksRead >= st.ChunksTotal/2 {
 		t.Fatalf("windowed query read %d of %d chunks; want a pruned minority", st.ChunksRead, st.ChunksTotal)
 	}
-	full, err := ReadAll(bytes.NewReader(archive), region.NewRegistry())
+	full, err := loadSequential(bytes.NewReader(archive), region.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +155,14 @@ func TestQueryReadsOnlyMatchingChunks(t *testing.T) {
 
 	// The zero query over the same archive must read every chunk and
 	// reproduce the plain analysis exactly.
-	all, st, err := AnalyzeQuery(bytes.NewReader(archive), Query{}, 4)
+	all, st, err := analyzeQuery(bytes.NewReader(archive), Query{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.ChunksRead != st.ChunksTotal {
 		t.Fatalf("zero query read %d of %d chunks", st.ChunksRead, st.ChunksTotal)
 	}
-	seq, err := Analyze(bytes.NewReader(archive))
+	seq, err := analyzeSequential(bytes.NewReader(archive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestCompressedRoundTrip(t *testing.T) {
 	if len(comp) >= len(raw) {
 		t.Fatalf("compressed archive is %d bytes, raw %d: no shrink", len(comp), len(raw))
 	}
-	want, err := ReadAll(bytes.NewReader(raw), region.NewRegistry())
+	want, err := loadSequential(bytes.NewReader(raw), region.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(bytes.NewReader(comp), region.NewRegistry())
+	got, err := loadSequential(bytes.NewReader(comp), region.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +195,11 @@ func TestCompressedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracesEqual(t, want, gotPar)
-	wantA, err := Analyze(bytes.NewReader(raw))
+	wantA, err := analyzeSequential(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotA, err := AnalyzeParallel(bytes.NewReader(comp), 4)
+	gotA, err := analyzeParallel(bytes.NewReader(comp), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestVersionRoundTrip(t *testing.T) {
 	}
 
 	// v1 -> v2 -> v1: decode and re-encode at each step.
-	up, err := ReadAll(bytes.NewReader(v1), region.NewRegistry())
+	up, err := loadSequential(bytes.NewReader(v1), region.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestVersionRoundTrip(t *testing.T) {
 	if !bytes.Equal(upBuf.Bytes(), v2) {
 		t.Fatal("v1->v2 upgrade is not byte-identical to a direct v2 write")
 	}
-	down, err := ReadAll(bytes.NewReader(upBuf.Bytes()), region.NewRegistry())
+	down, err := loadSequential(bytes.NewReader(upBuf.Bytes()), region.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestTruncatedV2SalvagesViaSequentialFallback(t *testing.T) {
 		t.Fatal("truncated archive still has a readable index")
 	}
 	for _, workers := range []int{1, 4} {
-		a, st, err := AnalyzeQuery(bytes.NewReader(archive[:cut]), Query{}, workers)
+		a, st, err := analyzeQuery(bytes.NewReader(archive[:cut]), Query{}, workers)
 		if !errors.Is(err, ErrTruncated) {
 			t.Fatalf("workers=%d: err = %v, want ErrTruncated", workers, err)
 		}
@@ -292,60 +292,12 @@ func TestTruncatedV2SalvagesViaSequentialFallback(t *testing.T) {
 		if a == nil || len(a.PerThread) == 0 {
 			t.Fatalf("workers=%d: no analysis salvaged", workers)
 		}
-		tr2, _, err := ReadAllQuery(bytes.NewReader(archive[:cut]), region.NewRegistry(), Query{}, workers)
+		tr2, _, err := Load(bytes.NewReader(archive[:cut]), region.NewRegistry(), Query{}, workers)
 		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("workers=%d: ReadAllQuery err = %v, want ErrTruncated", workers, err)
+			t.Fatalf("workers=%d: Load err = %v, want ErrTruncated", workers, err)
 		}
 		if tr2 == nil || tr2.NumEvents() == 0 || tr2.NumEvents() >= tr.NumEvents() {
 			t.Fatalf("workers=%d: salvaged %d events, want non-empty strict prefix", workers, tr2.NumEvents())
-		}
-	}
-}
-
-// TestReaderSeekDecodesIndexedChunk drives the random-access primitives
-// directly: PrimeDefinitions + Seek must reproduce exactly the events a
-// sequential walk attributes to that chunk.
-func TestReaderSeekDecodesIndexedChunk(t *testing.T) {
-	tr := benchTrace(2, 300)
-	archive := queryArchive(t, tr)
-	ix, err := ReadIndex(bytes.NewReader(archive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := ReadAll(bytes.NewReader(archive), region.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range ix.Threads {
-		pos := 0
-		for ci, cr := range tc.Chunks {
-			rd, err := NewReader(bytes.NewReader(archive), region.NewRegistry())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rd.PrimeDefinitions(ix.DefOffsets); err != nil {
-				t.Fatal(err)
-			}
-			if err := rd.Seek(tc.Thread, cr); err != nil {
-				t.Fatal(err)
-			}
-			for i := uint64(0); i < cr.Events; i++ {
-				tid, ev, err := rd.Next()
-				if err != nil {
-					t.Fatalf("thread %d chunk %d event %d: %v", tc.Thread, ci, i, err)
-				}
-				if tid != tc.Thread {
-					t.Fatalf("thread %d chunk %d: Next returned thread %d", tc.Thread, ci, tid)
-				}
-				want := full.Threads[tc.Thread][pos]
-				if !eventsEqual(ev, want) {
-					t.Fatalf("thread %d chunk %d event %d: got %+v want %+v", tc.Thread, ci, i, ev, want)
-				}
-				pos++
-			}
-		}
-		if pos != len(full.Threads[tc.Thread]) {
-			t.Fatalf("thread %d: index covers %d events, trace has %d", tc.Thread, pos, len(full.Threads[tc.Thread]))
 		}
 	}
 }
@@ -364,7 +316,7 @@ func TestIndexMatchesArchive(t *testing.T) {
 		if ix.NumEvents() != tr.NumEvents() {
 			t.Fatalf("index declares %d events, trace has %d", ix.NumEvents(), tr.NumEvents())
 		}
-		full, err := ReadAll(bytes.NewReader(archive), region.NewRegistry())
+		full, err := loadSequential(bytes.NewReader(archive), region.NewRegistry())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +366,7 @@ func TestQueryRandomizedProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		archive := buf.Bytes()
-		full, err := ReadAll(bytes.NewReader(archive), region.NewRegistry())
+		full, err := loadSequential(bytes.NewReader(archive), region.NewRegistry())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +381,7 @@ func TestQueryRandomizedProperty(t *testing.T) {
 		}
 		want := trace.Analyze(q.Filter(full))
 		for _, workers := range []int{1, 4} {
-			got, _, err := AnalyzeQuery(bytes.NewReader(archive), q, workers)
+			got, _, err := analyzeQuery(bytes.NewReader(archive), q, workers)
 			if err != nil {
 				t.Fatalf("round %d workers %d: %v", round, workers, err)
 			}

@@ -201,7 +201,6 @@ const minEventBytes = 4
 // the registry passed to NewReader, giving read events the same
 // pointer-identity semantics as live-recorded ones.
 type Reader struct {
-	src     io.Reader // underlying source; io.Seeker-capable for Seek
 	br      *bufio.Reader
 	reg     *region.Registry
 	tables  *defTables
@@ -299,7 +298,6 @@ func NewReader(r io.Reader, reg *region.Registry) (*Reader, error) {
 		return nil, err
 	}
 	return &Reader{
-		src:      r,
 		br:       br,
 		reg:      reg,
 		tables:   newDefTables(),
@@ -436,62 +434,13 @@ func (r *Reader) startEvents() error {
 	return nil
 }
 
-// PrimeDefinitions loads the definition chunks at the given byte
-// offsets (as recorded in Index.DefOffsets) without walking the
-// archive. Together with Seek it enables random access: definitions
-// primed up front resolve the region references of any later-sought
-// event chunk. It requires the underlying reader to be an io.Seeker.
-func (r *Reader) PrimeDefinitions(offsets []int64) error {
-	rs, ok := r.src.(io.ReadSeeker)
-	if !ok {
-		return fmt.Errorf("otf2: PrimeDefinitions requires an io.Seeker source")
-	}
-	for _, off := range offsets {
-		kind, payload, err := ReadChunkAt(rs, off)
-		if err != nil {
-			return r.fail(err)
-		}
-		if kind != chunkDefs {
-			return r.fail(corrupt("definition offset %d holds %q chunk", off, kind))
-		}
-		c := cursor{payload: payload}
-		if err := r.tables.decodeDefs(&c, r.reg); err != nil {
-			return r.fail(err)
-		}
-	}
-	return nil
-}
-
-// Seek repositions the reader at the event chunk c of the given thread,
-// as described by a footer index entry: the next Next calls return that
-// chunk's events (then continue sequentially through the archive). The
-// thread's running timestamp is primed from c.BaseTime, so the chunk
-// decodes identically to a front-to-back walk. Definitions must already
-// be loaded (PrimeDefinitions, or a prior walk past them). Seek
-// requires the underlying reader to be an io.Seeker and clears any
-// latched error.
-func (r *Reader) Seek(thread int, c ChunkRef) error {
-	rs, ok := r.src.(io.Seeker)
-	if !ok {
-		return fmt.Errorf("otf2: Seek requires an io.Seeker source")
-	}
-	if _, err := rs.Seek(c.Offset, io.SeekStart); err != nil {
-		return fmt.Errorf("otf2: seeking chunk at %d: %w", c.Offset, err)
-	}
-	r.br.Reset(r.src)
-	r.err = nil
-	r.remaining = 0
-	r.inEvents = false
-	r.lastTime[thread] = c.BaseTime
-	return nil
-}
-
-// ReadAll loads a whole archive into memory as a trace.Trace, interning
-// regions into reg — the binary counterpart of trace.ReadJSONL. On an
-// archive cut off mid-chunk (a crashed run) it returns the decoded
-// prefix together with an error wrapping ErrTruncated, so the salvaged
-// events remain usable.
-func ReadAll(r io.Reader, reg *region.Registry) (*trace.Trace, error) {
+// loadSequential loads a whole archive into memory front to back, on the
+// calling goroutine, interning regions into reg: Load's path for an
+// input without a usable index, and the reference every other reader is
+// held to. On an archive cut off mid-chunk (a crashed run) it returns
+// the decoded prefix together with an error wrapping ErrTruncated, so
+// the salvaged events remain usable; on any other error, nil.
+func loadSequential(r io.Reader, reg *region.Registry) (*trace.Trace, error) {
 	tr := &trace.Trace{Threads: make(map[int][]trace.Event)}
 	rd, err := NewReader(r, reg)
 	if err != nil {
@@ -530,36 +479,5 @@ func ReadAll(r io.Reader, reg *region.Registry) (*trace.Trace, error) {
 			return nil, err
 		}
 		tr.Threads[rd.curThread] = evs[:len(evs)+n]
-	}
-}
-
-// Analyze runs the streaming trace analysis over an archive without
-// materializing it: per-thread state machines consume events chunk by
-// chunk, so memory use is O(threads + one chunk) regardless of archive
-// size — out-of-core analysis in the Scalasca sense. Like ReadAll it
-// returns the analysis of the intact prefix together with an error
-// wrapping ErrTruncated when the archive is cut off mid-chunk. See
-// AnalyzeParallel for the multi-core variant.
-func Analyze(r io.Reader) (*trace.Analysis, error) {
-	sa := trace.NewStreamAnalyzer()
-	rd, err := NewReader(r, region.NewRegistry())
-	if err != nil {
-		if errors.Is(err, ErrTruncated) {
-			return sa.Finish(), err
-		}
-		return nil, err
-	}
-	for {
-		tid, ev, err := rd.Next()
-		if err == io.EOF {
-			return sa.Finish(), nil
-		}
-		if errors.Is(err, ErrTruncated) {
-			return sa.Finish(), err
-		}
-		if err != nil {
-			return nil, err
-		}
-		sa.Observe(tid, ev)
 	}
 }

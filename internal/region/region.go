@@ -62,10 +62,22 @@ func (t Type) String() string {
 // SchedulingPoint reports whether a region of this type is a task
 // scheduling point, i.e. a place where the executing thread may switch to
 // another task and under which stub nodes are placed in the implicit
-// task's call tree (Section IV-B4).
+// task's call tree (Section IV-B4). It counts TaskCreate, which WaitPoint
+// does not: creating a task may suspend the creator, so the profile puts
+// stub nodes there, but the thread does not wait in it.
 func (t Type) SchedulingPoint() bool {
+	return t == TaskCreate || t.WaitPoint()
+}
+
+// WaitPoint reports whether a region of this type is one a thread waits
+// in until other work is done — taskwait and the barriers: the "last
+// synchronization point" the paper's conclusion measures dispatch from.
+// The trace analyses, the bottleneck classifier and the timeline open
+// their sync-region accounting on these; see SchedulingPoint for the
+// wider set the profile places stub nodes under.
+func (t Type) WaitPoint() bool {
 	switch t {
-	case Taskwait, Barrier, ImplicitBarrier, TaskCreate:
+	case Taskwait, Barrier, ImplicitBarrier:
 		return true
 	}
 	return false

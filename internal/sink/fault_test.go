@@ -174,7 +174,7 @@ func TestClientSurvivesSeveredConnection(t *testing.T) {
 	// The severed shard holds the intact prefix: lenient reading
 	// salvages it (possibly with a truncation warning), and it decodes
 	// to a prefix of what the producers wrote.
-	tr, warn, err := otf2.ReadFileLenient(filepath.Join(srv.Dir(), d.File), region.NewRegistry(), 1)
+	tr, _, warn, err := otf2.LoadFile(filepath.Join(srv.Dir(), d.File), region.NewRegistry(), otf2.Query{}, 1)
 	if err != nil {
 		t.Fatalf("severed shard not salvageable: %v", err)
 	}

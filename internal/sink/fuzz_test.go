@@ -200,7 +200,7 @@ func FuzzServerFrames(f *testing.F) {
 		// Not every shard of whole chunks is an archive — the server never
 		// looks inside one — but the reader must take or refuse it without
 		// panicking, and take it if an archive is what was sent.
-		if _, _, err := otf2.ReadFileLenient(fuzzedPath, region.NewRegistry(), 1); err != nil && len(kept) > 0 && bytes.HasPrefix(archive, kept) {
+		if _, _, _, err := otf2.LoadFile(fuzzedPath, region.NewRegistry(), otf2.Query{}, 1); err != nil && len(kept) > 0 && bytes.HasPrefix(archive, kept) {
 			t.Fatalf("the recovered shard is a prefix of an archive and does not read: %v", err)
 		}
 	})

@@ -92,7 +92,7 @@ func (s *Server) streamOrderLocked() []string {
 
 // recover rebuilds the stream table from a previous server's journal in
 // s.dir, if one exists. Every journaled shard is scanned for its intact
-// archive prefix (the same cut point the lenient readers salvage to)
+// archive prefix (the cut point otf2.ScanFile and LoadFile salvage to)
 // and truncated there — a crash mid-write leaves a partial chunk, which
 // resuming must not build on. Sealed streams keep their status; a
 // sealed-complete shard that lost bytes is demoted to failed with the

@@ -378,7 +378,7 @@ func TestDaemonCrashGapDegradesToFallback(t *testing.T) {
 	// The sealed shard is a clean archive prefix (chunk-aligned), and
 	// the losses are exactly accounted: shard bytes + gap = resume
 	// offset the client would have continued at.
-	if _, warn, err := otf2.ReadFileLenient(shard, region.NewRegistry(), 1); err != nil || warn != "" {
+	if _, _, warn, err := otf2.LoadFile(shard, region.NewRegistry(), otf2.Query{}, 1); err != nil || warn != "" {
 		t.Fatalf("gap-sealed shard = (%q, %v), want clean chunk-aligned prefix", warn, err)
 	}
 	fi, err = os.Stat(shard)

@@ -174,7 +174,7 @@ type Server struct {
 // If dir holds the journal of a previous server (a daemon restarting
 // over its experiment directory), the stream table is recovered from
 // it: every shard is truncated to its intact archive prefix (the
-// ReadFileLenient cut point), sealed streams keep their status, and
+// LoadFile cut point), sealed streams keep their status, and
 // severed streams await resume at the recovered durable offset.
 func NewServer(dir string, opts ...ServerOption) (*Server, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {

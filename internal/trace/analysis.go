@@ -3,11 +3,9 @@ package trace
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 
-	"repro/internal/region"
 	"repro/internal/stats"
 )
 
@@ -51,147 +49,80 @@ type ThreadAnalysis struct {
 	IdleInSync int64
 }
 
-// Analyze derives the metrics from a recorded trace. Each thread's
-// stream is processed independently (the analysis needs no cross-thread
-// ordering, like Scalasca's parallel trace analysis). It is a
-// convenience over StreamAnalyzer for traces already in memory.
-func Analyze(tr *Trace) *Analysis {
-	sa := NewStreamAnalyzer()
-	for tid, events := range tr.Threads {
-		st := sa.state(tid) // hoisted: one lookup per thread, not per event
-		for _, ev := range events {
-			st.step(ev)
-		}
-	}
-	return sa.Finish()
-}
-
-// StreamAnalyzer is the single-pass incremental form of Analyze: feed
-// events with Observe as they are read (or recorded) and call Finish at
-// end of stream. Per-thread streams must be fed in order, but events of
-// different threads may be interleaved arbitrarily — exactly the layout
-// of an otf2 archive's chunk sequence — so analysis of an on-disk trace
-// runs in O(threads) state, independent of trace length.
-type StreamAnalyzer struct {
-	threads map[int]*threadState
-}
-
-// NewStreamAnalyzer returns an analyzer with no events observed yet.
-func NewStreamAnalyzer() *StreamAnalyzer {
-	return &StreamAnalyzer{threads: make(map[int]*threadState)}
-}
-
-// Observe feeds one event of thread tid to the analysis. It is not safe
-// for concurrent use.
-func (sa *StreamAnalyzer) Observe(tid int, ev Event) {
-	sa.state(tid).step(ev)
-}
-
-// state returns thread tid's scan state, creating it on first use.
-func (sa *StreamAnalyzer) state(tid int) *threadState {
-	st, ok := sa.threads[tid]
-	if !ok {
-		st = &threadState{ta: &ThreadAnalysis{ThreadID: tid}}
-		sa.threads[tid] = st
-	}
-	return st
-}
-
-// Finish aggregates the per-thread state machines into the final
-// Analysis. The analyzer must not be reused afterwards.
-func (sa *StreamAnalyzer) Finish() *Analysis { return finishStates(sa.threads) }
-
-// finishStates merges per-thread scan states into the final Analysis.
-// Threads are merged in ascending ID order; the stats.Dur merge is
-// commutative over exact int64 sums, so this yields the same Analysis
-// no matter how the states were produced — the property that makes the
-// parallel analyzers reflect.DeepEqual-identical to the sequential one.
-func finishStates(threads map[int]*threadState) *Analysis {
-	a := &Analysis{PerThread: make(map[int]*ThreadAnalysis, len(threads))}
-	tids := make([]int, 0, len(threads))
-	for tid := range threads {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	for _, tid := range tids {
-		st := threads[tid]
-		a.PerThread[tid] = st.ta
-		a.DispatchLatency.Merge(st.ta.DispatchLatency)
-		a.TaskExecution.Merge(st.ta.TaskExecution)
-		a.CreationTime.Merge(st.ta.CreationTime)
-		a.Switches += st.ta.Fragments
-	}
-	if a.TaskExecution.Sum > 0 {
-		a.ManagementRatio = float64(a.DispatchLatency.Sum) / float64(a.TaskExecution.Sum)
-	}
-	return a
-}
-
-// ParallelAnalyzer is the concurrency-safe form of StreamAnalyzer for
-// sharded trace analysis: goroutines may feed batches of different
-// threads concurrently, as long as each thread's stream is fed in order
-// and by at most one goroutine at a time (exactly the guarantee a
-// per-thread shard in a decode pipeline provides — Scalasca's parallel
-// trace analysis works the same way, one analysis process per trace
-// location). Finish merges the shards deterministically; the result is
-// reflect.DeepEqual-identical to a sequential Analyze of the same
-// events.
-type ParallelAnalyzer struct {
+// Analyzer is the trace analysis as a Consumer: per-thread state
+// machines fed a run at a time, in O(threads) state whatever the length
+// of the trace. A thread's runs must arrive in order and one at a time;
+// runs of different threads may arrive from different goroutines at
+// once — what a per-thread shard of a decode pipeline provides, and how
+// Scalasca's parallel trace analysis works, one analysis process per
+// trace location. Finish merges the threads in ascending ID order, and
+// the stats.Dur merge is commutative over exact int64 sums, so the
+// Analysis is reflect.DeepEqual-identical however the runs were cut and
+// whoever delivered them.
+type Analyzer struct {
 	mu      sync.Mutex
 	threads map[int]*threadState
 }
 
-// NewParallelAnalyzer returns an analyzer with no events observed yet.
-func NewParallelAnalyzer() *ParallelAnalyzer {
-	return &ParallelAnalyzer{threads: make(map[int]*threadState)}
+// NewAnalyzer returns an analyzer with no events observed yet.
+func NewAnalyzer() *Analyzer {
+	return &Analyzer{threads: make(map[int]*threadState)}
 }
 
-// ObserveBatch feeds one in-order run of thread tid's events. The lock
-// covers only the shard lookup; the per-event scan runs unlocked, owned
-// by the calling goroutine under the per-thread serialization contract.
-func (pa *ParallelAnalyzer) ObserveBatch(tid int, events []Event) {
-	pa.mu.Lock()
-	st, ok := pa.threads[tid]
+// Hint implements Consumer; the state machines keep nothing per event.
+func (a *Analyzer) Hint(map[int]int) {}
+
+// Consume feeds one in-order run of thread tid's events. The lock covers
+// only the thread lookup; the per-event scan runs unlocked, owned by the
+// calling goroutine under the Consumer contract.
+func (a *Analyzer) Consume(tid int, events []Event) {
+	a.mu.Lock()
+	st, ok := a.threads[tid]
 	if !ok {
 		st = &threadState{ta: &ThreadAnalysis{ThreadID: tid}}
-		pa.threads[tid] = st
+		a.threads[tid] = st
 	}
-	pa.mu.Unlock()
+	a.mu.Unlock()
 	for i := range events {
 		st.step(events[i])
 	}
 }
 
-// Finish aggregates the shards into the final Analysis. All ObserveBatch
-// calls must have completed; the analyzer must not be reused afterwards.
-func (pa *ParallelAnalyzer) Finish() *Analysis { return finishStates(pa.threads) }
+// Finish aggregates the per-thread state machines into the final
+// Analysis. All Consume calls must have returned; the analyzer must not
+// be reused afterwards.
+func (a *Analyzer) Finish() *Analysis {
+	an := &Analysis{PerThread: make(map[int]*ThreadAnalysis, len(a.threads))}
+	tids := make([]int, 0, len(a.threads))
+	for tid := range a.threads {
+		tids = append(tids, tid)
+	}
+	sort.Ints(tids)
+	for _, tid := range tids {
+		ta := a.threads[tid].ta
+		an.PerThread[tid] = ta
+		an.DispatchLatency.Merge(ta.DispatchLatency)
+		an.TaskExecution.Merge(ta.TaskExecution)
+		an.CreationTime.Merge(ta.CreationTime)
+		an.Switches += ta.Fragments
+	}
+	if an.TaskExecution.Sum > 0 {
+		an.ManagementRatio = float64(an.DispatchLatency.Sum) / float64(an.TaskExecution.Sum)
+	}
+	return an
+}
 
-// AnalyzeParallel derives the metrics from an in-memory trace using up
-// to workers goroutines, one per trace thread at a time (per-thread
-// streams are independent, so thread-level sharding is safe). workers
-// <= 0 uses GOMAXPROCS. The result is reflect.DeepEqual-identical to
-// Analyze(tr).
-func AnalyzeParallel(tr *Trace, workers int) *Analysis {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(tr.Threads) <= 1 {
-		return Analyze(tr)
-	}
-	pa := NewParallelAnalyzer()
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for tid, events := range tr.Threads {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(tid int, events []Event) {
-			defer wg.Done()
-			pa.ObserveBatch(tid, events)
-			<-sem
-		}(tid, events)
-	}
-	wg.Wait()
-	return pa.Finish()
+// Analyze, AnalyzeParallel and AnalyzeQuery are Scan with an Analyzer,
+// kept under these names only because benchmark/ calls them (ROADMAP
+// item 3 removes them).
+func Analyze(tr *Trace) *Analysis { return AnalyzeQuery(tr, Query{}, 1) }
+
+func AnalyzeParallel(tr *Trace, workers int) *Analysis { return AnalyzeQuery(tr, Query{}, workers) }
+
+func AnalyzeQuery(tr *Trace, q Query, workers int) *Analysis {
+	a := NewAnalyzer()
+	Scan(tr, q, workers, a)
+	return a.Finish()
 }
 
 // MergeAnalyses combines the analyses of disjoint recordings — the
@@ -233,17 +164,6 @@ type threadState struct {
 	inCreate      bool
 }
 
-func schedulingPoint(r *region.Region) bool {
-	if r == nil {
-		return false
-	}
-	switch r.Type {
-	case region.Taskwait, region.Barrier, region.ImplicitBarrier:
-		return true
-	}
-	return false
-}
-
 func (st *threadState) endFragment(t int64) {
 	if st.inFragment {
 		d := t - st.fragmentStart
@@ -265,14 +185,14 @@ func (st *threadState) beginFragment(t int64) {
 func (st *threadState) step(ev Event) {
 	switch ev.Type {
 	case EvEnter:
-		if schedulingPoint(ev.Region) {
+		if r := ev.Region; r != nil && r.Type.WaitPoint() {
 			// Entering a scheduling point makes the thread ready to
 			// pick up tasks: the paper's "enter of the last
 			// synchronization point".
 			st.sc.EnterSync(ev.Time)
 		}
 	case EvExit:
-		if schedulingPoint(ev.Region) {
+		if r := ev.Region; r != nil && r.Type.WaitPoint() {
 			if total, idle, closed := st.sc.ExitSync(ev.Time); closed {
 				st.ta.SyncRegionTime += total
 				if idle > 0 {

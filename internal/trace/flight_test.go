@@ -34,7 +34,7 @@ func flightWindow(t *testing.T, f *otf2.Flight, reg *region.Registry) (*trace.Tr
 	if err != nil {
 		t.Fatalf("Dump: %v", err)
 	}
-	tr, err := otf2.ReadAll(bytes.NewReader(buf.Bytes()), reg)
+	tr, _, err := otf2.Load(bytes.NewReader(buf.Bytes()), reg, otf2.Query{}, 1)
 	if err != nil {
 		t.Fatalf("reading the dump: %v", err)
 	}

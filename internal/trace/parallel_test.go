@@ -67,7 +67,7 @@ func TestParallelAnalyzerBatches(t *testing.T) {
 	tr := parallelTestTrace(8, 300)
 	want := Analyze(tr)
 
-	pa := NewParallelAnalyzer()
+	pa := NewAnalyzer()
 	var wg sync.WaitGroup
 	for tid, events := range tr.Threads {
 		wg.Add(1)
@@ -79,7 +79,7 @@ func TestParallelAnalyzerBatches(t *testing.T) {
 				if end > len(events) {
 					end = len(events)
 				}
-				pa.ObserveBatch(tid, events[i:end])
+				pa.Consume(tid, events[i:end])
 			}
 		}(tid, events)
 	}

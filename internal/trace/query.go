@@ -71,6 +71,22 @@ func (q Query) Overlaps(min, max int64) bool {
 	return !q.Windowed || (max >= q.MinTime && min <= q.MaxTime)
 }
 
+// Clip drops the events outside the window from events, in place, and
+// returns what is left: for a run the caller owns, such as the pooled
+// buffers of an archive scan. Filter copies.
+func (q Query) Clip(events []Event) []Event {
+	if !q.Windowed {
+		return events
+	}
+	kept := events[:0]
+	for i := range events {
+		if q.MatchTime(events[i].Time) {
+			kept = append(kept, events[i])
+		}
+	}
+	return kept
+}
+
 // Filter returns the sub-trace of tr matching q — the reference
 // semantics every query-aware path must reproduce. Event slices are
 // copied, never aliased; threads left without matching events are
@@ -169,57 +185,4 @@ func uniqInts(s []int) int {
 		}
 	}
 	return n
-}
-
-// ObserveQuery is Observe restricted to events matching q: events
-// outside the query are dropped before they reach the state machine,
-// so the finished analysis equals analyzing q.Filter of the stream.
-func (sa *StreamAnalyzer) ObserveQuery(tid int, ev Event, q Query) {
-	if q.Match(tid, ev) {
-		sa.Observe(tid, ev)
-	}
-}
-
-// ObserveBatchQuery is ObserveBatch restricted to events matching q,
-// under the same per-thread serialization contract. The batch slice is
-// not retained or mutated.
-func (pa *ParallelAnalyzer) ObserveBatchQuery(tid int, events []Event, q Query) {
-	if !q.MatchThread(tid) {
-		return
-	}
-	if !q.Windowed {
-		pa.ObserveBatch(tid, events)
-		return
-	}
-	// The thread's state is created lazily on the first matching event:
-	// a thread whose delivered batches never match must not surface an
-	// empty PerThread entry the filter-then-analyze reference lacks.
-	var st *threadState
-	for i := range events {
-		if !q.MatchTime(events[i].Time) {
-			continue
-		}
-		if st == nil {
-			pa.mu.Lock()
-			st = pa.threads[tid]
-			if st == nil {
-				st = &threadState{ta: &ThreadAnalysis{ThreadID: tid}}
-				pa.threads[tid] = st
-			}
-			pa.mu.Unlock()
-		}
-		st.step(events[i])
-	}
-}
-
-// AnalyzeQuery derives the metrics from the sub-trace of tr matching q,
-// sharding across up to workers goroutines like AnalyzeParallel. The
-// result is reflect.DeepEqual-identical to AnalyzeParallel(q.Filter(tr),
-// workers) — by construction, since the events reaching the state
-// machines are exactly the filtered ones, in order.
-func AnalyzeQuery(tr *Trace, q Query, workers int) *Analysis {
-	if q.All() {
-		return AnalyzeParallel(tr, workers)
-	}
-	return AnalyzeParallel(q.Filter(tr), workers)
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/region"
@@ -138,7 +139,7 @@ func TestQueryFilter(t *testing.T) {
 }
 
 // TestAnalyzeQueryMatchesFilterReference pins the defining equivalence
-// at the trace layer: AnalyzeQuery == AnalyzeParallel(Filter(tr)) for
+// at the trace layer: Scan(tr, q) into an Analyzer == Analyze(Filter(tr)) for
 // windows, subsets, empty and out-of-range queries, at workers 1 and 4.
 func TestAnalyzeQueryMatchesFilterReference(t *testing.T) {
 	tr := queryTestTrace()
@@ -159,29 +160,31 @@ func TestAnalyzeQueryMatchesFilterReference(t *testing.T) {
 				t.Errorf("AnalyzeQuery(%v, workers=%d) != Analyze(Filter):\n got %+v\nwant %+v", q, workers, got, want)
 			}
 		}
-		// The streaming observer path must agree too.
-		sa := NewStreamAnalyzer()
+		// A consumer sees the same however the matching events are cut
+		// into runs: one at a time ...
+		a := NewAnalyzer()
 		for tid, evs := range tr.Threads {
 			for _, ev := range evs {
-				sa.ObserveQuery(tid, ev, q)
-			}
-		}
-		if got := sa.Finish(); !reflect.DeepEqual(got, want) {
-			t.Errorf("ObserveQuery(%v) != Analyze(Filter):\n got %+v\nwant %+v", q, got, want)
-		}
-		// And the batch observer, batches delivered per thread in order.
-		pa := NewParallelAnalyzer()
-		for tid, evs := range tr.Threads {
-			for i := 0; i < len(evs); i += 3 {
-				end := i + 3
-				if end > len(evs) {
-					end = len(evs)
+				if q.Match(tid, ev) {
+					a.Consume(tid, []Event{ev})
 				}
-				pa.ObserveBatchQuery(tid, evs[i:end], q)
 			}
 		}
-		if got := pa.Finish(); !reflect.DeepEqual(got, want) {
-			t.Errorf("ObserveBatchQuery(%v) != Analyze(Filter):\n got %+v\nwant %+v", q, got, want)
+		if got := a.Finish(); !reflect.DeepEqual(got, want) {
+			t.Errorf("single-event runs of %v != Analyze(Filter):\n got %+v\nwant %+v", q, got, want)
+		}
+		// ... or in runs of three clipped in place, as an archive read
+		// front to back delivers them.
+		a = NewAnalyzer()
+		for tid, evs := range tr.Threads {
+			for i := 0; q.MatchThread(tid) && i < len(evs); i += 3 {
+				if run := q.Clip(slices.Clone(evs[i:min(i+3, len(evs))])); len(run) > 0 {
+					a.Consume(tid, run)
+				}
+			}
+		}
+		if got := a.Finish(); !reflect.DeepEqual(got, want) {
+			t.Errorf("clipped runs of %v != Analyze(Filter):\n got %+v\nwant %+v", q, got, want)
 		}
 	}
 }

@@ -105,13 +105,3 @@ func (c *SyncCoverage) TakeDispatch(t int64) (start, dur int64, ok bool) {
 // InstanceStart returns the start time of the open top-level sync
 // instance; only meaningful while Depth > 0.
 func (c *SyncCoverage) InstanceStart() int64 { return c.syncEnter }
-
-// SchedulingPointEvent reports whether ev marks the enter or exit of a
-// scheduling-point region — the event-level predicate both analyses
-// share. Note this is the trace analysis's notion (taskwait/barrier/
-// implicit barrier); region.Type.SchedulingPoint additionally counts
-// task creation, which suspends the creating task but opens no
-// dispatch window.
-func SchedulingPointEvent(ev Event) bool {
-	return (ev.Type == EvEnter || ev.Type == EvExit) && schedulingPoint(ev.Region)
-}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/region"
 	"repro/internal/stats"
 )
 
@@ -91,12 +90,12 @@ func threadIntervals(events []Event) []interval {
 		case EvThreadEnd:
 			transition(ev.Time, laneOutside)
 		case EvEnter:
-			if isSchedulingPoint(ev.Region) {
+			if r := ev.Region; r != nil && r.Type.WaitPoint() {
 				syncDepth++
 				transition(ev.Time, stateNow())
 			}
 		case EvExit:
-			if isSchedulingPoint(ev.Region) {
+			if r := ev.Region; r != nil && r.Type.WaitPoint() {
 				syncDepth--
 				transition(ev.Time, stateNow())
 			}
@@ -130,17 +129,6 @@ func threadIntervals(events []Event) []interval {
 		out = append(out, interval{curStart, last, cur})
 	}
 	return out
-}
-
-func isSchedulingPoint(r *region.Region) bool {
-	if r == nil {
-		return false
-	}
-	switch r.Type {
-	case region.Taskwait, region.Barrier, region.ImplicitBarrier:
-		return true
-	}
-	return false
 }
 
 // RenderTimeline writes the ASCII timeline of the trace.

@@ -1,6 +1,7 @@
 package scorep
 
 import (
+	"errors"
 	"io"
 	"time"
 
@@ -182,16 +183,14 @@ func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder(clock.NewSyste
 func NewTee(listeners ...Listener) Listener { return trace.NewTee(listeners...) }
 
 // AnalyzeTrace derives the paper's §VII metrics (dispatch latency,
-// management/execution ratio) from a recorded trace.
-func AnalyzeTrace(tr *Trace) *TraceAnalysis { return trace.Analyze(tr) }
-
-// AnalyzeTraceParallel is AnalyzeTrace sharded over up to workers
-// goroutines, one per trace thread at a time — per-thread streams are
-// independent, like Scalasca's parallel trace analysis. workers <= 0
-// uses one worker per processor, workers == 1 is exactly AnalyzeTrace;
-// the result is reflect.DeepEqual-identical at every setting.
-func AnalyzeTraceParallel(tr *Trace, workers int) *TraceAnalysis {
-	return trace.AnalyzeParallel(tr, workers)
+// management/execution ratio) from the part of a recorded trace matching
+// q (the zero TraceQuery: all of it) on up to workers goroutines, one per
+// trace thread at a time (<= 0: one per processor). The result is
+// reflect.DeepEqual-identical at every worker count.
+func AnalyzeTrace(tr *Trace, q TraceQuery, workers int) *TraceAnalysis {
+	a := trace.NewAnalyzer()
+	trace.Scan(tr, q, workers, a)
+	return a.Finish()
 }
 
 // WriteTraceJSONL serializes a trace as JSON Lines.
@@ -396,26 +395,30 @@ func WriteTraceArchive(w io.Writer, tr *Trace, opts ...TraceArchiveOption) error
 	return otf2.Write(w, tr, opts...)
 }
 
-// ReadTraceArchive deserializes a binary trace archive.
-func ReadTraceArchive(r io.Reader) (*Trace, error) {
-	return otf2.ReadAll(r, region.NewRegistry())
+// ReadTraceArchive loads the part of a binary trace archive matching q;
+// q and workers as in AnalyzeTrace. The loaded trace equals q.Filter of
+// the full decode: threads without matching events are absent. An
+// archive cut off mid-chunk yields its intact prefix together with an
+// error. See "Reading archives" in the package documentation for how an
+// indexed archive is read.
+func ReadTraceArchive(r io.Reader, q TraceQuery, workers int) (*Trace, TraceQueryStats, error) {
+	return otf2.Load(r, region.NewRegistry(), q, workers)
 }
 
-// ReadTraceArchiveParallel is ReadTraceArchive with chunk decoding
-// spread over up to workers goroutines (<= 0: one per processor). An
-// archive with a footer index, read from a file or a bytes.Reader, is
-// loaded by plan at every worker count, one included: each thread's
-// events are allocated once and every chunk decodes into its place.
-// Any other input is read by ReadTraceArchive whatever workers says.
-// The loaded trace is identical either way.
-func ReadTraceArchiveParallel(r io.Reader, workers int) (*Trace, error) {
-	return otf2.ReadAllParallel(r, region.NewRegistry(), workers)
+// AnalyzeTraceArchive runs the trace analysis directly over the part of
+// a binary archive matching q, in O(workers x chunk) memory and without
+// loading the trace. The analysis is reflect.DeepEqual-identical to
+// AnalyzeTrace of the same recording at every worker count; an archive
+// cut off mid-chunk yields its intact prefix's analysis together with an
+// error.
+func AnalyzeTraceArchive(r io.Reader, q TraceQuery, workers int) (*TraceAnalysis, TraceQueryStats, error) {
+	a := trace.NewAnalyzer()
+	st, err := otf2.Scan(r, q, workers, a)
+	if err != nil && !errors.Is(err, otf2.ErrTruncated) {
+		return nil, st, err
+	}
+	return a.Finish(), st, err
 }
-
-// AnalyzeTraceArchive runs the streaming trace analysis directly over a
-// binary archive in bounded memory, without loading the trace; the
-// result is identical to AnalyzeTrace of the same recording.
-func AnalyzeTraceArchive(r io.Reader) (*TraceAnalysis, error) { return otf2.Analyze(r) }
 
 // TraceArchiveStats describes an archive file's physical layout —
 // format version, footer index, per-thread chunk counts, compression
@@ -426,18 +429,6 @@ type TraceArchiveStats = otf2.ArchiveStats
 // StatTraceArchive reads an archive file's layout statistics without
 // decoding its events (see scorep-convert -stats).
 func StatTraceArchive(path string) (*TraceArchiveStats, error) { return otf2.StatFile(path) }
-
-// AnalyzeTraceArchiveParallel is AnalyzeTraceArchive with chunk
-// decoding on a worker pool and per-thread analysis shards (the
-// parallel out-of-core mode; memory stays O(workers x chunk)): the
-// workers read their own chunks where the footer index says they are,
-// or decode behind a sequential frame scanner when there is no index.
-// workers <= 0 uses one worker per processor; the analysis is
-// reflect.DeepEqual-identical to AnalyzeTraceArchive's at every
-// setting.
-func AnalyzeTraceArchiveParallel(r io.Reader, workers int) (*TraceAnalysis, error) {
-	return otf2.AnalyzeParallel(r, workers)
-}
 
 // TraceQuery selects a slice of a trace: a time window (inclusive, when
 // Windowed is set) and/or a thread subset (nil Threads means all). The
@@ -462,26 +453,6 @@ func ParseTraceWindow(s string) (minTime, maxTime int64, err error) {
 // into a sorted, deduplicated thread set.
 func ParseTraceThreads(s string) ([]int, error) { return trace.ParseThreadList(s) }
 
-// AnalyzeTraceArchiveQuery analyzes the sub-trace of an archive
-// matching q. When r seeks and the archive carries a footer index
-// (format v2), only the chunks whose thread and time bounds can match
-// are read and decoded — O(matching chunks), not O(archive); v1 and
-// truncated archives fall back to the sequential scan with event-level
-// filtering, preserving the salvage contract. The analysis is
-// reflect.DeepEqual-identical to AnalyzeTrace of q.Filter of the full
-// recording at every worker count.
-func AnalyzeTraceArchiveQuery(r io.Reader, q TraceQuery, workers int) (*TraceAnalysis, TraceQueryStats, error) {
-	return otf2.AnalyzeQuery(r, q, workers)
-}
-
-// ReadTraceArchiveQuery loads the sub-trace of an archive matching q,
-// with the same index-driven access and fallback as
-// AnalyzeTraceArchiveQuery. The loaded trace equals q.Filter of the
-// full decode: threads without matching events are absent.
-func ReadTraceArchiveQuery(r io.Reader, q TraceQuery, workers int) (*Trace, TraceQueryStats, error) {
-	return otf2.ReadAllQuery(r, region.NewRegistry(), q, workers)
-}
-
 // BottleneckAnalysis is the Scalasca-style automatic bottleneck report:
 // wait-state classification with root-cause attribution (late task
 // spawn, starved thief, barrier imbalance), the task-graph critical
@@ -501,19 +472,25 @@ type BottleneckCriticalPath = bottleneck.CriticalPath
 // fleet experiment.
 type BottleneckFleetSummary = bottleneck.FleetSummary
 
-// AnalyzeBottlenecks runs the bottleneck analysis over an in-memory
-// trace; workers as in AnalyzeTraceParallel (<= 0 one per processor).
-// The result is identical at every worker count.
-func AnalyzeBottlenecks(tr *Trace, workers int) *BottleneckAnalysis {
-	return bottleneck.AnalyzeQuery(tr, TraceQuery{}, workers)
+// AnalyzeBottlenecks runs the bottleneck analysis over the part of an
+// in-memory trace matching q; q and workers as in AnalyzeTrace. The
+// result is identical at every worker count.
+func AnalyzeBottlenecks(tr *Trace, q TraceQuery, workers int) *BottleneckAnalysis {
+	c := bottleneck.NewCollector(workers)
+	trace.Scan(tr, q, workers, c)
+	return c.Finish()
 }
 
 // AnalyzeTraceArchiveBottlenecks runs the bottleneck analysis over the
-// sub-trace of an archive matching q, with the same index-driven
-// access, sequential fallback and truncation salvage as
-// AnalyzeTraceArchiveQuery.
+// part of an archive matching q, with the same index-driven access,
+// sequential fallback and truncation salvage as AnalyzeTraceArchive.
 func AnalyzeTraceArchiveBottlenecks(r io.Reader, q TraceQuery, workers int) (*BottleneckAnalysis, TraceQueryStats, error) {
-	return otf2.AnalyzeBottlenecks(r, q, workers)
+	c := bottleneck.NewCollector(workers)
+	st, err := otf2.Scan(r, q, workers, c)
+	if err != nil && !errors.Is(err, otf2.ErrTruncated) {
+		return nil, st, err
+	}
+	return c.Finish(), st, err
 }
 
 // MergeBottleneckAnalyses folds per-shard bottleneck analyses (keyed by

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bottleneck"
 	"repro/internal/clock"
 	"repro/internal/measure"
 	"repro/internal/omp"
@@ -259,7 +258,7 @@ func (s *Session) End() (*Results, error) {
 			// the store holds the intact prefix of a cut archive, and the
 			// results keep the events of that prefix.
 			err = fmt.Errorf("trace archive: %w", err)
-			tr, _ = otf2.ReadAll(s.store.Reader(), region.Default)
+			tr, _, _ = otf2.Load(s.store.Reader(), region.Default, TraceQuery{}, 1)
 		}
 		s.archive, s.store = nil, nil
 	}
@@ -277,13 +276,12 @@ func (s *Session) End() (*Results, error) {
 	}
 
 	s.results = &Results{
-		cfg:     s.cfg,
-		m:       s.m,
-		archive: archive,
-		trace:   tr,
-		stats:   s.rt.LastTeamStats(),
-		wall:    wall,
-		flight:  flight,
+		cfg:    s.cfg,
+		m:      s.m,
+		src:    traceSource{mem: archive, trace: tr, reg: region.Default},
+		stats:  s.rt.LastTeamStats(),
+		wall:   wall,
+		flight: flight,
 	}
 	if s.net != nil {
 		// Surface the stream's fate into the results (and thereby the
@@ -318,14 +316,14 @@ type Results struct {
 	stats TeamStats
 	wall  time.Duration
 
-	// archive is the recording of a local tracing session, or the final
-	// window of a flight recorder: the complete, indexed trace archive End
-	// closed, which SaveExperiment copies to disk and every accessor reads
-	// like a file. It never changes. trace is the recording as events:
-	// archive decoded by the first Trace call (guarded by mu), or what End
-	// could read of an archive that was cut short.
-	archive *otf2.Memory
-	trace   *Trace
+	// src is the recording. src.mem is that of a local tracing session, or
+	// the final window of a flight recorder: the complete, indexed trace
+	// archive End closed, which SaveExperiment copies to disk and every
+	// accessor reads like a file. It never changes. src.trace is the
+	// recording as events: the archive decoded by the first Trace call
+	// (guarded by mu), or what End could read of an archive that was cut
+	// short.
+	src traceSource
 
 	// Remote-tracing stream fate (see Session.End): recorded in the
 	// experiment's meta.json and exposed via RemoteFallback.
@@ -340,8 +338,6 @@ type Results struct {
 
 	mu          sync.Mutex
 	report      *Report
-	analysis    *TraceAnalysis
-	bottlenecks *BottleneckAnalysis
 	findings    []Finding
 	findingsSet bool
 }
@@ -370,10 +366,7 @@ func (r *Results) reportLocked() *Report {
 func (r *Results) Trace() *Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.trace == nil && r.archive != nil {
-		r.trace = ownArchive(otf2.ReadAllParallel(r.archive.Reader(), region.Default, r.cfg.analysisWorkers))
-	}
-	return r.trace
+	return ownArchive(r.src.load(r.cfg.analysisWorkers))
 }
 
 // ownArchive passes on what a read of the session's own archive
@@ -397,14 +390,7 @@ func ownArchive[T any](v T, err error) T {
 func (r *Results) TraceAnalysis() *TraceAnalysis {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch {
-	case r.analysis != nil:
-	case r.trace != nil:
-		r.analysis = trace.AnalyzeParallel(r.trace, r.cfg.analysisWorkers)
-	case r.archive != nil:
-		r.analysis = ownArchive(otf2.AnalyzeParallel(r.archive.Reader(), r.cfg.analysisWorkers))
-	}
-	return r.analysis
+	return ownArchive(r.src.traceAnalysis(r.cfg.analysisWorkers))
 }
 
 // Bottlenecks runs the Scalasca-style bottleneck analysis (wait-state
@@ -416,15 +402,7 @@ func (r *Results) TraceAnalysis() *TraceAnalysis {
 func (r *Results) Bottlenecks() *BottleneckAnalysis {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch {
-	case r.bottlenecks != nil:
-	case r.trace != nil:
-		r.bottlenecks = bottleneck.AnalyzeQuery(r.trace, trace.Query{}, r.cfg.analysisWorkers)
-	case r.archive != nil:
-		a, _, err := otf2.AnalyzeBottlenecks(r.archive.Reader(), trace.Query{}, r.cfg.analysisWorkers)
-		r.bottlenecks = ownArchive(a, err)
-	}
-	return r.bottlenecks
+	return ownArchive(r.src.bottleneckAnalysis(r.cfg.analysisWorkers))
 }
 
 // Findings diagnoses tasking inefficiencies in the profile using the

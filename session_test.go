@@ -133,11 +133,11 @@ func TestSessionAnalysisParallelism(t *testing.T) {
 	if a == nil || a.TaskExecution.Count != 24 {
 		t.Fatalf("parallel trace analysis = %+v, want 24 task fragments", a)
 	}
-	if want := scorep.AnalyzeTrace(res.Trace()); !reflect.DeepEqual(want, a) {
+	if want := scorep.AnalyzeTrace(res.Trace(), scorep.TraceQuery{}, 1); !reflect.DeepEqual(want, a) {
 		t.Errorf("parallel analysis diverges from sequential:\n got %+v\nwant %+v", a, want)
 	}
-	if got := scorep.AnalyzeTraceParallel(res.Trace(), 3); !reflect.DeepEqual(got, a) {
-		t.Errorf("AnalyzeTraceParallel diverges at a different worker count")
+	if got := scorep.AnalyzeTrace(res.Trace(), scorep.TraceQuery{}, 3); !reflect.DeepEqual(got, a) {
+		t.Errorf("AnalyzeTrace diverges at a different worker count")
 	}
 }
 
@@ -213,7 +213,7 @@ func TestSessionStreamingTrace(t *testing.T) {
 	if res.Trace() != nil {
 		t.Error("streaming session must not return an in-memory trace")
 	}
-	tr, err := scorep.ReadTraceArchive(bytes.NewReader(buf.Bytes()))
+	tr, _, err := scorep.ReadTraceArchive(bytes.NewReader(buf.Bytes()), scorep.TraceQuery{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestNewSessionFromEnvKeepsStreamingSink(t *testing.T) {
 	if res.Trace() != nil {
 		t.Error("env tracing=true dropped the programmatic streaming sink (in-memory trace returned)")
 	}
-	tr, err := scorep.ReadTraceArchive(bytes.NewReader(buf.Bytes()))
+	tr, _, err := scorep.ReadTraceArchive(bytes.NewReader(buf.Bytes()), scorep.TraceQuery{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
