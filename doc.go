@@ -546,7 +546,7 @@
 // TraceArchiveFormatVersion(1) / scorep-convert -format-version 1
 // downgrade to the sequential-only v1 byte stream — v1 -> v2 -> v1
 // round-trips the event stream byte-identically, and v1 archives stay
-// fully readable (they simply fall back to the sequential scan).
+// fully readable (their reads are planned from the chunk framing).
 //
 // The index exists for time-window queries: a TraceQuery (a time window
 // [MinTime, MaxTime] and/or a thread-ID subset) handed to
@@ -558,9 +558,9 @@
 // ChunksRead / ChunksTotal counters reported in TraceQueryStats. The
 // result is defined to be reflect.DeepEqual- and JSON-byte-identical to
 // decoding the whole archive and filtering with TraceQuery.Filter,
-// at every worker count, on both the indexed path and the sequential
-// fallback (v1 input, or a v2 archive whose index was lost to a crash —
-// which still salvages the intact prefix). scorep-convert -stats
+// at every worker count, whether the plan comes from the index or from
+// the archive's framing (v1 input, or a v2 archive whose index was lost
+// to a crash — which still salvages the intact prefix). scorep-convert -stats
 // reports the physical layout: format version, index presence,
 // per-thread chunk counts and the compression ratio.
 //
@@ -600,8 +600,8 @@
 // thread with no matching event is in no result.
 //
 // Every archive this module finishes — a saved experiment, a daemon
-// shard, a flight dump — carries the footer index, and every scan or
-// load of one goes by it, as an OTF2 reader sizes a location's buffer
+// shard, a flight dump — carries the footer index, and a scan or load of
+// one is planned from it, as an OTF2 reader sizes a location's buffer
 // from the event count in its definitions. The read is planned, then
 // its chunks are placed or delivered:
 //
@@ -642,18 +642,22 @@
 //     runs keeps memory at O(workers x chunk). The consumers' hint is
 //     the event count of each thread's selected chunks.
 //
-// There is one fallback, chosen by what the input is and never by an
-// option: an input without a readable index (a v1 archive, the prefix
-// a crashed run left, a damaged trailer) or without random access (a
-// pipe; anything but a file, a bytes.Reader or a session's archive in
-// memory) is read front to back — a load by one goroutine, whatever the
-// worker count, then filtered; a scan behind a sequential frame
-// scanner, every run filtered in place, with no hint — with identical
-// results. A JSONL file is decoded whole and scanned or filtered as a
-// Trace. Every path decodes events in one loop that writes through a
-// pointer into its destination and resolves regions in a table indexed
-// by region ID (IDs above 2^20 are corruption; the writer numbers
-// regions from 0).
+// Every archive is planned; only the plan's inputs differ, chosen by
+// what the input is and never by an option. An archive without a
+// readable index (a v1 archive, the prefix a crashed run left, a
+// damaged trailer) is planned from its own framing: one walk from the
+// header reads each chunk's kind and length, decodes the definition
+// chunks in order, takes each event chunk's thread and count from its
+// head, and stops at the first cut or damaged frame, which becomes the
+// error after the chunks before it. Such a plan has no time bounds, so
+// it selects every chunk of the query's threads, decodes each from 0,
+// runs each thread's clock on through its chunks and clips after that;
+// its hint is the recovered counts. An input without random access (a
+// pipe) is copied into memory and planned like any other. A JSONL file
+// is decoded whole and scanned or filtered as a Trace. Every path
+// decodes events in one loop that writes through a pointer into its
+// destination and resolves regions in the table the definitions before
+// the chunk left (region IDs above 2^20 are corruption).
 //
 // The salvage contract is the same on every path: an archive cut off
 // mid-chunk — the typical state after a crashed or killed run — gives
@@ -816,8 +820,8 @@
 //
 // With more than one worker the walk's lookup tables are built beside
 // the classification. CI cmp's the -bottlenecks -json outputs at
-// -parallel 1 and 4 on every change, whole and windowed, on the indexed
-// and on the sequential path, and internal/bottleneck/testdata pins the
+// -parallel 1 and 4 on every change, whole and windowed, on indexed and
+// on index-less archives, and internal/bottleneck/testdata pins the
 // analyses of 30 BOTS traces byte for byte.
 //
 // See examples/ for runnable programs (quickstart is the Session-API

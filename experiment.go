@@ -414,9 +414,10 @@ func (e *Experiment) TraceAnalysis() (*TraceAnalysis, error) {
 // sub-trace matching q, or returns zero-value results when the
 // experiment holds no trace. An archive with a footer index (format
 // v2) is accessed through it — only chunks whose thread and time
-// bounds can match are decoded; older or truncated archives fall back
-// to a full scan with event-level filtering (salvaging the intact
-// prefix with a warning, like TraceAnalysis). The analysis equals
+// bounds can match are decoded; older or truncated archives are
+// planned from their chunk framing, every chunk of the selected threads
+// decoded and clipped (salvaging the intact prefix with a warning, like
+// TraceAnalysis). The analysis equals
 // filtering the full trace with q and analyzing that. Results are not
 // cached: each call reflects its own query.
 func (e *Experiment) TraceAnalysisQuery(q TraceQuery) (*TraceAnalysis, TraceQueryStats, error) {
@@ -440,8 +441,7 @@ func (e *Experiment) Bottlenecks() (*BottleneckAnalysis, error) {
 }
 
 // BottlenecksQuery is Bottlenecks restricted to the sub-trace matching
-// q, with the same index-driven access and fallback as
-// TraceAnalysisQuery. Results are not cached: each call reflects its
+// q, with the same planned access as TraceAnalysisQuery. Results are not cached: each call reflects its
 // own query.
 func (e *Experiment) BottlenecksQuery(q TraceQuery) (*BottleneckAnalysis, TraceQueryStats, error) {
 	e.mu.Lock()

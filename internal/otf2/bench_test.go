@@ -2,6 +2,7 @@ package otf2
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -200,8 +201,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 var _ io.Writer = (*countingWriter)(nil)
 
 // BenchmarkLoad measures a whole-archive load by plan (raw and flate, one
-// and two workers) against the sequential load every index-less input
-// falls back to.
+// and two workers) against the sequential reference reader.
 func BenchmarkLoad(b *testing.B) {
 	tr := benchTrace(4, 50_000)
 	events := tr.NumEvents()
@@ -226,6 +226,46 @@ func BenchmarkLoad(b *testing.B) {
 		for _, workers := range []int{1, 2} {
 			run(fmt.Sprintf("planned-%d", workers), func() (*trace.Trace, error) {
 				return ReadAllParallel(bytes.NewReader(data), region.NewRegistry(), workers)
+			})
+		}
+	}
+}
+
+// BenchmarkIndexless measures Load and Scan into an Analyzer, at one and
+// four workers, over the archives a plan recovers from their framing: a
+// v1 archive and a flate archive cut two thirds in, of a million events
+// each.
+func BenchmarkIndexless(b *testing.B) {
+	tr := benchTrace(4, 62_500)
+	archive := func(opts ...WriterOption) []byte {
+		var buf bytes.Buffer
+		if err := Write(&buf, tr, opts...); err != nil {
+			b.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	flate := archive(WithCompression(CompressionFlate))
+	for _, in := range []struct {
+		name string
+		data []byte
+	}{
+		{"v1", archive(WithVersion(1))},
+		{"cut-flate", flate[:len(flate)*2/3]},
+	} {
+		for _, workers := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/load-%d", in.name, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, _, err := Load(bytes.NewReader(in.data), region.NewRegistry(), Query{}, workers); err != nil && !errors.Is(err, ErrTruncated) {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/scan-%d", in.name, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := analyzeParallel(bytes.NewReader(in.data), workers); err != nil && !errors.Is(err, ErrTruncated) {
+						b.Fatal(err)
+					}
+				}
 			})
 		}
 	}

@@ -1,11 +1,9 @@
 package otf2
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"io/fs"
 	"os"
 	"sync/atomic"
 
@@ -123,7 +121,8 @@ type ArchiveStats struct {
 // StatFile inspects a binary archive's physical layout without
 // decoding its event stream: format version, index presence, per-thread
 // chunk counts and compression effectiveness. Archives without a
-// readable index (v1, truncated) report version and size only.
+// readable index (v1, truncated) report version, size and flight
+// accounting only.
 func StatFile(path string) (*ArchiveStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -134,26 +133,46 @@ func StatFile(path string) (*ArchiveStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := make([]byte, len(magic)+1)
-	if _, err := io.ReadFull(f, br); err != nil {
-		return nil, cutOrIOErr("reading archive header", err)
-	}
-	if string(br[:len(magic)]) != magic {
-		return nil, corrupt("bad magic %q", br[:len(magic)])
-	}
-	st := &ArchiveStats{FormatVersion: int(br[len(magic)]), SizeBytes: fi.Size()}
-	if st.FormatVersion != int(version1) && st.FormatVersion != int(version2) {
-		return nil, corrupt("unsupported format version %d", st.FormatVersion)
-	}
-	// Flight-recorder accounting sits at the front of a dump archive
-	// (before any definition or event chunk), so a short sequential scan
-	// finds it even when the archive is truncated and index-less.
-	st.Flight = scanFlightInfo(f)
-	ix, err := ReadIndex(f)
+	version, err := readHeaderAt(f)
 	if err != nil {
-		if errors.Is(err, ErrNoIndex) {
-			return st, nil
+		return nil, err
+	}
+	st := &ArchiveStats{FormatVersion: int(version), SizeBytes: fi.Size()}
+	// One walk over the framing sizes the event chunks and finds the
+	// flight-recorder accounting, which sits at the front of a dump: a
+	// truncated, index-less dump reports it too.
+	_, _ = walk(f, int64(headerLen), fi.Size(), func(fr frame) error {
+		raw := int64(fr.size)
+		switch fr.kind {
+		case chunkFlight:
+			payload := make([]byte, fr.size)
+			if _, err := f.ReadAt(payload, fr.body); err == nil {
+				if info, err := decodeFlightInfo(payload); err == nil {
+					st.Flight = info
+				}
+			}
+			return nil
+		case chunkCompressed:
+			n, _, err := compressedHead(fr.head)
+			if err != nil {
+				return err
+			}
+			raw = int64(n)
+			st.CompressedChunks++
+		case chunkEvents:
+		default:
+			return nil
 		}
+		st.Chunks++
+		st.RawEventBytes += raw
+		st.StoredEventBytes += int64(fr.size)
+		return nil
+	})
+	ix, err := ReadIndex(f)
+	if errors.Is(err, ErrNoIndex) {
+		return &ArchiveStats{FormatVersion: st.FormatVersion, SizeBytes: st.SizeBytes, Flight: st.Flight}, nil
+	}
+	if err != nil {
 		return nil, err
 	}
 	st.Indexed = true
@@ -161,141 +180,45 @@ func StatFile(path string) (*ArchiveStats, error) {
 	st.ThreadChunks = make(map[int]int, len(ix.Threads))
 	for _, tc := range ix.Threads {
 		st.ThreadChunks[tc.Thread] = len(tc.Chunks)
-		for _, cr := range tc.Chunks {
-			kind, payload, err := ReadChunkAt(f, cr.Offset)
-			if err != nil {
-				return nil, err
-			}
-			st.Chunks++
-			st.StoredEventBytes += int64(len(payload))
-			switch kind {
-			case chunkEvents:
-				st.RawEventBytes += int64(len(payload))
-			case chunkCompressed:
-				st.CompressedChunks++
-				if len(payload) == 0 {
-					return nil, corrupt("empty compressed chunk at %d", cr.Offset)
-				}
-				c := cursor{payload: payload, pos: 1} // skip the method byte
-				rawLen, err := c.uvarint("uncompressed length")
-				if err != nil {
-					return nil, err
-				}
-				st.RawEventBytes += int64(rawLen)
-			default:
-				return nil, corrupt("index lists event chunk at %d, found %q", cr.Offset, kind)
-			}
-		}
 	}
 	return st, nil
 }
 
-// scanFlightInfo reads chunks sequentially from f's current position
-// (directly after the header) until it finds the 'F' accounting chunk
-// or reaches the first event chunk. Dumps place 'F' before everything
-// else, so the scan touches at most a couple of chunk headers. It is
-// best-effort: any read or decode failure reports "no accounting".
-func scanFlightInfo(f io.Reader) *FlightInfo {
-	br := bufio.NewReader(f)
-	var buf []byte
-	for {
-		kind, payload, err := readChunkInto(br, buf)
-		buf = payload
-		if err != nil {
-			return nil
-		}
-		switch kind {
-		case chunkFlight:
-			info, err := decodeFlightInfo(payload)
-			if err != nil {
-				return nil
-			}
-			return info
-		case chunkDefs:
-			continue
-		default:
-			// An event chunk (or the index of an event-less archive):
-			// no accounting ahead of the event stream means none at all.
-			return nil
-		}
-	}
-}
-
-// IntactPrefixSize scans the chunk framing of the archive at path and
+// IntactPrefixSize walks the chunk framing of the archive at path and
 // returns the byte length of its intact prefix: the 8-byte header plus
-// every complete chunk before the first truncated or over-long one.
-// This is the cut point ScanFile and LoadFile salvage to, computed
-// without decoding any payload (chunk headers are read, payloads are
-// skipped), so it is O(chunks) in time and O(1) in memory. A file
-// shorter than the header, or one whose magic or version byte is wrong,
-// has an intact prefix of 0. The typical caller is crash recovery:
-// truncating a shard to its intact prefix makes the file a valid,
-// fully readable archive prefix again, and the returned size is the
-// durable byte offset a resuming writer must continue from.
+// every complete chunk before the first one that is cut off or whose
+// length is damaged. It reads chunk headers and skips payloads, so it is
+// O(chunks) in time and O(1) in memory. For a cut, the offset is where
+// ScanFile and LoadFile salvage to; a damaged length they report as
+// corruption instead, but everything from that chunk on is unusable
+// either way. A file shorter than the header, or one whose magic or
+// version byte is wrong, has an intact prefix of 0; only a failing read
+// is an error. The typical caller is crash recovery: truncating a shard
+// to its intact prefix makes the file a valid, fully readable archive
+// prefix again, and the returned size is the durable byte offset a
+// resuming writer must continue from.
 func IntactPrefixSize(path string) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 64<<10)
-	hdr := make([]byte, len(magic)+1)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, nil
-		}
+	fi, err := f.Stat()
+	if err != nil {
 		return 0, err
 	}
-	if string(hdr[:len(magic)]) != magic ||
-		(hdr[len(magic)] != version1 && hdr[len(magic)] != version2) {
+	var readErr *fs.PathError
+	if _, err := readHeaderAt(f); err != nil {
+		if errors.As(err, &readErr) {
+			return 0, err
+		}
 		return 0, nil
 	}
-	intact := int64(len(hdr))
-	pos := intact
-	for {
-		if _, err := br.ReadByte(); err != nil { // chunk kind
-			if err == io.EOF {
-				return intact, nil
-			}
-			return 0, err
-		}
-		pos++
-		n, err := binary.ReadUvarint(countingByteReader{br, &pos})
-		if err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return intact, nil
-			}
-			return 0, err
-		}
-		if n > maxChunkLen {
-			// An impossible length means the header itself is damaged;
-			// everything from this chunk on is unusable.
-			return intact, nil
-		}
-		skipped, err := br.Discard(int(n))
-		pos += int64(skipped)
-		if err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return intact, nil
-			}
-			return 0, err
-		}
-		intact = pos
+	intact, err := walk(f, int64(headerLen), fi.Size(), nil)
+	if errors.As(err, &readErr) {
+		return 0, err
 	}
-}
-
-// countingByteReader counts the bytes a varint decode consumes.
-type countingByteReader struct {
-	r   *bufio.Reader
-	pos *int64
-}
-
-func (c countingByteReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err == nil {
-		*c.pos++
-	}
-	return b, err
+	return intact, nil
 }
 
 // WriteFile saves a trace to path in the format chosen by its

@@ -1,9 +1,11 @@
 package otf2
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/region"
@@ -151,11 +153,12 @@ func TestAnalyzeFileFormatsAgree(t *testing.T) {
 	}
 }
 
-// TestIntactPrefixSize checks the cut-point scan against the readers'
+// TestIntactPrefixSize checks the cut-point walk against the readers'
 // salvage behavior: the intact prefix of a complete archive is the
-// whole file, the prefix of a mid-chunk cut is chunk-aligned, and
-// truncating to it yields an archive that reads cleanly with exactly
-// the events the lenient reader salvages.
+// whole file, a damaged chunk length ends it at the chunk before, and
+// for a raw, a compressed and a v1 archive cut at every byte offset it
+// is the prefix the lenient load salvages: truncated to it, the file
+// reads cleanly to exactly the salvaged events.
 func TestIntactPrefixSize(t *testing.T) {
 	dir := t.TempDir()
 	reg := region.NewRegistry()
@@ -185,33 +188,77 @@ func TestIntactPrefixSize(t *testing.T) {
 		t.Fatalf("complete archive: IntactPrefixSize = (%d, %v), want (%d, nil)", n, err, len(archive))
 	}
 
-	// Cut mid-chunk; the scan must land on the chunk boundary before the
-	// cut, and the truncated-to-prefix file must read without salvage.
-	cutPath := filepath.Join(dir, "cut.otf2")
-	cut := lastEventChunkOffset(t, archive) + 3
-	if err := os.WriteFile(cutPath, archive[:cut], 0o644); err != nil {
-		t.Fatal(err)
+	// A damaged length ends the intact prefix at the chunk before it,
+	// whether it is too long or overflows 64 bits.
+	for name, length := range map[string][]byte{
+		"over-long":  {0xff, 0xff, 0xff, 0xff, 0x0f},
+		"overflowed": {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	} {
+		p := filepath.Join(dir, name+Ext)
+		if err := os.WriteFile(p, append(append(slices.Clip(archive), chunkEvents), length...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := IntactPrefixSize(p); err != nil || n != int64(len(archive)) {
+			t.Errorf("%s length: IntactPrefixSize = (%d, %v), want (%d, nil)", name, n, err, len(archive))
+		}
 	}
-	prefix, err := IntactPrefixSize(cutPath)
-	if err != nil {
-		t.Fatal(err)
+
+	// Every cut of archives of about 20 chunks, taken from the end down:
+	// the prefix the walk finds is the one a load salvages (LoadFile's
+	// load and salvage, on the bytes), and it reads cleanly to the same.
+	task := reg.Register("wide.task", "file_test.go", 2, region.Task)
+	wide := make([]trace.Event, 1200) // 17 bytes an event
+	for i := range wide {
+		wide[i] = trace.Event{Time: int64(i+1) << 40, Type: trace.EvTaskBegin + trace.EventType(i&1), Region: task, TaskID: 1<<62 + uint64(i/2)}
 	}
-	if prefix <= int64(len(magic)+1) || prefix >= cut {
-		t.Fatalf("IntactPrefixSize = %d, want a chunk boundary in (8, %d)", prefix, cut)
+	write := func(opts ...WriterOption) []byte {
+		var buf bytes.Buffer
+		if err := Write(&buf, &trace.Trace{Threads: map[int][]trace.Event{0: wide}}, append([]WriterOption{WithChunkBytes(1024)}, opts...)...); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	salvaged, warning, err := loadWhole(cutPath)
-	if err != nil || warning == "" {
-		t.Fatalf("LoadFile(cut) = (_, %q, %v), want salvage warning", warning, err)
-	}
-	if err := os.Truncate(cutPath, prefix); err != nil {
-		t.Fatal(err)
-	}
-	clean, warning, err := loadWhole(cutPath)
-	if err != nil || warning != "" {
-		t.Fatalf("truncated-to-prefix archive = (_, %q, %v), want clean read", warning, err)
-	}
-	if clean.NumEvents() != salvaged.NumEvents() {
-		t.Errorf("prefix archive has %d events, lenient salvage had %d", clean.NumEvents(), salvaged.NumEvents())
+	for name, data := range map[string][]byte{
+		"raw":   write(),
+		"flate": write(WithCompression(CompressionFlate)),
+		"v1":    write(WithVersion(1)),
+	} {
+		cutPath := filepath.Join(dir, "cut-"+name+Ext)
+		if err := os.WriteFile(cutPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		prefixes := map[int64]*trace.Trace{} // the clean load of each prefix
+		step := 1
+		if raceDetector {
+			step = 7 // the offsets' property is not a concurrent one
+		}
+		for cut := len(data); cut >= 0; cut -= step {
+			if err := os.Truncate(cutPath, int64(cut)); err != nil {
+				t.Fatal(err)
+			}
+			n, err := IntactPrefixSize(cutPath)
+			if err != nil || n > int64(cut) || (cut < headerLen) != (n == 0) {
+				t.Fatalf("%s cut at %d: IntactPrefixSize = (%d, %v)", name, cut, n, err)
+			}
+			salvaged, _, err := Load(bytes.NewReader(data[:cut]), reg, Query{}, 1)
+			if warning, err := salvage(err); err != nil || (warning == "") != (n == int64(cut) && cut >= headerLen) {
+				t.Fatalf("%s cut at %d, intact to %d: the load salvages with warning %q, err %v", name, cut, n, warning, err)
+			}
+			want, ok := prefixes[n]
+			if !ok {
+				want, _, err = Load(bytes.NewReader(data[:n]), reg, Query{}, 1)
+				if n >= int64(headerLen) && err != nil {
+					t.Fatalf("%s: the prefix of %d bytes does not read cleanly: %v", name, n, err)
+				}
+				prefixes[n] = want
+			}
+			if !sameEvents(salvaged, want) {
+				t.Fatalf("%s cut at %d: %d events salvaged, the %d-byte intact prefix holds %d", name, cut, salvaged.NumEvents(), n, want.NumEvents())
+			}
+		}
+		if len(prefixes) < 20 {
+			t.Errorf("%s: %d intact prefixes, want a chunk boundary for each of about 20 chunks", name, len(prefixes))
+		}
 	}
 
 	// Degenerate files: empty, short header, wrong magic.

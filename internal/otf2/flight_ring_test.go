@@ -86,7 +86,7 @@ func withoutBytes(st FlightStats) FlightStats {
 // readSequential walks an archive chunk by chunk with no help from its
 // index, and returns its events and its accounting chunk.
 func readSequential(data []byte, reg *region.Registry) (*trace.Trace, *FlightInfo, error) {
-	r, err := NewReader(bytes.NewReader(data), reg)
+	r, err := newReader(bytes.NewReader(data), reg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -52,7 +52,7 @@ func TestWriteFlightDumpRoundTrip(t *testing.T) {
 		}
 
 		// The dump is a normal archive: events round-trip exactly.
-		r, err := NewReader(bytes.NewReader(buf.Bytes()), region.NewRegistry())
+		r, err := newReader(bytes.NewReader(buf.Bytes()), region.NewRegistry())
 		if err != nil {
 			t.Fatalf("%v: NewReader: %v", comp, err)
 		}
@@ -139,7 +139,7 @@ func TestWriteFlightDumpNilInfo(t *testing.T) {
 	if err := WriteFlightDump(&buf, tr, nil, WithCompression(CompressionNone)); err != nil {
 		t.Fatalf("WriteFlightDump(nil info): %v", err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()), region.NewRegistry())
+	r, err := newReader(bytes.NewReader(buf.Bytes()), region.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,107 @@
+package otf2
+
+import (
+	"encoding/binary"
+	"fmt"
+	"io"
+)
+
+// headerLen is the byte length of the archive header: the magic and the
+// version byte. The first chunk starts there.
+const headerLen = len(magic) + 1
+
+// readHeaderAt validates the archive header of src and returns the
+// archive's format version (1 or 2). A source shorter than the header is
+// a cut archive.
+func readHeaderAt(src io.ReaderAt) (byte, error) {
+	var hdr [headerLen]byte
+	if n, err := src.ReadAt(hdr[:], 0); n < len(hdr) {
+		if err == io.EOF && n > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, cutOrIOErr("reading header", err)
+	}
+	if string(hdr[:len(magic)]) != magic {
+		return 0, corrupt("bad magic %q", hdr[:len(magic)])
+	}
+	v := hdr[len(magic)]
+	if v != version1 && v != version2 {
+		return 0, fmt.Errorf("otf2: unsupported format version %d (have %d and %d)", v, version1, version2)
+	}
+	return v, nil
+}
+
+// frame is one chunk as its framing gives it: its kind and extent, the
+// offset of its kind byte, and head, the first bytes of its payload as
+// far as they came with the framing — enough for an event chunk's
+// thread/count head and a compressed chunk's method and raw length.
+type frame struct {
+	chunkHead
+	off  int64
+	head []byte
+}
+
+// frameBytes is what readFrame reads at a chunk's offset: the kind byte,
+// a length (an eleventh length byte would overflow), and an event
+// chunk's thread and count.
+const frameBytes = 1 + 3*binary.MaxVarintLen64 + 1
+
+// readFrame reads the framing of the chunk at off into buf. Bytes that
+// end before the length does are a cut (an error wrapping ErrTruncated);
+// a length that overflows or exceeds maxChunkLen is corruption. Whether
+// the payload lies inside the archive is for the caller to say.
+func readFrame(src io.ReaderAt, off int64, buf *[frameBytes]byte) (frame, error) {
+	n, err := src.ReadAt(buf[:], off)
+	if err != nil && err != io.EOF {
+		return frame{}, fmt.Errorf("otf2: reading chunk at %d: %w", off, err)
+	}
+	size, k := binary.Uvarint(buf[1:max(n, 1)])
+	switch {
+	case n <= 1 || (k == 0 && n-1 < binary.MaxVarintLen64):
+		if n > 1 {
+			err = io.ErrUnexpectedEOF
+		}
+		return frame{}, cutOrIOErr("reading chunk length", err)
+	case k <= 0:
+		return frame{}, corrupt("chunk length at %d overflows", off)
+	case size > maxChunkLen:
+		return frame{}, corrupt("chunk length %d exceeds limit", size)
+	}
+	h := chunkHead{kind: buf[0], body: off + 1 + int64(k), size: int(size)}
+	return frame{h, off, buf[1+k : min(n, 1+k+int(size))]}, nil
+}
+
+// walk reads the chunk framing of src from off up to end, in archive
+// order, and hands every chunk that lies whole before end to visit. It
+// returns where the chunks it walked end, and why it stopped there: nil
+// at end, an error wrapping ErrTruncated for a chunk end cuts off, a
+// corruption error for a damaged length, an I/O error, or what visit
+// returned. It reads the framing only — a payload is visit's to read —
+// and it is the one walk over an archive's framing: a plan without an
+// index is recovered from it, and IntactPrefixSize and StatFile read it.
+func walk(src io.ReaderAt, off, end int64, visit func(f frame) error) (int64, error) {
+	var buf *[frameBytes]byte // made on the first chunk: many walks have none
+	for off < end {
+		if buf == nil {
+			buf = new([frameBytes]byte)
+		}
+		f, err := readFrame(src, off, buf)
+		if err != nil {
+			return off, err
+		}
+		if stop := f.body + int64(f.size); stop > end {
+			err := io.ErrUnexpectedEOF
+			if f.body >= end {
+				err = io.EOF
+			}
+			return off, cutOrIOErr("chunk payload", err)
+		}
+		if visit != nil {
+			if err := visit(f); err != nil {
+				return off, err
+			}
+		}
+		off = f.body + int64(f.size)
+	}
+	return off, nil
+}

@@ -2,6 +2,8 @@ package otf2
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -20,10 +22,15 @@ func corruptTail(data []byte, n int) []byte {
 	return out
 }
 
-// FuzzCodec throws arbitrary bytes at the archive reader: decoding must
-// never panic, and whatever decodes successfully must survive a
-// re-encode → re-decode round trip unchanged (the codec is a bijection
-// on its image).
+// FuzzCodec throws arbitrary bytes at the archive readers: decoding must
+// never panic; Load at one and three workers and Scan must agree with the
+// sequential reference reader on what they accept, on whether a failure
+// is a cut, and on the events — a cut input's intact prefix included,
+// which the framing walk must end exactly at; and whatever decodes
+// successfully must survive a re-encode → re-decode round trip unchanged
+// (the codec is a bijection on its image). Where a footer index is
+// readable the plan holds it to the chunks, so there Load and Scan may
+// refuse an input the reference reads, never read it differently.
 func FuzzCodec(f *testing.F) {
 	var valid bytes.Buffer
 	if err := Write(&valid, sampleTrace(region.NewRegistry())); err != nil {
@@ -49,11 +56,59 @@ func FuzzCodec(f *testing.F) {
 	f.Add(corruptTail(compressed.Bytes(), 80))                                            // inside a flate stream
 	f.Add(valid.Bytes()[: len(valid.Bytes())-trailerLen : len(valid.Bytes())-trailerLen]) // trailer sheared off
 	f.Add([]byte(magic + "\x02F\x04\x00\x00\x00\x30"))                                    // damaged flight accounting: no path may be alone in rejecting it
+	// Inputs without an index, planned from their framing.
+	var v1 bytes.Buffer
+	if err := Write(&v1, sampleTrace(region.NewRegistry()), WithVersion(1)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1.Bytes())
+	f.Add(compressed.Bytes()[:compressed.Len()-trailerLen]) // flate, trailer sheared off
+	// An event chunk naming region 0 before the definition chunk that
+	// defines it: rejected, however the chunks are read.
+	forward := []byte(magic + "\x02E\x06\x00\x01\x01\x02\x01\x00")
+	forward = append(forward, "D\x0a\x02\x00\x01r\x03\x00\x00\x00\x01\x01"...)
+	f.Add(forward)
+	tr, st := flightTestTrace(f)
+	var flight bytes.Buffer
+	if err := WriteFlightDump(&flight, tr, st); err != nil {
+		f.Fatal(err)
+	}
+	ix, err := ReadIndex(bytes.NewReader(flight.Bytes()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(flight.Bytes()[:ix.Threads[0].Chunks[0].Offset+9]) // a flight dump cut mid-chunk
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The query planner must never panic either, whatever the bytes
-		// (it exercises ReadIndex, ReadChunkAt, inflateChunk and the
-		// indexed worker pool on top of the plain decoder).
+		want, werr := loadSequential(bytes.NewReader(data), region.NewRegistry())
+		cut := errors.Is(werr, ErrTruncated)
+		_, ixErr := ReadIndex(bytes.NewReader(data))
+		agree := func(what string, err error, same bool) {
+			t.Helper()
+			if ixErr == nil && err != nil && !errors.Is(err, ErrTruncated) {
+				return // the index lies: refused
+			}
+			if (err == nil) != (werr == nil) || errors.Is(err, ErrTruncated) != cut {
+				t.Fatalf("%s: err %v, the sequential reader's %v", what, err, werr)
+			}
+			if (werr == nil || cut) && !same {
+				t.Fatalf("%s differs from the sequential reader's (err %v)", what, werr)
+			}
+		}
+		for _, workers := range []int{1, 3} {
+			got, _, err := Load(bytes.NewReader(data), region.NewRegistry(), Query{}, workers)
+			agree(fmt.Sprintf("Load at %d workers", workers), err, reflect.DeepEqual(got, want))
+		}
+		a, _, err := analyzeQuery(bytes.NewReader(data), Query{}, 2)
+		agree("Scan into an Analyzer", err, werr != nil && !cut || reflect.DeepEqual(a, trace.Analyze(want)))
+		if cut && len(data) >= headerLen {
+			end, _ := walk(bytes.NewReader(data), int64(headerLen), int64(len(data)), nil)
+			if prefix, err := loadSequential(bytes.NewReader(data[:end]), region.NewRegistry()); err != nil || !reflect.DeepEqual(prefix, want) {
+				t.Fatalf("the framing walk ends at %d, where the reader reads %v (err %v), not the intact prefix", end, prefix, err)
+			}
+		}
+
+		// A windowed query too: Scan and Load agree with each other.
 		q := Query{Windowed: true, MinTime: 10, MaxTime: 1 << 40}
 		if a, _, err := analyzeQuery(bytes.NewReader(data), q, 2); err == nil {
 			ref, _, rerr := Load(bytes.NewReader(data), region.NewRegistry(), q, 1)
@@ -64,22 +119,21 @@ func FuzzCodec(f *testing.F) {
 				t.Fatalf("Scan != analyze(Load): %+v vs %+v", a, want)
 			}
 		}
-		tr, err := loadSequential(bytes.NewReader(data), region.NewRegistry())
-		if err != nil {
+		if werr != nil {
 			return // rejected input is fine; panics are not
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
+		if err := Write(&buf, want); err != nil {
 			t.Fatalf("re-encoding decoded trace: %v", err)
 		}
 		tr2, err := loadSequential(bytes.NewReader(buf.Bytes()), region.NewRegistry())
 		if err != nil {
 			t.Fatalf("re-decoding re-encoded trace: %v", err)
 		}
-		if len(tr2.Threads) != len(tr.Threads) {
-			t.Fatalf("thread count changed: %d -> %d", len(tr.Threads), len(tr2.Threads))
+		if len(tr2.Threads) != len(want.Threads) {
+			t.Fatalf("thread count changed: %d -> %d", len(want.Threads), len(tr2.Threads))
 		}
-		for tid, evs := range tr.Threads {
+		for tid, evs := range want.Threads {
 			evs2 := tr2.Threads[tid]
 			if len(evs2) != len(evs) {
 				t.Fatalf("thread %d: event count changed: %d -> %d", tid, len(evs), len(evs2))

@@ -1,7 +1,6 @@
 package otf2
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
@@ -79,26 +78,22 @@ func (ix *Index) ThreadIDs() []int {
 }
 
 // ReadIndex locates and decodes the footer index of a version-2
-// archive in O(1) seeks: it reads the fixed-size trailer at the end of
-// rs, validates it, and decodes the index chunk it points at. It
+// archive in O(1) reads: it reads the fixed-size trailer at the end of
+// src, validates it, and decodes the index chunk it points at. It
 // returns ErrNoIndex when the archive has no readable index — a v1
 // archive, a v2 archive cut off before Close wrote the footer, or a
-// damaged trailer — in which case sequential access still works and
-// callers fall back to it. The read position of rs is unspecified
-// afterwards.
-func ReadIndex(rs io.ReadSeeker) (*Index, error) {
-	size, err := rs.Seek(0, io.SeekEnd)
+// damaged trailer — in which case a plan is made from the archive's
+// framing instead. The read position of src is unspecified afterwards.
+func ReadIndex(src source) (*Index, error) {
+	size, err := src.Seek(0, io.SeekEnd)
 	if err != nil {
 		return nil, fmt.Errorf("otf2: locating index: %w", err)
 	}
-	if size < int64(len(magic))+1+trailerLen {
+	if size < int64(headerLen)+trailerLen {
 		return nil, ErrNoIndex
 	}
-	if _, err := rs.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("otf2: locating index: %w", err)
-	}
-	var hdr [len(magic) + 1]byte
-	if _, err := io.ReadFull(rs, hdr[:]); err != nil {
+	var hdr [headerLen]byte
+	if n, err := src.ReadAt(hdr[:], 0); n < len(hdr) {
 		return nil, cutOrIOErr("reading header", err)
 	}
 	if string(hdr[:len(magic)]) != magic {
@@ -108,10 +103,7 @@ func ReadIndex(rs io.ReadSeeker) (*Index, error) {
 		return nil, ErrNoIndex // v1 archives have no index by design
 	}
 	var tr [trailerLen]byte
-	if _, err := rs.Seek(size-trailerLen, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("otf2: locating index: %w", err)
-	}
-	if _, err := io.ReadFull(rs, tr[:]); err != nil {
+	if n, err := src.ReadAt(tr[:], size-trailerLen); n < len(tr) {
 		return nil, cutOrIOErr("reading trailer", err)
 	}
 	if tr[0] != chunkTrailer || tr[1] != trailerPayloadLen ||
@@ -119,10 +111,10 @@ func ReadIndex(rs io.ReadSeeker) (*Index, error) {
 		return nil, ErrNoIndex // no trailer: crashed run or foreign suffix
 	}
 	idxOff := int64(binary.LittleEndian.Uint64(tr[2 : 2+8]))
-	if idxOff < int64(len(magic))+1 || idxOff >= size-trailerLen {
+	if idxOff < int64(headerLen) || idxOff >= size-trailerLen {
 		return nil, corrupt("index offset %d out of range", idxOff)
 	}
-	kind, payload, err := ReadChunkAt(rs, idxOff)
+	kind, payload, err := ReadChunkAt(src, idxOff)
 	if err != nil {
 		return nil, err
 	}
@@ -224,67 +216,80 @@ func decodeIndex(payload []byte, end int64) (*Index, error) {
 }
 
 // ReadChunkAt reads the single framed chunk starting at byte offset off
-// of rs, returning its kind and payload — the random-access primitive
-// under the query planner. Offsets come from the footer index (or a
-// prior sequential walk); an offset not at a chunk boundary yields a
-// corruption error or garbage, never a panic. The read position of rs
-// is unspecified afterwards.
-func ReadChunkAt(rs io.ReadSeeker, off int64) (byte, []byte, error) {
-	if _, err := rs.Seek(off, io.SeekStart); err != nil {
-		return 0, nil, fmt.Errorf("otf2: seeking chunk at %d: %w", off, err)
+// of src, returning its kind and payload. Offsets come from the footer
+// index; an offset not at a chunk boundary yields a corruption error or
+// garbage, never a panic.
+func ReadChunkAt(src io.ReaderAt, off int64) (byte, []byte, error) {
+	var buf [frameBytes]byte
+	f, err := readFrame(src, off, &buf)
+	if err != nil {
+		return 0, nil, err
 	}
-	kind, payload, err := readChunkInto(bufio.NewReader(rs), nil)
-	if err == io.EOF {
-		err = cutOrIOErr("reading chunk", io.ErrUnexpectedEOF)
+	payload := make([]byte, f.size)
+	if n, err := src.ReadAt(payload, f.body); n < f.size {
+		return 0, nil, cutOrIOErr("chunk payload", err)
 	}
-	return kind, payload, err
+	return f.kind, payload, nil
 }
 
 // inflatePool recycles flate decompressor state across chunks.
 var inflatePool sync.Pool
+
+// compressedHead reads the method byte and raw length that open a 'C'
+// chunk payload, returning the raw length, bounded by maxChunkLen, and
+// where the DEFLATE stream starts.
+func compressedHead(payload []byte) (uint64, int, error) {
+	if len(payload) < 2 {
+		return 0, 0, corrupt("compressed chunk of %d bytes", len(payload))
+	}
+	if payload[0] != compMethodFlate {
+		return 0, 0, corrupt("unknown compression method %d", payload[0])
+	}
+	c := cursor{payload: payload, pos: 1}
+	rawLen, err := c.uvarint("compressed raw length")
+	if err == nil && rawLen > maxChunkLen {
+		err = corrupt("compressed chunk declares %d raw bytes, exceeds limit", rawLen)
+	}
+	return rawLen, c.pos, err
+}
 
 // inflateChunk decodes a 'C' chunk payload (method byte, uvarint
 // rawLen, DEFLATE stream) into the raw 'E' payload it wraps, reusing
 // dst's capacity. The declared rawLen is bounded by maxChunkLen before
 // any allocation, and the stream must decode to exactly rawLen bytes.
 func inflateChunk(dst, payload []byte) ([]byte, error) {
-	if len(payload) < 2 {
-		return dst, corrupt("compressed chunk of %d bytes", len(payload))
-	}
-	if payload[0] != compMethodFlate {
-		return dst, corrupt("unknown compression method %d", payload[0])
-	}
-	c := cursor{payload: payload, pos: 1}
-	rawLen, err := c.uvarint("compressed raw length")
+	rawLen, start, err := compressedHead(payload)
 	if err != nil {
 		return dst, err
-	}
-	if rawLen > maxChunkLen {
-		return dst, corrupt("compressed chunk declares %d raw bytes, exceeds limit", rawLen)
 	}
 	if uint64(cap(dst)) < rawLen {
 		dst = make([]byte, rawLen)
 	}
 	dst = dst[:rawLen]
-	src := bytes.NewReader(payload[c.pos:])
+	return dst, inflate(dst, bytes.NewReader(payload[start:]), true)
+}
+
+// inflate fills dst from the DEFLATE stream r; whole requires the stream
+// to end there, or trailing data would silently vanish.
+func inflate(dst []byte, r io.Reader, whole bool) error {
 	var fr io.ReadCloser
 	if v := inflatePool.Get(); v != nil {
 		fr = v.(io.ReadCloser)
-		if err := fr.(flate.Resetter).Reset(src, nil); err != nil {
-			return dst, corrupt("resetting decompressor: %v", err)
+		if err := fr.(flate.Resetter).Reset(r, nil); err != nil {
+			return corrupt("resetting decompressor: %v", err)
 		}
 	} else {
-		fr = flate.NewReader(src)
+		fr = flate.NewReader(r)
 	}
 	defer inflatePool.Put(fr)
 	if _, err := io.ReadFull(fr, dst); err != nil {
-		return dst, corrupt("compressed chunk: %v", err)
+		return corrupt("compressed chunk: %v", err)
 	}
-	// The stream must end exactly at rawLen: trailing uncompressed data
-	// would silently vanish otherwise.
-	var one [1]byte
-	if n, _ := fr.Read(one[:]); n != 0 {
-		return dst, corrupt("compressed chunk longer than declared %d bytes", rawLen)
+	if whole {
+		var one [1]byte
+		if n, _ := fr.Read(one[:]); n != 0 {
+			return corrupt("compressed chunk longer than declared %d bytes", len(dst))
+		}
 	}
-	return dst, nil
+	return nil
 }

@@ -287,8 +287,9 @@ func TestLoadMatrix(t *testing.T) {
 	}
 }
 
-// TestLoadTakesThePlan pins which inputs go which way: the planned path
-// reports Indexed, the fallback does not.
+// TestLoadTakesThePlan pins which inputs are planned from their index:
+// those report Indexed, the ones planned from their framing do not. A
+// plain stream is buffered, then planned like any other input.
 func TestLoadTakesThePlan(t *testing.T) {
 	for name, data := range loadArchives(t, 600) {
 		wantIndexed := name != "v1" && name != "cut"
@@ -302,8 +303,8 @@ func TestLoadTakesThePlan(t *testing.T) {
 		if _, st, _ := Load(memoryOf(data).Reader(), region.NewRegistry(), Query{}, 2); st.Indexed != wantIndexed {
 			t.Errorf("%s in a Memory: Indexed = %v, want %v", name, st.Indexed, wantIndexed)
 		}
-		if _, st, _ := Load(plainReader{bytes.NewReader(data)}, region.NewRegistry(), Query{}, 2); st.Indexed {
-			t.Errorf("%s on a plain io.Reader took the planned path", name)
+		if _, st, _ := Load(plainReader{bytes.NewReader(data)}, region.NewRegistry(), Query{}, 2); st.Indexed != wantIndexed {
+			t.Errorf("%s on a plain io.Reader: Indexed = %v, want %v", name, st.Indexed, wantIndexed)
 		}
 	}
 }

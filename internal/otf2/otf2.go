@@ -36,11 +36,11 @@
 //	kind 'F' — flight-recorder accounting        (v2)
 //
 // Readers skip chunks with unknown kinds so the format can grow; a v2
-// archive read front to back therefore decodes on the v1 chunk walk
-// ('I' and 'T' are skipped like any unknown kind). The index and
-// trailer are written once, by Close; an archive cut before them (a
-// crashed run) degrades to exactly the v1 contract — sequential read,
-// intact prefix, ErrTruncated.
+// archive walked front to back therefore reads as a v1 one ('I' and 'T'
+// are skipped like any unknown kind). The index and trailer are written
+// once, by Close; an archive cut before them (a crashed run) degrades to
+// exactly the v1 contract — a plan from the chunk framing, intact
+// prefix, ErrTruncated.
 //
 // # Definitions
 //
@@ -138,7 +138,7 @@
 // reader locates the index by reading the final 14 bytes, verifying
 // kind, length and the "SPIX" magic, and seeking to indexOffset. A
 // failed trailer check means "no index" (v1 archive, crashed run,
-// or trailing garbage) and readers fall back to the sequential walk.
+// or trailing garbage) and readers plan from the chunk framing instead.
 //
 // # API
 //
@@ -152,8 +152,7 @@
 // recording or flushing on the others; with WithCompression, chunk
 // payloads are compressed outside that lock too.
 //
-// Reading has three entry points and their file forms. Reader iterates
-// an archive event by event via Next in O(chunk) memory. Scan feeds the
+// Reading has two entry points and their file forms. Scan feeds the
 // events matching a trace.Query (time window + thread subset; the zero
 // query matches everything) to any number of trace.Consumers — the trace
 // analysis, the bottleneck collector — in O(workers x chunk) memory,
@@ -161,15 +160,16 @@
 // ScanFile and LoadFile open a file, pick the format by its extension
 // and turn a cut archive into a warning.
 //
-// Scan and Load go by the footer index whenever the archive carries one
-// and the input can be read at any offset (query.go): a plan selects the
-// chunks the query can match, holds what the index says against the
-// chunks themselves, and workers read and decode their own chunks —
-// Load straight into place in slices made once, Scan through per-thread
-// in-order shards that deliver each run to the consumers. An input
-// without a readable index or without random access is read front to
-// back instead (pipeline.go for Scan, loadSequential for Load), with
-// identical results and the ErrTruncated salvage contract; the input
+// Every archive is planned (query.go), and only the plan's inputs
+// differ: from the footer index when the archive carries one, else from
+// the archive's own framing (frame.go), walked from the header to the
+// first cut or damaged frame. A plan selects the chunks the query can
+// match, holds what its input says against the chunks themselves, and
+// workers read and decode their own chunks — Load straight into place in
+// slices made once, Scan through per-thread in-order shards that deliver
+// each run to the consumers (pipeline.go). An input that cannot be read
+// at any offset is copied into a Memory first. The results are identical
+// either way, and so is the ErrTruncated salvage contract; the input
 // decides, no option does. ReadIndex locates and decodes the index in
 // O(1) seeks.
 package otf2
@@ -289,8 +289,7 @@ var ErrTruncated = errors.New("otf2: archive truncated")
 
 // ErrNoIndex reports that an archive carries no readable footer index —
 // it is a v1 archive, a v2 archive cut off before Close, or its trailer
-// is damaged. Sequential access still works; ReadIndex callers fall
-// back to it.
+// is damaged. Scan and Load still read it, planned from its framing.
 var ErrNoIndex = errors.New("otf2: archive has no index")
 
 // corrupt builds a format-violation error.

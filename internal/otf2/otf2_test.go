@@ -140,18 +140,15 @@ func TestClockProperties(t *testing.T) {
 	if err := Write(&buf, sampleTrace(region.NewRegistry())); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := NewReader(bytes.NewReader(buf.Bytes()), region.NewRegistry())
+	rd, err := newReader(bytes.NewReader(buf.Bytes()), region.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := rd.Next(); err != nil {
 		t.Fatal(err)
 	}
-	if rd.ClockResolution() != 1e9 {
-		t.Fatalf("clock resolution = %d, want 1e9", rd.ClockResolution())
-	}
-	if rd.ClockOffset() != 0 {
-		t.Fatalf("clock offset = %d, want 0", rd.ClockOffset())
+	if res, off := rd.tables.clockResolution, rd.tables.clockOffset; res != 1e9 || off != 0 {
+		t.Fatalf("clock resolution, offset = %d, %d, want 1e9, 0", res, off)
 	}
 }
 
@@ -165,7 +162,7 @@ func TestTruncatedArchiveYieldsPrefix(t *testing.T) {
 	total := want.NumEvents()
 
 	for cut := len(full) - 1; cut > len(magic); cut-- {
-		rd, err := NewReader(bytes.NewReader(full[:cut]), region.NewRegistry())
+		rd, err := newReader(bytes.NewReader(full[:cut]), region.NewRegistry())
 		if err != nil {
 			if !errors.Is(err, ErrTruncated) {
 				t.Fatalf("cut %d: header error %v", cut, err)
@@ -276,11 +273,11 @@ func TestReadAllHeaderTruncationReturnsEmptyPrefix(t *testing.T) {
 }
 
 func TestReaderRejectsBadHeader(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("NOTOTF2\x01garbage")), region.NewRegistry()); err == nil {
+	if _, err := newReader(bytes.NewReader([]byte("NOTOTF2\x01garbage")), region.NewRegistry()); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	bad := append([]byte(magic), 99)
-	if _, err := NewReader(bytes.NewReader(bad), region.NewRegistry()); err == nil {
+	if _, err := newReader(bytes.NewReader(bad), region.NewRegistry()); err == nil {
 		t.Fatal("future version accepted")
 	}
 }

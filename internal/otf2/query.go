@@ -1,8 +1,12 @@
 package otf2
 
 import (
+	"bufio"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,11 +21,11 @@ import (
 type Query = trace.Query
 
 // QueryStats reports how a query executed against an archive. The
-// chunk counters are filled by the index-driven path: ChunksRead out of
-// ChunksTotal event chunks were actually read and decoded — the
-// O(matching chunks) guarantee a seekable archive exists for. On the
-// sequential fallback (v1 archive, missing or damaged index) Indexed is
-// false and the counters are zero; the whole archive was scanned.
+// chunk counters are filled when the footer index planned the query:
+// ChunksRead out of ChunksTotal event chunks were actually read and
+// decoded — the O(matching chunks) guarantee a seekable archive exists
+// for. An archive planned from its framing (v1, missing or damaged
+// index) reports Indexed false and zero counters; all of it was read.
 type QueryStats struct {
 	Indexed     bool
 	ChunksTotal int
@@ -31,71 +35,42 @@ type QueryStats struct {
 // Scan feeds the events of an archive matching q to the consumers, a
 // thread's in stream order and with absolute timestamps, on up to workers
 // decode goroutines (<= 0 one per processor) and in O(workers x chunk)
-// memory. It is the one way an analysis reads an archive. When r can be
-// read at any offset (an *os.File, a *bytes.Reader, a Memory's Reader)
-// and the archive carries a footer index, a plan selects the chunks
-// whose thread and time bounds can match and only those are read —
-// O(matching chunks), not O(archive) — and the consumers are told
-// beforehand how many events the selected chunks of each thread hold.
-// Any other input — a v1 archive, a crashed run, a plain stream — is
-// read front to back, every run filtered in place. Either way no empty
-// run and no thread q excludes reaches a consumer, and what the
-// consumers see equals fully decoding the archive, filtering with
-// q.Filter and feeding that, at every worker count.
+// memory. It is the one way an analysis reads an archive. A plan selects
+// the chunks whose thread and time bounds can match — from the footer
+// index when the archive carries one, O(matching chunks) and not
+// O(archive), else from the archive's own framing — and the consumers are
+// told beforehand how many events the selected chunks of each thread
+// hold. No empty run and no thread q excludes reaches a consumer, and
+// what the consumers see equals fully decoding the archive, filtering
+// with q.Filter and feeding that, at every worker count.
 //
 // An archive cut off mid-chunk delivers its intact prefix, and Scan
 // returns an error wrapping ErrTruncated: the consumers' results are
 // then those of the prefix. After any other error they are of no use.
 func Scan(r io.Reader, q Query, workers int, consumers ...trace.Consumer) (QueryStats, error) {
-	workers = trace.Workers(workers)
+	p, err := newPlan(r, q, region.NewRegistry())
+	if err != nil {
+		return p.st, err
+	}
 	all := trace.Consumers(consumers)
-	if src, ix := indexed(r); ix != nil {
-		p, err := newPlan(src, ix, q, region.NewRegistry())
-		if err != nil {
-			return p.st, err
-		}
-		all.Hint(p.threadEvents())
-		return p.st, p.analyze(workers, all.Consume)
-	}
-	all.Hint(nil)
-	consume := all.Consume
-	if !q.All() {
-		consume = func(tid int, events []trace.Event) {
-			if !q.MatchThread(tid) {
-				return
-			}
-			if events = q.Clip(events); len(events) > 0 { // the run is the pipeline's pooled buffer
-				all.Consume(tid, events)
-			}
-		}
-	}
-	return QueryStats{}, runPipeline(r, region.NewRegistry(), workers, consume)
+	all.Hint(p.threadEvents())
+	return p.st, p.analyze(trace.Workers(workers), all.Consume)
 }
 
 // Load decodes the sub-trace of an archive matching q into memory,
 // interning regions into reg. It is not a Scan with a consumer that
-// appends: an indexed archive is loaded by plan.load, which makes each
-// thread's slice once and decodes every chunk into its place, at every
-// worker count; anything else — a v1 archive, a crashed run, a reader
-// without random access — is read front to back by one goroutine, then
-// filtered. The loaded trace is reflect.DeepEqual-identical to q.Filter
-// of the full decode: threads without matching events are absent. An
-// archive cut off mid-chunk yields its intact prefix together with an
-// error wrapping ErrTruncated.
+// appends: plan.load makes each thread's slice once and decodes every
+// chunk into its place, at every worker count. The loaded trace is
+// reflect.DeepEqual-identical to q.Filter of the full decode: threads
+// without matching events are absent. An archive cut off mid-chunk
+// yields its intact prefix together with an error wrapping ErrTruncated.
 func Load(r io.Reader, reg *region.Registry, q Query, workers int) (*trace.Trace, QueryStats, error) {
-	if src, ix := indexed(r); ix != nil {
-		var tr *trace.Trace
-		p, err := newPlan(src, ix, q, reg)
-		if err == nil {
-			tr, err = p.load(trace.Workers(workers))
-		}
-		return tr, p.st, err
+	var tr *trace.Trace
+	p, err := newPlan(r, q, reg)
+	if err == nil {
+		tr, err = p.load(trace.Workers(workers))
 	}
-	tr, err := loadSequential(r, reg)
-	if tr != nil && !q.All() {
-		tr = q.Filter(tr) // the semantics every query path is defined against
-	}
-	return tr, QueryStats{}, err
+	return tr, p.st, err
 }
 
 // source is an archive that several goroutines can read at any offset:
@@ -105,27 +80,9 @@ type source interface {
 	io.ReaderAt
 }
 
-// indexed returns r as a source together with its footer index, when r
-// is one and the index is readable. Otherwise — a v1 archive, a crashed
-// run, a damaged trailer, a plain stream — the index is nil, r is back
-// at its start, and the caller reads it front to back: the one fallback
-// of every reading function, decided by the input and by no option.
-func indexed(r io.Reader) (source, *Index) {
-	src, ok := r.(source)
-	if !ok {
-		return nil, nil
-	}
-	if ix, err := ReadIndex(src); err == nil {
-		return src, ix
-	}
-	// A source that cannot rewind (a pipe behind an *os.File) could not
-	// seek to its trailer either: ReadIndex read nothing.
-	_, _ = src.Seek(0, io.SeekStart)
-	return nil, nil
-}
-
-// plannedChunk is one selected event chunk: what the index says about
-// it, what its own framing says, and — once scanned — what came out.
+// plannedChunk is one selected event chunk: what the index (or its own
+// head) says about it, what its framing says, and — once scanned — what
+// came out.
 type plannedChunk struct {
 	tid int
 	pos int // position among the thread's chunks in the index
@@ -133,8 +90,9 @@ type plannedChunk struct {
 	ref ChunkRef
 	chunkHead
 
-	dst []trace.Event // load: the window of the thread's slice its events go to
-	end int64         // the thread's timestamp after its last event
+	regions []*region.Region // the region table as the definitions before the chunk left it
+	dst     []trace.Event    // its events: a load's window of the thread's slice, a scan's pooled run
+	end     int64            // the thread's timestamp after its last event, from ref.BaseTime
 }
 
 // chunkHead is a chunk's framing: its kind, and where its payload lies.
@@ -144,20 +102,23 @@ type chunkHead struct {
 	size int
 }
 
-// plan is a query over an indexed archive, ready to run: definitions
-// loaded, chunks selected in ascending offset order, and every selected
-// chunk's framing read and held against the index. An index is input:
-// nothing it claims is believed beyond what the chunk it points at can
-// hold, so whatever is sized from a plan (thread slices, collector
-// hints) is bounded by the archive's content, not by a hostile count.
+// plan is a query over an archive, ready to run: definitions loaded,
+// chunks selected in ascending offset order, and every selected chunk's
+// framing read and held against what the plan was made from. An index
+// is input: nothing it claims is believed beyond what the chunk it
+// points at can hold, so whatever is sized from a plan (thread slices,
+// collector hints) is bounded by the archive's content, not by a hostile
+// count. A plan made from the framing instead (recover) has no base or
+// min/max times, and indexed false says so.
 type plan struct {
 	src     source
-	ix      *Index
 	q       Query
 	st      QueryStats
-	regions []*region.Region
+	indexed bool
+	end     int64 // where the chunks an index lists must end: at the index
 	sel     []plannedChunk
-	hdr     [2*10 + 2]byte // headAt's scratch: kind, length, method, raw length
+	tail    error // why recover stopped short of the end, if it did
+	hdr     [frameBytes]byte
 
 	// The largest stored and inflated payloads selected: a scan worker
 	// makes its two chunk buffers once, at these sizes.
@@ -169,40 +130,74 @@ type plan struct {
 // least two bits).
 const maxInflate = 1032
 
-func newPlan(src source, ix *Index, q Query, reg *region.Registry) (*plan, error) {
-	p := &plan{src: src, ix: ix, q: q, st: QueryStats{Indexed: true, ChunksTotal: ix.NumChunks()}}
+// newPlan plans q over the archive r holds: from its footer index when
+// it has a readable one, from its framing (recover) when not — a v1
+// archive, a crashed run, a damaged trailer. An r that cannot be read at
+// any offset (a pipe) is copied into a Memory first. The input decides,
+// no option does.
+func newPlan(r io.Reader, q Query, reg *region.Registry) (*plan, error) {
+	p := &plan{q: q}
+	src, ok := r.(source)
+	var size int64
+	var err error
+	if ok {
+		size, err = src.Seek(0, io.SeekEnd)
+	}
+	if !ok || err != nil {
+		m := new(Memory)
+		if _, err := io.Copy(m, r); err != nil {
+			return p, fmt.Errorf("otf2: reading archive: %w", err)
+		}
+		src, size = m.Reader(), m.size
+	}
+	p.src = src
+	if ix, err := ReadIndex(src); err == nil {
+		return p, p.fromIndex(ix, reg)
+	}
+	p.recover(size, reg)
+	return p, nil
+}
+
+// selects reports whether q can match a chunk of thread tid within ref's
+// time bounds.
+func (p *plan) selects(tid int, ref ChunkRef) bool {
+	return !p.q.Empty() && p.q.MatchThread(tid) && p.q.Overlaps(ref.MinTime, ref.MaxTime)
+}
+
+// fromIndex plans from the footer index ix.
+func (p *plan) fromIndex(ix *Index, reg *region.Registry) error {
+	p.indexed, p.end = true, ix.end
+	p.st = QueryStats{Indexed: true, ChunksTotal: ix.NumChunks()}
 	tables := newDefTables()
 	defEnds := make([]int64, len(ix.DefOffsets))
+	defRegions := make([][]*region.Region, len(ix.DefOffsets))
 	var buf []byte
 	for i, off := range ix.DefOffsets {
-		h, _, err := p.headAt(off)
-		if err == nil && h.kind != chunkDefs {
-			err = corrupt("index lists definition chunk at %d, found %q", off, h.kind)
+		f, err := p.headAt(off)
+		if err == nil && f.kind != chunkDefs {
+			err = corrupt("index lists definition chunk at %d, found %q", off, f.kind)
 		}
 		if err == nil {
-			buf, err = p.readBody(h, buf)
+			buf, err = p.readBody(f.chunkHead, buf)
 		}
 		if err == nil {
 			err = tables.decodeDefs(&cursor{payload: buf}, reg)
 		}
 		if err != nil {
-			return p, err
+			return err
 		}
-		defEnds[i] = h.body + int64(h.size)
+		defEnds[i] = f.body + int64(f.size)
+		defRegions[i], tables.held = tables.regions, len(tables.regions)
 	}
-	p.regions = tables.regions
 
-	if !q.Windowed {
+	if !p.q.Windowed {
 		p.sel = make([]plannedChunk, 0, p.st.ChunksTotal)
 	}
 	for ti := range ix.Threads {
 		tc := &ix.Threads[ti]
-		if q.Empty() || !q.MatchThread(tc.Thread) {
-			continue
-		}
 		seq := 0
 		for pos, cr := range tc.Chunks {
-			if q.Overlaps(cr.MinTime, cr.MaxTime) {
+			if p.selects(tc.Thread, cr) {
 				p.sel = append(p.sel, plannedChunk{tid: tc.Thread, pos: pos, seq: seq, ref: cr})
 				seq++
 			}
@@ -210,132 +205,203 @@ func newPlan(src source, ix *Index, q Query, reg *region.Registry) (*plan, error
 	}
 	sort.Slice(p.sel, func(i, j int) bool { return p.sel[i].ref.Offset < p.sel[j].ref.Offset })
 	p.st.ChunksRead = len(p.sel)
-	end := int64(0)
+	end, defs := int64(0), 0
 	for i := range p.sel {
 		pc := &p.sel[i]
 		if pc.ref.Offset < end {
 			// One chunk listed twice (under two threads, say) would be
 			// sized for twice.
-			return p, corrupt("index lists overlapping chunks at %d", pc.ref.Offset)
+			return corrupt("index lists overlapping chunks at %d", pc.ref.Offset)
 		}
-		if err := p.checkHead(pc); err != nil {
-			return p, err
+		for defs < len(defEnds) && ix.DefOffsets[defs] < pc.ref.Offset {
+			defs++
+		}
+		if defs > 0 {
+			pc.regions = defRegions[defs-1]
+		}
+		f, err := p.headAt(pc.ref.Offset)
+		if err == nil {
+			err = p.admit(pc, f)
+		}
+		if err != nil {
+			return err
 		}
 		end = pc.body + int64(pc.size)
 	}
 	if len(p.sel) == p.st.ChunksTotal {
-		return p, p.checkComplete(defEnds)
+		return p.checkComplete(ix, defEnds)
 	}
-	return p, nil
+	return nil
 }
 
-// headAt reads the framing of the chunk at off. The cursor it returns
-// stands at the first payload byte within the few bytes read.
-func (p *plan) headAt(off int64) (chunkHead, cursor, error) {
-	n, err := p.src.ReadAt(p.hdr[:], off)
-	if n == 0 || (err != nil && err != io.EOF) {
-		return chunkHead{}, cursor{}, fmt.Errorf("otf2: reading chunk at %d: %w", off, err)
+// recover plans from the archive's framing, walked from the header to
+// size: definition chunks decode as they come, an event chunk's thread
+// and count come from its head (a compressed chunk's from the first
+// bytes it inflates to), and the chunks the query's threads select are
+// admitted to the same bounds as indexed ones. Nothing says when a
+// chunk's events happened, so every chunk of a selected thread is read,
+// from base 0 (see analyze and load). Where the walk stops short — a
+// cut, damaged framing, a bad definition or head — is the plan's tail:
+// the error its scan returns unless a chunk before it fails first, so
+// the plan of a crashed run is its intact prefix.
+func (p *plan) recover(size int64, reg *region.Registry) {
+	if _, p.tail = readHeaderAt(p.src); p.tail != nil {
+		return
 	}
-	c := cursor{payload: p.hdr[:n], pos: 1}
-	size, err := c.uvarint("chunk length")
+	tables := newDefTables()
+	seqs := make(map[int]int)
+	var buf []byte
+	_, p.tail = walk(p.src, int64(headerLen), size, func(f frame) (err error) {
+		switch f.kind {
+		case chunkDefs:
+			if buf, err = p.readBody(f.chunkHead, buf); err == nil {
+				err = tables.decodeDefs(&cursor{payload: buf}, reg)
+			}
+			return err
+		case chunkEvents, chunkCompressed:
+		default:
+			return nil // flight accounting, index, trailer, future kinds
+		}
+		c := cursor{payload: f.head}
+		if f.kind == chunkCompressed {
+			if c.payload, err = inflateHead(p.src, f); err != nil {
+				return err
+			}
+		}
+		tid, err := c.varint("event chunk thread")
+		if err != nil {
+			return err
+		}
+		count, err := c.uvarint("event chunk count")
+		if err != nil {
+			return err
+		}
+		pc := plannedChunk{tid: int(tid), seq: seqs[int(tid)], ref: ChunkRef{Offset: f.off, Events: count, MinTime: math.MinInt64, MaxTime: math.MaxInt64}}
+		if !p.selects(pc.tid, pc.ref) {
+			return nil
+		}
+		if err := p.admit(&pc, f); err != nil {
+			return err
+		}
+		pc.regions, tables.held = tables.regions, len(tables.regions)
+		seqs[pc.tid]++
+		p.sel = append(p.sel, pc)
+		return nil
+	})
+}
+
+// inflateHead inflates the first bytes of the compressed chunk f, as
+// many as an event chunk's thread/count head can take. The decompressor
+// decodes ahead of what it is asked for, up to its window (the whole
+// chunk), so it is fed only the first 512 bytes of the stream, which
+// almost always decode to the head; where they do not, the whole stream
+// decides.
+func inflateHead(src io.ReaderAt, f frame) ([]byte, error) {
+	rawLen, start, err := compressedHead(f.head)
 	if err != nil {
-		return chunkHead{}, c, err
+		return nil, err
 	}
-	if size > maxChunkLen {
-		return chunkHead{}, c, corrupt("chunk length %d exceeds limit", size)
+	head := make([]byte, min(rawLen, 2*binary.MaxVarintLen64+1))
+	stream := int64(f.size - start)
+	for n := min(512, stream); ; n = stream {
+		err = inflate(head, bufio.NewReaderSize(io.NewSectionReader(src, f.body+int64(start), n), 512), false)
+		if err == nil || n == stream {
+			return head, err
+		}
 	}
-	h := chunkHead{kind: p.hdr[0], body: off + int64(c.pos), size: int(size)}
-	if h.body+int64(size) > p.ix.end {
-		return h, c, corrupt("chunk at %d runs into the index", off)
-	}
-	return h, c, nil
 }
 
-// readBody reads the payload of a chunk headAt accepted into buf, grown
-// as needed. It is safe for concurrent use.
+// headAt reads the framing of the chunk at off, an offset the index
+// lists.
+func (p *plan) headAt(off int64) (frame, error) {
+	f, err := readFrame(p.src, off, &p.hdr)
+	if err == nil && f.body+int64(f.size) > p.end {
+		err = corrupt("chunk at %d runs into the index", off)
+	}
+	return f, err
+}
+
+// readBody reads the payload of a chunk whose framing was accepted into
+// buf, grown as needed. It is safe for concurrent use.
 func (p *plan) readBody(h chunkHead, buf []byte) ([]byte, error) {
 	if cap(buf) < h.size {
 		buf = make([]byte, h.size)
 	}
 	buf = buf[:h.size]
-	// The payload lies inside the file (headAt checked), so a short read
-	// is an I/O failure, not a crashed run's truncation.
+	// The payload lies inside the file (its framing was checked), so a
+	// short read is an I/O failure, not a crashed run's truncation.
 	if n, err := p.src.ReadAt(buf, h.body); n < len(buf) {
 		return buf, fmt.Errorf("otf2: reading chunk payload at %d: %w", h.body, err)
 	}
 	return buf, nil
 }
 
-// checkHead reads the framing of a selected chunk and holds the index's
+// admit makes f the framing of the selected chunk pc after holding pc's
 // event count against it: an event record takes minEventBytes at least.
-func (p *plan) checkHead(pc *plannedChunk) error {
-	h, c, err := p.headAt(pc.ref.Offset)
-	if err != nil {
-		return err
-	}
-	raw := uint64(h.size)
-	switch h.kind {
+func (p *plan) admit(pc *plannedChunk, f frame) error {
+	raw := uint64(f.size)
+	switch f.kind {
 	case chunkEvents:
 	case chunkCompressed:
-		if c.pos++; c.pos >= len(c.payload) { // past the method byte, which inflateChunk checks
-			return corrupt("compressed chunk of %d bytes", h.size)
-		}
-		if raw, err = c.uvarint("compressed raw length"); err != nil {
+		var err error
+		if raw, _, err = compressedHead(f.head); err != nil {
 			return err
 		}
-		if raw > maxChunkLen || raw > maxInflate*uint64(h.size) {
-			return corrupt("compressed chunk at %d declares %d raw bytes for %d stored", pc.ref.Offset, raw, h.size)
+		if raw > maxInflate*uint64(f.size) {
+			return corrupt("compressed chunk at %d declares %d raw bytes for %d stored", f.off, raw, f.size)
 		}
 	default:
-		return corrupt("index lists event chunk at %d, found %q", pc.ref.Offset, h.kind)
+		return corrupt("index lists event chunk at %d, found %q", f.off, f.kind)
 	}
 	if pc.ref.Events > raw/minEventBytes {
-		return corrupt("index lists %d events in the %d-byte chunk at %d", pc.ref.Events, raw, pc.ref.Offset)
+		return corrupt("%d events cannot fit the %d-byte chunk at %d", pc.ref.Events, raw, f.off)
 	}
-	pc.chunkHead = h
-	p.maxStored = max(p.maxStored, h.size)
-	if h.kind == chunkCompressed {
+	pc.chunkHead = f.chunkHead
+	p.maxStored = max(p.maxStored, f.size)
+	if f.kind == chunkCompressed {
 		p.maxRaw = max(p.maxRaw, int(raw))
 	}
 	return nil
 }
 
 // checkComplete holds a plan that selected every indexed chunk against
-// the archive's framing: walking from the header to the index, each
-// definition or event chunk must be the next one the index lists. An
-// index that leaves a chunk out — the one lie no chunk-by-chunk check
-// sees — fails here; chunks of other kinds (flight accounting, future
-// ones) are stepped over, as every reader does.
-func (p *plan) checkComplete(defEnds []int64) error {
-	off, di, ci := int64(len(magic))+1, 0, 0
-	for off < p.ix.end {
-		switch {
-		case di < len(defEnds) && p.ix.DefOffsets[di] == off:
-			off, di = defEnds[di], di+1
-		case ci < len(p.sel) && p.sel[ci].ref.Offset == off:
-			off, ci = p.sel[ci].body+int64(p.sel[ci].size), ci+1
-		default:
-			h, _, err := p.headAt(off)
-			if err != nil {
-				return err
-			}
-			if h.kind == chunkDefs || h.kind == chunkEvents || h.kind == chunkCompressed {
-				return corrupt("index omits the %q chunk at %d", h.kind, off)
-			}
-			off = h.body + int64(h.size)
+// the archive's framing: the definition and event chunks the index lists
+// must follow each other from the header to the index, and what lies
+// between two of them, walked, must be chunks of other kinds (flight
+// accounting, future ones). An index that leaves a chunk out — the one
+// lie no chunk-by-chunk check sees — fails here.
+func (p *plan) checkComplete(ix *Index, defEnds []int64) error {
+	off, di, ci := int64(headerLen), 0, 0
+	for {
+		next, nextEnd := ix.end, ix.end
+		if di < len(defEnds) && (ci == len(p.sel) || ix.DefOffsets[di] < p.sel[ci].ref.Offset) {
+			next, nextEnd = ix.DefOffsets[di], defEnds[di]
+			di++
+		} else if ci < len(p.sel) {
+			next, nextEnd = p.sel[ci].ref.Offset, p.sel[ci].body+int64(p.sel[ci].size)
+			ci++
 		}
+		reached, err := walk(p.src, off, next, func(f frame) error {
+			if f.kind == chunkDefs || f.kind == chunkEvents || f.kind == chunkCompressed {
+				return corrupt("index omits the %q chunk at %d", f.kind, f.off)
+			}
+			return nil
+		})
+		if errors.Is(err, ErrTruncated) || (err == nil && reached != next) {
+			return corrupt("index lists a chunk at %d that is none of the archive's", next)
+		}
+		if err != nil || next == ix.end {
+			return err
+		}
+		off = nextEnd
 	}
-	if di < len(defEnds) || ci < len(p.sel) {
-		return corrupt("index lists a chunk that is none of the archive's")
-	}
-	return nil
 }
 
 // threadEvents returns how many events the selected chunks of each
 // thread hold (before any clipping to the query window): a load's slice
 // lengths, a scan's hint to its consumers.
 func (p *plan) threadEvents() map[int]int {
-	events := make(map[int]int, len(p.ix.Threads))
+	events := make(map[int]int)
 	for i := range p.sel {
 		events[p.sel[i].tid] += int(p.sel[i].ref.Events)
 	}
@@ -349,9 +415,10 @@ func (p *plan) threadEvents() map[int]int {
 // claimed (claiming in offset order is what lets a bounded window
 // always drain); a decode that returns nil gives the token back itself,
 // when it is done with the chunk's memory. The error of the earliest
-// chunk that has one is returned. After a clean scan the index's base
-// times are held against the decoded streams: each chunk must start
-// where its thread's previous one ended.
+// chunk that has one is returned, and failing that the plan's tail.
+// After a clean scan of an indexed plan the index's base times are held
+// against the decoded streams: each chunk must start where its thread's
+// previous one ended.
 func (p *plan) scan(workers int, inflight chan struct{}, decode func(pc *plannedChunk, c cursor) error) error {
 	lat := &errLatch{done: make(chan struct{})}
 	acquire := func() bool {
@@ -401,7 +468,10 @@ func (p *plan) scan(workers int, inflight chan struct{}, decode func(pc *planned
 	if err := lat.get(); err != nil {
 		return err
 	}
-	prev := make(map[int]*plannedChunk, len(p.ix.Threads))
+	if !p.indexed {
+		return p.tail
+	}
+	prev := make(map[int]*plannedChunk)
 	for i := range p.sel {
 		pc := &p.sel[i]
 		was, known := int64(0), pc.pos == 0
@@ -455,44 +525,62 @@ func (p *plan) clip(pc *plannedChunk, events []trace.Event) []trace.Event {
 	return events
 }
 
-// analyze runs the plan for an analysis: chunks decode with absolute
-// timestamps (from their indexed BaseTime) into pooled run buffers, and
-// per-thread shards hand the clipped runs to consume in archive order,
-// one run per thread at a time. consume must not retain a run. Decoded
-// runs waiting for their turn are bounded by the in-flight window.
+// analyze runs the plan for an analysis: chunks decode into pooled run
+// buffers from their indexed BaseTime (0 without an index), and
+// per-thread shards hand the runs to consume in archive order, one run
+// per thread at a time — run on to the thread's clock where the plan has
+// no base times, and clipped to the query window. consume must not
+// retain a run. Decoded runs waiting for their turn are bounded by the
+// in-flight window: 4 chunks per worker may wait for an earlier chunk of
+// their thread.
 func (p *plan) analyze(workers int, consume func(int, []trace.Event)) error {
-	shards := make(map[int]*shard, len(p.ix.Threads))
+	shards := make(map[int]*shard)
 	for i := range p.sel {
 		if tid := p.sel[i].tid; shards[tid] == nil {
-			shards[tid] = &shard{tid: tid, absolute: true}
+			shards[tid] = &shard{}
 		}
 	}
-	// As in runPipeline: 4 decoded chunks per worker may wait for an
-	// earlier chunk of their thread.
 	inflight := make(chan struct{}, 4*workers)
-	release := func() { <-inflight }
+	apply := func(pc *plannedChunk) {
+		evs := pc.dst
+		if !p.indexed {
+			sh := shards[pc.tid]
+			for i := range evs {
+				evs[i].Time += sh.last
+			}
+			sh.last += pc.end
+		}
+		if evs = p.clip(pc, evs); len(evs) > 0 {
+			consume(pc.tid, evs)
+		}
+		putRunBuf(pc.dst)
+		pc.dst = nil
+		<-inflight
+	}
 	return p.scan(workers, inflight, func(pc *plannedChunk, c cursor) (err error) {
-		events := newRunBuf(int(pc.ref.Events))
-		if pc.end, err = decodeEvents(&c, p.regions, pc.ref.BaseTime, events); err != nil {
-			putRunBuf(events)
+		pc.dst = newRunBuf(int(pc.ref.Events))
+		if pc.end, err = decodeEvents(&c, pc.regions, pc.ref.BaseTime, pc.dst); err != nil {
+			putRunBuf(pc.dst)
 			return err
 		}
-		shards[pc.tid].deliver(pc.seq, &decodedRun{events: p.clip(pc, events)}, consume, release)
+		shards[pc.tid].deliver(pc, apply)
 		return nil
 	})
 }
 
 // load runs the plan for a load. Each thread's event slice is made
-// once, at the length its selected chunks add up to (the index's counts,
-// which newPlan held against the chunks), and every chunk decodes
-// straight into its own window of it from its indexed BaseTime: no
-// per-chunk slice, no append, no ordering between workers. A windowed
-// load sizes by the selected chunks, clips the few that straddle the
-// window in place, and closes the gaps that leaves.
+// once, at the length its selected chunks add up to (the counts the plan
+// held against the chunks), and every chunk decodes straight into its
+// own window of it from its indexed BaseTime: no per-chunk slice, no
+// append, no ordering between workers. Without base times every chunk
+// decodes from 0, and each thread's clock is then run on through its
+// chunks in archive order. A windowed load sizes by the selected chunks,
+// clips the few that straddle the window in place, and closes the gaps
+// that leaves.
 func (p *plan) load(workers int) (*trace.Trace, error) {
 	tr := &trace.Trace{Threads: make(map[int][]trace.Event)}
 	for tid, n := range p.threadEvents() {
-		if n > 0 { // as in loadSequential, a thread without events is absent
+		if n > 0 { // as in q.Filter, a thread without events is absent
 			tr.Threads[tid] = make([]trace.Event, n)
 		}
 	}
@@ -504,25 +592,40 @@ func (p *plan) load(workers int) (*trace.Trace, error) {
 		pc.dst = tr.Threads[pc.tid][lo:filled[pc.tid]]
 	}
 	err := p.scan(workers, nil, func(pc *plannedChunk, c cursor) (err error) {
-		pc.end, err = decodeEvents(&c, p.regions, pc.ref.BaseTime, pc.dst)
-		pc.dst = p.clip(pc, pc.dst)
+		pc.end, err = decodeEvents(&c, pc.regions, pc.ref.BaseTime, pc.dst)
+		if p.indexed {
+			pc.dst = p.clip(pc, pc.dst)
+		}
 		return err
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrTruncated) {
 		return nil, err
 	}
-	if !p.q.Windowed {
-		return tr, nil // nothing was clipped
+	if p.indexed && !p.q.Windowed {
+		return tr, err // nothing was clipped
 	}
+	last := make(map[int]int64)
 	clear(filled)
 	for i := range p.sel {
 		pc := &p.sel[i]
-		filled[pc.tid] += copy(tr.Threads[pc.tid][filled[pc.tid]:], pc.dst)
-	}
-	for tid, n := range filled {
-		if tr.Threads[tid] = tr.Threads[tid][:n]; n == 0 {
-			delete(tr.Threads, tid)
+		if !p.indexed {
+			base := last[pc.tid]
+			for k := range pc.dst {
+				pc.dst[k].Time += base
+			}
+			last[pc.tid] = base + pc.end
+			pc.dst = p.clip(pc, pc.dst)
+		}
+		if p.q.Windowed {
+			filled[pc.tid] += copy(tr.Threads[pc.tid][filled[pc.tid]:], pc.dst)
 		}
 	}
-	return tr, nil
+	if p.q.Windowed {
+		for tid, n := range filled {
+			if tr.Threads[tid] = tr.Threads[tid][:n]; n == 0 {
+				delete(tr.Threads, tid)
+			}
+		}
+	}
+	return tr, err
 }

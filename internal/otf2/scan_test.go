@@ -50,7 +50,7 @@ func analyzeBottlenecks(r io.Reader, q Query, workers int) (*bottleneck.Analysis
 // events, one at a time as Next returns them, into an Analyzer.
 func analyzeSequential(r io.Reader) (*trace.Analysis, error) {
 	a := trace.NewAnalyzer()
-	rd, err := NewReader(r, region.NewRegistry())
+	rd, err := newReader(r, region.NewRegistry())
 	for err == nil {
 		var tid int
 		var ev trace.Event
@@ -276,9 +276,10 @@ func scanSources(t *testing.T, tr *trace.Trace) []scanSource {
 				}
 				return f, func() { f.Close() }
 			}),
-			reader("plain", false, func() (io.Reader, func()) { return plainReader{bytes.NewReader(k.data)}, func() {} }),
+			// A plain stream is buffered and planned like the rest.
+			reader("plain", k.indexed, func() (io.Reader, func()) { return plainReader{bytes.NewReader(k.data)}, func() {} }),
 			counted("counted", k.indexed, func(src *countingSource) io.Reader { return src }),
-			counted("counted-plain", false, func(src *countingSource) io.Reader { return plainReader{src} }),
+			counted("counted-plain", k.indexed, func(src *countingSource) io.Reader { return plainReader{src} }),
 			scanSource{
 				name: k.name + "/ScanFile", ref: ref, cut: k.cut, lenient: true, indexed: k.indexed,
 				scan: func(q Query, workers int, consumers ...trace.Consumer) (QueryStats, string, error) {

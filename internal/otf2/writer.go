@@ -657,7 +657,7 @@ func (w *Writer) Flush() error {
 // footer index chunk and the fixed-size trailer (exactly once; Close is
 // idempotent). The archive must not be written to afterwards — later
 // chunks would displace the trailer from the end of the file and
-// readers would fall back to the sequential, index-less walk. Close
+// readers would plan from the chunk framing, without the index. Close
 // does not close the underlying io.Writer (the Writer did not open it).
 func (w *Writer) Close() error {
 	if err := w.Flush(); err != nil {

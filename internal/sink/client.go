@@ -2,7 +2,6 @@ package sink
 
 import (
 	"bufio"
-	"context"
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -49,11 +48,12 @@ const (
 	// starting" race without stalling a doomed run for long.
 	DefaultDialAttempts = 5
 	DefaultDialBackoff  = 50 * time.Millisecond
-	// DefaultDialBudget caps the total elapsed time of one connect
-	// loop, whatever the attempt count and backoff say.
+	// DefaultDialBudget caps the total elapsed time of the initial
+	// connect loop, whatever the attempt count and backoff say.
 	DefaultDialBudget = 10 * time.Second
 	// DefaultAckTimeout bounds how long Close waits for the daemon's
-	// seal acknowledgment.
+	// seal acknowledgment, and a handshake or gap declaration for its
+	// answer.
 	DefaultAckTimeout = 10 * time.Second
 	// DefaultReconnectAttempts, DefaultReconnectBackoff and
 	// DefaultReconnectBudget shape the per-outage reconnect loop: after
@@ -81,13 +81,10 @@ type clientConfig struct {
 	policy            BackpressurePolicy
 	dialAttempts      int
 	dialBackoff       time.Duration
-	dialBudget        time.Duration
 	reconnectAttempts int
 	reconnectBackoff  time.Duration
 	reconnectBudget   time.Duration
-	ackTimeout        time.Duration
 	fallbackPath      string
-	ctx               context.Context
 	writerOpts        []otf2.WriterOption
 	dial              func() (net.Conn, error)
 }
@@ -150,13 +147,6 @@ func WithDialRetry(attempts int, backoff time.Duration) ClientOption {
 	}
 }
 
-// WithDialBudget caps the total elapsed time of the initial connect
-// loop regardless of attempts and backoff (default DefaultDialBudget;
-// <= 0 removes the cap).
-func WithDialBudget(d time.Duration) ClientOption {
-	return func(c *clientConfig) { c.dialBudget = d }
-}
-
 // WithReconnect shapes the per-outage reconnect loop: up to attempts
 // redials per outage, jittered doubling backoff, and a total elapsed
 // budget per outage. attempts <= 0 disables reconnection entirely — a
@@ -171,14 +161,6 @@ func WithReconnect(attempts int, backoff, budget time.Duration) ClientOption {
 	}
 }
 
-// WithContext attaches a context to the client's connect and reconnect
-// loops: cancellation aborts backoff sleeps and pending attempts
-// immediately (the stream then degrades like any other exhausted
-// budget).
-func WithContext(ctx context.Context) ClientOption {
-	return func(c *clientConfig) { c.ctx = ctx }
-}
-
 // WithFallbackArchive names a local archive file the client spills to
 // when the remote stream is lost for good — dial or reconnect budget
 // exhausted, an unresumable gap, or a daemon-reported ingest failure.
@@ -189,12 +171,6 @@ func WithContext(ctx context.Context) ClientOption {
 // failures latch Err instead.
 func WithFallbackArchive(path string) ClientOption {
 	return func(c *clientConfig) { c.fallbackPath = path }
-}
-
-// WithAckTimeout bounds how long Close waits for the daemon's seal
-// acknowledgment (<= 0: wait forever).
-func WithAckTimeout(d time.Duration) ClientOption {
-	return func(c *clientConfig) { c.ackTimeout = d }
 }
 
 // WithWriterOptions passes options (compression, chunk size, format
@@ -294,11 +270,9 @@ func defaultClientConfig() clientConfig {
 		replayBytes:       DefaultReplayBytes,
 		dialAttempts:      DefaultDialAttempts,
 		dialBackoff:       DefaultDialBackoff,
-		dialBudget:        DefaultDialBudget,
 		reconnectAttempts: DefaultReconnectAttempts,
 		reconnectBackoff:  DefaultReconnectBackoff,
 		reconnectBudget:   DefaultReconnectBudget,
-		ackTimeout:        DefaultAckTimeout,
 	}
 }
 
@@ -496,12 +470,11 @@ func (c *Client) run() {
 	}
 }
 
-// connect dials (with jittered doubling backoff, an attempt cap, an
-// elapsed-time budget and optional context cancellation) and completes
-// the handshake, returning the connection and the server's durable
-// offset for this stream.
+// connect dials (with jittered doubling backoff, an attempt cap and an
+// elapsed-time budget) and completes the handshake, returning the
+// connection and the server's durable offset for this stream.
 func (c *Client) connect(reconnect bool) (net.Conn, int64, error) {
-	attempts, backoff, budget := c.cfg.dialAttempts, c.cfg.dialBackoff, c.cfg.dialBudget
+	attempts, backoff, budget := c.cfg.dialAttempts, c.cfg.dialBackoff, DefaultDialBudget
 	what := "connect"
 	if reconnect {
 		attempts, backoff, budget = c.cfg.reconnectAttempts, c.cfg.reconnectBackoff, c.cfg.reconnectBudget
@@ -528,14 +501,7 @@ func (c *Client) connect(reconnect bool) (net.Conn, int64, error) {
 					d = rem
 				}
 			}
-			if err := sleepCtx(c.cfg.ctx, d); err != nil {
-				return nil, 0, fmt.Errorf("sink: %s canceled: %w", what, err)
-			}
-		}
-		if c.cfg.ctx != nil {
-			if err := c.cfg.ctx.Err(); err != nil {
-				return nil, 0, fmt.Errorf("sink: %s canceled: %w", what, err)
-			}
+			time.Sleep(d)
 		}
 		conn, err := c.cfg.dial()
 		if err != nil {
@@ -566,29 +532,11 @@ func jitterBackoff(d time.Duration) time.Duration {
 	return time.Duration(half + rand.Int63n(half))
 }
 
-// sleepCtx sleeps d, aborting early on context cancellation.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if ctx == nil {
-		time.Sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // handshake writes the client handshake on conn and reads the server
 // hello, returning the durable offset to resume from.
 func (c *Client) handshake(conn net.Conn) (int64, error) {
-	if c.cfg.ackTimeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(c.cfg.ackTimeout))
-		defer func() { _ = conn.SetDeadline(time.Time{}) }()
-	}
+	_ = conn.SetDeadline(time.Now().Add(DefaultAckTimeout))
+	defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	hs := make([]byte, 0, len(Magic)+1+2*binary.MaxVarintLen64+len(c.cfg.streamID))
 	hs = append(hs, Magic...)
 	hs = append(hs, ProtocolVersion)
@@ -655,9 +603,7 @@ func (c *Client) declareGap(conn net.Conn, gap int64) {
 	if _, err := conn.Write(buf); err != nil {
 		return
 	}
-	if c.cfg.ackTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(c.cfg.ackTimeout))
-	}
+	_ = conn.SetReadDeadline(time.Now().Add(DefaultAckTimeout))
 	var ack [2]byte
 	_, _ = io.ReadFull(conn, ack[:])
 }
@@ -738,12 +684,8 @@ func (c *Client) pump(conn net.Conn) error {
 	if _, err := conn.Write(eos); err != nil {
 		return transient(fmt.Errorf("sink: end of stream: %w", err))
 	}
-	var timeout <-chan time.Time
-	if c.cfg.ackTimeout > 0 {
-		t := time.NewTimer(c.cfg.ackTimeout)
-		defer t.Stop()
-		timeout = t.C
-	}
+	timeout := time.NewTimer(DefaultAckTimeout)
+	defer timeout.Stop()
 	select {
 	case status := <-cs.final:
 		if status == ackOK {
@@ -763,7 +705,7 @@ func (c *Client) pump(conn net.Conn) error {
 			return err
 		}
 		return transient(errors.New("sink: connection closed before seal ack"))
-	case <-timeout:
+	case <-timeout.C:
 		return transient(errors.New("sink: timeout waiting for seal ack"))
 	}
 }

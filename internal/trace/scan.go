@@ -12,10 +12,10 @@ import (
 type Consumer interface {
 	// Hint is called once, before any run, with what the source knows of
 	// the size of each thread's stream: an upper bound on the events it
-	// will deliver for that thread (an index's counts for the selected
-	// chunks, a slice's length). A thread is missing where the source does
-	// not know — every thread, for an archive read front to back — and a
-	// thread that is named may still receive nothing.
+	// will deliver for that thread (the event counts of an archive's
+	// selected chunks, a slice's length). A thread is missing where the
+	// source does not know, and a thread that is named may still receive
+	// nothing.
 	Hint(threadEvents map[int]int)
 	// Consume receives thread tid's next run of events: never empty, in
 	// stream order, one run of a thread at a time, runs of different

@@ -101,7 +101,3 @@ func (c *SyncCoverage) TakeDispatch(t int64) (start, dur int64, ok bool) {
 	}
 	return start, dur, true
 }
-
-// InstanceStart returns the start time of the open top-level sync
-// instance; only meaningful while Depth > 0.
-func (c *SyncCoverage) InstanceStart() int64 { return c.syncEnter }

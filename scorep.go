@@ -482,8 +482,8 @@ func AnalyzeBottlenecks(tr *Trace, q TraceQuery, workers int) *BottleneckAnalysi
 }
 
 // AnalyzeTraceArchiveBottlenecks runs the bottleneck analysis over the
-// part of an archive matching q, with the same index-driven access,
-// sequential fallback and truncation salvage as AnalyzeTraceArchive.
+// part of an archive matching q, with the same planned access and
+// truncation salvage as AnalyzeTraceArchive.
 func AnalyzeTraceArchiveBottlenecks(r io.Reader, q TraceQuery, workers int) (*BottleneckAnalysis, TraceQueryStats, error) {
 	c := bottleneck.NewCollector(workers)
 	st, err := otf2.Scan(r, q, workers, c)
