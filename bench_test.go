@@ -33,10 +33,10 @@ var benchThreads = []int{1, 4}
 // benchListener wires one listener configuration: "uninst" (nil),
 // "inst" (profiling), "inst+trace" (the canonical fused
 // profiling+tracing pair on one clock, as NewSession(WithTracing())
-// builds it — in-memory recorder, so use it only where the workload
-// bounds the trace per iteration) or "inst+trace-stream" (the same
-// fused pair streaming into a discarding sink: bounded memory at any
-// b.N, for the open-loop micro benches). The finish func finalizes the
+// builds it — its recorder keeps every event, so use it only where the
+// workload bounds the trace per iteration) or "inst+trace-stream" (the
+// same fused pair streaming into a discarding sink: bounded memory at
+// any b.N, for the open-loop micro benches). The finish func finalizes the
 // configuration.
 func benchListener(cfg string) (omp.Listener, func()) {
 	switch cfg {
@@ -48,12 +48,11 @@ func benchListener(cfg string) (omp.Listener, func()) {
 	case "inst+trace", "inst+trace-stream":
 		clk := clock.NewSystem()
 		m := measure.NewWithClock(clk, region.Default)
-		var rec *trace.Recorder
+		var sink trace.EventSink = discardEvents{}
 		if cfg == "inst+trace" {
-			rec = trace.NewRecorder(clk)
-		} else {
-			rec = trace.NewStreamingRecorder(clk, discardEvents{}, 0)
+			sink = new(collectEvents)
 		}
+		rec := trace.NewStreamingRecorder(clk, sink, 0)
 		return trace.NewTee(m, rec), func() { m.Finish(); rec.Finish() }
 	}
 	panic("unknown bench listener config " + cfg)

@@ -228,42 +228,26 @@ func TestCommandLineTools(t *testing.T) {
 		t.Errorf("convert from experiment failed:\n%s", out)
 	}
 
-	// Format v2 seekable-archive flows: version up/downgrade round
-	// trips, compression, windowed/thread-subset queries and the
-	// enriched -stats report.
-	v1Path := filepath.Join(dir, "fib-v1.otf2")
-	v2Path := filepath.Join(dir, "fib-v2.otf2")
-	v1bPath := filepath.Join(dir, "fib-v1b.otf2")
-	run("scorep-convert", "-in", archivePath, "-out", v1Path, "-format-version", "1")
-	run("scorep-convert", "-in", v1Path, "-out", v2Path)
-	run("scorep-convert", "-in", v2Path, "-out", v1bPath, "-format-version", "1")
-	// The writer is deterministic, so v1 -> v2 reproduces the original
-	// v2 archive byte-for-byte, and v2 -> v1 -> read -> v1 is stable.
-	v2New, err := os.ReadFile(v2Path)
+	// Format v2 seekable-archive flows: a v1 archive (the committed
+	// fixture) reads, converts and upgrades like its v2 twin; compression,
+	// windowed/thread-subset queries and the enriched -stats report.
+	fixture := func(name string) string { return filepath.Join("internal", "otf2", "testdata", name) }
+	v1Path, upPath, v1JSONL := fixture("v1.otf2"), filepath.Join(dir, "fx-up.otf2"), filepath.Join(dir, "fx-v1.jsonl")
+	run("scorep-convert", "-in", v1Path, "-out", upPath)
+	run("scorep-convert", "-in", v1Path, "-out", v1JSONL)
+	recording, err := os.ReadFile(fixture("recording.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2Orig, err := os.ReadFile(archivePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v2New, v2Orig) {
-		t.Error("v1 -> v2 upgrade is not byte-identical to the original v2 archive")
-	}
-	v1A, err := os.ReadFile(v1Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1B, err := os.ReadFile(v1bPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v1A, v1B) {
-		t.Error("v2 -> v1 downgrade is not byte-identical across conversions")
+	if got, err := os.ReadFile(v1JSONL); err != nil || !bytes.Equal(got, recording) {
+		t.Errorf("the v1 fixture converts to JSONL other than recording.jsonl (err %v)", err)
 	}
 	// v1 archives stay readable and analyze identically to v2.
-	if got := runOut("scorep-analyze", "-trace", v1Path, "-json"); got != seqJSON {
-		t.Errorf("v1 archive analysis differs from v2:\n%s", got)
+	fxJSON := runOut("scorep-analyze", "-trace", fixture("v2.otf2"), "-json")
+	for _, p := range []string{v1Path, upPath} {
+		if got := runOut("scorep-analyze", "-trace", p, "-json"); got != fxJSON {
+			t.Errorf("%s analyzes differently from the v2 fixture:\n%s", p, got)
+		}
 	}
 
 	// -stats reports the archive layout: version, index, chunk counts.
@@ -275,6 +259,9 @@ func TestCommandLineTools(t *testing.T) {
 	out = run("scorep-convert", "-in", v1Path, "-stats")
 	if !strings.Contains(out, "version=1") || !strings.Contains(out, "indexed=false") {
 		t.Errorf("-stats mislabels a v1 archive:\n%s", out)
+	}
+	if out = run("scorep-convert", "-in", upPath, "-stats"); !strings.Contains(out, "version=2") || !strings.Contains(out, "indexed=true") {
+		t.Errorf("-stats of the upgraded v1 archive:\n%s", out)
 	}
 
 	// Compressed archives shrink and decode identically.
@@ -344,17 +331,15 @@ func TestCommandLineTools(t *testing.T) {
 	mustFail("scorep-analyze", "-in", repA, "-parallel", "4") // -parallel is trace-analysis only
 	mustFail("scorep-report", "-in", repA, "-parallel", "2")  // -parallel is -diff only
 	// Query/compression flags apply to specific modes only.
-	mustFail("scorep-analyze", "-in", repA, "-window", ":")                                            // a report holds no trace
-	mustFail("scorep-analyze", "-code", "fib", "-size", "tiny", "-tids", "0")                          // live runs aren't sliceable
-	mustFail("scorep-analyze", "-trace", archivePath, "-compress")                                     // -compress needs -save-trace
-	mustFail("scorep-analyze", "-trace", archivePath, "-window", "junk")                               // malformed window
-	mustFail("scorep-timeline", "-code", "fib", "-size", "tiny", "-window", ":")                       // live runs aren't sliceable
-	mustFail("scorep-timeline", "-in", archivePath, "-compress")                                       // -compress needs -save
-	mustFail("scorep-convert", "-in", archivePath, "-out", trace2Path, "-compress")                    // JSONL can't compress
-	mustFail("scorep-convert", "-in", archivePath, "-out", zPath, "-compress", "-format-version", "1") // v1 predates compression
-	mustFail("scorep-convert", "-in", archivePath, "-stats", "-window", ":")                           // a sub-trace needs -out
-	mustFail("scorep-convert", "-in", fibTracePath, "-out", trace2Path, "-format-version", "2")        // version is archive-only
-	mustFail("scorep-report", "-in", repA, "-diff", repB, "-window", ":")                              // diff has no trace section
-	mustFail("scorep-report", "-exp", expDir, "-csv", "-window", ":")                                  // CSV has no trace section
-	mustFail("scorep-report", "-in", repA, "-window", ":")                                             // plain reports hold no trace
+	mustFail("scorep-analyze", "-in", repA, "-window", ":")                         // a report holds no trace
+	mustFail("scorep-analyze", "-code", "fib", "-size", "tiny", "-tids", "0")       // live runs aren't sliceable
+	mustFail("scorep-analyze", "-trace", archivePath, "-compress")                  // -compress needs -save-trace
+	mustFail("scorep-analyze", "-trace", archivePath, "-window", "junk")            // malformed window
+	mustFail("scorep-timeline", "-code", "fib", "-size", "tiny", "-window", ":")    // live runs aren't sliceable
+	mustFail("scorep-timeline", "-in", archivePath, "-compress")                    // -compress needs -save
+	mustFail("scorep-convert", "-in", archivePath, "-out", trace2Path, "-compress") // JSONL can't compress
+	mustFail("scorep-convert", "-in", archivePath, "-stats", "-window", ":")        // a sub-trace needs -out
+	mustFail("scorep-report", "-in", repA, "-diff", repB, "-window", ":")           // diff has no trace section
+	mustFail("scorep-report", "-exp", expDir, "-csv", "-window", ":")               // CSV has no trace section
+	mustFail("scorep-report", "-in", repA, "-window", ":")                          // plain reports hold no trace
 }

@@ -8,17 +8,16 @@
 // presence, per-thread chunk counts and the event-chunk compression
 // ratio — the measurement behind the format's compression claim.
 //
-// Archive outputs take -compress (flate-compress each event chunk) and
-// -format-version 1|2 (2, the default, writes the seekable indexed
-// format; 1 writes archives byte-compatible with pre-index readers —
-// converting v1->v2->v1 round-trips the event stream byte-identically).
-// -window t0:t1 and -threads a,b,c convert only the matching sub-trace.
+// Archive outputs are format version 2, the seekable indexed format, and
+// take -compress (flate-compress each event chunk); a version 1 input is
+// read and upgraded. -window t0:t1 and -threads a,b,c convert only the
+// matching sub-trace.
 //
 // Usage:
 //
 //	scorep-convert -in trace.jsonl -out trace.otf2 [-stats] [-compress]
 //	scorep-convert -in trace.otf2 -out trace.jsonl [-parallel 4]
-//	scorep-convert -in v1.otf2 -out v2.otf2 [-format-version 2]
+//	scorep-convert -in v1.otf2 -out v2.otf2
 //	scorep-convert -in trace.otf2 -out slice.otf2 -window 1000:2000 -threads 0,1
 //	scorep-convert -exp scorep-run -out trace.jsonl
 //	scorep-convert -in trace.otf2 -stats          (inspect only)
@@ -47,7 +46,6 @@ func main() {
 		window   = flag.String("window", "", "convert only the inclusive time window t0:t1 (either bound may be empty)")
 		threads  = flag.String("threads", "", "convert only a comma-separated thread-ID subset")
 		compress = flag.Bool("compress", false, "flate-compress event chunks of an .otf2 output")
-		formatV  = flag.Int("format-version", int(otf2.FormatVersion), "archive format version of an .otf2 output (1 = pre-index compatible, 2 = seekable indexed)")
 	)
 	flag.Parse()
 
@@ -58,14 +56,6 @@ func main() {
 	outIsArchive := *out != "" && otf2.IsArchivePath(*out)
 	if *compress && !outIsArchive {
 		fmt.Fprintln(os.Stderr, "-compress only applies to an .otf2 output (-out <file>.otf2)")
-		os.Exit(2)
-	}
-	if flagWasSet("format-version") && !outIsArchive {
-		fmt.Fprintln(os.Stderr, "-format-version only applies to an .otf2 output (-out <file>.otf2)")
-		os.Exit(2)
-	}
-	if *compress && *formatV == 1 {
-		fmt.Fprintln(os.Stderr, "-compress requires -format-version 2: v1 archives predate compression")
 		os.Exit(2)
 	}
 	if (*window != "" || *threads != "") && *out == "" {
@@ -123,11 +113,8 @@ func main() {
 			}
 		}
 		var wopts []otf2.WriterOption
-		if outIsArchive {
-			wopts = append(wopts, otf2.WithVersion(*formatV))
-			if *compress {
-				wopts = append(wopts, otf2.WithCompression(otf2.CompressionFlate))
-			}
+		if *compress {
+			wopts = append(wopts, otf2.WithCompression(otf2.CompressionFlate))
 		}
 		if err := otf2.WriteFile(*out, tr, wopts...); err != nil {
 			fail(err)
@@ -139,18 +126,6 @@ func main() {
 			fmt.Printf("wrote %s (%d events, %d threads)\n", *out, events, len(tr.Threads))
 		}
 	}
-}
-
-// flagWasSet reports whether the named flag was given explicitly on the
-// command line (as opposed to resting at its default).
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 // emptyNameRegionEvents counts events whose region JSONL cannot round-trip.

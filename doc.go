@@ -406,29 +406,23 @@
 // the current window as a bare archive to any io.Writer for custom
 // sinks.
 //
-// Below the Session layer the recorder is NewFlightTraceRecorder, which
-// since the rings hold encoded chunks returns a *TraceFlightRecorder
-// (its Recorder method is the listener, Dump writes the window to an
-// io.Writer, Stats is the live accounting) where it used to return a
-// *TraceRecorder, and TraceFlightStats is now the accounting of a
-// dump (TraceFlightInfo) plus the retained bytes and the per-thread
-// retained events. Three names went with the ring of events and are
-// removed: TraceRecorder.FlightSnapshot, which copied the window out
-// as events — decode a Dump instead — WriteTraceFlightDump, which
-// encoded such a copy, and TraceFlightThreadStats.
-//
 // # Power-user layer
 //
 // The session owns the wiring; the pieces stay exported for custom
-// setups: NewMeasurement/NewMeasurementWithClock (profiling),
-// NewTraceRecorder/NewStreamingTraceRecorder (tracing),
-// NewFlightTraceRecorder (flight-recorder tracing, see above), NewFilter,
-// NewTee (fan out one event stream to several listeners), NewRuntime,
-// and the report/trace serialization functions. A recording outside a
-// Session or an Experiment is analyzed by five functions, each taking a
-// TraceQuery (zero: everything) and a worker count (<= 0: one per
-// processor): AnalyzeTrace and AnalyzeBottlenecks over a Trace,
-// ReadTraceArchive, AnalyzeTraceArchive and
+// setups: NewMeasurement/NewMeasurementWithClock (profiling), NewFilter
+// (gives a Measurement its filter patterns and returns it), NewTee (fan
+// out one event stream to several listeners), NewRuntime, and the
+// report/trace serialization functions. Sessions are the way to record a
+// trace (WithTracing, WithStreamingTrace, WithFlightRecorder); the
+// facade no longer exports recorder constructors. Removed names:
+// NewTraceRecorder, NewStreamingTraceRecorder, NewFlightTraceRecorder,
+// TraceFlightRecorder, TraceFlightStats, TraceArchiveFormatVersion and
+// the Filter type (NewFilter now returns the *Measurement).
+//
+// A recording outside a Session or an Experiment is analyzed by five
+// functions, each taking a TraceQuery (zero: everything) and a worker
+// count (<= 0: one per processor): AnalyzeTrace and AnalyzeBottlenecks
+// over a Trace, ReadTraceArchive, AnalyzeTraceArchive and
 // AnalyzeTraceArchiveBottlenecks over an archive (see Reading
 // archives). Results.Locations exposes the raw per-thread profiles
 // behind Results.Report.
@@ -441,13 +435,16 @@
 // for the profiling measurement, Thread.TraceData for the trace
 // recorder), assigned once at ThreadBegin — so an event never takes a
 // lock, consults a map, or allocates, even when profiling and tracing
-// observe the same stream. The canonical profiling+tracing pair is
-// fused inside the Tee: one clock read per event feeds both listeners
-// (halving the dominant cost on hosts with ~30ns clock reads) and
-// profile and trace see identical timestamps. Derived task-creation
-// regions are cached on the task region itself, filter verdicts are
-// cached per interned region, and call-tree nodes and task instances
-// are recycled through per-thread pools backed by chunked arenas.
+// observe the same stream. The canonical profiling+tracing pair — the
+// measurement and the trace recorder — is fused inside the Tee: one
+// clock read per event feeds both listeners (halving the dominant cost
+// on hosts with ~30ns clock reads) and profile and trace see identical
+// timestamps. Filtering is the measurement's own check, one test of a
+// nil filter when a run is unfiltered and a verdict cached per interned
+// region when it is not, so a filtered session takes the same fused
+// path. Derived task-creation regions are cached on the task region
+// itself, and call-tree nodes and task instances are recycled through
+// per-thread pools backed by chunked arenas.
 //
 // What that path costs end to end is measured by the repository's
 // benchmark (benchmark/README.md; `bash benchmark/run.sh -workload
@@ -469,12 +466,7 @@
 // of a framed chunk to the underlying file. One thread blocked in a
 // slow sink write therefore never stalls recording, encoding, or even
 // flushing progress on other threads (before, a single writer mutex
-// serialized all of it). The footer index must stay nearly free on that
-// path: CI runs BenchmarkIndexedWriteGate (internal/otf2), which times
-// v2 against v1 single-thread writes in paired fixed-work rounds of one
-// run and fails when the upper-quartile throughput ratio falls below
-// 0.95 — a ratio, where committed wall-clock numbers would not carry
-// from one machine to the next. On the read side, a scan
+// serialized all of it). On the read side, a scan
 // (AnalyzeTraceArchive, Experiment.TraceAnalysis;
 // scorep-analyze/-timeline/-convert -parallel N) decodes chunks on a
 // worker pool while per-thread shards re-serialize each thread's chunks
@@ -527,7 +519,7 @@
 //     byte-level specification lives in the internal/otf2 package
 //     comment; the format is reimplementable from those docs alone.
 //
-// Archives are written in format version 2 by default: the Writer
+// Archives are written in format version 2: the Writer
 // additionally tracks each event chunk's byte offset, event count and
 // inclusive timestamp bounds, and Close appends a footer index chunk
 // ('I') plus a fixed 14-byte trailer ('T' frame, little-endian index
@@ -543,10 +535,12 @@
 // followed per thread (ascending thread ID) by varint(tid)
 // uvarint(droppedEvents) uvarint(droppedChunks). 'F' is v2-only and is
 // skipped like any other unknown chunk kind by readers that predate it.
-// TraceArchiveFormatVersion(1) / scorep-convert -format-version 1
-// downgrade to the sequential-only v1 byte stream — v1 -> v2 -> v1
-// round-trips the event stream byte-identically, and v1 archives stay
-// fully readable (their reads are planned from the chunk framing).
+// Version 1 archives are read, not written: they stay fully readable
+// (their reads are planned from the chunk framing), and converting one
+// (scorep-convert -in old.otf2 -out new.otf2) writes version 2. The
+// writer's v1 downgrade, TraceArchiveFormatVersion and scorep-convert
+// -format-version are removed; internal/otf2/testdata keeps a v1 archive
+// the removed writer made, which the tests read.
 //
 // The index exists for time-window queries: a TraceQuery (a time window
 // [MinTime, MaxTime] and/or a thread-ID subset) handed to

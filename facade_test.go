@@ -8,17 +8,16 @@ import (
 	scorep "repro"
 )
 
-// TestFacadeTraceAndTimeline exercises the tracing exports: recorder,
-// tee, JSONL round trip, analysis, timeline, utilization.
+// TestFacadeTraceAndTimeline exercises the tracing exports on a
+// session's recording: JSONL round trip, analysis, timeline,
+// utilization.
 func TestFacadeTraceAndTimeline(t *testing.T) {
 	par := scorep.RegisterRegion("fa.parallel", "facade_test.go", 1, scorep.RegionParallel)
 	task := scorep.RegisterRegion("fa.task", "facade_test.go", 2, scorep.RegionTask)
 	tw := scorep.RegisterRegion("fa.taskwait", "facade_test.go", 3, scorep.RegionTaskwait)
 
-	m := scorep.NewMeasurement()
-	rec := scorep.NewTraceRecorder()
-	rt := scorep.NewRuntime(scorep.NewTee(m, rec))
-	rt.Parallel(2, par, func(th *scorep.Thread) {
+	s := scorep.NewSession(scorep.WithTracing())
+	s.Parallel(2, par, func(th *scorep.Thread) {
 		if th.ID == 0 {
 			for i := 0; i < 16; i++ {
 				th.NewTask(task, func(c *scorep.Thread) {
@@ -33,8 +32,11 @@ func TestFacadeTraceAndTimeline(t *testing.T) {
 			th.Taskwait(tw)
 		}
 	})
-	m.Finish()
-	tr := rec.Finish()
+	res, err := s.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.Trace()
 
 	a := scorep.AnalyzeTrace(tr, scorep.TraceQuery{}, 1)
 	if a.TaskExecution.Count != 16 {

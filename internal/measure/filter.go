@@ -5,31 +5,27 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/omp"
 	"repro/internal/region"
 )
 
-// Filter implements Score-P's measurement filtering: user regions that
-// match the filter are excluded from profiling, which is the standard
-// remedy when instrumentation of small, frequently-called functions
-// dominates the overhead (the fib situation of the paper's Fig. 13 —
-// every event that is never generated costs nothing).
+// filter is Score-P's measurement filtering, as state of a Measurement:
+// user regions that match it are excluded from profiling, which is the
+// standard remedy when instrumentation of small, frequently-called
+// functions dominates the overhead (the fib situation of the paper's
+// Fig. 13 — every event that is never generated costs nothing).
 //
-// A Filter wraps a Measurement as the runtime listener. Only
-// user-function Enter/Exit events are filtered; construct regions
+// Only user-function Enter/Exit events are filtered; construct regions
 // (parallel, task, barriers, taskwaits) are structural for the task
 // profiling algorithm and always pass through.
 //
 // Verdicts are cached per interned region: the first event for a region
 // pays the name/prefix matching, every later event costs one atomic
 // load — the per-event hot path never scans patterns or hashes names.
-type Filter struct {
-	m *Measurement
-
+type filter struct {
 	excludePrefixes []string
 	excludeNames    map[string]bool
 
-	// verdicts caches Excluded results indexed by region ID. Entries
+	// verdicts caches excluded results indexed by region ID. Entries
 	// remember the region pointer so a collision between IDs of
 	// different registries falls back to recomputation instead of
 	// returning a wrong verdict.
@@ -37,17 +33,22 @@ type Filter struct {
 	growMu   sync.Mutex
 }
 
-// verdict is one cached Excluded result.
+// verdict is one cached excluded result.
 type verdict struct {
 	r        *region.Region
 	excluded bool
 }
 
-// NewFilter creates a filtering listener around m. Patterns ending in
-// '*' exclude by prefix, others by exact region name — mirroring the
-// SCOREP_FILTERING_FILE syntax in spirit.
-func NewFilter(m *Measurement, patterns ...string) *Filter {
-	f := &Filter{m: m, excludeNames: make(map[string]bool)}
+// NewFilter gives m the exclusion patterns and returns it: the filtered
+// measurement is still the one listener. Patterns ending in '*' exclude
+// by prefix, others by exact region name — mirroring the
+// SCOREP_FILTERING_FILE syntax in spirit. Without patterns m stays
+// unfiltered. Call it before the measured run.
+func NewFilter(m *Measurement, patterns ...string) *Measurement {
+	if len(patterns) == 0 {
+		return m
+	}
+	f := &filter{excludeNames: make(map[string]bool)}
 	for _, p := range patterns {
 		if strings.HasSuffix(p, "*") {
 			f.excludePrefixes = append(f.excludePrefixes, strings.TrimSuffix(p, "*"))
@@ -55,11 +56,12 @@ func NewFilter(m *Measurement, patterns ...string) *Filter {
 			f.excludeNames[p] = true
 		}
 	}
-	return f
+	m.filter = f
+	return m
 }
 
-// Excluded reports whether events for r are dropped.
-func (f *Filter) Excluded(r *region.Region) bool {
+// excluded reports whether events for r are dropped.
+func (f *filter) excluded(r *region.Region) bool {
 	if tbl := f.verdicts.Load(); tbl != nil {
 		if id := int(r.ID); id >= 0 && id < len(*tbl) {
 			if v := (*tbl)[id].Load(); v != nil && v.r == r {
@@ -73,7 +75,7 @@ func (f *Filter) Excluded(r *region.Region) bool {
 }
 
 // match computes the verdict from the patterns (the slow path).
-func (f *Filter) match(r *region.Region) bool {
+func (f *filter) match(r *region.Region) bool {
 	if r.Type != region.UserFunction {
 		return false
 	}
@@ -91,7 +93,7 @@ func (f *Filter) match(r *region.Region) bool {
 // cache stores a verdict, growing the table as needed. Growth copies
 // element-wise through atomic loads/stores; readers always see either
 // the old or the new table, both valid.
-func (f *Filter) cache(r *region.Region, excluded bool) {
+func (f *filter) cache(r *region.Region, excluded bool) {
 	id := int(r.ID)
 	if id < 0 {
 		return
@@ -118,78 +120,3 @@ func (f *Filter) cache(r *region.Region, excluded bool) {
 	}
 	(*tbl)[id].Store(&verdict{r: r, excluded: excluded})
 }
-
-// Measurement returns the wrapped measurement.
-func (f *Filter) Measurement() *Measurement { return f.m }
-
-// ThreadBegin implements omp.Listener.
-func (f *Filter) ThreadBegin(t *omp.Thread) { f.m.ThreadBegin(t) }
-
-// ThreadEnd implements omp.Listener.
-func (f *Filter) ThreadEnd(t *omp.Thread) { f.m.ThreadEnd(t) }
-
-// Enter implements omp.Listener, dropping excluded user regions.
-func (f *Filter) Enter(t *omp.Thread, r *region.Region) {
-	if f.Excluded(r) {
-		return
-	}
-	f.m.Enter(t, r)
-}
-
-// EnterAt is Enter with an explicit timestamp (fused tee path).
-func (f *Filter) EnterAt(t *omp.Thread, r *region.Region, now int64) {
-	if f.Excluded(r) {
-		return
-	}
-	f.m.EnterAt(t, r, now)
-}
-
-// Exit implements omp.Listener, dropping excluded user regions.
-func (f *Filter) Exit(t *omp.Thread, r *region.Region) {
-	if f.Excluded(r) {
-		return
-	}
-	f.m.Exit(t, r)
-}
-
-// ExitAt is Exit with an explicit timestamp (fused tee path).
-func (f *Filter) ExitAt(t *omp.Thread, r *region.Region, now int64) {
-	if f.Excluded(r) {
-		return
-	}
-	f.m.ExitAt(t, r, now)
-}
-
-// TaskCreateBegin implements omp.Listener.
-func (f *Filter) TaskCreateBegin(t *omp.Thread, r *region.Region) { f.m.TaskCreateBegin(t, r) }
-
-// TaskCreateBeginAt forwards with an explicit timestamp.
-func (f *Filter) TaskCreateBeginAt(t *omp.Thread, r *region.Region, now int64) {
-	f.m.TaskCreateBeginAt(t, r, now)
-}
-
-// TaskCreateEnd implements omp.Listener.
-func (f *Filter) TaskCreateEnd(t *omp.Thread, tk *omp.Task) { f.m.TaskCreateEnd(t, tk) }
-
-// TaskCreateEndAt forwards with an explicit timestamp.
-func (f *Filter) TaskCreateEndAt(t *omp.Thread, tk *omp.Task, now int64) {
-	f.m.TaskCreateEndAt(t, tk, now)
-}
-
-// TaskBegin implements omp.Listener.
-func (f *Filter) TaskBegin(t *omp.Thread, tk *omp.Task) { f.m.TaskBegin(t, tk) }
-
-// TaskBeginAt forwards with an explicit timestamp.
-func (f *Filter) TaskBeginAt(t *omp.Thread, tk *omp.Task, now int64) { f.m.TaskBeginAt(t, tk, now) }
-
-// TaskEnd implements omp.Listener.
-func (f *Filter) TaskEnd(t *omp.Thread, tk *omp.Task) { f.m.TaskEnd(t, tk) }
-
-// TaskEndAt forwards with an explicit timestamp.
-func (f *Filter) TaskEndAt(t *omp.Thread, tk *omp.Task, now int64) { f.m.TaskEndAt(t, tk, now) }
-
-// TaskSwitch implements omp.Listener.
-func (f *Filter) TaskSwitch(t *omp.Thread, tk *omp.Task) { f.m.TaskSwitch(t, tk) }
-
-// TaskSwitchAt forwards with an explicit timestamp.
-func (f *Filter) TaskSwitchAt(t *omp.Thread, tk *omp.Task, now int64) { f.m.TaskSwitchAt(t, tk, now) }

@@ -84,7 +84,9 @@ func TestFilterNeverExcludesConstructs(t *testing.T) {
 func TestFilterExcludedPredicate(t *testing.T) {
 	reg := region.NewRegistry()
 	m := NewWithClock(clock.NewSystem(), reg)
-	f := NewFilter(m, "a*", "b")
+	if NewFilter(m, "a*", "b") != m {
+		t.Fatal("NewFilter returned another listener than the measurement")
+	}
 	cases := []struct {
 		name string
 		typ  region.Type
@@ -98,12 +100,12 @@ func TestFilterExcludedPredicate(t *testing.T) {
 	}
 	for _, c := range cases {
 		r := reg.Register(c.name, "f.go", 1, c.typ)
-		if got := f.Excluded(r); got != c.want {
+		if got := m.excluded(r); got != c.want {
 			t.Errorf("Excluded(%s %s) = %v, want %v", c.name, c.typ, got, c.want)
 		}
-	}
-	if f.Measurement() != m {
-		t.Error("Measurement accessor broken")
+		if NewFilter(NewWithClock(clock.NewSystem(), reg)).excluded(r) {
+			t.Errorf("a measurement given no patterns excludes %s", c.name)
+		}
 	}
 }
 

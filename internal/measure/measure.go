@@ -10,6 +10,10 @@
 // slot, and the derived task-creation region is cached on the task
 // region itself — no event between ThreadBegin and ThreadEnd takes a
 // lock, consults a map, or allocates.
+//
+// Filtering (NewFilter) is part of the measurement, as in Score-P: a
+// filtered Measurement checks each user region's cached verdict in Enter
+// and Exit, and is still the one listener.
 package measure
 
 import (
@@ -34,6 +38,10 @@ import (
 type Measurement struct {
 	clk clock.Clock
 	reg *region.Registry
+
+	// filter excludes user regions from the profile (NewFilter); nil
+	// when the run is unfiltered.
+	filter *filter
 
 	mu        sync.Mutex
 	locations map[int]*core.ThreadProfile
@@ -92,8 +100,16 @@ func (m *Measurement) ThreadEnd(t *omp.Thread) {
 	t.Profile = nil
 }
 
-// Enter implements omp.Listener.
+// excluded reports whether r is a user region the filter drops.
+func (m *Measurement) excluded(r *region.Region) bool {
+	return m.filter != nil && m.filter.excluded(r)
+}
+
+// Enter implements omp.Listener, dropping a filtered user region.
 func (m *Measurement) Enter(t *omp.Thread, r *region.Region) {
+	if m.excluded(r) {
+		return
+	}
 	t.Profile.Enter(r)
 }
 
@@ -101,16 +117,25 @@ func (m *Measurement) Enter(t *omp.Thread, r *region.Region) {
 // profiling+tracing tee reads the clock once per event and hands the
 // same instant to profile and trace.
 func (m *Measurement) EnterAt(t *omp.Thread, r *region.Region, now int64) {
+	if m.excluded(r) {
+		return
+	}
 	t.Profile.EnterAt(r, now)
 }
 
-// Exit implements omp.Listener.
+// Exit implements omp.Listener, dropping a filtered user region.
 func (m *Measurement) Exit(t *omp.Thread, r *region.Region) {
+	if m.excluded(r) {
+		return
+	}
 	t.Profile.Exit(r)
 }
 
 // ExitAt is Exit with an explicit timestamp (see EnterAt).
 func (m *Measurement) ExitAt(t *omp.Thread, r *region.Region, now int64) {
+	if m.excluded(r) {
+		return
+	}
 	t.Profile.ExitAt(r, now)
 }
 

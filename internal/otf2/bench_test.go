@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/region"
 	"repro/internal/trace"
@@ -138,58 +136,6 @@ func BenchmarkWriteThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkIndexedWriteGate is CI's write gate (`go test ./internal/otf2
-// -run '^$' -bench IndexedWriteGate -benchtime 1x`): the footer index
-// must stay nearly free on the write path. Each round times the same 4 M
-// events of one thread's stream (batches of 512, cycling) through a
-// fresh v1 writer and then a fresh v2 writer, Close excluded — the index
-// itself is paid once per archive, not per event — so the two timings of
-// a round lie tens of milliseconds apart and sample the same noise. It
-// fails when the upper quartile of the rounds' v2:v1 throughput ratios is
-// below 0.95: a busy neighbour only drags single rounds down, never up,
-// so a healthy writer shows ratios near 1 in its quietest rounds, while a
-// regression of the encode path shifts every round. It is a benchmark
-// and not a test so that `go test ./...` never runs a wall-clock gate.
-func BenchmarkIndexedWriteGate(b *testing.B) {
-	evs := benchTrace(1, 4096).Threads[0]
-	writeNs := func(events int, opts ...WriterOption) float64 {
-		var n countingWriter
-		w := NewWriter(&n, opts...)
-		start := time.Now()
-		for done := 0; done < events; {
-			lo := done % len(evs)
-			hi := min(lo+512, len(evs), lo+events-done)
-			if err := w.WriteEvents(0, evs[lo:hi]); err != nil {
-				b.Fatal(err)
-			}
-			done += hi - lo
-		}
-		ns := float64(time.Since(start).Nanoseconds())
-		if err := w.Close(); err != nil {
-			b.Fatal(err)
-		}
-		return ns
-	}
-	const events, rounds = 4 << 20, 15
-	writeNs(events / 4) // one untimed pass a side: pools and branch state
-	writeNs(events/4, WithVersion(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ratios := make([]float64, rounds)
-		for r := range ratios {
-			v1 := writeNs(events, WithVersion(1))
-			ratios[r] = v1 / writeNs(events)
-		}
-		slices.Sort(ratios)
-		p75 := ratios[rounds*3/4]
-		b.ReportMetric(p75, "v2:v1-p75")
-		b.ReportMetric(ratios[rounds/2], "v2:v1-p50")
-		if p75 < 0.95 {
-			b.Fatalf("v2 write throughput is below 95%% of v1: upper-quartile ratio %.3f (rounds sorted: %.2f)", p75, ratios)
-		}
-	}
-}
-
 // countingWriter discards bytes, counting them.
 type countingWriter int64
 
@@ -249,7 +195,7 @@ func BenchmarkIndexless(b *testing.B) {
 		name string
 		data []byte
 	}{
-		{"v1", archive(WithVersion(1))},
+		{"v1", v1Of(b, archive())},
 		{"cut-flate", flate[:len(flate)*2/3]},
 	} {
 		for _, workers := range []int{1, 4} {

@@ -21,7 +21,7 @@ func TestBottlenecksMatchInMemoryReference(t *testing.T) {
 	archives := map[string][]byte{
 		"v2":       queryArchive(t, tr),
 		"v2-flate": queryArchive(t, tr, WithCompression(CompressionFlate)),
-		"v1":       queryArchive(t, tr, WithVersion(1)),
+		"v1":       v1Of(t, queryArchive(t, tr)),
 	}
 	for name, archive := range archives {
 		full, err := loadSequential(bytes.NewReader(archive), region.NewRegistry())

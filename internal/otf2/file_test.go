@@ -221,7 +221,7 @@ func TestIntactPrefixSize(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"raw":   write(),
 		"flate": write(WithCompression(CompressionFlate)),
-		"v1":    write(WithVersion(1)),
+		"v1":    v1Of(t, write()),
 	} {
 		cutPath := filepath.Join(dir, "cut-"+name+Ext)
 		if err := os.WriteFile(cutPath, data, 0o644); err != nil {

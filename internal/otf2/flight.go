@@ -99,15 +99,10 @@ func decodeFlightInfo(payload []byte) (*FlightInfo, error) {
 // WriteFlightInfo appends info's 'F' chunk to the archive. A
 // flight-recorder dump calls it first, before any event is written, so
 // the accounting chunk lands directly after the header — inside the
-// salvageable prefix of even a dump cut off by a full disk. Requires
-// format version 2.
+// salvageable prefix of even a dump cut off by a full disk.
 func (w *Writer) WriteFlightInfo(info *FlightInfo) error {
 	if err := w.Err(); err != nil {
 		return err
-	}
-	if w.version != version2 {
-		w.setErr(corrupt("flight-recorder accounting requires format version 2"))
-		return w.Err()
 	}
 	p := appendFlightPayload(make([]byte, 0, 16+24*len(info.Threads)), info)
 	w.iomu.Lock()

@@ -155,14 +155,6 @@ func TestWriteFlightDumpNilInfo(t *testing.T) {
 	}
 }
 
-func TestWriteFlightInfoRequiresV2(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, WithVersion(1))
-	if err := w.WriteFlightInfo(&FlightInfo{RingChunks: 2, ChunkEvents: 4}); err == nil {
-		t.Fatal("WriteFlightInfo on a v1 archive did not error")
-	}
-}
-
 // TestFlightDumpDiskFullSalvage writes a dump onto a nearly-full fake
 // disk: the write must surface the injected error, and the intact
 // prefix must still open, still state its dropped counts (the

@@ -57,11 +57,7 @@ func FuzzCodec(f *testing.F) {
 	f.Add(valid.Bytes()[: len(valid.Bytes())-trailerLen : len(valid.Bytes())-trailerLen]) // trailer sheared off
 	f.Add([]byte(magic + "\x02F\x04\x00\x00\x00\x30"))                                    // damaged flight accounting: no path may be alone in rejecting it
 	// Inputs without an index, planned from their framing.
-	var v1 bytes.Buffer
-	if err := Write(&v1, sampleTrace(region.NewRegistry()), WithVersion(1)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1.Bytes())
+	f.Add(v1Of(f, valid.Bytes()))
 	f.Add(compressed.Bytes()[:compressed.Len()-trailerLen]) // flate, trailer sheared off
 	// An event chunk naming region 0 before the definition chunk that
 	// defines it: rejected, however the chunks are read.
@@ -78,6 +74,9 @@ func FuzzCodec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(flight.Bytes()[:ix.Threads[0].Chunks[0].Offset+9]) // a flight dump cut mid-chunk
+	for _, name := range fixtureNames {
+		f.Add(readFixture(f, name))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, werr := loadSequential(bytes.NewReader(data), region.NewRegistry())

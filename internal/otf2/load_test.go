@@ -126,7 +126,7 @@ func loadArchives(t testing.TB, tasks int) map[string][]byte {
 	return map[string][]byte{
 		"v2-raw":       raw,
 		"v2-flate":     write(tr, WithCompression(CompressionFlate)),
-		"v1":           write(tr, WithVersion(1)),
+		"v1":           v1Of(t, raw),
 		"cut":          raw[:mid+5],
 		"flight":       flight.Bytes(),
 		"shard":        drippingArchive(t, tr),

@@ -143,8 +143,8 @@
 // # API
 //
 // Writer streams events into an archive with one in-memory chunk buffer
-// per thread (it implements trace.EventSink, so a trace.Recorder in
-// bounded-memory mode can flush straight into it). The Writer encodes
+// per thread (it implements trace.EventSink, so a trace.Recorder can
+// flush straight into it). The Writer encodes
 // concurrently: each thread's events are encoded in that thread's own
 // buffer, region interning publishes atomically, and the writer's only
 // shared lock is held just for the append of a framed chunk to the
@@ -189,8 +189,8 @@ const (
 	magic = "SPOTF2\x00"
 
 	// version1 is the original sequential format; version2 adds
-	// compressed chunks and the footer index. The writer emits version2
-	// unless configured down; the reader accepts both.
+	// compressed chunks and the footer index. The writer emits version2;
+	// the reader accepts both.
 	version1 = 1
 	version2 = 2
 
@@ -238,8 +238,8 @@ const (
 // Ext is the file extension conventionally used for archives.
 const Ext = ".otf2"
 
-// FormatVersion is the archive format version this package writes by
-// default — the header's version byte. Experiment metadata records it
+// FormatVersion is the archive format version this package writes — the
+// header's version byte. Experiment metadata records it
 // so offline tooling can tell which reader an archive needs.
 const FormatVersion = version2
 

@@ -71,7 +71,7 @@ func TestQueryMatchesFilterReference(t *testing.T) {
 	archives := map[string][]byte{
 		"v2":       queryArchive(t, tr),
 		"v2-flate": queryArchive(t, tr, WithCompression(CompressionFlate)),
-		"v1":       queryArchive(t, tr, WithVersion(1)),
+		"v1":       v1Of(t, queryArchive(t, tr)),
 	}
 	for name, archive := range archives {
 		full, err := loadSequential(bytes.NewReader(archive), region.NewRegistry())
@@ -208,65 +208,32 @@ func TestCompressedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVersionRoundTrip checks v1 <-> v2 conversion round-trips the
-// event stream byte-identically: writing the same trace at either
-// version and converting back reproduces the original archive bytes
-// (the writer is deterministic).
+// TestVersionRoundTrip checks that a v1 archive converts to v2
+// byte-identically: decoding the v1 fixture and writing it again is the
+// v2 fixture, and the same holds for a larger trace through the tests'
+// v1 helper (the writer is deterministic).
 func TestVersionRoundTrip(t *testing.T) {
-	tr := benchTrace(2, 300)
-	v1 := queryArchive(t, tr, WithVersion(1))
-	v2 := queryArchive(t, tr)
-
-	if v1[len(magic)] != version1 || v2[len(magic)] != version2 {
-		t.Fatal("version bytes not as configured")
-	}
-
-	// v1 -> v2 -> v1: decode and re-encode at each step.
-	up, err := loadSequential(bytes.NewReader(v1), region.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var upBuf bytes.Buffer
-	if err := Write(&upBuf, up, WithChunkBytes(1024)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(upBuf.Bytes(), v2) {
-		t.Fatal("v1->v2 upgrade is not byte-identical to a direct v2 write")
-	}
-	down, err := loadSequential(bytes.NewReader(upBuf.Bytes()), region.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var downBuf bytes.Buffer
-	if err := Write(&downBuf, down, WithChunkBytes(1024), WithVersion(1)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(downBuf.Bytes(), v1) {
-		t.Fatal("v2->v1 downgrade is not byte-identical to a direct v1 write")
-	}
-}
-
-// TestV1ArchiveBytesUnchanged pins the compatibility guarantee: a v1
-// archive written by the new writer is byte-for-byte the v2 archive
-// minus the version byte, index and trailer — 'D' and 'E' chunks are
-// untouched by the format revision.
-func TestV1ArchiveBytesUnchanged(t *testing.T) {
-	tr := benchTrace(2, 200)
-	v1 := queryArchive(t, tr, WithVersion(1))
-	v2 := queryArchive(t, tr)
-
-	// Locate the index chunk offset from the trailer: everything before
-	// it must equal the v1 byte stream (bar the version byte).
-	tail := v2[len(v2)-trailerLen:]
-	if tail[0] != chunkTrailer {
-		t.Fatal("archive does not end in a trailer chunk")
-	}
-	idxOff := int64(uint64(tail[2]) | uint64(tail[3])<<8 | uint64(tail[4])<<16 | uint64(tail[5])<<24 |
-		uint64(tail[6])<<32 | uint64(tail[7])<<40 | uint64(tail[8])<<48 | uint64(tail[9])<<56)
-	body2 := v2[len(magic)+1 : idxOff]
-	body1 := v1[len(magic)+1:]
-	if !bytes.Equal(body1, body2) {
-		t.Fatal("v1 and v2 chunk streams differ outside the index/trailer")
+	v2 := queryArchive(t, benchTrace(2, 300))
+	for _, c := range []struct {
+		v1, v2 []byte
+	}{
+		{readFixture(t, "v1"), readFixture(t, "v2")},
+		{v1Of(t, v2), v2},
+	} {
+		if c.v1[len(magic)] != version1 || c.v2[len(magic)] != version2 {
+			t.Fatal("version bytes not as expected")
+		}
+		up, err := loadSequential(bytes.NewReader(c.v1), region.NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var upBuf bytes.Buffer
+		if err := Write(&upBuf, up, WithChunkBytes(1024)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(upBuf.Bytes(), c.v2) {
+			t.Fatal("v1->v2 upgrade is not byte-identical to a direct v2 write")
+		}
 	}
 }
 

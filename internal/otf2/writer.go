@@ -46,15 +46,13 @@ func IsArchivePath(p string) bool {
 // Errors from the underlying io.Writer are latched: the first error is
 // returned by every subsequent call, including Close.
 //
-// By default the Writer emits format version 2: it tracks per-chunk
-// time bounds and byte offsets and appends the footer index and trailer
-// on Close, so readers can seek. WithCompression additionally DEFLATEs
-// each sealed chunk payload (outside all shared locks). WithVersion(1)
-// downgrades to the index-less v1 byte stream for interoperability.
+// The Writer emits format version 2: it tracks per-chunk time bounds and
+// byte offsets and appends the footer index and trailer on Close, so
+// readers can seek. WithCompression additionally DEFLATEs each sealed
+// chunk payload (outside all shared locks).
 type Writer struct {
 	bw         *bufio.Writer
 	chunkBytes int
-	version    byte
 	comp       Compression
 
 	// err latches the first failure; it is an atomic pointer so every
@@ -210,7 +208,6 @@ type WriterOption func(*writerConfig)
 
 type writerConfig struct {
 	chunkBytes int
-	version    byte
 	comp       Compression
 }
 
@@ -225,26 +222,16 @@ func WithChunkBytes(n int) WriterOption {
 }
 
 // WithCompression selects the block compression for sealed event
-// chunks. Compression requires format version 2; combining it with
-// WithVersion(1) is an error the Writer latches.
+// chunks; an unknown one is an error the Writer latches.
 func WithCompression(comp Compression) WriterOption {
 	return func(c *writerConfig) { c.comp = comp }
 }
 
-// WithVersion selects the archive format version to emit: 2 (the
-// default: seekable, footer index, optional compression) or 1 (the
-// sequential-only byte stream, for downgrading archives). Any other
-// value is an error the Writer latches.
-func WithVersion(v int) WriterOption {
-	return func(c *writerConfig) { c.version = byte(v) }
-}
-
 // NewWriter starts an archive on w, writing the header and clock
 // properties (nanosecond resolution, zero offset) immediately. With no
-// options it emits an uncompressed format-version-2 archive with the
-// default chunk size.
+// options it emits an uncompressed archive with the default chunk size.
 func NewWriter(w io.Writer, opts ...WriterOption) *Writer {
-	cfg := writerConfig{chunkBytes: DefaultChunkBytes, version: version2}
+	cfg := writerConfig{chunkBytes: DefaultChunkBytes}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -257,24 +244,16 @@ func NewWriter(w io.Writer, opts ...WriterOption) *Writer {
 	wr := &Writer{
 		bw:         bufio.NewWriter(w),
 		chunkBytes: cfg.chunkBytes,
-		version:    cfg.version,
 		comp:       cfg.comp,
+		chunkMeta:  make(map[int][]ChunkRef),
 	}
 	wr.defs.init(cfg.chunkBytes, wr.setErr)
-	switch {
-	case cfg.version != version1 && cfg.version != version2:
-		wr.setErr(fmt.Errorf("otf2: unsupported format version %d", cfg.version))
-	case cfg.version == version1 && cfg.comp != CompressionNone:
-		wr.setErr(fmt.Errorf("otf2: format version 1 does not support compression (%v)", cfg.comp))
-	case cfg.comp != CompressionNone && cfg.comp != CompressionFlate:
+	if cfg.comp != CompressionNone && cfg.comp != CompressionFlate {
 		wr.setErr(fmt.Errorf("otf2: unknown compression %d", cfg.comp))
-	}
-	if wr.version == version2 {
-		wr.chunkMeta = make(map[int][]ChunkRef)
 	}
 	if _, err := wr.bw.WriteString(magic); err != nil {
 		wr.setErr(err)
-	} else if err := wr.bw.WriteByte(wr.version); err != nil {
+	} else if err := wr.bw.WriteByte(version2); err != nil {
 		wr.setErr(err)
 	}
 	wr.off = int64(len(magic)) + 1
@@ -498,7 +477,7 @@ func (w *Writer) flushDefsLocked() {
 // recordDefLocked records the offset of the 'D' chunk about to be
 // written for the footer index. Caller holds iomu.
 func (w *Writer) recordDefLocked() {
-	if w.version == version2 && w.Err() == nil {
+	if w.Err() == nil {
 		w.defOffs = append(w.defOffs, w.off)
 	}
 }
@@ -586,7 +565,7 @@ func (w *Writer) writeEventChunk(tid int, ref ChunkRef, payload []byte) {
 
 	w.iomu.Lock()
 	w.flushDefsLocked()
-	if w.version == version2 && w.Err() == nil {
+	if w.Err() == nil {
 		ref.Offset = w.off
 		w.chunkMeta[tid] = append(w.chunkMeta[tid], ref)
 	}
@@ -599,9 +578,9 @@ func (w *Writer) writeEventChunk(tid int, ref ChunkRef, payload []byte) {
 
 // WriteEvents appends a batch of events of one thread, flushing full
 // chunks as the per-thread buffer fills. It implements trace.EventSink,
-// so it can serve as the flush target of a trace.Recorder in
-// bounded-memory mode. Encoding runs entirely in the thread's own
-// buffer; concurrent batches of different threads never contend.
+// so it can serve as the flush target of a trace.Recorder. Encoding runs
+// entirely in the thread's own buffer; concurrent batches of different
+// threads never contend.
 func (w *Writer) WriteEvents(thread int, events []trace.Event) error {
 	if err := w.Err(); err != nil {
 		return err
@@ -653,9 +632,8 @@ func (w *Writer) Flush() error {
 	return w.Err()
 }
 
-// Close flushes the archive and, for format version 2, appends the
-// footer index chunk and the fixed-size trailer (exactly once; Close is
-// idempotent). The archive must not be written to afterwards — later
+// Close flushes the archive and appends the footer index chunk and the
+// fixed-size trailer (exactly once; Close is idempotent). The archive must not be written to afterwards — later
 // chunks would displace the trailer from the end of the file and
 // readers would plan from the chunk framing, without the index. Close
 // does not close the underlying io.Writer (the Writer did not open it).
@@ -665,8 +643,7 @@ func (w *Writer) Close() error {
 	}
 	w.iomu.Lock()
 	defer w.iomu.Unlock()
-	if w.closed || w.version != version2 {
-		w.closed = true
+	if w.closed {
 		return w.Err()
 	}
 	w.closed = true
@@ -720,7 +697,7 @@ func (w *Writer) appendIndexLocked(p []byte) []byte {
 
 // Write serializes a whole in-memory trace as an archive on w, ordered
 // by thread then time like WriteJSONL. Options configure the format
-// (version, chunk size, compression) as in NewWriter.
+// (chunk size, compression) as in NewWriter.
 func Write(w io.Writer, tr *trace.Trace, opts ...WriterOption) error {
 	aw := NewWriter(w, opts...)
 	ids := make([]int, 0, len(tr.Threads))

@@ -138,9 +138,7 @@ func WithBackpressure(p BackpressurePolicy) ClientOption {
 // means a single attempt.
 func WithDialRetry(attempts int, backoff time.Duration) ClientOption {
 	return func(c *clientConfig) {
-		if attempts >= 1 {
-			c.dialAttempts = attempts
-		}
+		c.dialAttempts = max(attempts, 1)
 		if backoff > 0 {
 			c.dialBackoff = backoff
 		}

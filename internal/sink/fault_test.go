@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/otf2"
 	"repro/internal/region"
@@ -219,6 +220,25 @@ func TestDialFailureLatches(t *testing.T) {
 	}
 	if err := cl.Close(); err == nil {
 		t.Fatal("Close returned nil after dial exhaustion")
+	}
+
+	// attempts <= 1 means a single attempt, and n > 1 means n.
+	for _, c := range []struct{ attempts, dials int32 }{{-1, 1}, {0, 1}, {1, 1}, {3, 3}} {
+		var dials atomic.Int32
+		cl, err := NewClient(func() (net.Conn, error) {
+			dials.Add(1)
+			return nil, errors.New("connection refused")
+		}, WithDialRetry(int(c.attempts), time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.WriteEvents(0, evs) //nolint:errcheck // the dials fail; Close reports it
+		if err := cl.Close(); err == nil {
+			t.Fatalf("attempts %d: Close returned nil with no connection", c.attempts)
+		}
+		if n := dials.Load(); n != c.dials {
+			t.Errorf("WithDialRetry(%d): %d dials, want %d", c.attempts, n, c.dials)
+		}
 	}
 }
 

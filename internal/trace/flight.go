@@ -31,6 +31,13 @@ func NewFlightRecorder(clk clock.Clock, _, chunkEvents int) *Recorder {
 	return NewOpenRecorder(clk, dropSink{}, chunkEvents)
 }
 
+// NewRecorder creates a staged recorder with nothing behind it: every
+// full block is dropped. It is a forwarder kept for benchmark/probes.go,
+// whose trace.record_ns times it; ROADMAP item 3 removes it.
+func NewRecorder(clk clock.Clock) *Recorder {
+	return NewStreamingRecorder(clk, dropSink{}, 0)
+}
+
 type dropSink struct{}
 
 func (dropSink) WriteEvents(int, []Event) error { return nil }

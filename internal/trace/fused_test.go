@@ -16,21 +16,22 @@ import (
 )
 
 // TestTeeFusesCanonicalPair verifies when the fused fast path engages:
-// exactly (Measurement|Filter, Recorder) on one shared clock.
+// exactly (Measurement, Recorder) on one shared clock, the measurement
+// filtered or not.
 func TestTeeFusesCanonicalPair(t *testing.T) {
 	clk := clock.NewSystem()
 	reg := region.NewRegistry()
 	m := measure.NewWithClock(clk, reg)
-	rec := NewRecorder(clk)
+	rec, _ := newCollectingRecorder(clk)
 
 	if te := NewTee(m, rec); te.fr == nil || te.fm != m {
 		t.Error("measurement+recorder on a shared clock must fuse")
 	}
-	f := measure.NewFilter(m, "x_*")
-	if te := NewTee(f, rec); te.fr == nil || te.ff != f {
-		t.Error("filter+recorder on a shared clock must fuse")
+	fm := measure.NewWithClock(clk, reg)
+	if te := NewTee(measure.NewFilter(fm, "x_*"), rec); te.fr == nil || te.fm != fm {
+		t.Error("filtered measurement+recorder on a shared clock must fuse")
 	}
-	if te := NewTee(m, NewRecorder(clock.NewSystem())); te.fr != nil {
+	if te := NewTee(m, NewStreamingRecorder(clock.NewSystem(), dropSink{}, 0)); te.fr != nil {
 		t.Error("different clocks must not fuse")
 	}
 	if te := NewTee(m, rec, omp.NopListener{}); te.fr != nil {
@@ -40,7 +41,7 @@ func TestTeeFusesCanonicalPair(t *testing.T) {
 		t.Error("recorder-first order must not fuse")
 	}
 	cm := measure.NewWithClock(clock.Func(func() int64 { return 0 }), reg)
-	if te := NewTee(cm, NewRecorder(clock.Func(func() int64 { return 0 }))); te.fr != nil {
+	if te := NewTee(cm, NewStreamingRecorder(clock.Func(func() int64 { return 0 }), dropSink{}, 0)); te.fr != nil {
 		t.Error("non-comparable clocks must not fuse")
 	}
 }
@@ -106,15 +107,17 @@ func instrument(t *omp.Thread, r *region.Region, fn func()) {
 // once under the fused Tee and once under the generic dispatch loop (a
 // third nop listener disables fusing) and requires byte-identical
 // profile report JSON, a deeply equal trace, and deeply equal trace
-// analysis. Run with -race -cpu 1,4 in CI.
+// analysis — for a plain measurement and for one whose filter excludes
+// the workload's user function, which must then be absent from the
+// profile and present in the trace. Run with -race -cpu 1,4 in CI.
 func TestFusedTeeMatchesGenericTee(t *testing.T) {
 	reg := region.NewRegistry()
 	rs := newFusedRegions(reg)
 
-	run := func(generic bool) ([]byte, *Trace, *Analysis) {
+	run := func(generic bool, filter []string) ([]byte, *Trace, *Analysis) {
 		clk := clock.NewManual(0)
-		m := measure.NewWithClock(clk, reg)
-		rec := NewRecorder(clk)
+		m := measure.NewFilter(measure.NewWithClock(clk, reg), filter...)
+		rec, sink := newCollectingRecorder(clk)
 		var te *Tee
 		if generic {
 			te = NewTee(m, rec, omp.NopListener{})
@@ -129,30 +132,44 @@ func TestFusedTeeMatchesGenericTee(t *testing.T) {
 		}
 		runEquivalenceWorkload(te, reg, rs, clk)
 		m.Finish()
-		tr := rec.Finish()
+		rec.Finish()
+		tr := sink.trace()
+		rep := cube.Aggregate(m.Locations())
+		if profiled := rep.Main.Find("eq.par").Find("eq.fn") != nil; profiled != (filter == nil) {
+			t.Errorf("filter %v, generic %v: eq.fn in the profile: %v", filter, generic, profiled)
+		}
+		traced := false
+		for _, ev := range tr.Threads[0] {
+			traced = traced || ev.Type == EvEnter && ev.Region == rs.fn
+		}
+		if !traced {
+			t.Errorf("filter %v, generic %v: eq.fn is absent from the trace", filter, generic)
+		}
 		var buf bytes.Buffer
-		if err := cube.WriteJSON(&buf, cube.Aggregate(m.Locations())); err != nil {
+		if err := cube.WriteJSON(&buf, rep); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes(), tr, Analyze(tr)
 	}
 
-	fusedJSON, fusedTrace, fusedAn := run(false)
-	genericJSON, genericTrace, genericAn := run(true)
+	for _, filter := range [][]string{nil, {"eq.f*"}} {
+		fusedJSON, fusedTrace, fusedAn := run(false, filter)
+		genericJSON, genericTrace, genericAn := run(true, filter)
 
-	if !bytes.Equal(fusedJSON, genericJSON) {
-		t.Errorf("report JSON differs between fused and generic tee:\nfused:   %s\ngeneric: %s",
-			fusedJSON, genericJSON)
-	}
-	if !reflect.DeepEqual(fusedTrace, genericTrace) {
-		t.Error("recorded traces differ between fused and generic tee")
-	}
-	if !reflect.DeepEqual(fusedAn, genericAn) {
-		t.Errorf("trace analysis differs between fused and generic tee:\nfused:   %+v\ngeneric: %+v",
-			fusedAn, genericAn)
-	}
-	if fusedTrace.NumEvents() == 0 {
-		t.Error("equivalence workload recorded no events")
+		if !bytes.Equal(fusedJSON, genericJSON) {
+			t.Errorf("filter %v: report JSON differs between fused and generic tee:\nfused:   %s\ngeneric: %s",
+				filter, fusedJSON, genericJSON)
+		}
+		if !reflect.DeepEqual(fusedTrace, genericTrace) {
+			t.Errorf("filter %v: recorded traces differ between fused and generic tee", filter)
+		}
+		if !reflect.DeepEqual(fusedAn, genericAn) {
+			t.Errorf("filter %v: trace analysis differs between fused and generic tee:\nfused:   %+v\ngeneric: %+v",
+				filter, fusedAn, genericAn)
+		}
+		if fusedTrace.NumEvents() == 0 {
+			t.Errorf("filter %v: equivalence workload recorded no events", filter)
+		}
 	}
 }
 
@@ -164,7 +181,7 @@ func TestFusedTeeRace(t *testing.T) {
 	reg := region.NewRegistry()
 	clk := clock.NewSystem()
 	m := measure.NewWithClock(clk, reg)
-	rec := NewRecorder(clk)
+	rec, sink := newCollectingRecorder(clk)
 	te := NewTee(m, rec)
 	if te.fr == nil {
 		t.Fatal("canonical pair did not fuse")
@@ -183,7 +200,8 @@ func TestFusedTeeRace(t *testing.T) {
 		th.Taskwait(tw)
 	})
 	m.Finish()
-	tr := rec.Finish()
+	rec.Finish()
+	tr := sink.trace()
 	counts := map[EventType]int{}
 	for _, evs := range tr.Threads {
 		for _, ev := range evs {
@@ -229,16 +247,18 @@ func TestStreamingErrorLatch(t *testing.T) {
 	reg := region.NewRegistry()
 	work := reg.Register("lw", "fused.go", 20, region.UserFunction)
 	par := reg.Register("lpar", "fused.go", 21, region.Parallel)
-	run := func(rec *Recorder) *Trace {
+	run := func(rec *Recorder) {
 		rt := omp.NewRuntimeWithRegistry(rec, reg)
 		rt.Parallel(1, par, func(th *omp.Thread) {
 			for i := 0; i < 40; i++ { // 80+ events -> many chunk flushes
 				instrument(th, work, func() {})
 			}
 		})
-		return rec.Finish()
+		rec.Finish()
 	}
-	total := run(NewRecorder(clock.NewManual(0))).NumEvents()
+	all, sink0 := newCollectingRecorder(clock.NewManual(0))
+	run(all)
+	total := sink0.trace().NumEvents()
 	for _, ok := range []int{0, 1, 3} {
 		sink := &failingSink{okLeft: ok}
 		rec := NewStreamingRecorder(clock.NewManual(0), sink, 4)

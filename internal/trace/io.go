@@ -96,7 +96,7 @@ func ReadJSONL(r io.Reader, reg *region.Registry) (*Trace, error) {
 		tr.Threads[je.Thread] = append(tr.Threads[je.Thread], ev)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: reading: %w", err)
+		return nil, fmt.Errorf("trace: line %d: %w", line+1, err)
 	}
 	return tr, nil
 }

@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"repro/internal/clock"
@@ -15,7 +18,7 @@ import (
 
 func TestJSONLRoundTrip(t *testing.T) {
 	reg := region.NewRegistry()
-	rec := NewRecorder(clock.NewSystem())
+	rec, sink := newCollectingRecorder(clock.NewSystem())
 	rt := omp.NewRuntimeWithRegistry(rec, reg)
 	par := reg.Register("par", "io.go", 1, region.Parallel)
 	task := reg.Register("work", "io.go", 2, region.Task)
@@ -28,7 +31,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 			th.Taskwait(tw)
 		}
 	})
-	tr := rec.Finish()
+	rec.Finish()
+	tr := sink.trace()
 
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, tr); err != nil {
@@ -72,6 +76,11 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadJSONL(strings.NewReader(`{"t":0,"ts":1,"ev":"BOGUS"}`+"\n"), region.NewRegistry()); err == nil {
 		t.Error("unknown event type accepted")
+	}
+	// A failing read names the line it was reading, as a bad line does.
+	in := io.MultiReader(strings.NewReader(`{"t":0,"ts":1,"ev":"THREAD_BEGIN"}`+"\n"), iotest.ErrReader(io.ErrUnexpectedEOF))
+	if _, err := ReadJSONL(in, region.NewRegistry()); err == nil || !strings.HasPrefix(err.Error(), "trace: line 2: ") {
+		t.Errorf("a failed read gives %v, want an error naming line 2", err)
 	}
 }
 
@@ -179,4 +188,52 @@ func TestReadJSONLSkipsBlankLines(t *testing.T) {
 	if tr.NumEvents() != 2 {
 		t.Errorf("events = %d, want 2", tr.NumEvents())
 	}
+}
+
+// FuzzReadJSONL throws arbitrary text at the JSONL reader: it must not
+// panic; an input it rejects must fail at the line its error names —
+// the lines before it read, the lines up to it do not, with the same
+// error; and a trace it accepts, written back with WriteJSONL and read
+// again into the same registry, is the same trace.
+func FuzzReadJSONL(f *testing.F) {
+	reg := region.NewRegistry()
+	var valid bytes.Buffer
+	if err := WriteJSONL(&valid, randomJSONLTrace(rand.New(rand.NewSource(1)))); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.String())
+	f.Add(`{"t":0,"ts":1,"ev":"BOGUS"}` + "\n")
+	f.Add(`{"t":0,"ts":1,"ev":"THREAD_BEGIN"}` + "\n" + `{"t":0,"ts":2,"ev":"ENTER","r":"par","f":"a.go","l":1,"rt":"nonsense"}` + "\n")
+	f.Add(`{"t":0,"ts":1,"ev":"THREAD_BEGIN"}` + "\n\n" + `{"t":0,"ts":2,"ev":"THREAD_END"}`)
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, err := ReadJSONL(strings.NewReader(in), reg)
+		if err != nil {
+			var n int
+			if _, serr := fmt.Sscanf(err.Error(), "trace: line %d:", &n); serr != nil || n < 1 {
+				t.Fatalf("the error names no line: %v", err)
+			}
+			lines := strings.SplitAfter(in, "\n")
+			if n > len(lines) {
+				t.Fatalf("the error names line %d of %d: %v", n, len(lines), err)
+			}
+			if _, perr := ReadJSONL(strings.NewReader(strings.Join(lines[:n-1], "")), reg); perr != nil {
+				t.Fatalf("the error names line %d, but the lines before it fail too: %v", n, perr)
+			}
+			if _, perr := ReadJSONL(strings.NewReader(strings.Join(lines[:n], "")), reg); perr == nil || perr.Error() != err.Error() {
+				t.Fatalf("the error names line %d, but the lines up to it give %v, not %v", n, perr, err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteJSONL(&out, tr); err != nil {
+			t.Fatalf("writing an accepted trace: %v", err)
+		}
+		back, err := ReadJSONL(&out, reg)
+		if err != nil {
+			t.Fatalf("reading back an accepted trace: %v\n%s", err, out.String())
+		}
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatalf("an accepted trace reads back differently:\n got %+v\nwant %+v", back, tr)
+		}
+	})
 }

@@ -19,7 +19,7 @@ func TestRecorderRaceUnderTee(t *testing.T) {
 	for run := 0; run < 3; run++ {
 		reg := region.NewRegistry()
 		m := measure.New()
-		rec := NewRecorder(clock.NewSystem())
+		rec, sink := newCollectingRecorder(clock.NewSystem())
 		rt := omp.NewRuntimeWithRegistry(NewTee(m, rec), reg)
 		par := reg.Register("par", "race.go", 1, region.Parallel)
 		task := reg.Register("work", "race.go", 2, region.Task)
@@ -38,7 +38,8 @@ func TestRecorderRaceUnderTee(t *testing.T) {
 		})
 		m.Finish()
 
-		tr := rec.Finish()
+		rec.Finish()
+		tr := sink.trace()
 		counts := map[EventType]int{}
 		for _, evs := range tr.Threads {
 			for _, ev := range evs {
@@ -57,8 +58,8 @@ func TestRecorderRaceUnderTee(t *testing.T) {
 }
 
 // TestStreamingRecorderRaceUnderTee is the same contention pattern with
-// the bounded-memory recorder: per-thread chunks flush into a shared
-// sink while the measurement populates its own thread slots.
+// short chunks: per-thread chunks flush into a shared sink while the
+// measurement populates its own thread slots.
 func TestStreamingRecorderRaceUnderTee(t *testing.T) {
 	reg := region.NewRegistry()
 	sink := &countingSink{}
@@ -76,12 +77,9 @@ func TestStreamingRecorderRaceUnderTee(t *testing.T) {
 		th.Taskwait(tw)
 	})
 	m.Finish()
-	leftover := rec.Finish()
+	rec.Finish()
 	if err := rec.Err(); err != nil {
 		t.Fatal(err)
-	}
-	if n := leftover.NumEvents(); n != 0 {
-		t.Fatalf("streaming Finish retained %d events", n)
 	}
 	begins, ends := sink.count(EvTaskBegin), sink.count(EvTaskEnd)
 	if begins != 400 || ends != 400 {

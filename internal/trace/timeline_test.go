@@ -103,7 +103,7 @@ func TestComputeUtilization(t *testing.T) {
 
 func TestTimelineFromLiveRun(t *testing.T) {
 	reg := region.NewRegistry()
-	rec := NewRecorder(clock.NewSystem())
+	rec, sink := newCollectingRecorder(clock.NewSystem())
 	rt := omp.NewRuntimeWithRegistry(rec, reg)
 	par := reg.Register("par", "tl.go", 1, region.Parallel)
 	task := reg.Register("work", "tl.go", 2, region.Task)
@@ -120,7 +120,8 @@ func TestTimelineFromLiveRun(t *testing.T) {
 			}
 		}
 	})
-	tr := rec.Finish()
+	rec.Finish()
+	tr := sink.trace()
 	var buf bytes.Buffer
 	if err := RenderTimeline(&buf, tr, TimelineOptions{Width: 60}); err != nil {
 		t.Fatal(err)

@@ -7,12 +7,13 @@
 // overall management time to exclusive execution time for tasks".
 //
 // The Recorder implements omp.Listener; it can be combined with the
-// profiling measurement through a Tee. The recorder keeps its
-// per-thread buffer in the thread's omp.Thread.TraceData slot (bound at
-// ThreadBegin), so recording an event is lock-free and allocation-free
-// in steady state; the canonical profiling+tracing pair is additionally
-// fused inside the Tee to share one clock read per event. Analyses over
-// recorded traces live in analysis.go.
+// profiling measurement through a Tee. It stages each thread's events in
+// a block kept in the thread's omp.Thread.TraceData slot (bound at
+// ThreadBegin) and hands every full block to an EventSink, so recording
+// an event is lock-free and allocation-free in steady state; the
+// canonical profiling+tracing pair is additionally fused inside the Tee
+// to share one clock read per event. Analyses over recorded traces live
+// in analysis.go.
 package trace
 
 import (
@@ -99,11 +100,11 @@ func (tr *Trace) ThreadIDs() []int {
 	return ids
 }
 
-// EventSink receives flushed per-thread event chunks from a Recorder in
-// bounded-memory mode. otf2.Writer implements it; implementations must
-// be safe for concurrent use, since runtime threads flush their chunks
-// independently. The events slice is only valid for the duration of the
-// call — the recorder reuses its backing array.
+// EventSink receives flushed per-thread event chunks from a Recorder.
+// otf2.Writer implements it; implementations must be safe for concurrent
+// use, since runtime threads flush their chunks independently. The
+// events slice is only valid for the duration of the call — the
+// recorder reuses its backing array.
 type EventSink interface {
 	WriteEvents(thread int, events []Event) error
 }
@@ -117,12 +118,11 @@ type EventSink interface {
 // owns its own slot). The map of buffers is only consulted when a
 // thread registers, at Finish, or for threads that bypassed ThreadBegin.
 //
-// In the default mode every event is kept in memory until Finish. With a
-// sink attached (NewStreamingRecorder), a thread's buffer is flushed to
-// the sink whenever it reaches the configured chunk size, so recording
-// holds at most one chunk per thread in memory regardless of run length.
-// An open recorder (NewOpenRecorder) also lets another goroutine read the
-// events no flush has handed on yet: the flight recorder's front half.
+// A thread's buffer is flushed to the sink whenever it reaches the
+// configured chunk size, so recording holds at most one chunk per thread
+// in memory regardless of run length. An open recorder (NewOpenRecorder)
+// also lets another goroutine read the events no flush has handed on
+// yet: the flight recorder's front half.
 type Recorder struct {
 	clk clock.Clock
 
@@ -163,23 +163,17 @@ type buffer struct {
 	n     atomic.Int32
 }
 
-// NewRecorder creates a trace recorder reading time from clk (use
-// clock.NewSystem() for wall-clock traces).
-func NewRecorder(clk clock.Clock) *Recorder {
-	return &Recorder{clk: clk, buffers: make(map[int]*buffer)}
-}
-
 // DefaultChunkEvents is the per-thread flush threshold used by
 // NewStreamingRecorder when chunkEvents <= 0.
 const DefaultChunkEvents = 4096
 
-// NewStreamingRecorder creates a bounded-memory recorder: whenever a
-// thread has accumulated chunkEvents events they are handed to sink and
-// the buffer is reset. Finish flushes the remaining partial chunks and
-// returns an empty trace; the recording lives in whatever the sink
-// wrote. The first sink error is latched (see Err) and recording
-// continues by discarding — and counting — flushed chunks, so a failing
-// disk cannot stall or OOM the instrumented run.
+// NewStreamingRecorder creates a recorder reading time from clk: whenever
+// a thread has accumulated chunkEvents events they are handed to sink
+// and the buffer is reset. Finish flushes the remaining partial chunks;
+// the recording lives in whatever the sink wrote. The first sink error
+// is latched (see Err) and recording continues by discarding — and
+// counting — flushed chunks, so a failing disk cannot stall or OOM the
+// instrumented run.
 func NewStreamingRecorder(clk clock.Clock, sink EventSink, chunkEvents int) *Recorder {
 	if chunkEvents <= 0 {
 		chunkEvents = DefaultChunkEvents
@@ -265,9 +259,6 @@ func (r *Recorder) record(t *omp.Thread, typ EventType, reg *region.Region, task
 func (r *Recorder) recordAt(t *omp.Thread, now int64, typ EventType, reg *region.Region, task uint64) {
 	b := r.buffer(t)
 	b.events = append(b.events, Event{Time: now, Type: typ, Region: reg, TaskID: task})
-	if r.sink == nil {
-		return
-	}
 	if r.open {
 		b.n.Store(int32(len(b.events)))
 	}
@@ -329,57 +320,42 @@ func (r *Recorder) TaskSwitch(t *omp.Thread, tk *omp.Task) {
 	r.record(t, EvTaskSwitch, tk.Region, tk.ID)
 }
 
-// Finish returns the recorded trace. The recorder can be reused after
-// Finish; subsequent events start fresh buffers.
-//
-// In streaming mode (NewStreamingRecorder) the remaining partial chunks
-// are flushed to the sink and the returned trace is empty: the
-// recording is whatever the sink wrote. Check Err (and close the sink)
-// afterwards. An open recorder (NewOpenRecorder) flushes nothing: its
+// Finish flushes the remaining partial chunks to the sink: the recording
+// is whatever the sink wrote. Check Err (and close the sink) afterwards.
+// The recorder can be reused after Finish; subsequent events start fresh
+// buffers. An open recorder (NewOpenRecorder) flushes nothing: its
 // blocks are their reader's to take before, and Finish lets them go.
-func (r *Recorder) Finish() *Trace {
-	if r.sink != nil {
-		// Snapshot the buffer map under the lock, flush outside it, so
-		// r.mu is never held across sink I/O.
-		r.mu.Lock()
-		buffers := r.buffers
-		r.buffers = make(map[int]*buffer)
-		r.mu.Unlock()
-		if !r.open {
-			for id, b := range buffers {
-				r.flush(id, b)
-			}
-		}
-		return &Trace{Threads: make(map[int][]Event)}
-	}
+func (r *Recorder) Finish() {
+	// Snapshot the buffer map under the lock, flush outside it, so r.mu
+	// is never held across sink I/O.
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	tr := &Trace{Threads: make(map[int][]Event, len(r.buffers))}
-	for id, b := range r.buffers {
-		tr.Threads[id] = b.events
-	}
+	buffers := r.buffers
 	r.buffers = make(map[int]*buffer)
-	return tr
+	r.mu.Unlock()
+	if !r.open {
+		for id, b := range buffers {
+			r.flush(id, b)
+		}
+	}
 }
 
 // Tee fans one runtime event stream out to several listeners (e.g.
 // profile + trace simultaneously, like Score-P's combined mode).
 //
-// The canonical profiling+tracing pair — a *measure.Measurement (or
-// *measure.Filter) plus a *Recorder on the same clock, exactly what the
-// default tracing session wires — is fused: per event the Tee reads the
-// clock once and calls both listeners' timestamped entry points
-// directly, with no interface dispatch. Besides halving the clock cost,
-// fusing gives profile and trace identical timestamps for each event.
-// Any other combination takes the generic dispatch loop. Do not mutate
-// Listeners after NewTee; the fused fast path is derived from it.
+// The canonical profiling+tracing pair — a *measure.Measurement (filtered
+// or not) plus a *Recorder on the same clock, exactly what the default
+// tracing session wires — is fused: per event the Tee reads the clock
+// once and calls both listeners' timestamped entry points directly, with
+// no interface dispatch. Besides halving the clock cost, fusing gives
+// profile and trace identical timestamps for each event. Any other
+// combination takes the generic dispatch loop. Do not mutate Listeners
+// after NewTee; the fused fast path is derived from it.
 type Tee struct {
 	Listeners []omp.Listener
 
-	// Fused fast-path state: fr is non-nil iff the tee is fused, and
-	// then exactly one of fm/ff holds the profiling side.
+	// Fused fast-path state: fr (and fm) are non-nil iff the tee is
+	// fused.
 	fm  *measure.Measurement
-	ff  *measure.Filter
 	fr  *Recorder
 	clk clock.Clock
 }
@@ -402,28 +378,13 @@ func (te *Tee) fuse() {
 	if len(te.Listeners) != 2 {
 		return
 	}
-	rec, ok := te.Listeners[1].(*Recorder)
-	if !ok {
+	m, ok := te.Listeners[0].(*measure.Measurement)
+	rec, ok2 := te.Listeners[1].(*Recorder)
+	// Different time sources: each listener must read its own.
+	if !ok || !ok2 || !sameClock(m.Clock(), rec.clk) {
 		return
 	}
-	var mclk clock.Clock
-	switch m := te.Listeners[0].(type) {
-	case *measure.Measurement:
-		te.fm = m
-		mclk = m.Clock()
-	case *measure.Filter:
-		te.ff = m
-		mclk = m.Measurement().Clock()
-	default:
-		return
-	}
-	if !sameClock(mclk, rec.clk) {
-		// Different time sources: each listener must read its own.
-		te.fm, te.ff = nil, nil
-		return
-	}
-	te.fr = rec
-	te.clk = rec.clk
+	te.fm, te.fr, te.clk = m, rec, rec.clk
 }
 
 // sameClock reports whether two clock interfaces hold the same
@@ -462,11 +423,7 @@ func (te *Tee) ThreadEnd(t *omp.Thread) {
 func (te *Tee) Enter(t *omp.Thread, reg *region.Region) {
 	if te.fr != nil {
 		now := te.clk.Now()
-		if te.ff != nil {
-			te.ff.EnterAt(t, reg, now)
-		} else {
-			te.fm.EnterAt(t, reg, now)
-		}
+		te.fm.EnterAt(t, reg, now)
 		te.fr.recordAt(t, now, EvEnter, reg, 0)
 		return
 	}
@@ -479,11 +436,7 @@ func (te *Tee) Enter(t *omp.Thread, reg *region.Region) {
 func (te *Tee) Exit(t *omp.Thread, reg *region.Region) {
 	if te.fr != nil {
 		now := te.clk.Now()
-		if te.ff != nil {
-			te.ff.ExitAt(t, reg, now)
-		} else {
-			te.fm.ExitAt(t, reg, now)
-		}
+		te.fm.ExitAt(t, reg, now)
 		te.fr.recordAt(t, now, EvExit, reg, 0)
 		return
 	}
@@ -496,11 +449,7 @@ func (te *Tee) Exit(t *omp.Thread, reg *region.Region) {
 func (te *Tee) TaskCreateBegin(t *omp.Thread, reg *region.Region) {
 	if te.fr != nil {
 		now := te.clk.Now()
-		if te.ff != nil {
-			te.ff.TaskCreateBeginAt(t, reg, now)
-		} else {
-			te.fm.TaskCreateBeginAt(t, reg, now)
-		}
+		te.fm.TaskCreateBeginAt(t, reg, now)
 		te.fr.recordAt(t, now, EvTaskCreateBegin, reg, 0)
 		return
 	}
@@ -513,11 +462,7 @@ func (te *Tee) TaskCreateBegin(t *omp.Thread, reg *region.Region) {
 func (te *Tee) TaskCreateEnd(t *omp.Thread, tk *omp.Task) {
 	if te.fr != nil {
 		now := te.clk.Now()
-		if te.ff != nil {
-			te.ff.TaskCreateEndAt(t, tk, now)
-		} else {
-			te.fm.TaskCreateEndAt(t, tk, now)
-		}
+		te.fm.TaskCreateEndAt(t, tk, now)
 		te.fr.recordAt(t, now, EvTaskCreateEnd, tk.Region, tk.ID)
 		return
 	}
@@ -530,11 +475,7 @@ func (te *Tee) TaskCreateEnd(t *omp.Thread, tk *omp.Task) {
 func (te *Tee) TaskBegin(t *omp.Thread, tk *omp.Task) {
 	if te.fr != nil {
 		now := te.clk.Now()
-		if te.ff != nil {
-			te.ff.TaskBeginAt(t, tk, now)
-		} else {
-			te.fm.TaskBeginAt(t, tk, now)
-		}
+		te.fm.TaskBeginAt(t, tk, now)
 		te.fr.recordAt(t, now, EvTaskBegin, tk.Region, tk.ID)
 		return
 	}
@@ -547,11 +488,7 @@ func (te *Tee) TaskBegin(t *omp.Thread, tk *omp.Task) {
 func (te *Tee) TaskEnd(t *omp.Thread, tk *omp.Task) {
 	if te.fr != nil {
 		now := te.clk.Now()
-		if te.ff != nil {
-			te.ff.TaskEndAt(t, tk, now)
-		} else {
-			te.fm.TaskEndAt(t, tk, now)
-		}
+		te.fm.TaskEndAt(t, tk, now)
 		te.fr.recordAt(t, now, EvTaskEnd, tk.Region, tk.ID)
 		return
 	}
@@ -564,11 +501,7 @@ func (te *Tee) TaskEnd(t *omp.Thread, tk *omp.Task) {
 func (te *Tee) TaskSwitch(t *omp.Thread, tk *omp.Task) {
 	if te.fr != nil {
 		now := te.clk.Now()
-		if te.ff != nil {
-			te.ff.TaskSwitchAt(t, tk, now)
-		} else {
-			te.fm.TaskSwitchAt(t, tk, now)
-		}
+		te.fm.TaskSwitchAt(t, tk, now)
 		if tk == nil {
 			te.fr.recordAt(t, now, EvTaskSwitch, nil, 0)
 		} else {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/clock"
@@ -11,16 +12,47 @@ import (
 	"repro/internal/region"
 )
 
-func setupTrace(t *testing.T) (*Recorder, *omp.Runtime, *region.Registry) {
+// collectSink keeps every event a recorder flushes to it: the
+// recording, through no codec.
+type collectSink struct {
+	mu sync.Mutex
+	tr Trace
+}
+
+func (c *collectSink) WriteEvents(thread int, evs []Event) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.tr.Threads == nil {
+		c.tr.Threads = make(map[int][]Event)
+	}
+	c.tr.Threads[thread] = append(c.tr.Threads[thread], evs...)
+	return nil
+}
+
+// trace returns what was collected.
+func (c *collectSink) trace() *Trace {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return &c.tr
+}
+
+// newCollectingRecorder is a recorder on clk whose recording the
+// returned sink collects.
+func newCollectingRecorder(clk clock.Clock) (*Recorder, *collectSink) {
+	sink := new(collectSink)
+	return NewStreamingRecorder(clk, sink, 0), sink
+}
+
+func setupTrace(t *testing.T) (*Recorder, *collectSink, *omp.Runtime, *region.Registry) {
 	t.Helper()
 	reg := region.NewRegistry()
-	rec := NewRecorder(clock.NewSystem())
+	rec, sink := newCollectingRecorder(clock.NewSystem())
 	rt := omp.NewRuntimeWithRegistry(rec, reg)
-	return rec, rt, reg
+	return rec, sink, rt, reg
 }
 
 func TestRecorderCapturesEventStream(t *testing.T) {
-	rec, rt, reg := setupTrace(t)
+	rec, sink, rt, reg := setupTrace(t)
 	par := reg.Register("par", "t.go", 1, region.Parallel)
 	task := reg.Register("work", "t.go", 2, region.Task)
 	tw := reg.Register("tw", "t.go", 3, region.Taskwait)
@@ -33,7 +65,8 @@ func TestRecorderCapturesEventStream(t *testing.T) {
 			th.Taskwait(tw)
 		}
 	})
-	tr := rec.Finish()
+	rec.Finish()
+	tr := sink.trace()
 
 	if len(tr.Threads) != 2 {
 		t.Fatalf("threads in trace = %d", len(tr.Threads))
@@ -67,23 +100,24 @@ func TestRecorderCapturesEventStream(t *testing.T) {
 }
 
 func TestRecorderFinishResets(t *testing.T) {
-	rec, rt, reg := setupTrace(t)
+	rec, sink, rt, reg := setupTrace(t)
 	par := reg.Register("par", "t.go", 1, region.Parallel)
 	rt.Parallel(1, par, func(*omp.Thread) {})
-	first := rec.Finish()
-	if first.NumEvents() == 0 {
+	rec.Finish()
+	first := sink.trace().NumEvents()
+	if first == 0 {
 		t.Fatal("no events recorded")
 	}
-	second := rec.Finish()
-	if second.NumEvents() != 0 {
-		t.Error("Finish did not reset buffers")
+	rec.Finish()
+	if n := sink.trace().NumEvents(); n != first {
+		t.Errorf("a second Finish flushed %d events again", n-first)
 	}
 }
 
 func TestTeeCombinesProfileAndTrace(t *testing.T) {
 	reg := region.NewRegistry()
 	m := measure.NewWithClock(clock.NewSystem(), reg)
-	rec := NewRecorder(clock.NewSystem())
+	rec, sink := newCollectingRecorder(clock.NewSystem())
 	tee := NewTee(m, rec)
 	rt := omp.NewRuntimeWithRegistry(tee, reg)
 
@@ -99,7 +133,8 @@ func TestTeeCombinesProfileAndTrace(t *testing.T) {
 		}
 	})
 	m.Finish()
-	tr := rec.Finish()
+	rec.Finish()
+	tr := sink.trace()
 
 	// Both sides must have seen the run.
 	locs := m.Locations()
@@ -127,7 +162,7 @@ func TestTeeCombinesProfileAndTrace(t *testing.T) {
 }
 
 func TestNewTeeDropsNil(t *testing.T) {
-	te := NewTee(nil, NewRecorder(clock.NewSystem()), nil)
+	te := NewTee(nil, NewStreamingRecorder(clock.NewSystem(), dropSink{}, 0), nil)
 	if len(te.Listeners) != 1 {
 		t.Errorf("Tee kept %d listeners, want 1", len(te.Listeners))
 	}

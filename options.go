@@ -259,7 +259,7 @@ func WithRemoteTraceFallback(path string) Option {
 	return func(c *sessionConfig) { c.remoteFallback = &path }
 }
 
-// WithFilter wraps the profiling measurement in a region filter —
+// WithFilter gives the profiling measurement region filter patterns —
 // Score-P's measurement filtering, the standard remedy when
 // instrumentation of small functions dominates overhead. Patterns
 // ending in '*' exclude by prefix, others by exact region name;

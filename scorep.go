@@ -171,15 +171,12 @@ type Trace = trace.Trace
 // TraceAnalysis holds trace-derived management/execution metrics.
 type TraceAnalysis = trace.Analysis
 
-// NewTraceRecorder creates an event-trace recorder on the system clock.
-func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder(clock.NewSystem()) }
-
 // NewTee fans the runtime event stream out to several listeners, e.g. a
 // Measurement and a TraceRecorder simultaneously. The canonical
-// (Measurement or Filter, TraceRecorder) pair sharing one clock — what
-// NewSession(WithTracing()) wires — takes a fused fast path: one clock
-// read per event feeds both listeners with identical timestamps and no
-// interface dispatch.
+// (Measurement, TraceRecorder) pair sharing one clock — what
+// NewSession(WithTracing()) wires, filtered or not — takes a fused fast
+// path: one clock read per event feeds both listeners with identical
+// timestamps and no interface dispatch.
 func NewTee(listeners ...Listener) Listener { return trace.NewTee(listeners...) }
 
 // AnalyzeTrace derives the paper's §VII metrics (dispatch latency,
@@ -212,8 +209,8 @@ type TraceEventSink = trace.EventSink
 // OTF2-style format; see internal/otf2 for the layout specification).
 type TraceArchiveWriter = otf2.Writer
 
-// TraceArchiveOption configures a TraceArchiveWriter (compression,
-// format version, chunk size).
+// TraceArchiveOption configures a TraceArchiveWriter (compression, chunk
+// size).
 type TraceArchiveOption = otf2.WriterOption
 
 // TraceCompression selects the archive's per-chunk event compression.
@@ -236,16 +233,9 @@ func ParseTraceCompression(s string) (TraceCompression, error) {
 }
 
 // TraceArchiveCompression returns an option selecting the archive's
-// event-chunk compression (requires the current format version).
+// event-chunk compression.
 func TraceArchiveCompression(c TraceCompression) TraceArchiveOption {
 	return otf2.WithCompression(c)
-}
-
-// TraceArchiveFormatVersion returns an option pinning the archive
-// format version: 2 (the default) writes the seekable indexed format,
-// 1 writes archives byte-compatible with pre-index readers.
-func TraceArchiveFormatVersion(v int) TraceArchiveOption {
-	return otf2.WithVersion(v)
 }
 
 // NewTraceArchiveWriter starts a binary trace archive on w.
@@ -348,45 +338,13 @@ func TraceSinkFallbackArchive(path string) TraceSinkClientOption {
 	return sink.WithFallbackArchive(path)
 }
 
-// NewStreamingTraceRecorder creates a bounded-memory event-trace
-// recorder on the system clock: full per-thread chunks are flushed to
-// sink (typically a TraceArchiveWriter) instead of accumulating in RAM,
-// so trace size is limited by disk, not memory. chunkEvents <= 0 picks
-// a default. Call Finish, check Err, then close the sink.
-func NewStreamingTraceRecorder(sink TraceEventSink, chunkEvents int) *TraceRecorder {
-	return trace.NewStreamingRecorder(clock.NewSystem(), sink, chunkEvents)
-}
-
-// TraceFlightRecorder is a flight recorder below the Session layer: its
-// Recorder is the listener to hand a runtime, Stats its live
-// accounting, and Dump writes the retained window as a complete archive
-// at any time while it records.
-type TraceFlightRecorder = otf2.Flight
-
 // TraceFlightInfo is the eviction accounting embedded in a
 // flight-recorder dump archive (the 'F' chunk): how much the dump
 // retained and how much the rings had evicted before it.
 type TraceFlightInfo = otf2.FlightInfo
 
-// TraceFlightStats is a flight recorder's live accounting: the
-// TraceFlightInfo a dump taken now would carry, the encoded bytes the
-// rings hold, and the retained events thread by thread.
-type TraceFlightStats = otf2.FlightStats
-
 // TraceFlightThreadInfo is one thread's share of a TraceFlightInfo.
 type TraceFlightThreadInfo = otf2.FlightThreadInfo
-
-// NewFlightTraceRecorder creates a flight recorder on the system clock:
-// each thread retains only its last ringChunks chunks of chunkEvents
-// events, encoded as an archive holds them (plus the block being
-// filled), evicting the oldest chunk whole when the ring is full —
-// always-on recording in O(ringChunks*chunkEvents) memory per thread.
-// ringChunks <= 0 picks DefaultFlightRingChunks, chunkEvents <= 0 the
-// streaming default. Most callers want the Session layer instead
-// (WithFlightRecorder), which adds triggered dumps.
-func NewFlightTraceRecorder(ringChunks, chunkEvents int) *TraceFlightRecorder {
-	return otf2.NewFlight(clock.NewSystem(), ringChunks, chunkEvents)
-}
 
 // WriteTraceArchive serializes a trace in the binary archive format —
 // typically 15-20x smaller than WriteTraceJSONL (more with
@@ -514,15 +472,13 @@ func DiffReports(a, b *Report) *ReportDiff { return cube.Diff(a, b) }
 // RenderReportDiff writes a report diff as a text tree.
 func RenderReportDiff(w io.Writer, rd *ReportDiff) error { return cube.RenderDiff(w, rd) }
 
-// Filter wraps a Measurement and drops events of excluded user regions —
-// Score-P's measurement filtering, the standard remedy when
-// instrumentation of small functions dominates overhead.
-type Filter = measure.Filter
-
-// NewFilter creates a filtering listener around m; patterns ending in
-// '*' exclude by prefix, others by exact region name. Construct regions
-// (parallel/task/barriers/taskwaits) always pass through.
-func NewFilter(m *Measurement, patterns ...string) *Filter {
+// NewFilter gives m exclusion patterns and returns it: the measurement
+// then drops the events of excluded user regions — Score-P's measurement
+// filtering, the standard remedy when instrumentation of small functions
+// dominates overhead. Patterns ending in '*' exclude by prefix, others
+// by exact region name. Construct regions (parallel/task/barriers/
+// taskwaits) always pass through.
+func NewFilter(m *Measurement, patterns ...string) *Measurement {
 	return measure.NewFilter(m, patterns...)
 }
 

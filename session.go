@@ -34,8 +34,8 @@ import (
 //
 // A Session is for one run: End is idempotent but the session must not
 // record further work after it. The pieces it wires (NewMeasurement,
-// NewTraceRecorder, NewTee, NewRuntime, ...) remain exported as the
-// power-user layer for custom setups.
+// NewFilter, NewTee, NewRuntime, ...) remain exported as the power-user
+// layer for custom setups.
 type Session struct {
 	cfg sessionConfig
 	rt  *Runtime
@@ -116,12 +116,8 @@ func NewSession(opts ...Option) *Session {
 	s.cfg = cfg
 	var listeners []Listener
 	if cfg.profiling {
-		s.m = measure.NewWithClock(clk, region.Default)
-		var l Listener = s.m
-		if len(cfg.filters) > 0 {
-			l = measure.NewFilter(s.m, cfg.filters...)
-		}
-		listeners = append(listeners, l)
+		s.m = measure.NewFilter(measure.NewWithClock(clk, region.Default), cfg.filters...)
+		listeners = append(listeners, s.m)
 	}
 	if cfg.tracing {
 		switch {

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	scorep "repro"
@@ -26,6 +27,23 @@ import (
 )
 
 var archiveKernels = []*bots.Spec{bots.FibSpec, bots.NQueensSpec, bots.SparseLUSpec, bots.HealthSpec}
+
+// collectEvents keeps every event a recorder flushes to it: what the
+// recorder saw, through no codec.
+type collectEvents struct {
+	mu sync.Mutex
+	tr trace.Trace
+}
+
+func (c *collectEvents) WriteEvents(thread int, evs []trace.Event) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.tr.Threads == nil {
+		c.tr.Threads = make(map[int][]trace.Event)
+	}
+	c.tr.Threads[thread] = append(c.tr.Threads[thread], evs...)
+	return nil
+}
 
 // runKernel runs one tiny BOTS kernel under a session made from opts.
 func runKernel(t *testing.T, sp *bots.Spec, threads int, opts ...scorep.Option) *scorep.Results {
@@ -56,7 +74,8 @@ func forEachKernelRun(t *testing.T, fn func(t *testing.T, sp *bots.Spec, threads
 func TestLocalSessionArchiveEquivalence(t *testing.T) {
 	forEachKernelRun(t, func(t *testing.T, sp *bots.Spec, threads int, sched scorep.SchedulerKind) {
 		clk := countingClock()
-		plain := trace.NewRecorder(clk)
+		var seen collectEvents
+		plain := trace.NewStreamingRecorder(clk, &seen, 0)
 		res := runKernel(t, sp, threads, scorep.WithTracing(), scorep.WithScheduler(sched),
 			scorep.WithClock(clk), scorep.WithListener(plain))
 
@@ -88,7 +107,8 @@ func TestLocalSessionArchiveEquivalence(t *testing.T) {
 
 		// The second recorder saw the same stream through no codec; its
 		// events hold the very pointers the run used.
-		want := plain.Finish()
+		plain.Finish()
+		want := &seen.tr
 		if !reflect.DeepEqual(tr.ThreadIDs(), want.ThreadIDs()) {
 			t.Fatalf("threads %v, the plain recorder saw %v", tr.ThreadIDs(), want.ThreadIDs())
 		}
