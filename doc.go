@@ -387,7 +387,10 @@
 // that archive with the automatic bottleneck analysis as it would any
 // other, and dumps once to disk when any finding's severity (0..1)
 // reaches minSeverity — the trace of a degradation is captured while
-// it happens, not reconstructed after.
+// it happens, not reconstructed after. The bottleneck pass of a dump,
+// or of any window of a longer recording, costs what its records cost:
+// the few suspended tasks it resumes from before the window are looked
+// up in a small side table, and its own tasks in a dense one.
 //
 // Introspection is live and free of event copying:
 // Session.FlightRecorderStats returns the ring configuration, the

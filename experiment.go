@@ -324,7 +324,8 @@ type Experiment struct {
 
 // OpenExperiment loads the experiment archive at dir, the counterpart
 // of Results.SaveExperiment. Only meta.json is read eagerly; the
-// profile and trace are loaded on first access.
+// profile and trace are loaded on first access. A meta.json is refused
+// when a traceShards entry names no file ("", ".." or a root).
 func OpenExperiment(dir string) (*Experiment, error) {
 	f, err := os.Open(filepath.Join(dir, experimentMetaFile))
 	if err != nil {
@@ -338,6 +339,11 @@ func OpenExperiment(dir string) (*Experiment, error) {
 	if meta.FormatVersion > ExperimentMetaVersion {
 		return nil, fmt.Errorf("experiment: %s has format version %d, this build reads <= %d",
 			dir, meta.FormatVersion, ExperimentMetaVersion)
+	}
+	for i, sh := range meta.TraceShards {
+		if _, ok := shardFile(sh.File); !ok {
+			return nil, fmt.Errorf("experiment: %s: traceShards[%d] names no file: %q", experimentMetaFile, i, sh.File)
+		}
 	}
 	e := &Experiment{Dir: dir, Meta: meta}
 	if meta.HasTrace {
@@ -477,10 +483,7 @@ func (e *Experiment) listShards() []TraceShard {
 	if len(e.Meta.TraceShards) > 0 {
 		shards := make([]TraceShard, len(e.Meta.TraceShards))
 		for i, sh := range e.Meta.TraceShards {
-			// Shard files live flat in the experiment directory; a path
-			// that says otherwise is reduced to its base name rather
-			// than followed.
-			sh.File = filepath.Base(sh.File)
+			sh.File, _ = shardFile(sh.File)
 			shards[i] = sh
 		}
 		return shards
@@ -501,6 +504,15 @@ func (e *Experiment) listShards() []TraceShard {
 		shards = append(shards, sh)
 	}
 	return shards
+}
+
+// shardFile is the name a meta.json shard entry has in the experiment
+// directory. Shard files live flat there; a path that says otherwise is
+// reduced to its base name rather than followed. ok is false for an
+// entry that names no file in the directory: "", ".", ".." or a root.
+func shardFile(file string) (name string, ok bool) {
+	name = filepath.Base(file)
+	return name, name != "." && name != ".." && name != string(filepath.Separator)
 }
 
 // shardHasIndex reports whether the archive at path carries a readable

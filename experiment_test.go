@@ -2,19 +2,22 @@ package scorep_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	scorep "repro"
 )
 
 // runExperimentWorkload drives a profiled+traced session through a
 // deterministic task workload and returns its finished results.
-func runExperimentWorkload(t *testing.T, prefix string, tasks int, opts ...scorep.Option) *scorep.Results {
+func runExperimentWorkload(t testing.TB, prefix string, tasks int, opts ...scorep.Option) *scorep.Results {
 	t.Helper()
 	s := scorep.NewSession(opts...)
 	par := scorep.RegisterRegion(prefix+".parallel", "experiment_test.go", 1, scorep.RegionParallel)
@@ -330,4 +333,116 @@ func TestOpenExperimentErrors(t *testing.T) {
 	if _, err := scorep.OpenExperiment(dir); err == nil {
 		t.Error("future meta format version accepted")
 	}
+}
+
+// TestOpenExperimentShardNames holds a fleet meta.json's shard entries to
+// files directly inside the experiment directory: a path is reduced to
+// its base name, and an entry whose base name is no file — it would
+// resolve to the directory or its parent — is refused, naming it.
+func TestOpenExperimentShardNames(t *testing.T) {
+	for _, file := range []string{"..", "", ".", "/", "sub/..", "sub/."} {
+		dir := t.TempDir()
+		if err := scorep.SaveFleetExperiment(dir, 0, []scorep.TraceShard{{File: "trace-a.otf2"}, {File: file}}); err != nil {
+			t.Fatal(err)
+		}
+		exp, err := scorep.OpenExperiment(dir)
+		if err == nil {
+			t.Errorf("shard %q accepted, resolving to %s", file, filepath.Join(dir, exp.TraceShards()[1].File))
+			continue
+		}
+		if want := "traceShards[1] names no file: " + strconv.Quote(file); !strings.Contains(err.Error(), want) {
+			t.Errorf("shard %q: error %q does not say %q", file, err, want)
+		}
+	}
+	dir := t.TempDir()
+	if err := scorep.SaveFleetExperiment(dir, 0, []scorep.TraceShard{{File: "../elsewhere/trace-a.otf2"}}); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := scorep.OpenExperiment(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := exp.TraceShards(); len(got) != 1 || got[0].File != "trace-a.otf2" {
+		t.Errorf("TraceShards = %+v, want the entry reduced to trace-a.otf2", got)
+	}
+}
+
+// FuzzOpenExperiment opens arbitrary bytes as the meta.json of a
+// directory that holds one recording as trace.otf2 and as the shard
+// trace-a.otf2. Nothing may panic; an accepted experiment's shards lie
+// directly inside its directory; its trace and fleet analyses return a
+// result or an error; and its Meta, written back and reopened, encodes
+// as it did.
+func FuzzOpenExperiment(f *testing.F) {
+	archive, err := os.ReadFile(filepath.Join("internal", "otf2", "testdata", "v2.otf2"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	experimentDir := func() string {
+		dir := f.TempDir()
+		for _, name := range []string{"trace.otf2", "trace-a.otf2"} {
+			if err := os.WriteFile(filepath.Join(dir, name), archive, 0o644); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return dir
+	}
+	seed := func(dir string, err error) {
+		if err != nil {
+			f.Fatal(err)
+		}
+		meta, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(meta)
+	}
+	local, flight, fleet := f.TempDir(), f.TempDir(), f.TempDir()
+	seed(local, runExperimentWorkload(f, "fzl", 16, scorep.WithTracing()).SaveExperiment(local))
+	seed(flight, runExperimentWorkload(f, "fzf", 64, scorep.WithFlightRecorder(2), scorep.WithFlightChunkEvents(32),
+		scorep.WithDumpSignal(nil)).SaveExperiment(flight))
+	seed(fleet, scorep.SaveFleetExperiment(fleet, time.Second, []scorep.TraceShard{
+		{File: "trace-a.otf2", Stream: "a", Bytes: int64(len(archive)), Complete: true},
+	}))
+
+	dir, again := experimentDir(), experimentDir()
+	f.Fuzz(func(t *testing.T, meta []byte) {
+		if err := os.WriteFile(filepath.Join(dir, "meta.json"), meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		exp, err := scorep.OpenExperiment(dir)
+		if err != nil {
+			return
+		}
+		shards := exp.TraceShards()
+		for _, sh := range shards {
+			if p := filepath.Join(exp.Dir, sh.File); filepath.Dir(p) != filepath.Clean(exp.Dir) || filepath.Base(p) != sh.File {
+				t.Fatalf("shard %q resolves to %s, not a file directly inside %s", sh.File, p, exp.Dir)
+			}
+		}
+		if a, err := exp.TraceAnalysis(); a == nil && err == nil && exp.Meta.HasTrace {
+			t.Error("TraceAnalysis of an experiment with a trace returned neither a result nor an error")
+		}
+		if a, err := exp.FleetTraceAnalysis(); a == nil && err == nil && len(shards) > 0 {
+			t.Error("FleetTraceAnalysis of an experiment with shards returned neither a result nor an error")
+		}
+		if a, err := exp.FleetBottlenecks(); a == nil && err == nil && len(shards) > 0 {
+			t.Error("FleetBottlenecks of an experiment with shards returned neither a result nor an error")
+		}
+
+		enc, err := json.Marshal(exp.Meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(again, "meta.json"), enc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := scorep.OpenExperiment(again)
+		if err != nil {
+			t.Fatalf("accepted meta.json refused once re-encoded: %v\n%s", err, enc)
+		}
+		if enc2, err := json.Marshal(reopened.Meta); err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoded meta.json reopens as\n%s\nnot\n%s (%v)", enc2, enc, err)
+		}
+	})
 }

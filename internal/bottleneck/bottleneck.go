@@ -193,6 +193,7 @@ const (
 	fragFirst = 1 << iota // began via EvTaskBegin: the task's very first fragment
 	fragGap               // a dispatch gap [gapStart, start) ended at its begin
 	fragEnded             // closed by the task's own EvTaskEnd
+	fragOpens             // the first begin the task table took for its task
 )
 
 // frag is one executed task fragment, together with the readiness

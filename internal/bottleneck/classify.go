@@ -11,10 +11,10 @@ import (
 )
 
 // Counts for tests. Of the two slow paths finish can take: a record
-// stream that was not in time order had to be sorted, and task ids too
-// scattered for the dense table were sorted into a sparse one. Of the
-// work classifyIdle did: search probes made and windows walked or laid
-// out.
+// stream that was not in time order had to be sorted, and the ids a
+// recording creates were spread too wide for the dense part of the task
+// table, so that the side table took some of them. Of the work
+// classifyIdle did: search probes made and windows walked or laid out.
 var sortFallbacks, sparseTables, classifySteps atomic.Int64
 
 // regionNames numbers the region names an analysis reports, so that
@@ -110,23 +110,30 @@ func finish(tcs []*threadCollector, concurrent bool) *Analysis {
 	return a
 }
 
-// mergeTasks builds the global task table from all threads' creation
-// and fragment records and writes every record's slot. Iteration is in
-// sorted-tid order; duplicate records for one task id (malformed or
-// windowed traces) keep the first seen in that order.
-//
-// The table is one slab of values. Task ids are handed out by one
-// counter, so those of a recording are dense, and the slab is indexed
-// by id - minID whenever the id range is at most twice the records
-// seen; the table's size therefore follows the records, never the ids
-// (a narrow window over a long archive sees few records and, through
-// resumed old tasks, a wide range). Scattered ids are sorted once into
-// a table searched by id.
-func mergeTasks(tcs []*threadCollector, names *regionNames) []taskInfo {
-	lo, hi, records := ^uint64(0), uint64(0), 0
+// taskSlots places task ids in the task table: the ids from cut up are
+// dense, at len(side) + id - cut, and the few below it are the side
+// table, ascending, in the places before them.
+type taskSlots struct {
+	side []uint64
+	cut  uint64
+}
+
+func (s *taskSlots) slot(id uint64) int32 {
+	if id >= s.cut {
+		return int32(uint64(len(s.side)) + id - s.cut)
+	}
+	i, _ := slices.BinarySearch(s.side, id)
+	return int32(i)
+}
+
+// newTaskSlots lays out the task table of the threads' creation and
+// fragment records, as mergeTasks describes, and returns its size.
+func newTaskSlots(tcs []*threadCollector) (taskSlots, int) {
+	lo, hi, firstCreated, records := ^uint64(0), uint64(0), ^uint64(0), 0
 	for _, tc := range tcs {
 		for i := range tc.created {
-			lo, hi = min(lo, tc.created[i].id), max(hi, tc.created[i].id)
+			id := tc.created[i].id
+			lo, hi, firstCreated = min(lo, id), max(hi, id), min(firstCreated, id)
 		}
 		for i := range tc.frags {
 			lo, hi = min(lo, tc.frags[i].task), max(hi, tc.frags[i].task)
@@ -134,32 +141,57 @@ func mergeTasks(tcs []*threadCollector, names *regionNames) []taskInfo {
 		records += len(tc.created) + len(tc.frags)
 	}
 	if records == 0 {
-		return nil
+		return taskSlots{}, 0
 	}
-	var tasks []taskInfo
-	slot := func(id uint64) int32 { return int32(id - lo) }
-	if hi-lo < 2*uint64(records) {
-		tasks = make([]taskInfo, hi-lo+1)
-	} else {
-		sparseTables.Add(1)
-		ids := make([]uint64, 0, records)
+	width := 2 * uint64(records) // the most ids the dense part spans
+	s := taskSlots{cut: lo}
+	if hi-lo >= width {
+		if s.cut = min(firstCreated, hi); hi-s.cut >= width {
+			sparseTables.Add(1)
+			s.cut = hi - (width - 1)
+		}
 		for _, tc := range tcs {
 			for i := range tc.created {
-				ids = append(ids, tc.created[i].id)
+				if id := tc.created[i].id; id < s.cut {
+					s.side = append(s.side, id)
+				}
 			}
 			for i := range tc.frags {
-				ids = append(ids, tc.frags[i].task)
+				if id := tc.frags[i].task; id < s.cut {
+					s.side = append(s.side, id)
+				}
 			}
 		}
-		slices.Sort(ids)
-		ids = slices.Compact(ids)
-		tasks = make([]taskInfo, len(ids))
-		slot = func(id uint64) int32 {
-			i, _ := slices.BinarySearch(ids, id)
-			return int32(i)
-		}
+		slices.Sort(s.side)
+		s.side = slices.Compact(s.side)
 	}
+	return s, len(s.side) + int(hi-s.cut) + 1
+}
 
+// mergeTasks builds the global task table from all threads' creation
+// and fragment records and writes every record's slot. Iteration is in
+// sorted-tid order; duplicate records for one task id (malformed or
+// windowed traces) keep the first seen in that order, and the fragment
+// that gave a task its first begin is marked fragOpens.
+//
+// The table is one slab of values. Task ids are handed out by one
+// counter, so those a recording creates are dense: the slab is dense
+// from the lowest id the records create up to the highest id, and over
+// the whole id range when that is at most twice the records, as for
+// every whole recording. Below the cut lie the tasks created before a
+// window and resumed in it, a few suspended ancestors of a flight dump
+// or of a narrow window over a long archive, whose ids sit near the
+// start of the run: they alone are sorted, into the side table before
+// the dense part. The dense part never spans more than twice the
+// records, so the table's size follows the records, never the ids;
+// where the created ids spread wider (ids no recorder hands out), it
+// holds the top twice-the-records ids and the rest go to the side.
+func mergeTasks(tcs []*threadCollector, names *regionNames) []taskInfo {
+	slots, size := newTaskSlots(tcs)
+	if size == 0 {
+		return nil
+	}
+	tasks := make([]taskInfo, size)
 	for ti, tc := range tcs {
 		regions := make([]int32, len(tc.regions))
 		for i, r := range tc.regions {
@@ -169,7 +201,7 @@ func mergeTasks(tcs []*threadCollector, names *regionNames) []taskInfo {
 		}
 		for i := range tc.created {
 			c := &tc.created[i]
-			c.slot = slot(c.id)
+			c.slot = slots.slot(c.id)
 			t := &tasks[c.slot]
 			if t.created {
 				c.slot = -1
@@ -182,8 +214,9 @@ func mergeTasks(tcs []*threadCollector, names *regionNames) []taskInfo {
 		}
 		for i := range tc.frags {
 			f := &tc.frags[i]
-			f.slot = slot(f.task)
+			f.slot = slots.slot(f.task)
 			if t := &tasks[f.slot]; f.flags&fragFirst != 0 && !t.hasBegin {
+				f.flags |= fragOpens
 				t.hasBegin = true
 				t.beginThread = int32(ti)
 				t.firstBegin = f.start
@@ -529,8 +562,8 @@ func (w *windowSet) cover(out []span, s span) []span {
 type pendingSet struct {
 	windowSet
 	created []taskCreate
-	// For held, built at its first call: the ends in ascending order and
-	// the prefix sums of the starts and of the sorted ends.
+	// For held: the ends in ascending order (sortEnds), and the prefix
+	// sums of the starts and of the sorted ends, built at its first call.
 	sortedEnd, startSum, endSum []int64
 	sortedEndAt                 int
 }
@@ -559,25 +592,60 @@ func newPendingSet(tc *threadCollector, tasks []taskInfo, endTime int64, steps *
 	return p
 }
 
+// sortEnds gives every creator's pending set its window ends in
+// ascending order. A window ends at its task's first begin, and the
+// first begins of one thread come in its stream order: walking each
+// thread's fragments lays every creator's ends out as ascending runs,
+// one per begin thread, and a last run of the windows whose task never
+// began, which end at endTime. The runs are merged; only a clock that
+// ran backwards makes that a sort.
+func sortEnds(pending []pendingSet, tcs []*threadCollector, tasks []taskInfo, endTime int64, steps *int64) {
+	bounds := make([][]int, len(pending)) // every creator's runs
+	for c := range pending {
+		pending[c].sortedEnd = make([]int64, 0, len(pending[c].end))
+		bounds[c] = make([]int, 1, len(tcs)+2)
+	}
+	for _, tc := range tcs {
+		for i := range tc.frags {
+			// A window that would end at or before its creation's end was
+			// dropped by newPendingSet.
+			f := &tc.frags[i]
+			if t := &tasks[f.slot]; f.flags&fragOpens != 0 && t.created && t.firstBegin > t.createEnd {
+				pending[t.creator].sortedEnd = append(pending[t.creator].sortedEnd, t.firstBegin)
+			}
+		}
+		for c := range pending {
+			bounds[c] = append(bounds[c], len(pending[c].sortedEnd))
+		}
+	}
+	for c := range pending {
+		p := &pending[c]
+		for len(p.sortedEnd) < len(p.end) {
+			p.sortedEnd = append(p.sortedEnd, endTime)
+		}
+		bounds[c] = append(bounds[c], len(p.end))
+		p.sortedEnd = mergeRuns(p.sortedEnd, bounds[c], cmp.Compare[int64])
+		*steps += int64(len(p.end) * bits.Len(uint(len(bounds[c]))))
+	}
+}
+
 // held is the summed overlap of the windows with s, each window counted
 // for itself. What the windows cover before a time t is
 // sum(min(t, end)) - sum(min(t, start)), which the prefix sums give from
-// the rank of t among the starts and among the sorted ends; the overlap
-// with s is the difference of two such. The sums wrap on a long
-// recording and the result is exact all the same: the arithmetic is
-// modulo 2^64 and the true value is at most windows x span.
+// the rank of t among the starts and among the ends sortEnds ordered;
+// the overlap with s is the difference of two such. The sums wrap on a
+// long recording and the result is exact all the same: the arithmetic
+// is modulo 2^64 and the true value is at most windows x span.
 func (p *pendingSet) held(s span) int64 {
 	n := len(p.start)
 	if p.startSum == nil {
-		slab := make([]int64, 3*n+2)
-		p.sortedEnd, p.startSum, p.endSum = slab[:n], slab[n:2*n+1], slab[2*n+1:]
-		copy(p.sortedEnd, p.end)
-		slices.Sort(p.sortedEnd)
+		slab := make([]int64, 2*n+2)
+		p.startSum, p.endSum = slab[:n+1], slab[n+1:]
 		for i := range n {
 			p.startSum[i+1] = p.startSum[i] + p.start[i]
 			p.endSum[i+1] = p.endSum[i] + p.sortedEnd[i]
 		}
-		*p.steps += int64(n * bits.Len(uint(n)))
+		*p.steps += int64(n)
 	}
 	before := func(t int64) int64 {
 		i, j := rank(p.start, t, &p.startAt, p.steps), rank(p.sortedEnd, t, &p.sortedEndAt, p.steps)
@@ -642,6 +710,7 @@ func classifyIdle(perThread []ThreadWaits, tcs []*threadCollector, tasks []taskI
 		pending[ti] = newPendingSet(tc, tasks, endTime, &steps)
 	}
 	var s idleScratch
+	endsSorted := false
 	for ti, tc := range tcs {
 		tw := &perThread[ti]
 		// Barrier wait windows for this thread: [arrival, lastArrival]
@@ -687,6 +756,10 @@ func classifyIdle(perThread []ThreadWaits, tcs []*threadCollector, tasks []taskI
 				// holder's sum is not needed.
 				cause := s.creators[0]
 				if len(s.creators) > 1 {
+					if !endsSorted {
+						sortEnds(pending, tcs, tasks, endTime, &steps)
+						endsSorted = true
+					}
 					most := pending[cause].held(idle)
 					for _, c := range s.creators[1:] {
 						if h := pending[c].held(idle); h > most {

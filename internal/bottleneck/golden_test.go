@@ -93,9 +93,10 @@ func goldenQueries(tr *trace.Trace) []trace.Query {
 	}
 }
 
-// recordGolden runs one BOTS kernel under a clock that ticks once per
-// read and writes its trace as a compressed archive.
-func recordGolden(t *testing.T, c goldenCase) {
+// recordTrace runs one BOTS kernel under a clock that ticks once per
+// read and returns its trace.
+func recordTrace(t *testing.T, c goldenCase) *trace.Trace {
+	t.Helper()
 	var ticks atomic.Int64
 	s := scorep.NewSession(scorep.WithTracing(), scorep.WithoutProfiling(), scorep.WithScheduler(c.sched),
 		scorep.WithClock(clock.Func(func() int64 { return ticks.Add(10) })))
@@ -107,7 +108,13 @@ func recordGolden(t *testing.T, c goldenCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := otf2.WriteFile(c.base()+".otf2", res.Trace(), otf2.WithCompression(otf2.CompressionFlate)); err != nil {
+	return res.Trace()
+}
+
+// recordGolden records one BOTS kernel and writes its trace as a
+// compressed archive.
+func recordGolden(t *testing.T, c goldenCase) {
+	if err := otf2.WriteFile(c.base()+".otf2", recordTrace(t, c), otf2.WithCompression(otf2.CompressionFlate)); err != nil {
 		t.Fatal(err)
 	}
 }

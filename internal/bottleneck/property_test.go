@@ -16,8 +16,9 @@ import (
 // path must partition into its buckets, every thread's wait buckets
 // must be non-negative and add up to the dispatch gaps and idle spans
 // collected for it, and the analysis must not depend on the worker
-// count — whole or windowed. The waits of a well-formed trace, whole
-// and windowed, must be those the reference classification finds.
+// count — whole, over its middle half or over its last 2 %. The waits
+// of a well-formed trace, whole and windowed, must be those the
+// reference classification finds.
 func checkInvariants(t *testing.T, tr *trace.Trace, wellFormed bool) bool {
 	t.Helper()
 	tids := make([]int, 0, len(tr.Threads))
@@ -73,8 +74,11 @@ func checkInvariants(t *testing.T, tr *trace.Trace, wellFormed bool) bool {
 		}
 	}
 
+	// The tail window holds the suspended ancestors it resumes, whose ids
+	// lie below those it creates: the task table's side table.
 	mid := trace.Query{MinTime: a.StartTime + a.WallTime/4, MaxTime: a.EndTime - a.WallTime/4, Windowed: true}
-	for _, q := range []trace.Query{{}, mid} {
+	tail := trace.Query{MinTime: a.EndTime - a.WallTime/50, MaxTime: a.EndTime, Windowed: true}
+	for _, q := range []trace.Query{{}, mid, tail} {
 		want := a
 		if q.Windowed {
 			want = AnalyzeQuery(tr, q, 1)
