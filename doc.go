@@ -176,6 +176,14 @@
 // ShardTraceAnalysis + FleetTraceAnalysis do the same, and
 // SaveFleetExperiment seals a directory of shards (with or without a
 // stream manifest — shards are globbed and probed when absent).
+// FleetTraceAnalysis and FleetBottlenecks analyse the shards side by
+// side: Experiment.AnalysisParallelism is the budget they share, so
+// min(workers, shards) shards are scanned at a time, each with
+// workers / that many workers (at least one), and the results merge in
+// shard order, identical at every setting. Each shard file is read
+// under its own lock, not one lock for the experiment. A fleet summary
+// names a shard by its stream id, or by its file name where the id is
+// empty or shared with another shard.
 //
 // The wire protocol (version 1) is reimplementable from this
 // paragraph. All integers are unsigned LEB128 varints ("uvarint")
@@ -788,8 +796,8 @@
 //
 //   - Records. A task fragment is one 40-byte record that also carries
 //     the dispatch gap that ended at its begin and whether it was the
-//     task's first fragment and closed by the task's end; a creation
-//     is 24 bytes. Regions are numbered per collector, so no record
+//     task's first fragment; a creation is 24 bytes, and a task's end
+//     four, the place of the fragment it closed. Regions are numbered per collector, so no record
 //     holds a string and no descriptor is formatted per event. The
 //     buffers are sized from the scan's hint — the length of the
 //     in-memory stream, or what the archive's footer index says the
@@ -797,17 +805,23 @@
 //     is none.
 //   - Dense task table. Task ids come from one counter per session,
 //     so the merged view of all tasks is one slab of values indexed by
-//     id - minID. It is used when the id range is at most twice the
-//     records seen; a window that resumes old tasks sees few records
-//     over a wide range, and its ids are sorted once into a table
-//     searched by id, so the table's size follows the records, never
-//     the ids.
-//   - Merge or sort. The task completions are needed in global time
-//     order. Each thread's records are in that order already, which is
-//     checked with one comparison per record, so the threads' runs are
-//     merged pairwise; only when a clock ran backwards is the list
-//     sorted instead. The pending windows are never brought into one
-//     order: the idle sweep keeps them per creator, as recorded.
+//     id, dense from the lowest id the records create, and over the
+//     whole id range when that is at most twice the records. The few
+//     ids below it — tasks a window resumes that were created before
+//     it — are sorted into a side table, so the table's size follows
+//     the records, never the ids. Each collector keeps the bounds of
+//     its ids as it records; the records are walked again only to fill
+//     a side table.
+//   - No global order. The critical-path walk's join edge is the
+//     latest end of another task inside a suspension window. Each
+//     thread's task ends are in its stream order, which is time order
+//     — one comparison per end checks it — so the walk binary-searches
+//     each thread's own ends and takes the greatest (time, thread,
+//     task); only a thread whose clock ran backwards has its ends
+//     sorted. The pending windows are never brought into one order
+//     either: the idle sweep keeps them per creator, as recorded, and
+//     merges their ends from per-thread runs where it needs them
+//     sorted.
 //   - CSR fragments. The critical-path walk asks when a resumed task
 //     was suspended: every task's fragment ends are laid out by task
 //     slot, offsets plus one flat array, by a counting sort. The

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bottleneck"
@@ -308,18 +309,29 @@ type Experiment struct {
 	// AnalysisParallelism is the worker count used to decode and
 	// analyze the archived trace (<= 0: one per processor). Per-thread
 	// trace streams are independent, so the result is identical at
-	// every setting. Set it before the first Trace/TraceAnalysis call;
-	// the loaded artifacts are cached.
+	// every setting. A fleet's shards share it: FleetTraceAnalysis and
+	// FleetBottlenecks analyse up to that many shards side by side,
+	// splitting the workers between them. Set it before the first
+	// Trace/TraceAnalysis call; the loaded artifacts are cached.
 	AnalysisParallelism int
 
-	mu          sync.Mutex
+	mu          sync.Mutex // guards the profile, the findings and the shard list
 	report      *Report
 	findings    []Finding
 	findingsSet bool
-	src         traceSource // trace.otf2
 	shards      []TraceShard
-	shardSrcs   []traceSource // the shard files, as shards lists them
 	shardsSet   bool
+
+	// Every trace file is a source under its own lock, so that one
+	// shard's scan does not wait for another's.
+	src       lockedSource   // trace.otf2
+	shardSrcs []lockedSource // the shard files, as shards lists them
+}
+
+// lockedSource is a trace source with the lock that guards it.
+type lockedSource struct {
+	mu sync.Mutex
+	traceSource
 }
 
 // OpenExperiment loads the experiment archive at dir, the counterpart
@@ -347,7 +359,7 @@ func OpenExperiment(dir string) (*Experiment, error) {
 	}
 	e := &Experiment{Dir: dir, Meta: meta}
 	if meta.HasTrace {
-		e.src = traceSource{path: e.TracePath(), name: e.TracePath(), reg: region.NewRegistry()}
+		e.src.traceSource = traceSource{path: e.TracePath(), name: e.TracePath(), reg: region.NewRegistry()}
 	}
 	return e, nil
 }
@@ -398,10 +410,7 @@ func (e *Experiment) reportLocked() (*Report, error) {
 // intact prefix; the cut is recorded in Warnings, not returned as an
 // error.
 func (e *Experiment) Trace() (*Trace, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	tr, err := e.src.load(e.AnalysisParallelism)
-	return tr, readErr(&e.src, err)
+	return locked(&e.src, e.AnalysisParallelism, (*traceSource).load)
 }
 
 // TraceAnalysis derives the paper's §VII metrics from the archived
@@ -410,10 +419,7 @@ func (e *Experiment) Trace() (*Trace, error) {
 // otherwise the archive is streamed in bounded memory without loading
 // the trace. Truncated traces are salvaged like in Trace.
 func (e *Experiment) TraceAnalysis() (*TraceAnalysis, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	a, err := e.src.traceAnalysis(e.AnalysisParallelism)
-	return a, readErr(&e.src, err)
+	return locked(&e.src, e.AnalysisParallelism, (*traceSource).traceAnalysis)
 }
 
 // TraceAnalysisQuery derives the trace metrics restricted to the
@@ -427,10 +433,10 @@ func (e *Experiment) TraceAnalysis() (*TraceAnalysis, error) {
 // filtering the full trace with q and analyzing that. Results are not
 // cached: each call reflects its own query.
 func (e *Experiment) TraceAnalysisQuery(q TraceQuery) (*TraceAnalysis, TraceQueryStats, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.src.mu.Lock()
+	defer e.src.mu.Unlock()
 	a, st, err := e.src.analysisOf(e.AnalysisParallelism, q)
-	return a, st, readErr(&e.src, err)
+	return a, st, readErr(&e.src.traceSource, err)
 }
 
 // Bottlenecks runs the bottleneck analysis (wait-state classification,
@@ -440,20 +446,17 @@ func (e *Experiment) TraceAnalysisQuery(q TraceQuery) (*TraceAnalysis, TraceQuer
 // otherwise, salvages truncated traces with a warning, and caches the
 // result.
 func (e *Experiment) Bottlenecks() (*BottleneckAnalysis, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	a, err := e.src.bottleneckAnalysis(e.AnalysisParallelism)
-	return a, readErr(&e.src, err)
+	return locked(&e.src, e.AnalysisParallelism, (*traceSource).bottleneckAnalysis)
 }
 
 // BottlenecksQuery is Bottlenecks restricted to the sub-trace matching
 // q, with the same planned access as TraceAnalysisQuery. Results are not cached: each call reflects its
 // own query.
 func (e *Experiment) BottlenecksQuery(q TraceQuery) (*BottleneckAnalysis, TraceQueryStats, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.src.mu.Lock()
+	defer e.src.mu.Unlock()
 	a, st, err := e.src.bottlenecksOf(e.AnalysisParallelism, q)
-	return a, st, readErr(&e.src, err)
+	return a, st, readErr(&e.src.traceSource, err)
 }
 
 // TraceShards enumerates the per-process trace shards of a
@@ -471,9 +474,9 @@ func (e *Experiment) TraceShards() []TraceShard {
 	if !e.shardsSet {
 		e.shardsSet = true
 		e.shards = e.listShards()
-		e.shardSrcs = make([]traceSource, len(e.shards))
+		e.shardSrcs = make([]lockedSource, len(e.shards))
 		for i, sh := range e.shards {
-			e.shardSrcs[i] = traceSource{path: filepath.Join(e.Dir, sh.File), name: "shard " + sh.File}
+			e.shardSrcs[i].traceSource = traceSource{path: filepath.Join(e.Dir, sh.File), name: "shard " + sh.File}
 		}
 	}
 	return e.shards
@@ -532,22 +535,64 @@ func shardHasIndex(path string) bool {
 // shard. A truncated shard (severed stream) is salvaged to its intact
 // prefix with a per-shard warning in Warnings, naming the shard file.
 func (e *Experiment) ShardTraceAnalysis(i int) (*TraceAnalysis, error) {
-	src, err := e.shardSrc(i)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	a, err := src.traceAnalysis(e.AnalysisParallelism)
-	return a, readErr(src, err)
+	return shardResult(e, i, (*traceSource).traceAnalysis)
 }
 
-// shardSrc returns shard i of TraceShards as a source.
-func (e *Experiment) shardSrc(i int) (*traceSource, error) {
+// shardResult is analyse's result for shard i of TraceShards, made with
+// the experiment's workers.
+func shardResult[T any](e *Experiment, i int, analyse func(*traceSource, int) (T, error)) (T, error) {
 	if n := len(e.TraceShards()); i < 0 || i >= n {
-		return nil, fmt.Errorf("experiment: shard %d out of range (%d shards)", i, n)
+		var none T
+		return none, fmt.Errorf("experiment: shard %d out of range (%d shards)", i, n)
 	}
-	return &e.shardSrcs[i], nil
+	return locked(&e.shardSrcs[i], e.AnalysisParallelism, analyse)
+}
+
+// locked is analyse's result for src on workers, made under src's lock,
+// with the error worded as every accessor words it.
+func locked[T any](src *lockedSource, workers int, analyse func(*traceSource, int) (T, error)) (T, error) {
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	v, err := analyse(&src.traceSource, workers)
+	return v, readErr(&src.traceSource, err)
+}
+
+// eachShard is analyse's result for every shard of TraceShards, in shard
+// order, with the first error in shard order. The shards are analysed
+// side by side, as many at a time as AnalysisParallelism has workers
+// (up to the shards), and the workers are split between them, at least
+// one each: the fleet stays inside the budget one archive has.
+func eachShard[T any](e *Experiment, analyse func(*traceSource, int) (T, error)) ([]T, error) {
+	n := len(e.TraceShards())
+	if n == 0 {
+		return nil, nil
+	}
+	workers := trace.Workers(e.AnalysisParallelism)
+	lanes := min(workers, n)
+	each := max(workers/lanes, 1)
+	out, errs := make([]T, n), make([]error, n)
+	var next atomic.Int64
+	lane := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			out[i], errs[i] = locked(&e.shardSrcs[i], each, analyse)
+		}
+	}
+	var wg sync.WaitGroup
+	for range lanes - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lane()
+		}()
+	}
+	lane()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // FleetTraceAnalysis merges the analyses of every trace shard into the
@@ -555,20 +600,13 @@ func (e *Experiment) shardSrc(i int) (*traceSource, error) {
 // latency, task execution and creation time, with the management ratio
 // recomputed from the merged totals. The per-thread breakdown is per
 // shard (thread IDs of different processes name different locations);
-// see ShardTraceAnalysis. Returns (nil, nil) when the experiment has no
+// see ShardTraceAnalysis. The shards are analysed side by side within
+// AnalysisParallelism. Returns (nil, nil) when the experiment has no
 // shards.
 func (e *Experiment) FleetTraceAnalysis() (*TraceAnalysis, error) {
-	shards := e.TraceShards()
-	if len(shards) == 0 {
-		return nil, nil
-	}
-	as := make([]*TraceAnalysis, len(shards))
-	for i := range shards {
-		a, err := e.ShardTraceAnalysis(i)
-		if err != nil {
-			return nil, err
-		}
-		as[i] = a
+	as, err := eachShard(e, (*traceSource).traceAnalysis)
+	if err != nil || len(as) == 0 {
+		return nil, err
 	}
 	return trace.MergeAnalyses(as...), nil
 }
@@ -577,34 +615,49 @@ func (e *Experiment) FleetTraceAnalysis() (*TraceAnalysis, error) {
 // TraceShards, out-of-core and cached per shard, salvaging truncated
 // shards with a per-shard warning like ShardTraceAnalysis.
 func (e *Experiment) ShardBottlenecks(i int) (*BottleneckAnalysis, error) {
-	src, err := e.shardSrc(i)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	a, err := src.bottleneckAnalysis(e.AnalysisParallelism)
-	return a, readErr(src, err)
+	return shardResult(e, i, (*traceSource).bottleneckAnalysis)
 }
 
 // FleetBottlenecks aggregates the per-shard bottleneck analyses into
 // the fleet summary: per-kind fleet-summed wait-state totals with the
-// worst shard each, and the shard with the longest critical path.
-// Returns (nil, nil) when the experiment has no shards.
+// worst shard each, and the shard with the longest critical path. A
+// shard is named by its stream id, or by its file name where that id is
+// empty or shared with another shard. The shards are analysed side by
+// side within AnalysisParallelism. Returns (nil, nil) when the
+// experiment has no shards.
 func (e *Experiment) FleetBottlenecks() (*BottleneckFleetSummary, error) {
-	shards := e.TraceShards()
-	if len(shards) == 0 {
-		return nil, nil
+	as, err := eachShard(e, (*traceSource).bottleneckAnalysis)
+	if err != nil || len(as) == 0 {
+		return nil, err
 	}
-	byStream := make(map[string]*BottleneckAnalysis, len(shards))
-	for i := range shards {
-		a, err := e.ShardBottlenecks(i)
-		if err != nil {
-			return nil, err
+	byName := make(map[string]*BottleneckAnalysis, len(as))
+	for i, name := range shardNames(e.shards) {
+		byName[name] = as[i]
+	}
+	return bottleneck.MergeFleet(byName), nil
+}
+
+// shardNames names every shard for the fleet summary: by its stream id
+// when that is its own, else by its file name, and by its place in the
+// list where even that is taken (meta.json listed one file twice).
+func shardNames(shards []TraceShard) []string {
+	streams := make(map[string]int, len(shards))
+	for _, sh := range shards {
+		streams[sh.Stream]++
+	}
+	names := make([]string, len(shards))
+	taken := make(map[string]bool, len(shards))
+	for i, sh := range shards {
+		name := sh.Stream
+		if name == "" || streams[name] > 1 {
+			name = sh.File
 		}
-		byStream[shards[i].Stream] = a
+		if taken[name] {
+			name = fmt.Sprintf("%s#%d", name, i)
+		}
+		names[i], taken[name] = name, true
 	}
-	return bottleneck.MergeFleet(byStream), nil
+	return names
 }
 
 // Findings diagnoses tasking inefficiencies in the archived profile, or
@@ -632,16 +685,24 @@ func (e *Experiment) Findings() ([]Finding, error) {
 // Warnings accumulate as artifacts are loaded, so check after the
 // accessors that interest you.
 func (e *Experiment) Warnings() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var ws []string
-	if w := e.src.warning; w != "" {
+	if w := e.src.warningNow(); w != "" {
 		ws = append(ws, w)
 	}
-	for i := range e.shardSrcs {
-		if src := &e.shardSrcs[i]; src.warning != "" {
-			ws = append(ws, src.name+": "+src.warning)
+	e.mu.Lock()
+	shards := e.shardSrcs
+	e.mu.Unlock()
+	for i := range shards {
+		if w := shards[i].warningNow(); w != "" {
+			ws = append(ws, shards[i].name+": "+w)
 		}
 	}
 	return ws
+}
+
+// warningNow is the cut the source was found to have so far.
+func (s *lockedSource) warningNow() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.warning
 }

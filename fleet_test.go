@@ -1,6 +1,7 @@
 package scorep_test
 
 import (
+	"fmt"
 	"net"
 	"os"
 	"os/exec"
@@ -484,5 +485,191 @@ func TestFleetDaemonSIGKILLRestart(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, a) {
 		t.Fatalf("resumed shard's analysis differs from the undisturbed run:\nwant %+v\ngot  %+v", want, a)
+	}
+}
+
+// writeShard records a two-thread producer of tasks tasks with a local
+// session and writes its archive as file in dir, a fleet shard.
+func writeShard(t *testing.T, dir, file string, tasks int) {
+	t.Helper()
+	par := scorep.RegisterRegion("fs.parallel", "fleet_test.go", 30, scorep.RegionParallel)
+	task := scorep.RegisterRegion("fs.task", "fleet_test.go", 31, scorep.RegionTask)
+	tw := scorep.RegisterRegion("fs.taskwait", "fleet_test.go", 32, scorep.RegionTaskwait)
+	s := scorep.NewSession(scorep.WithTracing(), scorep.WithoutProfiling(), scorep.WithClock(countingClock()))
+	s.Parallel(2, par, func(th *scorep.Thread) {
+		if th.ID == 0 {
+			for i := 0; i < tasks; i++ {
+				th.NewTask(task, func(*scorep.Thread) {})
+			}
+		}
+		th.Taskwait(tw)
+	})
+	res, err := s.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := t.TempDir()
+	if err := res.SaveExperiment(exp); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(exp, "trace.otf2"), filepath.Join(dir, file)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFleetBottlenecksNamesShards seals fleets whose meta.json gives the
+// shards no stream id, one stream id for both, or to one the other's
+// file name: every shard must still be in the summary, with the totals
+// the sum of both.
+func TestFleetBottlenecksNamesShards(t *testing.T) {
+	dir := t.TempDir()
+	writeShard(t, dir, "trace-a.otf2", 300)
+	writeShard(t, dir, "trace-b.otf2", 400)
+	for _, streams := range [][2]string{{"", ""}, {"same", "same"}, {"trace-b.otf2", ""}} {
+		t.Run(fmt.Sprintf("streams=%q", streams), func(t *testing.T) {
+			if err := scorep.SaveFleetExperiment(dir, time.Second, []scorep.TraceShard{
+				{File: "trace-a.otf2", Stream: streams[0], Complete: true},
+				{File: "trace-b.otf2", Stream: streams[1], Complete: true},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			exp, err := scorep.OpenExperiment(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet, err := exp.FleetBottlenecks()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fleet.Shards != 2 {
+				t.Fatalf("fleet summary of %d shard(s), want 2", fleet.Shards)
+			}
+			want := map[scorep.FindingKind]int64{}
+			for i := range exp.TraceShards() {
+				a, err := exp.ShardBottlenecks(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ws := range a.WaitStates {
+					want[ws.Kind] += ws.Time
+				}
+			}
+			got := map[scorep.FindingKind]int64{}
+			for _, kt := range fleet.Kinds {
+				got[kt.Kind] = kt.Time
+			}
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("fleet totals %v, want the shards' sums %v", got, want)
+			}
+		})
+	}
+}
+
+// fleetResults is everything the fleet accessors return.
+type fleetResults struct {
+	Bottlenecks *scorep.BottleneckFleetSummary
+	Analysis    *scorep.TraceAnalysis
+	Shards      []*scorep.BottleneckAnalysis
+	Warnings    []string
+}
+
+// TestFleetAccessorsConcurrent calls the fleet accessors of one
+// experiment, three shards of which the middle one is cut, from several
+// goroutines at once: the fleet passes run their shards side by side,
+// each shard under its own lock, while single shards and warnings are
+// asked for beside them. At every AnalysisParallelism, every result must
+// be the one a lone caller gets one call at a time, and the cut must be
+// reported once.
+func TestFleetAccessorsConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	writeShard(t, dir, "trace-a.otf2", 500)
+	writeShard(t, dir, "trace-b.otf2", 20_000)
+	writeShard(t, dir, "trace-c.otf2", 800)
+	whole, err := os.ReadFile(filepath.Join(dir, "trace-b.otf2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "trace-b.otf2"), whole[:3*len(whole)/4], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := scorep.SaveFleetExperiment(dir, time.Second, nil); err != nil {
+		t.Fatal(err)
+	}
+	open := func(workers int) *scorep.Experiment {
+		exp, err := scorep.OpenExperiment(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp.AnalysisParallelism = workers
+		return exp
+	}
+	must := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+
+	// One caller, one call at a time, one worker.
+	exp := open(1)
+	var want fleetResults
+	for i := range exp.TraceShards() {
+		a, err := exp.ShardBottlenecks(i)
+		must(err)
+		want.Shards = append(want.Shards, a)
+	}
+	want.Bottlenecks, err = exp.FleetBottlenecks()
+	must(err)
+	want.Analysis, err = exp.FleetTraceAnalysis()
+	must(err)
+	want.Warnings = exp.Warnings()
+	if len(want.Shards) != 3 || len(want.Warnings) != 1 || !strings.HasPrefix(want.Warnings[0], "shard trace-b.otf2: ") {
+		t.Fatalf("%d shards, warnings %q: want three shards and the cut one named once", len(want.Shards), want.Warnings)
+	}
+
+	for _, workers := range []int{1, 2, 4} {
+		exp := open(workers)
+		const callers = 6
+		got := make([]fleetResults, callers)
+		done := make(chan struct{})
+		for c := range callers {
+			go func() {
+				defer func() { done <- struct{}{} }()
+				r := &got[c]
+				r.Shards = make([]*scorep.BottleneckAnalysis, 3)
+				// Each caller asks in its own order.
+				for k := range 5 {
+					switch (c + k) % 5 {
+					case 0:
+						fb, err := exp.FleetBottlenecks()
+						must(err)
+						r.Bottlenecks = fb
+					case 1:
+						ta, err := exp.FleetTraceAnalysis()
+						must(err)
+						r.Analysis = ta
+					case 4:
+						if ws := exp.Warnings(); len(ws) > 1 {
+							t.Errorf("warnings %q mid-pass: the cut is reported more than once", ws)
+						}
+					default:
+						for j := range 3 {
+							i := (c + j) % 3
+							a, err := exp.ShardBottlenecks(i)
+							must(err)
+							r.Shards[i] = a
+						}
+					}
+				}
+				r.Warnings = exp.Warnings()
+			}()
+		}
+		for range callers {
+			<-done
+		}
+		for c := range got {
+			if !reflect.DeepEqual(got[c], want) {
+				t.Errorf("AnalysisParallelism %d, caller %d: results differ from one caller's, one call at a time", workers, c)
+			}
+		}
 	}
 }

@@ -34,6 +34,7 @@
 package bottleneck
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 
@@ -192,7 +193,6 @@ type taskStamp struct {
 const (
 	fragFirst = 1 << iota // began via EvTaskBegin: the task's very first fragment
 	fragGap               // a dispatch gap [gapStart, start) ended at its begin
-	fragEnded             // closed by the task's own EvTaskEnd
 	fragOpens             // the first begin the task table took for its task
 )
 
@@ -238,17 +238,34 @@ type threadCollector struct {
 	lastRegion *region.Region
 	lastID     int32
 
-	created   []taskCreate
-	frags     []frag      // in stream order: starts and ends ascend with the clock
-	strayEnds []taskStamp // EvTaskEnd of a task other than the one running
+	created []taskCreate
+	frags   []frag // in stream order: starts and ends ascend with the clock
+	// The thread's task ends, in stream order: ends are the places in
+	// frags of the fragments their task's own EvTaskEnd closed, strayEnds
+	// the EvTaskEnds of a task other than the one running.
+	ends      []int32
+	strayEnds []taskStamp
 	idles     []span
 	barriers  []barrierVisit
 	barStack  []barrierVisit // open barrier enters (exit pending)
+
+	// idLo and idHi bound the task ids of created and frags, and
+	// createdLo those of created: the task table is laid out by them.
+	idLo, idHi, createdLo uint64
+}
+
+// newThreadCollector returns the collector of thread tid, its buffers
+// sized for a stream of events events.
+func newThreadCollector(tid, events int) *threadCollector {
+	tc := &threadCollector{tid: tid, idLo: ^uint64(0), createdLo: ^uint64(0)}
+	tc.reserve(events)
+	return tc
 }
 
 // Shares of a thread's events that become fragment and creation
 // records in BOTS fib without cut-off, the finest-grained stream the
-// suite records. reserve sizes the buffers by them, so such a stream
+// suite records; a task ends once, so its ends are as many as its
+// creations. reserve sizes the buffers by them, so such a stream
 // never grows one; a stream richer in records doubles. Idle spans
 // number from none to one per fragment: their buffer starts at a small
 // share, so that how often it doubles depends on the stream's shape
@@ -270,6 +287,7 @@ func (tc *threadCollector) reserve(n int) {
 	}
 	tc.frags = make([]frag, 0, n/fragShare+n/64+16)
 	tc.created = make([]taskCreate, 0, n/createShare+n/64+16)
+	tc.ends = make([]int32, 0, n/createShare+n/64+16)
 	tc.idles = make([]span, 0, n/idleShare+16)
 }
 
@@ -347,13 +365,15 @@ func (tc *threadCollector) observe(ev *trace.Event) {
 		if tc.inCreate {
 			tc.created = push(tc.created, taskCreate{id: ev.TaskID, end: ev.Time, region: tc.regionID(ev.Region)})
 			tc.inCreate = false
+			tc.noteID(ev.TaskID)
+			tc.createdLo = min(tc.createdLo, ev.TaskID)
 		}
 	case trace.EvTaskBegin:
 		tc.endFragment(ev.Time)
 		tc.beginFragment(ev.Time, ev.TaskID, fragFirst)
 	case trace.EvTaskEnd:
-		if tc.inFrag && tc.frags[len(tc.frags)-1].task == ev.TaskID {
-			tc.frags[len(tc.frags)-1].flags |= fragEnded
+		if last := len(tc.frags) - 1; tc.inFrag && tc.frags[last].task == ev.TaskID {
+			tc.ends = push(tc.ends, int32(last))
 		} else {
 			tc.strayEnds = append(tc.strayEnds, taskStamp{ev.TaskID, ev.Time})
 		}
@@ -405,6 +425,12 @@ func (tc *threadCollector) beginFragment(t int64, task uint64, flags uint8) {
 	}
 	tc.frags = push(tc.frags, f)
 	tc.inFrag = true
+	tc.noteID(task)
+}
+
+// noteID widens the bounds of the thread's task ids to id.
+func (tc *threadCollector) noteID(id uint64) {
+	tc.idLo, tc.idHi = min(tc.idLo, id), max(tc.idHi, id)
 }
 
 // closedFrags are the fragments that ended inside the stream: all but
@@ -447,8 +473,7 @@ func (c *Collector) Consume(tid int, events []trace.Event) {
 	c.mu.Lock()
 	tc, ok := c.threads[tid]
 	if !ok {
-		tc = &threadCollector{tid: tid}
-		tc.reserve(c.events[tid])
+		tc = newThreadCollector(tid, c.events[tid])
 		c.threads[tid] = tc
 	}
 	c.mu.Unlock()
@@ -461,11 +486,20 @@ func (c *Collector) Consume(tid int, events []trace.Event) {
 // analysis. All Consume calls must have returned; the collector must not
 // be reused afterwards.
 func (c *Collector) Finish() *Analysis {
+	return finish(c.observed(), c.concurrent)
+}
+
+// observed lists the threads that observed an event, by tid: those an
+// analysis is of.
+func (c *Collector) observed() []*threadCollector {
 	tcs := make([]*threadCollector, 0, len(c.threads))
 	for _, tc := range c.threads {
-		tcs = append(tcs, tc)
+		if tc.firstValid {
+			tcs = append(tcs, tc)
+		}
 	}
-	return finish(tcs, c.concurrent)
+	slices.SortFunc(tcs, func(x, y *threadCollector) int { return cmp.Compare(x.tid, y.tid) })
+	return tcs
 }
 
 // Analyze and AnalyzeQuery are trace.Scan with a Collector, kept under

@@ -59,17 +59,14 @@ type taskInfo struct {
 	hasBegin    bool
 }
 
-// finish merges the per-thread raw material and runs classification
-// and critical-path reconstruction. Every pass takes the threads in
-// sorted-tid order and breaks ties deterministically, so the result is
-// identical however the observation was sharded. A thread that observed
-// no event is not part of the analysis. With concurrent set, the
+// finish merges the per-thread raw material of the threads that
+// observed an event, in tid order, and runs classification and
+// critical-path reconstruction. Every pass takes the threads in that
+// order and breaks ties deterministically, so the result is identical
+// however the observation was sharded. With concurrent set, the
 // critical path's lookup tables, which depend on nothing classification
 // computes, are built beside it on a second goroutine.
 func finish(tcs []*threadCollector, concurrent bool) *Analysis {
-	tcs = slices.DeleteFunc(tcs, func(tc *threadCollector) bool { return !tc.firstValid })
-	slices.SortFunc(tcs, func(x, y *threadCollector) int { return cmp.Compare(x.tid, y.tid) })
-
 	a := &Analysis{PerThread: make(map[int]*ThreadWaits, len(tcs)), Threads: len(tcs)}
 	if len(tcs) == 0 {
 		a.CriticalPath.Regions = []PathRegion{}
@@ -127,17 +124,14 @@ func (s *taskSlots) slot(id uint64) int32 {
 }
 
 // newTaskSlots lays out the task table of the threads' creation and
-// fragment records, as mergeTasks describes, and returns its size.
+// fragment records, as mergeTasks describes, and returns its size. The
+// bounds of the ids are the ones each collector kept as it recorded;
+// the records are walked only to fill a side table, which only a window
+// or ids no recorder hands out need.
 func newTaskSlots(tcs []*threadCollector) (taskSlots, int) {
 	lo, hi, firstCreated, records := ^uint64(0), uint64(0), ^uint64(0), 0
 	for _, tc := range tcs {
-		for i := range tc.created {
-			id := tc.created[i].id
-			lo, hi, firstCreated = min(lo, id), max(hi, id), min(firstCreated, id)
-		}
-		for i := range tc.frags {
-			lo, hi = min(lo, tc.frags[i].task), max(hi, tc.frags[i].task)
-		}
+		lo, hi, firstCreated = min(lo, tc.idLo), max(hi, tc.idHi), min(firstCreated, tc.createdLo)
 		records += len(tc.created) + len(tc.frags)
 	}
 	if records == 0 {

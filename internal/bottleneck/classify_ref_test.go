@@ -21,7 +21,7 @@ import (
 func collect(tr *trace.Trace, q trace.Query) []*threadCollector {
 	var tcs []*threadCollector
 	for tid, events := range tr.Threads {
-		tc := &threadCollector{tid: tid}
+		tc := newThreadCollector(tid, 0)
 		for i := range events {
 			if q.Match(tid, events[i]) {
 				tc.observe(&events[i])

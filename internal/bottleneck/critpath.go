@@ -6,65 +6,95 @@ import (
 	"sort"
 )
 
-// completion is one observed task end. Threads are positions in the
-// sorted thread list.
-type completion struct {
-	time   int64
-	task   uint64
-	thread int32
-}
-
-func compareCompletions(a, b completion) int {
-	return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.thread, b.thread), cmp.Compare(a.task, b.task))
-}
-
 // pathTables are what the critical-path walk looks up at a resumed
-// fragment: every task end in (time, thread, task) order, for the join
-// edge, and every task's fragment ends by task slot
-// (fragEnds[fragOffsets[s]:fragOffsets[s+1]], ascending), for the
-// suspension window the join must fall in.
+// fragment besides the threads' own task ends: every task's fragment
+// ends by task slot (fragEnds[fragOffsets[s]:fragOffsets[s+1]],
+// ascending), for the suspension window the join must fall in.
 type pathTables struct {
-	ends        []completion
 	fragOffsets []int32
 	fragEnds    []int64
 }
 
+// newPathTables lays out the fragment ends by slot and puts every
+// thread's task ends in the order joinEdge searches them in.
 func newPathTables(tcs []*threadCollector, tasks []taskInfo) pathTables {
-	pt := pathTables{ends: completions(tcs)}
+	for _, tc := range tcs {
+		tc.orderEnds()
+	}
+	var pt pathTables
 	pt.fragOffsets, pt.fragEnds = fragmentEnds(tcs, tasks)
 	return pt
 }
 
-// completions lists every task end in (time, thread, task) order. A
-// thread's ends are those of its fragments, which are in stream order,
-// and the few ends that closed no fragment of their own task (the head
-// of a window, a malformed stream); both runs ascend with the thread's
-// clock, so the runs are merged.
-func completions(tcs []*threadCollector) []completion {
-	n := 0
-	for _, tc := range tcs {
-		n += len(tc.strayEnds)
-		for _, f := range tc.closedFrags() {
-			if f.flags&fragEnded != 0 {
-				n++
-			}
+// suspendedAt is when the task in slot, resumed at start, was
+// suspended: the latest of its fragment ends at or before start, or -1.
+func (pt *pathTables) suspendedAt(slot int32, start int64) int64 {
+	mine := pt.fragEnds[pt.fragOffsets[slot]:pt.fragOffsets[slot+1]]
+	if i := sort.Search(len(mine), func(i int) bool { return mine[i] > start }); i > 0 {
+		return mine[i-1]
+	}
+	return -1
+}
+
+func compareStamps(a, b taskStamp) int {
+	return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.id, b.id))
+}
+
+// orderEnds puts both lists of the thread's task ends in (time, task)
+// order. Stream order is that unless the clock ran backwards, or stood
+// still over two ends out of id order: only then is a list sorted,
+// counted by sortFallbacks.
+func (tc *threadCollector) orderEnds() {
+	byEnd := func(x, y int32) int {
+		return compareStamps(taskStamp{tc.frags[x].task, tc.frags[x].end}, taskStamp{tc.frags[y].task, tc.frags[y].end})
+	}
+	if !slices.IsSortedFunc(tc.ends, byEnd) {
+		sortFallbacks.Add(1)
+		slices.SortFunc(tc.ends, byEnd)
+	}
+	if !slices.IsSortedFunc(tc.strayEnds, compareStamps) {
+		sortFallbacks.Add(1)
+		slices.SortFunc(tc.strayEnds, compareStamps)
+	}
+}
+
+// latestEnd returns the greatest (time, task) of the thread's task ends
+// in [from, to] whose task is not task. Each list is searched for the
+// last end at or before to and walked back from there, past the ends of
+// task itself.
+func (tc *threadCollector) latestEnd(from, to int64, task uint64) (best taskStamp, ok bool) {
+	ends := tc.ends
+	for i := sort.Search(len(ends), func(i int) bool { return tc.frags[ends[i]].end > to }) - 1; i >= 0 && tc.frags[ends[i]].end >= from; i-- {
+		if f := &tc.frags[ends[i]]; f.task != task {
+			best, ok = taskStamp{f.task, f.end}, true
+			break
 		}
 	}
-	flat := make([]completion, 0, n)
-	bounds := make([]int, 0, 2*len(tcs)+1)
+	strays := tc.strayEnds
+	for i := sort.Search(len(strays), func(i int) bool { return strays[i].time > to }) - 1; i >= 0 && strays[i].time >= from; i-- {
+		if e := strays[i]; e.id != task {
+			if !ok || compareStamps(e, best) > 0 {
+				best, ok = e, true
+			}
+			break
+		}
+	}
+	return best, ok
+}
+
+// joinEdge finds the join edge into task, resumed at to after a
+// suspension that opened at from: of every thread's task ends in [from,
+// to] of a task other than task, the greatest in (time, thread, task)
+// order, and the place of its thread in tcs.
+func joinEdge(tcs []*threadCollector, from, to int64, task uint64) (end taskStamp, thread int, ok bool) {
+	thread = -1
 	for ti, tc := range tcs {
-		bounds = append(bounds, len(flat))
-		for _, f := range tc.closedFrags() {
-			if f.flags&fragEnded != 0 {
-				flat = append(flat, completion{f.end, f.task, int32(ti)})
-			}
-		}
-		bounds = append(bounds, len(flat))
-		for _, e := range tc.strayEnds {
-			flat = append(flat, completion{e.time, e.id, int32(ti)})
+		// Threads ascend: of equal times the later thread is the greater.
+		if e, found := tc.latestEnd(from, to, task); found && (thread < 0 || e.time >= end.time) {
+			end, thread = e, ti
 		}
 	}
-	return mergeRuns(flat, append(bounds, len(flat)), compareCompletions)
+	return end, thread, thread >= 0
 }
 
 // fragmentEnds lays the end times of every task's closed fragments out
@@ -168,7 +198,8 @@ func (tc *threadCollector) segmentAt(t int64) (fi int, start int64, ok bool) {
 //     creating thread at creation end; the begin-to-createEnd gap is
 //     SpawnWait.
 //   - At a resumed fragment's begin, a join edge jumps to the child
-//     task (the latest task completion inside the suspension window);
+//     task (the latest task completion inside the suspension window,
+//     found by searching each thread's own task ends);
 //     the resume-to-completion gap is JoinWait. Without a candidate the
 //     walk continues backward on the same thread.
 //   - Inside implicit-task filler, a matched barrier instance whose
@@ -252,22 +283,13 @@ func buildCriticalPath(a *Analysis, tcs []*threadCollector, tasks []taskInfo, pt
 			}
 			continue
 		}
-		// Resumed fragment: join edge to the latest completion in the
-		// suspension window, which opened at the task's previous
-		// fragment end. Without a candidate the walk continues backward
-		// on this thread.
-		suspStart := int64(-1)
-		mine := pt.fragEnds[pt.fragOffsets[f.slot]:pt.fragOffsets[f.slot+1]]
-		if i := sort.Search(len(mine), func(i int) bool { return mine[i] > start }); i > 0 {
-			suspStart = mine[i-1]
-		}
-		ends := pt.ends
-		for i := sort.Search(len(ends), func(i int) bool { return ends[i].time > t }) - 1; i >= 0 && ends[i].time >= suspStart; i-- {
-			if c := ends[i]; c.task != f.task {
-				cp.JoinWait += back(c.time)
-				w = int(c.thread)
-				break
-			}
+		// Resumed fragment: join edge to the latest end of another task
+		// in the suspension window, which opened at the task's previous
+		// fragment end; each thread's ends are searched for it. Without
+		// a candidate the walk continues backward on this thread.
+		if end, thread, ok := joinEdge(tcs, pt.suspendedAt(f.slot, start), t, f.task); ok {
+			cp.JoinWait += back(end.time)
+			w = thread
 		}
 	}
 

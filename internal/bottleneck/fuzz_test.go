@@ -1,8 +1,11 @@
 package bottleneck
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/region"
@@ -88,13 +91,17 @@ func encodeFuzzTrace(tr *trace.Trace) []byte {
 // FuzzAnalyze feeds the analysis arbitrary per-thread event streams: it
 // must not panic, every thread's wait buckets must be non-negative and
 // hold exactly its dispatch gaps and idle spans, the critical path must
-// partition, and one worker must find what three find, whole and
-// windowed.
+// partition, one worker must find what three find, whole and windowed,
+// and the join search must find what the merged list of every task end
+// finds.
 func FuzzAnalyze(f *testing.F) {
 	f.Add(encodeFuzzTrace(lateSpawnTrace()))
 	f.Add(encodeFuzzTrace(starvedThiefTrace()))
 	f.Add(encodeFuzzTrace(skewedBarrierTrace()))
 	f.Add(encodeFuzzTrace(producerConsumerTrace(40, 2, 0)))
+	f.Add(encodeFuzzTrace(equalTimeEndsTrace()))
+	f.Add(encodeFuzzTrace(strayEndTieTrace()))
+	f.Add(encodeFuzzTrace(backwardsEndsTrace()))
 	rng := rand.New(rand.NewSource(1))
 	for _, cfg := range []genConfig{
 		{Threads: 3, Roots: 4, Phases: 2, MaxDepth: 2, Grid: 1},
@@ -109,4 +116,44 @@ func FuzzAnalyze(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkInvariants(t, decodeFuzzTrace(data), false)
 	})
+}
+
+// TestJoinSeeds analyses FuzzAnalyze's three join seeds as the fuzzer
+// reads them: equal-time ends on two threads, a stray end tied with a
+// fragment end, and a thread whose ends do not ascend, which must take
+// the sort fallback. Each Analysis must be the one written to
+// testdata/join-seeds.golden by the analysis that still searched one
+// merged list of every task end.
+func TestJoinSeeds(t *testing.T) {
+	golden, err := os.ReadFile("testdata/join-seeds.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Split(bytes.TrimSuffix(golden, []byte("\n")), []byte("\n"))
+	names, traces := joinSeeds()
+	if len(want) != len(traces) {
+		t.Fatalf("%d golden analyses for %d seeds", len(want), len(traces))
+	}
+	for i, tr := range traces {
+		t.Run(names[i], func(t *testing.T) {
+			if bad := joinMismatches(tr, trace.Query{}, 1); len(bad) > 0 {
+				t.Errorf("join search differs from the merged list: %v", bad)
+			}
+			before := sortFallbacks.Load()
+			a := Analyze(tr)
+			if sorted := sortFallbacks.Load() > before; sorted != (names[i] == "backwards-ends") {
+				t.Errorf("sort fallback taken: %v", sorted)
+			}
+			if a.CriticalPath.JoinWait == 0 {
+				t.Error("the walk took no join edge")
+			}
+			got, err := json.Marshal(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[i]) {
+				t.Errorf("Analysis\n got %s\nwant %s", got, want[i])
+			}
+		})
+	}
 }

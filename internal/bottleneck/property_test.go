@@ -15,8 +15,10 @@ import (
 // checkInvariants analyzes tr and reports what breaks: the critical
 // path must partition into its buckets, every thread's wait buckets
 // must be non-negative and add up to the dispatch gaps and idle spans
-// collected for it, and the analysis must not depend on the worker
-// count — whole, over its middle half or over its last 2 %. The waits
+// collected for it, the analysis must not depend on the worker count —
+// whole, over its middle half or over its last 2 % — and neither must
+// the join search find other edges than the merged list of every task
+// end. The waits
 // of a well-formed trace, whole and windowed, must be those the
 // reference classification finds.
 func checkInvariants(t *testing.T, tr *trace.Trace, wellFormed bool) bool {
@@ -78,7 +80,11 @@ func checkInvariants(t *testing.T, tr *trace.Trace, wellFormed bool) bool {
 	// lie below those it creates: the task table's side table.
 	mid := trace.Query{MinTime: a.StartTime + a.WallTime/4, MaxTime: a.EndTime - a.WallTime/4, Windowed: true}
 	tail := trace.Query{MinTime: a.EndTime - a.WallTime/50, MaxTime: a.EndTime, Windowed: true}
-	for _, q := range []trace.Query{{}, mid, tail} {
+	for i, q := range []trace.Query{{}, mid, tail} {
+		if bad := joinMismatches(tr, q, int64(i)); len(bad) > 0 {
+			t.Errorf("query %+v: join search differs from the merged list: %v", q, bad)
+			ok = false
+		}
 		want := a
 		if q.Windowed {
 			want = AnalyzeQuery(tr, q, 1)

@@ -13,8 +13,10 @@ import (
 // read theirs through it, so the rule "use the events once they are
 // materialised, else scan the archive", the warning a cut file gives and
 // the caching of the whole-recording analyses are each stated once. The
-// zero value has recorded nothing and every result of it is nil. Its
-// owner's lock guards it.
+// zero value has recorded nothing and every result of it is nil. A lock
+// of its owner's guards it: the Results' own, or, for each trace file of
+// an experiment, one per file (lockedSource), so that a fleet's shards
+// are read side by side.
 type traceSource struct {
 	mem  *otf2.Memory     // a session's own archive, or
 	path string           // a trace file
