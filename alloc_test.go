@@ -593,8 +593,8 @@ func TestStreamingSessionFootprint(t *testing.T) {
 	now, events := int64(0), 0
 	for sent := 0; sent < long; sent += 17 * len(batch) { // 17 bytes an event, see below
 		for i := range batch {
-			now += 1 << 40 // six bytes of time, nine of task id: fewer events to the megabyte
-			batch[i] = trace.Event{Time: now, Type: trace.EvTaskBegin + trace.EventType(i&1), Region: task, TaskID: 1<<62 + uint64(events/2)}
+			now += 1 << 40 // six bytes of time, ten of task id delta: fewer events to the megabyte
+			batch[i] = trace.Event{Time: now, Type: trace.EvTaskBegin + trace.EventType(i&1), Region: task, TaskID: uint64(events+1) * 0x9e3779b97f4a7c15}
 			events++
 		}
 		if err := cl.WriteEvents(0, batch); err != nil {

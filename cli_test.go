@@ -228,8 +228,8 @@ func TestCommandLineTools(t *testing.T) {
 		t.Errorf("convert from experiment failed:\n%s", out)
 	}
 
-	// Format v2 seekable-archive flows: a v1 archive (the committed
-	// fixture) reads, converts and upgrades like its v2 twin; compression,
+	// Seekable-archive flows: a v1 archive (the committed fixture) reads,
+	// converts and upgrades like its v2 twin; compression,
 	// windowed/thread-subset queries and the enriched -stats report.
 	fixture := func(name string) string { return filepath.Join("internal", "otf2", "testdata", name) }
 	v1Path, upPath, v1JSONL := fixture("v1.otf2"), filepath.Join(dir, "fx-up.otf2"), filepath.Join(dir, "fx-v1.jsonl")
@@ -252,15 +252,15 @@ func TestCommandLineTools(t *testing.T) {
 
 	// -stats reports the archive layout: version, index, chunk counts.
 	out = run("scorep-convert", "-in", archivePath, "-stats")
-	if !strings.Contains(out, "version=2") || !strings.Contains(out, "indexed=true") ||
+	if !strings.Contains(out, "version=3") || !strings.Contains(out, "indexed=true") ||
 		!strings.Contains(out, "thread-chunks=") {
-		t.Errorf("-stats missing v2 layout fields:\n%s", out)
+		t.Errorf("-stats missing v3 layout fields:\n%s", out)
 	}
 	out = run("scorep-convert", "-in", v1Path, "-stats")
 	if !strings.Contains(out, "version=1") || !strings.Contains(out, "indexed=false") {
 		t.Errorf("-stats mislabels a v1 archive:\n%s", out)
 	}
-	if out = run("scorep-convert", "-in", upPath, "-stats"); !strings.Contains(out, "version=2") || !strings.Contains(out, "indexed=true") {
+	if out = run("scorep-convert", "-in", upPath, "-stats"); !strings.Contains(out, "version=3") || !strings.Contains(out, "indexed=true") {
 		t.Errorf("-stats of the upgraded v1 archive:\n%s", out)
 	}
 

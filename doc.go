@@ -328,18 +328,18 @@
 // into a block of WithFlightChunkEvents(n) events (default: the
 // streaming chunk size, 4096); when the block is full the thread
 // encodes it, once, into one chunk of the archive format — the encoding
-// and the definition table every archive writer uses, about 6 bytes an
+// and the definition table every archive writer uses, about 4 bytes an
 // event, no pointers — and puts the chunk into its ring of ringChunks
 // chunks (<= 0 picks DefaultFlightRingChunks). Once the ring is full
 // each new chunk evicts the oldest whole, into whose buffer it is
 // encoded, and the evicted chunk's event count is added to the
 // thread's dropped-events and dropped-chunks counters. What the rings
 // hold is therefore encoded chunks, not events: memory is about
-// threads x (ringChunks x chunkEvents x ~6 B + one staging block of
+// threads x (ringChunks x chunkEvents x ~5 B + one staging block of
 // chunkEvents x 32 B), whatever the run length, where a ring of events
 // took 32 B for each. Ring depth means what it always meant — the
 // default keeps the same ringChunks x chunkEvents events of history per
-// thread as before, in about a fifth of the memory — and steady-state
+// thread as before, in about a sixth of the memory — and steady-state
 // recording allocates nothing (the flight/record bench and the alloc
 // gate in CI hold it there). Nothing is ever dropped silently: every
 // evicted event is counted, the counts travel inside every dump, and
@@ -348,7 +348,7 @@
 // A dump — Session.DumpFlightRecorder(dir), or any trigger below —
 // takes every thread's window, concurrently with recording (the
 // session is never paused), and writes an ordinary experiment
-// directory: trace.otf2, a valid SPOTF2 v2 archive holding the
+// directory: trace.otf2, a valid SPOTF2 v3 archive holding the
 // window's events, definitions and footer index, plus meta.json with
 // the session configuration and the eviction accounting (meta's
 // "flightRecorder" object: ringChunks, chunkEvents, retainedEvents,
@@ -519,18 +519,28 @@
 //   - JSONL: one JSON object per event ("{"t":0,"ts":123,"ev":"ENTER",
 //     "r":"fib.task",...}"), human-greppable, ~100 bytes/event
 //     (WriteTraceJSONL/ReadTraceJSONL).
-//   - Binary archive: an OTF2-style chunked binary format, ~5-6
+//   - Binary archive: an OTF2-style chunked binary format, ~3.7
 //     bytes/event (WriteTraceArchive/ReadTraceArchive). The archive is
 //     a "SPOTF2\x00" + version header followed by self-describing
 //     chunks (one byte kind, uvarint length, payload). Definition
 //     chunks intern strings and regions and declare clock properties;
-//     event chunks carry per-thread runs of records encoded as a type
-//     byte, a zig-zag varint delta to the thread's previous timestamp,
-//     a region reference and a task ID, all LEB128 varints. The full
-//     byte-level specification lives in the internal/otf2 package
-//     comment; the format is reimplementable from those docs alone.
+//     event chunks carry per-thread runs of records. A record is one
+//     head byte — the event type in its low nibble, a bit saying a task
+//     ID follows, and in its top three bits the region reference when
+//     it is 0..6 (7 escapes to a uvarint after the head) — then a
+//     zig-zag varint delta to the thread's previous timestamp, then, if
+//     the bit is set, the task ID as a zig-zag varint delta to the last
+//     task ID written in the same chunk. A task-parallel recording has
+//     a handful of regions and many events without a task, so most
+//     records are three or four bytes, and every chunk still decodes on
+//     its own. The full byte-level specification lives in the
+//     internal/otf2 package comment; the format is reimplementable from
+//     those docs alone.
 //
-// Archives are written in format version 2: the Writer
+// Archives are written in format version 3, which is version 2 with
+// the record above; versions 1 and 2 wrote every record as a type byte
+// and three varints (time delta, region reference, task ID), ~6
+// bytes/event, and stay readable. Since version 2 the Writer
 // additionally tracks each event chunk's byte offset, event count and
 // inclusive timestamp bounds, and Close appends a footer index chunk
 // ('I') plus a fixed 14-byte trailer ('T' frame, little-endian index
@@ -544,14 +554,15 @@
 // in the salvageable prefix. Its payload is uvarint(ringChunks)
 // uvarint(chunkEvents) uvarint(retainedEvents) uvarint(nthreads),
 // followed per thread (ascending thread ID) by varint(tid)
-// uvarint(droppedEvents) uvarint(droppedChunks). 'F' is v2-only and is
-// skipped like any other unknown chunk kind by readers that predate it.
-// Version 1 archives are read, not written: they stay fully readable
-// (their reads are planned from the chunk framing), and converting one
-// (scorep-convert -in old.otf2 -out new.otf2) writes version 2. The
+// uvarint(droppedEvents) uvarint(droppedChunks). 'F' came with
+// version 2 and is skipped like any other unknown chunk kind by readers
+// that predate it. Version 1 and 2 archives are read, not written: they
+// stay fully readable (a v1 archive's reads are planned from the chunk
+// framing), and converting one (scorep-convert -in old.otf2 -out
+// new.otf2) writes version 3 and analyses byte for byte the same. The
 // writer's v1 downgrade, TraceArchiveFormatVersion and scorep-convert
-// -format-version are removed; internal/otf2/testdata keeps a v1 archive
-// the removed writer made, which the tests read.
+// -format-version are removed; internal/otf2/testdata keeps v1 and v2
+// archives the removed writers made, which the tests read.
 //
 // The index exists for time-window queries: a TraceQuery (a time window
 // [MinTime, MaxTime] and/or a thread-ID subset) handed to

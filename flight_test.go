@@ -307,7 +307,7 @@ func TestSessionFlightArchiveDiskFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw := faultinject.NewWriter(f, faultinject.CapacityBytes(512))
+	fw := faultinject.NewWriter(f, faultinject.CapacityBytes(256))
 	werr := s.WriteFlightRecorderArchive(fw)
 	f.Close()
 	if werr == nil {

@@ -2,9 +2,11 @@ package otf2
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"repro/internal/region"
@@ -66,22 +68,96 @@ func BenchmarkEncode(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 }
 
-// BenchmarkDecode measures the binary codec's read path in isolation.
-func BenchmarkDecode(b *testing.B) {
-	tr := benchTrace(4, 2000)
-	events := tr.NumEvents()
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		b.Fatal(err)
+// decodeShape is a chunk of event records with the field widths of one
+// workload: its events, the regions they refer to, and how long a
+// thread's clock steps between two of them.
+type decodeShape struct {
+	name    string
+	regions int
+	step    func(rng *rand.Rand) int64
+	noTask  float64 // the share of events without a task
+}
+
+// decodeShapes are fib-fine's records (two-byte time deltas, four
+// regions, a third of the events without a task) and archive-query's
+// (one- to three-byte deltas, 13 regions, 58 % without a task).
+var decodeShapes = []decodeShape{
+	{"fib", 4, func(rng *rand.Rand) int64 { return 64 + rng.Int63n(4000) }, 0.33},
+	{"archive-query", 13, func(rng *rand.Rand) int64 {
+		switch rng.Intn(3) {
+		case 0:
+			return rng.Int63n(60)
+		case 1:
+			return 64 + rng.Int63n(8000)
+		}
+		return 8192 + rng.Int63n(1<<20)
+	}, 0.58},
+}
+
+// chunkOf encodes the shape's events as one v3 event payload of about
+// DefaultChunkBytes, thread/count head included, and returns it with its
+// v2 form and the region table both decode against.
+func (s decodeShape) chunkOf(tb testing.TB) (v3, v2 []byte, regions []*region.Region, events int) {
+	rng := rand.New(rand.NewSource(1))
+	reg := region.NewRegistry()
+	var defs defTable
+	defs.init(DefaultChunkBytes, func(err error) { tb.Fatal(err) })
+	for i := 0; i < s.regions; i++ {
+		r := reg.Register(fmt.Sprintf("%s.%d", s.name, i), "bench.go", i, region.Type(i%int(maxRegionType+1)))
+		defs.region(r)
+		regions = append(regions, r)
 	}
-	data := buf.Bytes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := loadSequential(bytes.NewReader(data), region.NewRegistry()); err != nil {
-			b.Fatal(err)
+	var evs []trace.Event
+	now, task := int64(0), uint64(0)
+	for i := 0; i < 8000; i++ {
+		now += s.step(rng)
+		ev := trace.Event{Time: now, Type: trace.EventType(rng.Intn(int(maxEventType) + 1)), Region: regions[rng.Intn(len(regions))]}
+		if rng.Float64() >= s.noTask {
+			if rng.Intn(2) == 0 {
+				task++
+			}
+			ev.TaskID = task - uint64(rng.Intn(4))%max(task, 1)
+		}
+		evs = append(evs, ev)
+	}
+	var enc chunkEncoder
+	enc.begin(nil)
+	events = enc.encode(&defs, evs, DefaultChunkBytes)
+	head := binary.AppendUvarint(binary.AppendVarint(nil, 0), uint64(events))
+	v3 = append(head, enc.buf...)
+	return v3, v2Records(tb, v3), regions, events
+}
+
+// BenchmarkDecode measures the record loops alone: one chunk of each
+// decodeShape decoded in place, v2 records by decodeEvents and v3 ones by
+// decodeEventsV3, with no I/O, planning or allocation around them.
+func BenchmarkDecode(b *testing.B) {
+	for _, s := range decodeShapes {
+		v3, v2, regions, events := s.chunkOf(b)
+		for _, rec := range []struct {
+			name    string
+			payload []byte
+			decode  func(*cursor, []*region.Region, int64, []trace.Event) (int64, error)
+		}{{"v2", v2, decodeEvents}, {"v3", v3, decodeEventsV3}} {
+			b.Run(s.name+"/"+rec.name, func(b *testing.B) {
+				dst := make([]trace.Event, events)
+				for i := 0; i < b.N; i++ {
+					c := cursor{payload: rec.payload}
+					if _, err := c.varint("thread"); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := c.uvarint("count"); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := rec.decode(&c, regions, 0, dst); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(rec.payload))/float64(events), "bytes/event")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+			})
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 }
 
 // BenchmarkStreamAnalyze measures the out-of-core analysis over an

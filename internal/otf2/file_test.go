@@ -207,9 +207,9 @@ func TestIntactPrefixSize(t *testing.T) {
 	// the prefix the walk finds is the one a load salvages (LoadFile's
 	// load and salvage, on the bytes), and it reads cleanly to the same.
 	task := reg.Register("wide.task", "file_test.go", 2, region.Task)
-	wide := make([]trace.Event, 1200) // 17 bytes an event
+	wide := make([]trace.Event, 1200) // 18 bytes an event: task IDs far apart
 	for i := range wide {
-		wide[i] = trace.Event{Time: int64(i+1) << 40, Type: trace.EvTaskBegin + trace.EventType(i&1), Region: task, TaskID: 1<<62 + uint64(i/2)}
+		wide[i] = trace.Event{Time: int64(i+1) << 40, Type: trace.EvTaskBegin + trace.EventType(i&1), Region: task, TaskID: uint64(i+1) * 0x9e3779b97f4a7c15}
 	}
 	write := func(opts ...WriterOption) []byte {
 		var buf bytes.Buffer

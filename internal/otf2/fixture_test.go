@@ -2,6 +2,7 @@ package otf2
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -20,20 +21,27 @@ import (
 )
 
 // The committed fixtures under testdata/ are one small recording in every
-// form the readers accept: v1.otf2 (written by the format-1 writer before
-// it was removed, so no code here can make it again), v2.otf2,
-// v2-flate.otf2, flight.otf2 (a flight-recorder dump: an 'F' chunk, and
-// windows that start mid-stream) and v2-cut.otf2 (v2.otf2 cut in the
-// middle of a chunk). recording.jsonl is the recording itself, what v1,
-// v2 and v2-flate decode to; events.golden holds each fixture's event
-// count, and <fixture>.json what `scorep-analyze -trace <fixture>
-// -bottlenecks -json` prints for it. A change that cannot read an old
-// file, or reads it differently, fails here.
+// form the readers accept. The writer writes v3.otf2, v3-flate.otf2,
+// v3-flight.otf2 (a flight-recorder dump: an 'F' chunk, and windows that
+// start mid-stream) and v3-cut.otf2 (the recording written in v2.otf2's
+// chunks, cut in the middle of its last chunk, so that it salvages what
+// v2-cut.otf2 does). The format-2 writer wrote v2.otf2,
+// v2-flate.otf2, flight.otf2 and v2-cut.otf2 the same way, and the
+// format-1 writer v1.otf2; both writers are gone, so no code here can
+// make those files again. recording.jsonl is the recording itself, what
+// v1, v2, v2-flate, v3 and v3-flate decode to; events.golden holds each
+// fixture's event count, and <fixture>.json what `scorep-analyze -trace
+// <fixture> -bottlenecks -json` prints for it — the same for a v3
+// fixture as for its v2 twin. A change that cannot read an old file, or
+// reads it differently, fails here.
 
-var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata's v2, v2-flate, flight and v2-cut archives, recording.jsonl and every golden from the recording (v1.otf2 is never rewritten)")
+var updateFixtures = flag.Bool("update-fixtures", false, "rewrite testdata's v3, v3-flate, v3-flight and v3-cut archives, recording.jsonl and every golden from the recording (the v1 and v2 fixtures are never rewritten)")
 
 // fixtureNames are the fixtures, without the .otf2 extension.
-var fixtureNames = []string{"v1", "v2", "v2-flate", "flight", "v2-cut"}
+var fixtureNames = []string{"v1", "v2", "v2-flate", "flight", "v2-cut", "v3", "v3-flate", "v3-flight", "v3-cut"}
+
+// v2Twins maps each v3 fixture to the v2 fixture of the same recording.
+var v2Twins = map[string]string{"v3": "v2", "v3-flate": "v2-flate", "v3-flight": "flight", "v3-cut": "v2-cut"}
 
 func fixturePath(name string) string { return filepath.Join("testdata", name+Ext) }
 
@@ -101,8 +109,8 @@ func fixtureRecording(reg *region.Registry) *trace.Trace {
 	return tr
 }
 
-// fixtureArchives writes the recording as every fixture but v1: what
-// the committed files must be, byte for byte.
+// fixtureArchives writes the recording as every v3 fixture: what the
+// committed files must be, byte for byte.
 func fixtureArchives(t testing.TB) map[string][]byte {
 	t.Helper()
 	reg := region.NewRegistry()
@@ -114,9 +122,32 @@ func fixtureArchives(t testing.TB) map[string][]byte {
 		}
 		return buf.Bytes()
 	}
-	v2 := write()
+
+	// A cut archive salvages its whole chunks, so v3-cut, to salvage what
+	// v2-cut does, is cut from the recording written in v2.otf2's chunks:
+	// thread by thread, each chunk's events sealed by a Flush.
+	v2, err := os.ReadFile(fixturePath("v2"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ix, err := ReadIndex(bytes.NewReader(v2))
 	if err != nil {
+		t.Fatal(err)
+	}
+	var base bytes.Buffer
+	w := NewWriter(&base, WithChunkBytes(1<<20))
+	for _, tc := range ix.Threads {
+		evs := tr.Threads[tc.Thread]
+		for _, cr := range tc.Chunks {
+			w.WriteEvents(tc.Thread, evs[:cr.Events]) //nolint:errcheck // latched: Close returns it
+			w.Flush()                                 //nolint:errcheck
+			evs = evs[cr.Events:]
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ix, err = ReadIndex(bytes.NewReader(base.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	last := ix.Threads[len(ix.Threads)-1].Chunks
@@ -152,24 +183,142 @@ func fixtureArchives(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	return map[string][]byte{
-		"v2":       v2,
-		"v2-flate": write(WithCompression(CompressionFlate)),
-		"flight":   dump.Bytes(),
-		"v2-cut":   v2[:cut],
+		"v3":        write(),
+		"v3-flate":  write(WithCompression(CompressionFlate)),
+		"v3-flight": dump.Bytes(),
+		"v3-cut":    base.Bytes()[:cut],
 	}
 }
 
-// v1Of is a v2 archive as the format-1 writer wrote it: the header with
-// version byte 1, then the v2 archive's chunks up to its footer index.
-// Format 2 left the chunks of format 1 as they were, so this is how tests
-// make v1 inputs; TestV1OfIsTheV1Fixture holds it to the writer's own.
-func v1Of(t testing.TB, v2 []byte) []byte {
+// v1Of is an archive as the format-1 writer wrote it: the header with
+// version byte 1, then the chunks of the archive's v2 form (v2Of, for a
+// v3 archive) up to its footer index. Format 2 left the chunks of format
+// 1 as they were, so this is how tests make v1 inputs;
+// TestV1OfIsTheV1Fixture holds it to the writer's own.
+func v1Of(t testing.TB, archive []byte) []byte {
 	t.Helper()
-	ix, err := ReadIndex(bytes.NewReader(v2))
+	if archive[len(magic)] == version3 {
+		archive = v2Of(t, archive)
+	}
+	ix, err := ReadIndex(bytes.NewReader(archive))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append([]byte(magic+"\x01"), v2[headerLen:ix.end]...)
+	return append([]byte(magic+"\x01"), archive[headerLen:ix.end]...)
+}
+
+// v2Of is a v3 archive as the format-2 writer wrote it, chunk for chunk:
+// every event chunk's records in the v2 layout — compressed if the
+// archive's event chunks were and that shrinks them, as the writer did —
+// and the footer index with the chunks' new offsets. Format 3 changed
+// nothing else, so this is how tests make v2 inputs;
+// TestV2OfIsTheFlightFixture holds it to the v2 writer's own.
+func v2Of(t testing.TB, v3 []byte) []byte {
+	t.Helper()
+	ix, err := ReadIndex(bytes.NewReader(v3))
+	if err != nil || ix.version != version3 {
+		t.Fatalf("v2Of wants an indexed v3 archive (err %v)", err)
+	}
+	compressed := false
+	walk(bytes.NewReader(v3), int64(headerLen), ix.end, func(f frame) error { //nolint:errcheck // the walk below reports
+		compressed = compressed || f.kind == chunkCompressed
+		return nil
+	})
+	w := &Writer{chunkMeta: make(map[int][]ChunkRef)} // for its index encoder
+	moved := make(map[int64]int64)
+	out := []byte(magic + "\x02")
+	chunk := func(kind byte, payload []byte) {
+		out = append(out, kind)
+		out = binary.AppendUvarint(out, uint64(len(payload)))
+		out = append(out, payload...)
+	}
+	_, err = walk(bytes.NewReader(v3), int64(headerLen), ix.end, func(f frame) error {
+		payload := v3[f.body : f.body+int64(f.size)]
+		switch f.kind {
+		case chunkDefs:
+			w.defOffs = append(w.defOffs, int64(len(out)))
+		case chunkCompressed:
+			raw, err := inflateChunk(nil, payload)
+			if err != nil {
+				return err
+			}
+			payload = raw
+			fallthrough
+		case chunkEvents:
+			moved[f.off] = int64(len(out))
+			payload = v2Records(t, payload)
+			if compressed {
+				if c, ok := compressChunk(nil, payload); ok {
+					chunk(chunkCompressed, c)
+					return nil
+				}
+			}
+			chunk(chunkEvents, payload)
+			return nil
+		}
+		chunk(f.kind, payload)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range ix.Threads {
+		for _, cr := range tc.Chunks {
+			cr.Offset = moved[cr.Offset]
+			w.chunkMeta[tc.Thread] = append(w.chunkMeta[tc.Thread], cr)
+		}
+	}
+	idxOff := len(out)
+	chunk(chunkIndex, w.appendIndexLocked(nil))
+	chunk(chunkTrailer, append(binary.LittleEndian.AppendUint64(nil, uint64(idxOff)), trailerMagic...))
+	return out
+}
+
+// v2Records rewrites the v3 event payload p (thread, count, records) in
+// the v2 record layout.
+func v2Records(t testing.TB, p []byte) []byte {
+	t.Helper()
+	c := cursor{payload: p}
+	tid, err := c.varint("thread")
+	if err != nil {
+		t.Fatal(err)
+	}
+	count, err := c.uvarint("count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := binary.AppendUvarint(binary.AppendVarint(nil, tid), count)
+	var task uint64
+	for range count {
+		head := p[c.pos]
+		c.pos++
+		ref := uint64(head >> headRefShift)
+		if ref == headRefEscape {
+			x, err := c.uvarint("region ref")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref += x
+		}
+		delta, err := c.varint("time delta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := uint64(0)
+		if head&headTask != 0 {
+			d, err := c.varint("task id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			task += uint64(d)
+			id = task
+		}
+		out = append(out, head&headTypeMask)
+		out = binary.AppendVarint(out, delta)
+		out = binary.AppendUvarint(out, ref)
+		out = binary.AppendUvarint(out, id)
+	}
+	return out
 }
 
 // fixtureJSON is the envelope of `scorep-analyze -trace X -bottlenecks
@@ -186,7 +335,7 @@ func fixtureAnalysis(t *testing.T, name string, workers int) []byte {
 	t.Helper()
 	a, c := trace.NewAnalyzer(), bottleneck.NewCollector(workers)
 	_, warning, err := ScanFile(fixturePath(name), Query{}, workers, a, c)
-	if err != nil || (warning != "") != (name == "v2-cut") {
+	if err != nil || (warning != "") != strings.HasSuffix(name, "-cut") {
 		t.Fatalf("%s: scan: warning %q, err %v", name, warning, err)
 	}
 	b := c.Finish()
@@ -226,6 +375,19 @@ func TestV1OfIsTheV1Fixture(t *testing.T) {
 	}
 	if got := v1Of(t, readFixture(t, "v2")); !bytes.Equal(got, v1) {
 		t.Errorf("v1Of(v2.otf2) is %d bytes, v1.otf2 %d, and they differ", len(got), len(v1))
+	}
+}
+
+// TestV2OfIsTheFlightFixture holds the tests' v2 helper to the v2
+// writer: a flight dump seals its chunks by event count, not by bytes, so
+// v2Of(v3-flight.otf2) is flight.otf2.
+func TestV2OfIsTheFlightFixture(t *testing.T) {
+	v3 := readFixture(t, "v3-flight")
+	if v3[len(magic)] != version3 {
+		t.Fatalf("v3-flight.otf2 has version byte %d", v3[len(magic)])
+	}
+	if got, want := v2Of(t, v3), readFixture(t, "flight"); !bytes.Equal(got, want) {
+		t.Errorf("v2Of(v3-flight.otf2) is %d bytes, flight.otf2 %d, and they differ", len(got), len(want))
 	}
 }
 
@@ -272,7 +434,14 @@ func TestFixtureGoldens(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			golden(name+".json", fixtureAnalysis(t, name, workers))
 		}
-		if name == "v1" || name == "v2" || name == "v2-flate" {
+		if twin, ok := v2Twins[name]; ok {
+			want, err := os.ReadFile(filepath.Join("testdata", twin+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden(name+".json", want)
+		}
+		if name == "v1" || name == "v2" || name == "v2-flate" || name == "v3" || name == "v3-flate" {
 			tr, _, _, err := LoadFile(fixturePath(name), region.NewRegistry(), Query{}, 2)
 			if err != nil {
 				t.Fatal(err)

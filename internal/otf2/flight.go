@@ -201,7 +201,7 @@ func (f *Flight) WriteEvents(thread int, events []trace.Event) error {
 	r := f.ring(thread)
 	c := flightChunk{thread: thread}
 	if len(r.chunks) < f.ringChunks {
-		c.payload = make([]byte, 0, 8*f.chunkEvents)
+		c.payload = make([]byte, 0, 5*f.chunkEvents) // records take ~4 bytes; encode grows it if not
 	} else {
 		c = r.chunks[0]
 		r.chunks = append(r.chunks[:0], r.chunks[1:]...)
@@ -280,10 +280,11 @@ func (f *Flight) Dump(w io.Writer, opts ...WriterOption) (*FlightInfo, error) {
 		for i, c := range r.chunks {
 			at := len(buf)
 			if i == 0 {
-				delta, n := binary.Varint(c.payload[1:])
-				buf = append(buf, c.payload[0])
+				d := timeDeltaAt(c.payload)
+				delta, n := binary.Varint(c.payload[d:])
+				buf = append(buf, c.payload[:d]...)
 				buf = binary.AppendVarint(buf, c.ref.BaseTime+delta)
-				buf = append(buf, c.payload[1+n:]...)
+				buf = append(buf, c.payload[d+n:]...)
 				c.ref.BaseTime = 0
 			} else {
 				buf = append(buf, c.payload...)

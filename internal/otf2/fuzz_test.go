@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -77,6 +79,30 @@ func FuzzCodec(f *testing.F) {
 	for _, name := range fixtureNames {
 		f.Add(readFixture(f, name))
 	}
+	// v3 records: escaped region refs and task-ID deltas that wrap, in a
+	// valid archive and cut inside a record; a type nibble of 9 to 15; a
+	// task flag whose delta decodes to ID 0; a record whose payload ends
+	// inside the escape uvarint.
+	var edge bytes.Buffer
+	if err := Write(&edge, edgeTrace(rand.New(rand.NewSource(1)), region.NewRegistry(), 2, 40)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(edge.Bytes())
+	f.Add(edge.Bytes()[:lastEventChunkOffset(f, edge.Bytes())+6])
+	wrap := &trace.Trace{Threads: map[int][]trace.Event{0: nil}}
+	for i, id := range []uint64{1, math.MaxUint64, 1 << 63, 0, math.MaxUint64, 1} {
+		wrap.Threads[0] = append(wrap.Threads[0], trace.Event{Time: int64(i), Type: trace.EvTaskBegin, TaskID: id})
+	}
+	var wrapped bytes.Buffer
+	if err := Write(&wrapped, wrap); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wrapped.Bytes())
+	f.Add([]byte(magic + "\x03E\x04\x00\x01\x09\x00"))
+	f.Add([]byte(magic + "\x03E\x04\x00\x01\xff\x00"))
+	f.Add([]byte(magic + "\x03E\x05\x00\x01\x10\x00\x00"))
+	f.Add([]byte(magic + "\x03E\x08\x00\x02\x14\x00\x02\x10\x01\x01")) // task 1, then a delta of -1: ID 0
+	f.Add([]byte(magic + "\x03E\x04\x00\x01\xe0\x80"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, werr := loadSequential(bytes.NewReader(data), region.NewRegistry())

@@ -123,9 +123,12 @@ func loadArchives(t testing.TB, tasks int) map[string][]byte {
 		t.Fatal(err)
 	}
 	mid := ix.Threads[2].Chunks[len(ix.Threads[2].Chunks)/2].Offset
+	flate := write(tr, WithCompression(CompressionFlate))
 	return map[string][]byte{
-		"v2-raw":       raw,
-		"v2-flate":     write(tr, WithCompression(CompressionFlate)),
+		"v3-raw":       raw,
+		"v3-flate":     flate,
+		"v2-raw":       v2Of(t, raw),
+		"v2-flate":     v2Of(t, flate),
 		"v1":           v1Of(t, raw),
 		"cut":          raw[:mid+5],
 		"flight":       flight.Bytes(),
@@ -530,7 +533,7 @@ func FuzzDecodeIndex(f *testing.F) {
 // not back.
 func FuzzIndexedLoad(f *testing.F) {
 	archives := loadArchives(f, 60)
-	names := []string{"v2-raw", "v2-flate", "flight", "shard", "empty-chunks", "64-threads"}
+	names := []string{"v3-raw", "v3-flate", "flight", "shard", "empty-chunks", "64-threads", "v2-raw", "v2-flate"}
 	for i, name := range names {
 		data := archives[name]
 		ix, err := ReadIndex(bytes.NewReader(data))

@@ -9,7 +9,9 @@
 // than RAM. Format version 2 additionally makes archives seekable:
 // sealed event chunks may be block-compressed, and a footer index plus
 // fixed-size trailer let a reader open a time window or thread subset
-// in O(matching chunks) instead of O(archive).
+// in O(matching chunks) instead of O(archive). Format version 3 keeps
+// all of version 2 but the event record, which it packs into one head
+// byte and at most three varints: about 3.7 bytes an event.
 //
 // # Archive layout
 //
@@ -19,7 +21,7 @@
 // the zig-zag-encoded signed form binary.AppendVarint.
 //
 //	archive := header chunk*
-//	header  := "SPOTF2\x00" version        // 7 magic bytes + 1 version byte (1 or 2)
+//	header  := "SPOTF2\x00" version        // 7 magic bytes + 1 version byte (1, 2 or 3)
 //	chunk   := kind uvarint(len) payload   // kind is one byte; len = payload length in bytes
 //
 // Version 1 defines chunk kinds 'D' (definitions) and 'E' (events) and
@@ -28,12 +30,17 @@
 // readable (the reader reports the cut as ErrTruncated). Version 2
 // keeps 'D' and 'E' byte-identical and adds three chunk kinds:
 //
-//	kind 'D' — definitions                       (v1 and v2)
-//	kind 'E' — events, raw                       (v1 and v2)
-//	kind 'C' — events, compressed                (v2)
-//	kind 'I' — footer index                      (v2)
-//	kind 'T' — trailer locating the index        (v2)
-//	kind 'F' — flight-recorder accounting        (v2)
+//	kind 'D' — definitions                       (v1 on)
+//	kind 'E' — events, raw                       (v1 on)
+//	kind 'C' — events, compressed                (v2 on)
+//	kind 'I' — footer index                      (v2 on)
+//	kind 'T' — trailer locating the index        (v2 on)
+//	kind 'F' — flight-recorder accounting        (v2 on)
+//
+// Version 3 keeps every chunk kind of version 2 byte for byte but the
+// event record inside 'E' and 'C' payloads (see Events). The writer
+// writes version 3 only; readers take all three, and the header's
+// version byte picks the record loop once per archive.
 //
 // Readers skip chunks with unknown kinds so the format can grow; a v2
 // archive walked front to back therefore reads as a v1 one ('I' and 'T'
@@ -67,14 +74,33 @@
 // An event payload carries one run of events of a single thread:
 //
 //	events := varint(threadID) uvarint(count) event[count]
-//	event  := type varint(timeDelta) uvarint(regionRef) uvarint(taskID)
 //
-// type is one byte, the ordinal of trace.EventType. timeDelta is the
+// In version 3 an event record is a head byte, then the fields the
+// head says are there:
+//
+//	event := head [uvarint(regionRef-7)] varint(timeDelta) [varint(int64(taskID-prevTask))]
+//	head  := type | taskPresent<<4 | regionCode<<5
+//
+// type (bits 0-3) is the ordinal of trace.EventType, 0..8; the nibbles
+// 9-15 are corrupt. regionRef is 0 for events without a region,
+// otherwise regionID+1; regionCode (bits 5-7) holds it when it is 0..6,
+// and 7 escapes to the uvarint after the head. taskPresent (bit 4) says
+// the event has a task ID other than 0, written as its difference to
+// the last task ID written in the same chunk (prevTask, 0 at the
+// chunk's start, so every chunk decodes on its own), modulo 2^64. A
+// present task that decodes to ID 0 is corrupt: the encoding is
+// canonical, so what decodes re-encodes to the same record.
+//
+// Versions 1 and 2 write every field of every record:
+//
+//	event := type varint(timeDelta) uvarint(regionRef) uvarint(taskID)
+//
+// with type one whole byte. In every version timeDelta is the
 // difference to the previous event of the same thread (across chunks;
-// the first event of a thread is a delta against 0). regionRef is 0 for
-// events without a region, otherwise regionID+1. Chunks of different
-// threads appear in flush order and carry no cross-thread ordering, as
-// in any distributed trace; per-thread order is the record order.
+// the first event of a thread is a delta against 0). Chunks of
+// different threads appear in flush order and carry no cross-thread
+// ordering, as in any distributed trace; per-thread order is the record
+// order.
 //
 // # Compressed events (v2)
 //
@@ -189,10 +215,11 @@ const (
 	magic = "SPOTF2\x00"
 
 	// version1 is the original sequential format; version2 adds
-	// compressed chunks and the footer index. The writer emits version2;
-	// the reader accepts both.
+	// compressed chunks and the footer index; version3 packs the event
+	// record. The writer emits version3; the reader accepts all three.
 	version1 = 1
 	version2 = 2
+	version3 = 3
 
 	chunkDefs       = 'D'
 	chunkEvents     = 'E'
@@ -227,12 +254,22 @@ const (
 	maxRegions = 1 << 20
 
 	// maxEventType is the highest trace.EventType ordinal in format
-	// versions 1 and 2.
+	// versions 1 to 3.
 	maxEventType = uint8(trace.EvThreadEnd)
 
 	// maxRegionType is the highest region.Type ordinal in format
-	// versions 1 and 2.
+	// versions 1 to 3.
 	maxRegionType = uint64(region.Parameter)
+
+	// The v3 record head: the event type in the low nibble, the
+	// task-present flag, and the region code in the top three bits —
+	// regionRef itself up to headRefMax, headRefEscape when a uvarint
+	// of regionRef-headRefEscape follows the head.
+	headTypeMask  = 0x0f
+	headTask      = 0x10
+	headRefShift  = 5
+	headRefMax    = 6
+	headRefEscape = 7
 )
 
 // Ext is the file extension conventionally used for archives.
@@ -241,11 +278,11 @@ const Ext = ".otf2"
 // FormatVersion is the archive format version this package writes — the
 // header's version byte. Experiment metadata records it
 // so offline tooling can tell which reader an archive needs.
-const FormatVersion = version2
+const FormatVersion = version3
 
 // Compression selects the block compression applied to sealed event
-// chunks of a version-2 archive (the 'C' chunk kind). It trades write
-// CPU for archive size; reading decompresses transparently either way.
+// chunks (the 'C' chunk kind). It trades write CPU for archive size;
+// reading decompresses transparently either way.
 type Compression int
 
 const (
@@ -288,7 +325,7 @@ func ParseCompression(s string) (Compression, error) {
 var ErrTruncated = errors.New("otf2: archive truncated")
 
 // ErrNoIndex reports that an archive carries no readable footer index —
-// it is a v1 archive, a v2 archive cut off before Close, or its trailer
+// it is a v1 archive, a v2 or v3 archive cut off before Close, or its trailer
 // is damaged. Scan and Load still read it, planned from its framing.
 var ErrNoIndex = errors.New("otf2: archive has no index")
 

@@ -231,7 +231,7 @@ func TestReadAllSalvagesTruncatedPrefix(t *testing.T) {
 
 // lastEventChunkOffset returns the byte offset of the archive's last
 // event chunk, located via the footer index.
-func lastEventChunkOffset(t *testing.T, archive []byte) int64 {
+func lastEventChunkOffset(t testing.TB, archive []byte) int64 {
 	t.Helper()
 	ix, err := ReadIndex(bytes.NewReader(archive))
 	if err != nil {

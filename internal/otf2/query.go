@@ -119,6 +119,7 @@ type plan struct {
 	sel     []plannedChunk
 	tail    error // why recover stopped short of the end, if it did
 	hdr     [frameBytes]byte
+	rec     records // the archive's event record layout, by its version byte
 
 	// The largest stored and inflated payloads selected: a scan worker
 	// makes its two chunk buffers once, at these sizes.
@@ -152,6 +153,7 @@ func newPlan(r io.Reader, q Query, reg *region.Registry) (*plan, error) {
 	}
 	p.src = src
 	if ix, err := ReadIndex(src); err == nil {
+		p.rec = recordsOf(ix.version)
 		return p, p.fromIndex(ix, reg)
 	}
 	p.recover(size, reg)
@@ -245,9 +247,11 @@ func (p *plan) fromIndex(ix *Index, reg *region.Registry) error {
 // the error its scan returns unless a chunk before it fails first, so
 // the plan of a crashed run is its intact prefix.
 func (p *plan) recover(size int64, reg *region.Registry) {
-	if _, p.tail = readHeaderAt(p.src); p.tail != nil {
+	var version byte
+	if version, p.tail = readHeaderAt(p.src); p.tail != nil {
 		return
 	}
+	p.rec = recordsOf(version)
 	tables := newDefTables()
 	seqs := make(map[int]int)
 	var buf []byte
@@ -337,7 +341,7 @@ func (p *plan) readBody(h chunkHead, buf []byte) ([]byte, error) {
 }
 
 // admit makes f the framing of the selected chunk pc after holding pc's
-// event count against it: an event record takes minEventBytes at least.
+// event count against it: an event record takes rec.minBytes at least.
 func (p *plan) admit(pc *plannedChunk, f frame) error {
 	raw := uint64(f.size)
 	switch f.kind {
@@ -353,7 +357,7 @@ func (p *plan) admit(pc *plannedChunk, f frame) error {
 	default:
 		return corrupt("index lists event chunk at %d, found %q", f.off, f.kind)
 	}
-	if pc.ref.Events > raw/minEventBytes {
+	if pc.ref.Events > raw/p.rec.minBytes {
 		return corrupt("%d events cannot fit the %d-byte chunk at %d", pc.ref.Events, raw, f.off)
 	}
 	pc.chunkHead = f.chunkHead
@@ -559,7 +563,7 @@ func (p *plan) analyze(workers int, consume func(int, []trace.Event)) error {
 	}
 	return p.scan(workers, inflight, func(pc *plannedChunk, c cursor) (err error) {
 		pc.dst = newRunBuf(int(pc.ref.Events))
-		if pc.end, err = decodeEvents(&c, pc.regions, pc.ref.BaseTime, pc.dst); err != nil {
+		if pc.end, err = p.rec.decode(&c, pc.regions, pc.ref.BaseTime, pc.dst); err != nil {
 			putRunBuf(pc.dst)
 			return err
 		}
@@ -592,7 +596,7 @@ func (p *plan) load(workers int) (*trace.Trace, error) {
 		pc.dst = tr.Threads[pc.tid][lo:filled[pc.tid]]
 	}
 	err := p.scan(workers, nil, func(pc *plannedChunk, c cursor) (err error) {
-		pc.end, err = decodeEvents(&c, pc.regions, pc.ref.BaseTime, pc.dst)
+		pc.end, err = p.rec.decode(&c, pc.regions, pc.ref.BaseTime, pc.dst)
 		if p.indexed {
 			pc.dst = p.clip(pc, pc.dst)
 		}

@@ -65,13 +65,16 @@ func queryCases(tr *trace.Trace) []Query {
 // TestQueryMatchesFilterReference checks the defining property of every
 // query path: the result equals fully decoding, filtering with
 // Query.Filter, and then reading/analyzing — at worker counts 1 and 4,
-// on indexed (v2), compressed, and fallback (v1) archives.
+// on indexed (v3, v2), compressed, and fallback (v1) archives.
 func TestQueryMatchesFilterReference(t *testing.T) {
 	tr := benchTrace(3, 400)
+	v3, flate := queryArchive(t, tr), queryArchive(t, tr, WithCompression(CompressionFlate))
 	archives := map[string][]byte{
-		"v2":       queryArchive(t, tr),
-		"v2-flate": queryArchive(t, tr, WithCompression(CompressionFlate)),
-		"v1":       v1Of(t, queryArchive(t, tr)),
+		"v3":       v3,
+		"v3-flate": flate,
+		"v2":       v2Of(t, v3),
+		"v2-flate": v2Of(t, flate),
+		"v1":       v1Of(t, v3),
 	}
 	for name, archive := range archives {
 		full, err := loadSequential(bytes.NewReader(archive), region.NewRegistry())
@@ -208,22 +211,25 @@ func TestCompressedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVersionRoundTrip checks that a v1 archive converts to v2
-// byte-identically: decoding the v1 fixture and writing it again is the
-// v2 fixture, and the same holds for a larger trace through the tests'
-// v1 helper (the writer is deterministic).
+// TestVersionRoundTrip checks that v1 and v2 archives convert to v3
+// byte-identically: decoding the v1 or the v2 fixture and writing it
+// again is the v3 fixture, and the same holds for a larger trace through
+// the tests' v1 and v2 helpers (the writer is deterministic).
 func TestVersionRoundTrip(t *testing.T) {
-	v2 := queryArchive(t, benchTrace(2, 300))
+	v3 := queryArchive(t, benchTrace(2, 300))
 	for _, c := range []struct {
-		v1, v2 []byte
+		old, v3 []byte
+		version byte
 	}{
-		{readFixture(t, "v1"), readFixture(t, "v2")},
-		{v1Of(t, v2), v2},
+		{readFixture(t, "v1"), readFixture(t, "v3"), version1},
+		{readFixture(t, "v2"), readFixture(t, "v3"), version2},
+		{v1Of(t, v3), v3, version1},
+		{v2Of(t, v3), v3, version2},
 	} {
-		if c.v1[len(magic)] != version1 || c.v2[len(magic)] != version2 {
+		if c.old[len(magic)] != c.version || c.v3[len(magic)] != version3 {
 			t.Fatal("version bytes not as expected")
 		}
-		up, err := loadSequential(bytes.NewReader(c.v1), region.NewRegistry())
+		up, err := loadSequential(bytes.NewReader(c.old), region.NewRegistry())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,8 +237,8 @@ func TestVersionRoundTrip(t *testing.T) {
 		if err := Write(&upBuf, up, WithChunkBytes(1024)); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(upBuf.Bytes(), c.v2) {
-			t.Fatal("v1->v2 upgrade is not byte-identical to a direct v2 write")
+		if !bytes.Equal(upBuf.Bytes(), c.v3) {
+			t.Fatalf("v%d->v3 upgrade is not byte-identical to a direct v3 write", c.version)
 		}
 	}
 }

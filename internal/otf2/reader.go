@@ -135,15 +135,41 @@ func (t *defTables) decodeDefs(c *cursor, reg *region.Registry) error {
 	return nil
 }
 
+// records is the event record layout of a format version: which loop
+// decodes it, and the size of its smallest record.
+type records struct {
+	v3       bool
+	minBytes uint64
+}
+
+// recordsOf returns the record layout of format version v, which the
+// header's version byte gives: a plan picks its record loop once.
+func recordsOf(v byte) records {
+	if v == version3 {
+		return records{true, 2} // head byte, one-byte time delta
+	}
+	return records{false, 4} // type byte, three one-byte varints
+}
+
+// decode consumes len(dst) event records from c with the layout's loop.
+// The calls are direct, so c stays on the caller's stack.
+func (r records) decode(c *cursor, regions []*region.Region, last int64, dst []trace.Event) (int64, error) {
+	if r.v3 {
+		return decodeEventsV3(c, regions, last, dst)
+	}
+	return decodeEvents(c, regions, last, dst)
+}
+
 // eventFields names the three varints of an event record after its type
 // byte, for decodeEvents' error messages.
 var eventFields = [3]string{"varint in event time delta", "uvarint in event region ref", "uvarint in event task id"}
 
-// decodeEvents consumes len(dst) event records from c into dst,
+// decodeEvents consumes len(dst) v1/v2 event records from c into dst,
 // resolving region references in regions and running the thread's
 // timestamp on from last; it returns the final timestamp. Every reader
-// decodes through this one loop: the sequential Reader an event or a
-// chunk at a time, the planned loader a chunk straight into its place.
+// decodes v1 and v2 archives through this one loop (and v3 ones through
+// decodeEventsV3): the reference reader an event at a time, the planned
+// reads a chunk straight into its place.
 func decodeEvents(c *cursor, regions []*region.Region, last int64, dst []trace.Event) (int64, error) {
 	p, pos := c.payload, c.pos
 	for i := range dst {
@@ -193,10 +219,82 @@ func decodeEvents(c *cursor, regions []*region.Region, last int64, dst []trace.E
 	return last, nil
 }
 
-// minEventBytes is the smallest encoding of one event record (type byte
-// plus three one-byte varints); readers use it to clamp declared run
-// lengths against the actual payload size before pre-sizing buffers.
-const minEventBytes = 4
+// decodeEventsV3 is decodeEvents for v3 records. The task IDs of a
+// chunk's records are deltas against the last one written before them
+// in the chunk, so c must be at the chunk's first record.
+func decodeEventsV3(c *cursor, regions []*region.Region, last int64, dst []trace.Event) (int64, error) {
+	p, pos := c.payload, c.pos
+	var task uint64
+	for i := range dst {
+		if pos >= len(p) {
+			return last, corrupt("event chunk shorter than declared count")
+		}
+		head := p[pos]
+		pos++
+		typ := head & headTypeMask
+		if typ > maxEventType {
+			return last, corrupt("unknown event type %d", typ)
+		}
+		ev := &dst[i]
+		ev.Region = nil
+		if ref := uint64(head >> headRefShift); ref != 0 {
+			if ref == headRefEscape {
+				var x uint64
+				if pos < len(p) && p[pos] < 0x80 {
+					x, pos = uint64(p[pos]), pos+1
+				} else if x, pos = uvarintAt(p, pos); pos < 0 {
+					return last, corrupt("bad uvarint in event region ref")
+				}
+				ref += min(x, maxRegions) // no wrap: past maxRegions is undefined anyway
+			}
+			if ref > uint64(len(regions)) || regions[ref-1] == nil {
+				return last, corrupt("event references undefined region %d", ref-1)
+			}
+			ev.Region = regions[ref-1]
+		}
+		// The varints' one- and two-byte forms, most of them, decode in
+		// place: a call per field is much of a decode.
+		var u uint64
+		if pos < len(p) && p[pos] < 0x80 {
+			u, pos = uint64(p[pos]), pos+1
+		} else if pos+1 < len(p) && p[pos+1] < 0x80 {
+			u, pos = uint64(p[pos]&0x7f)|uint64(p[pos+1])<<7, pos+2
+		} else if u, pos = uvarintAt(p, pos); pos < 0 {
+			return last, corrupt("bad varint in event time delta")
+		}
+		last += int64(u>>1) ^ -int64(u&1) // zig-zag, as binary.Varint
+		ev.Time, ev.Type, ev.TaskID = last, trace.EventType(typ), 0
+		if head&headTask != 0 {
+			if pos < len(p) && p[pos] < 0x80 {
+				u, pos = uint64(p[pos]), pos+1
+			} else if pos+1 < len(p) && p[pos+1] < 0x80 {
+				u, pos = uint64(p[pos]&0x7f)|uint64(p[pos+1])<<7, pos+2
+			} else if u, pos = uvarintAt(p, pos); pos < 0 {
+				return last, corrupt("bad varint in event task id")
+			}
+			if task += uint64(int64(u>>1) ^ -int64(u&1)); task == 0 {
+				return last, corrupt("event with a task decodes to task id 0")
+			}
+			ev.TaskID = task
+		}
+	}
+	c.pos = pos
+	return last, nil
+}
+
+// uvarintAt decodes the uvarint at p[pos:] and returns it with the
+// position after it, or -1 for the position if the bytes are cut or
+// overflow 64 bits.
+func uvarintAt(p []byte, pos int) (uint64, int) {
+	if pos >= len(p) {
+		return 0, -1
+	}
+	v, n := binary.Uvarint(p[pos:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, pos + n
+}
 
 // cutOrIOErr classifies a read failure: a clean or short end of input
 // is genuine truncation (salvageable, wrapped in ErrTruncated); any

@@ -16,7 +16,9 @@ import (
 // held to: it walks the archive front to back through one buffered
 // stream, one chunk in memory, the definitions updated in place as they
 // come, each thread's clock run on from chunk to chunk — nothing shared
-// with the plan but the record decoders.
+// with the plan but the v1/v2 record decoder. It decodes v3 records with
+// its own loop (nextV3), field by field through encoding/binary, so the
+// planned reads' inline v3 loop is held to a second implementation.
 
 // reader iterates an archive event by event. It holds one chunk plus
 // the definition tables in memory, so arbitrarily large archives can be
@@ -24,9 +26,10 @@ import (
 // the registry passed to newReader, giving read events the same
 // pointer-identity semantics as live-recorded ones.
 type reader struct {
-	br     *bufio.Reader
-	reg    *region.Registry
-	tables *defTables
+	br      *bufio.Reader
+	reg     *region.Registry
+	tables  *defTables
+	version byte
 
 	// Current event chunk being drained. curLast caches the current
 	// thread's running timestamp so the decode hot loop touches no
@@ -36,6 +39,7 @@ type reader struct {
 	curThread int
 	remaining uint64
 	curLast   int64
+	curTask   uint64 // the last task ID a v3 record of the chunk gave
 	inEvents  bool
 
 	// rdbuf is the persistent framed-chunk read buffer; inflbuf is the
@@ -53,19 +57,21 @@ type reader struct {
 	flight *FlightInfo
 }
 
-// newReader opens an archive, validating the header. Both format
-// versions are accepted.
+// newReader opens an archive, validating the header. Every format
+// version is accepted.
 func newReader(r io.Reader, reg *region.Registry) (*reader, error) {
 	br := bufio.NewReader(r)
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, cutOrIOErr("reading header", err)
 	}
-	if _, err := readHeaderAt(bytes.NewReader(hdr[:])); err != nil {
+	version, err := readHeaderAt(bytes.NewReader(hdr[:]))
+	if err != nil {
 		return nil, err
 	}
 	return &reader{
 		br:       br,
+		version:  version,
 		reg:      reg,
 		tables:   newDefTables(),
 		lastTime: make(map[int]int64),
@@ -96,11 +102,65 @@ func (r *reader) Next() (int, trace.Event, error) {
 	}
 	var ev [1]trace.Event
 	var err error
-	if r.curLast, err = decodeEvents(&r.cur, r.tables.regions, r.curLast, ev[:]); err != nil {
+	if r.version == version3 {
+		ev[0], err = r.nextV3()
+	} else {
+		r.curLast, err = decodeEvents(&r.cur, r.tables.regions, r.curLast, ev[:])
+	}
+	if err != nil {
 		return 0, trace.Event{}, r.fail(err)
 	}
 	r.remaining--
 	return r.curThread, ev[0], nil
+}
+
+// nextV3 decodes the v3 record at the cursor.
+func (r *reader) nextV3() (trace.Event, error) {
+	c := &r.cur
+	if c.pos >= len(c.payload) {
+		return trace.Event{}, corrupt("event chunk shorter than declared count")
+	}
+	head := c.payload[c.pos]
+	c.pos++
+	ev := trace.Event{Type: trace.EventType(head & 0x0f)}
+	if ev.Type > trace.EvThreadEnd {
+		return ev, corrupt("unknown event type %d", ev.Type)
+	}
+	ref := uint64(head >> 5)
+	if ref == 7 {
+		x, err := c.uvarint("event region ref")
+		if err != nil {
+			return ev, err
+		}
+		if x > uint64(len(r.tables.regions)) {
+			return ev, corrupt("event references undefined region")
+		}
+		ref += x
+	}
+	if ref != 0 {
+		if ref > uint64(len(r.tables.regions)) || r.tables.regions[ref-1] == nil {
+			return ev, corrupt("event references undefined region %d", ref-1)
+		}
+		ev.Region = r.tables.regions[ref-1]
+	}
+	delta, err := c.varint("event time delta")
+	if err != nil {
+		return ev, err
+	}
+	r.curLast += delta
+	ev.Time = r.curLast
+	if head&0x10 != 0 {
+		d, err := c.varint("event task id")
+		if err != nil {
+			return ev, err
+		}
+		r.curTask += uint64(d)
+		if r.curTask == 0 {
+			return ev, corrupt("event with a task decodes to task id 0")
+		}
+		ev.TaskID = r.curTask
+	}
+	return ev, nil
 }
 
 // nextChunk reads chunks until an event chunk is current or the archive
@@ -166,6 +226,7 @@ func (r *reader) startEvents() error {
 	r.curThread = int(tid)
 	r.remaining = count
 	r.curLast = r.lastTime[r.curThread]
+	r.curTask = 0
 	r.inEvents = true
 	return nil
 }

@@ -200,17 +200,18 @@ func scanSources(t *testing.T, tr *trace.Trace) []scanSource {
 		}
 		return buf.Bytes()
 	}
-	v2 := write()
-	ix, err := ReadIndex(bytes.NewReader(v2))
+	v3 := write()
+	ix, err := ReadIndex(bytes.NewReader(v3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	chunks := ix.Threads[len(ix.Threads)-1].Chunks
 	kinds := []archiveKind{
-		{"v2", v2, false, true},
+		{"v3", v3, false, true},
 		{"flate", write(WithCompression(CompressionFlate)), false, true},
-		{"v1", v1Of(t, v2), false, false},
-		{"cut", v2[:chunks[len(chunks)/2].Offset+7], true, false},
+		{"v2", v2Of(t, v3), false, true},
+		{"v1", v1Of(t, v3), false, false},
+		{"cut", v3[:chunks[len(chunks)/2].Offset+7], true, false},
 	}
 	srcs := []scanSource{{
 		name: "trace", ref: tr,
@@ -244,7 +245,8 @@ type archiveKind struct {
 func fixtureSources(t *testing.T) []scanSource {
 	var kinds []archiveKind
 	for _, name := range fixtureNames {
-		kinds = append(kinds, archiveKind{"fixture-" + name, readFixture(t, name), name == "v2-cut", name != "v1" && name != "v2-cut"})
+		cut := strings.HasSuffix(name, "-cut")
+		kinds = append(kinds, archiveKind{"fixture-" + name, readFixture(t, name), cut, name != "v1" && !cut})
 	}
 	return archiveSources(t, t.TempDir(), kinds)
 }

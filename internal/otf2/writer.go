@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,8 +19,10 @@ import (
 
 // DefaultChunkBytes is the per-thread chunk buffer threshold used by
 // NewWriter. A thread's buffered events are framed and written out once
-// their encoding reaches this size.
-const DefaultChunkBytes = 32 * 1024
+// their encoding reaches this size: some 5.5 k events of a task-parallel
+// recording, the unit a window query decodes and a scan's workers share
+// out.
+const DefaultChunkBytes = 20 * 1024
 
 // IsArchivePath reports whether path names a binary archive by
 // extension (".otf2"); anything else is treated as JSONL by the tools.
@@ -46,7 +49,7 @@ func IsArchivePath(p string) bool {
 // Errors from the underlying io.Writer are latched: the first error is
 // returned by every subsequent call, including Close.
 //
-// The Writer emits format version 2: it tracks per-chunk time bounds and
+// The Writer emits format version 3: it tracks per-chunk time bounds and
 // byte offsets and appends the footer index and trailer on Close, so
 // readers can seek. WithCompression additionally DEFLATEs each sealed
 // chunk payload (outside all shared locks).
@@ -101,6 +104,7 @@ type chunkEncoder struct {
 	buf      []byte
 	count    uint64
 	lastTime int64
+	prevTask uint64 // the last task ID the open chunk wrote; 0 at its start
 
 	// Per-chunk index metadata: base is the thread's running timestamp
 	// before the open chunk's first event (the value the chunk's first
@@ -118,11 +122,11 @@ type chunkEncoder struct {
 	ref0, ref1 uint64
 }
 
-// begin opens a fresh chunk in buf: the next delta is relative to
-// lastTime, and the time bounds start at their sentinels (minT > maxT
-// means "no events yet").
+// begin opens a fresh chunk in buf: the next time delta is relative to
+// lastTime, the next task ID to 0, and the time bounds start at their
+// sentinels (minT > maxT means "no events yet").
 func (c *chunkEncoder) begin(buf []byte) {
-	c.buf, c.count = buf[:0], 0
+	c.buf, c.count, c.prevTask = buf[:0], 0, 0
 	c.base = c.lastTime
 	c.minT = int64(^uint64(0) >> 1) // math.MaxInt64
 	c.maxT = -c.minT - 1            // math.MinInt64
@@ -133,13 +137,14 @@ func (c *chunkEncoder) ref() ChunkRef {
 	return ChunkRef{Events: c.count, BaseTime: c.base, MinTime: c.minT, MaxTime: c.maxT}
 }
 
-// encode appends events to the open chunk until it holds limit bytes,
-// interning their regions in defs, and returns how many it took. The
-// chunk's buffer and times are in locals meanwhile and stored once at
-// the end: stored per field into the encoder, a heap object, each append
-// goes through the write barrier whenever a collection is marking.
+// encode appends events to the open chunk as v3 records until it holds
+// limit bytes, interning their regions in defs, and returns how many it
+// took. The chunk's buffer, times and task ID are in locals meanwhile
+// and stored once at the end: stored per field into the encoder, a heap
+// object, each append goes through the write barrier whenever a
+// collection is marking.
 func (c *chunkEncoder) encode(defs *defTable, events []trace.Event, limit int) int {
-	buf, lastTime, minT, maxT := c.buf, c.lastTime, c.minT, c.maxT
+	buf, lastTime, prevTask, minT, maxT := c.buf, c.lastTime, c.prevTask, c.minT, c.maxT
 	n := len(events)
 	for i := range events {
 		ev := &events[i]
@@ -155,10 +160,21 @@ func (c *chunkEncoder) encode(defs *defTable, events []trace.Event, limit int) i
 			c.reg1, c.ref1 = c.reg0, c.ref0
 			c.reg0, c.ref0 = r, ref
 		}
-		buf = append(buf, byte(ev.Type))
+		head := byte(ev.Type)
+		if ev.TaskID != 0 {
+			head |= headTask
+		}
+		if ref <= headRefMax {
+			buf = append(buf, head|byte(ref)<<headRefShift)
+		} else {
+			buf = append(buf, head|headRefEscape<<headRefShift)
+			buf = binary.AppendUvarint(buf, ref-headRefEscape)
+		}
 		buf = binary.AppendVarint(buf, ev.Time-lastTime)
-		buf = binary.AppendUvarint(buf, ref)
-		buf = binary.AppendUvarint(buf, ev.TaskID)
+		if ev.TaskID != 0 {
+			buf = binary.AppendVarint(buf, int64(ev.TaskID-prevTask))
+			prevTask = ev.TaskID
+		}
 		lastTime = ev.Time
 		// Chunk time bounds for the footer index: two predictable
 		// compares per event, no branches taken on a monotone clock
@@ -174,9 +190,20 @@ func (c *chunkEncoder) encode(defs *defTable, events []trace.Event, limit int) i
 			break
 		}
 	}
-	c.buf, c.lastTime, c.minT, c.maxT = buf, lastTime, minT, maxT
+	c.buf, c.lastTime, c.prevTask, c.minT, c.maxT = buf, lastTime, prevTask, minT, maxT
 	c.count += uint64(n)
 	return n
+}
+
+// timeDeltaAt returns where the time delta of the v3 record at the start
+// of rec begins: after the head byte and, if the head escapes the region
+// reference, the uvarint holding it.
+func timeDeltaAt(rec []byte) int {
+	if rec[0]>>headRefShift != headRefEscape {
+		return 1
+	}
+	_, n := binary.Uvarint(rec[1:])
+	return 1 + n
 }
 
 // chunkPool recycles sealed chunk buffers (and the reader side's
@@ -253,7 +280,7 @@ func NewWriter(w io.Writer, opts ...WriterOption) *Writer {
 	}
 	if _, err := wr.bw.WriteString(magic); err != nil {
 		wr.setErr(err)
-	} else if err := wr.bw.WriteByte(version2); err != nil {
+	} else if err := wr.bw.WriteByte(version3); err != nil {
 		wr.setErr(err)
 	}
 	wr.off = int64(len(magic)) + 1
@@ -567,7 +594,13 @@ func (w *Writer) writeEventChunk(tid int, ref ChunkRef, payload []byte) {
 	w.flushDefsLocked()
 	if w.Err() == nil {
 		ref.Offset = w.off
-		w.chunkMeta[tid] = append(w.chunkMeta[tid], ref)
+		refs := w.chunkMeta[tid]
+		if len(refs) == cap(refs) {
+			// Doubled, not append's quarter: a long stream's index is
+			// thousands of entries, regrown a few times instead of dozens.
+			refs = slices.Grow(refs, max(len(refs), 16))
+		}
+		w.chunkMeta[tid] = append(refs, ref)
 	}
 	w.writeChunkLocked(kind, outHead, outBody)
 	w.iomu.Unlock()
@@ -647,7 +680,14 @@ func (w *Writer) Close() error {
 		return w.Err()
 	}
 	w.closed = true
-	p := w.appendIndexLocked(make([]byte, 0, 64+24*len(w.defOffs)))
+	// Sized once, for the longest entries (five varints, three of them
+	// times), so an archive of thousands of chunks does not regrow it; a
+	// larger index than a reader takes is dropped below anyway.
+	size := 64 + binary.MaxVarintLen64*len(w.defOffs)
+	for _, refs := range w.chunkMeta {
+		size += 2*binary.MaxVarintLen64 + 5*binary.MaxVarintLen64*len(refs)
+	}
+	p := w.appendIndexLocked(make([]byte, 0, min(size, maxChunkLen)))
 	if len(p) > maxChunkLen {
 		// An index the Reader would reject (an archive of tens of
 		// millions of chunks) is worse than none: leave the archive

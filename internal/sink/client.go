@@ -388,7 +388,7 @@ func (c *Client) WriteEvents(thread int, events []trace.Event) error {
 	return c.w.WriteEvents(thread, events)
 }
 
-// Close flushes the archive (sealing partial chunks and, for format v2,
+// Close flushes the archive (sealing partial chunks and, for format v2 on,
 // the footer index), sends the end-of-stream frame and waits for the
 // daemon's seal acknowledgment (or seals the local fallback archive,
 // if the stream degraded). It returns the first unrecoverable error of

@@ -475,7 +475,7 @@ func TestDiskFaultOneShard(t *testing.T) {
 				WithAckInterval(1024),
 				WithShardWriterWrap(func(id string, w io.Writer) io.Writer {
 					if id == "w0" {
-						return faultinject.NewWriter(w, faultinject.CapacityBytes(8<<10))
+						return faultinject.NewWriter(w, faultinject.CapacityBytes(4<<10)) // about half of w0's stream
 					}
 					return w
 				}))

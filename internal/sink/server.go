@@ -254,7 +254,11 @@ func (s *Server) Serve(ln net.Listener) error {
 		// Register the connection under the same lock Shutdown's
 		// force-sever sweep takes, and refuse connections that raced a
 		// shutdown: a conn accepted but not yet in s.conns would
-		// otherwise dodge the sweep and pin wg.Wait forever.
+		// otherwise dodge the sweep and pin wg.Wait forever. The
+		// WaitGroup is counted up under the lock too: Close and Shutdown
+		// set closed before they take it, so an Add here happens before
+		// their Wait, or does not happen — never concurrently with a
+		// Wait on a zero count, which is a race.
 		s.mu.Lock()
 		if s.closed.Load() {
 			s.mu.Unlock()
@@ -262,8 +266,8 @@ func (s *Server) Serve(ln net.Listener) error {
 			continue
 		}
 		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			_ = s.ServeConn(conn)

@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -635,4 +638,67 @@ func TestRawProtocolBytes(t *testing.T) {
 			t.Fatalf("relayed shard differs from payload (%d vs %d bytes)", len(got), len(payload))
 		}
 	})
+}
+
+// TestEdgeRecordsRoundTrip streams the events that stress the archive's
+// event record — region refs 0 to 20, task IDs whose deltas wrap
+// (0, 1, 2^63, 2^64-1 alternating), a clock stepping back, batches of 1
+// to 9 events — and holds the daemon's shard to the events sent and,
+// byte for byte, to the archive a plain writer makes of them.
+func TestEdgeRecordsRoundTrip(t *testing.T) {
+	reg := region.NewRegistry()
+	regs := []*region.Region{nil}
+	for i := 0; i < 20; i++ {
+		regs = append(regs, reg.Register(fmt.Sprintf("edge%d", i), "sink_test.go", i, region.UserFunction))
+	}
+	rng := rand.New(rand.NewSource(5))
+	ids := []uint64{0, 1, 1 << 63, math.MaxUint64}
+	batches := map[int][][]trace.Event{}
+	want := &trace.Trace{Threads: map[int][]trace.Event{}}
+	for th := 0; th < 2; th++ {
+		now := int64(th) << 40
+		for k := 1; len(want.Threads[th]) < 2000; k = k%9 + 1 {
+			var evs []trace.Event
+			for i := 0; i < k; i++ {
+				now += rng.Int63n(1<<12) - 1<<11
+				id := ids[rng.Intn(len(ids))]
+				if rng.Intn(3) == 0 {
+					id = rng.Uint64() >> uint(rng.Intn(64))
+				}
+				evs = append(evs, trace.Event{Time: now, Type: trace.EventType(rng.Intn(int(trace.EvThreadEnd) + 1)), Region: regs[rng.Intn(len(regs))], TaskID: id})
+			}
+			batches[th] = append(batches[th], evs)
+			want.Threads[th] = append(want.Threads[th], evs...)
+		}
+	}
+	for _, comp := range []otf2.Compression{otf2.CompressionNone, otf2.CompressionFlate} {
+		srv, addr := startServer(t)
+		opts := []otf2.WriterOption{otf2.WithChunkBytes(1024), otf2.WithCompression(comp)}
+		cl, err := Dial(addr, WithStreamID("edge"), WithWriterOptions(opts...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for th := 0; th < len(batches); th++ {
+			for _, evs := range batches[th] {
+				if err := cl.WriteEvents(th, evs); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := cl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		shard := filepath.Join(srv.Dir(), "trace-edge.otf2")
+		tracesEqual(t, comp.String(), want, readTrace(t, shard))
+		got, err := os.ReadFile(shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, archiveOf(t, batches, opts...)) {
+			t.Errorf("%s: the shard differs from a plain writer's archive of the same batches", comp)
+		}
+	}
 }

@@ -74,9 +74,9 @@ func TestFlightRecorderEvictsOldestExactly(t *testing.T) {
 	}
 
 	// The stats-only snapshot agrees — three retained chunks of four
-	// four-byte records each — and does not disturb recording.
-	if now := f.Stats(); !reflect.DeepEqual(now, otf2.FlightStats{FlightInfo: *st, RetainedBytes: 48, ThreadRetained: []int{12}}) {
-		t.Fatalf("Stats = %+v, want %+v with 48 bytes and 12 events on thread 0", now, st)
+	// two-byte records each — and does not disturb recording.
+	if now := f.Stats(); !reflect.DeepEqual(now, otf2.FlightStats{FlightInfo: *st, RetainedBytes: 24, ThreadRetained: []int{12}}) {
+		t.Fatalf("Stats = %+v, want %+v with 24 bytes and 12 events on thread 0", now, st)
 	}
 	flightEvent(f, clk, th, 20)
 	if st2 := f.Stats(); st2.RetainedEvents != 13 {
