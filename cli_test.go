@@ -252,15 +252,15 @@ func TestCommandLineTools(t *testing.T) {
 
 	// -stats reports the archive layout: version, index, chunk counts.
 	out = run("scorep-convert", "-in", archivePath, "-stats")
-	if !strings.Contains(out, "version=3") || !strings.Contains(out, "indexed=true") ||
+	if !strings.Contains(out, "version=4") || !strings.Contains(out, "indexed=true") ||
 		!strings.Contains(out, "thread-chunks=") {
-		t.Errorf("-stats missing v3 layout fields:\n%s", out)
+		t.Errorf("-stats missing v4 layout fields:\n%s", out)
 	}
 	out = run("scorep-convert", "-in", v1Path, "-stats")
 	if !strings.Contains(out, "version=1") || !strings.Contains(out, "indexed=false") {
 		t.Errorf("-stats mislabels a v1 archive:\n%s", out)
 	}
-	if out = run("scorep-convert", "-in", upPath, "-stats"); !strings.Contains(out, "version=3") || !strings.Contains(out, "indexed=true") {
+	if out = run("scorep-convert", "-in", upPath, "-stats"); !strings.Contains(out, "version=4") || !strings.Contains(out, "indexed=true") {
 		t.Errorf("-stats of the upgraded v1 archive:\n%s", out)
 	}
 

@@ -8,8 +8,8 @@
 // presence, per-thread chunk counts and the event-chunk compression
 // ratio — the measurement behind the format's compression claim.
 //
-// Archive outputs are format version 3, the seekable indexed format, and
-// take -compress (flate-compress each event chunk); a version 1 or 2
+// Archive outputs are format version 4, the seekable indexed format, and
+// take -compress (flate-compress each event chunk); a version 1, 2 or 3
 // input is read and upgraded. -window t0:t1 and -threads a,b,c convert only the
 // matching sub-trace.
 //

@@ -348,7 +348,7 @@
 // A dump — Session.DumpFlightRecorder(dir), or any trigger below —
 // takes every thread's window, concurrently with recording (the
 // session is never paused), and writes an ordinary experiment
-// directory: trace.otf2, a valid SPOTF2 v3 archive holding the
+// directory: trace.otf2, a valid SPOTF2 v4 archive holding the
 // window's events, definitions and footer index, plus meta.json with
 // the session configuration and the eviction accounting (meta's
 // "flightRecorder" object: ringChunks, chunkEvents, retainedEvents,
@@ -519,28 +519,33 @@
 //   - JSONL: one JSON object per event ("{"t":0,"ts":123,"ev":"ENTER",
 //     "r":"fib.task",...}"), human-greppable, ~100 bytes/event
 //     (WriteTraceJSONL/ReadTraceJSONL).
-//   - Binary archive: an OTF2-style chunked binary format, ~3.7
+//   - Binary archive: an OTF2-style chunked binary format, ~3.0-3.3
 //     bytes/event (WriteTraceArchive/ReadTraceArchive). The archive is
 //     a "SPOTF2\x00" + version header followed by self-describing
 //     chunks (one byte kind, uvarint length, payload). Definition
 //     chunks intern strings and regions and declare clock properties;
 //     event chunks carry per-thread runs of records. A record is one
-//     head byte — the event type in its low nibble, a bit saying a task
-//     ID follows, and in its top three bits the region reference when
-//     it is 0..6 (7 escapes to a uvarint after the head) — then a
-//     zig-zag varint delta to the thread's previous timestamp, then, if
-//     the bit is set, the task ID as a zig-zag varint delta to the last
-//     task ID written in the same chunk. A task-parallel recording has
-//     a handful of regions and many events without a task, so most
-//     records are three or four bytes, and every chunk still decodes on
-//     its own. The full byte-level specification lives in the
-//     internal/otf2 package comment; the format is reimplementable from
-//     those docs alone.
+//     head byte — a code in its low nibble, a bit saying a task ID
+//     follows, and in its top three bits the region reference when it
+//     is 0..6 (7 escapes to a uvarint after the head) — then the delta
+//     to the thread's previous timestamp as a uvarint of its two's
+//     complement (one byte below 128 ns, ten for a clock stepping
+//     back), then, if the bit is set, the task ID as a zig-zag varint
+//     delta to the last task ID written in the same chunk. The code is
+//     the event type, 0..8, or 9..12 for a task event (create-end,
+//     begin, end, switch) of that same last task ID, which then takes
+//     no bytes at all. A task-parallel recording has a handful of
+//     regions, many events without a task and many that repeat the
+//     task before, so most records are two to four bytes, and every
+//     chunk still decodes on its own. The full byte-level
+//     specification lives in the internal/otf2 package comment; the
+//     format is reimplementable from those docs alone.
 //
-// Archives are written in format version 3, which is version 2 with
-// the record above; versions 1 and 2 wrote every record as a type byte
-// and three varints (time delta, region reference, task ID), ~6
-// bytes/event, and stay readable. Since version 2 the Writer
+// Archives are written in format version 4, which is version 2 with
+// the record above. Version 3 had the same record without the codes
+// 9..12 and with a zig-zag time delta, ~3.7 bytes/event; versions 1 and
+// 2 wrote every record as a type byte and three varints (time delta,
+// region reference, task ID), ~6 bytes/event. All three stay readable. Since version 2 the Writer
 // additionally tracks each event chunk's byte offset, event count and
 // inclusive timestamp bounds, and Close appends a footer index chunk
 // ('I') plus a fixed 14-byte trailer ('T' frame, little-endian index
@@ -556,13 +561,13 @@
 // followed per thread (ascending thread ID) by varint(tid)
 // uvarint(droppedEvents) uvarint(droppedChunks). 'F' came with
 // version 2 and is skipped like any other unknown chunk kind by readers
-// that predate it. Version 1 and 2 archives are read, not written: they
+// that predate it. Version 1 to 3 archives are read, not written: they
 // stay fully readable (a v1 archive's reads are planned from the chunk
 // framing), and converting one (scorep-convert -in old.otf2 -out
-// new.otf2) writes version 3 and analyses byte for byte the same. The
+// new.otf2) writes version 4 and analyses byte for byte the same. The
 // writer's v1 downgrade, TraceArchiveFormatVersion and scorep-convert
-// -format-version are removed; internal/otf2/testdata keeps v1 and v2
-// archives the removed writers made, which the tests read.
+// -format-version are removed; internal/otf2/testdata keeps v1, v2 and
+// v3 archives the removed writers made, which the tests read.
 //
 // The index exists for time-window queries: a TraceQuery (a time window
 // [MinTime, MaxTime] and/or a thread-ID subset) handed to

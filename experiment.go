@@ -465,7 +465,7 @@ func (e *Experiment) BottlenecksQuery(q TraceQuery) (*BottleneckAnalysis, TraceQ
 // directory holds (a daemon killed before sealing still leaves usable
 // shards). Globbed shards report their size, their stream id derived
 // from the file name, and Complete by probing for the archive's footer
-// index — a sealed v2 or v3 archive carries one, a severed stream's prefix
+// index — a sealed archive of v2 on carries one, a severed stream's prefix
 // does not. The single-process trace.otf2 is not a shard. The result
 // is cached; a single-process experiment returns an empty list.
 func (e *Experiment) TraceShards() []TraceShard {

@@ -132,8 +132,8 @@ func marshalAnalysis(t *testing.T, a *bottleneck.Analysis) []byte {
 // byte: in memory and out of core, at one and four workers, whole and
 // windowed. Out of core it reads the committed archive (the traces were
 // recorded as format 2) and the trace written again as the writer writes
-// it now: the format an archive is in changes nothing about its
-// analysis.
+// it now (format 4), raw and compressed: the format an archive is in
+// changes nothing about its analysis.
 func TestGoldenAnalyses(t *testing.T) {
 	var rerecord *regexp.Regexp
 	if *updateGoldens != "" {
@@ -154,11 +154,14 @@ func TestGoldenAnalyses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var rewritten bytes.Buffer
-			if err := otf2.Write(&rewritten, tr, otf2.WithCompression(otf2.CompressionFlate)); err != nil {
-				t.Fatal(err)
+			archives := map[string][]byte{"committed": data}
+			for _, comp := range []otf2.Compression{otf2.CompressionNone, otf2.CompressionFlate} {
+				var rewritten bytes.Buffer
+				if err := otf2.Write(&rewritten, tr, otf2.WithCompression(comp)); err != nil {
+					t.Fatal(err)
+				}
+				archives[fmt.Sprintf("v%d-%s", otf2.FormatVersion, comp)] = rewritten.Bytes()
 			}
-			archives := map[string][]byte{"committed": data, "rewritten": rewritten.Bytes()}
 			queries := goldenQueries(tr)
 			if update {
 				var out bytes.Buffer

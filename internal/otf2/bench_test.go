@@ -94,10 +94,10 @@ var decodeShapes = []decodeShape{
 	}, 0.58},
 }
 
-// chunkOf encodes the shape's events as one v3 event payload of about
+// chunkOf encodes the shape's events as one v4 event payload of about
 // DefaultChunkBytes, thread/count head included, and returns it with its
-// v2 form and the region table both decode against.
-func (s decodeShape) chunkOf(tb testing.TB) (v3, v2 []byte, regions []*region.Region, events int) {
+// v3 and v2 forms and the region table they decode against.
+func (s decodeShape) chunkOf(tb testing.TB) (v4, v3, v2 []byte, regions []*region.Region, events int) {
 	rng := rand.New(rand.NewSource(1))
 	reg := region.NewRegistry()
 	var defs defTable
@@ -124,22 +124,24 @@ func (s decodeShape) chunkOf(tb testing.TB) (v3, v2 []byte, regions []*region.Re
 	enc.begin(nil)
 	events = enc.encode(&defs, evs, DefaultChunkBytes)
 	head := binary.AppendUvarint(binary.AppendVarint(nil, 0), uint64(events))
-	v3 = append(head, enc.buf...)
-	return v3, v2Records(tb, v3), regions, events
+	v4 = append(head, enc.buf...)
+	v3 = v3Records(tb, v4)
+	return v4, v3, v2Records(tb, v3), regions, events
 }
 
 // BenchmarkDecode measures the record loops alone: one chunk of each
-// decodeShape decoded in place, v2 records by decodeEvents and v3 ones by
-// decodeEventsV3, with no I/O, planning or allocation around them.
+// decodeShape decoded in place, v2 records by decodeEvents and v3 and v4
+// ones by decodePacked, with no I/O, planning or allocation around them.
 func BenchmarkDecode(b *testing.B) {
 	for _, s := range decodeShapes {
-		v3, v2, regions, events := s.chunkOf(b)
+		v4, v3, v2, regions, events := s.chunkOf(b)
 		for _, rec := range []struct {
 			name    string
 			payload []byte
-			decode  func(*cursor, []*region.Region, int64, []trace.Event) (int64, error)
-		}{{"v2", v2, decodeEvents}, {"v3", v3, decodeEventsV3}} {
+			version byte
+		}{{"v2", v2, version2}, {"v3", v3, version3}, {"v4", v4, version4}} {
 			b.Run(s.name+"/"+rec.name, func(b *testing.B) {
+				layout := recordsOf(rec.version)
 				dst := make([]trace.Event, events)
 				for i := 0; i < b.N; i++ {
 					c := cursor{payload: rec.payload}
@@ -149,7 +151,7 @@ func BenchmarkDecode(b *testing.B) {
 					if _, err := c.uvarint("count"); err != nil {
 						b.Fatal(err)
 					}
-					if _, err := rec.decode(&c, regions, 0, dst); err != nil {
+					if _, err := layout.decode(&c, regions, 0, dst); err != nil {
 						b.Fatal(err)
 					}
 				}

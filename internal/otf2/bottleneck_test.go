@@ -15,16 +15,18 @@ import (
 // the out-of-core bottleneck analysis: Scan into a Collector over an
 // archive equals fully decoding it, filtering with the query, and
 // running the in-memory analysis — at worker counts 1 and 4, on
-// indexed (v3, v2), compressed, and fallback (v1) archives.
+// indexed (v4, v3, v2), compressed, and fallback (v1) archives.
 func TestBottlenecksMatchInMemoryReference(t *testing.T) {
 	tr := benchTrace(3, 400)
-	v3, flate := queryArchive(t, tr), queryArchive(t, tr, WithCompression(CompressionFlate))
+	v4, flate := queryArchive(t, tr), queryArchive(t, tr, WithCompression(CompressionFlate))
 	archives := map[string][]byte{
-		"v3":       v3,
-		"v3-flate": flate,
-		"v2":       v2Of(t, v3),
+		"v4":       v4,
+		"v4-flate": flate,
+		"v3":       v3Of(t, v4),
+		"v3-flate": v3Of(t, flate),
+		"v2":       v2Of(t, v4),
 		"v2-flate": v2Of(t, flate),
-		"v1":       v1Of(t, v3),
+		"v1":       v1Of(t, v4),
 	}
 	for name, archive := range archives {
 		full, err := loadSequential(bytes.NewReader(archive), region.NewRegistry())

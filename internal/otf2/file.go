@@ -95,7 +95,7 @@ func CountFileEvents(path string) (int, string, error) {
 // ArchiveStats describes the physical layout of a binary archive — the
 // material scorep-convert -stats reports.
 type ArchiveStats struct {
-	// FormatVersion is the archive's header version byte (1, 2 or 3).
+	// FormatVersion is the archive's header version byte (1 to 4).
 	FormatVersion int
 	// SizeBytes is the archive file size.
 	SizeBytes int64

@@ -106,7 +106,7 @@ func (w *Writer) WriteFlightInfo(info *FlightInfo) error {
 	}
 	p := appendFlightPayload(make([]byte, 0, 16+24*len(info.Threads)), info)
 	w.iomu.Lock()
-	w.writeChunkLocked(chunkFlight, p, nil)
+	w.writeChunkLocked(chunkFlight, nil, p)
 	w.iomu.Unlock()
 	return w.Err()
 }
@@ -201,7 +201,7 @@ func (f *Flight) WriteEvents(thread int, events []trace.Event) error {
 	r := f.ring(thread)
 	c := flightChunk{thread: thread}
 	if len(r.chunks) < f.ringChunks {
-		c.payload = make([]byte, 0, 5*f.chunkEvents) // records take ~4 bytes; encode grows it if not
+		c.payload = make([]byte, 0, 4*f.chunkEvents) // records take ~3.3 bytes; encode grows it if not
 	} else {
 		c = r.chunks[0]
 		r.chunks = append(r.chunks[:0], r.chunks[1:]...)
@@ -281,9 +281,9 @@ func (f *Flight) Dump(w io.Writer, opts ...WriterOption) (*FlightInfo, error) {
 			at := len(buf)
 			if i == 0 {
 				d := timeDeltaAt(c.payload)
-				delta, n := binary.Varint(c.payload[d:])
+				delta, n := binary.Uvarint(c.payload[d:])
 				buf = append(buf, c.payload[:d]...)
-				buf = binary.AppendVarint(buf, c.ref.BaseTime+delta)
+				buf = binary.AppendUvarint(buf, uint64(c.ref.BaseTime)+delta)
 				buf = append(buf, c.payload[d+n:]...)
 				c.ref.BaseTime = 0
 			} else {

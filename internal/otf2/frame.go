@@ -11,7 +11,7 @@ import (
 const headerLen = len(magic) + 1
 
 // readHeaderAt validates the archive header of src and returns the
-// archive's format version (1, 2 or 3). A source shorter than the header
+// archive's format version (1 to 4). A source shorter than the header
 // is a cut archive.
 func readHeaderAt(src io.ReaderAt) (byte, error) {
 	var hdr [headerLen]byte
@@ -25,8 +25,8 @@ func readHeaderAt(src io.ReaderAt) (byte, error) {
 		return 0, corrupt("bad magic %q", hdr[:len(magic)])
 	}
 	v := hdr[len(magic)]
-	if v < version1 || v > version3 {
-		return 0, fmt.Errorf("otf2: unsupported format version %d (have %d to %d)", v, version1, version3)
+	if v < version1 || v > version4 {
+		return 0, fmt.Errorf("otf2: unsupported format version %d (have %d to %d)", v, version1, version4)
 	}
 	return v, nil
 }

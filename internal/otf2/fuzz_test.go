@@ -79,10 +79,10 @@ func FuzzCodec(f *testing.F) {
 	for _, name := range fixtureNames {
 		f.Add(readFixture(f, name))
 	}
-	// v3 records: escaped region refs and task-ID deltas that wrap, in a
-	// valid archive and cut inside a record; a type nibble of 9 to 15; a
-	// task flag whose delta decodes to ID 0; a record whose payload ends
-	// inside the escape uvarint.
+	// Packed records: escaped region refs and task-ID deltas that wrap,
+	// in a valid archive and cut inside a record. In v3: a type nibble of
+	// 9 to 15; a task flag whose delta decodes to ID 0; a record whose
+	// payload ends inside the escape uvarint.
 	var edge bytes.Buffer
 	if err := Write(&edge, edgeTrace(rand.New(rand.NewSource(1)), region.NewRegistry(), 2, 40)); err != nil {
 		f.Fatal(err)
@@ -103,6 +103,14 @@ func FuzzCodec(f *testing.F) {
 	f.Add([]byte(magic + "\x03E\x05\x00\x01\x10\x00\x00"))
 	f.Add([]byte(magic + "\x03E\x08\x00\x02\x14\x00\x02\x10\x01\x01")) // task 1, then a delta of -1: ID 0
 	f.Add([]byte(magic + "\x03E\x04\x00\x01\xe0\x80"))
+	for _, c := range v4RecordCases() {
+		f.Add(c.archive)
+	}
+	var v4 bytes.Buffer
+	if err := Write(&v4, edgeTrace(rand.New(rand.NewSource(2)), region.NewRegistry(), 1, 60)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v3Of(f, v4.Bytes()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, werr := loadSequential(bytes.NewReader(data), region.NewRegistry())

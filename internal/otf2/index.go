@@ -34,7 +34,7 @@ type ThreadChunks struct {
 // Index is an archive's decoded footer index: the offsets of every
 // definition chunk plus, per thread in ascending ID order, every event
 // chunk with its event count and time bounds. It is the seekable
-// entry point of a version-2 or -3 archive — ReadIndex locates it in O(1)
+// entry point of an archive of version 2 on — ReadIndex locates it in O(1)
 // seeks via the fixed-size trailer.
 type Index struct {
 	DefOffsets []int64
@@ -43,7 +43,7 @@ type Index struct {
 	// end is the offset of the index chunk itself: every chunk the index
 	// describes lies before it.
 	end int64
-	// version is the archive's header version byte (2 or 3).
+	// version is the archive's header version byte (2 to 4).
 	version byte
 }
 
@@ -79,11 +79,11 @@ func (ix *Index) ThreadIDs() []int {
 	return ids
 }
 
-// ReadIndex locates and decodes the footer index of a version-2 or -3
-// archive in O(1) reads: it reads the fixed-size trailer at the end of
+// ReadIndex locates and decodes the footer index of an archive of
+// version 2 on in O(1) reads: it reads the fixed-size trailer at the end of
 // src, validates it, and decodes the index chunk it points at. It
 // returns ErrNoIndex when the archive has no readable index — a v1
-// archive, a v2 or v3 archive cut off before Close wrote the footer, or a
+// archive, a later one cut off before Close wrote the footer, or a
 // damaged trailer — in which case a plan is made from the archive's
 // framing instead. The read position of src is unspecified afterwards.
 func ReadIndex(src source) (*Index, error) {
@@ -102,7 +102,7 @@ func ReadIndex(src source) (*Index, error) {
 		return nil, corrupt("bad magic %q", hdr[:len(magic)])
 	}
 	version := hdr[len(magic)]
-	if version != version2 && version != version3 {
+	if version < version2 || version > version4 {
 		return nil, ErrNoIndex // v1 archives have no index by design
 	}
 	var tr [trailerLen]byte

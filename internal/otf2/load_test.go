@@ -125,8 +125,10 @@ func loadArchives(t testing.TB, tasks int) map[string][]byte {
 	mid := ix.Threads[2].Chunks[len(ix.Threads[2].Chunks)/2].Offset
 	flate := write(tr, WithCompression(CompressionFlate))
 	return map[string][]byte{
-		"v3-raw":       raw,
-		"v3-flate":     flate,
+		"v4-raw":       raw,
+		"v4-flate":     flate,
+		"v3-raw":       v3Of(t, raw),
+		"v3-flate":     v3Of(t, flate),
 		"v2-raw":       v2Of(t, raw),
 		"v2-flate":     v2Of(t, flate),
 		"v1":           v1Of(t, raw),
@@ -533,7 +535,7 @@ func FuzzDecodeIndex(f *testing.F) {
 // not back.
 func FuzzIndexedLoad(f *testing.F) {
 	archives := loadArchives(f, 60)
-	names := []string{"v3-raw", "v3-flate", "flight", "shard", "empty-chunks", "64-threads", "v2-raw", "v2-flate"}
+	names := []string{"v4-raw", "v4-flate", "flight", "shard", "empty-chunks", "64-threads", "v2-raw", "v2-flate", "v3-raw", "v3-flate"}
 	for i, name := range names {
 		data := archives[name]
 		ix, err := ReadIndex(bytes.NewReader(data))

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -399,6 +400,45 @@ func TestStreamingRecorderLatchesSinkError(t *testing.T) {
 }
 
 type failingSink struct{}
+
+// TestWriterRefusesBatchWhole writes a batch that fills several chunks
+// and names, in its last event, a region whose name the archive cannot
+// encode: the batch must fail before any chunk of it is written, so the
+// archive holds exactly what was flushed before it — what a recorder
+// that counts the refused batch as discarded promises.
+func TestWriterRefusesBatchWhole(t *testing.T) {
+	reg := region.NewRegistry()
+	fn := reg.Register("fn", "a.go", 1, region.UserFunction)
+	huge := &region.Region{Name: strings.Repeat("x", maxChunkLen/2), Type: region.UserFunction}
+	var buf bytes.Buffer
+	w := NewWriter(&buf, WithChunkBytes(1024))
+	first := make([]trace.Event, 1000)
+	for i := range first {
+		first[i] = trace.Event{Time: int64(i) << 10, Type: trace.EvEnter, Region: fn}
+	}
+	if err := w.WriteEvents(0, first); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil { // the first batch is in buf, whatever comes
+		t.Fatal(err)
+	}
+	refused := make([]trace.Event, 3000) // chunks past the writer's 4 KiB buffer before the last event
+	for i := range refused {
+		refused[i] = trace.Event{Time: int64(1000+i) << 10, Type: trace.EvExit, Region: fn}
+	}
+	refused[len(refused)-1].Region = huge
+	if err := w.WriteEvents(0, refused); err == nil || !strings.Contains(err.Error(), "encodable limit") {
+		t.Fatalf("WriteEvents of the refused batch = %v", err)
+	}
+	w.Close() //nolint:errcheck // latched: the refusal
+	got, err := loadSequential(bytes.NewReader(buf.Bytes()), reg)
+	if err != nil && !errors.Is(err, ErrTruncated) {
+		t.Fatal(err)
+	}
+	if n := got.NumEvents(); n != len(first) {
+		t.Fatalf("the archive holds %d events, want the first batch's %d", n, len(first))
+	}
+}
 
 // collectSink keeps every event a recorder flushes to it: what the
 // recorder saw, through no codec.

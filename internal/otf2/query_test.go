@@ -65,16 +65,18 @@ func queryCases(tr *trace.Trace) []Query {
 // TestQueryMatchesFilterReference checks the defining property of every
 // query path: the result equals fully decoding, filtering with
 // Query.Filter, and then reading/analyzing — at worker counts 1 and 4,
-// on indexed (v3, v2), compressed, and fallback (v1) archives.
+// on indexed (v4, v3, v2), compressed, and fallback (v1) archives.
 func TestQueryMatchesFilterReference(t *testing.T) {
 	tr := benchTrace(3, 400)
-	v3, flate := queryArchive(t, tr), queryArchive(t, tr, WithCompression(CompressionFlate))
+	v4, flate := queryArchive(t, tr), queryArchive(t, tr, WithCompression(CompressionFlate))
 	archives := map[string][]byte{
-		"v3":       v3,
-		"v3-flate": flate,
-		"v2":       v2Of(t, v3),
+		"v4":       v4,
+		"v4-flate": flate,
+		"v3":       v3Of(t, v4),
+		"v3-flate": v3Of(t, flate),
+		"v2":       v2Of(t, v4),
 		"v2-flate": v2Of(t, flate),
-		"v1":       v1Of(t, v3),
+		"v1":       v1Of(t, v4),
 	}
 	for name, archive := range archives {
 		full, err := loadSequential(bytes.NewReader(archive), region.NewRegistry())
@@ -211,22 +213,24 @@ func TestCompressedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVersionRoundTrip checks that v1 and v2 archives convert to v3
-// byte-identically: decoding the v1 or the v2 fixture and writing it
-// again is the v3 fixture, and the same holds for a larger trace through
-// the tests' v1 and v2 helpers (the writer is deterministic).
+// TestVersionRoundTrip checks that v1, v2 and v3 archives convert to v4
+// byte-identically: decoding the v1, v2 or v3 fixture and writing it
+// again is the v4 fixture, and the same holds for a larger trace through
+// the tests' v1, v2 and v3 helpers (the writer is deterministic).
 func TestVersionRoundTrip(t *testing.T) {
-	v3 := queryArchive(t, benchTrace(2, 300))
+	v4 := queryArchive(t, benchTrace(2, 300))
 	for _, c := range []struct {
-		old, v3 []byte
+		old, v4 []byte
 		version byte
 	}{
-		{readFixture(t, "v1"), readFixture(t, "v3"), version1},
-		{readFixture(t, "v2"), readFixture(t, "v3"), version2},
-		{v1Of(t, v3), v3, version1},
-		{v2Of(t, v3), v3, version2},
+		{readFixture(t, "v1"), readFixture(t, "v4"), version1},
+		{readFixture(t, "v2"), readFixture(t, "v4"), version2},
+		{readFixture(t, "v3"), readFixture(t, "v4"), version3},
+		{v1Of(t, v4), v4, version1},
+		{v2Of(t, v4), v4, version2},
+		{v3Of(t, v4), v4, version3},
 	} {
-		if c.old[len(magic)] != c.version || c.v3[len(magic)] != version3 {
+		if c.old[len(magic)] != c.version || c.v4[len(magic)] != version4 {
 			t.Fatal("version bytes not as expected")
 		}
 		up, err := loadSequential(bytes.NewReader(c.old), region.NewRegistry())
@@ -237,8 +241,8 @@ func TestVersionRoundTrip(t *testing.T) {
 		if err := Write(&upBuf, up, WithChunkBytes(1024)); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(upBuf.Bytes(), c.v3) {
-			t.Fatalf("v%d->v3 upgrade is not byte-identical to a direct v3 write", c.version)
+		if !bytes.Equal(upBuf.Bytes(), c.v4) {
+			t.Fatalf("v%d->v4 upgrade is not byte-identical to a direct v4 write", c.version)
 		}
 	}
 }

@@ -136,28 +136,79 @@ func (t *defTables) decodeDefs(c *cursor, reg *region.Registry) error {
 }
 
 // records is the event record layout of a format version: which loop
-// decodes it, and the size of its smallest record.
+// decodes it, what its head bytes say (v3 on), and the size of its
+// smallest record.
 type records struct {
-	v3       bool
+	heads    *headInfo // nil: decodeEvents' v1/v2 records
 	minBytes uint64
 }
 
 // recordsOf returns the record layout of format version v, which the
-// header's version byte gives: a plan picks its record loop once.
+// header's version byte gives: a plan picks its record loop, and with
+// the head table the time-delta mapping and the legal codes, once.
 func recordsOf(v byte) records {
-	if v == version3 {
-		return records{true, 2} // head byte, one-byte time delta
+	switch v {
+	case version4:
+		return records{&headsV4, 2} // head byte, one-byte time delta
+	case version3:
+		return records{&headsV3, 2}
 	}
-	return records{false, 4} // type byte, three one-byte varints
+	return records{nil, 4} // type byte, three one-byte varints
 }
 
 // decode consumes len(dst) event records from c with the layout's loop.
 // The calls are direct, so c stays on the caller's stack.
 func (r records) decode(c *cursor, regions []*region.Region, last int64, dst []trace.Event) (int64, error) {
-	if r.v3 {
-		return decodeEventsV3(c, regions, last, dst)
+	if r.heads != nil {
+		return decodePacked(c, regions, last, dst, r.heads)
 	}
 	return decodeEvents(c, regions, last, dst)
+}
+
+// headInfo is what each head byte of a format's packed records says,
+// apart from the region code in its top bits: the event type, and the
+// info* flags. It is how v3 and v4 share decodePacked — the formats
+// differ only in what their heads mean and in the time-delta mapping,
+// which the table states for every head — and the lookup is cheaper
+// than the tests on the head it replaces.
+type headInfo [256]uint16
+
+const (
+	infoType    = 0x0f  // the event type
+	infoTask    = 0x10  // a task-ID delta follows
+	infoSame    = 0x20  // the task ID is the chunk's last one (v4's same-task codes)
+	infoZeroBad = 0x40  // a zero task-ID delta is corrupt (v4's task events)
+	infoZig     = 0x80  // the time delta is zig-zag (v3), not two's complement (v4)
+	infoBad     = 0x100 // corrupt: an unknown code, or a same-task code with the task flag
+)
+
+var headsV3, headsV4 = headInfoOf(version3), headInfoOf(version4)
+
+// headInfoOf tabulates the heads of format version v, 3 or 4.
+func headInfoOf(v byte) headInfo {
+	var t headInfo
+	for h := range t {
+		code, task := uint16(h&headTypeMask), h&headTask != 0
+		info := code
+		if task {
+			info |= infoTask
+		}
+		if v == version3 {
+			info |= infoZig
+		}
+		switch {
+		case code <= uint16(maxEventType):
+			if v == version4 && task && code >= uint16(trace.EvTaskCreateEnd) && code <= uint16(trace.EvTaskSwitch) {
+				info |= infoZeroBad
+			}
+		case v == version4 && code <= uint16(maxCodeV4) && !task:
+			info = code - uint16(sameTaskShift) | infoSame
+		default:
+			info = infoBad | code
+		}
+		t[h] = info
+	}
+	return t
 }
 
 // eventFields names the three varints of an event record after its type
@@ -167,9 +218,9 @@ var eventFields = [3]string{"varint in event time delta", "uvarint in event regi
 // decodeEvents consumes len(dst) v1/v2 event records from c into dst,
 // resolving region references in regions and running the thread's
 // timestamp on from last; it returns the final timestamp. Every reader
-// decodes v1 and v2 archives through this one loop (and v3 ones through
-// decodeEventsV3): the reference reader an event at a time, the planned
-// reads a chunk straight into its place.
+// decodes v1 and v2 archives through this one loop (and later ones
+// through decodePacked): the reference reader an event at a time, the
+// planned reads a chunk straight into its place.
 func decodeEvents(c *cursor, regions []*region.Region, last int64, dst []trace.Event) (int64, error) {
 	p, pos := c.payload, c.pos
 	for i := range dst {
@@ -219,10 +270,11 @@ func decodeEvents(c *cursor, regions []*region.Region, last int64, dst []trace.E
 	return last, nil
 }
 
-// decodeEventsV3 is decodeEvents for v3 records. The task IDs of a
-// chunk's records are deltas against the last one written before them
-// in the chunk, so c must be at the chunk's first record.
-func decodeEventsV3(c *cursor, regions []*region.Region, last int64, dst []trace.Event) (int64, error) {
+// decodePacked is decodeEvents for v3 and v4 records, whose heads mean
+// what heads says. The task IDs of a chunk's records are deltas against
+// the last one written before them in the chunk, so c must be at the
+// chunk's first record.
+func decodePacked(c *cursor, regions []*region.Region, last int64, dst []trace.Event, heads *headInfo) (int64, error) {
 	p, pos := c.payload, c.pos
 	var task uint64
 	for i := range dst {
@@ -231,12 +283,11 @@ func decodeEventsV3(c *cursor, regions []*region.Region, last int64, dst []trace
 		}
 		head := p[pos]
 		pos++
-		typ := head & headTypeMask
-		if typ > maxEventType {
-			return last, corrupt("unknown event type %d", typ)
+		info := heads[head]
+		if info&infoBad != 0 {
+			return last, corrupt("event code %d unknown or with a task flag it may not have", info&infoType)
 		}
-		ev := &dst[i]
-		ev.Region = nil
+		var r *region.Region // stored once, with the rest: a pointer store is a write barrier check
 		if ref := uint64(head >> headRefShift); ref != 0 {
 			if ref == headRefEscape {
 				var x uint64
@@ -250,21 +301,28 @@ func decodeEventsV3(c *cursor, regions []*region.Region, last int64, dst []trace
 			if ref > uint64(len(regions)) || regions[ref-1] == nil {
 				return last, corrupt("event references undefined region %d", ref-1)
 			}
-			ev.Region = regions[ref-1]
+			r = regions[ref-1]
 		}
 		// The varints' one- and two-byte forms, most of them, decode in
-		// place: a call per field is much of a decode.
+		// place: a call per field is much of a decode. A time delta's
+		// length is picked without a branch — a recording's deltas
+		// straddle 128 ns, and a branch on the first byte mispredicts.
 		var u uint64
-		if pos < len(p) && p[pos] < 0x80 {
-			u, pos = uint64(p[pos]), pos+1
-		} else if pos+1 < len(p) && p[pos+1] < 0x80 {
-			u, pos = uint64(p[pos]&0x7f)|uint64(p[pos+1])<<7, pos+2
+		if pos+1 < len(p) && p[pos]&p[pos+1] < 0x80 {
+			b0, b1 := uint64(p[pos]), uint64(p[pos+1])
+			two := b0 >> 7
+			u, pos = b0&0x7f|b1<<7&-two, pos+1+int(two)
 		} else if u, pos = uvarintAt(p, pos); pos < 0 {
 			return last, corrupt("bad varint in event time delta")
 		}
-		last += int64(u>>1) ^ -int64(u&1) // zig-zag, as binary.Varint
-		ev.Time, ev.Type, ev.TaskID = last, trace.EventType(typ), 0
-		if head&headTask != 0 {
+		if info&infoZig != 0 {
+			last += int64(u>>1) ^ -int64(u&1) // zig-zag, as binary.Varint
+		} else {
+			last += int64(u) // two's complement
+		}
+		ev := &dst[i]
+		ev.Time, ev.Type, ev.TaskID, ev.Region = last, trace.EventType(info&infoType), 0, r
+		if info&infoTask != 0 {
 			if pos < len(p) && p[pos] < 0x80 {
 				u, pos = uint64(p[pos]), pos+1
 			} else if pos+1 < len(p) && p[pos+1] < 0x80 {
@@ -272,8 +330,16 @@ func decodeEventsV3(c *cursor, regions []*region.Region, last int64, dst []trace
 			} else if u, pos = uvarintAt(p, pos); pos < 0 {
 				return last, corrupt("bad varint in event task id")
 			}
+			if u == 0 && info&infoZeroBad != 0 {
+				return last, corrupt("task event writes its chunk's last task id, which its code gives")
+			}
 			if task += uint64(int64(u>>1) ^ -int64(u&1)); task == 0 {
 				return last, corrupt("event with a task decodes to task id 0")
+			}
+			ev.TaskID = task
+		} else if info&infoSame != 0 {
+			if task == 0 {
+				return last, corrupt("same-task code before the chunk's first task")
 			}
 			ev.TaskID = task
 		}

@@ -16,9 +16,10 @@ import (
 // held to: it walks the archive front to back through one buffered
 // stream, one chunk in memory, the definitions updated in place as they
 // come, each thread's clock run on from chunk to chunk — nothing shared
-// with the plan but the v1/v2 record decoder. It decodes v3 records with
-// its own loop (nextV3), field by field through encoding/binary, so the
-// planned reads' inline v3 loop is held to a second implementation.
+// with the plan but the v1/v2 record decoder. It decodes v3 and v4
+// records with its own loop (nextPacked), field by field through
+// encoding/binary, so the planned reads' inline loop is held to a second
+// implementation.
 
 // reader iterates an archive event by event. It holds one chunk plus
 // the definition tables in memory, so arbitrarily large archives can be
@@ -39,7 +40,7 @@ type reader struct {
 	curThread int
 	remaining uint64
 	curLast   int64
-	curTask   uint64 // the last task ID a v3 record of the chunk gave
+	curTask   uint64 // the last task ID a v3 or v4 record of the chunk gave
 	inEvents  bool
 
 	// rdbuf is the persistent framed-chunk read buffer; inflbuf is the
@@ -102,8 +103,8 @@ func (r *reader) Next() (int, trace.Event, error) {
 	}
 	var ev [1]trace.Event
 	var err error
-	if r.version == version3 {
-		ev[0], err = r.nextV3()
+	if r.version >= version3 {
+		ev[0], err = r.nextPacked()
 	} else {
 		r.curLast, err = decodeEvents(&r.cur, r.tables.regions, r.curLast, ev[:])
 	}
@@ -114,17 +115,21 @@ func (r *reader) Next() (int, trace.Event, error) {
 	return r.curThread, ev[0], nil
 }
 
-// nextV3 decodes the v3 record at the cursor.
-func (r *reader) nextV3() (trace.Event, error) {
+// nextPacked decodes the v3 or v4 record at the cursor.
+func (r *reader) nextPacked() (trace.Event, error) {
 	c := &r.cur
 	if c.pos >= len(c.payload) {
 		return trace.Event{}, corrupt("event chunk shorter than declared count")
 	}
 	head := c.payload[c.pos]
 	c.pos++
-	ev := trace.Event{Type: trace.EventType(head & 0x0f)}
-	if ev.Type > trace.EvThreadEnd {
-		return ev, corrupt("unknown event type %d", ev.Type)
+	code := head & 0x0f
+	sameTask := r.version == version4 && code >= 9 && code <= 12
+	ev := trace.Event{Type: trace.EventType(code)}
+	if sameTask {
+		ev.Type = trace.EventType(code - 6)
+	} else if ev.Type > trace.EvThreadEnd {
+		return ev, corrupt("unknown event code %d", code)
 	}
 	ref := uint64(head >> 5)
 	if ref == 7 {
@@ -143,16 +148,36 @@ func (r *reader) nextV3() (trace.Event, error) {
 		}
 		ev.Region = r.tables.regions[ref-1]
 	}
-	delta, err := c.varint("event time delta")
-	if err != nil {
-		return ev, err
+	var delta int64
+	if r.version == version4 {
+		u, n := binary.Uvarint(c.payload[c.pos:])
+		if n <= 0 {
+			return ev, corrupt("bad uvarint in event time delta")
+		}
+		c.pos += n
+		delta = int64(u)
+	} else {
+		var err error
+		if delta, err = c.varint("event time delta"); err != nil {
+			return ev, err
+		}
 	}
 	r.curLast += delta
 	ev.Time = r.curLast
-	if head&0x10 != 0 {
+	taskEvent := ev.Type >= trace.EvTaskCreateEnd && ev.Type <= trace.EvTaskSwitch
+	switch {
+	case sameTask:
+		if head&0x10 != 0 || r.curTask == 0 {
+			return ev, corrupt("same-task code with a task flag or before any task")
+		}
+		ev.TaskID = r.curTask
+	case head&0x10 != 0:
 		d, err := c.varint("event task id")
 		if err != nil {
 			return ev, err
+		}
+		if d == 0 && taskEvent && r.version == version4 {
+			return ev, corrupt("task event writes a zero task delta")
 		}
 		r.curTask += uint64(d)
 		if r.curTask == 0 {

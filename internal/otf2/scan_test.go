@@ -200,18 +200,19 @@ func scanSources(t *testing.T, tr *trace.Trace) []scanSource {
 		}
 		return buf.Bytes()
 	}
-	v3 := write()
-	ix, err := ReadIndex(bytes.NewReader(v3))
+	v4 := write()
+	ix, err := ReadIndex(bytes.NewReader(v4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	chunks := ix.Threads[len(ix.Threads)-1].Chunks
 	kinds := []archiveKind{
-		{"v3", v3, false, true},
+		{"v4", v4, false, true},
 		{"flate", write(WithCompression(CompressionFlate)), false, true},
-		{"v2", v2Of(t, v3), false, true},
-		{"v1", v1Of(t, v3), false, false},
-		{"cut", v3[:chunks[len(chunks)/2].Offset+7], true, false},
+		{"v3", v3Of(t, v4), false, true},
+		{"v2", v2Of(t, v4), false, true},
+		{"v1", v1Of(t, v4), false, false},
+		{"cut", v4[:chunks[len(chunks)/2].Offset+7], true, false},
 	}
 	srcs := []scanSource{{
 		name: "trace", ref: tr,

@@ -19,10 +19,10 @@ import (
 
 // DefaultChunkBytes is the per-thread chunk buffer threshold used by
 // NewWriter. A thread's buffered events are framed and written out once
-// their encoding reaches this size: some 5.5 k events of a task-parallel
+// their encoding reaches this size: some 5 k events of a task-parallel
 // recording, the unit a window query decodes and a scan's workers share
 // out.
-const DefaultChunkBytes = 20 * 1024
+const DefaultChunkBytes = 16 * 1024
 
 // IsArchivePath reports whether path names a binary archive by
 // extension (".otf2"); anything else is treated as JSONL by the tools.
@@ -49,7 +49,7 @@ func IsArchivePath(p string) bool {
 // Errors from the underlying io.Writer are latched: the first error is
 // returned by every subsequent call, including Close.
 //
-// The Writer emits format version 3: it tracks per-chunk time bounds and
+// The Writer emits format version 4: it tracks per-chunk time bounds and
 // byte offsets and appends the footer index and trailer on Close, so
 // readers can seek. WithCompression additionally DEFLATEs each sealed
 // chunk payload (outside all shared locks).
@@ -137,7 +137,7 @@ func (c *chunkEncoder) ref() ChunkRef {
 	return ChunkRef{Events: c.count, BaseTime: c.base, MinTime: c.minT, MaxTime: c.maxT}
 }
 
-// encode appends events to the open chunk as v3 records until it holds
+// encode appends events to the open chunk as v4 records until it holds
 // limit bytes, interning their regions in defs, and returns how many it
 // took. The chunk's buffer, times and task ID are in locals meanwhile
 // and stored once at the end: stored per field into the encoder, a heap
@@ -161,8 +161,12 @@ func (c *chunkEncoder) encode(defs *defTable, events []trace.Event, limit int) i
 			c.reg0, c.ref0 = r, ref
 		}
 		head := byte(ev.Type)
-		if ev.TaskID != 0 {
-			head |= headTask
+		if id := ev.TaskID; id != 0 {
+			if id == prevTask && ev.Type-trace.EvTaskCreateEnd <= trace.EvTaskSwitch-trace.EvTaskCreateEnd {
+				head += sameTaskShift
+			} else {
+				head |= headTask
+			}
 		}
 		if ref <= headRefMax {
 			buf = append(buf, head|byte(ref)<<headRefShift)
@@ -170,8 +174,8 @@ func (c *chunkEncoder) encode(defs *defTable, events []trace.Event, limit int) i
 			buf = append(buf, head|headRefEscape<<headRefShift)
 			buf = binary.AppendUvarint(buf, ref-headRefEscape)
 		}
-		buf = binary.AppendVarint(buf, ev.Time-lastTime)
-		if ev.TaskID != 0 {
+		buf = binary.AppendUvarint(buf, uint64(ev.Time-lastTime))
+		if head&headTask != 0 {
 			buf = binary.AppendVarint(buf, int64(ev.TaskID-prevTask))
 			prevTask = ev.TaskID
 		}
@@ -195,7 +199,7 @@ func (c *chunkEncoder) encode(defs *defTable, events []trace.Event, limit int) i
 	return n
 }
 
-// timeDeltaAt returns where the time delta of the v3 record at the start
+// timeDeltaAt returns where the time delta of the v4 record at the start
 // of rec begins: after the head byte and, if the head escapes the region
 // reference, the uvarint holding it.
 func timeDeltaAt(rec []byte) int {
@@ -280,7 +284,7 @@ func NewWriter(w io.Writer, opts ...WriterOption) *Writer {
 	}
 	if _, err := wr.bw.WriteString(magic); err != nil {
 		wr.setErr(err)
-	} else if err := wr.bw.WriteByte(version3); err != nil {
+	} else if err := wr.bw.WriteByte(version4); err != nil {
 		wr.setErr(err)
 	}
 	wr.off = int64(len(magic)) + 1
@@ -341,6 +345,24 @@ func (d *defTable) init(sealAt int, fail func(error)) {
 	d.strings, d.sealAt, d.fail = make(map[string]uint64), sealAt, fail
 }
 
+// definable reports whether a definition record can carry s.
+func definable(s string) bool { return len(s) < maxChunkLen/2 }
+
+// undefinable returns the first region of events with a string no
+// definition record can carry, or nil.
+func undefinable(events []trace.Event) *region.Region {
+	var last *region.Region
+	for i := range events {
+		if r := events[i].Region; r != nil && r != last {
+			if !definable(r.Name) || !definable(r.File) {
+				return r
+			}
+			last = r
+		}
+	}
+	return nil
+}
+
 // internStringLocked interns s, queueing a definition record on first
 // use. Caller holds mu.
 func (d *defTable) internStringLocked(s string) uint64 {
@@ -348,7 +370,7 @@ func (d *defTable) internStringLocked(s string) uint64 {
 	if ok {
 		return id
 	}
-	if len(s) >= maxChunkLen/2 {
+	if !definable(s) {
 		// A single definition record cannot be split across chunks, so
 		// a string this long would produce a 'D' chunk the Reader
 		// rejects; refuse it up front instead of writing an unreadable
@@ -454,23 +476,19 @@ func (w *Writer) threadBuf(id int) *threadBuf {
 // writeChunkLocked frames one chunk whose payload is head followed by
 // body (either may be empty); splitting the payload lets the seal path
 // prepend the per-chunk event header without copying the chunk buffer.
-// Caller holds iomu.
+// The frame and head, a few bytes, are copied into the buffered
+// writer's free space, so no slice of the caller's escapes to the heap
+// per chunk; a long payload goes in body. Caller holds iomu.
 func (w *Writer) writeChunkLocked(kind byte, head, body []byte) {
 	if w.Err() != nil {
 		return
 	}
-	var hdr [binary.MaxVarintLen64 + 1]byte
-	hdr[0] = kind
-	n := binary.PutUvarint(hdr[1:], uint64(len(head)+len(body)))
-	if _, err := w.bw.Write(hdr[:1+n]); err != nil {
+	frame := append(w.bw.AvailableBuffer(), kind)
+	frame = binary.AppendUvarint(frame, uint64(len(head)+len(body)))
+	frame = append(frame, head...)
+	if _, err := w.bw.Write(frame); err != nil {
 		w.setErr(err)
 		return
-	}
-	if len(head) > 0 {
-		if _, err := w.bw.Write(head); err != nil {
-			w.setErr(err)
-			return
-		}
 	}
 	if len(body) > 0 {
 		if _, err := w.bw.Write(body); err != nil {
@@ -478,7 +496,7 @@ func (w *Writer) writeChunkLocked(kind byte, head, body []byte) {
 			return
 		}
 	}
-	w.off += int64(1+n) + int64(len(head)) + int64(len(body))
+	w.off += int64(len(frame)) + int64(len(body))
 }
 
 // flushDefsLocked takes ownership of the pending definition records and
@@ -493,11 +511,11 @@ func (w *Writer) flushDefsLocked() {
 	sealed, defs := w.defs.take()
 	for _, p := range sealed {
 		w.recordDefLocked()
-		w.writeChunkLocked(chunkDefs, p, nil)
+		w.writeChunkLocked(chunkDefs, nil, p)
 	}
 	if len(defs) > 0 {
 		w.recordDefLocked()
-		w.writeChunkLocked(chunkDefs, defs, nil)
+		w.writeChunkLocked(chunkDefs, nil, defs)
 	}
 }
 
@@ -613,10 +631,16 @@ func (w *Writer) writeEventChunk(tid int, ref ChunkRef, payload []byte) {
 // chunks as the per-thread buffer fills. It implements trace.EventSink,
 // so it can serve as the flush target of a trace.Recorder. Encoding runs
 // entirely in the thread's own buffer; concurrent batches of different
-// threads never contend.
+// threads never contend. A batch is refused whole: one naming a region
+// the archive cannot define fails before any of it is encoded, so no
+// chunk holding part of it is written.
 func (w *Writer) WriteEvents(thread int, events []trace.Event) error {
 	if err := w.Err(); err != nil {
 		return err
+	}
+	if r := undefinable(events); r != nil {
+		w.defs.region(r) // latches the refusal
+		return w.Err()
 	}
 	tb := w.threadBuf(thread)
 	tb.mu.Lock()
@@ -695,7 +719,7 @@ func (w *Writer) Close() error {
 		return w.Err()
 	}
 	idxOff := w.off
-	w.writeChunkLocked(chunkIndex, p, nil)
+	w.writeChunkLocked(chunkIndex, nil, p)
 	var tp [trailerPayloadLen]byte
 	binary.LittleEndian.PutUint64(tp[:8], uint64(idxOff))
 	copy(tp[8:], trailerMagic)

@@ -97,7 +97,12 @@ func (s *Server) streamOrderLocked() []string {
 // resuming must not build on. Sealed streams keep their status; a
 // sealed-complete shard that lost bytes is demoted to failed with the
 // loss counted. Unsealed streams await resume at the recovered durable
-// offset.
+// offset. A journal entry names its shard by a plain file name in
+// s.dir, as the server writes it; an entry naming anything else — a path
+// out of the directory, a subdirectory, the directory itself — is
+// refused, with the whole journal, before any file is opened, so a
+// damaged or hostile journal cannot make recovery truncate a file
+// elsewhere.
 func (s *Server) recover() error {
 	data, err := os.ReadFile(filepath.Join(s.dir, journalFileName))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -117,6 +122,11 @@ func (s *Server) recover() error {
 		if e.ID == "" || e.File == "" {
 			return fmt.Errorf("sink: journal entry missing id or file")
 		}
+		if !plainFileName(e.File) {
+			return fmt.Errorf("sink: journal entry %q names %q, not a file in %s", e.ID, e.File, s.dir)
+		}
+	}
+	for _, e := range doc.Streams {
 		st := &streamState{
 			token:  e.Token,
 			sealed: e.Sealed,
@@ -165,4 +175,10 @@ func (s *Server) recover() error {
 		s.recovered++
 	}
 	return nil
+}
+
+// plainFileName reports whether name is a file name and nothing more:
+// joined to a directory, it names a file directly inside it.
+func plainFileName(name string) bool {
+	return name == filepath.Base(name) && name != "." && name != ".." && name != string(filepath.Separator)
 }

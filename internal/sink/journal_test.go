@@ -1,0 +1,192 @@
+package sink
+
+import (
+	"bytes"
+	"encoding/json"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/otf2"
+	"repro/internal/region"
+)
+
+// journalOf is a journal document with one stream entry per file name.
+func journalOf(t testing.TB, files ...string) []byte {
+	t.Helper()
+	doc := journalDoc{Version: journalVersion}
+	for i, f := range files {
+		doc.Streams = append(doc.Streams, journalEntry{ID: "s" + string(rune('a'+i)), File: f, Bytes: 1 << 20})
+	}
+	data, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// recoveryDir lays out what a recovery may find around a server
+// directory: base/exp is the directory, holding a shard cut mid-chunk
+// (trace-a.otf2, which recovery truncates to its intact prefix), and
+// beside it lie files that are no business of the server's — a text file
+// and an archive cut like the shard. It returns the server directory and
+// the bytes of every file under base as they were.
+func recoveryDir(t testing.TB) (string, map[string][]byte) {
+	t.Helper()
+	base := t.TempDir()
+	dir := filepath.Join(base, "exp")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var archive bytes.Buffer
+	w := otf2.NewWriter(&archive, otf2.WithChunkBytes(1024))
+	for th, batches := range synthBatches(region.NewRegistry(), 1, 4, 100) {
+		for _, evs := range batches {
+			w.WriteEvents(th, evs) //nolint:errcheck // latched: Close returns it
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cut := archive.Bytes()[:archive.Len()-100]
+	for name, data := range map[string][]byte{
+		"victim.txt":         []byte("not an archive\n"),
+		"victim.otf2":        cut,
+		"exp/trace-a.otf2":   cut,
+		"exp/sub/trace.otf2": cut,
+	} {
+		path := filepath.Join(base, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir, snapshot(t, base)
+}
+
+// snapshot returns the bytes of every regular file under root, by path.
+func snapshot(t testing.TB, root string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[path] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// outsideUnchanged fails t if a file recovery must not touch — anything
+// but the journal and the files directly inside dir — differs from
+// before.
+func outsideUnchanged(t testing.TB, dir string, before map[string][]byte) {
+	t.Helper()
+	for path, data := range snapshot(t, filepath.Dir(dir)) {
+		if filepath.Dir(path) == dir {
+			continue
+		}
+		if old, ok := before[path]; !ok || !bytes.Equal(old, data) {
+			t.Errorf("recovery changed %s (%d bytes, were %d)", path, len(data), len(old))
+		}
+	}
+	for path := range before {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("recovery removed %s: %v", path, err)
+		}
+	}
+}
+
+// TestRecoverRefusesPathsOutsideDir writes journals whose entries name
+// files that are not directly inside the server directory — a file beside
+// it, one further up, an absolute path, a file in a subdirectory, the
+// directory itself — and holds NewServer to refusing each without
+// touching any of them; a journal naming the shard inside it recovers
+// and truncates that shard to its intact prefix.
+func TestRecoverRefusesPathsOutsideDir(t *testing.T) {
+	const absolute = "the absolute path of ../victim.otf2"
+	for _, file := range []string{"../victim.txt", "../victim.otf2", "../exp/../victim.otf2", absolute, ".", "..", "/", "sub/trace.otf2"} {
+		dir, before := recoveryDir(t)
+		if file == absolute {
+			file = filepath.Join(filepath.Dir(dir), "victim.otf2")
+		}
+		if err := os.WriteFile(filepath.Join(dir, journalFileName), journalOf(t, "trace-a.otf2", file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if srv, err := NewServer(dir); err == nil {
+			srv.Close() //nolint:errcheck // the test has failed already
+			t.Errorf("file %q: NewServer recovered the journal", file)
+		} else if !strings.Contains(err.Error(), "not a file in") {
+			t.Errorf("file %q: NewServer: %v", file, err)
+		}
+		outsideUnchanged(t, dir, before)
+		if shard := filepath.Join(dir, "trace-a.otf2"); !bytes.Equal(snapshot(t, dir)[shard], before[shard]) {
+			t.Errorf("file %q: a refused journal truncated the shard inside the directory", file)
+		}
+	}
+
+	dir, before := recoveryDir(t)
+	if err := os.WriteFile(filepath.Join(dir, journalFileName), journalOf(t, "trace-a.otf2"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	outsideUnchanged(t, dir, before)
+	shard := filepath.Join(dir, "trace-a.otf2")
+	intact, err := otf2.IntactPrefixSize(shard)
+	if fi, serr := os.Stat(shard); err != nil || serr != nil || fi.Size() != intact || intact >= int64(len(before[shard])) {
+		t.Errorf("the shard was not truncated to its intact prefix (err %v, %v)", err, serr)
+	}
+}
+
+// FuzzJournal feeds server recovery arbitrary journals over a directory
+// laid out by recoveryDir: NewServer must not panic, and whatever it
+// makes of the journal, no file outside the directory changes; a server
+// it returns closes cleanly.
+func FuzzJournal(f *testing.F) {
+	f.Add(journalOf(f, "trace-a.otf2"))
+	f.Add(journalOf(f, "trace-a.otf2", "../victim.txt"))
+	f.Add(journalOf(f, "../victim.otf2"))
+	f.Add(journalOf(f, "sub/trace.otf2", ".."))
+	f.Add([]byte(`{"version":1,"streams":[{"id":"","file":"trace-a.otf2"}]}`))
+	f.Add([]byte(`{"version":1,"streams":[{"id":"a","file":""}]}`))
+	f.Add([]byte(`{"version":1,"streams":[{"id":"a"}]}`))
+	f.Add([]byte(`{"version":2,"streams":[{"id":"a","file":"trace-a.otf2"}]}`))
+	f.Add([]byte(`{"version":1,"streams":[{"id":"a","file":"trace-a.otf2","complete":true,"sealed":true,"bytes":99999}`)) // cut
+	f.Add([]byte(`{"version":1,"streams":[{"id":"a","file":"trace-a.otf2"},{"id":"a","file":"trace-a.otf2"}]}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, journal []byte) {
+		dir, before := recoveryDir(t)
+		if err := os.WriteFile(filepath.Join(dir, journalFileName), journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(dir)
+		outsideUnchanged(t, dir, before)
+		if err != nil {
+			return
+		}
+		for _, st := range srv.Streams() {
+			if !plainFileName(st.File) {
+				t.Errorf("recovered stream %q names %q", st.ID, st.File)
+			}
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		outsideUnchanged(t, dir, before)
+	})
+}

@@ -194,7 +194,7 @@ func TestDaemonCrashRestartResume(t *testing.T) {
 			sock := filepath.Join(base, "d.sock")
 			// Small ack stride: shards have flushed bytes to recover.
 			r := startRestartable(t, dir, sock, WithAckInterval(512))
-			work, refs := streamWorkload(t, t.TempDir(), streams, 40, 40)
+			work, refs := streamWorkload(t, t.TempDir(), streams, 40, 48) // half of thread 0 overflows the writer's 4 KiB buffer
 
 			half := make(chan int, streams) // streams that wrote half
 			goOn := make(chan struct{})     // restart done, finish writing

@@ -642,7 +642,8 @@ func TestRawProtocolBytes(t *testing.T) {
 
 // TestEdgeRecordsRoundTrip streams the events that stress the archive's
 // event record — region refs 0 to 20, task IDs whose deltas wrap
-// (0, 1, 2^63, 2^64-1 alternating), a clock stepping back, batches of 1
+// (0, 1, 2^63, 2^64-1 alternating), runs of one task ID across batch and
+// chunk boundaries, a clock stepping back (ten-byte deltas), batches of 1
 // to 9 events — and holds the daemon's shard to the events sent and,
 // byte for byte, to the archive a plain writer makes of them.
 func TestEdgeRecordsRoundTrip(t *testing.T) {
@@ -656,14 +657,17 @@ func TestEdgeRecordsRoundTrip(t *testing.T) {
 	batches := map[int][][]trace.Event{}
 	want := &trace.Trace{Threads: map[int][]trace.Event{}}
 	for th := 0; th < 2; th++ {
-		now := int64(th) << 40
+		now, id := int64(th)<<40, uint64(0)
 		for k := 1; len(want.Threads[th]) < 2000; k = k%9 + 1 {
 			var evs []trace.Event
 			for i := 0; i < k; i++ {
 				now += rng.Int63n(1<<12) - 1<<11
-				id := ids[rng.Intn(len(ids))]
-				if rng.Intn(3) == 0 {
+				switch rng.Intn(4) {
+				case 0:
 					id = rng.Uint64() >> uint(rng.Intn(64))
+				case 1: // the task before again
+				default:
+					id = ids[rng.Intn(len(ids))]
 				}
 				evs = append(evs, trace.Event{Time: now, Type: trace.EventType(rng.Intn(int(trace.EvThreadEnd) + 1)), Region: regs[rng.Intn(len(regs))], TaskID: id})
 			}

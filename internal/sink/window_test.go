@@ -419,7 +419,7 @@ func TestSeverAtSegmentBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches := synthBatches(region.NewRegistry(), 1, 150, 1200)
+	batches := synthBatches(region.NewRegistry(), 1, 180, 1200)
 	for _, comp := range []otf2.Compression{otf2.CompressionNone, otf2.CompressionFlate} {
 		ref := filepath.Join(t.TempDir(), "ref.otf2")
 		writeLocal(t, ref, batches, otf2.WithCompression(comp))
