@@ -228,40 +228,28 @@ func TestCommandLineTools(t *testing.T) {
 		t.Errorf("convert from experiment failed:\n%s", out)
 	}
 
-	// Seekable-archive flows: a v1 archive (the committed fixture) reads,
-	// converts and upgrades like its v2 twin; compression,
-	// windowed/thread-subset queries and the enriched -stats report.
-	fixture := func(name string) string { return filepath.Join("internal", "otf2", "testdata", name) }
-	v1Path, upPath, v1JSONL := fixture("v1.otf2"), filepath.Join(dir, "fx-up.otf2"), filepath.Join(dir, "fx-v1.jsonl")
-	run("scorep-convert", "-in", v1Path, "-out", upPath)
-	run("scorep-convert", "-in", v1Path, "-out", v1JSONL)
-	recording, err := os.ReadFile(fixture("recording.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := os.ReadFile(v1JSONL); err != nil || !bytes.Equal(got, recording) {
-		t.Errorf("the v1 fixture converts to JSONL other than recording.jsonl (err %v)", err)
-	}
-	// v1 archives stay readable and analyze identically to v2.
-	fxJSON := runOut("scorep-analyze", "-trace", fixture("v2.otf2"), "-json")
-	for _, p := range []string{v1Path, upPath} {
-		if got := runOut("scorep-analyze", "-trace", p, "-json"); got != fxJSON {
-			t.Errorf("%s analyzes differently from the v2 fixture:\n%s", p, got)
-		}
-	}
-
 	// -stats reports the archive layout: version, index, chunk counts.
 	out = run("scorep-convert", "-in", archivePath, "-stats")
 	if !strings.Contains(out, "version=4") || !strings.Contains(out, "indexed=true") ||
 		!strings.Contains(out, "thread-chunks=") {
 		t.Errorf("-stats missing v4 layout fields:\n%s", out)
 	}
-	out = run("scorep-convert", "-in", v1Path, "-stats")
-	if !strings.Contains(out, "version=1") || !strings.Contains(out, "indexed=false") {
-		t.Errorf("-stats mislabels a v1 archive:\n%s", out)
+
+	// An archive of an older format version is refused, with the commit
+	// whose scorep-convert reads it.
+	old, err := os.ReadFile(filepath.Join("internal", "otf2", "testdata", "v4.otf2"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out = run("scorep-convert", "-in", upPath, "-stats"); !strings.Contains(out, "version=4") || !strings.Contains(out, "indexed=true") {
-		t.Errorf("-stats of the upgraded v1 archive:\n%s", out)
+	old[len("SPOTF2\x00")] = 3
+	oldPath := filepath.Join(dir, "v3.otf2")
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"scorep-convert", "-in", oldPath, "-stats"}, {"scorep-analyze", "-trace", oldPath}} {
+		if b, err := exec.Command(bin[args[0]], args[1:]...).CombinedOutput(); err == nil || !strings.Contains(string(b), "a6f702c") {
+			t.Errorf("%v on a version-3 header: %v\n%s", args, err, b)
+		}
 	}
 
 	// Compressed archives shrink and decode identically.

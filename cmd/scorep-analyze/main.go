@@ -31,7 +31,7 @@
 // Trace analysis (-trace or -exp input) can be clipped to a slice of
 // the recording with -window t0:t1 (inclusive bounds, either side
 // open) and -tids 0,2,5 (thread subset; the run's own thread count is
-// -threads). On an indexed (v2 on) archive the footer index makes this
+// -threads). On an indexed archive the footer index makes this
 // O(matching chunks): only chunks whose indexed time bounds and thread
 // can match are read. The result is always identical to analyzing the
 // full trace filtered to the same window:

@@ -8,16 +8,17 @@
 // presence, per-thread chunk counts and the event-chunk compression
 // ratio — the measurement behind the format's compression claim.
 //
-// Archive outputs are format version 4, the seekable indexed format, and
-// take -compress (flate-compress each event chunk); a version 1, 2 or 3
-// input is read and upgraded. -window t0:t1 and -threads a,b,c convert only the
-// matching sub-trace.
+// Archive inputs and outputs are format version 4, the seekable indexed
+// format; outputs take -compress (flate-compress each event chunk). An
+// archive of versions 1 to 3 is refused: scorep-convert built at commit
+// a6f702c converts it to version 4. -window t0:t1 and -threads a,b,c
+// convert only the matching sub-trace.
 //
 // Usage:
 //
 //	scorep-convert -in trace.jsonl -out trace.otf2 [-stats] [-compress]
 //	scorep-convert -in trace.otf2 -out trace.jsonl [-parallel 4]
-//	scorep-convert -in v1.otf2 -out v2.otf2
+//	scorep-convert -in trace.otf2 -out trace-z.otf2 -compress
 //	scorep-convert -in trace.otf2 -out slice.otf2 -window 1000:2000 -threads 0,1
 //	scorep-convert -exp scorep-run -out trace.jsonl
 //	scorep-convert -in trace.otf2 -stats          (inspect only)

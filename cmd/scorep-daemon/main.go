@@ -8,7 +8,7 @@
 // Ingest is sharded: each stream has its own goroutine and file, so a
 // slow or crashing client never stalls the others; a severed connection
 // keeps the intact prefix of that shard, salvageable like any truncated
-// archive. A v2 client reconnects and resumes a severed stream
+// archive. A client reconnects and resumes a severed stream
 // byte-exactly, and a daemon restarted over an existing experiment
 // directory recovers every shard's intact prefix from the stream
 // journal and accepts resumes at it — a crashed daemon costs nothing a

@@ -19,7 +19,7 @@
 //
 // When the input is an experiment that also archived a trace, -window
 // t0:t1 and/or -threads a,b,c append the trace-derived metrics of just
-// that slice after the profile — on an indexed (v2 on) archive the footer
+// that slice after the profile — on an indexed archive the footer
 // index reads only the matching chunks:
 //
 //	scorep-report -exp scorep-run -window 1000:2000 -threads 0,1

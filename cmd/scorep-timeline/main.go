@@ -9,7 +9,7 @@
 // Saved traces (-in or -exp) can be rendered clipped to a slice of the
 // recording with -window t0:t1 (inclusive, either side open) and -tids
 // 0,2,5 (thread subset; -threads is the live run's thread count). On an
-// indexed (v2 on) archive the footer index restricts reading to the matching
+// indexed archive the footer index restricts reading to the matching
 // chunks. With -save to an .otf2 archive, -compress stores
 // flate-compressed event chunks.
 //

@@ -185,25 +185,38 @@
 // names a shard by its stream id, or by its file name where the id is
 // empty or shared with another shard.
 //
-// The wire protocol (version 1) is reimplementable from this
-// paragraph. All integers are unsigned LEB128 varints ("uvarint")
-// unless stated. A client connects (unix or TCP socket) and sends a
-// handshake: the 7 bytes "SPSINK\x00", one version byte (0x01), then
-// uvarint(len(id)) and the id bytes — 1..128 bytes drawn from
-// [A-Za-z0-9._-]. After the handshake the client sends frames, each a
-// one-byte kind: 'F' (data) followed by uvarint(n) and n payload
-// bytes, 1 <= n <= 4 MiB; or 'Z' (end of stream) followed by
+// The wire protocol (version 2) is reimplementable from this
+// paragraph and the next section's first. All integers are unsigned
+// LEB128 varints ("uvarint") unless stated. A client connects (unix or
+// TCP socket) and sends a handshake: the 7 bytes "SPSINK\x00", one
+// version byte (0x02), uvarint(len(id)) and the id bytes — 1..128
+// bytes drawn from [A-Za-z0-9._-] — then uvarint(token), a nonzero
+// random stream token. The daemon refuses every other version byte,
+// closing the connection without a reply. A valid handshake is
+// answered with a hello: 'H', one status byte (0 new stream, 1
+// resumed), then uvarint(durable), the count of archive bytes the
+// daemon holds durably for this stream; the client sends from exactly
+// that archive offset. After the handshake the client sends frames,
+// each a one-byte kind: 'F' (data) followed by uvarint(n) and n payload
+// bytes, 1 <= n <= 4 MiB; 'Z' (end of stream) followed by
 // uvarint(droppedEvents), the count of event batches the client shed
-// under the drop policy. 'Z' is the last thing a client sends. The
+// under the drop policy; or 'G' (gap, see Fault tolerance) followed by
+// uvarint(gapBytes). 'Z' or 'G' is the last thing a client sends. The
 // concatenation of all 'F' payloads, in order, is exactly one SPOTF2
 // binary trace archive (see Trace formats); the daemon is a pure byte
 // relay and never parses, splits, or re-frames archive bytes, which is
 // what makes a received shard bit-identical to a locally written
-// archive. After 'Z' the daemon syncs the shard file and answers a
-// 2-byte acknowledgment: 'A' then a status byte — 0 for sealed, 1 for
-// ingest failure — and closes. A malformed handshake closes the
-// connection without registering a stream; a connection severed before
-// 'Z' keeps the flushed prefix on disk, marked incomplete.
+// archive. As data frames arrive the daemon flushes the shard and
+// acknowledges progress with 'K' followed by uvarint(durable), each
+// time at least its ack interval of payload has arrived since the last
+// (256 KiB by default; the WithAckInterval server option tunes it).
+// After 'Z' the daemon syncs the shard file and answers a 2-byte
+// acknowledgment: 'A' then a status byte — 0 for sealed, 1 for ingest
+// failure, 2 for sealed after a gap — and closes. A malformed
+// handshake closes the connection without registering a stream; a
+// connection severed before 'Z' keeps the flushed prefix on disk,
+// marked incomplete and resumable. internal/sink/testdata holds one
+// session's client bytes, the daemon's reply and the shard.
 //
 // # Fault tolerance
 //
@@ -214,20 +227,10 @@
 // counted, and a loss the client's replay window covers is no loss at
 // all (the resumed shard is bit-identical to an undisturbed run).
 //
-// Wire protocol version 2 adds resumable streams to the v1 byte
-// stream above. The daemon still accepts v1 sessions unchanged; the
-// client of this library speaks v2 only, and requires a v2 daemon. The
-// v2 handshake is the v1 handshake with version byte 0x02 and one
-// extra field: uvarint(token), a nonzero random stream token. The
-// daemon replies with a hello — 'H', one status byte (0 new stream, 1
-// resumed), then uvarint(durable), the count of archive bytes it
-// holds durably for this stream; the client must continue sending
-// from exactly that archive offset. As data frames arrive the daemon
-// periodically flushes the shard and acknowledges progress with 'K'
-// followed by uvarint(durable) (every 256 KiB by default; the
-// WithAckInterval server option tunes it). The client keeps a bounded
-// replay window of bytes at and above the last ack (WithReplayWindow,
-// default 4 MiB), evicting only below it. What a client holds while it
+// Streams are resumable: the hello and the 'K' acks tell the client
+// what the daemon holds durably. The client keeps a bounded replay
+// window of bytes at and above the last ack (WithReplayWindow, default
+// 4 MiB), evicting only below it. What a client holds while it
 // streams is that window and what lies before it: the replay window,
 // plus what is sent and not yet acknowledged (the daemon's ack
 // interval, the frame of up to 256 KiB that crosses it and the frame
@@ -541,33 +544,29 @@
 //     specification lives in the internal/otf2 package comment; the
 //     format is reimplementable from those docs alone.
 //
-// Archives are written in format version 4, which is version 2 with
-// the record above. Version 3 had the same record without the codes
-// 9..12 and with a zig-zag time delta, ~3.7 bytes/event; versions 1 and
-// 2 wrote every record as a type byte and three varints (time delta,
-// region reference, task ID), ~6 bytes/event. All three stay readable. Since version 2 the Writer
-// additionally tracks each event chunk's byte offset, event count and
-// inclusive timestamp bounds, and Close appends a footer index chunk
-// ('I') plus a fixed 14-byte trailer ('T' frame, little-endian index
-// offset, "SPIX" magic) — so a reader locates the index in O(1) seeks
-// from the end of the file. WithCompression(TraceCompressionFlate) (or
-// scorep-convert -compress) DEFLATEs each sealed event chunk into a 'C'
-// chunk; v1 readers are unaffected because v1 archives contain neither.
-// A flight-recorder dump (see Flight recorder) additionally carries one
-// chunk of kind 'F' placed directly after the header — before any event
-// chunk, so a dump truncated by a disk fault still keeps its accounting
-// in the salvageable prefix. Its payload is uvarint(ringChunks)
+// Archives are in format version 4, the one version the writer writes
+// and the readers read. The Writer tracks each event chunk's byte
+// offset, event count and inclusive timestamp bounds, and Close
+// appends a footer index chunk ('I') plus a fixed 14-byte trailer ('T'
+// frame, little-endian index offset, "SPIX" magic) — so a reader
+// locates the index in O(1) seeks from the end of the file.
+// WithCompression(TraceCompressionFlate) (or scorep-convert -compress)
+// DEFLATEs each sealed event chunk into a 'C' chunk. A flight-recorder
+// dump (see Flight recorder) additionally carries one chunk of kind 'F'
+// placed directly after the header — before any event chunk, so a dump
+// truncated by a disk fault still keeps its accounting in the
+// salvageable prefix. Its payload is uvarint(ringChunks)
 // uvarint(chunkEvents) uvarint(retainedEvents) uvarint(nthreads),
 // followed per thread (ascending thread ID) by varint(tid)
-// uvarint(droppedEvents) uvarint(droppedChunks). 'F' came with
-// version 2 and is skipped like any other unknown chunk kind by readers
-// that predate it. Version 1 to 3 archives are read, not written: they
-// stay fully readable (a v1 archive's reads are planned from the chunk
-// framing), and converting one (scorep-convert -in old.otf2 -out
-// new.otf2) writes version 4 and analyses byte for byte the same. The
-// writer's v1 downgrade, TraceArchiveFormatVersion and scorep-convert
-// -format-version are removed; internal/otf2/testdata keeps v1, v2 and
-// v3 archives the removed writers made, which the tests read.
+// uvarint(droppedEvents) uvarint(droppedChunks). Readers skip chunk
+// kinds they do not know. An archive of versions 1 to 3 is refused with
+// an error naming commit a6f702c: its scorep-convert (-in old.otf2 -out
+// new.otf2) reads them and writes version 4, which analyses byte for
+// byte the same; a daemon restarted over a shard of a version it does
+// not read seals the stream with that error and leaves the file as it
+// is. A format bump deletes its predecessor's reader, fixtures and
+// transcoder in the same change, unless the two differ only in the
+// record's head table, in which case the older one stays readable.
 //
 // The index exists for time-window queries: a TraceQuery (a time window
 // [MinTime, MaxTime] and/or a thread-ID subset) handed to
@@ -580,8 +579,8 @@
 // result is defined to be reflect.DeepEqual- and JSON-byte-identical to
 // decoding the whole archive and filtering with TraceQuery.Filter,
 // at every worker count, whether the plan comes from the index or from
-// the archive's framing (v1 input, or a v2 archive whose index was lost
-// to a crash — which still salvages the intact prefix). scorep-convert -stats
+// the archive's framing (an archive whose index was lost to a crash —
+// which still salvages the intact prefix). scorep-convert -stats
 // reports the physical layout: format version, index presence,
 // per-thread chunk counts and the compression ratio.
 //
@@ -665,8 +664,7 @@
 //
 // Every archive is planned; only the plan's inputs differ, chosen by
 // what the input is and never by an option. An archive without a
-// readable index (a v1 archive, the prefix a crashed run left, a
-// damaged trailer) is planned from its own framing: one walk from the
+// readable index (the prefix a crashed run left, a damaged trailer) is planned from its own framing: one walk from the
 // header reads each chunk's kind and length, decodes the definition
 // chunks in order, takes each event chunk's thread and count from its
 // head, and stops at the first cut or damaged frame, which becomes the

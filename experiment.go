@@ -424,14 +424,13 @@ func (e *Experiment) TraceAnalysis() (*TraceAnalysis, error) {
 
 // TraceAnalysisQuery derives the trace metrics restricted to the
 // sub-trace matching q, or returns zero-value results when the
-// experiment holds no trace. An archive with a footer index (format
-// v2) is accessed through it — only chunks whose thread and time
-// bounds can match are decoded; older or truncated archives are
-// planned from their chunk framing, every chunk of the selected threads
-// decoded and clipped (salvaging the intact prefix with a warning, like
-// TraceAnalysis). The analysis equals
-// filtering the full trace with q and analyzing that. Results are not
-// cached: each call reflects its own query.
+// experiment holds no trace. An archive with a footer index is
+// accessed through it — only chunks whose thread and time bounds can
+// match are decoded; a truncated archive is planned from its chunk
+// framing, every chunk of the selected threads decoded and clipped
+// (salvaging the intact prefix with a warning, like TraceAnalysis). The
+// analysis equals filtering the full trace with q and analyzing that.
+// Results are not cached: each call reflects its own query.
 func (e *Experiment) TraceAnalysisQuery(q TraceQuery) (*TraceAnalysis, TraceQueryStats, error) {
 	e.src.mu.Lock()
 	defer e.src.mu.Unlock()
@@ -465,8 +464,8 @@ func (e *Experiment) BottlenecksQuery(q TraceQuery) (*BottleneckAnalysis, TraceQ
 // directory holds (a daemon killed before sealing still leaves usable
 // shards). Globbed shards report their size, their stream id derived
 // from the file name, and Complete by probing for the archive's footer
-// index — a sealed archive of v2 on carries one, a severed stream's prefix
-// does not. The single-process trace.otf2 is not a shard. The result
+// index — a sealed archive carries one, a severed stream's prefix does
+// not. The single-process trace.otf2 is not a shard. The result
 // is cached; a single-process experiment returns an empty list.
 func (e *Experiment) TraceShards() []TraceShard {
 	e.mu.Lock()

@@ -195,7 +195,7 @@ func TestOpenExperimentTruncatedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cut deep into the event stream: a v2 archive ends with its footer
+	// Cut deep into the event stream: an archive ends with its footer
 	// index and trailer, so a small tail cut would lose only the index
 	// (and with it the seekable fast path), not events.
 	if err := os.Truncate(tracePath, fi.Size()*3/5); err != nil {
@@ -367,6 +367,54 @@ func TestOpenExperimentShardNames(t *testing.T) {
 	}
 }
 
+// TestOpenExperimentRefusesOtherVersions saves an experiment, then sets
+// the version byte of its trace — and of a copy of it as a fleet shard —
+// to one this build does not read: the experiment opens and its report
+// reads, but every way to its trace returns an error, which for versions
+// 1 to 3 names the last commit that reads them, and none salvages.
+func TestOpenExperimentRefusesOtherVersions(t *testing.T) {
+	res := runExperimentWorkload(t, "ev", 64, scorep.WithTracing())
+	for _, version := range []byte{1, 3, 5} {
+		dir := t.TempDir()
+		if err := res.SaveExperiment(dir); err != nil {
+			t.Fatal(err)
+		}
+		archive, err := os.ReadFile(filepath.Join(dir, "trace.otf2"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		archive[len("SPOTF2\x00")] = version
+		for _, name := range []string{"trace.otf2", "trace-a.otf2"} {
+			if err := os.WriteFile(filepath.Join(dir, name), archive, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		exp, err := scorep.OpenExperiment(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := exp.Report(); err != nil || rep == nil {
+			t.Fatalf("version %d: the report does not read: %v", version, err)
+		}
+		accessors := map[string]func() error{
+			"Trace":              func() error { _, err := exp.Trace(); return err },
+			"TraceAnalysis":      func() error { _, err := exp.TraceAnalysis(); return err },
+			"Bottlenecks":        func() error { _, err := exp.Bottlenecks(); return err },
+			"TraceAnalysisQuery": func() error { _, _, err := exp.TraceAnalysisQuery(scorep.TraceQuery{}); return err },
+			"FleetTraceAnalysis": func() error { _, err := exp.FleetTraceAnalysis(); return err },
+			"FleetBottlenecks":   func() error { _, err := exp.FleetBottlenecks(); return err },
+		}
+		for what, read := range accessors {
+			if err := read(); err == nil || (version <= 3) != strings.Contains(err.Error(), "a6f702c") {
+				t.Errorf("version %d: %s = %v", version, what, err)
+			}
+		}
+		if w := exp.Warnings(); len(w) != 0 {
+			t.Errorf("version %d: warnings %q, want none: nothing was salvaged", version, w)
+		}
+	}
+}
+
 // FuzzOpenExperiment opens arbitrary bytes as the meta.json of a
 // directory that holds one recording as trace.otf2 and as the shard
 // trace-a.otf2. Nothing may panic; an accepted experiment's shards lie
@@ -374,7 +422,7 @@ func TestOpenExperimentShardNames(t *testing.T) {
 // result or an error; and its Meta, written back and reopened, encodes
 // as it did.
 func FuzzOpenExperiment(f *testing.F) {
-	archive, err := os.ReadFile(filepath.Join("internal", "otf2", "testdata", "v2.otf2"))
+	archive, err := os.ReadFile(filepath.Join("internal", "otf2", "testdata", "v4.otf2"))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -14,15 +14,15 @@ import (
 // TestJoinSearchOnRecordings holds the critical-path walk's join search
 // to the merged list of every task end it replaced, at every resumed
 // fragment and at random queries, over real recordings: the 30 BOTS
-// traces of testdata and the five archive fixtures of internal/otf2 (v1,
-// v2, v2-flate, a flight dump and a cut v2), each whole and under the
+// traces of testdata and the four archive fixtures of internal/otf2 (raw,
+// compressed, a flight dump and a cut archive), each whole and under the
 // golden windows and thread subsets.
 func TestJoinSearchOnRecordings(t *testing.T) {
 	var paths []string
 	for _, c := range goldenCases() {
 		paths = append(paths, c.base()+".otf2")
 	}
-	for _, f := range []string{"v1", "v2", "v2-flate", "flight", "v2-cut"} {
+	for _, f := range []string{"v4", "v4-flate", "v4-flight", "v4-cut"} {
 		paths = append(paths, filepath.Join("..", "otf2", "testdata", f+".otf2"))
 	}
 	for _, path := range paths {

@@ -94,10 +94,10 @@ var decodeShapes = []decodeShape{
 	}, 0.58},
 }
 
-// chunkOf encodes the shape's events as one v4 event payload of about
-// DefaultChunkBytes, thread/count head included, and returns it with its
-// v3 and v2 forms and the region table they decode against.
-func (s decodeShape) chunkOf(tb testing.TB) (v4, v3, v2 []byte, regions []*region.Region, events int) {
+// chunkOf encodes the shape's events as one event payload of about
+// DefaultChunkBytes, thread/count head included, and returns it with the
+// region table it decodes against.
+func (s decodeShape) chunkOf(tb testing.TB) (payload []byte, regions []*region.Region, events int) {
 	rng := rand.New(rand.NewSource(1))
 	reg := region.NewRegistry()
 	var defs defTable
@@ -124,41 +124,33 @@ func (s decodeShape) chunkOf(tb testing.TB) (v4, v3, v2 []byte, regions []*regio
 	enc.begin(nil)
 	events = enc.encode(&defs, evs, DefaultChunkBytes)
 	head := binary.AppendUvarint(binary.AppendVarint(nil, 0), uint64(events))
-	v4 = append(head, enc.buf...)
-	v3 = v3Records(tb, v4)
-	return v4, v3, v2Records(tb, v3), regions, events
+	return append(head, enc.buf...), regions, events
 }
 
-// BenchmarkDecode measures the record loops alone: one chunk of each
-// decodeShape decoded in place, v2 records by decodeEvents and v3 and v4
-// ones by decodePacked, with no I/O, planning or allocation around them.
+// BenchmarkDecode measures the record loop alone: one chunk of each
+// decodeShape decoded in place by decodePacked, with no I/O, planning or
+// allocation around it. The sub-benchmarks keep the format version in
+// their names, v4, so their numbers stay one series across changes.
 func BenchmarkDecode(b *testing.B) {
 	for _, s := range decodeShapes {
-		v4, v3, v2, regions, events := s.chunkOf(b)
-		for _, rec := range []struct {
-			name    string
-			payload []byte
-			version byte
-		}{{"v2", v2, version2}, {"v3", v3, version3}, {"v4", v4, version4}} {
-			b.Run(s.name+"/"+rec.name, func(b *testing.B) {
-				layout := recordsOf(rec.version)
-				dst := make([]trace.Event, events)
-				for i := 0; i < b.N; i++ {
-					c := cursor{payload: rec.payload}
-					if _, err := c.varint("thread"); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := c.uvarint("count"); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := layout.decode(&c, regions, 0, dst); err != nil {
-						b.Fatal(err)
-					}
+		payload, regions, events := s.chunkOf(b)
+		b.Run(s.name+"/v4", func(b *testing.B) {
+			dst := make([]trace.Event, events)
+			for i := 0; i < b.N; i++ {
+				c := cursor{payload: payload}
+				if _, err := c.varint("thread"); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(len(rec.payload))/float64(events), "bytes/event")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
-			})
-		}
+				if _, err := c.uvarint("count"); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := decodePacked(&c, regions, 0, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(payload))/float64(events), "bytes/event")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+		})
 	}
 }
 
@@ -257,8 +249,8 @@ func BenchmarkLoad(b *testing.B) {
 
 // BenchmarkIndexless measures Load and Scan into an Analyzer, at one and
 // four workers, over the archives a plan recovers from their framing: a
-// v1 archive and a flate archive cut two thirds in, of a million events
-// each.
+// raw archive cut where its footer index begins and a flate archive cut
+// two thirds in, of a million events each.
 func BenchmarkIndexless(b *testing.B) {
 	tr := benchTrace(4, 62_500)
 	archive := func(opts ...WriterOption) []byte {
@@ -273,7 +265,7 @@ func BenchmarkIndexless(b *testing.B) {
 		name string
 		data []byte
 	}{
-		{"v1", v1Of(b, archive())},
+		{"no-index", unindexed(b, archive())},
 		{"cut-flate", flate[:len(flate)*2/3]},
 	} {
 		for _, workers := range []int{1, 4} {

@@ -15,18 +15,14 @@ import (
 // the out-of-core bottleneck analysis: Scan into a Collector over an
 // archive equals fully decoding it, filtering with the query, and
 // running the in-memory analysis — at worker counts 1 and 4, on
-// indexed (v4, v3, v2), compressed, and fallback (v1) archives.
+// indexed, compressed, and index-less archives.
 func TestBottlenecksMatchInMemoryReference(t *testing.T) {
 	tr := benchTrace(3, 400)
 	v4, flate := queryArchive(t, tr), queryArchive(t, tr, WithCompression(CompressionFlate))
 	archives := map[string][]byte{
 		"v4":       v4,
 		"v4-flate": flate,
-		"v3":       v3Of(t, v4),
-		"v3-flate": v3Of(t, flate),
-		"v2":       v2Of(t, v4),
-		"v2-flate": v2Of(t, flate),
-		"v1":       v1Of(t, v4),
+		"no-index": unindexed(t, v4),
 	}
 	for name, archive := range archives {
 		full, err := loadSequential(bytes.NewReader(archive), region.NewRegistry())
@@ -43,7 +39,7 @@ func TestBottlenecksMatchInMemoryReference(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s workers=%d %v: Scan into a Collector != analyze(filter(full))", name, workers, q)
 				}
-				if wantIndexed := name != "v1"; st.Indexed != wantIndexed {
+				if wantIndexed := name != "no-index"; st.Indexed != wantIndexed {
 					t.Errorf("%s workers=%d %v: stats.Indexed = %v, want %v", name, workers, q, st.Indexed, wantIndexed)
 				}
 			}
@@ -51,7 +47,7 @@ func TestBottlenecksMatchInMemoryReference(t *testing.T) {
 	}
 }
 
-// TestBottlenecksTruncatedSalvage: a truncated v2 archive (unreadable
+// TestBottlenecksTruncatedSalvage: a truncated archive (unreadable
 // index) must salvage the intact prefix's bottleneck analysis on every
 // worker count, with identical results on the sequential and pipeline
 // fallback paths, alongside an error wrapping ErrTruncated.

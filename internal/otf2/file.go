@@ -95,7 +95,8 @@ func CountFileEvents(path string) (int, string, error) {
 // ArchiveStats describes the physical layout of a binary archive — the
 // material scorep-convert -stats reports.
 type ArchiveStats struct {
-	// FormatVersion is the archive's header version byte (1 to 4).
+	// FormatVersion is the archive's header version byte: 4, the one
+	// version StatFile reads.
 	FormatVersion int
 	// SizeBytes is the archive file size.
 	SizeBytes int64
@@ -121,8 +122,8 @@ type ArchiveStats struct {
 // StatFile inspects a binary archive's physical layout without
 // decoding its event stream: format version, index presence, per-thread
 // chunk counts and compression effectiveness. Archives without a
-// readable index (v1, truncated) report version, size and flight
-// accounting only.
+// readable index (truncated, a damaged trailer) report version, size and
+// flight accounting only.
 func StatFile(path string) (*ArchiveStats, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -133,11 +134,10 @@ func StatFile(path string) (*ArchiveStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	version, err := readHeaderAt(f)
-	if err != nil {
+	if err := readHeaderAt(f); err != nil {
 		return nil, err
 	}
-	st := &ArchiveStats{FormatVersion: int(version), SizeBytes: fi.Size()}
+	st := &ArchiveStats{FormatVersion: version4, SizeBytes: fi.Size()}
 	// One walk over the framing sizes the event chunks and finds the
 	// flight-recorder accounting, which sits at the front of a dump: a
 	// truncated, index-less dump reports it too.
@@ -191,12 +191,15 @@ func StatFile(path string) (*ArchiveStats, error) {
 // O(chunks) in time and O(1) in memory. For a cut, the offset is where
 // ScanFile and LoadFile salvage to; a damaged length they report as
 // corruption instead, but everything from that chunk on is unusable
-// either way. A file shorter than the header, or one whose magic or
-// version byte is wrong, has an intact prefix of 0; only a failing read
-// is an error. The typical caller is crash recovery: truncating a shard
-// to its intact prefix makes the file a valid, fully readable archive
-// prefix again, and the returned size is the durable byte offset a
-// resuming writer must continue from.
+// either way. A file shorter than the header, or one whose magic is
+// wrong, has an intact prefix of 0. A failing read is an error, and so is
+// a header with the right magic and a version this build does not read:
+// that file is an archive another build can read, and nothing here may
+// say how much of it is intact. The typical caller is crash recovery:
+// truncating a shard to its intact prefix makes the file a valid, fully
+// readable archive prefix again, and the returned size is the durable
+// byte offset a resuming writer must continue from; on an error it must
+// leave the file alone.
 func IntactPrefixSize(path string) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -208,8 +211,8 @@ func IntactPrefixSize(path string) (int64, error) {
 		return 0, err
 	}
 	var readErr *fs.PathError
-	if _, err := readHeaderAt(f); err != nil {
-		if errors.As(err, &readErr) {
+	if err := readHeaderAt(f); err != nil {
+		if errors.Is(err, errVersion) || errors.As(err, &readErr) {
 			return 0, err
 		}
 		return 0, nil

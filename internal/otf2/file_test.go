@@ -2,10 +2,12 @@ package otf2
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/region"
@@ -156,9 +158,9 @@ func TestAnalyzeFileFormatsAgree(t *testing.T) {
 // TestIntactPrefixSize checks the cut-point walk against the readers'
 // salvage behavior: the intact prefix of a complete archive is the
 // whole file, a damaged chunk length ends it at the chunk before, and
-// for a raw, a compressed and a v1 archive cut at every byte offset it
-// is the prefix the lenient load salvages: truncated to it, the file
-// reads cleanly to exactly the salvaged events.
+// for a raw, a compressed and an index-less archive cut at every byte
+// offset it is the prefix the lenient load salvages: truncated to it, the
+// file reads cleanly to exactly the salvaged events.
 func TestIntactPrefixSize(t *testing.T) {
 	dir := t.TempDir()
 	reg := region.NewRegistry()
@@ -219,9 +221,9 @@ func TestIntactPrefixSize(t *testing.T) {
 		return buf.Bytes()
 	}
 	for name, data := range map[string][]byte{
-		"raw":   write(),
-		"flate": write(WithCompression(CompressionFlate)),
-		"v1":    v1Of(t, write()),
+		"raw":      write(),
+		"flate":    write(WithCompression(CompressionFlate)),
+		"no-index": unindexed(t, write()),
 	} {
 		cutPath := filepath.Join(dir, "cut-"+name+Ext)
 		if err := os.WriteFile(cutPath, data, 0o644); err != nil {
@@ -290,5 +292,38 @@ func TestLenientHelpersRealErrors(t *testing.T) {
 	}
 	if _, _, err := CountFileEvents(missing); err == nil {
 		t.Error("CountFileEvents accepted a missing file")
+	}
+}
+
+// TestRefusesOtherVersions gives every way into an archive the v4
+// fixture under each header version but 4: each refuses it with an
+// error, which for versions 1 to 3 names the last commit that reads
+// them; none takes the file for a cut or damaged archive.
+func TestRefusesOtherVersions(t *testing.T) {
+	v4 := readFixture(t, "v4")
+	for _, version := range []byte{0, 1, 2, 3, 5, 255} {
+		data := slices.Clone(v4)
+		data[len(magic)] = version
+		path := filepath.Join(t.TempDir(), "old.otf2")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, loadErr := Load(bytes.NewReader(data), region.NewRegistry(), Query{}, 2)
+		_, scanErr := Scan(bytes.NewReader(data), Query{}, 2, trace.NewAnalyzer())
+		_, _, _, loadFileErr := LoadFile(path, region.NewRegistry(), Query{}, 2)
+		_, _, scanFileErr := ScanFile(path, Query{}, 2, trace.NewAnalyzer())
+		_, _, countErr := CountFileEvents(path)
+		_, statErr := StatFile(path)
+		_, indexErr := ReadIndex(bytes.NewReader(data))
+		_, prefixErr := IntactPrefixSize(path)
+		for what, err := range map[string]error{
+			"Load": loadErr, "Scan": scanErr, "LoadFile": loadFileErr, "ScanFile": scanFileErr,
+			"CountFileEvents": countErr, "StatFile": statErr, "ReadIndex": indexErr, "IntactPrefixSize": prefixErr,
+		} {
+			if err == nil || errors.Is(err, ErrTruncated) || errors.Is(err, ErrNoIndex) ||
+				(version >= 1 && version <= 3) != strings.Contains(err.Error(), "a6f702c") {
+				t.Errorf("version %d: %s returns %v, want a refusal naming a6f702c for versions 1 to 3", version, what, err)
+			}
+		}
 	}
 }

@@ -120,7 +120,7 @@ func TestWriteFlightDumpIndexedAndStatted(t *testing.T) {
 			astats.Flight, st.RetainedEvents, st.DroppedEvents, st.DroppedChunks)
 	}
 
-	// Time-window queries go through the index like any v2 archive.
+	// Time-window queries go through the index like any archive.
 	a, qst, warn, err := AnalyzeFileQuery(path, Query{}, 1)
 	if err != nil || a == nil {
 		t.Fatalf("AnalyzeFileQuery: %v", err)

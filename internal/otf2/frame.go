@@ -2,6 +2,7 @@ package otf2
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -10,25 +11,34 @@ import (
 // version byte. The first chunk starts there.
 const headerLen = len(magic) + 1
 
-// readHeaderAt validates the archive header of src and returns the
-// archive's format version (1 to 4). A source shorter than the header
-// is a cut archive.
-func readHeaderAt(src io.ReaderAt) (byte, error) {
+// errVersion marks a header whose magic is right and whose version byte
+// this build does not read: such a file is an archive, just not one for
+// this reader, and must not be mistaken for a damaged one.
+var errVersion = errors.New("otf2: unsupported format version")
+
+// readHeaderAt validates the archive header of src: the magic and format
+// version 4, the only one this package reads. A source shorter than the
+// header is a cut archive. An older version is refused with the last
+// commit whose scorep-convert reads it and writes version 4.
+func readHeaderAt(src io.ReaderAt) error {
 	var hdr [headerLen]byte
 	if n, err := src.ReadAt(hdr[:], 0); n < len(hdr) {
 		if err == io.EOF && n > 0 {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, cutOrIOErr("reading header", err)
+		return cutOrIOErr("reading header", err)
 	}
 	if string(hdr[:len(magic)]) != magic {
-		return 0, corrupt("bad magic %q", hdr[:len(magic)])
+		return corrupt("bad magic %q", hdr[:len(magic)])
 	}
-	v := hdr[len(magic)]
-	if v < version1 || v > version4 {
-		return 0, fmt.Errorf("otf2: unsupported format version %d (have %d to %d)", v, version1, version4)
+	switch v := hdr[len(magic)]; {
+	case v == version4:
+		return nil
+	case v >= 1 && v < version4:
+		return fmt.Errorf("%w %d (have %d): convert the file with scorep-convert built at commit a6f702c", errVersion, v, version4)
+	default:
+		return fmt.Errorf("%w %d (have %d)", errVersion, v, version4)
 	}
-	return v, nil
 }
 
 // frame is one chunk as its framing gives it: its kind and extent, the

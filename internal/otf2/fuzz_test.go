@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/region"
@@ -15,7 +16,7 @@ import (
 
 // corruptTail returns a copy of data with the byte n before the end
 // flipped — aimed at the trailer, index chunk or compressed payloads
-// that all sit at the back of a v2 archive.
+// that all sit at the back of an archive.
 func corruptTail(data []byte, n int) []byte {
 	out := append([]byte(nil), data...)
 	if n < len(out) {
@@ -39,14 +40,13 @@ func FuzzCodec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:len(valid.Bytes())/2])      // truncated v2 (index lost)
-	f.Add([]byte(magic + "\x01"))                    // v1 header only
-	f.Add([]byte(magic + "\x02"))                    // v2 header only
-	f.Add([]byte("SPOTF2\x00\x01D\x03\x01\x80\x01")) // tiny defs chunk
+	f.Add(valid.Bytes()[:len(valid.Bytes())/2])      // truncated (index lost)
+	f.Add([]byte(magic + "\x04"))                    // header only
+	f.Add([]byte("SPOTF2\x00\x04D\x03\x01\x80\x01")) // tiny defs chunk
 	f.Add([]byte{})
-	// v2-specific seeds: valid archives with compression, a damaged
-	// trailer, a corrupted index payload and a corrupted compressed
-	// chunk — the decoder must reject or salvage, never panic.
+	// Valid archives with compression, a damaged trailer, a corrupted
+	// index payload and a corrupted compressed chunk — the decoder must
+	// reject or salvage, never panic.
 	var compressed bytes.Buffer
 	if err := Write(&compressed, sampleTrace(region.NewRegistry()), WithCompression(CompressionFlate)); err != nil {
 		f.Fatal(err)
@@ -57,13 +57,13 @@ func FuzzCodec(f *testing.F) {
 	f.Add(corruptTail(compressed.Bytes(), 30))                                            // inside the index chunk
 	f.Add(corruptTail(compressed.Bytes(), 80))                                            // inside a flate stream
 	f.Add(valid.Bytes()[: len(valid.Bytes())-trailerLen : len(valid.Bytes())-trailerLen]) // trailer sheared off
-	f.Add([]byte(magic + "\x02F\x04\x00\x00\x00\x30"))                                    // damaged flight accounting: no path may be alone in rejecting it
+	f.Add([]byte(magic + "\x04F\x04\x00\x00\x00\x30"))                                    // damaged flight accounting: no path may be alone in rejecting it
 	// Inputs without an index, planned from their framing.
-	f.Add(v1Of(f, valid.Bytes()))
+	f.Add(unindexed(f, valid.Bytes()))
 	f.Add(compressed.Bytes()[:compressed.Len()-trailerLen]) // flate, trailer sheared off
 	// An event chunk naming region 0 before the definition chunk that
 	// defines it: rejected, however the chunks are read.
-	forward := []byte(magic + "\x02E\x06\x00\x01\x01\x02\x01\x00")
+	forward := []byte(magic + "\x04E\x04\x00\x01\x21\x01")
 	forward = append(forward, "D\x0a\x02\x00\x01r\x03\x00\x00\x00\x01\x01"...)
 	f.Add(forward)
 	tr, st := flightTestTrace(f)
@@ -76,13 +76,22 @@ func FuzzCodec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(flight.Bytes()[:ix.Threads[0].Chunks[0].Offset+9]) // a flight dump cut mid-chunk
+	// The fixtures, whole and without their index, and v4.otf2 under
+	// other header versions: refused.
 	for _, name := range fixtureNames {
-		f.Add(readFixture(f, name))
+		fixture := readFixture(f, name)
+		f.Add(fixture)
+		if !strings.HasSuffix(name, "-cut") {
+			f.Add(unindexed(f, fixture))
+		}
 	}
-	// Packed records: escaped region refs and task-ID deltas that wrap,
-	// in a valid archive and cut inside a record. In v3: a type nibble of
-	// 9 to 15; a task flag whose delta decodes to ID 0; a record whose
-	// payload ends inside the escape uvarint.
+	for _, v := range []byte{0, 1, 2, 3, 5, 6, 128, 255} {
+		f.Add(append(append([]byte(magic), v), readFixture(f, "v4")[headerLen:]...))
+	}
+	// Records: escaped region refs and task-ID deltas that wrap, in a
+	// valid archive and cut inside a record; a same-task code in a chunk
+	// without a task; a code of 15; a task flag whose delta decodes to ID
+	// 0; a record whose payload ends inside the escape uvarint.
 	var edge bytes.Buffer
 	if err := Write(&edge, edgeTrace(rand.New(rand.NewSource(1)), region.NewRegistry(), 2, 40)); err != nil {
 		f.Fatal(err)
@@ -98,19 +107,14 @@ func FuzzCodec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(wrapped.Bytes())
-	f.Add([]byte(magic + "\x03E\x04\x00\x01\x09\x00"))
-	f.Add([]byte(magic + "\x03E\x04\x00\x01\xff\x00"))
-	f.Add([]byte(magic + "\x03E\x05\x00\x01\x10\x00\x00"))
-	f.Add([]byte(magic + "\x03E\x08\x00\x02\x14\x00\x02\x10\x01\x01")) // task 1, then a delta of -1: ID 0
-	f.Add([]byte(magic + "\x03E\x04\x00\x01\xe0\x80"))
+	f.Add([]byte(magic + "\x04E\x04\x00\x01\x09\x00"))
+	f.Add([]byte(magic + "\x04E\x04\x00\x01\xff\x00"))
+	f.Add([]byte(magic + "\x04E\x05\x00\x01\x10\x00\x00"))
+	f.Add([]byte(magic + "\x04E\x08\x00\x02\x14\x00\x02\x10\x01\x01")) // task 1, then a delta of -1: ID 0
+	f.Add([]byte(magic + "\x04E\x04\x00\x01\xe0\x80"))
 	for _, c := range v4RecordCases() {
 		f.Add(c.archive)
 	}
-	var v4 bytes.Buffer
-	if err := Write(&v4, edgeTrace(rand.New(rand.NewSource(2)), region.NewRegistry(), 1, 60)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v3Of(f, v4.Bytes()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, werr := loadSequential(bytes.NewReader(data), region.NewRegistry())

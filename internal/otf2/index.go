@@ -34,8 +34,8 @@ type ThreadChunks struct {
 // Index is an archive's decoded footer index: the offsets of every
 // definition chunk plus, per thread in ascending ID order, every event
 // chunk with its event count and time bounds. It is the seekable
-// entry point of an archive of version 2 on — ReadIndex locates it in O(1)
-// seeks via the fixed-size trailer.
+// entry point of an archive — ReadIndex locates it in O(1) seeks via the
+// fixed-size trailer.
 type Index struct {
 	DefOffsets []int64
 	Threads    []ThreadChunks
@@ -43,8 +43,6 @@ type Index struct {
 	// end is the offset of the index chunk itself: every chunk the index
 	// describes lies before it.
 	end int64
-	// version is the archive's header version byte (2 to 4).
-	version byte
 }
 
 // NumChunks returns the total number of event chunks in the index.
@@ -79,13 +77,13 @@ func (ix *Index) ThreadIDs() []int {
 	return ids
 }
 
-// ReadIndex locates and decodes the footer index of an archive of
-// version 2 on in O(1) reads: it reads the fixed-size trailer at the end of
-// src, validates it, and decodes the index chunk it points at. It
-// returns ErrNoIndex when the archive has no readable index — a v1
-// archive, a later one cut off before Close wrote the footer, or a
-// damaged trailer — in which case a plan is made from the archive's
-// framing instead. The read position of src is unspecified afterwards.
+// ReadIndex locates and decodes the footer index of an archive in O(1)
+// reads: it checks the header, reads the fixed-size trailer at the end of
+// src, validates it, and decodes the index chunk it points at. It returns
+// ErrNoIndex when the archive has no readable index — it was cut off
+// before Close wrote the footer, or its trailer is damaged — in which
+// case a plan is made from the archive's framing instead. The read
+// position of src is unspecified afterwards.
 func ReadIndex(src source) (*Index, error) {
 	size, err := src.Seek(0, io.SeekEnd)
 	if err != nil {
@@ -94,16 +92,8 @@ func ReadIndex(src source) (*Index, error) {
 	if size < int64(headerLen)+trailerLen {
 		return nil, ErrNoIndex
 	}
-	var hdr [headerLen]byte
-	if n, err := src.ReadAt(hdr[:], 0); n < len(hdr) {
-		return nil, cutOrIOErr("reading header", err)
-	}
-	if string(hdr[:len(magic)]) != magic {
-		return nil, corrupt("bad magic %q", hdr[:len(magic)])
-	}
-	version := hdr[len(magic)]
-	if version < version2 || version > version4 {
-		return nil, ErrNoIndex // v1 archives have no index by design
+	if err := readHeaderAt(src); err != nil {
+		return nil, err
 	}
 	var tr [trailerLen]byte
 	if n, err := src.ReadAt(tr[:], size-trailerLen); n < len(tr) {
@@ -131,11 +121,7 @@ func ReadIndex(src source) (*Index, error) {
 		// archive, and a front-to-back read would trip over them.
 		return nil, corrupt("index chunk does not end at the trailer")
 	}
-	ix, err := decodeIndex(payload, idxOff)
-	if ix != nil {
-		ix.version = version
-	}
-	return ix, err
+	return decodeIndex(payload, idxOff)
 }
 
 // decodeIndex parses an index-chunk payload; end is the index chunk's

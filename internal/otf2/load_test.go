@@ -127,11 +127,7 @@ func loadArchives(t testing.TB, tasks int) map[string][]byte {
 	return map[string][]byte{
 		"v4-raw":       raw,
 		"v4-flate":     flate,
-		"v3-raw":       v3Of(t, raw),
-		"v3-flate":     v3Of(t, flate),
-		"v2-raw":       v2Of(t, raw),
-		"v2-flate":     v2Of(t, flate),
-		"v1":           v1Of(t, raw),
+		"no-index":     raw[:ix.end],
 		"cut":          raw[:mid+5],
 		"flight":       flight.Bytes(),
 		"shard":        drippingArchive(t, tr),
@@ -297,7 +293,7 @@ func TestLoadMatrix(t *testing.T) {
 // plain stream is buffered, then planned like any other input.
 func TestLoadTakesThePlan(t *testing.T) {
 	for name, data := range loadArchives(t, 600) {
-		wantIndexed := name != "v1" && name != "cut"
+		wantIndexed := name != "no-index" && name != "cut"
 		_, st, err := Load(bytes.NewReader(data), region.NewRegistry(), Query{}, 2)
 		if err != nil && !errors.Is(err, ErrTruncated) {
 			t.Fatalf("%s: %v", name, err)
@@ -478,10 +474,11 @@ func TestRegionIDLimit(t *testing.T) {
 		defs := []byte{defString, 0, 1, 'r', defRegion}
 		defs = binary.AppendUvarint(defs, id)
 		defs = append(defs, 0, 0, 1, byte(region.Task)) // name, file, line, type
-		events := []byte{0, 1, byte(trace.EvEnter), 2}  // thread 0, one event, time delta +1
-		events = binary.AppendUvarint(events, id+1)
-		events = append(events, 0)
-		out := append([]byte(magic+"\x02"), chunkDefs, byte(len(defs)))
+		// Thread 0, one event: an Enter of region id (escaped), delta +1.
+		events := []byte{0, 1, byte(trace.EvEnter) | headRefEscape<<headRefShift}
+		events = binary.AppendUvarint(events, id+1-headRefEscape)
+		events = append(events, 1)
+		out := append([]byte(magic+"\x04"), chunkDefs, byte(len(defs)))
 		out = append(append(out, defs...), chunkEvents, byte(len(events)))
 		return append(out, events...)
 	}
@@ -499,7 +496,11 @@ func TestRegionIDLimit(t *testing.T) {
 // the input — lists are sized by what the payload can hold, never by the
 // counts it declares.
 func FuzzDecodeIndex(f *testing.F) {
-	for _, data := range loadArchives(f, 60) {
+	archives := loadArchives(f, 60)
+	for _, name := range fixtureNames {
+		archives["fixture-"+name] = readFixture(f, name)
+	}
+	for _, data := range archives {
 		if ix, err := ReadIndex(bytes.NewReader(data)); err == nil {
 			_, payload, err := ReadChunkAt(bytes.NewReader(data), ix.end)
 			if err != nil {
@@ -510,6 +511,7 @@ func FuzzDecodeIndex(f *testing.F) {
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})                   // 2^32 definition offsets, none present
 	f.Add([]byte{0, 1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1}) // one thread, 2^48 chunks
+	f.Add([]byte{0, 2, 2, 0, 2, 0})                               // two threads of one ID
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		ix, err := decodeIndex(payload, 1<<40)
 		if err != nil {
@@ -535,7 +537,7 @@ func FuzzDecodeIndex(f *testing.F) {
 // not back.
 func FuzzIndexedLoad(f *testing.F) {
 	archives := loadArchives(f, 60)
-	names := []string{"v4-raw", "v4-flate", "flight", "shard", "empty-chunks", "64-threads", "v2-raw", "v2-flate", "v3-raw", "v3-flate"}
+	names := []string{"v4-raw", "v4-flate", "flight", "shard", "shard-flate", "empty-chunks", "64-threads"}
 	for i, name := range names {
 		data := archives[name]
 		ix, err := ReadIndex(bytes.NewReader(data))
@@ -548,6 +550,7 @@ func FuzzIndexedLoad(f *testing.F) {
 		}
 		f.Add(uint8(i), payload, data[len(data)-trailerLen:])
 		f.Add(uint8(i), payload, append([]byte{'0'}, data[len(data)-trailerLen:]...)) // a stray byte before the trailer
+		f.Add(uint8(i), payload[:len(payload)/2], data[len(data)-trailerLen:])        // an index cut in half
 	}
 	f.Fuzz(func(t *testing.T, which uint8, index, trailer []byte) {
 		data := archives[names[int(which)%len(names)]]

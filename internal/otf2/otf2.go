@@ -2,20 +2,14 @@
 // runtime's event traces — the OTF2-style storage layer the paper's
 // tool chain (Score-P writing OTF2 archives, read by Scalasca/Vampir)
 // uses for event tracing. It replaces the verbose JSONL stand-in for
-// large runs: delta-encoded timestamps and LEB128 variable-length
-// integers bring the cost per event from ~100 bytes of JSON down to a
-// handful of bytes, and the chunked, streaming design lets both
-// recording and analysis run in bounded memory on traces far larger
-// than RAM. Format version 2 additionally makes archives seekable:
-// sealed event chunks may be block-compressed, and a footer index plus
-// fixed-size trailer let a reader open a time window or thread subset
-// in O(matching chunks) instead of O(archive). Format version 3 keeps
-// all of version 2 but the event record, which it packs into one head
-// byte and at most three varints: about 3.7 bytes an event. Format
-// version 4 keeps all of version 3 but two details of that record — a
-// time delta no longer zig-zags, and a task event whose task is the
-// previous record's says so in its head — for about 3.0 to 3.3 bytes an
-// event.
+// large runs: delta-encoded timestamps, a one-byte record head and
+// LEB128 variable-length integers bring the cost per event from ~100
+// bytes of JSON down to about 3.0 to 3.3 bytes, and the chunked,
+// streaming design lets both recording and analysis run in bounded
+// memory on traces far larger than RAM. Archives are seekable: sealed
+// event chunks may be block-compressed, and a footer index plus
+// fixed-size trailer let a reader open a time window or thread subset in
+// O(matching chunks) instead of O(archive).
 //
 // # Archive layout
 //
@@ -25,34 +19,31 @@
 // the zig-zag-encoded signed form binary.AppendVarint.
 //
 //	archive := header chunk*
-//	header  := "SPOTF2\x00" version        // 7 magic bytes + 1 version byte (1 to 4)
+//	header  := "SPOTF2\x00" version        // 7 magic bytes + 1 version byte (4)
 //	chunk   := kind uvarint(len) payload   // kind is one byte; len = payload length in bytes
 //
-// Version 1 defines chunk kinds 'D' (definitions) and 'E' (events) and
-// has no archive-level trailer: a crashed or killed run leaves a
-// truncated final chunk, and every complete chunk before it remains
-// readable (the reader reports the cut as ErrTruncated). Version 2
-// keeps 'D' and 'E' byte-identical and adds three chunk kinds:
+// The chunk kinds are:
 //
-//	kind 'D' — definitions                       (v1 on)
-//	kind 'E' — events, raw                       (v1 on)
-//	kind 'C' — events, compressed                (v2 on)
-//	kind 'I' — footer index                      (v2 on)
-//	kind 'T' — trailer locating the index        (v2 on)
-//	kind 'F' — flight-recorder accounting        (v2 on)
+//	kind 'D' — definitions
+//	kind 'E' — events, raw
+//	kind 'C' — events, compressed
+//	kind 'I' — footer index
+//	kind 'T' — trailer locating the index
+//	kind 'F' — flight-recorder accounting
 //
-// Versions 3 and 4 keep every chunk kind of version 2 byte for byte but
-// the event record inside 'E' and 'C' payloads (see Events). The writer
-// writes version 4 only; readers take all four, and the header's
-// version byte picks the record loop, and its time-delta mapping, once
-// per archive.
+// Readers skip chunks with unknown kinds so the format can grow. The
+// index and trailer are written once, by Close. A crashed or killed run
+// leaves a truncated final chunk and no index; every complete chunk
+// before the cut remains readable, planned from the chunk framing, and
+// the reader reports the cut as ErrTruncated.
 //
-// Readers skip chunks with unknown kinds so the format can grow; a v2
-// archive walked front to back therefore reads as a v1 one ('I' and 'T'
-// are skipped like any unknown kind). The index and trailer are written
-// once, by Close; an archive cut before them (a crashed run) degrades to
-// exactly the v1 contract — a plan from the chunk framing, intact
-// prefix, ErrTruncated.
+// The version byte is 4, the one version the writer writes and the
+// readers read. Readers refuse every other version; for versions 1 to 3
+// the error names commit a6f702c, whose scorep-convert reads them and
+// writes version 4. The rule that keeps it so: a format bump deletes its
+// predecessor's reader, fixtures and transcoder in the same change,
+// unless the two formats differ only in headInfo data (reader.go), in
+// which case the older one stays readable as one more table.
 //
 // # Definitions
 //
@@ -80,8 +71,8 @@
 //
 //	events := varint(threadID) uvarint(count) event[count]
 //
-// In version 4 an event record is a head byte, then the fields the
-// head says are there:
+// An event record is a head byte, then the fields the head says are
+// there:
 //
 //	event := head [uvarint(regionRef-7)] uvarint(uint64(timeDelta)) [varint(int64(taskID-prevTask))]
 //	head  := code | taskPresent<<4 | regionCode<<5
@@ -92,32 +83,22 @@
 // the chunk's start, so every chunk decodes on its own). regionRef is 0
 // for events without a region, otherwise regionID+1; regionCode (bits
 // 5-7) holds it when it is 0..6, and 7 escapes to the uvarint after the
-// head. The time delta is the two's complement of the signed delta, so a
-// monotone clock's steps below 128 ns take one byte and a step back takes
-// ten. taskPresent (bit 4) says the event has a task ID other than 0 that
-// the code does not give, written as its difference to prevTask modulo
-// 2^64. The encoding is canonical, so what decodes re-encodes to the same
-// record: codes 13-15 are corrupt, and so are a code 9-12 with
-// taskPresent set or in a chunk that has written no task yet, a present
-// task that decodes to ID 0, and a present zero difference on a task
-// event 3..6.
+// head. timeDelta is the difference to the previous event of the same
+// thread (across chunks; the first event of a thread is a delta against
+// 0), written as its two's complement, so a monotone clock's steps below
+// 128 ns take one byte and a step back takes ten. taskPresent (bit 4)
+// says the event has a task ID other than 0 that the code does not give,
+// written as its difference to prevTask modulo 2^64. The encoding is
+// canonical, so what decodes re-encodes to the same record: codes 13-15
+// are corrupt, and so are a code 9-12 with taskPresent set or in a chunk
+// that has written no task yet, a present task that decodes to ID 0, and
+// a present zero difference on a task event 3..6.
 //
-// Version 3 is version 4 without the codes 9-12 — a type nibble past 8
-// is corrupt, a task event writes its difference even when it is zero —
-// and with the time delta a varint.
+// Chunks of different threads appear in flush order and carry no
+// cross-thread ordering, as in any distributed trace; per-thread order
+// is the record order.
 //
-// Versions 1 and 2 write every field of every record:
-//
-//	event := type varint(timeDelta) uvarint(regionRef) uvarint(taskID)
-//
-// with type one whole byte. In every version timeDelta is the
-// difference to the previous event of the same thread (across chunks;
-// the first event of a thread is a delta against 0). Chunks of
-// different threads appear in flush order and carry no cross-thread
-// ordering, as in any distributed trace; per-thread order is the record
-// order.
-//
-// # Compressed events (v2)
+// # Compressed events
 //
 // A 'C' chunk is an 'E' chunk whose payload was compressed when the
 // chunk was sealed:
@@ -133,7 +114,7 @@
 // sealed chunk raw when compression does not shrink it, so 'E' and 'C'
 // chunks may interleave freely within one archive.
 //
-// # Flight-recorder accounting (v2)
+// # Flight-recorder accounting
 //
 // An archive dumped from a flight recorder (a ring buffer retaining
 // only the most recent window of the event stream) carries one 'F'
@@ -150,10 +131,9 @@
 // tally the events and chunks evicted from that thread's ring before
 // the dump. The writer emits the 'F' chunk directly after the header,
 // before any definition or event chunk, so even a dump cut off by a
-// full disk keeps its accounting in the salvageable prefix. Readers
-// that predate the chunk kind skip it like any unknown kind.
+// full disk keeps its accounting in the salvageable prefix.
 //
-// # Footer index and trailer (v2)
+// # Footer index and trailer
 //
 // Close appends one 'I' chunk describing every definition and event
 // chunk written, then a fixed-size 'T' chunk locating it:
@@ -178,8 +158,8 @@
 // encodes as a single-byte uvarint — and the 12-byte payload), so a
 // reader locates the index by reading the final 14 bytes, verifying
 // kind, length and the "SPIX" magic, and seeking to indexOffset. A
-// failed trailer check means "no index" (v1 archive, crashed run,
-// or trailing garbage) and readers plan from the chunk framing instead.
+// failed trailer check means "no index" (a crashed run or trailing
+// garbage) and readers plan from the chunk framing instead.
 //
 // # API
 //
@@ -229,13 +209,8 @@ import (
 const (
 	magic = "SPOTF2\x00"
 
-	// version1 is the original sequential format; version2 adds
-	// compressed chunks and the footer index; version3 packs the event
-	// record; version4 packs it tighter. The writer emits version4; the
-	// reader accepts all four.
-	version1 = 1
-	version2 = 2
-	version3 = 3
+	// version4 is the one format version this package writes and reads;
+	// readHeaderAt refuses every other.
 	version4 = 4
 
 	chunkDefs       = 'D'
@@ -271,14 +246,14 @@ const (
 	maxRegions = 1 << 20
 
 	// maxEventType is the highest trace.EventType ordinal in format
-	// versions 1 to 4.
+	// version 4.
 	maxEventType = uint8(trace.EvThreadEnd)
 
 	// maxRegionType is the highest region.Type ordinal in format
-	// versions 1 to 4.
+	// version 4.
 	maxRegionType = uint64(region.Parameter)
 
-	// The v3/v4 record head: the code in the low nibble, the
+	// The record head: the code in the low nibble, the
 	// task-present flag, and the region code in the top three bits —
 	// regionRef itself up to headRefMax, headRefEscape when a uvarint
 	// of regionRef-headRefEscape follows the head.
@@ -288,7 +263,7 @@ const (
 	headRefMax    = 6
 	headRefEscape = 7
 
-	// The v4 same-task codes: sameTaskShift past the task event types
+	// The same-task codes: sameTaskShift past the task event types
 	// trace.EvTaskCreateEnd to trace.EvTaskSwitch, up to maxCodeV4.
 	sameTaskShift = maxEventType + 1 - uint8(trace.EvTaskCreateEnd)
 	maxCodeV4     = uint8(trace.EvTaskSwitch) + sameTaskShift
@@ -347,8 +322,8 @@ func ParseCompression(s string) (Compression, error) {
 var ErrTruncated = errors.New("otf2: archive truncated")
 
 // ErrNoIndex reports that an archive carries no readable footer index —
-// it is a v1 archive, a later one cut off before Close, or its trailer
-// is damaged. Scan and Load still read it, planned from its framing.
+// it was cut off before Close, or its trailer is damaged. Scan and Load
+// still read it, planned from its framing.
 var ErrNoIndex = errors.New("otf2: archive has no index")
 
 // corrupt builds a format-violation error.

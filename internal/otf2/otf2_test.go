@@ -207,8 +207,8 @@ func TestReadAllSalvagesTruncatedPrefix(t *testing.T) {
 	full := buf.Bytes()
 
 	// Cut inside the last event chunk: the footer index and trailer are
-	// lost too, so this also exercises the v2 salvage degradation to
-	// the sequential walk.
+	// lost too, so this also exercises the salvage degradation to the
+	// sequential walk.
 	cut := int(lastEventChunkOffset(t, full)) + 3
 	tr, err := loadSequential(bytes.NewReader(full[:cut]), region.NewRegistry())
 	if !errors.Is(err, ErrTruncated) {

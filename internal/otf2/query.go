@@ -24,7 +24,7 @@ type Query = trace.Query
 // chunk counters are filled when the footer index planned the query:
 // ChunksRead out of ChunksTotal event chunks were actually read and
 // decoded — the O(matching chunks) guarantee a seekable archive exists
-// for. An archive planned from its framing (v1, missing or damaged
+// for. An archive planned from its framing (a missing or damaged
 // index) reports Indexed false and zero counters; all of it was read.
 type QueryStats struct {
 	Indexed     bool
@@ -119,7 +119,6 @@ type plan struct {
 	sel     []plannedChunk
 	tail    error // why recover stopped short of the end, if it did
 	hdr     [frameBytes]byte
-	rec     records // the archive's event record layout, by its version byte
 
 	// The largest stored and inflated payloads selected: a scan worker
 	// makes its two chunk buffers once, at these sizes.
@@ -132,10 +131,9 @@ type plan struct {
 const maxInflate = 1032
 
 // newPlan plans q over the archive r holds: from its footer index when
-// it has a readable one, from its framing (recover) when not — a v1
-// archive, a crashed run, a damaged trailer. An r that cannot be read at
-// any offset (a pipe) is copied into a Memory first. The input decides,
-// no option does.
+// it has a readable one, from its framing (recover) when not — a crashed
+// run, a damaged trailer. An r that cannot be read at any offset (a pipe)
+// is copied into a Memory first. The input decides, no option does.
 func newPlan(r io.Reader, q Query, reg *region.Registry) (*plan, error) {
 	p := &plan{q: q}
 	src, ok := r.(source)
@@ -153,7 +151,6 @@ func newPlan(r io.Reader, q Query, reg *region.Registry) (*plan, error) {
 	}
 	p.src = src
 	if ix, err := ReadIndex(src); err == nil {
-		p.rec = recordsOf(ix.version)
 		return p, p.fromIndex(ix, reg)
 	}
 	p.recover(size, reg)
@@ -247,11 +244,9 @@ func (p *plan) fromIndex(ix *Index, reg *region.Registry) error {
 // the error its scan returns unless a chunk before it fails first, so
 // the plan of a crashed run is its intact prefix.
 func (p *plan) recover(size int64, reg *region.Registry) {
-	var version byte
-	if version, p.tail = readHeaderAt(p.src); p.tail != nil {
+	if p.tail = readHeaderAt(p.src); p.tail != nil {
 		return
 	}
-	p.rec = recordsOf(version)
 	tables := newDefTables()
 	seqs := make(map[int]int)
 	var buf []byte
@@ -340,8 +335,12 @@ func (p *plan) readBody(h chunkHead, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// minEventBytes is the size of the smallest event record: a head byte
+// and a one-byte time delta.
+const minEventBytes = 2
+
 // admit makes f the framing of the selected chunk pc after holding pc's
-// event count against it: an event record takes rec.minBytes at least.
+// event count against it: an event record takes minEventBytes at least.
 func (p *plan) admit(pc *plannedChunk, f frame) error {
 	raw := uint64(f.size)
 	switch f.kind {
@@ -357,7 +356,7 @@ func (p *plan) admit(pc *plannedChunk, f frame) error {
 	default:
 		return corrupt("index lists event chunk at %d, found %q", f.off, f.kind)
 	}
-	if pc.ref.Events > raw/p.rec.minBytes {
+	if pc.ref.Events > raw/minEventBytes {
 		return corrupt("%d events cannot fit the %d-byte chunk at %d", pc.ref.Events, raw, f.off)
 	}
 	pc.chunkHead = f.chunkHead
@@ -563,7 +562,7 @@ func (p *plan) analyze(workers int, consume func(int, []trace.Event)) error {
 	}
 	return p.scan(workers, inflight, func(pc *plannedChunk, c cursor) (err error) {
 		pc.dst = newRunBuf(int(pc.ref.Events))
-		if pc.end, err = p.rec.decode(&c, pc.regions, pc.ref.BaseTime, pc.dst); err != nil {
+		if pc.end, err = decodePacked(&c, pc.regions, pc.ref.BaseTime, pc.dst); err != nil {
 			putRunBuf(pc.dst)
 			return err
 		}
@@ -596,7 +595,7 @@ func (p *plan) load(workers int) (*trace.Trace, error) {
 		pc.dst = tr.Threads[pc.tid][lo:filled[pc.tid]]
 	}
 	err := p.scan(workers, nil, func(pc *plannedChunk, c cursor) (err error) {
-		pc.end, err = p.rec.decode(&c, pc.regions, pc.ref.BaseTime, pc.dst)
+		pc.end, err = decodePacked(&c, pc.regions, pc.ref.BaseTime, pc.dst)
 		if p.indexed {
 			pc.dst = p.clip(pc, pc.dst)
 		}

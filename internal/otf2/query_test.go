@@ -22,6 +22,17 @@ func queryArchive(t *testing.T, tr *trace.Trace, opts ...WriterOption) []byte {
 	return buf.Bytes()
 }
 
+// unindexed is archive up to its footer index: the archive of a run that
+// died in Close before writing the index, planned from its framing.
+func unindexed(t testing.TB, archive []byte) []byte {
+	t.Helper()
+	ix, err := ReadIndex(bytes.NewReader(archive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return archive[:ix.end]
+}
+
 // queryCases covers the edge cases the query semantics are defined on:
 // full matches, interior windows, empty and inverted windows,
 // out-of-range bounds, thread subsets, and combinations.
@@ -65,18 +76,14 @@ func queryCases(tr *trace.Trace) []Query {
 // TestQueryMatchesFilterReference checks the defining property of every
 // query path: the result equals fully decoding, filtering with
 // Query.Filter, and then reading/analyzing — at worker counts 1 and 4,
-// on indexed (v4, v3, v2), compressed, and fallback (v1) archives.
+// on indexed, compressed, and index-less archives.
 func TestQueryMatchesFilterReference(t *testing.T) {
 	tr := benchTrace(3, 400)
 	v4, flate := queryArchive(t, tr), queryArchive(t, tr, WithCompression(CompressionFlate))
 	archives := map[string][]byte{
 		"v4":       v4,
 		"v4-flate": flate,
-		"v3":       v3Of(t, v4),
-		"v3-flate": v3Of(t, flate),
-		"v2":       v2Of(t, v4),
-		"v2-flate": v2Of(t, flate),
-		"v1":       v1Of(t, v4),
+		"no-index": unindexed(t, v4),
 	}
 	for name, archive := range archives {
 		full, err := loadSequential(bytes.NewReader(archive), region.NewRegistry())
@@ -94,7 +101,7 @@ func TestQueryMatchesFilterReference(t *testing.T) {
 				if !reflect.DeepEqual(gotA, wantA) {
 					t.Errorf("%s workers=%d %v: Scan != analyze(filter(full))", name, workers, q)
 				}
-				if wantIndexed := name != "v1"; st.Indexed != wantIndexed {
+				if wantIndexed := name != "no-index"; st.Indexed != wantIndexed {
 					t.Errorf("%s workers=%d %v: stats.Indexed = %v, want %v", name, workers, q, st.Indexed, wantIndexed)
 				}
 				gotTr, _, err := Load(bytes.NewReader(archive), region.NewRegistry(), q, workers)
@@ -108,7 +115,7 @@ func TestQueryMatchesFilterReference(t *testing.T) {
 }
 
 // TestQueryReadsOnlyMatchingChunks is the acceptance check for the
-// seekable layer: a windowed query on a >=1M-event v2 archive must
+// seekable layer: a windowed query on a >=1M-event archive must
 // read (and decode) only the chunks whose indexed time bounds overlap
 // the window — O(matching chunks), not O(archive).
 func TestQueryReadsOnlyMatchingChunks(t *testing.T) {
@@ -141,7 +148,7 @@ func TestQueryReadsOnlyMatchingChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !st.Indexed {
-		t.Fatal("v2 archive did not take the indexed path")
+		t.Fatal("the archive did not take the indexed path")
 	}
 	if st.ChunksTotal < 100 {
 		t.Fatalf("archive has only %d chunks; chunk pruning is not meaningfully tested", st.ChunksTotal)
@@ -213,41 +220,22 @@ func TestCompressedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVersionRoundTrip checks that v1, v2 and v3 archives convert to v4
-// byte-identically: decoding the v1, v2 or v3 fixture and writing it
-// again is the v4 fixture, and the same holds for a larger trace through
-// the tests' v1, v2 and v3 helpers (the writer is deterministic).
+// TestVersionRoundTrip checks that decoding an archive and writing it
+// again is the archive, byte for byte — what scorep-convert does to one —
+// for the v4 fixture and for a larger trace (the writer is deterministic).
 func TestVersionRoundTrip(t *testing.T) {
-	v4 := queryArchive(t, benchTrace(2, 300))
-	for _, c := range []struct {
-		old, v4 []byte
-		version byte
-	}{
-		{readFixture(t, "v1"), readFixture(t, "v4"), version1},
-		{readFixture(t, "v2"), readFixture(t, "v4"), version2},
-		{readFixture(t, "v3"), readFixture(t, "v4"), version3},
-		{v1Of(t, v4), v4, version1},
-		{v2Of(t, v4), v4, version2},
-		{v3Of(t, v4), v4, version3},
-	} {
-		if c.old[len(magic)] != c.version || c.v4[len(magic)] != version4 {
-			t.Fatal("version bytes not as expected")
-		}
-		up, err := loadSequential(bytes.NewReader(c.old), region.NewRegistry())
+	for _, archive := range [][]byte{readFixture(t, "v4"), queryArchive(t, benchTrace(2, 300))} {
+		tr, err := loadSequential(bytes.NewReader(archive), region.NewRegistry())
 		if err != nil {
 			t.Fatal(err)
 		}
-		var upBuf bytes.Buffer
-		if err := Write(&upBuf, up, WithChunkBytes(1024)); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(upBuf.Bytes(), c.v4) {
-			t.Fatalf("v%d->v4 upgrade is not byte-identical to a direct v4 write", c.version)
+		if again := queryArchive(t, tr); !bytes.Equal(again, archive) {
+			t.Fatalf("a %d-byte archive, decoded and written again, is %d bytes and differs", len(archive), len(again))
 		}
 	}
 }
 
-// TestTruncatedV2SalvagesViaSequentialFallback cuts a v2 archive so the
+// TestTruncatedV2SalvagesViaSequentialFallback cuts an archive so the
 // index is lost and checks queries still salvage the intact prefix via
 // the sequential fallback, reporting ErrTruncated.
 func TestTruncatedV2SalvagesViaSequentialFallback(t *testing.T) {

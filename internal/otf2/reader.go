@@ -135,73 +135,35 @@ func (t *defTables) decodeDefs(c *cursor, reg *region.Registry) error {
 	return nil
 }
 
-// records is the event record layout of a format version: which loop
-// decodes it, what its head bytes say (v3 on), and the size of its
-// smallest record.
-type records struct {
-	heads    *headInfo // nil: decodeEvents' v1/v2 records
-	minBytes uint64
-}
-
-// recordsOf returns the record layout of format version v, which the
-// header's version byte gives: a plan picks its record loop, and with
-// the head table the time-delta mapping and the legal codes, once.
-func recordsOf(v byte) records {
-	switch v {
-	case version4:
-		return records{&headsV4, 2} // head byte, one-byte time delta
-	case version3:
-		return records{&headsV3, 2}
-	}
-	return records{nil, 4} // type byte, three one-byte varints
-}
-
-// decode consumes len(dst) event records from c with the layout's loop.
-// The calls are direct, so c stays on the caller's stack.
-func (r records) decode(c *cursor, regions []*region.Region, last int64, dst []trace.Event) (int64, error) {
-	if r.heads != nil {
-		return decodePacked(c, regions, last, dst, r.heads)
-	}
-	return decodeEvents(c, regions, last, dst)
-}
-
-// headInfo is what each head byte of a format's packed records says,
-// apart from the region code in its top bits: the event type, and the
-// info* flags. It is how v3 and v4 share decodePacked — the formats
-// differ only in what their heads mean and in the time-delta mapping,
-// which the table states for every head — and the lookup is cheaper
-// than the tests on the head it replaces.
+// headInfo is what each head byte of a record says, apart from the
+// region code in its top bits: the event type, and the info* flags. A
+// format that differs from this one only in what its heads mean is
+// another table, not another record loop; and the lookup is cheaper than
+// the tests on the head it replaces.
 type headInfo [256]uint16
 
 const (
 	infoType    = 0x0f  // the event type
 	infoTask    = 0x10  // a task-ID delta follows
-	infoSame    = 0x20  // the task ID is the chunk's last one (v4's same-task codes)
-	infoZeroBad = 0x40  // a zero task-ID delta is corrupt (v4's task events)
-	infoZig     = 0x80  // the time delta is zig-zag (v3), not two's complement (v4)
+	infoSame    = 0x20  // the task ID is the chunk's last one (the same-task codes)
+	infoZeroBad = 0x40  // a zero task-ID delta is corrupt (the task events)
 	infoBad     = 0x100 // corrupt: an unknown code, or a same-task code with the task flag
 )
 
-var headsV3, headsV4 = headInfoOf(version3), headInfoOf(version4)
-
-// headInfoOf tabulates the heads of format version v, 3 or 4.
-func headInfoOf(v byte) headInfo {
-	var t headInfo
+// heads tabulates the heads of format version 4.
+var heads = func() (t headInfo) {
 	for h := range t {
 		code, task := uint16(h&headTypeMask), h&headTask != 0
 		info := code
 		if task {
 			info |= infoTask
 		}
-		if v == version3 {
-			info |= infoZig
-		}
 		switch {
 		case code <= uint16(maxEventType):
-			if v == version4 && task && code >= uint16(trace.EvTaskCreateEnd) && code <= uint16(trace.EvTaskSwitch) {
+			if task && code >= uint16(trace.EvTaskCreateEnd) && code <= uint16(trace.EvTaskSwitch) {
 				info |= infoZeroBad
 			}
-		case v == version4 && code <= uint16(maxCodeV4) && !task:
+		case code <= uint16(maxCodeV4) && !task:
 			info = code - uint16(sameTaskShift) | infoSame
 		default:
 			info = infoBad | code
@@ -209,72 +171,15 @@ func headInfoOf(v byte) headInfo {
 		t[h] = info
 	}
 	return t
-}
+}()
 
-// eventFields names the three varints of an event record after its type
-// byte, for decodeEvents' error messages.
-var eventFields = [3]string{"varint in event time delta", "uvarint in event region ref", "uvarint in event task id"}
-
-// decodeEvents consumes len(dst) v1/v2 event records from c into dst,
+// decodePacked consumes len(dst) event records from c into dst,
 // resolving region references in regions and running the thread's
-// timestamp on from last; it returns the final timestamp. Every reader
-// decodes v1 and v2 archives through this one loop (and later ones
-// through decodePacked): the reference reader an event at a time, the
-// planned reads a chunk straight into its place.
-func decodeEvents(c *cursor, regions []*region.Region, last int64, dst []trace.Event) (int64, error) {
-	p, pos := c.payload, c.pos
-	for i := range dst {
-		if pos >= len(p) {
-			return last, corrupt("event chunk shorter than declared count")
-		}
-		typ := p[pos]
-		pos++
-		if typ > maxEventType {
-			return last, corrupt("unknown event type %d", typ)
-		}
-		// The record's three varints, decoded in place: binary.Uvarint
-		// does not inline, and a call per field is most of a decode.
-		var f [3]uint64
-		for k := range f {
-			if pos < len(p) && p[pos] < 0x80 { // one byte: most region refs
-				f[k] = uint64(p[pos])
-				pos++
-				continue
-			}
-			for shift := uint(0); ; shift += 7 {
-				if pos >= len(p) || shift > 63 {
-					return last, corrupt("bad %s", eventFields[k])
-				}
-				b := p[pos]
-				pos++
-				f[k] |= uint64(b&0x7f) << shift
-				if b < 0x80 {
-					if shift == 63 && b > 1 {
-						return last, corrupt("bad %s", eventFields[k]) // overflows 64 bits
-					}
-					break
-				}
-			}
-		}
-		last += int64(f[0]>>1) ^ -int64(f[0]&1) // zig-zag, as binary.Varint
-		ev := &dst[i]
-		ev.Time, ev.Type, ev.TaskID, ev.Region = last, trace.EventType(typ), f[2], nil
-		if ref := f[1]; ref != 0 {
-			if ref > uint64(len(regions)) || regions[ref-1] == nil {
-				return last, corrupt("event references undefined region %d", ref-1)
-			}
-			ev.Region = regions[ref-1]
-		}
-	}
-	c.pos = pos
-	return last, nil
-}
-
-// decodePacked is decodeEvents for v3 and v4 records, whose heads mean
-// what heads says. The task IDs of a chunk's records are deltas against
-// the last one written before them in the chunk, so c must be at the
-// chunk's first record.
-func decodePacked(c *cursor, regions []*region.Region, last int64, dst []trace.Event, heads *headInfo) (int64, error) {
+// timestamp on from last; it returns the final timestamp. Every read
+// decodes through this one loop, a chunk straight into its place. The
+// task IDs of a chunk's records are deltas against the last one written
+// before them in the chunk, so c must be at the chunk's first record.
+func decodePacked(c *cursor, regions []*region.Region, last int64, dst []trace.Event) (int64, error) {
 	p, pos := c.payload, c.pos
 	var task uint64
 	for i := range dst {
@@ -315,11 +220,7 @@ func decodePacked(c *cursor, regions []*region.Region, last int64, dst []trace.E
 		} else if u, pos = uvarintAt(p, pos); pos < 0 {
 			return last, corrupt("bad varint in event time delta")
 		}
-		if info&infoZig != 0 {
-			last += int64(u>>1) ^ -int64(u&1) // zig-zag, as binary.Varint
-		} else {
-			last += int64(u) // two's complement
-		}
+		last += int64(u) // two's complement
 		ev := &dst[i]
 		ev.Time, ev.Type, ev.TaskID, ev.Region = last, trace.EventType(info&infoType), 0, r
 		if info&infoTask != 0 {
@@ -350,16 +251,26 @@ func decodePacked(c *cursor, regions []*region.Region, last int64, dst []trace.E
 
 // uvarintAt decodes the uvarint at p[pos:] and returns it with the
 // position after it, or -1 for the position if the bytes are cut or
-// overflow 64 bits.
+// overflow 64 bits, as binary.Uvarint does. Its loop is its own so that
+// it inlines: a call in decodePacked's loop makes the loop spill what it
+// keeps in registers.
 func uvarintAt(p []byte, pos int) (uint64, int) {
-	if pos >= len(p) {
-		return 0, -1
+	var v uint64
+	for shift := uint(0); shift < 64; shift += 7 {
+		if pos >= len(p) {
+			return 0, -1
+		}
+		b := p[pos]
+		pos++
+		v |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			if shift == 63 && b > 1 {
+				return 0, -1
+			}
+			return v, pos
+		}
 	}
-	v, n := binary.Uvarint(p[pos:])
-	if n <= 0 {
-		return 0, -1
-	}
-	return v, pos + n
+	return 0, -1
 }
 
 // cutOrIOErr classifies a read failure: a clean or short end of input

@@ -15,8 +15,7 @@ import (
 // archive without an index with, as the reference the planned reads are
 // held to: it walks the archive front to back through one buffered
 // stream, one chunk in memory, the definitions updated in place as they
-// come, each thread's clock run on from chunk to chunk — nothing shared
-// with the plan but the v1/v2 record decoder. It decodes v3 and v4
+// come, each thread's clock run on from chunk to chunk. It decodes
 // records with its own loop (nextPacked), field by field through
 // encoding/binary, so the planned reads' inline loop is held to a second
 // implementation.
@@ -27,10 +26,9 @@ import (
 // the registry passed to newReader, giving read events the same
 // pointer-identity semantics as live-recorded ones.
 type reader struct {
-	br      *bufio.Reader
-	reg     *region.Registry
-	tables  *defTables
-	version byte
+	br     *bufio.Reader
+	reg    *region.Registry
+	tables *defTables
 
 	// Current event chunk being drained. curLast caches the current
 	// thread's running timestamp so the decode hot loop touches no
@@ -40,7 +38,7 @@ type reader struct {
 	curThread int
 	remaining uint64
 	curLast   int64
-	curTask   uint64 // the last task ID a v3 or v4 record of the chunk gave
+	curTask   uint64 // the last task ID a record of the chunk gave
 	inEvents  bool
 
 	// rdbuf is the persistent framed-chunk read buffer; inflbuf is the
@@ -58,21 +56,18 @@ type reader struct {
 	flight *FlightInfo
 }
 
-// newReader opens an archive, validating the header. Every format
-// version is accepted.
+// newReader opens an archive, validating the header.
 func newReader(r io.Reader, reg *region.Registry) (*reader, error) {
 	br := bufio.NewReader(r)
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, cutOrIOErr("reading header", err)
 	}
-	version, err := readHeaderAt(bytes.NewReader(hdr[:]))
-	if err != nil {
+	if err := readHeaderAt(bytes.NewReader(hdr[:])); err != nil {
 		return nil, err
 	}
 	return &reader{
 		br:       br,
-		version:  version,
 		reg:      reg,
 		tables:   newDefTables(),
 		lastTime: make(map[int]int64),
@@ -101,21 +96,15 @@ func (r *reader) Next() (int, trace.Event, error) {
 			return 0, trace.Event{}, r.fail(err)
 		}
 	}
-	var ev [1]trace.Event
-	var err error
-	if r.version >= version3 {
-		ev[0], err = r.nextPacked()
-	} else {
-		r.curLast, err = decodeEvents(&r.cur, r.tables.regions, r.curLast, ev[:])
-	}
+	ev, err := r.nextPacked()
 	if err != nil {
 		return 0, trace.Event{}, r.fail(err)
 	}
 	r.remaining--
-	return r.curThread, ev[0], nil
+	return r.curThread, ev, nil
 }
 
-// nextPacked decodes the v3 or v4 record at the cursor.
+// nextPacked decodes the record at the cursor.
 func (r *reader) nextPacked() (trace.Event, error) {
 	c := &r.cur
 	if c.pos >= len(c.payload) {
@@ -124,7 +113,7 @@ func (r *reader) nextPacked() (trace.Event, error) {
 	head := c.payload[c.pos]
 	c.pos++
 	code := head & 0x0f
-	sameTask := r.version == version4 && code >= 9 && code <= 12
+	sameTask := code >= 9 && code <= 12
 	ev := trace.Event{Type: trace.EventType(code)}
 	if sameTask {
 		ev.Type = trace.EventType(code - 6)
@@ -148,21 +137,12 @@ func (r *reader) nextPacked() (trace.Event, error) {
 		}
 		ev.Region = r.tables.regions[ref-1]
 	}
-	var delta int64
-	if r.version == version4 {
-		u, n := binary.Uvarint(c.payload[c.pos:])
-		if n <= 0 {
-			return ev, corrupt("bad uvarint in event time delta")
-		}
-		c.pos += n
-		delta = int64(u)
-	} else {
-		var err error
-		if delta, err = c.varint("event time delta"); err != nil {
-			return ev, err
-		}
+	u, n := binary.Uvarint(c.payload[c.pos:])
+	if n <= 0 {
+		return ev, corrupt("bad uvarint in event time delta")
 	}
-	r.curLast += delta
+	c.pos += n
+	r.curLast += int64(u)
 	ev.Time = r.curLast
 	taskEvent := ev.Type >= trace.EvTaskCreateEnd && ev.Type <= trace.EvTaskSwitch
 	switch {
@@ -176,7 +156,7 @@ func (r *reader) nextPacked() (trace.Event, error) {
 		if err != nil {
 			return ev, err
 		}
-		if d == 0 && taskEvent && r.version == version4 {
+		if d == 0 && taskEvent {
 			return ev, corrupt("task event writes a zero task delta")
 		}
 		r.curTask += uint64(d)

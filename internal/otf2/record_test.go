@@ -109,7 +109,9 @@ func sameTaskRecords(t *testing.T, archive []byte) int {
 		default:
 			return nil
 		}
-		_, count, c := eventsHead(t, p)
+		c := &cursor{payload: p}
+		c.varint("thread")             //nolint:errcheck // the loads read it
+		count, _ := c.uvarint("count") // the loads read it
 		for range count {
 			head := p[c.pos]
 			c.pos++
@@ -137,9 +139,7 @@ func sameTaskRecords(t *testing.T, archive []byte) int {
 // with a chunk boundary after every k events, which the runs of one task
 // cross), and through a flight recorder's rings and dump, where a chunk
 // also ends after every k events and a ring's oldest chunk starts
-// mid-stream. The Writer's archives are held to it as the format-3
-// writer would have written them too. (The sink's stream is held to it
-// in internal/sink.)
+// mid-stream. (The sink's stream is held to it in internal/sink.)
 func TestRecordRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -154,7 +154,6 @@ func TestRecordRoundTrip(t *testing.T) {
 				t.Fatalf("seed %d, %s: no record takes a same-task code", seed, comp)
 			}
 			loadsTo(t, fmt.Sprintf("seed %d, %s", seed, comp), buf.Bytes(), reg, tr)
-			loadsTo(t, fmt.Sprintf("seed %d, %s, as v3", seed, comp), v3Of(t, buf.Bytes()), reg, tr)
 		}
 		for k := 1; k <= 9; k++ {
 			var buf bytes.Buffer
@@ -178,7 +177,6 @@ func TestRecordRoundTrip(t *testing.T) {
 				}
 			}
 			loadsTo(t, fmt.Sprintf("seed %d, a chunk every %d events", seed, k), buf.Bytes(), reg, tr)
-			loadsTo(t, fmt.Sprintf("seed %d, a chunk every %d events, as v3", seed, k), v3Of(t, buf.Bytes()), reg, tr)
 		}
 	}
 	for _, chunk := range []int{1, 2, 3, 5, 64} {

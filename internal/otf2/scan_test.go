@@ -209,9 +209,7 @@ func scanSources(t *testing.T, tr *trace.Trace) []scanSource {
 	kinds := []archiveKind{
 		{"v4", v4, false, true},
 		{"flate", write(WithCompression(CompressionFlate)), false, true},
-		{"v3", v3Of(t, v4), false, true},
-		{"v2", v2Of(t, v4), false, true},
-		{"v1", v1Of(t, v4), false, false},
+		{"no-index", unindexed(t, v4), false, false},
 		{"cut", v4[:chunks[len(chunks)/2].Offset+7], true, false},
 	}
 	srcs := []scanSource{{
@@ -247,7 +245,7 @@ func fixtureSources(t *testing.T) []scanSource {
 	var kinds []archiveKind
 	for _, name := range fixtureNames {
 		cut := strings.HasSuffix(name, "-cut")
-		kinds = append(kinds, archiveKind{"fixture-" + name, readFixture(t, name), cut, name != "v1" && !cut})
+		kinds = append(kinds, archiveKind{"fixture-" + name, readFixture(t, name), cut, !cut})
 	}
 	return archiveSources(t, t.TempDir(), kinds)
 }

@@ -187,7 +187,7 @@ func WithWriterOptions(opts ...otf2.WriterOption) ClientOption {
 // is established lazily by that sender, with retry/backoff, so
 // constructing a Client never blocks the measured program's start.
 //
-// The client speaks wire protocol v2 only, and the window doubles as a
+// The client speaks wire protocol v2, and the window doubles as a
 // replay buffer: a severed connection is survived by reconnect
 // (jittered backoff, per-outage attempt and elapsed budgets) and
 // byte-exact replay from the server's durable offset. Only when the
@@ -388,7 +388,7 @@ func (c *Client) WriteEvents(thread int, events []trace.Event) error {
 	return c.w.WriteEvents(thread, events)
 }
 
-// Close flushes the archive (sealing partial chunks and, for format v2 on,
+// Close flushes the archive (sealing partial chunks and writing
 // the footer index), sends the end-of-stream frame and waits for the
 // daemon's seal acknowledgment (or seals the local fallback archive,
 // if the stream degraded). It returns the first unrecoverable error of

@@ -255,7 +255,7 @@ func TestDaemonAckFailure(t *testing.T) {
 	}
 	go func() {
 		br := bufio.NewReader(c2)
-		if _, _, _, err := readHandshake(br); err != nil {
+		if _, _, err := readHandshake(br); err != nil {
 			return
 		}
 		c2.Write([]byte{frameHello, helloNew, 0})

@@ -15,6 +15,10 @@ import (
 	"repro/internal/region"
 )
 
+// archiveMagic opens every archive; the byte after it is the format
+// version.
+const archiveMagic = "SPOTF2\x00"
+
 // framesOf cuts payload into data frames of size bytes.
 func framesOf(payload []byte, size int) []byte {
 	var out []byte
@@ -56,7 +60,7 @@ func relayed(frames []byte) (shard []byte, complete bool) {
 }
 
 // FuzzServerFrames sends arbitrary bytes after a well-formed handshake
-// of either protocol version into a server that ingests a second,
+// with the fuzzed stream token into a server that ingests a second,
 // well-behaved stream beside it. The server is a relay and nothing the
 // bytes say may make it anything else: it does not panic, a length a
 // frame declares allocates nothing before the bytes arrive, the fuzzed
@@ -64,27 +68,32 @@ func relayed(frames []byte) (shard []byte, complete bool) {
 // neighbour's shard is what the neighbour sent, the journal parses, and
 // a fresh server over the directory recovers both streams — cutting the
 // fuzzed shard back to whole chunks, which the archive reader accepts
-// whenever the payload was an archive's prefix.
+// whenever the payload was an archive's prefix, unless it opens with the
+// header of another format version.
 func FuzzServerFrames(f *testing.F) {
 	archive := archiveOf(f, synthBatches(region.NewRegistry(), 2, 3, 40))
 	eos := []byte{frameEOS, 0}
-	for _, v2 := range []bool{false, true} {
-		f.Add(v2, append(framesOf(archive, 1000), eos...))                   // a real stream
-		f.Add(v2, framesOf(archive, 7)[:len(archive)/2])                     // cut mid-frame
-		f.Add(v2, append(framesOf(archive, len(archive)), frameEOS, 5, 'F')) // drops reported, bytes after the end
-		f.Add(v2, append(framesOf(archive[:100], 64), frameGap, 9))          // a gap declared
-		f.Add(v2, []byte{frameData, 0x80, 0x80, 0x80, 0x02, 1, 2, 3})        // 4 MiB declared, three bytes sent
-		f.Add(v2, []byte{frameData, 0x81, 0x80, 0x80, 0x02})                 // a byte over the limit
-		f.Add(v2, []byte{frameData, 0})                                      // an empty frame
-		f.Add(v2, []byte{frameData, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
-		f.Add(v2, []byte{'X', 1, 1})
-		f.Add(v2, []byte{frameEOS})
-		f.Add(v2, []byte{})
+	for _, token := range []uint64{0x55, 1 << 63} { // a one-byte and a ten-byte uvarint
+		f.Add(token, append(framesOf(archive, 1000), eos...))                   // a real stream
+		f.Add(token, framesOf(archive, 7)[:len(archive)/2])                     // cut mid-frame
+		f.Add(token, append(framesOf(archive, len(archive)), frameEOS, 5, 'F')) // drops reported, bytes after the end
+		f.Add(token, append(framesOf(archive[:100], 64), frameGap, 9))          // a gap declared
+		f.Add(token, []byte{frameData, 0x80, 0x80, 0x80, 0x02, 1, 2, 3})        // 4 MiB declared, three bytes sent
+		f.Add(token, []byte{frameData, 0x81, 0x80, 0x80, 0x02})                 // a byte over the limit
+		f.Add(token, []byte{frameData, 0})                                      // an empty frame
+		f.Add(token, []byte{frameData, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+		f.Add(token, []byte{'X', 1, 1})
+		f.Add(token, []byte{frameEOS})
+		f.Add(token, []byte{})
 	}
+	f.Add(uint64(0x55), framesOf([]byte(archiveMagic+"\x05"), 8)) // an archive of a version this build does not read
+	// The committed session's frames, after its handshake.
+	session := readTestdata(f, sessionFile)
+	f.Add(uint64(0xfeed), session[bytes.IndexByte(session, frameData):])
 	neighbourBatches := synthBatches(region.NewRegistry(), 1, 4, 25)
 	neighbourShard := archiveOf(f, neighbourBatches)
 
-	f.Fuzz(func(t *testing.T, v2 bool, frames []byte) {
+	f.Fuzz(func(t *testing.T, token uint64, frames []byte) {
 		dir := t.TempDir()
 		srv, err := NewServer(dir)
 		if err != nil {
@@ -122,12 +131,9 @@ func FuzzServerFrames(f *testing.F) {
 			defer close(drained)
 			_, _ = io.Copy(io.Discard, conn)
 		}()
-		hs := append([]byte(Magic), ProtocolV1, byte(len("fuzzed")))
+		hs := append([]byte(Magic), ProtocolV2, byte(len("fuzzed")))
 		hs = append(hs, "fuzzed"...)
-		if v2 {
-			hs[len(Magic)] = ProtocolV2
-			hs = append(hs, 0x55) // token
-		}
+		hs = binary.AppendUvarint(hs, max(token, 1)) // a zero token is refused
 		if _, err := conn.Write(hs); err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +200,10 @@ func FuzzServerFrames(f *testing.F) {
 		if err != nil || !bytes.HasPrefix(want, kept) {
 			t.Fatalf("recovery left a fuzzed shard of %d bytes (%v) that is no prefix of what came", len(kept), err)
 		}
-		if intact, err := otf2.IntactPrefixSize(fuzzedPath); err != nil || intact != int64(len(kept)) {
+		// A shard that opens with the header of a format version this build
+		// does not read is left as it came, however much of it is intact.
+		otherVersion := len(kept) > len(archiveMagic) && string(kept[:len(archiveMagic)]) == archiveMagic && kept[len(archiveMagic)] != otf2.FormatVersion
+		if intact, err := otf2.IntactPrefixSize(fuzzedPath); (err != nil || intact != int64(len(kept))) && !(otherVersion && err != nil && len(kept) == len(want)) {
 			t.Fatalf("the recovered shard has %d bytes, %d of them intact (%v)", len(kept), intact, err)
 		}
 		// Not every shard of whole chunks is an archive — the server never

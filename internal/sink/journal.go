@@ -97,7 +97,9 @@ func (s *Server) streamOrderLocked() []string {
 // resuming must not build on. Sealed streams keep their status; a
 // sealed-complete shard that lost bytes is demoted to failed with the
 // loss counted. Unsealed streams await resume at the recovered durable
-// offset. A journal entry names its shard by a plain file name in
+// offset. A shard that cannot be scanned — unreadable, or an archive of
+// a format version this build does not read — is left as it is and its
+// stream sealed, with the reason in its Err. A journal entry names its shard by a plain file name in
 // s.dir, as the server writes it; an entry naming anything else — a path
 // out of the directory, a subdirectory, the directory itself — is
 // refused, with the whole journal, before any file is opened, so a

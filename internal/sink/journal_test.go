@@ -29,10 +29,12 @@ func journalOf(t testing.TB, files ...string) []byte {
 
 // recoveryDir lays out what a recovery may find around a server
 // directory: base/exp is the directory, holding a shard cut mid-chunk
-// (trace-a.otf2, which recovery truncates to its intact prefix), and
-// beside it lie files that are no business of the server's — a text file
-// and an archive cut like the shard. It returns the server directory and
-// the bytes of every file under base as they were.
+// (trace-a.otf2, which recovery truncates to its intact prefix) and a
+// complete shard of a format version this build does not read
+// (trace-v5.otf2), and beside it lie files that are no business of the
+// server's — a text file and an archive cut like the shard. It returns
+// the server directory and the bytes of every file under base as they
+// were.
 func recoveryDir(t testing.TB) (string, map[string][]byte) {
 	t.Helper()
 	base := t.TempDir()
@@ -51,10 +53,16 @@ func recoveryDir(t testing.TB) (string, map[string][]byte) {
 		t.Fatal(err)
 	}
 	cut := archive.Bytes()[:archive.Len()-100]
+	newer, err := os.ReadFile(filepath.Join("..", "otf2", "testdata", "v4.otf2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer[len(archiveMagic)] = 5 // a complete archive as a newer client would stream it
 	for name, data := range map[string][]byte{
 		"victim.txt":         []byte("not an archive\n"),
 		"victim.otf2":        cut,
 		"exp/trace-a.otf2":   cut,
+		"exp/trace-v5.otf2":  newer,
 		"exp/sub/trace.otf2": cut,
 	} {
 		path := filepath.Join(base, name)
@@ -67,6 +75,10 @@ func recoveryDir(t testing.TB) (string, map[string][]byte) {
 	}
 	return dir, snapshot(t, base)
 }
+
+// newerJournal names trace-v5.otf2 as a sealed, complete stream of all
+// its 1835 bytes.
+var newerJournal = []byte(`{"version":1,"streams":[{"id":"v5","file":"trace-v5.otf2","bytes":1835,"complete":true,"sealed":true}]}`)
 
 // snapshot returns the bytes of every regular file under root, by path.
 func snapshot(t testing.TB, root string) map[string][]byte {
@@ -153,12 +165,41 @@ func TestRecoverRefusesPathsOutsideDir(t *testing.T) {
 	}
 }
 
+// TestRecoverKeepsShardsOfOtherVersions restarts a server over a journal
+// naming a complete shard whose format version this build does not read:
+// recovery must leave the file byte for byte as it was — it is an archive
+// a newer reader takes, not a damaged one to cut — and hold the stream
+// sealed and incomplete, with an error naming the version.
+func TestRecoverKeepsShardsOfOtherVersions(t *testing.T) {
+	dir, before := recoveryDir(t)
+	if err := os.WriteFile(filepath.Join(dir, journalFileName), newerJournal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos := srv.Streams()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	shard := filepath.Join(dir, "trace-v5.otf2")
+	if got := snapshot(t, dir)[shard]; !bytes.Equal(got, before[shard]) {
+		t.Errorf("recovery left the shard at %d bytes, were %d", len(got), len(before[shard]))
+	}
+	if len(infos) != 1 || !infos[0].Sealed || infos[0].Complete || !strings.Contains(infos[0].Err, "version 5") {
+		t.Errorf("recovered streams = %+v, want one sealed, incomplete, naming version 5", infos)
+	}
+	outsideUnchanged(t, dir, before)
+}
+
 // FuzzJournal feeds server recovery arbitrary journals over a directory
 // laid out by recoveryDir: NewServer must not panic, and whatever it
 // makes of the journal, no file outside the directory changes; a server
 // it returns closes cleanly.
 func FuzzJournal(f *testing.F) {
 	f.Add(journalOf(f, "trace-a.otf2"))
+	f.Add(newerJournal)
 	f.Add(journalOf(f, "trace-a.otf2", "../victim.txt"))
 	f.Add(journalOf(f, "../victim.otf2"))
 	f.Add(journalOf(f, "sub/trace.otf2", ".."))

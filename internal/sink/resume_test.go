@@ -1,8 +1,11 @@
 package sink
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"os"
 	"path/filepath"
@@ -582,7 +585,7 @@ func TestIdleWatchdogSealsWedgedStream(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.ServeConn(c2) }()
 
-	// Valid v1 handshake + one frame, then silence.
+	// A valid handshake and one frame, then silence.
 	reg := region.NewRegistry()
 	local := filepath.Join(t.TempDir(), "p.otf2")
 	writeLocal(t, local, synthBatches(reg, 1, 1, 4))
@@ -592,12 +595,14 @@ func TestIdleWatchdogSealsWedgedStream(t *testing.T) {
 	}
 	var buf []byte
 	buf = append(buf, Magic...)
-	buf = append(buf, ProtocolV1)
+	buf = append(buf, ProtocolV2)
 	buf = append(buf, byte(len("wedged")))
 	buf = append(buf, "wedged"...)
+	buf = binary.AppendUvarint(buf, 0xfeed) // stream token
 	buf = append(buf, frameData)
-	buf = appendUvarintForTest(buf, uint64(len(payload)))
+	buf = binary.AppendUvarint(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
+	go io.Copy(io.Discard, c1) //nolint:errcheck // the hello
 	if _, err := c1.Write(buf); err != nil {
 		t.Fatal(err)
 	}
@@ -669,57 +674,39 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestV1ClientAgainstV2Server checks protocol compatibility end to end:
-// a v1 session — which this build's client no longer speaks, so it is
-// written by hand: no token, no hello, no durable acks, one final ack —
-// round-trips through the v2 server bit-identically.
+// TestV1ClientAgainstV2Server checks that the server refuses a protocol-v1
+// session — version byte 1 and no token, as clients before protocol v2
+// spoke it — with an error and no reply, writes no shard for it, and
+// leaves the committed v2 session, which it ingests meanwhile, as
+// TestRawProtocolBytes does.
 func TestV1ClientAgainstV2Server(t *testing.T) {
-	srv, addr := startServer(t)
-	_, refs := streamWorkload(t, t.TempDir(), 1, 10, 20)
-	payload, err := os.ReadFile(refs[0])
+	srv, err := NewServer(t.TempDir(), WithAckInterval(sessionAckEvery))
 	if err != nil {
 		t.Fatal(err)
 	}
-	network, address, err := SplitAddr(addr)
-	if err != nil {
+	session := readTestdata(t, sessionFile)
+	v2, v2Reply, v2Served := servePipe(srv)
+	if _, err := v2.Write(session[:len(session)/2]); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial(network, address)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	buf := append([]byte(Magic), ProtocolV1, byte(len("old")))
-	buf = append(buf, "old"...)
-	for rest := payload; len(rest) > 0; {
-		part := rest[:min(len(rest), 1000)]
-		buf = append(buf, frameData)
-		buf = appendUvarintForTest(buf, uint64(len(part)))
-		buf = append(buf, part...)
-		rest = rest[len(part):]
-	}
-	buf = append(buf, frameEOS, 0)
-	if _, err := conn.Write(buf); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing but the final ack ever comes back on a v1 connection.
-	if ack, err := io.ReadAll(conn); err != nil || string(ack) != string([]byte{ackByte, ackOK}) {
-		t.Fatalf("the server answered %q, %v: want the final ack alone", ack, err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	infos := srv.Streams()
-	if len(infos) != 1 || !infos[0].Complete || infos[0].Resumes != 0 {
-		t.Fatalf("streams = %+v", infos)
-	}
-	mustEqualFiles(t, "v1 shard", refs[0], filepath.Join(srv.Dir(), infos[0].File))
-}
 
-func appendUvarintForTest(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
+	v1, v1Reply, v1Served := servePipe(srv)
+	v1.Write(append([]byte(Magic), 1, 3, 'o', 'l', 'd', frameData, 1, 0, frameEOS, 0)) //nolint:errcheck // the server may hang up first
+	if err := <-v1Served; err == nil || !strings.Contains(err.Error(), "protocol version 1") {
+		t.Fatalf("ServeConn of a v1 session = %v, want a refusal of version 1", err)
 	}
-	return append(b, byte(v))
+	if reply := <-v1Reply; len(reply) != 0 {
+		t.Errorf("the server answered a v1 handshake with %q", reply)
+	}
+	if _, err := os.Stat(filepath.Join(srv.Dir(), shardFileName("old"))); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the refused session left a shard (%v)", err)
+	}
+
+	if _, err := v2.Write(session[len(session)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-v2Served; err != nil {
+		t.Fatal(err)
+	}
+	checkSession(t, srv, <-v2Reply)
 }

@@ -55,7 +55,7 @@ type StreamInfo struct {
 	Complete bool
 	// Sealed reports a terminal stream: completed, gap-sealed, or
 	// failed. A false value means the stream is severed but resumable —
-	// a v2 client may reconnect and continue it.
+	// the client may reconnect and continue it.
 	Sealed bool
 	// Err describes why an incomplete stream ended (or is suspended),
 	// "" otherwise.
@@ -97,7 +97,7 @@ func WithHandshakeTimeout(d time.Duration) ServerOption {
 
 // WithIdleTimeout seals a stream as severed when no frame arrives for
 // d — a wedged client cannot hold its shard open forever, and its
-// neighbors are untouched. Default 0: no idle deadline. A v2 client
+// neighbors are untouched. Default 0: no idle deadline. A client
 // severed this way may still reconnect and resume.
 func WithIdleTimeout(d time.Duration) ServerOption {
 	return func(c *serverConfig) { c.idleTimeout = d }
@@ -144,7 +144,7 @@ type streamState struct {
 // lock; streams touch shared state only at handshake (id registration),
 // durable-ack flushes and completion. A client crash severs its stream
 // and keeps every intact byte received, leaving the other shards
-// untouched; a v2 client may reconnect with its stream token and
+// untouched; a client may reconnect with its stream token and
 // resume at the durable offset. Stream identity and status are
 // journaled (sink-journal.json, written via atomic rename), so a
 // server constructed over an existing directory recovers: shards are
@@ -347,39 +347,37 @@ func (s *Server) Streams() []StreamInfo {
 	return out
 }
 
-// register claims a shard for id or — when a v2 client presents the
+// register claims a shard for id or — when the client presents the
 // token of a known stream — resumes it, preempting a half-dead
 // previous connection if one is still draining. Fresh collisions are
 // uniquified ("bots", "bots.2", "bots.3", ...): two processes
 // announcing the same id must not interleave into one archive.
-func (s *Server) register(conn net.Conn, proto byte, id string, token uint64) (st *streamState, resumed bool) {
+func (s *Server) register(conn net.Conn, id string, token uint64) (st *streamState, resumed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if proto >= ProtocolV2 && token != 0 {
-		for {
-			old := s.states[id]
-			if old == nil || old.token != token {
-				break
-			}
-			if !old.active {
-				old.active = true
-				old.conn = conn
-				old.connDone = make(chan struct{})
-				old.info.Resumes++
-				s.writeJournalLocked()
-				return old, true
-			}
-			// The previous connection is still draining (the server may
-			// not have noticed the sever yet): preempt it and wait for
-			// its goroutine to finalize before resuming.
-			c, prev := old.conn, old.connDone
-			s.mu.Unlock()
-			if c != nil {
-				_ = c.Close()
-			}
-			<-prev
-			s.mu.Lock()
+	for {
+		old := s.states[id]
+		if old == nil || old.token != token {
+			break
 		}
+		if !old.active {
+			old.active = true
+			old.conn = conn
+			old.connDone = make(chan struct{})
+			old.info.Resumes++
+			s.writeJournalLocked()
+			return old, true
+		}
+		// The previous connection is still draining (the server may
+		// not have noticed the sever yet): preempt it and wait for
+		// its goroutine to finalize before resuming.
+		c, prev := old.conn, old.connDone
+		s.mu.Unlock()
+		if c != nil {
+			_ = c.Close()
+		}
+		<-prev
+		s.mu.Lock()
 	}
 	n := s.used[id]
 	s.used[id] = n + 1
@@ -472,18 +470,18 @@ func (t *errTrackWriter) Write(p []byte) (int, error) {
 // stream to its terminal state (the stream-done callback fires exactly
 // once). On a severed connection every intact byte received is flushed
 // to the shard, so the file is exactly the archive prefix the client
-// got out — the reader's truncation salvage applies, and a v2 stream
+// got out — the reader's truncation salvage applies, and the stream
 // stays resumable at that prefix.
 func (s *Server) ingest(conn net.Conn) (st *streamState, sealedNow bool, err error) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	if t := s.cfg.handshakeTimeout; t > 0 {
 		_ = conn.SetDeadline(time.Now().Add(t))
 	}
-	proto, id, token, err := readHandshake(br)
+	id, token, err := readHandshake(br)
 	if err != nil {
 		return nil, false, err
 	}
-	st, resumed := s.register(conn, proto, id, token)
+	st, resumed := s.register(conn, id, token)
 	connDone := st.connDone
 	s.mu.Lock()
 	prevSealed := st.sealed
@@ -543,17 +541,15 @@ func (s *Server) ingest(conn net.Conn) (st *streamState, sealedNow bool, err err
 	serr := err
 	diskFailed := err != nil
 	if serr == nil {
-		if proto >= ProtocolV2 {
-			hello := make([]byte, 0, 2+binary.MaxVarintLen64)
-			status := helloNew
-			if resumed {
-				status = helloResumed
-			}
-			hello = append(hello, frameHello, status)
-			hello = binary.AppendUvarint(hello, uint64(st.durable))
-			if _, werr := conn.Write(hello); werr != nil {
-				serr = fmt.Errorf("sink: writing hello: %w", werr)
-			}
+		hello := make([]byte, 0, 2+binary.MaxVarintLen64)
+		status := helloNew
+		if resumed {
+			status = helloResumed
+		}
+		hello = append(hello, frameHello, status)
+		hello = binary.AppendUvarint(hello, uint64(st.durable))
+		if _, werr := conn.Write(hello); werr != nil {
+			serr = fmt.Errorf("sink: writing hello: %w", werr)
 		}
 	}
 	if serr == nil {
@@ -588,7 +584,7 @@ func (s *Server) ingest(conn net.Conn) (st *streamState, sealedNow bool, err err
 						return fmt.Errorf("sink: copying frame payload: %w", err)
 					}
 					frames++
-					if proto >= ProtocolV2 && received-lastAck >= int64(s.cfg.ackEvery) {
+					if received-lastAck >= int64(s.cfg.ackEvery) {
 						if err := bw.Flush(); err != nil {
 							return fmt.Errorf("sink: flushing shard: %w", err)
 						}
@@ -612,9 +608,6 @@ func (s *Server) ingest(conn net.Conn) (st *streamState, sealedNow bool, err err
 					complete = true
 					return nil
 				case frameGap:
-					if proto < ProtocolV2 {
-						return fmt.Errorf("sink: gap frame on a v1 stream")
-					}
 					g, err := binary.ReadUvarint(br)
 					if err != nil {
 						return fmt.Errorf("sink: reading gap: %w", err)
@@ -664,8 +657,8 @@ func (s *Server) ingest(conn net.Conn) (st *streamState, sealedNow bool, err err
 	// Classify the end: complete and gap-sealed streams are terminal;
 	// disk failures are terminal (resuming onto a failing shard has no
 	// future) and the client is told immediately; a plain connection
-	// sever leaves a v2 stream resumable.
-	sealed := complete || gapSeal || diskFailed || proto < ProtocolV2 || prevSealed
+	// sever leaves the stream resumable.
+	sealed := complete || gapSeal || diskFailed || prevSealed
 	s.mu.Lock()
 	if prevSealed {
 		// The stream was already terminal (a re-sealing reconnect whose
@@ -712,42 +705,37 @@ func (s *Server) ingest(conn net.Conn) (st *streamState, sealedNow bool, err err
 	return st, sealed && !prevSealed, serr
 }
 
-// readHandshake validates the magic, version, stream id and (v2) token.
-func readHandshake(br *bufio.Reader) (proto byte, id string, token uint64, err error) {
+// readHandshake validates the magic, version, stream id and token.
+func readHandshake(br *bufio.Reader) (id string, token uint64, err error) {
 	var hdr [len(Magic) + 1]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, "", 0, fmt.Errorf("sink: reading handshake: %w", err)
+		return "", 0, fmt.Errorf("sink: reading handshake: %w", err)
 	}
 	if string(hdr[:len(Magic)]) != Magic {
-		return 0, "", 0, fmt.Errorf("sink: bad handshake magic %q", hdr[:len(Magic)])
+		return "", 0, fmt.Errorf("sink: bad handshake magic %q", hdr[:len(Magic)])
 	}
-	proto = hdr[len(Magic)]
-	if proto != ProtocolV1 && proto != ProtocolV2 {
-		return 0, "", 0, fmt.Errorf("sink: protocol version %d not supported (this build speaks %d and %d)",
-			proto, ProtocolV1, ProtocolV2)
+	if proto := hdr[len(Magic)]; proto != ProtocolV2 {
+		return "", 0, fmt.Errorf("sink: protocol version %d not supported (this build speaks %d)", proto, ProtocolV2)
 	}
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return 0, "", 0, fmt.Errorf("sink: reading stream id: %w", err)
+		return "", 0, fmt.Errorf("sink: reading stream id: %w", err)
 	}
 	if n == 0 || n > MaxStreamIDLen {
-		return 0, "", 0, fmt.Errorf("sink: stream id of %d bytes out of range (1..%d)", n, MaxStreamIDLen)
+		return "", 0, fmt.Errorf("sink: stream id of %d bytes out of range (1..%d)", n, MaxStreamIDLen)
 	}
 	idb := make([]byte, n)
 	if _, err := io.ReadFull(br, idb); err != nil {
-		return 0, "", 0, fmt.Errorf("sink: reading stream id: %w", err)
+		return "", 0, fmt.Errorf("sink: reading stream id: %w", err)
 	}
 	if !ValidStreamID(string(idb)) {
-		return 0, "", 0, fmt.Errorf("sink: invalid stream id %q", idb)
+		return "", 0, fmt.Errorf("sink: invalid stream id %q", idb)
 	}
-	if proto >= ProtocolV2 {
-		token, err = binary.ReadUvarint(br)
-		if err != nil {
-			return 0, "", 0, fmt.Errorf("sink: reading stream token: %w", err)
-		}
-		if token == 0 {
-			return 0, "", 0, fmt.Errorf("sink: zero stream token")
-		}
+	if token, err = binary.ReadUvarint(br); err != nil {
+		return "", 0, fmt.Errorf("sink: reading stream token: %w", err)
 	}
-	return proto, string(idb), token, nil
+	if token == 0 {
+		return "", 0, fmt.Errorf("sink: zero stream token")
+	}
+	return string(idb), token, nil
 }

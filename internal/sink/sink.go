@@ -15,15 +15,14 @@
 // the archive prefix the sender got out, which the otf2 readers already
 // salvage under the ErrTruncated contract.
 //
-// Version 2 of the wire protocol makes streams resumable: the server
-// acknowledges the durable (flushed-to-shard) byte count, the client
-// keeps a bounded replay window of recent archive bytes, and a severed
-// connection is survived by reconnecting and replaying from the
-// server's durable offset — producing a shard bit-identical to an
-// undisturbed run whenever the window covers the loss. See the package
-// doc of the repository root (doc.go, "Fault tolerance") for the
-// byte-level specification; the constants below define the frame
-// alphabet.
+// Streams are resumable: the server acknowledges the durable
+// (flushed-to-shard) byte count, the client keeps a bounded replay window
+// of recent archive bytes, and a severed connection is survived by
+// reconnecting and replaying from the server's durable offset —
+// producing a shard bit-identical to an undisturbed run whenever the
+// window covers the loss. See the package doc of the repository root
+// (doc.go, "Remote tracing" and "Fault tolerance") for the byte-level
+// specification; the constants below define the frame alphabet.
 //
 // # Wire protocol
 //
@@ -31,25 +30,24 @@
 // One connection carries one attempt at one stream. The client speaks
 // first:
 //
-//	session(v1)  := handshake1 frame* eos
-//	session(v2)  := handshake2 frame* (eos | gap)
-//	handshake1   := "SPSINK\x00" 0x01 uvarint(len(id)) id
-//	handshake2   := "SPSINK\x00" 0x02 uvarint(len(id)) id uvarint(token)
-//	frame        := 'F' uvarint(n) payload[n]     1 <= n <= 4 MiB
-//	eos          := 'Z' uvarint(droppedEvents)
-//	gap          := 'G' uvarint(gapBytes)          v2, client -> server
+//	session   := handshake frame* (eos | gap)
+//	handshake := "SPSINK\x00" 0x02 uvarint(len(id)) id uvarint(token)
+//	frame     := 'F' uvarint(n) payload[n]     1 <= n <= 4 MiB
+//	eos       := 'Z' uvarint(droppedEvents)
+//	gap       := 'G' uvarint(gapBytes)
 //
-// The stream id names the shard ("trace-<id>.otf2"); it is 1..128
-// bytes of [A-Za-z0-9._-]. The token is a client-chosen random 64-bit
-// value identifying the stream across connections: a v2 reconnect
-// presenting the same (id, token) resumes the stream, a different
-// token is a distinct stream and the id is uniquified. The
-// concatenated frame payloads are exactly one spotf2 archive byte
-// stream (see package otf2); on a resumed connection the payload
-// continues at the durable offset the server announced.
+// The byte after the magic is the protocol version, 2; the server
+// refuses every other. The stream id names the shard
+// ("trace-<id>.otf2"); it is 1..128 bytes of [A-Za-z0-9._-]. The token
+// is a client-chosen random 64-bit value other than 0 identifying the
+// stream across connections: a reconnect presenting the same (id, token)
+// resumes the stream, a different token is a distinct stream and the id
+// is uniquified. The concatenated frame payloads are exactly one spotf2
+// archive byte stream (see package otf2); on a resumed connection the
+// payload continues at the durable offset the server announced.
 //
-// The v2 server speaks immediately after a valid handshake, and again
-// as ingest progresses:
+// The server speaks immediately after a valid handshake, and again as
+// ingest progresses:
 //
 //	hello := 'H' status(1 byte) uvarint(durable)   0 = new, 1 = resumed
 //	ack   := 'K' uvarint(durable)
@@ -57,8 +55,7 @@
 // durable counts archive bytes flushed to the shard file; the client
 // must (re)send payload from exactly that offset and may discard
 // replay history below it. 'K' acks are sent after flushes, at least
-// every DefaultAckIntervalBytes of payload. A v1 session has no hello
-// and no 'K' acks.
+// every DefaultAckIntervalBytes of payload.
 //
 // After eos the server flushes and syncs the shard and answers one
 // final ack, which the client's Close waits for so daemon-side write
@@ -66,7 +63,7 @@
 //
 //	final := 'A' status(1 byte)    0 = sealed, 1 = failed, 2 = sealed after gap
 //
-// A v2 server may also send the final ack with status 1 mid-stream,
+// The server may also send the final ack with status 1 mid-stream,
 // when its shard write failed (e.g. disk full): the stream is over,
 // the shard keeps the flushed prefix, and the client reacts without
 // waiting for its own end of stream. The gap frame is the client's
@@ -78,11 +75,10 @@
 // silently corrupt every later time.
 //
 // A connection that dies before eos leaves the shard at its flushed
-// prefix; under v2 the stream stays resumable until the server shuts
-// down. Unknown frame kinds are a protocol error, not skipped — unlike
-// the archive format there is no forward-compatibility promise inside
-// one protocol version. The Server accepts v1 sessions unchanged; the
-// Client speaks v2 only and requires a v2 server.
+// prefix, and the stream stays resumable until the server shuts down.
+// Unknown frame kinds are a protocol error, not skipped — unlike the
+// archive format there is no forward-compatibility promise inside one
+// protocol version.
 package sink
 
 import (
@@ -97,11 +93,9 @@ import (
 const (
 	// Magic opens the client handshake.
 	Magic = "SPSINK\x00"
-	// ProtocolV1 is the original fire-and-forget protocol: no resume,
-	// no durable acks. The Server still accepts it.
-	ProtocolV1 = 1
-	// ProtocolV2 adds the stream token, the server hello, durable-offset
-	// acks and the gap frame — resumable streams.
+	// ProtocolV2 is the protocol of resumable streams: the stream token,
+	// the server hello, durable-offset acks and the gap frame. It is the
+	// one version the Server accepts.
 	ProtocolV2 = 2
 	// ProtocolVersion is the version the Client speaks.
 	ProtocolVersion = ProtocolV2

@@ -1,7 +1,6 @@
 package sink
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -515,129 +514,74 @@ func TestValidStreamID(t *testing.T) {
 	}
 }
 
-// TestRawProtocolBytes speaks both wire protocol versions by hand —
-// pinning the byte-level spec doc.go promises (a reimplementation must
-// be able to produce exactly this).
-func TestRawProtocolBytes(t *testing.T) {
-	// Build a tiny valid archive out of band.
-	reg := region.NewRegistry()
-	batches := synthBatches(reg, 1, 1, 2)
-	local := filepath.Join(t.TempDir(), "payload.otf2")
-	writeLocal(t, local, batches)
-	payload, err := os.ReadFile(local)
+// sessionFile is the client's side of one protocol-v2 session, byte for
+// byte: a handshake for stream "transcript" with token 0xfeed, the
+// archive internal/otf2/testdata/v4.otf2 in data frames of 256 bytes, and
+// an end of stream reporting no dropped events. A server acking every
+// sessionAckEvery bytes answers it with testdata/session-v2-reply.bin and
+// writes testdata/session-v2-shard.otf2.
+const (
+	sessionFile     = "session-v2.bin"
+	sessionAckEvery = 512
+)
+
+func readTestdata(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return data
+}
 
-	t.Run("v1", func(t *testing.T) {
-		srv, err := NewServer(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		c1, c2 := net.Pipe()
-		serveDone := make(chan error, 1)
-		go func() { serveDone <- srv.ServeConn(c2) }()
+// servePipe has srv serve one end of a pipe and returns the other, with
+// what the server answers on it until it hangs up, and what ServeConn
+// returns.
+func servePipe(srv *Server) (net.Conn, <-chan []byte, <-chan error) {
+	c1, c2 := net.Pipe()
+	replied, served := make(chan []byte, 1), make(chan error, 1)
+	go func() { served <- srv.ServeConn(c2) }()
+	go func() {
+		reply, _ := io.ReadAll(c1)
+		replied <- reply
+	}()
+	return c1, replied, served
+}
 
-		bw := bufio.NewWriter(c1)
-		bw.WriteString(Magic)
-		bw.WriteByte(ProtocolV1)
-		var tmp [binary.MaxVarintLen64]byte
-		id := "manual"
-		bw.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(id)))])
-		bw.WriteString(id)
-		// Ship the archive in two frames, split mid-stream.
-		for _, part := range [][]byte{payload[:3], payload[3:]} {
-			bw.WriteByte(frameData)
-			bw.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(part)))])
-			bw.Write(part)
-		}
-		bw.WriteByte(frameEOS)
-		bw.Write(tmp[:binary.PutUvarint(tmp[:], 0)])
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		var ack [2]byte
-		if _, err := io.ReadFull(c1, ack[:]); err != nil {
-			t.Fatal(err)
-		}
-		if ack[0] != ackByte || ack[1] != ackOK {
-			t.Fatalf("ack = %v", ack)
-		}
-		c1.Close()
-		if err := <-serveDone; err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(srv.Dir(), "trace-manual.otf2"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(payload) {
-			t.Fatalf("relayed shard differs from payload (%d vs %d bytes)", len(got), len(payload))
-		}
-	})
+// checkSession holds srv, which served the committed session, and its
+// reply to the committed reply and shard.
+func checkSession(t *testing.T, srv *Server, reply []byte) {
+	t.Helper()
+	if want := readTestdata(t, "session-v2-reply.bin"); !bytes.Equal(reply, want) {
+		t.Errorf("the server answered % x, want % x", reply, want)
+	}
+	shard, err := os.ReadFile(filepath.Join(srv.Dir(), shardFileName("transcript")))
+	if want := readTestdata(t, "session-v2-shard.otf2"); err != nil || !bytes.Equal(shard, want) {
+		t.Errorf("the shard is %d bytes (%v) and differs from the %d committed", len(shard), err, len(want))
+	}
+	infos := srv.Streams()
+	if len(infos) != 1 || !infos[0].Complete || infos[0].Bytes != int64(len(shard)) || infos[0].Frames != 8 {
+		t.Errorf("streams = %+v, want one complete stream of 8 frames", infos)
+	}
+}
 
-	t.Run("v2", func(t *testing.T) {
-		srv, err := NewServer(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		c1, c2 := net.Pipe()
-		serveDone := make(chan error, 1)
-		go func() { serveDone <- srv.ServeConn(c2) }()
-
-		var tmp [binary.MaxVarintLen64]byte
-		bw := bufio.NewWriter(c1)
-		bw.WriteString(Magic)
-		bw.WriteByte(ProtocolV2)
-		id := "manual2"
-		bw.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(id)))])
-		bw.WriteString(id)
-		bw.Write(tmp[:binary.PutUvarint(tmp[:], 0xfeed)]) // stream token
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		// The v2 server answers a fresh stream with hello: 'H', status
-		// new, durable offset 0.
-		cr := bufio.NewReader(c1)
-		var hello [2]byte
-		if _, err := io.ReadFull(cr, hello[:]); err != nil {
-			t.Fatal(err)
-		}
-		if hello[0] != frameHello || hello[1] != helloNew {
-			t.Fatalf("hello = %v", hello)
-		}
-		if durable, err := binary.ReadUvarint(cr); err != nil || durable != 0 {
-			t.Fatalf("hello durable = (%d, %v), want (0, nil)", durable, err)
-		}
-		for _, part := range [][]byte{payload[:3], payload[3:]} {
-			bw.WriteByte(frameData)
-			bw.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(part)))])
-			bw.Write(part)
-		}
-		bw.WriteByte(frameEOS)
-		bw.Write(tmp[:binary.PutUvarint(tmp[:], 0)])
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		var ack [2]byte
-		if _, err := io.ReadFull(cr, ack[:]); err != nil {
-			t.Fatal(err)
-		}
-		if ack[0] != ackByte || ack[1] != ackOK {
-			t.Fatalf("ack = %v", ack)
-		}
-		c1.Close()
-		if err := <-serveDone; err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(srv.Dir(), "trace-manual2.otf2"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(payload) {
-			t.Fatalf("relayed shard differs from payload (%d vs %d bytes)", len(got), len(payload))
-		}
-	})
+// TestRawProtocolBytes replays the committed session through ServeConn
+// and holds the server to the committed reply — hello, durable acks, final
+// ack — and shard: the byte-level spec doc.go promises, which a
+// reimplementation of either side must produce exactly.
+func TestRawProtocolBytes(t *testing.T) {
+	srv, err := NewServer(t.TempDir(), WithAckInterval(sessionAckEvery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, replied, served := servePipe(srv)
+	if _, err := conn.Write(readTestdata(t, sessionFile)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	checkSession(t, srv, <-replied)
 }
 
 // TestEdgeRecordsRoundTrip streams the events that stress the archive's
