@@ -565,23 +565,27 @@ func checkSession(t *testing.T, srv *Server, reply []byte) {
 	}
 }
 
-// TestRawProtocolBytes replays the committed session through ServeConn
-// and holds the server to the committed reply — hello, durable acks, final
-// ack — and shard: the byte-level spec doc.go promises, which a
-// reimplementation of either side must produce exactly.
+// TestRawProtocolBytes replays the committed protocol-v2 session through
+// ServeConn and holds the server to the committed reply — hello, durable
+// acks, final ack — and shard: the byte-level spec doc.go promises, which
+// a reimplementation of either side must produce exactly. (v2 is the one
+// protocol the server speaks; TestV1ClientAgainstV2Server holds it to
+// refusing v1.)
 func TestRawProtocolBytes(t *testing.T) {
-	srv, err := NewServer(t.TempDir(), WithAckInterval(sessionAckEvery))
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, replied, served := servePipe(srv)
-	if _, err := conn.Write(readTestdata(t, sessionFile)); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-served; err != nil {
-		t.Fatal(err)
-	}
-	checkSession(t, srv, <-replied)
+	t.Run("v2", func(t *testing.T) {
+		srv, err := NewServer(t.TempDir(), WithAckInterval(sessionAckEvery))
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, replied, served := servePipe(srv)
+		if _, err := conn.Write(readTestdata(t, sessionFile)); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-served; err != nil {
+			t.Fatal(err)
+		}
+		checkSession(t, srv, <-replied)
+	})
 }
 
 // TestEdgeRecordsRoundTrip streams the events that stress the archive's
