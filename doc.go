@@ -234,9 +234,7 @@
 // streams is that window and what lies before it: the replay window,
 // plus what is sent and not yet acknowledged (the daemon's ack
 // interval, the frame of up to 256 KiB that crosses it and the frame
-// on its way: once a connection has acked twice, the client sends no
-// more while the widest step between two of its acks is out), plus
-// the unsent backlog at which recording threads
+// on its way), plus the unsent backlog at which recording threads
 // block or drop (WithBufferBytes, default 1 MiB). It lies in segments
 // of 64 KiB, allocated as the stream grows and filled again once the
 // daemon has acknowledged them, so a stream holds at most that sum and

@@ -25,17 +25,10 @@ import (
 // [sent, end), bounded by maxUnacked: producers block (or drop batches)
 // when the sender falls that far behind — a dead connection stalls sent
 // and trips the bound, so a lost daemon costs the measured program a
-// bounded stall, not unbounded memory. (The producers' bound is
-// deliberately not on unacked bytes: the server acks in
-// DefaultAckIntervalBytes strides, so a small buffer would deadlock
-// waiting for an ack that only comes after more bytes than the buffer
-// holds.) The sender's is: once a connection has acked twice, the sender
-// keeps no more than the widest step between two of its acks sent and
-// not acked. A server acks once it holds its stride past its last ack,
-// and a step between two acks is at least that stride, so the ack the
-// sender waits for always comes; without the bound, an ack reader that
-// does not get to run for a while lets the sender run megabytes ahead,
-// all of it held in the window.
+// bounded stall, not unbounded memory. (The bound is deliberately not
+// on unacked bytes: the server acks in DefaultAckIntervalBytes strides,
+// so a small buffer would deadlock waiting for an ack that only comes
+// after more bytes than the buffer holds.)
 //
 // The bytes lie in fixed segments (otf2.Memory) at their archive
 // offsets. Write fills the last segment and takes another when it is
@@ -69,12 +62,6 @@ type sendWindow struct {
 	end   int64       // bytes produced; base once failed or spilling
 	out   int64       // start of the batch next gave the sender last, which may still be on its way
 
-	// The acks of the current connection: the last one, -1 before the
-	// first, and the widest step between two, which bounds sent-acked
-	// while there is more to send; 0, no bound, before the second ack.
-	lastAck int64
-	stride  int64
-
 	// Occupancy, written under mu: the most bytes [base, end) has held,
 	// the segments allocated for them, and the time producers have
 	// waited for the sender in Write and admit.
@@ -95,7 +82,7 @@ type sendWindow struct {
 }
 
 func newSendWindow(maxUnacked, retain int, block bool) *sendWindow {
-	w := &sendWindow{maxUnacked: maxUnacked, retain: retain, block: block, lastAck: -1}
+	w := &sendWindow{maxUnacked: maxUnacked, retain: retain, block: block}
 	w.cond = sync.NewCond(&w.mu)
 	return w
 }
@@ -183,14 +170,13 @@ func (w *sendWindow) writeSpillLocked(p []byte) (int, error) {
 // next hands the sender the next run of unsent bytes, n <= limit of
 // them, as views of the window's segments appended to views: they are
 // not copied, and the window lock is not held during the network write.
-// It waits when everything is sent, and when the connection's ack
-// stride is sent and not acked; done reports that the stream was
+// It waits when everything is sent; done reports that the stream was
 // closed and fully sent, and kicked that an interrupt (reader-observed
 // connection death) asked the sender to re-check its connection state.
 func (w *sendWindow) next(views [][]byte, limit int64) (batch [][]byte, n int64, done, kicked bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.senderWaitsLocked() && w.failed == nil && w.spill == nil && !w.kicked {
+	for w.sent == w.end && !w.closed && w.failed == nil && w.spill == nil && !w.kicked {
 		w.cond.Wait()
 	}
 	if w.kicked {
@@ -207,16 +193,6 @@ func (w *sendWindow) next(views [][]byte, limit int64) (batch [][]byte, n int64,
 	// sent advanced: producers gated on the unsent backlog can move.
 	w.cond.Broadcast()
 	return batch, n, w.closed && w.sent == w.end, false
-}
-
-// senderWaitsLocked reports whether the sender has nothing to take: it
-// has sent everything of a stream that goes on, or a stride's worth of
-// what it sent is not acked yet.
-func (w *sendWindow) senderWaitsLocked() bool {
-	if w.sent == w.end {
-		return !w.closed
-	}
-	return w.stride > 0 && w.sent-w.acked >= w.stride
 }
 
 // kick wakes the sender out of an idle next wait so it can notice a
@@ -236,10 +212,6 @@ func (w *sendWindow) ack(n int64) {
 	if n <= w.acked {
 		return
 	}
-	if w.lastAck >= 0 {
-		w.stride = max(w.stride, n-w.lastAck)
-	}
-	w.lastAck = n
 	if n > w.end {
 		n = w.end
 	}
@@ -284,8 +256,6 @@ func (w *sendWindow) rewind(durable int64) error {
 	// thought (retained history covers the difference), a lost ack may
 	// mean it knows more.
 	w.acked = durable
-	// A new connection may be to a server that acks in other strides.
-	w.lastAck, w.stride = -1, 0
 	w.cond.Broadcast()
 	return nil
 }

@@ -9,8 +9,7 @@ import (
 
 // refWindow is the send window as it was while it kept its bytes in one
 // contiguous slice — appended to by Write, compacted lazily by ack,
-// copied into the sender's scratch by next — less its protocol-v1 mode,
-// and with the sender held to the connection's ack stride.
+// copied into the sender's scratch by next — less its protocol-v1 mode.
 // It is the reference the tests hold sendWindow to: the same calls must
 // leave the same offsets, hand the sender the same bytes and write the
 // same fallback file.
@@ -23,9 +22,6 @@ type refWindow struct {
 	base  int64  // archive offset of buf[head]
 	acked int64  // server-durable bytes
 	sent  int64  // next unsent archive offset
-
-	lastAck int64 // the connection's last ack, -1 before the first
-	stride  int64 // the widest step between two of its acks, 0 before the second
 
 	maxUnacked int
 	retain     int
@@ -40,7 +36,7 @@ type refWindow struct {
 }
 
 func newRefWindow(maxUnacked, retain int, block bool) *refWindow {
-	w := &refWindow{maxUnacked: maxUnacked, retain: retain, block: block, lastAck: -1}
+	w := &refWindow{maxUnacked: maxUnacked, retain: retain, block: block}
 	w.cond = sync.NewCond(&w.mu)
 	return w
 }
@@ -102,24 +98,12 @@ func (w *refWindow) writeSpillLocked(p []byte) (int, error) {
 	return n, nil
 }
 
-// senderWaits reports whether next would wait: for a producer, or for
-// an ack once a stride's worth is sent and not acked.
-func (w *refWindow) senderWaits() bool {
-	if w.failed != nil || w.spill != nil || w.kicked {
-		return false
-	}
-	if w.sent == w.end() {
-		return !w.closed
-	}
-	return w.stride > 0 && w.sent-w.acked >= w.stride
-}
-
 // next copies the next run of unsent bytes into scratch, whose capacity
 // (if any) bounds it.
 func (w *refWindow) next(scratch []byte) (batch []byte, done, kicked bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.senderWaits() {
+	for w.sent == w.end() && !w.closed && w.failed == nil && w.spill == nil && !w.kicked {
 		w.cond.Wait()
 	}
 	if w.kicked {
@@ -153,10 +137,6 @@ func (w *refWindow) ack(n int64) {
 	if n <= w.acked {
 		return
 	}
-	if w.lastAck >= 0 && n-w.lastAck > w.stride {
-		w.stride = n - w.lastAck
-	}
-	w.lastAck = n
 	if n > w.end() {
 		n = w.end()
 	}
@@ -189,7 +169,6 @@ func (w *refWindow) rewind(durable int64) error {
 	}
 	w.sent = durable
 	w.acked = durable
-	w.lastAck, w.stride = -1, 0
 	w.cond.Broadcast()
 	return nil
 }
