@@ -32,9 +32,8 @@ func journalOf(t testing.TB, files ...string) []byte {
 // (trace-a.otf2, which recovery truncates to its intact prefix) and a
 // complete shard of a format version this build does not read
 // (trace-v5.otf2), and beside it lie files that are no business of the
-// server's — a text file and an archive cut like the shard. It returns
-// the server directory and the bytes of every file under base as they
-// were.
+// server's — a text file and an archive cut like the shard. It returns the
+// server directory and the bytes of every file under base as they were.
 func recoveryDir(t testing.TB) (string, map[string][]byte) {
 	t.Helper()
 	base := t.TempDir()

@@ -568,9 +568,7 @@ func checkSession(t *testing.T, srv *Server, reply []byte) {
 // TestRawProtocolBytes replays the committed protocol-v2 session through
 // ServeConn and holds the server to the committed reply — hello, durable
 // acks, final ack — and shard: the byte-level spec doc.go promises, which
-// a reimplementation of either side must produce exactly. (v2 is the one
-// protocol the server speaks; TestV1ClientAgainstV2Server holds it to
-// refusing v1.)
+// a reimplementation of either side must produce exactly.
 func TestRawProtocolBytes(t *testing.T) {
 	t.Run("v2", func(t *testing.T) {
 		srv, err := NewServer(t.TempDir(), WithAckInterval(sessionAckEvery))
