@@ -26,6 +26,7 @@ import (
 	"repro/internal/otf2"
 	"repro/internal/pomp"
 	"repro/internal/region"
+	"repro/internal/sink"
 	"repro/internal/trace"
 )
 
@@ -586,7 +587,7 @@ func TestStreamingSessionFootprint(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	cl, err := scorep.DialTraceSink(addr, scorep.TraceSinkStreamID("long"))
+	cl, err := sink.Dial(addr, sink.WithStreamID("long"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	scorep "repro"
+	"repro/internal/bottleneck"
 )
 
 // bottleneckWorkload records a two-thread workload with a cross-thread
@@ -44,8 +45,8 @@ func TestResultsBottlenecks(t *testing.T) {
 		t.Fatal("Bottlenecks not cached")
 	}
 	for _, workers := range []int{1, 4} {
-		if want := scorep.AnalyzeBottlenecks(res.Trace(), scorep.TraceQuery{}, workers); !reflect.DeepEqual(b, want) {
-			t.Fatalf("Bottlenecks != AnalyzeBottlenecks(trace, %d)", workers)
+		if want := analyzeBottlenecks(res.Trace(), scorep.TraceQuery{}, workers); !reflect.DeepEqual(b, want) {
+			t.Fatalf("Bottlenecks != the analysis of the trace at %d workers", workers)
 		}
 	}
 
@@ -103,8 +104,8 @@ func TestExperimentBottlenecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qwant := scorep.AnalyzeBottlenecks(q.Filter(res.Trace()), scorep.TraceQuery{}, 1); !reflect.DeepEqual(qgot, qwant) {
-		t.Fatal("BottlenecksQuery != AnalyzeBottlenecks(filtered trace)")
+	if qwant := analyzeBottlenecks(q.Filter(res.Trace()), scorep.TraceQuery{}, 1); !reflect.DeepEqual(qgot, qwant) {
+		t.Fatal("BottlenecksQuery != the analysis of the filtered trace")
 	}
 	if len(exp.Warnings()) != 0 {
 		t.Fatalf("clean experiment produced warnings: %v", exp.Warnings())
@@ -211,8 +212,8 @@ func TestFleetBottlenecks(t *testing.T) {
 	}
 	// The facade summary must be exactly the fleet merge of the shard
 	// analyses keyed by stream id.
-	if want := scorep.MergeBottleneckAnalyses(analyses); !reflect.DeepEqual(fleet, want) {
-		t.Fatalf("FleetBottlenecks = %+v, want MergeBottleneckAnalyses of the shards %+v", fleet, want)
+	if want := bottleneck.MergeFleet(analyses); !reflect.DeepEqual(fleet, want) {
+		t.Fatalf("FleetBottlenecks = %+v, want the fleet merge of the shards %+v", fleet, want)
 	}
 }
 

@@ -88,8 +88,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(2)
 	}
-	if cl := s.RemoteTraceSink(); cl != nil {
-		fmt.Printf("streaming trace as %q\n", cl.StreamID())
+	if id := s.RemoteTraceStream(); id != "" {
+		fmt.Printf("streaming trace as %q\n", id)
 	}
 
 	start := time.Now()

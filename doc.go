@@ -147,14 +147,13 @@
 // process's stream becomes one shard — trace-<id>.otf2 — of a fleet
 // experiment. WithRemoteTraceStream(id) names the stream (default:
 // pid-derived; the daemon uniquifies collisions); Session.End closes
-// the stream and waits for the daemon's seal acknowledgment.
-// RemoteTraceSink exposes the underlying client. The client buffers
-// frames in bounded memory and a background sender drains them, so a
-// slow daemon never blocks the event hot path until the buffer is
-// actually full; the full-buffer policy is block (lossless, default)
-// or drop-with-count (DialTraceSink + TraceSinkDrop, the power-user
-// form). Connections are established lazily with retry/backoff, so
-// daemon and clients can start in any order; a connection severed
+// the stream and waits for the daemon's seal acknowledgment;
+// Session.RemoteTraceStream reports the stream id in use. The session's
+// client buffers frames in bounded memory and a background sender
+// drains them, so a slow daemon never blocks the event hot path until
+// the buffer is actually full; a full buffer blocks the producer, so
+// the stream is lossless. Connections are established lazily with
+// retry/backoff, so daemon and clients can start in any order; a connection severed
 // mid-run is survived by reconnect and byte-exact resume, and a
 // daemon lost for good degrades to a local fallback archive — see
 // Fault tolerance below.
@@ -420,26 +419,42 @@
 // the current window as a bare archive to any io.Writer for custom
 // sinks.
 //
-// # Power-user layer
+// # Custom setups
 //
-// The session owns the wiring; the pieces stay exported for custom
-// setups: NewMeasurement/NewMeasurementWithClock (profiling), NewFilter
-// (gives a Measurement its filter patterns and returns it), NewTee (fan
-// out one event stream to several listeners), NewRuntime, and the
-// report/trace serialization functions. Sessions are the way to record a
-// trace (WithTracing, WithStreamingTrace, WithFlightRecorder); the
-// facade no longer exports recorder constructors. Removed names:
-// NewTraceRecorder, NewStreamingTraceRecorder, NewFlightTraceRecorder,
-// TraceFlightRecorder, TraceFlightStats, TraceArchiveFormatVersion and
-// the Filter type (NewFilter now returns the *Measurement).
+// A Session is the one way to wire a measurement, as Score-P's
+// environment variables and experiment directory are its one way to
+// configure one. Each piece of a custom setup is an option or an
+// accessor of the session, each in place of a hand-wired name the
+// package does not export:
 //
-// A recording outside a Session or an Experiment is analyzed by five
-// functions, each taking a TraceQuery (zero: everything) and a worker
-// count (<= 0: one per processor): AnalyzeTrace and AnalyzeBottlenecks
-// over a Trace, ReadTraceArchive, AnalyzeTraceArchive and
-// AnalyzeTraceArchiveBottlenecks over an archive (see Reading
-// archives). Results.Locations exposes the raw per-thread profiles
-// behind Results.Report.
+//   - WithClock sets the time source of profile and trace (for
+//     NewMeasurementWithClock and NewManualClock);
+//   - WithFilter gives the profile its filter patterns (for NewFilter);
+//   - WithScheduler selects the task scheduler, Session.Runtime is the
+//     runtime and Results.TeamStats its counters (for NewRuntime and
+//     NewMeasurement);
+//   - WithListener adds a listener beside the session's own, which the
+//     session fans out to (for NewTee);
+//   - WithTracing, WithStreamingTrace (into any TraceEventSink, such as
+//     NewTraceArchiveWriter), WithRemoteTrace and WithFlightRecorder
+//     choose the trace recorder, and WithTraceCompression compresses
+//     the archives the session writes (for TraceRecorder and the
+//     archive-writer options);
+//   - WithRemoteTraceStream, WithRemoteTraceRetry,
+//     WithRemoteTraceReconnect and WithRemoteTraceFallback set a remote
+//     stream's name, connect, reconnect and fallback, and
+//     Session.RemoteTraceStream reports the id in use (for DialTraceSink,
+//     its TraceSink* options and Session.RemoteTraceSink);
+//   - Results and Experiment analyze a recording, whole, by TraceQuery,
+//     per shard or per fleet, and AnalyzeTraceArchive a bare archive
+//     stream (for AnalyzeTrace, AnalyzeBottlenecks,
+//     AnalyzeTraceArchiveBottlenecks, MergeBottleneckAnalyses,
+//     WriteTraceArchive and ReadTraceArchive); the tools read and write
+//     JSONL and render timelines (for the trace JSONL, timeline and
+//     utilization functions).
+//
+// Results.Locations gives the raw per-thread profiles behind
+// Results.Report.
 //
 // # Overhead
 //
@@ -521,9 +536,9 @@
 //
 //   - JSONL: one JSON object per event ("{"t":0,"ts":123,"ev":"ENTER",
 //     "r":"fib.task",...}"), human-greppable, ~100 bytes/event
-//     (WriteTraceJSONL/ReadTraceJSONL).
+//     (scorep-convert -out x.jsonl, scorep-analyze -save-trace).
 //   - Binary archive: an OTF2-style chunked binary format, ~3.0-3.3
-//     bytes/event (WriteTraceArchive/ReadTraceArchive). The archive is
+//     bytes/event (an experiment's trace.otf2). The archive is
 //     a "SPOTF2\x00" + version header followed by self-describing
 //     chunks (one byte kind, uvarint length, payload). Definition
 //     chunks intern strings and regions and declare clock properties;
@@ -550,7 +565,7 @@
 // appends a footer index chunk ('I') plus a fixed 14-byte trailer ('T'
 // frame, little-endian index offset, "SPIX" magic) — so a reader
 // locates the index in O(1) seeks from the end of the file.
-// WithCompression(TraceCompressionFlate) (or scorep-convert -compress)
+// WithTraceCompression(TraceCompressionFlate) (or scorep-convert -compress)
 // DEFLATEs each sealed event chunk into a 'C' chunk. A flight-recorder
 // dump (see Flight recorder) additionally carries one chunk of kind 'F'
 // placed directly after the header — before any event chunk, so a dump
@@ -570,8 +585,8 @@
 //
 // The index exists for time-window queries: a TraceQuery (a time window
 // [MinTime, MaxTime] and/or a thread-ID subset) handed to
-// AnalyzeTraceArchive/ReadTraceArchive — or to the tools as
-// -window t0:t1 and -threads a,b,c (-tids on scorep-analyze and
+// AnalyzeTraceArchive or an Experiment's query methods — or to the
+// tools as -window t0:t1 and -threads a,b,c (-tids on scorep-analyze and
 // scorep-timeline, whose -threads already names the live-run width) —
 // prunes non-matching chunks by their indexed bounds and reads only the
 // rest: O(matching chunks), not O(archive), with the Indexed /
@@ -590,7 +605,7 @@
 // TraceArchiveWriter instead of buffering the run in RAM), and
 // AnalyzeTraceArchive replays an archive through per-thread state
 // machines in O(chunk) memory — out-of-core analysis of traces far
-// larger than RAM. Both it and ReadTraceArchive take a worker count
+// larger than RAM. It and every Experiment reader take a worker count
 // and spread the chunk decoding over that many goroutines (identical
 // results at every count); the CLIs expose the knob as -parallel N
 // (0 = one worker per processor). The scorep-convert command converts
@@ -608,11 +623,10 @@
 // before any run, how many events each thread's stream holds at most
 // when the source knows (an index does, an in-memory trace does). A
 // load decodes the matching events into a Trace. Everything else is
-// these two under another name: AnalyzeTraceArchive and
-// AnalyzeTraceArchiveBottlenecks scan an archive, AnalyzeTrace and
-// AnalyzeBottlenecks scan a Trace, ReadTraceArchive loads; Results and
-// Experiment (whole or windowed, trace.otf2 or a fleet's shards) scan
-// their recording, or the events once Trace has materialized them; the
+// these two under another name: AnalyzeTraceArchive scans an archive;
+// Results and Experiment (whole or windowed, trace.otf2 or a fleet's
+// shards) scan their recording, or the events once Trace has
+// materialized them; the
 // tools scan or load a file by its extension, and scorep-analyze -trace
 // -bottlenecks feeds both analyses from one scan. Every such path gives
 // the result of decoding the whole recording front to back, filtering
@@ -639,7 +653,7 @@
 //     must end where the trailer starts. A lying index is a
 //     corruption error — never a different trace, never an allocation
 //     sized by the lie.
-//   - Place (a load: ReadTraceArchive, Results.Trace, Experiment.Trace,
+//   - Place (a load: Results.Trace, Experiment.Trace,
 //     scorep-timeline, scorep-convert). Each thread's event slice is
 //     allocated once, at the length its selected chunks add up to;
 //     chunk k's destination is the prefix-sum window of the counts
@@ -653,9 +667,8 @@
 //     the window's edges cut in place, and closes the gaps. It is the
 //     same path at one worker and at many. A load is not a scan with a
 //     consumer that appends: that would copy every event once more.
-//   - Deliver (a scan: AnalyzeTraceArchive,
-//     AnalyzeTraceArchiveBottlenecks, the analyses of Results and
-//     Experiment, scorep-analyze). A chunk decodes into a pooled run
+//   - Deliver (a scan: AnalyzeTraceArchive, the analyses of Results
+//     and Experiment, scorep-analyze). A chunk decodes into a pooled run
 //     buffer, the chunks a window's edges cut are clipped in place,
 //     and per-thread shards hand the runs to the consumers in archive
 //     order, one run per thread at a time; a bounded window of decoded
@@ -680,10 +693,9 @@
 //
 // The salvage contract is the same on every path: an archive cut off
 // mid-chunk — the typical state after a crashed or killed run — gives
-// the result of its intact prefix. From a reader (ReadTraceArchive,
-// AnalyzeTraceArchive, AnalyzeTraceArchiveBottlenecks) it comes with an
-// error the caller can tell from corruption; from a file (Experiment,
-// the tools) the cut becomes a warning, worded one way and reported
+// the result of its intact prefix. From a reader (AnalyzeTraceArchive)
+// it comes with an error the caller can tell from corruption; from a
+// file (Experiment, the tools) the cut becomes a warning, worded one way and reported
 // once per file however often and whichever way the file is read.
 // Anything else — I/O failures, corruption — is an error and no result.
 // A session's own archive cannot be cut: a failed read of it panics.
@@ -701,10 +713,7 @@
 // was it, and what would fixing it buy". It is a consumer of a scan
 // (see Reading archives) like the trace analysis. Entry points:
 // Results.Bottlenecks, Experiment.Bottlenecks / BottlenecksQuery /
-// ShardBottlenecks / FleetBottlenecks, AnalyzeBottlenecks (in-memory),
-// AnalyzeTraceArchiveBottlenecks (out-of-core, same access structure
-// and salvage contract as AnalyzeTraceArchive) and
-// MergeBottleneckAnalyses (fleet). On the command line:
+// ShardBottlenecks / FleetBottlenecks (fleet). On the command line:
 // scorep-analyze -bottlenecks (any trace-bearing input; honors
 // -window, -tids, -parallel and -json), and scorep-report prints the
 // fleet bottleneck summary of a fleet experiment. The result is

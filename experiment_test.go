@@ -252,7 +252,7 @@ func TestOpenExperimentTruncatedTrace(t *testing.T) {
 				t.Fatalf("after accessor %d (reverse=%v): warnings %q, want the one cut reported once", i, reverse, got)
 			}
 		}
-		if a, err := exp.TraceAnalysis(); err != nil || !reflect.DeepEqual(a, scorep.AnalyzeTrace(tr, scorep.TraceQuery{}, 1)) {
+		if a, err := exp.TraceAnalysis(); err != nil || !reflect.DeepEqual(a, analyzeTrace(tr, scorep.TraceQuery{}, 1)) {
 			t.Errorf("reverse=%v: analysis of the salvaged prefix differs from the analysis of its events (%v)", reverse, err)
 		}
 	}
@@ -415,6 +415,86 @@ func TestOpenExperimentRefusesOtherVersions(t *testing.T) {
 	}
 }
 
+// metaFixtures are the committed meta.json files, each in its directory
+// under testdata, with how this tree writes each: a local tracing
+// session's, and a fleet's of one complete shard, trace-a.otf2, holding
+// internal/otf2/testdata/v4.otf2.
+var metaFixtures = map[string]func(t testing.TB, dir string) error{
+	"experiment-local": func(t testing.TB, dir string) error {
+		return runExperimentWorkload(t, "fxl", 16, scorep.WithTracing()).SaveExperiment(dir)
+	},
+	"experiment-fleet": func(t testing.TB, dir string) error {
+		return scorep.SaveFleetExperiment(dir, time.Second, []scorep.TraceShard{
+			{File: "trace-a.otf2", Stream: "a", Bytes: int64(len(v4Archive(t))), Complete: true},
+		})
+	},
+}
+
+func v4Archive(t testing.TB) []byte {
+	t.Helper()
+	archive, err := os.ReadFile(filepath.Join("internal", "otf2", "testdata", "v4.otf2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return archive
+}
+
+// encodeMeta encodes meta as SaveExperiment writes it.
+func encodeMeta(t testing.TB, meta scorep.ExperimentMeta) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(meta); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestMetaFixtures holds each committed meta.json to what this tree
+// writes, but for the fields that describe the writing machine and
+// moment (time, wall time, processors, Go version), and to what
+// OpenExperiment reads of it, written back.
+func TestMetaFixtures(t *testing.T) {
+	for name, write := range metaFixtures {
+		want, err := os.ReadFile(filepath.Join("testdata", name, "meta.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var committed scorep.ExperimentMeta
+		if err := json.Unmarshal(want, &committed); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		dir := t.TempDir()
+		if err := write(t, dir); err != nil {
+			t.Fatal(err)
+		}
+		exp, err := scorep.OpenExperiment(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := exp.Meta
+		m.CreatedUnixNs, m.WallTimeNs = committed.CreatedUnixNs, committed.WallTimeNs
+		m.GOMAXPROCS, m.NumCPU, m.GoVersion = committed.GOMAXPROCS, committed.NumCPU, committed.GoVersion
+		if got := encodeMeta(t, m); !bytes.Equal(got, want) {
+			t.Errorf("%s: this tree writes\n%s\nthe committed meta.json is\n%s", name, got, want)
+		}
+
+		dir = t.TempDir()
+		for file, data := range map[string][]byte{"meta.json": want, "trace.otf2": v4Archive(t), "trace-a.otf2": v4Archive(t)} {
+			if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if exp, err = scorep.OpenExperiment(dir); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := encodeMeta(t, exp.Meta); !bytes.Equal(got, want) {
+			t.Errorf("%s: OpenExperiment reads\n%s\nthe committed meta.json is\n%s", name, got, want)
+		}
+	}
+}
+
 // FuzzOpenExperiment opens arbitrary bytes as the meta.json of a
 // directory that holds one recording as trace.otf2 and as the shard
 // trace-a.otf2. Nothing may panic; an accepted experiment's shards lie
@@ -422,10 +502,7 @@ func TestOpenExperimentRefusesOtherVersions(t *testing.T) {
 // result or an error; and its Meta, written back and reopened, encodes
 // as it did.
 func FuzzOpenExperiment(f *testing.F) {
-	archive, err := os.ReadFile(filepath.Join("internal", "otf2", "testdata", "v4.otf2"))
-	if err != nil {
-		f.Fatal(err)
-	}
+	archive := v4Archive(f)
 	experimentDir := func() string {
 		dir := f.TempDir()
 		for _, name := range []string{"trace.otf2", "trace-a.otf2"} {
@@ -445,13 +522,12 @@ func FuzzOpenExperiment(f *testing.F) {
 		}
 		f.Add(meta)
 	}
-	local, flight, fleet := f.TempDir(), f.TempDir(), f.TempDir()
-	seed(local, runExperimentWorkload(f, "fzl", 16, scorep.WithTracing()).SaveExperiment(local))
+	for name := range metaFixtures {
+		seed(filepath.Join("testdata", name), nil)
+	}
+	flight := f.TempDir()
 	seed(flight, runExperimentWorkload(f, "fzf", 64, scorep.WithFlightRecorder(2), scorep.WithFlightChunkEvents(32),
 		scorep.WithDumpSignal(nil)).SaveExperiment(flight))
-	seed(fleet, scorep.SaveFleetExperiment(fleet, time.Second, []scorep.TraceShard{
-		{File: "trace-a.otf2", Stream: "a", Bytes: int64(len(archive)), Complete: true},
-	}))
 
 	dir, again := experimentDir(), experimentDir()
 	f.Fuzz(func(t *testing.T, meta []byte) {

@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	scorep "repro"
+	"repro/internal/region"
+	"repro/internal/trace"
 )
 
-// TestFacadeTraceAndTimeline exercises the tracing exports on a
-// session's recording: JSONL round trip, analysis, timeline,
+// TestFacadeTraceAndTimeline exercises what the tools do with a
+// session's recording: analysis, JSONL round trip, timeline,
 // utilization.
 func TestFacadeTraceAndTimeline(t *testing.T) {
 	par := scorep.RegisterRegion("fa.parallel", "facade_test.go", 1, scorep.RegionParallel)
@@ -38,16 +40,16 @@ func TestFacadeTraceAndTimeline(t *testing.T) {
 	}
 	tr := res.Trace()
 
-	a := scorep.AnalyzeTrace(tr, scorep.TraceQuery{}, 1)
+	a := res.TraceAnalysis()
 	if a.TaskExecution.Count != 16 {
 		t.Errorf("trace analysis fragments = %d, want 16", a.TaskExecution.Count)
 	}
 
 	var buf bytes.Buffer
-	if err := scorep.WriteTraceJSONL(&buf, tr); err != nil {
+	if err := trace.WriteJSONL(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	back, err := scorep.ReadTraceJSONL(&buf)
+	back, err := trace.ReadJSONL(&buf, region.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,19 +58,19 @@ func TestFacadeTraceAndTimeline(t *testing.T) {
 	}
 
 	var tl bytes.Buffer
-	if err := scorep.RenderTimeline(&tl, tr, scorep.TimelineOptions{Width: 40, ShowLegend: true}); err != nil {
+	if err := trace.RenderTimeline(&tl, tr, trace.TimelineOptions{Width: 40, ShowLegend: true}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(tl.String(), "#") {
 		t.Error("timeline shows no task execution")
 	}
-	us := scorep.ComputeUtilization(tr)
+	us := trace.ComputeUtilization(tr)
 	if len(us) != 2 {
 		t.Errorf("utilization rows = %d", len(us))
 	}
 }
 
-// TestFacadeFilterAndDiff exercises Filter, DiffReports and
+// TestFacadeFilterAndDiff exercises WithFilter, DiffReports and
 // AnalyzeReport through the facade.
 func TestFacadeFilterAndDiff(t *testing.T) {
 	par := scorep.RegisterRegion("fb.parallel", "facade_test.go", 10, scorep.RegionParallel)
@@ -77,13 +79,12 @@ func TestFacadeFilterAndDiff(t *testing.T) {
 	noisy := scorep.RegisterRegion("noisy_helper", "facade_test.go", 13, scorep.RegionFunction)
 
 	runOnce := func(tasks int, filtered bool) *scorep.Report {
-		m := scorep.NewMeasurement()
-		var l scorep.Listener = m
+		var opts []scorep.Option
 		if filtered {
-			l = scorep.NewFilter(m, "noisy_*")
+			opts = append(opts, scorep.WithFilter("noisy_*"))
 		}
-		rt := scorep.NewRuntime(l)
-		rt.Parallel(2, par, func(th *scorep.Thread) {
+		s := scorep.NewSession(opts...)
+		s.Parallel(2, par, func(th *scorep.Thread) {
 			if th.ID == 0 {
 				for i := 0; i < tasks; i++ {
 					th.NewTask(task, func(c *scorep.Thread) {
@@ -93,8 +94,11 @@ func TestFacadeFilterAndDiff(t *testing.T) {
 				th.Taskwait(tw)
 			}
 		})
-		m.Finish()
-		return scorep.AggregateReport(m.Locations())
+		res, err := s.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Report()
 	}
 
 	unfiltered := runOnce(8, false)
@@ -138,10 +142,9 @@ func TestFacadeSchedulerKinds(t *testing.T) {
 	par := scorep.RegisterRegion("fc.parallel", "facade_test.go", 20, scorep.RegionParallel)
 	task := scorep.RegisterRegion("fc.task", "facade_test.go", 21, scorep.RegionTask)
 	for _, sched := range []scorep.SchedulerKind{scorep.SchedCentralQueue, scorep.SchedWorkStealing} {
-		rt := scorep.NewRuntime(nil)
-		rt.Sched = sched
+		s := scorep.NewSession(scorep.WithoutProfiling(), scorep.WithScheduler(sched))
 		ran := 0
-		rt.Parallel(2, par, func(th *scorep.Thread) {
+		s.Parallel(2, par, func(th *scorep.Thread) {
 			if th.ID == 0 {
 				th.NewTask(task, func(*scorep.Thread) { ran++ })
 			}
@@ -157,14 +160,17 @@ func TestFacadeSchedulerKinds(t *testing.T) {
 func TestFacadeTeamStats(t *testing.T) {
 	par := scorep.RegisterRegion("fs.parallel", "facade_test.go", 30, scorep.RegionParallel)
 	task := scorep.RegisterRegion("fs.task", "facade_test.go", 31, scorep.RegionTask)
-	rt := scorep.NewRuntime(nil)
-	rt.Sched = scorep.SchedWorkStealing
-	rt.Parallel(2, par, func(th *scorep.Thread) {
+	s := scorep.NewSession(scorep.WithoutProfiling(), scorep.WithScheduler(scorep.SchedWorkStealing))
+	s.Parallel(2, par, func(th *scorep.Thread) {
 		for i := 0; i < 10; i++ {
 			th.NewTask(task, func(*scorep.Thread) {})
 		}
 	})
-	var st scorep.TeamStats = rt.LastTeamStats()
+	res, err := s.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st scorep.TeamStats = res.TeamStats()
 	if st.TasksCreated != 20 {
 		t.Errorf("TasksCreated = %d, want 20", st.TasksCreated)
 	}

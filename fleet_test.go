@@ -92,7 +92,7 @@ func TestFleetEndToEnd(t *testing.T) {
 			scorep.WithRemoteTraceStream(id),
 			scorep.WithoutProfiling(),
 			scorep.WithClock(countingClock()))
-		if cl := s.RemoteTraceSink(); cl == nil || cl.StreamID() != id {
+		if got := s.RemoteTraceStream(); got != id {
 			t.Fatalf("remote sink client not wired for %s", id)
 		}
 		fleetWorkload(s, 20, par, task, tw)

@@ -129,10 +129,3 @@ func NQueensDepthKernel(size Size) Kernel {
 
 // NQueensBoardSize exposes the board size for reporting.
 func NQueensBoardSize(size Size) int { return nqueensParams[size] }
-
-// NQueensTaskRegion exposes the task construct region for report queries
-// (Table III reads the task/taskwait/create rows from its task tree).
-func NQueensTaskRegion() *region.Region { return nqTask }
-
-// NQueensParallelRegion exposes the parallel region for report queries.
-func NQueensParallelRegion() *region.Region { return nqPar }

@@ -23,7 +23,7 @@ func collect(tr *trace.Trace, q trace.Query) []*threadCollector {
 	for tid, events := range tr.Threads {
 		tc := newThreadCollector(tid, 0)
 		for i := range events {
-			if q.Match(tid, events[i]) {
+			if q.MatchThread(tid) && q.MatchTime(events[i].Time) {
 				tc.observe(&events[i])
 			}
 		}

@@ -30,11 +30,6 @@ type Config struct {
 	Warmup int
 }
 
-// DefaultConfig matches the paper's setup at reduced scale.
-func DefaultConfig() Config {
-	return Config{Size: bots.SizeMedium, Threads: []int{1, 2, 4, 8}, Reps: 3, Warmup: 1}
-}
-
 // QuickConfig is a fast configuration for tests and smoke runs.
 func QuickConfig() Config {
 	return Config{Size: bots.SizeTiny, Threads: []int{1, 2}, Reps: 1, Warmup: 0}

@@ -2,10 +2,9 @@
 // transport and disk I/O — the building blocks of the measurement
 // service's fault-tolerance tests. A Conn wraps a net.Conn and severs
 // it after a configured byte count (optionally mid-frame, by slicing
-// writes), adds write latency, or cuts on demand; a Writer wraps an
-// io.Writer and simulates a full disk (ENOSPC after a byte budget,
-// with the short write a real filesystem produces) or transient EIO
-// failures. All injectors are count-driven and deterministic: the same
+// writes) or on demand; a Writer wraps an io.Writer and simulates a
+// full disk (ENOSPC after a byte budget, with the short write a real
+// filesystem produces) or transient EIO failures. All injectors are count-driven and deterministic: the same
 // configuration and byte stream trips the same fault at the same byte,
 // which is what lets the fault matrix run under -race -count=3 without
 // flaking.
@@ -23,7 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 )
 
 // ErrSevered is the error surfaced by a Conn once its fault has
@@ -53,15 +51,9 @@ func SliceWrites(max int) ConnOption {
 	}
 }
 
-// WriteLatency sleeps d before each underlying write, simulating a
-// slow link.
-func WriteLatency(d time.Duration) ConnOption {
-	return func(c *Conn) { c.latency = d }
-}
-
 // Conn wraps a net.Conn with deterministic write-path faults. The zero
 // configuration passes everything through; see SeverWriteAfter,
-// SliceWrites, WriteLatency, and the on-demand Sever.
+// SliceWrites, and the on-demand Sever.
 type Conn struct {
 	net.Conn
 
@@ -71,7 +63,6 @@ type Conn struct {
 	tripped    atomic.Bool
 
 	sliceMax int
-	latency  time.Duration
 }
 
 // NewConn wraps conn with the configured faults.
@@ -121,9 +112,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 			if int64(len(chunk)) > rem {
 				chunk = chunk[:rem]
 			}
-		}
-		if c.latency > 0 {
-			time.Sleep(c.latency)
 		}
 		m, err := c.Conn.Write(chunk)
 		c.written.Add(int64(m))

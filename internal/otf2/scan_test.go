@@ -127,7 +127,7 @@ func (c *contractChecker) Consume(tid int, events []trace.Event) {
 		c.t.Errorf("%s: empty run of thread %d", c.label, tid)
 	}
 	for i := range events {
-		if !c.q.Match(tid, events[i]) {
+		if !c.q.MatchThread(tid) || !c.q.MatchTime(events[i].Time) {
 			c.t.Errorf("%s: thread %d event at %d does not match %v", c.label, tid, events[i].Time, c.q)
 			break
 		}

@@ -2,8 +2,10 @@ package sink
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io/fs"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,9 +31,10 @@ func journalOf(t testing.TB, files ...string) []byte {
 
 // recoveryDir lays out what a recovery may find around a server
 // directory: base/exp is the directory, holding a shard cut mid-chunk
-// (trace-a.otf2, which recovery truncates to its intact prefix) and a
+// (trace-a.otf2, which recovery truncates to its intact prefix), a
 // complete shard of a format version this build does not read
-// (trace-v5.otf2), and beside it lie files that are no business of the
+// (trace-v5.otf2) and the shards of the committed daemon directory
+// (daemonDir), and beside it lie files that are no business of the
 // server's — a text file and an archive cut like the shard. It returns the
 // server directory and the bytes of every file under base as they were.
 func recoveryDir(t testing.TB) (string, map[string][]byte) {
@@ -57,13 +60,17 @@ func recoveryDir(t testing.TB) (string, map[string][]byte) {
 		t.Fatal(err)
 	}
 	newer[len(archiveMagic)] = 5 // a complete archive as a newer client would stream it
-	for name, data := range map[string][]byte{
+	files := map[string][]byte{
 		"victim.txt":         []byte("not an archive\n"),
 		"victim.otf2":        cut,
 		"exp/trace-a.otf2":   cut,
 		"exp/trace-v5.otf2":  newer,
 		"exp/sub/trace.otf2": cut,
-	} {
+	}
+	for _, name := range daemonShards {
+		files["exp/"+name] = readTestdata(t, filepath.Join(daemonDir, name))
+	}
+	for name, data := range files {
 		path := filepath.Join(base, name)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -197,6 +204,7 @@ func TestRecoverKeepsShardsOfOtherVersions(t *testing.T) {
 // makes of the journal, no file outside the directory changes; a server
 // it returns closes cleanly.
 func FuzzJournal(f *testing.F) {
+	f.Add(readTestdata(f, filepath.Join(daemonDir, journalFileName)))
 	f.Add(journalOf(f, "trace-a.otf2"))
 	f.Add(newerJournal)
 	f.Add(journalOf(f, "trace-a.otf2", "../victim.txt"))
@@ -229,4 +237,112 @@ func FuzzJournal(f *testing.F) {
 		}
 		outsideUnchanged(t, dir, before)
 	})
+}
+
+// daemonDir is a server directory as a daemon killed after serving two
+// streams leaves it: testdata/session-v2.bin served whole as stream
+// "transcript", and stream "cut" (token 0xc07), whose connection broke in
+// the middle of a data frame after cutBytes bytes of
+// internal/otf2/testdata/v4.otf2 in frames of 256. It holds
+// sink-journal.json and the two shards, daemonShards; recovering it
+// gives the stream table in testdata/daemon-recovered.json.
+const (
+	daemonDir = "daemon"
+	cutBytes  = 1500
+)
+
+var daemonShards = []string{"trace-cut.otf2", "trace-transcript.otf2"}
+
+// hungUpConn is a connection whose peer sent its bytes and went away:
+// reads return them and then EOF, and writes go nowhere, so the server
+// meets the cut at the same byte on every run.
+type hungUpConn struct {
+	net.Conn
+	r *bytes.Reader
+}
+
+func (c hungUpConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
+func (c hungUpConn) Write(p []byte) (int, error) { return len(p), nil }
+
+func hungUp(data []byte) net.Conn {
+	c, peer := net.Pipe()
+	peer.Close()
+	return hungUpConn{Conn: c, r: bytes.NewReader(data)}
+}
+
+// TestDaemonDirFixture serves the two streams daemonDir describes and
+// holds the journal and shards the server writes to the committed
+// directory, byte for byte; then recovers a copy of the committed
+// directory and holds the stream table to daemon-recovered.json and the
+// cut shard to its intact prefix.
+func TestDaemonDirFixture(t *testing.T) {
+	archive, err := os.ReadFile(filepath.Join("..", "otf2", "testdata", "v4.otf2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	srv, err := NewServer(dir, WithAckInterval(sessionAckEvery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := append([]byte(Magic), ProtocolV2, byte(len("cut")))
+	cut = append(cut, "cut"...)
+	cut = binary.AppendUvarint(cut, 0xc07)
+	frames := framesOf(archive[:cutBytes], 256)
+	cut = append(cut, frames[:len(frames)-40]...)
+	conn, replied, served := servePipe(srv)
+	if _, err := conn.Write(readTestdata(t, sessionFile)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	<-replied
+	if err := srv.ServeConn(hungUp(cut)); err == nil {
+		t.Fatal("a stream cut mid-frame was served without an error")
+	}
+	// Compared before Close, which seals the journal as a clean shutdown.
+	got, want := snapshot(t, dir), snapshot(t, filepath.Join("testdata", daemonDir))
+	if len(got) != len(want) {
+		t.Errorf("the server wrote %d files, the committed directory holds %d", len(got), len(want))
+	}
+	for path, data := range want {
+		name := filepath.Base(path)
+		if g, ok := got[filepath.Join(dir, name)]; !ok || !bytes.Equal(g, data) {
+			t.Errorf("the server wrote %s as %d bytes, the committed one is %d:\n%s", name, len(g), len(data), g)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered := t.TempDir()
+	for path, data := range want {
+		if err := os.WriteFile(filepath.Join(recovered, filepath.Base(path)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, err := NewServer(recovered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := json.MarshalIndent(rec.Streams(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := readTestdata(t, "daemon-recovered.json"); !bytes.Equal(append(table, '\n'), want) {
+		t.Errorf("recovery gives the stream table\n%s\nwant\n%s", table, want)
+	}
+	shard := filepath.Join(recovered, "trace-cut.otf2")
+	kept, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact, err := otf2.IntactPrefixSize(shard)
+	if err != nil || intact != int64(len(kept)) || !bytes.HasPrefix(archive, kept) || len(kept) >= cutBytes {
+		t.Errorf("recovery left the cut shard at %d bytes, %d of them intact (%v), not a proper prefix of the archive", len(kept), intact, err)
+	}
 }

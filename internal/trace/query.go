@@ -59,11 +59,6 @@ func (q Query) MatchTime(t int64) bool {
 	return !q.Windowed || (t >= q.MinTime && t <= q.MaxTime)
 }
 
-// Match reports whether one event of thread tid passes the query.
-func (q Query) Match(tid int, ev Event) bool {
-	return q.MatchThread(tid) && q.MatchTime(ev.Time)
-}
-
 // Overlaps reports whether any timestamp in the inclusive range
 // [min, max] can pass the window — the chunk-pruning predicate an
 // archive index uses to skip whole chunks.

@@ -51,9 +51,14 @@ func TestParseThreadList(t *testing.T) {
 	}
 }
 
+// matches reports whether one event of thread tid passes q.
+func matches(q Query, tid int, ev Event) bool {
+	return q.MatchThread(tid) && q.MatchTime(ev.Time)
+}
+
 func TestQueryPredicates(t *testing.T) {
 	all := Query{}
-	if !all.All() || all.Empty() || !all.Match(7, Event{Time: -100}) {
+	if !all.All() || all.Empty() || !matches(all, 7, Event{Time: -100}) {
 		t.Error("zero query must match everything")
 	}
 	w := Query{Windowed: true, MinTime: 10, MaxTime: 20}
@@ -118,7 +123,7 @@ func TestQueryFilter(t *testing.T) {
 	}
 	for tid, evs := range got.Threads {
 		for _, ev := range evs {
-			if !q.Match(tid, ev) {
+			if !matches(q, tid, ev) {
 				t.Fatalf("filter kept non-matching event %+v on thread %d", ev, tid)
 			}
 		}
@@ -165,7 +170,7 @@ func TestAnalyzeQueryMatchesFilterReference(t *testing.T) {
 		a := NewAnalyzer()
 		for tid, evs := range tr.Threads {
 			for _, ev := range evs {
-				if q.Match(tid, ev) {
+				if matches(q, tid, ev) {
 					a.Consume(tid, []Event{ev})
 				}
 			}

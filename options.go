@@ -8,6 +8,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/otf2"
 	"repro/internal/sink"
 )
 
@@ -124,8 +125,8 @@ func WithStreamingTrace(sink TraceEventSink, chunkEvents int) Option {
 // one shard of the daemon's fleet experiment. It implies tracing, in
 // the bounded-memory streaming mode: events are encoded through the
 // per-thread archive writer and shipped by a background sender with
-// bounded buffering (blocking the producer when the daemon falls
-// behind; see DialTraceSink for the drop-with-count alternative).
+// bounded buffering, blocking the producer when the daemon falls
+// behind.
 //
 // The connection is established lazily with retry/backoff, so the
 // daemon may still be starting when the session begins. A malformed
@@ -309,11 +310,11 @@ func WithAnalysisParallelism(workers int) Option {
 
 // WithTraceCompression selects the compression of archived trace
 // event chunks (default TraceCompressionNone). It applies wherever the
-// session itself writes an archive — today the trace.otf2 of an
-// experiment directory; a WithStreamingTrace sink is constructed by
-// the caller, who passes TraceArchiveCompression to
-// NewTraceArchiveWriter directly. Chunks stay independently decodable,
-// so seeking, time-window queries and parallel decode are unaffected.
+// session itself writes an archive: the trace.otf2 of an experiment
+// directory or a flight-recorder dump. A WithStreamingTrace sink is
+// the caller's and writes what it was built to write. Chunks stay
+// independently decodable, so seeking, time-window queries and
+// parallel decode are unaffected.
 func WithTraceCompression(c TraceCompression) Option {
 	return func(cfg *sessionConfig) { cfg.traceComp = c }
 }
@@ -406,7 +407,7 @@ func optionsFromEnv() ([]Option, error) {
 		opts = append(opts, WithScheduler(kind))
 	}
 	if v, ok := os.LookupEnv(EnvTraceCompression); ok {
-		comp, err := ParseTraceCompression(v)
+		comp, err := otf2.ParseCompression(v)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", EnvTraceCompression, err)
 		}

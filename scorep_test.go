@@ -7,22 +7,50 @@ import (
 	"testing"
 
 	scorep "repro"
+	"repro/internal/bottleneck"
+	"repro/internal/clock"
+	"repro/internal/otf2"
+	"repro/internal/region"
+	"repro/internal/trace"
 )
 
+// analyzeTrace is the reference trace analysis of the part of tr
+// matching q on workers goroutines, which every analysis accessor of
+// Results and Experiment must equal.
+func analyzeTrace(tr *scorep.Trace, q scorep.TraceQuery, workers int) *scorep.TraceAnalysis {
+	a := trace.NewAnalyzer()
+	trace.Scan(tr, q, workers, a)
+	return a.Finish()
+}
+
+// analyzeBottlenecks is analyzeTrace's twin for the bottleneck analysis.
+func analyzeBottlenecks(tr *scorep.Trace, q scorep.TraceQuery, workers int) *scorep.BottleneckAnalysis {
+	c := bottleneck.NewCollector(workers)
+	trace.Scan(tr, q, workers, c)
+	return c.Finish()
+}
+
+// loadArchive decodes a whole binary trace archive held in memory.
+func loadArchive(t *testing.T, b []byte) *scorep.Trace {
+	t.Helper()
+	tr, _, err := otf2.Load(bytes.NewReader(b), region.NewRegistry(), scorep.TraceQuery{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // TestPublicAPIEndToEnd exercises the documented quickstart flow through
-// the facade only: runtime, measurement, instrumentation, report,
-// serialization.
+// the facade only: session, instrumentation, report, serialization.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	par := scorep.RegisterRegion("api.parallel", "api_test.go", 1, scorep.RegionParallel)
 	task := scorep.RegisterRegion("api.task", "api_test.go", 2, scorep.RegionTask)
 	tw := scorep.RegisterRegion("api.taskwait", "api_test.go", 3, scorep.RegionTaskwait)
 	work := scorep.RegisterRegion("api.work", "api_test.go", 4, scorep.RegionFunction)
 
-	m := scorep.NewMeasurement()
-	rt := scorep.NewRuntime(m)
-
+	s := scorep.NewSession()
 	var done atomic.Int64
-	rt.Parallel(4, par, func(th *scorep.Thread) {
+	s.Parallel(4, par, func(th *scorep.Thread) {
 		if th.ID != 0 {
 			return
 		}
@@ -45,8 +73,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if done.Load() != 32 {
 		t.Fatalf("tasks done = %d", done.Load())
 	}
-	m.Finish()
-	rep := scorep.AggregateReport(m.Locations())
+	res, err := s.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := scorep.AggregateReport(res.Locations())
 
 	tree := rep.TaskTree("api.task")
 	if tree == nil || tree.Dur.Count != 32 {
@@ -87,7 +118,8 @@ func TestTaskClausesThroughFacade(t *testing.T) {
 	par := scorep.RegisterRegion("api2.parallel", "api_test.go", 10, scorep.RegionParallel)
 	task := scorep.RegisterRegion("api2.task", "api_test.go", 11, scorep.RegionTask)
 
-	rt := scorep.NewRuntime(nil)
+	s := scorep.NewSession(scorep.WithoutProfiling())
+	rt := s.Runtime()
 	ran := 0
 	rt.Parallel(1, par, func(th *scorep.Thread) {
 		th.NewTask(task, func(*scorep.Thread) { ran++ }, scorep.If(false))
@@ -107,19 +139,20 @@ func TestTaskClausesThroughFacade(t *testing.T) {
 }
 
 // TestManualClockMeasurement verifies deterministic measurement through
-// the facade clock injection.
+// the session's clock injection.
 func TestManualClockMeasurement(t *testing.T) {
-	clk := scorep.NewManualClock(0)
-	m := scorep.NewMeasurementWithClock(clk)
-	rt := scorep.NewRuntime(m)
+	clk := clock.NewManual(0)
+	s := scorep.NewSession(scorep.WithClock(clk))
 	par := scorep.RegisterRegion("api3.parallel", "api_test.go", 20, scorep.RegionParallel)
 	work := scorep.RegisterRegion("api3.work", "api_test.go", 21, scorep.RegionFunction)
-	rt.Parallel(1, par, func(th *scorep.Thread) {
+	s.Parallel(1, par, func(th *scorep.Thread) {
 		scorep.InstrumentFunction(th, work, func() { clk.Advance(123) })
 	})
-	m.Finish()
-	rep := scorep.AggregateReport(m.Locations())
-	n := rep.Main.FindPath("api3.parallel", "api3.work")
+	res, err := s.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := res.Report().Main.FindPath("api3.parallel", "api3.work")
 	if n == nil || n.Dur.Sum != 123 {
 		t.Fatalf("manual-clock work time wrong: %+v", n)
 	}

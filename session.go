@@ -33,14 +33,15 @@ import (
 //	res.SaveExperiment("scorep-run") // the on-disk experiment archive
 //
 // A Session is for one run: End is idempotent but the session must not
-// record further work after it. The pieces it wires (NewMeasurement,
-// NewFilter, NewTee, NewRuntime, ...) remain exported as the power-user
-// layer for custom setups.
+// record further work after it. Everything a custom setup varies is an
+// Option: the clock (WithClock), the filter (WithFilter), the scheduler
+// (WithScheduler), extra listeners (WithListener); Runtime gives the
+// full runtime surface.
 type Session struct {
 	cfg sessionConfig
 	rt  *Runtime
-	m   *Measurement
-	rec *TraceRecorder
+	m   *measure.Measurement
+	rec *trace.Recorder
 
 	// A local tracing session (WithTracing) records into an archive in
 	// memory: the recorder flushes its staging blocks into archive, which
@@ -188,10 +189,15 @@ func (s *Session) Scheduler() SchedulerKind { return s.cfg.sched }
 // or "" when no directory is configured.
 func (s *Session) ExperimentDir() string { return s.cfg.expDir }
 
-// RemoteTraceSink returns the remote sink client of a WithRemoteTrace
-// session (for inspecting Err and the backpressure drop count), or nil.
-// The session owns the client; End closes it.
-func (s *Session) RemoteTraceSink() *TraceSinkClient { return s.net }
+// RemoteTraceStream returns the stream id a WithRemoteTrace session
+// streams under (its shard is trace-<id>.otf2 in the daemon's fleet
+// experiment), or "" without a remote sink.
+func (s *Session) RemoteTraceStream() string {
+	if s.net == nil {
+		return ""
+	}
+	return s.net.StreamID()
+}
 
 // End finalizes the measurement environment: it closes the profiling
 // locations, flushes and detaches the trace recorder, and captures the
@@ -308,7 +314,7 @@ func (s *Session) End() (*Results, error) {
 // Results is safe for concurrent use.
 type Results struct {
 	cfg   sessionConfig
-	m     *Measurement
+	m     *measure.Measurement
 	stats TeamStats
 	wall  time.Duration
 

@@ -133,11 +133,11 @@ func TestSessionAnalysisParallelism(t *testing.T) {
 	if a == nil || a.TaskExecution.Count != 24 {
 		t.Fatalf("parallel trace analysis = %+v, want 24 task fragments", a)
 	}
-	if want := scorep.AnalyzeTrace(res.Trace(), scorep.TraceQuery{}, 1); !reflect.DeepEqual(want, a) {
+	if want := analyzeTrace(res.Trace(), scorep.TraceQuery{}, 1); !reflect.DeepEqual(want, a) {
 		t.Errorf("parallel analysis diverges from sequential:\n got %+v\nwant %+v", a, want)
 	}
-	if got := scorep.AnalyzeTrace(res.Trace(), scorep.TraceQuery{}, 3); !reflect.DeepEqual(got, a) {
-		t.Errorf("AnalyzeTrace diverges at a different worker count")
+	if got := analyzeTrace(res.Trace(), scorep.TraceQuery{}, 3); !reflect.DeepEqual(got, a) {
+		t.Errorf("the analysis diverges at a different worker count")
 	}
 }
 
@@ -213,11 +213,7 @@ func TestSessionStreamingTrace(t *testing.T) {
 	if res.Trace() != nil {
 		t.Error("streaming session must not return an in-memory trace")
 	}
-	tr, _, err := scorep.ReadTraceArchive(bytes.NewReader(buf.Bytes()), scorep.TraceQuery{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.NumEvents() == 0 {
+	if tr := loadArchive(t, buf.Bytes()); tr.NumEvents() == 0 {
 		t.Error("streamed archive holds no events")
 	}
 }
@@ -323,11 +319,7 @@ func TestNewSessionFromEnvKeepsStreamingSink(t *testing.T) {
 	if res.Trace() != nil {
 		t.Error("env tracing=true dropped the programmatic streaming sink (in-memory trace returned)")
 	}
-	tr, _, err := scorep.ReadTraceArchive(bytes.NewReader(buf.Bytes()), scorep.TraceQuery{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.NumEvents() == 0 {
+	if tr := loadArchive(t, buf.Bytes()); tr.NumEvents() == 0 {
 		t.Error("streaming sink received no events under env-enabled tracing")
 	}
 }
