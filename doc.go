@@ -434,7 +434,8 @@
 //     runtime and Results.TeamStats its counters (for NewRuntime and
 //     NewMeasurement);
 //   - WithListener adds a listener beside the session's own, which the
-//     session fans out to (for NewTee);
+//     session fans out to (for NewTee); its TaskEnd(t, tk, resume) is
+//     tk's end and the resumption of resume at one instant;
 //   - WithTracing, WithStreamingTrace (into any TraceEventSink, such as
 //     NewTraceArchiveWriter), WithRemoteTrace and WithFlightRecorder
 //     choose the trace recorder, and WithTraceCompression compresses
@@ -466,9 +467,10 @@
 // lock, consults a map, or allocates, even when profiling and tracing
 // observe the same stream. The canonical profiling+tracing pair — the
 // measurement and the trace recorder — is fused inside the Tee: one
-// clock read per event feeds both listeners (halving the dominant cost
-// on hosts with ~30ns clock reads) and profile and trace see identical
-// timestamps. Filtering is the measurement's own check, one test of a
+// clock read per listener call feeds both listeners (halving the
+// dominant cost on hosts with ~30ns clock reads) and profile and trace
+// see identical timestamps. A task's end and the resumption of the task
+// it suspended are one call, TaskEnd, and so one read. Filtering is the measurement's own check, one test of a
 // nil filter when a run is unfiltered and a verdict cached per interned
 // region when it is not, so a filtered session takes the same fused
 // path. Derived task-creation regions are cached on the task region

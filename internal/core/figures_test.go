@@ -291,7 +291,7 @@ func TestFig12TaskEndSwitchesToImplicit(t *testing.T) {
 		t.Fatal("implicit task not current after TaskEnd")
 	}
 	sw := p.Switches()
-	p.TaskSwitchTo(nil) // runtime emits this redundantly after inline tasks
+	p.TaskSwitchTo(nil) // the implicit task is already current
 	if p.Switches() != sw {
 		t.Error("redundant TaskSwitchTo(nil) was counted as a switch")
 	}

@@ -172,43 +172,23 @@ func (m *Measurement) TaskBeginAt(t *omp.Thread, tk *omp.Task, now int64) {
 	tk.Instance = t.Profile.TaskBeginAt(tk.Region, now)
 }
 
-// TaskEnd implements omp.Listener.
-func (m *Measurement) TaskEnd(t *omp.Thread, tk *omp.Task) {
-	t.Profile.TaskEnd()
-	tk.Instance = nil
+// TaskEnd implements omp.Listener: complete tk's instance and resume
+// resume's (the implicit task for nil), both at one clock reading.
+func (m *Measurement) TaskEnd(t *omp.Thread, tk, resume *omp.Task) {
+	m.TaskEndAt(t, tk, resume, m.clk.Now())
 }
 
 // TaskEndAt is TaskEnd with an explicit timestamp.
-func (m *Measurement) TaskEndAt(t *omp.Thread, tk *omp.Task, now int64) {
-	t.Profile.TaskEndAt(now)
+func (m *Measurement) TaskEndAt(t *omp.Thread, tk, resume *omp.Task, now int64) {
+	p := t.Profile
+	p.TaskEndAt(now)
 	tk.Instance = nil
-}
-
-// TaskSwitch implements omp.Listener: resume a suspended instance (or the
-// implicit task for tk == nil).
-func (m *Measurement) TaskSwitch(t *omp.Thread, tk *omp.Task) {
-	p := t.Profile
-	if tk == nil {
-		p.TaskSwitchTo(nil)
+	if resume == nil {
 		return
 	}
-	ti := tk.Instance
+	ti := resume.Instance
 	if ti == nil {
-		panic(fmt.Sprintf("measure: TaskSwitch to task %d without instance data", tk.ID))
-	}
-	p.TaskSwitchTo(ti)
-}
-
-// TaskSwitchAt is TaskSwitch with an explicit timestamp.
-func (m *Measurement) TaskSwitchAt(t *omp.Thread, tk *omp.Task, now int64) {
-	p := t.Profile
-	if tk == nil {
-		p.TaskSwitchToAt(nil, now)
-		return
-	}
-	ti := tk.Instance
-	if ti == nil {
-		panic(fmt.Sprintf("measure: TaskSwitch to task %d without instance data", tk.ID))
+		panic(fmt.Sprintf("measure: task %d resumes task %d without instance data", tk.ID, resume.ID))
 	}
 	p.TaskSwitchToAt(ti, now)
 }

@@ -52,14 +52,15 @@ type Listener interface {
 	// performs an implicit TaskSwitch to the instance and enters the task
 	// region in the instance's own call tree.
 	TaskBegin(t *Thread, tk *Task)
-	// TaskEnd fires when a task instance completes. The measurement
-	// system exits the task region, switches back to the implicit task
-	// and merges the instance tree into the thread profile.
-	TaskEnd(t *Thread, tk *Task)
-	// TaskSwitch fires when the thread resumes a previously suspended
-	// task instance, or the implicit task (tk == nil), after an inline
-	// task executed at a scheduling point finished.
-	TaskSwitch(t *Thread, tk *Task)
+	// TaskEnd fires when task instance tk completes and the thread
+	// resumes resume — the task suspended when tk began, or the
+	// implicit task (resume == nil) — at the same instant: one
+	// scheduling point, one event. The measurement system exits the task
+	// region, merges the instance tree into the thread profile and
+	// switches to resume (Fig. 12's TaskEnd followed by its TaskSwitch).
+	// A listener that timestamps its events reads the clock once here
+	// and gives both halves that reading.
+	TaskEnd(t *Thread, tk, resume *Task)
 }
 
 // NopListener implements Listener with empty methods. Embed it to write
@@ -88,7 +89,4 @@ func (NopListener) TaskCreateEnd(*Thread, *Task) {}
 func (NopListener) TaskBegin(*Thread, *Task) {}
 
 // TaskEnd implements Listener.
-func (NopListener) TaskEnd(*Thread, *Task) {}
-
-// TaskSwitch implements Listener.
-func (NopListener) TaskSwitch(*Thread, *Task) {}
+func (NopListener) TaskEnd(*Thread, *Task, *Task) {}

@@ -36,9 +36,9 @@
 // its own deque before a thief was ever scheduled.
 //
 // The runtime emits the POMP2-style event stream (enter/exit,
-// task-create, task-begin/end/switch) through the Listener interface;
-// with a nil listener it is the "uninstrumented" baseline of the
-// overhead experiments.
+// task-create, task-begin, task-end with the task it resumes) through
+// the Listener interface; with a nil listener it is the
+// "uninstrumented" baseline of the overhead experiments.
 //
 // Measurement state travels in typed per-thread (and per-task) listener
 // slots: Thread.Profile carries the profiling location, Thread.TraceData

@@ -1,6 +1,7 @@
 package omp
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -508,15 +509,17 @@ func TestMaxStackDepthTracksNesting(t *testing.T) {
 	}
 }
 
-// eventCounter checks that listener events balance.
+// eventCounter checks that listener events balance, and that every
+// TaskEnd ends the task its thread runs and resumes the one below it.
 type eventCounter struct {
 	NopListener
 	mu                 sync.Mutex
 	enters, exits      int
-	begins, ends, sws  int
+	begins, ends       int
 	createB, createE   int
 	threadsB, threadsE int
-	lastEnterPerThread map[int]*region.Region
+	running            map[int][]*Task // per thread: its suspended tasks, the running one last
+	bad                []string
 }
 
 func (c *eventCounter) ThreadBegin(t *Thread) { c.mu.Lock(); c.threadsB++; c.mu.Unlock() }
@@ -533,9 +536,40 @@ func (c *eventCounter) TaskCreateBegin(t *Thread, r *region.Region) {
 	c.mu.Unlock()
 }
 func (c *eventCounter) TaskCreateEnd(t *Thread, tk *Task) { c.mu.Lock(); c.createE++; c.mu.Unlock() }
-func (c *eventCounter) TaskBegin(t *Thread, tk *Task)     { c.mu.Lock(); c.begins++; c.mu.Unlock() }
-func (c *eventCounter) TaskEnd(t *Thread, tk *Task)       { c.mu.Lock(); c.ends++; c.mu.Unlock() }
-func (c *eventCounter) TaskSwitch(t *Thread, tk *Task)    { c.mu.Lock(); c.sws++; c.mu.Unlock() }
+func (c *eventCounter) TaskBegin(t *Thread, tk *Task) {
+	c.mu.Lock()
+	c.begins++
+	if c.running == nil {
+		c.running = make(map[int][]*Task)
+	}
+	c.running[t.ID] = append(c.running[t.ID], tk)
+	c.mu.Unlock()
+}
+func (c *eventCounter) TaskEnd(t *Thread, tk, resume *Task) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.ends++
+	st := c.running[t.ID]
+	if len(st) == 0 || st[len(st)-1] != tk {
+		c.bad = append(c.bad, fmt.Sprintf("thread %d ends task %d, which it is not running", t.ID, tk.ID))
+		return
+	}
+	st = st[:len(st)-1]
+	c.running[t.ID] = st
+	var want *Task
+	if len(st) > 0 {
+		want = st[len(st)-1]
+	}
+	if resume != want {
+		id := func(tk *Task) string {
+			if tk == nil {
+				return "the implicit task"
+			}
+			return fmt.Sprintf("task %d", tk.ID)
+		}
+		c.bad = append(c.bad, fmt.Sprintf("thread %d ends task %d and resumes %s, want %s", t.ID, tk.ID, id(resume), id(want)))
+	}
+}
 
 func TestEventStreamBalances(t *testing.T) {
 	par, task, tw, _, reg := testRegions(t)
@@ -565,8 +599,13 @@ func TestEventStreamBalances(t *testing.T) {
 	if c.createB != wantTasks || c.createE != wantTasks {
 		t.Errorf("task create begin/end = %d/%d, want %d", c.createB, c.createE, wantTasks)
 	}
-	if c.sws != wantTasks {
-		t.Errorf("task switch events = %d, want %d (one resume per task end)", c.sws, wantTasks)
+	for _, msg := range c.bad {
+		t.Error(msg)
+	}
+	for id, st := range c.running {
+		if len(st) != 0 {
+			t.Errorf("thread %d left %d tasks running", id, len(st))
+		}
 	}
 }
 

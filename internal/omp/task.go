@@ -28,9 +28,9 @@ type Task struct {
 	ID uint64
 
 	// Instance is the measurement system's typed slot: it carries the
-	// task-instance profile from TaskBegin to TaskEnd/TaskSwitch, so
-	// resuming a suspended task costs one field load instead of a type
-	// assertion on an untyped slot.
+	// task-instance profile from TaskBegin to TaskEnd, so resuming a
+	// suspended task costs one field load instead of a type assertion on
+	// an untyped slot.
 	Instance *core.TaskInstance
 
 	fn       TaskFunc
@@ -300,8 +300,8 @@ func (t *Thread) childCounter() *atomic.Int32 {
 // the task events the profiling algorithm consumes. Because execution is
 // inline at a scheduling point, the task currently running on this
 // thread is suspended for the duration — the exact tied-task suspension
-// semantics of the paper's Figs. 2 and 4 — and resumes (TaskSwitch)
-// afterwards.
+// semantics of the paper's Figs. 2 and 4 — and resumes at the instant
+// tk ends, which the one TaskEnd event reports.
 func (t *Thread) runTask(tk *Task) {
 	team := t.team
 	prev := t.current
@@ -316,14 +316,11 @@ func (t *Thread) runTask(tk *Task) {
 		l.TaskBegin(t, tk)
 	}
 	tk.fn(t)
-	if l != nil {
-		l.TaskEnd(t, tk)
-	}
 
 	t.stackDepth--
 	t.current = prev
 	if l != nil {
-		l.TaskSwitch(t, prev)
+		l.TaskEnd(t, tk, prev)
 	}
 
 	// Completion bookkeeping after all events: decrement the parent's

@@ -139,11 +139,9 @@ func fixtureArchives(t testing.TB) map[string][]byte {
 	last := ix.Threads[len(ix.Threads)-1].Chunks
 	cut := (last[len(last)-1].Offset + ix.end) / 2
 
-	// The flight dump: the recording through a flight recorder's own
-	// listener, both threads in time order, into rings of two 32-event
-	// chunks.
-	var at int64
-	f := NewFlight(clock.Func(func() int64 { return at }), 2, 32)
+	// The flight dump: the recording replayed into a flight recorder,
+	// both threads in time order, into rings of two 32-event chunks.
+	f := NewFlight(clock.NewManual(0), 2, 32)
 	type timed struct {
 		tid int
 		ev  trace.Event
@@ -159,10 +157,8 @@ func fixtureArchives(t testing.TB) map[string][]byte {
 		return a.ev.Time < b.ev.Time || a.ev.Time == b.ev.Time && a.tid < b.tid
 	})
 	ths := map[int]*omp.Thread{0: {ID: 0}, 1: {ID: 1}}
-	var tk omp.Task
 	for _, e := range stream {
-		at = e.ev.Time
-		replayEvent(f.Recorder(), ths[e.tid], &tk, e.ev)
+		f.Recorder().Record(ths[e.tid], e.ev)
 	}
 	var dump bytes.Buffer
 	if _, err := f.Dump(&dump); err != nil {

@@ -20,49 +20,17 @@ import (
 	"repro/internal/trace"
 )
 
-// replayEvent records ev through the listener method that makes it: a
-// recorder outside its package takes events no other way. The recorder
-// reads the time from its clock, which the caller has set.
-func replayEvent(rec *trace.Recorder, th *omp.Thread, tk *omp.Task, ev trace.Event) {
-	tk.Region, tk.ID = ev.Region, ev.TaskID
-	switch ev.Type {
-	case trace.EvEnter:
-		rec.Enter(th, ev.Region)
-	case trace.EvExit:
-		rec.Exit(th, ev.Region)
-	case trace.EvTaskCreateBegin:
-		rec.TaskCreateBegin(th, ev.Region)
-	case trace.EvTaskCreateEnd:
-		rec.TaskCreateEnd(th, tk)
-	case trace.EvTaskBegin:
-		rec.TaskBegin(th, tk)
-	case trace.EvTaskEnd:
-		rec.TaskEnd(th, tk)
-	case trace.EvTaskSwitch:
-		if ev.Region == nil && ev.TaskID == 0 {
-			tk = nil
-		}
-		rec.TaskSwitch(th, tk)
-	case trace.EvThreadBegin:
-		rec.ThreadBegin(th)
-	case trace.EvThreadEnd:
-		rec.ThreadEnd(th)
-	}
-}
-
 // flightPair feeds one event stream to a Flight and to the reference.
 type flightPair struct {
 	f   *Flight
 	ref *refFlight
 	reg *region.Registry
-	now int64
 	ths map[int]*omp.Thread
-	tk  omp.Task
 }
 
 func newFlightPair(reg *region.Registry, ring, chunk int) *flightPair {
 	p := &flightPair{ref: newRefFlight(ring, chunk), reg: reg, ths: make(map[int]*omp.Thread)}
-	p.f = NewFlight(clock.Func(func() int64 { return p.now }), ring, chunk)
+	p.f = NewFlight(clock.NewManual(0), ring, chunk)
 	return p
 }
 
@@ -72,8 +40,7 @@ func (p *flightPair) record(id int, ev trace.Event) {
 		th = &omp.Thread{ID: id}
 		p.ths[id] = th
 	}
-	p.now = ev.Time
-	replayEvent(p.f.Recorder(), th, &p.tk, ev)
+	p.f.Recorder().Record(th, ev)
 	p.ref.record(id, ev)
 }
 

@@ -287,7 +287,7 @@ func TestSlowSinkFlushDoesNotStallOtherThreads(t *testing.T) {
 	bDone := make(chan struct{})
 	go func() {
 		for i := 0; i < 4096; i++ {
-			rec.TaskEnd(thB, &omp.Task{ID: uint64(i), Region: task})
+			rec.Record(thB, trace.Event{Type: trace.EvTaskEnd, Region: task, TaskID: uint64(i)})
 		}
 		close(bDone)
 	}()

@@ -12,8 +12,8 @@
 // ThreadBegin) and hands every full block to an EventSink, so recording
 // an event is lock-free and allocation-free in steady state; the
 // canonical profiling+tracing pair is additionally fused inside the Tee
-// to share one clock read per event. Analyses over recorded traces live
-// in analysis.go.
+// to share one clock read per listener call. Analyses over recorded
+// traces live in analysis.go.
 package trace
 
 import (
@@ -267,6 +267,36 @@ func (r *Recorder) recordAt(t *omp.Thread, now int64, typ EventType, reg *region
 	}
 }
 
+// recordEndAt appends tk's EvTaskEnd and the EvTaskSwitch to resume
+// (nil: the implicit task), both at now: one buffer lookup, one publish
+// and one chunk check, unless the end fills the block and is flushed
+// alone, as two single appends would have.
+func (r *Recorder) recordEndAt(t *omp.Thread, now int64, tk, resume *omp.Task) {
+	sw := Event{Time: now, Type: EvTaskSwitch}
+	if resume != nil {
+		sw.Region, sw.TaskID = resume.Region, resume.ID
+	}
+	b := r.buffer(t)
+	if len(b.events)+1 >= r.chunkEvents {
+		r.recordAt(t, now, EvTaskEnd, tk.Region, tk.ID)
+		r.Record(t, sw)
+		return
+	}
+	b.events = append(b.events, Event{Time: now, Type: EvTaskEnd, Region: tk.Region, TaskID: tk.ID}, sw)
+	if r.open {
+		b.n.Store(int32(len(b.events)))
+	}
+	if len(b.events) >= r.chunkEvents {
+		r.flush(t.ID, b)
+	}
+}
+
+// Record appends ev to t's stream at the time ev carries, reading no
+// clock: the way to replay a recorded stream into a recorder.
+func (r *Recorder) Record(t *omp.Thread, ev Event) {
+	r.recordAt(t, ev.Time, ev.Type, ev.Region, ev.TaskID)
+}
+
 // ThreadBegin implements omp.Listener: it claims the thread's TraceData
 // slot so that all later events from this thread reach their buffer
 // without locks or map lookups.
@@ -306,18 +336,10 @@ func (r *Recorder) TaskBegin(t *omp.Thread, tk *omp.Task) {
 	r.record(t, EvTaskBegin, tk.Region, tk.ID)
 }
 
-// TaskEnd implements omp.Listener.
-func (r *Recorder) TaskEnd(t *omp.Thread, tk *omp.Task) {
-	r.record(t, EvTaskEnd, tk.Region, tk.ID)
-}
-
-// TaskSwitch implements omp.Listener.
-func (r *Recorder) TaskSwitch(t *omp.Thread, tk *omp.Task) {
-	if tk == nil {
-		r.record(t, EvTaskSwitch, nil, 0)
-		return
-	}
-	r.record(t, EvTaskSwitch, tk.Region, tk.ID)
+// TaskEnd implements omp.Listener: the task's end and the switch to
+// resume, at one clock reading.
+func (r *Recorder) TaskEnd(t *omp.Thread, tk, resume *omp.Task) {
+	r.recordEndAt(t, r.clk.Now(), tk, resume)
 }
 
 // Finish flushes the remaining partial chunks to the sink: the recording
@@ -344,10 +366,10 @@ func (r *Recorder) Finish() {
 //
 // The canonical profiling+tracing pair — a *measure.Measurement (filtered
 // or not) plus a *Recorder on the same clock, exactly what the default
-// tracing session wires — is fused: per event the Tee reads the clock
-// once and calls both listeners' timestamped entry points directly, with
-// no interface dispatch. Besides halving the clock cost, fusing gives
-// profile and trace identical timestamps for each event. Any other
+// tracing session wires — is fused: per listener call the Tee reads the
+// clock once and calls both listeners' timestamped entry points
+// directly, with no interface dispatch. Besides halving the clock cost,
+// fusing gives profile and trace identical timestamps for each event. Any other
 // combination takes the generic dispatch loop. Do not mutate Listeners
 // after NewTee; the fused fast path is derived from it.
 type Tee struct {
@@ -484,32 +506,16 @@ func (te *Tee) TaskBegin(t *omp.Thread, tk *omp.Task) {
 	}
 }
 
-// TaskEnd implements omp.Listener.
-func (te *Tee) TaskEnd(t *omp.Thread, tk *omp.Task) {
+// TaskEnd implements omp.Listener. Fused, its one clock reading is the
+// instance's end and the resumed task's switch in profile and trace.
+func (te *Tee) TaskEnd(t *omp.Thread, tk, resume *omp.Task) {
 	if te.fr != nil {
 		now := te.clk.Now()
-		te.fm.TaskEndAt(t, tk, now)
-		te.fr.recordAt(t, now, EvTaskEnd, tk.Region, tk.ID)
+		te.fm.TaskEndAt(t, tk, resume, now)
+		te.fr.recordEndAt(t, now, tk, resume)
 		return
 	}
 	for _, l := range te.Listeners {
-		l.TaskEnd(t, tk)
-	}
-}
-
-// TaskSwitch implements omp.Listener.
-func (te *Tee) TaskSwitch(t *omp.Thread, tk *omp.Task) {
-	if te.fr != nil {
-		now := te.clk.Now()
-		te.fm.TaskSwitchAt(t, tk, now)
-		if tk == nil {
-			te.fr.recordAt(t, now, EvTaskSwitch, nil, 0)
-		} else {
-			te.fr.recordAt(t, now, EvTaskSwitch, tk.Region, tk.ID)
-		}
-		return
-	}
-	for _, l := range te.Listeners {
-		l.TaskSwitch(t, tk)
+		l.TaskEnd(t, tk, resume)
 	}
 }

@@ -34,7 +34,9 @@ type TaskFunc = omp.TaskFunc
 // TaskOpt is a task-creation clause (If, Final, Untied).
 type TaskOpt = omp.TaskOpt
 
-// Listener receives the runtime's POMP2-style event stream.
+// Listener receives the runtime's POMP2-style event stream, one call
+// per instant: TaskEnd(t, tk, resume) is tk's end and the resumption of
+// resume (nil: the implicit task), read from the clock once.
 type Listener = omp.Listener
 
 // ThreadProfile is one thread's (location's) profile.

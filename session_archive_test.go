@@ -254,6 +254,62 @@ func TestLocalSessionProfileMatchesTrace(t *testing.T) {
 	})
 }
 
+// TestTaskEndResumesAtOneInstant: a task's end and the resumption of
+// the task it suspended are one scheduling point, recorded at one clock
+// reading. On every thread of fib and nqueens runs, each EvTaskEnd ends
+// the task the thread runs and is followed by an EvTaskSwitch at the
+// same time naming the task below it (task 0 and no region: the
+// implicit task), and every thread's stream is monotone.
+func TestTaskEndResumesAtOneInstant(t *testing.T) {
+	type running struct {
+		id  uint64
+		reg *scorep.Region
+	}
+	for _, sp := range []*bots.Spec{bots.FibSpec, bots.NQueensSpec} {
+		for _, threads := range []int{1, 2, 4} {
+			for _, sched := range []scorep.SchedulerKind{scorep.SchedWorkStealing, scorep.SchedCentralQueue} {
+				t.Run(fmt.Sprintf("%s/%d/%v", sp.Name, threads, sched), func(t *testing.T) {
+					res := runKernel(t, sp, threads, scorep.WithTracing(), scorep.WithScheduler(sched))
+					ends := 0
+					for tid, evs := range res.Trace().Threads {
+						var stack []running
+						for i, ev := range evs {
+							if i > 0 && ev.Time < evs[i-1].Time {
+								t.Fatalf("thread %d: event %d at %d, after %d", tid, i, ev.Time, evs[i-1].Time)
+							}
+							switch ev.Type {
+							case trace.EvTaskBegin:
+								stack = append(stack, running{ev.TaskID, ev.Region})
+							case trace.EvTaskEnd:
+								ends++
+								if n := len(stack); n == 0 || stack[n-1].id != ev.TaskID {
+									t.Fatalf("thread %d: event %d ends task %d, which the thread does not run", tid, i, ev.TaskID)
+								}
+								stack = stack[:len(stack)-1]
+								var want running
+								if n := len(stack); n > 0 {
+									want = stack[n-1]
+								}
+								if i+1 == len(evs) {
+									t.Fatalf("thread %d: the stream ends with task %d's end", tid, ev.TaskID)
+								}
+								sw := evs[i+1]
+								if sw.Type != trace.EvTaskSwitch || sw.Time != ev.Time || sw.TaskID != want.id || sw.Region != want.reg {
+									t.Fatalf("thread %d: task %d ends at %d and is followed by %v of task %d at %d, want the switch to task %d at the same time",
+										tid, ev.TaskID, ev.Time, sw.Type, sw.TaskID, sw.Time, want.id)
+								}
+							}
+						}
+					}
+					if created := res.TeamStats().TasksCreated; int64(ends) != created {
+						t.Errorf("%d task ends, %d tasks created", ends, created)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestLocalSessionOwnArchiveDamagedPanics: a session that cannot read
 // back what it wrote has a bug, and says so instead of returning an
 // empty trace.

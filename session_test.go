@@ -169,7 +169,8 @@ func TestSessionFilter(t *testing.T) {
 	}
 }
 
-// countingListener counts Enter events and all events, standing in for
+// countingListener counts Enter events and all trace events (a TaskEnd
+// is two: the end and the switch to the resumed task), standing in for
 // a user-supplied extra listener.
 type countingListener struct{ enters, events atomic.Int64 }
 
@@ -183,8 +184,9 @@ func (c *countingListener) Exit(*scorep.Thread, *scorep.Region)            { c.e
 func (c *countingListener) TaskCreateBegin(*scorep.Thread, *scorep.Region) { c.events.Add(1) }
 func (c *countingListener) TaskCreateEnd(*scorep.Thread, *scorep.Task)     { c.events.Add(1) }
 func (c *countingListener) TaskBegin(*scorep.Thread, *scorep.Task)         { c.events.Add(1) }
-func (c *countingListener) TaskEnd(*scorep.Thread, *scorep.Task)           { c.events.Add(1) }
-func (c *countingListener) TaskSwitch(*scorep.Thread, *scorep.Task)        { c.events.Add(1) }
+func (c *countingListener) TaskEnd(*scorep.Thread, *scorep.Task, *scorep.Task) {
+	c.events.Add(2)
+}
 
 func TestSessionWithListener(t *testing.T) {
 	extra := &countingListener{}
