@@ -282,7 +282,7 @@ func BenchmarkAblationNodePooling(b *testing.B) {
 				p.TaskBegin(task)
 				p.Enter(work)
 				p.Exit(work)
-				p.TaskEnd()
+				p.TaskEndAt(clk.Now())
 			}
 		})
 	}
@@ -399,13 +399,14 @@ func BenchmarkTaskBeginEnd(b *testing.B) {
 		reg := region.NewRegistry()
 		task := reg.Register("micro.task", "b.go", 1, region.Task)
 		bar := reg.Register("micro.barrier", "b.go", 2, region.ImplicitBarrier)
-		p := core.NewThreadProfile(0, clock.NewSystem())
+		clk := clock.NewSystem()
+		p := core.NewThreadProfile(0, clk)
 		p.Enter(bar)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p.TaskBegin(task)
-			p.TaskEnd()
+			p.TaskEndAt(clk.Now())
 		}
 	})
 	par := region.MustRegister("micro.tpar", "b.go", 20, region.Parallel)
@@ -453,13 +454,14 @@ func BenchmarkParameterInt(b *testing.B) {
 	reg := region.NewRegistry()
 	task := reg.Register("param.task", "b.go", 1, region.Task)
 	bar := reg.Register("param.barrier", "b.go", 2, region.ImplicitBarrier)
-	p := core.NewThreadProfile(0, clock.NewSystem())
+	clk := clock.NewSystem()
+	p := core.NewThreadProfile(0, clk)
 	p.Enter(bar)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.TaskBegin(task)
 		p.ParameterInt("depth", int64(i%14))
-		p.TaskEnd()
+		p.TaskEndAt(clk.Now())
 	}
 }
 

@@ -470,10 +470,10 @@
 // clock read per listener call feeds both listeners (halving the
 // dominant cost on hosts with ~30ns clock reads) and profile and trace
 // see identical timestamps. A task's end and the resumption of the task
-// it suspended are one call, TaskEnd, and so one read. Filtering is the measurement's own check, one test of a
-// nil filter when a run is unfiltered and a verdict cached per interned
-// region when it is not, so a filtered session takes the same fused
-// path. Derived task-creation regions are cached on the task region
+// it suspended are one call, TaskEnd, and so one read. Filtering is the
+// measurement's own check, one test of a nil filter when a run is
+// unfiltered and a verdict cached per interned region when it is not,
+// so a filtered session takes the same fused path. Derived task-creation regions are cached on the task region
 // itself, and call-tree nodes and task instances are recycled through
 // per-thread pools backed by chunked arenas.
 //

@@ -41,7 +41,7 @@ func buildProfile(nThreads, tasksPerThread int, taskNs, createNs, idleNs int64, 
 		for i := 0; i < tasksPerThread; i++ {
 			p.TaskBegin(task)
 			clk.Advance(taskNs)
-			p.TaskEnd()
+			p.TaskEndAt(clk.Now())
 		}
 		clk.Advance(idleNs)
 		p.Exit(bar)
@@ -89,7 +89,7 @@ func TestSmallTasksDetected(t *testing.T) {
 		clk.Advance(900)
 		p.Exit(create)
 		clk.Advance(1000) // own work
-		p.TaskEnd()
+		p.TaskEndAt(clk.Now())
 	}
 	p.Exit(bar)
 	p.Finish()
@@ -147,9 +147,9 @@ func TestDeepConcurrencyDetected(t *testing.T) {
 		clk.Advance(10)
 	}
 	for i := len(open) - 1; i >= 0; i-- {
-		p.TaskEnd()
+		p.TaskEndAt(clk.Now())
 		if i > 0 {
-			p.TaskSwitchTo(open[i-1])
+			p.TaskSwitchToAt(open[i-1], clk.Now())
 		}
 	}
 	p.Exit(bar)

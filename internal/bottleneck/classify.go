@@ -572,26 +572,15 @@ func newPendingSet(tc *threadCollector, tasks []taskInfo, endTime int64, steps *
 		}
 		return endTime
 	}
-	// Each window's end is computed once; only a creator whose clock ran
-	// backwards needs the sort, and its ends again.
+	tc.created = slices.DeleteFunc(tc.created, func(c taskCreate) bool { return windowEnd(c) <= c.end })
 	byStart := func(a, b taskCreate) int { return cmp.Or(cmp.Compare(a.end, b.end), cmp.Compare(a.id, b.id)) }
-	p := pendingSet{windowSet: newWindowSet(len(tc.created), steps)}
-	n, sorted := 0, true
-	for _, c := range tc.created {
-		if e := windowEnd(c); e > c.end {
-			sorted = sorted && (n == 0 || byStart(tc.created[n-1], c) <= 0)
-			tc.created[n], p.start[n], p.end[n] = c, c.end, e
-			n++
-		}
-	}
-	tc.created, p.start, p.end, p.maxEnd = tc.created[:n], p.start[:n], p.end[:n], p.maxEnd[:n]
-	p.created = tc.created
-	if !sorted {
+	if !slices.IsSortedFunc(tc.created, byStart) {
 		sortFallbacks.Add(1)
 		slices.SortFunc(tc.created, byStart)
-		for i, c := range tc.created {
-			p.start[i], p.end[i] = c.end, windowEnd(c)
-		}
+	}
+	p := pendingSet{windowSet: newWindowSet(len(tc.created), steps), created: tc.created}
+	for i, c := range tc.created {
+		p.start[i], p.end[i] = c.end, windowEnd(c)
 	}
 	p.seal()
 	return p

@@ -44,7 +44,7 @@ func TestAccessors(t *testing.T) {
 		t.Error("instance current not advanced")
 	}
 	p.Exit(f.foo)
-	p.TaskEnd()
+	p.TaskEndAt(f.clk.Now())
 	p.Exit(f.barR)
 	p.Finish()
 }
@@ -110,7 +110,7 @@ func TestPoolingDisabledStillCorrect(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.TaskBegin(f.task)
 		clk.Advance(3)
-		p.TaskEnd()
+		p.TaskEndAt(clk.Now())
 	}
 	p.Exit(f.barR)
 	p.Finish()

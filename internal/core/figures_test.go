@@ -111,12 +111,12 @@ func TestFigure2InterleavedTaskFragments(t *testing.T) {
 	clk.Advance(7)
 	p.Exit(f.foo) // t=25: this exit must close t2's foo, not t1's
 	clk.Advance(5)
-	p.TaskEnd() // t=30: t2 done (ran 15)
-	p.TaskSwitchTo(t1)
+	p.TaskEndAt(clk.Now()) // t=30: t2 done (ran 15)
+	p.TaskSwitchToAt(t1, clk.Now())
 	clk.Advance(10)
 	p.Exit(f.foo) // t=40
 	clk.Advance(2)
-	p.TaskEnd() // t=42
+	p.TaskEndAt(clk.Now()) // t=42
 	_ = t2
 
 	p.Exit(f.barR)
@@ -164,15 +164,15 @@ func TestFigure3ExecutingNodeAttribution(t *testing.T) {
 	clk.Advance(1)
 	p.Enter(f.crt) // create task, t=1
 	clk.Advance(1)
-	p.Exit(f.crt)       // t=2
-	p.Enter(f.barR)     // t=2 barrier
-	clk.Advance(2)      // waiting 2
-	p.TaskBegin(f.task) // t=4
-	clk.Advance(5)      // task works 5
-	p.TaskEnd()         // t=9
-	clk.Advance(1)      // waiting 1
-	p.Exit(f.barR)      // t=10
-	p.Exit(f.par)       // t=10
+	p.Exit(f.crt)          // t=2
+	p.Enter(f.barR)        // t=2 barrier
+	clk.Advance(2)         // waiting 2
+	p.TaskBegin(f.task)    // t=4
+	clk.Advance(5)         // task works 5
+	p.TaskEndAt(clk.Now()) // t=9
+	clk.Advance(1)         // waiting 1
+	p.Exit(f.barR)         // t=10
+	p.Exit(f.par)          // t=10
 	p.Finish()
 
 	parN := p.Root().FindChild(f.par)
@@ -225,13 +225,13 @@ func TestFigure4SuspendResumeAtTaskwait(t *testing.T) {
 	clk.Advance(2)            // waits 2 inside taskwait before switch
 	t2 := p.TaskBegin(f.task) // t=12; t1 suspended
 	clk.Advance(20)           // t2 works 20
-	p.TaskEnd()               // t=32
+	p.TaskEndAt(clk.Now())    // t=32
 	_ = t2
-	p.TaskSwitchTo(t1) // resume t1
-	clk.Advance(3)     // 3 more in taskwait
-	p.Exit(f.tw)       // t=35
-	clk.Advance(5)     // 5 more work
-	p.TaskEnd()        // t=40
+	p.TaskSwitchToAt(t1, clk.Now()) // resume t1
+	clk.Advance(3)                  // 3 more in taskwait
+	p.Exit(f.tw)                    // t=35
+	clk.Advance(5)                  // 5 more work
+	p.TaskEndAt(clk.Now())          // t=40
 
 	clk.Advance(1)
 	p.Exit(f.barR)
@@ -276,24 +276,24 @@ func TestFigure4SuspendResumeAtTaskwait(t *testing.T) {
 
 // TestFig12TaskEndSwitchesToImplicit verifies that after TaskEnd the
 // implicit task is current (per the pseudocode), and a redundant
-// TaskSwitchTo(nil) is a no-op.
+// TaskSwitchToAt(nil, …) is a no-op.
 func TestFig12TaskEndSwitchesToImplicit(t *testing.T) {
 	f := newFixture(t)
-	p := f.p
+	p, clk := f.p, f.clk
 	p.Enter(f.par)
 	p.Enter(f.barR)
 	p.TaskBegin(f.task)
 	if p.CurrentTask() == nil {
 		t.Fatal("task not current after TaskBegin")
 	}
-	p.TaskEnd()
+	p.TaskEndAt(clk.Now())
 	if p.CurrentTask() != nil {
 		t.Fatal("implicit task not current after TaskEnd")
 	}
 	sw := p.Switches()
-	p.TaskSwitchTo(nil) // the implicit task is already current
+	p.TaskSwitchToAt(nil, clk.Now()) // the implicit task is already current
 	if p.Switches() != sw {
-		t.Error("redundant TaskSwitchTo(nil) was counted as a switch")
+		t.Error("redundant TaskSwitchToAt(nil) was counted as a switch")
 	}
 	p.Exit(f.barR)
 	p.Exit(f.par)
@@ -316,11 +316,11 @@ func TestNestedTaskStubsStayUnderSchedulingPoint(t *testing.T) {
 	p.Enter(f.tw)
 	tB := p.TaskBegin(taskB) // nested switch
 	clk.Advance(7)
-	p.TaskEnd()
+	p.TaskEndAt(clk.Now())
 	_ = tB
-	p.TaskSwitchTo(tA)
+	p.TaskSwitchToAt(tA, clk.Now())
 	p.Exit(f.tw)
-	p.TaskEnd()
+	p.TaskEndAt(clk.Now())
 	p.Exit(f.barR)
 	p.Exit(f.par)
 	p.Finish()
@@ -356,7 +356,7 @@ func TestSameConstructSharesStubNode(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.TaskBegin(f.task)
 		clk.Advance(2)
-		p.TaskEnd()
+		p.TaskEndAt(clk.Now())
 	}
 	p.Exit(f.barR)
 	p.Exit(f.par)

@@ -19,7 +19,7 @@ func TestParameterSplitsSubtree(t *testing.T) {
 		p.TaskBegin(f.task)
 		p.ParameterInt("depth", d)
 		clk.Advance(int64(10 * (i + 1)))
-		p.TaskEnd()
+		p.TaskEndAt(clk.Now())
 	}
 	p.Exit(f.barR)
 	p.Exit(f.par)
@@ -52,7 +52,7 @@ func TestParameterNestsChildren(t *testing.T) {
 	p.Enter(f.foo) // must land under the parameter node
 	clk.Advance(4)
 	p.Exit(f.foo)
-	p.TaskEnd()
+	p.TaskEndAt(clk.Now())
 	p.Exit(f.barR)
 	p.Exit(f.par)
 	p.Finish()
@@ -75,7 +75,7 @@ func TestParameterStringSplitsSubtree(t *testing.T) {
 		p.TaskBegin(f.task)
 		p.ParameterString("phase", phase)
 		clk.Advance(int64(10 * (i + 1)))
-		p.TaskEnd()
+		p.TaskEndAt(clk.Now())
 	}
 	p.Exit(f.barR)
 	p.Finish()
@@ -111,11 +111,11 @@ func TestMixedParameterTypesStayDistinct(t *testing.T) {
 	p.TaskBegin(f.task)
 	p.ParameterInt("x", 0)
 	clk.Advance(5)
-	p.TaskEnd()
+	p.TaskEndAt(clk.Now())
 	p.TaskBegin(f.task)
 	p.ParameterString("x", "0")
 	clk.Advance(7)
-	p.TaskEnd()
+	p.TaskEndAt(clk.Now())
 	p.Exit(f.barR)
 	p.Finish()
 	tree := p.TaskRoot(f.task)
@@ -126,7 +126,7 @@ func TestMixedParameterTypesStayDistinct(t *testing.T) {
 
 func TestMaxActiveInstancesCounting(t *testing.T) {
 	f := newFixture(t)
-	p := f.p
+	p, clk := f.p, f.clk
 	p.Enter(f.par)
 	p.Enter(f.barR)
 	// Nest three suspended instances (recursion depth 3), like the
@@ -138,12 +138,12 @@ func TestMaxActiveInstancesCounting(t *testing.T) {
 	if p.ActiveInstances() != 3 {
 		t.Errorf("active = %d, want 3", p.ActiveInstances())
 	}
-	p.TaskEnd() // c
+	p.TaskEndAt(clk.Now()) // c
 	_ = c
-	p.TaskSwitchTo(b)
-	p.TaskEnd() // b
-	p.TaskSwitchTo(a)
-	p.TaskEnd() // a
+	p.TaskSwitchToAt(b, clk.Now())
+	p.TaskEndAt(clk.Now()) // b
+	p.TaskSwitchToAt(a, clk.Now())
+	p.TaskEndAt(clk.Now()) // a
 	p.Exit(f.barR)
 	p.Exit(f.par)
 	p.Finish()
@@ -175,7 +175,7 @@ func TestInstanceRecyclingBoundsAllocation(t *testing.T) {
 		p.Enter(f.bar)
 		clk.Advance(1)
 		p.Exit(f.bar)
-		p.TaskEnd()
+		p.TaskEndAt(clk.Now())
 	}
 	for i := 0; i < 10000; i++ {
 		cycle()
@@ -249,13 +249,13 @@ func TestMisuseDetection(t *testing.T) {
 			f.p.Exit(f.bar)
 		}, "does not match"},
 		{"task-end-without-task", func(f *fixture) {
-			f.p.TaskEnd()
+			f.p.TaskEndAt(f.clk.Now())
 		}, "without active task"},
 		{"task-end-with-open-region", func(f *fixture) {
 			f.p.Enter(f.barR)
 			f.p.TaskBegin(f.task)
 			f.p.Enter(f.foo)
-			f.p.TaskEnd()
+			f.p.TaskEndAt(f.clk.Now())
 		}, "open region"},
 		{"finish-with-open-region", func(f *fixture) {
 			f.p.Enter(f.foo)
@@ -313,15 +313,15 @@ func TestRootTimeSpansLifetime(t *testing.T) {
 
 func TestTaskRootsOrderIsFirstCompletion(t *testing.T) {
 	f := newFixture(t)
-	p := f.p
+	p, clk := f.p, f.clk
 	tB := f.reg.Register("taskB", "f.go", 30, region.Task)
 	p.Enter(f.barR)
 	p.TaskBegin(tB)
-	p.TaskEnd()
+	p.TaskEndAt(clk.Now())
 	p.TaskBegin(f.task)
-	p.TaskEnd()
+	p.TaskEndAt(clk.Now())
 	p.TaskBegin(tB)
-	p.TaskEnd()
+	p.TaskEndAt(clk.Now())
 	p.Exit(f.barR)
 	p.Finish()
 	roots := p.TaskRoots()
@@ -345,11 +345,11 @@ func TestTimeConservation(t *testing.T) {
 		p.Enter(f.tw)
 		p.TaskBegin(f.task)
 		clk.Advance(5)
-		p.TaskEnd()
-		p.TaskSwitchTo(outer) // runtime resumes the suspended task
+		p.TaskEndAt(clk.Now())
+		p.TaskSwitchToAt(outer, clk.Now()) // runtime resumes the suspended task
 		clk.Advance(2)
 		p.Exit(f.tw)
-		p.TaskEnd()
+		p.TaskEndAt(clk.Now())
 		clk.Advance(1)
 	}
 	p.Exit(f.barR)

@@ -78,8 +78,8 @@ func (d *streamDriver) runTask(depth int) {
 				w1 := int64(d.rng.Intn(10))
 				d.clk.Advance(w1)
 				myTime += w1
-				d.runTask(depth + 1) // suspends us; our clock stops
-				d.p.TaskSwitchTo(ti) // runtime resumes us
+				d.runTask(depth + 1)                // suspends us; our clock stops
+				d.p.TaskSwitchToAt(ti, d.clk.Now()) // runtime resumes us
 				w2 := int64(d.rng.Intn(10))
 				d.clk.Advance(w2)
 				myTime += w2
@@ -90,7 +90,7 @@ func (d *streamDriver) runTask(depth int) {
 	tail := int64(d.rng.Intn(20))
 	d.clk.Advance(tail)
 	myTime += tail
-	d.p.TaskEnd()
+	d.p.TaskEndAt(d.clk.Now())
 	d.instancesAlive--
 	d.totalTaskTime[d.task] += myTime
 }

@@ -51,20 +51,17 @@ func (p *ThreadProfile) TaskBeginAt(r *region.Region, now int64) *TaskInstance {
 	// One timestamp for the whole transition: the stub enter in the
 	// implicit tree and the task-root enter in the instance tree see the
 	// same instant, so stub time and task-tree time stay consistent.
-	p.switchAt(ti, now)
+	p.TaskSwitchToAt(ti, now)
 	ti.root.openVisit(now)
 	return ti
 }
 
-// TaskEnd records completion of the current task instance: exit of the
-// task region in the instance tree, TaskSwitch back to the implicit task,
-// and merging of the instance tree into the thread's aggregate tree for
-// the construct — the TaskEnd action of Fig. 12.
-func (p *ThreadProfile) TaskEnd() {
-	p.TaskEndAt(p.clk.Now())
-}
-
-// TaskEndAt is TaskEnd with an explicit timestamp (see EnterAt).
+// TaskEndAt records completion of the current task instance at now:
+// exit of the task region in the instance tree, TaskSwitch back to the
+// implicit task, and merging of the instance tree into the thread's
+// aggregate tree for the construct — the TaskEnd action of Fig. 12. It
+// has only a timestamped form because the runtime resumes the suspended
+// task at the same instant (TaskSwitchToAt with the same now).
 func (p *ThreadProfile) TaskEndAt(now int64) {
 	ti := p.curTask
 	if ti == nil {
@@ -86,7 +83,7 @@ func (p *ThreadProfile) TaskEndAt(now int64) {
 	ti.root.closeVisit(now)
 	ti.cur = ti.root
 
-	p.switchAt(nil, now)
+	p.TaskSwitchToAt(nil, now)
 
 	p.mergeInstance(ti)
 	p.active--
@@ -94,7 +91,7 @@ func (p *ThreadProfile) TaskEndAt(now int64) {
 	p.releaseInstance(ti)
 }
 
-// TaskSwitchTo implements the TaskSwitch action of Fig. 12:
+// TaskSwitchToAt implements the TaskSwitch action of Fig. 12 at now:
 //
 //	if the current task is an explicit task:
 //	    stop time measurement on all its open regions, and the implicit
@@ -107,23 +104,7 @@ func (p *ThreadProfile) TaskEndAt(now int64) {
 //
 // ti == nil switches to the implicit task. Switching to the task that is
 // already current is a no-op.
-func (p *ThreadProfile) TaskSwitchTo(ti *TaskInstance) {
-	if ti == p.curTask {
-		return
-	}
-	p.switchAt(ti, p.clk.Now())
-}
-
-// TaskSwitchToAt is TaskSwitchTo with an explicit timestamp (see
-// EnterAt). Switching to the already-current task is a no-op.
 func (p *ThreadProfile) TaskSwitchToAt(ti *TaskInstance, now int64) {
-	p.switchAt(ti, now)
-}
-
-// switchAt is TaskSwitchTo with an explicit timestamp, shared by the
-// task begin/end transitions so that stub and instance-tree times are
-// taken at the same instant.
-func (p *ThreadProfile) switchAt(ti *TaskInstance, now int64) {
 	if ti == p.curTask {
 		return
 	}

@@ -27,7 +27,7 @@ func buildTwoThreadProfiles(t *testing.T) ([]*core.ThreadProfile, *region.Regist
 		for _, d := range taskTimes {
 			p.TaskBegin(task)
 			clk.Advance(d)
-			p.TaskEnd()
+			p.TaskEndAt(clk.Now())
 		}
 		clk.Advance(5) // waiting
 		p.Exit(bar)
@@ -260,7 +260,7 @@ func TestParamChildrenSorted(t *testing.T) {
 		p.TaskBegin(task)
 		p.ParameterInt("depth", d)
 		clk.Advance(1)
-		p.TaskEnd()
+		p.TaskEndAt(clk.Now())
 	}
 	p.Exit(bar)
 	p.Finish()

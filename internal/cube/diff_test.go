@@ -30,7 +30,7 @@ func buildReport(t *testing.T, reg *region.Registry, taskNs, idleNs int64, extra
 	p.Enter(bar)
 	p.TaskBegin(task)
 	clk.Advance(taskNs)
-	p.TaskEnd()
+	p.TaskEndAt(clk.Now())
 	clk.Advance(idleNs)
 	p.Exit(bar)
 	p.Exit(par)
@@ -104,10 +104,10 @@ func TestDiffOnlyInBTaskTree(t *testing.T) {
 	p.Enter(bar)
 	p.TaskBegin(task)
 	clk.Advance(100)
-	p.TaskEnd()
+	p.TaskEndAt(clk.Now())
 	p.TaskBegin(other)
 	clk.Advance(5)
-	p.TaskEnd()
+	p.TaskEndAt(clk.Now())
 	p.Exit(bar)
 	p.Exit(par)
 	p.Finish()

@@ -268,27 +268,14 @@ func (r *Recorder) recordAt(t *omp.Thread, now int64, typ EventType, reg *region
 }
 
 // recordEndAt appends tk's EvTaskEnd and the EvTaskSwitch to resume
-// (nil: the implicit task), both at now: one buffer lookup, one publish
-// and one chunk check, unless the end fills the block and is flushed
-// alone, as two single appends would have.
+// (nil: the implicit task), both at now.
 func (r *Recorder) recordEndAt(t *omp.Thread, now int64, tk, resume *omp.Task) {
-	sw := Event{Time: now, Type: EvTaskSwitch}
-	if resume != nil {
-		sw.Region, sw.TaskID = resume.Region, resume.ID
-	}
-	b := r.buffer(t)
-	if len(b.events)+1 >= r.chunkEvents {
-		r.recordAt(t, now, EvTaskEnd, tk.Region, tk.ID)
-		r.Record(t, sw)
+	r.recordAt(t, now, EvTaskEnd, tk.Region, tk.ID)
+	if resume == nil {
+		r.recordAt(t, now, EvTaskSwitch, nil, 0)
 		return
 	}
-	b.events = append(b.events, Event{Time: now, Type: EvTaskEnd, Region: tk.Region, TaskID: tk.ID}, sw)
-	if r.open {
-		b.n.Store(int32(len(b.events)))
-	}
-	if len(b.events) >= r.chunkEvents {
-		r.flush(t.ID, b)
-	}
+	r.recordAt(t, now, EvTaskSwitch, resume.Region, resume.ID)
 }
 
 // Record appends ev to t's stream at the time ev carries, reading no
