@@ -118,8 +118,9 @@ func assertZeroAllocs(t *testing.T, cfg string, l omp.Listener, reg *region.Regi
 // TestHotPathZeroAllocs asserts the zero-alloc contract for the
 // profiling listener alone and behind a filter, the streaming trace
 // recorder alone (amortized over chunk flushes) and into the archive
-// encoder, the flight recorder, and the canonical fused
-// profiling+tracing Tees.
+// encoder, the flight recorder, and the profiling+tracing pairs a
+// session's runtime holds (the "fused-" subtests, named for the Tee
+// that once joined them).
 func TestHotPathZeroAllocs(t *testing.T) {
 	t.Run("profile", func(t *testing.T) {
 		reg := region.NewRegistry()
@@ -130,7 +131,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	})
 	t.Run("profile+filter", func(t *testing.T) {
 		// A filter that excludes nothing but is consulted per event, alone
-		// (under a Tee with a recorder it takes the fused path below).
+		// (beside a recorder below).
 		reg := region.NewRegistry()
 		rs := newZeroAllocRegions(reg)
 		m := measure.NewWithClock(clock.NewSystem(), reg)
@@ -183,7 +184,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		clk := clock.NewSystem()
 		m := measure.NewWithClock(clk, reg)
 		f := otf2.NewFlight(clk, 4, 64)
-		assertZeroAllocs(t, "fused-profile+flight", trace.NewTee(m, f.Recorder()), reg, rs)
+		assertZeroAllocs(t, "fused-profile+flight", omp.Listeners{m, f.Recorder()}, reg, rs)
 		if st := f.Stats(); st.DroppedChunks == 0 {
 			t.Fatalf("the ring never evicted: %+v", st)
 		}
@@ -196,7 +197,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		clk := clock.NewSystem()
 		m := measure.NewWithClock(clk, reg)
 		rec := trace.NewStreamingRecorder(clk, zeroAllocSink{}, 256)
-		assertZeroAllocs(t, "fused-profile+trace", trace.NewTee(m, rec), reg, rs)
+		assertZeroAllocs(t, "fused-profile+trace", omp.Listeners{m, rec}, reg, rs)
 		m.Finish()
 		rec.Finish()
 		if err := rec.Err(); err != nil {
@@ -210,7 +211,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		m := measure.NewWithClock(clk, reg)
 		f := measure.NewFilter(m, "zz_never_*", "zz_nomatch")
 		rec := trace.NewStreamingRecorder(clk, zeroAllocSink{}, 256)
-		assertZeroAllocs(t, "fused-profile+filter+trace", trace.NewTee(f, rec), reg, rs)
+		assertZeroAllocs(t, "fused-profile+filter+trace", omp.Listeners{f, rec}, reg, rs)
 		m.Finish()
 		rec.Finish()
 	})

@@ -31,11 +31,11 @@ const benchSize = bots.SizeSmall
 var benchThreads = []int{1, 4}
 
 // benchListener wires one listener configuration: "uninst" (nil),
-// "inst" (profiling), "inst+trace" (the canonical fused
-// profiling+tracing pair on one clock, as NewSession(WithTracing())
-// builds it — its recorder keeps every event, so use it only where the
-// workload bounds the trace per iteration) or "inst+trace-stream" (the
-// same fused pair streaming into a discarding sink: bounded memory at
+// "inst" (profiling), "inst+trace" (the profiling+tracing pair on one
+// clock, as NewSession(WithTracing()) builds it — its recorder keeps
+// every event, so use it only where the workload bounds the trace per
+// iteration) or "inst+trace-stream" (the same pair streaming into a
+// discarding sink: bounded memory at
 // any b.N, for the open-loop micro benches). The finish func finalizes the
 // configuration.
 func benchListener(cfg string) (omp.Listener, func()) {
@@ -53,7 +53,7 @@ func benchListener(cfg string) (omp.Listener, func()) {
 			sink = new(collectEvents)
 		}
 		rec := trace.NewStreamingRecorder(clk, sink, 0)
-		return trace.NewTee(m, rec), func() { m.Finish(); rec.Finish() }
+		return omp.Listeners{m, rec}, func() { m.Finish(); rec.Finish() }
 	}
 	panic("unknown bench listener config " + cfg)
 }
@@ -81,7 +81,7 @@ func benchKernel(b *testing.B, kernel bots.Kernel, cfg string, threads int) *omp
 	return rt
 }
 
-// BenchmarkFig13OverheadCutoff: instrumented (profiling, and the fused
+// BenchmarkFig13OverheadCutoff: instrumented (profiling, and the
 // profiling+tracing pair) vs. uninstrumented runtime of all nine codes
 // in optimized (cut-off) form — the paper's Fig. 13.
 func BenchmarkFig13OverheadCutoff(b *testing.B) {
@@ -357,7 +357,7 @@ var microConfigs = []struct{ label, cfg string }{
 
 // BenchmarkEnterExit measures one instrumented region visit: in the
 // profiling engine alone (core), and through the full runtime->listener
-// per-event path for profiling and fused profiling+tracing.
+// per-event path for profiling and profiling+tracing.
 func BenchmarkEnterExit(b *testing.B) {
 	b.Run("core", func(b *testing.B) {
 		reg := region.NewRegistry()
@@ -380,8 +380,8 @@ func BenchmarkEnterExit(b *testing.B) {
 			rt.Parallel(1, par, func(t *omp.Thread) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					l.Enter(t, work)
-					l.Exit(t, work)
+					t.Enter(work)
+					t.Exit(work)
 				}
 				b.StopTimer()
 			})
@@ -393,7 +393,7 @@ func BenchmarkEnterExit(b *testing.B) {
 // BenchmarkTaskBeginEnd measures the full task-instance lifecycle: in
 // the profiling engine alone (instance allocation, switch, stub
 // accounting, merge), and through the runtime as an undeferred task
-// (five events per op) for profiling and fused profiling+tracing.
+// (five events per op) for profiling and profiling+tracing.
 func BenchmarkTaskBeginEnd(b *testing.B) {
 	b.Run("core", func(b *testing.B) {
 		reg := region.NewRegistry()

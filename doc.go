@@ -198,8 +198,9 @@
 // that archive offset. After the handshake the client sends frames,
 // each a one-byte kind: 'F' (data) followed by uvarint(n) and n payload
 // bytes, 1 <= n <= 4 MiB; 'Z' (end of stream) followed by
-// uvarint(droppedEvents), the count of event batches the client shed
-// under the drop policy; or 'G' (gap, see Fault tolerance) followed by
+// uvarint(droppedEvents), a count of events the client dropped, which
+// the daemon records (a client of this build drops none and sends 0);
+// or 'G' (gap, see Fault tolerance) followed by
 // uvarint(gapBytes). 'Z' or 'G' is the last thing a client sends. The
 // concatenation of all 'F' payloads, in order, is exactly one SPOTF2
 // binary trace archive (see Trace formats); the daemon is a pure byte
@@ -434,8 +435,9 @@
 //     runtime and Results.TeamStats its counters (for NewRuntime and
 //     NewMeasurement);
 //   - WithListener adds a listener beside the session's own, which the
-//     session fans out to (for NewTee); its TaskEnd(t, tk, resume) is
-//     tk's end and the resumption of resume at one instant;
+//     runtime calls after them with the same instant (for NewTee); every
+//     method's last argument now is that instant, and TaskEnd(t, tk,
+//     resume, now) is tk's end and the resumption of resume at it;
 //   - WithTracing, WithStreamingTrace (into any TraceEventSink, such as
 //     NewTraceArchiveWriter), WithRemoteTrace and WithFlightRecorder
 //     choose the trace recorder, and WithTraceCompression compresses
@@ -465,16 +467,16 @@
 // for the profiling measurement, Thread.TraceData for the trace
 // recorder), assigned once at ThreadBegin — so an event never takes a
 // lock, consults a map, or allocates, even when profiling and tracing
-// observe the same stream. The canonical profiling+tracing pair — the
-// measurement and the trace recorder — is fused inside the Tee: one
-// clock read per listener call feeds both listeners (halving the
-// dominant cost on hosts with ~30ns clock reads) and profile and trace
-// see identical timestamps. A task's end and the resumption of the task
-// it suspended are one call, TaskEnd, and so one read. Filtering is the
+// observe the same stream. The runtime reads the clock once per
+// listener call and hands every listener — the measurement, the trace
+// recorder and any WithListener extra — that instant, so profile and
+// trace see identical timestamps whatever the clock, and no listener
+// reads one of its own. A task's end and the resumption of the task it
+// suspended are one call, TaskEnd, and so one read. Filtering is the
 // measurement's own check, one test of a nil filter when a run is
-// unfiltered and a verdict cached per interned region when it is not,
-// so a filtered session takes the same fused path. Derived task-creation regions are cached on the task region
-// itself, and call-tree nodes and task instances are recycled through
+// unfiltered and a verdict cached per interned region when it is not.
+// Derived task-creation regions are cached on the task region itself,
+// and call-tree nodes and task instances are recycled through
 // per-thread pools backed by chunked arenas.
 //
 // What that path costs end to end is measured by the repository's

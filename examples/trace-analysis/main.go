@@ -29,7 +29,7 @@ var (
 
 func run(label string, tasks, workUnits int) {
 	// One session records profile and trace simultaneously (Score-P's
-	// combined mode; the session wires the tee internally).
+	// combined mode; the runtime stamps each event once for both).
 	s := scorep.NewSession(scorep.WithTracing())
 
 	var sink atomic.Int64

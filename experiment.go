@@ -70,9 +70,9 @@ type TraceShard struct {
 	Stream string `json:"stream,omitempty"`
 	// Bytes is the shard size as ingested.
 	Bytes int64 `json:"bytes,omitempty"`
-	// DroppedEvents counts event batches the producer's backpressure
-	// policy discarded before encoding (holes in the recording, not
-	// archive damage).
+	// DroppedEvents is the count of dropped events the producer's
+	// end-of-stream frame reported (holes in the recording, not archive
+	// damage); a producer of this build drops none and reports 0.
 	DroppedEvents int64 `json:"droppedEvents,omitempty"`
 	// GapBytes counts archive bytes lost between this shard's durable
 	// prefix and the producer's resume point when the producer declared

@@ -138,9 +138,8 @@ func (p *ThreadProfile) Enter(r *region.Region) {
 	p.EnterAt(r, p.clk.Now())
 }
 
-// EnterAt is Enter with an explicit timestamp. The fused
-// profiling+tracing event path reads the clock once per event and hands
-// the same instant to the profile and the trace record.
+// EnterAt is Enter with an explicit timestamp: the measurement's path,
+// which takes the instant the runtime read for the event.
 func (p *ThreadProfile) EnterAt(r *region.Region, now int64) {
 	if p.finished {
 		panic("core: Enter after Finish")

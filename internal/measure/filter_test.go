@@ -6,21 +6,9 @@ import (
 	"repro/internal/clock"
 	"repro/internal/cube"
 	"repro/internal/omp"
+	"repro/internal/pomp"
 	"repro/internal/region"
 )
-
-// instrFn emits enter/exit around body through the runtime's listener,
-// as pomp.Function does (inlined here to avoid an import cycle in tests).
-func instrFn(th *omp.Thread, r *region.Region, body func()) {
-	l := th.Runtime().Listener()
-	if l != nil {
-		l.Enter(th, r)
-	}
-	body()
-	if l != nil {
-		l.Exit(th, r)
-	}
-}
 
 func TestFilterExcludesUserRegions(t *testing.T) {
 	reg := region.NewRegistry()
@@ -34,9 +22,9 @@ func TestFilterExcludesUserRegions(t *testing.T) {
 	exact := reg.Register("exact_fn", "f.go", 4, region.UserFunction)
 
 	rt.Parallel(1, par, func(th *omp.Thread) {
-		instrFn(th, keep, func() {})
-		instrFn(th, tiny, func() {})
-		instrFn(th, exact, func() {})
+		pomp.Function(th, keep, func() {})
+		pomp.Function(th, tiny, func() {})
+		pomp.Function(th, exact, func() {})
 	})
 	m.Finish()
 	rep := cube.Aggregate(m.Locations())
@@ -124,10 +112,10 @@ func TestFilterKeepsProfileConsistent(t *testing.T) {
 
 	rt.Parallel(2, par, func(th *omp.Thread) {
 		if th.ID == 0 {
-			instrFn(th, wrapper, func() {
+			pomp.Function(th, wrapper, func() {
 				for i := 0; i < 10; i++ {
 					th.NewTask(task, func(c *omp.Thread) {
-						instrFn(c, wrapper, func() {})
+						pomp.Function(c, wrapper, func() {})
 					})
 				}
 				th.Taskwait(tw)

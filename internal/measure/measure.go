@@ -66,10 +66,6 @@ func NewWithClock(clk clock.Clock, reg *region.Registry) *Measurement {
 	}
 }
 
-// Profile exposes the location attached to a thread, or nil when the
-// thread is not measured. Instrumentation wrappers use it.
-func Profile(t *omp.Thread) *core.ThreadProfile { return t.Profile }
-
 // CreateRegion returns (and interns on first use) the task-creation
 // region derived from a task region, as OPARI2 generates it alongside
 // the task construct region. The derived region is cached on the task
@@ -81,8 +77,9 @@ func (m *Measurement) CreateRegion(r *region.Region) *region.Region {
 // ThreadBegin implements omp.Listener: it binds the location for the
 // thread ID to the thread's typed profile slot. This is the only
 // measurement event that takes a lock (threads register concurrently);
-// every later event reaches its state through the slot.
-func (m *Measurement) ThreadBegin(t *omp.Thread) {
+// every later event reaches its state through the slot. A new location's
+// root opens at its own clock reading, not at now (ROADMAP item 10).
+func (m *Measurement) ThreadBegin(t *omp.Thread, _ int64) {
 	m.mu.Lock()
 	p, ok := m.locations[t.ID]
 	if !ok {
@@ -96,7 +93,7 @@ func (m *Measurement) ThreadBegin(t *omp.Thread) {
 
 // ThreadEnd implements omp.Listener. The location stays open so that a
 // later parallel region can continue it; Finish closes all locations.
-func (m *Measurement) ThreadEnd(t *omp.Thread) {
+func (m *Measurement) ThreadEnd(t *omp.Thread, _ int64) {
 	t.Profile = nil
 }
 
@@ -106,17 +103,7 @@ func (m *Measurement) excluded(r *region.Region) bool {
 }
 
 // Enter implements omp.Listener, dropping a filtered user region.
-func (m *Measurement) Enter(t *omp.Thread, r *region.Region) {
-	if m.excluded(r) {
-		return
-	}
-	t.Profile.Enter(r)
-}
-
-// EnterAt is Enter with an explicit timestamp; the fused
-// profiling+tracing tee reads the clock once per event and hands the
-// same instant to profile and trace.
-func (m *Measurement) EnterAt(t *omp.Thread, r *region.Region, now int64) {
+func (m *Measurement) Enter(t *omp.Thread, r *region.Region, now int64) {
 	if m.excluded(r) {
 		return
 	}
@@ -124,15 +111,7 @@ func (m *Measurement) EnterAt(t *omp.Thread, r *region.Region, now int64) {
 }
 
 // Exit implements omp.Listener, dropping a filtered user region.
-func (m *Measurement) Exit(t *omp.Thread, r *region.Region) {
-	if m.excluded(r) {
-		return
-	}
-	t.Profile.Exit(r)
-}
-
-// ExitAt is Exit with an explicit timestamp (see EnterAt).
-func (m *Measurement) ExitAt(t *omp.Thread, r *region.Region, now int64) {
+func (m *Measurement) Exit(t *omp.Thread, r *region.Region, now int64) {
 	if m.excluded(r) {
 		return
 	}
@@ -141,45 +120,25 @@ func (m *Measurement) ExitAt(t *omp.Thread, r *region.Region, now int64) {
 
 // TaskCreateBegin implements omp.Listener: enter the derived
 // task-creation region (creation-time metric, Section III).
-func (m *Measurement) TaskCreateBegin(t *omp.Thread, r *region.Region) {
-	t.Profile.Enter(m.CreateRegion(r))
-}
-
-// TaskCreateBeginAt is TaskCreateBegin with an explicit timestamp.
-func (m *Measurement) TaskCreateBeginAt(t *omp.Thread, r *region.Region, now int64) {
+func (m *Measurement) TaskCreateBegin(t *omp.Thread, r *region.Region, now int64) {
 	t.Profile.EnterAt(m.CreateRegion(r), now)
 }
 
 // TaskCreateEnd implements omp.Listener.
-func (m *Measurement) TaskCreateEnd(t *omp.Thread, tk *omp.Task) {
-	t.Profile.Exit(m.CreateRegion(tk.Region))
-}
-
-// TaskCreateEndAt is TaskCreateEnd with an explicit timestamp.
-func (m *Measurement) TaskCreateEndAt(t *omp.Thread, tk *omp.Task, now int64) {
+func (m *Measurement) TaskCreateEnd(t *omp.Thread, tk *omp.Task, now int64) {
 	t.Profile.ExitAt(m.CreateRegion(tk.Region), now)
 }
 
 // TaskBegin implements omp.Listener: create the instance profile and
 // store it in the task's typed slot, exactly as OPARI2 stores instance
 // IDs inside the task.
-func (m *Measurement) TaskBegin(t *omp.Thread, tk *omp.Task) {
-	tk.Instance = t.Profile.TaskBegin(tk.Region)
-}
-
-// TaskBeginAt is TaskBegin with an explicit timestamp.
-func (m *Measurement) TaskBeginAt(t *omp.Thread, tk *omp.Task, now int64) {
+func (m *Measurement) TaskBegin(t *omp.Thread, tk *omp.Task, now int64) {
 	tk.Instance = t.Profile.TaskBeginAt(tk.Region, now)
 }
 
 // TaskEnd implements omp.Listener: complete tk's instance and resume
-// resume's (the implicit task for nil), both at one clock reading.
-func (m *Measurement) TaskEnd(t *omp.Thread, tk, resume *omp.Task) {
-	m.TaskEndAt(t, tk, resume, m.clk.Now())
-}
-
-// TaskEndAt is TaskEnd with an explicit timestamp.
-func (m *Measurement) TaskEndAt(t *omp.Thread, tk, resume *omp.Task, now int64) {
+// resume's (the implicit task for nil), both at now.
+func (m *Measurement) TaskEnd(t *omp.Thread, tk, resume *omp.Task, now int64) {
 	p := t.Profile
 	p.TaskEndAt(now)
 	tk.Instance = nil
@@ -225,5 +184,6 @@ func (m *Measurement) Location(id int) *core.ThreadProfile {
 	return m.locations[id]
 }
 
-// Clock returns the measurement's time source.
+// Clock returns the measurement's time source: the clock a runtime
+// stamps its events from, and the one each location's root reads.
 func (m *Measurement) Clock() clock.Clock { return m.clk }

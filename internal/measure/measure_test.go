@@ -108,7 +108,7 @@ func TestUninstrumentedThreadHasNilProfile(t *testing.T) {
 	rt := omp.NewRuntimeWithRegistry(nil, reg)
 	par := reg.Register("par", "m.go", 1, region.Parallel)
 	rt.Parallel(2, par, func(th *omp.Thread) {
-		if Profile(th) != nil {
+		if th.Profile != nil {
 			t.Error("uninstrumented thread has a profile")
 		}
 	})

@@ -54,6 +54,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/region"
 )
@@ -90,8 +91,11 @@ func (s SchedulerKind) String() string {
 // regions; the Listener, Registry and Sched must be configured before
 // the first Parallel call.
 type Runtime struct {
-	listener Listener
-	registry *region.Registry
+	// listeners is nil for an uninstrumented runtime; clk stamps their
+	// events, one read per listener call.
+	listeners Listeners
+	clk       clock.Clock
+	registry  *region.Registry
 
 	// Sched selects the task scheduler (default SchedCentralQueue,
 	// modelling the libgomp version the paper evaluated).
@@ -114,24 +118,32 @@ type Runtime struct {
 	nextTaskID atomic.Uint64
 }
 
-// NewRuntime returns a runtime emitting events to l (nil for an
-// uninstrumented runtime) and interning derived regions (implicit
-// barriers) in the default registry.
+// NewRuntime returns a runtime emitting events to l (nil, or an empty
+// Listeners, for an uninstrumented runtime) and interning derived
+// regions (implicit barriers) in the default registry. The runtime
+// stamps every event from l's Clock — the profiling measurement and
+// the trace recorder have one, a Listeners takes its first member's —
+// and from a system clock when l names none.
 func NewRuntime(l Listener) *Runtime {
-	return &Runtime{listener: l, registry: region.Default, SpinYield: true}
+	return NewRuntimeWithRegistry(l, region.Default)
 }
 
 // NewRuntimeWithRegistry is NewRuntime with an explicit region registry,
 // used by tests that must not pollute the global registry.
 func NewRuntimeWithRegistry(l Listener, reg *region.Registry) *Runtime {
-	return &Runtime{listener: l, registry: reg, SpinYield: true}
+	rt := &Runtime{registry: reg, SpinYield: true}
+	ls, ok := l.(Listeners)
+	if !ok && l != nil {
+		ls = Listeners{l}
+	}
+	if len(ls) > 0 {
+		rt.listeners, rt.clk = ls, ls.Clock()
+		if rt.clk == nil {
+			rt.clk = clock.NewSystem()
+		}
+	}
+	return rt
 }
-
-// Listener returns the configured listener (nil when uninstrumented).
-func (rt *Runtime) Listener() Listener { return rt.listener }
-
-// Instrumented reports whether a listener is attached.
-func (rt *Runtime) Instrumented() bool { return rt.listener != nil }
 
 // UntiedCount returns how many untied tasks were demoted to tied
 // (Section IV-D2 work-around).
@@ -279,6 +291,23 @@ func (t *Thread) Current() *Task { return t.current }
 // InTask reports whether an explicit task is being executed.
 func (t *Thread) InTask() bool { return t.current != nil }
 
+// Enter emits the event of t entering region r, stamped by the
+// runtime's clock; with no listener it does nothing. The constructs
+// emit their own regions' events through it, and instrumentation
+// wrappers (pomp.Function) a user function's.
+func (t *Thread) Enter(r *region.Region) {
+	if rt := t.team.rt; rt.listeners != nil {
+		rt.listeners.Enter(t, r, rt.clk.Now())
+	}
+}
+
+// Exit emits the event of t leaving region r (see Enter).
+func (t *Thread) Exit(r *region.Region) {
+	if rt := t.team.rt; rt.listeners != nil {
+		rt.listeners.Exit(t, r, rt.clk.Now())
+	}
+}
+
 // Parallel executes body on a team of n threads, modelling
 // "#pragma omp parallel num_threads(n)". Every thread runs body as its
 // implicit task; an implicit task-draining barrier closes the region.
@@ -305,16 +334,15 @@ func (rt *Runtime) Parallel(n int, r *region.Region, body func(t *Thread)) {
 	for i := 0; i < n; i++ {
 		go func(t *Thread) {
 			defer wg.Done()
-			l := rt.listener
-			if l != nil {
-				l.ThreadBegin(t)
-				l.Enter(t, r)
+			if ls := rt.listeners; ls != nil {
+				ls.ThreadBegin(t, rt.clk.Now())
+				ls.Enter(t, r, rt.clk.Now())
 			}
 			body(t)
 			t.barrierWait(ibar)
-			if l != nil {
-				l.Exit(t, r)
-				l.ThreadEnd(t)
+			if ls := rt.listeners; ls != nil {
+				ls.Exit(t, r, rt.clk.Now())
+				ls.ThreadEnd(t, rt.clk.Now())
 			}
 		}(team.threads[i])
 	}
@@ -359,14 +387,9 @@ func (t *Thread) Barrier(r *region.Region) {
 
 // barrierWait enters the team barrier with enter/exit events on r.
 func (t *Thread) barrierWait(r *region.Region) {
-	l := t.team.rt.listener
-	if l != nil {
-		l.Enter(t, r)
-	}
+	t.Enter(r)
 	t.team.barrier.wait(t)
-	if l != nil {
-		l.Exit(t, r)
-	}
+	t.Exit(r)
 }
 
 // Master models "#pragma omp master": only thread 0 executes fn. There is
@@ -375,14 +398,9 @@ func (t *Thread) Master(r *region.Region, fn func(t *Thread)) {
 	if t.ID != 0 {
 		return
 	}
-	l := t.team.rt.listener
-	if l != nil {
-		l.Enter(t, r)
-	}
+	t.Enter(r)
 	fn(t)
-	if l != nil {
-		l.Exit(t, r)
-	}
+	t.Exit(r)
 }
 
 // Single models "#pragma omp single nowait": exactly one thread of the
@@ -410,14 +428,9 @@ func (t *Thread) Single(r *region.Region, fn func(t *Thread)) {
 	if claimed {
 		return
 	}
-	l := team.rt.listener
-	if l != nil {
-		l.Enter(t, r)
-	}
+	t.Enter(r)
 	fn(t)
-	if l != nil {
-		l.Exit(t, r)
-	}
+	t.Exit(r)
 }
 
 // Critical models "#pragma omp critical(name)": mutual exclusion between
@@ -433,14 +446,9 @@ func (t *Thread) Critical(r *region.Region, fn func(t *Thread)) {
 	team.criticalMu.Unlock()
 
 	mu.Lock()
-	l := team.rt.listener
-	if l != nil {
-		l.Enter(t, r)
-	}
+	t.Enter(r)
 	fn(t)
-	if l != nil {
-		l.Exit(t, r)
-	}
+	t.Exit(r)
 	mu.Unlock()
 }
 
@@ -448,10 +456,7 @@ func (t *Thread) Critical(r *region.Region, fn func(t *Thread)) {
 // iteration space is split into contiguous chunks, one per thread. There
 // is no implied barrier; combine with Barrier if needed.
 func (t *Thread) For(r *region.Region, n int, fn func(t *Thread, i int)) {
-	l := t.team.rt.listener
-	if l != nil {
-		l.Enter(t, r)
-	}
+	t.Enter(r)
 	nt := t.NumThreads()
 	chunk := (n + nt - 1) / nt
 	lo := t.ID * chunk
@@ -462,9 +467,7 @@ func (t *Thread) For(r *region.Region, n int, fn func(t *Thread, i int)) {
 	for i := lo; i < hi; i++ {
 		fn(t, i)
 	}
-	if l != nil {
-		l.Exit(t, r)
-	}
+	t.Exit(r)
 }
 
 // centralBarrier is a sense-reversing barrier with task draining: threads

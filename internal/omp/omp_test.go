@@ -512,7 +512,6 @@ func TestMaxStackDepthTracksNesting(t *testing.T) {
 // eventCounter checks that listener events balance, and that every
 // TaskEnd ends the task its thread runs and resumes the one below it.
 type eventCounter struct {
-	NopListener
 	mu                 sync.Mutex
 	enters, exits      int
 	begins, ends       int
@@ -522,21 +521,29 @@ type eventCounter struct {
 	bad                []string
 }
 
-func (c *eventCounter) ThreadBegin(t *Thread) { c.mu.Lock(); c.threadsB++; c.mu.Unlock() }
-func (c *eventCounter) ThreadEnd(t *Thread)   { c.mu.Lock(); c.threadsE++; c.mu.Unlock() }
-func (c *eventCounter) Enter(t *Thread, r *region.Region) {
+func (c *eventCounter) ThreadBegin(t *Thread, _ int64) { c.mu.Lock(); c.threadsB++; c.mu.Unlock() }
+func (c *eventCounter) ThreadEnd(t *Thread, _ int64)   { c.mu.Lock(); c.threadsE++; c.mu.Unlock() }
+func (c *eventCounter) Enter(t *Thread, r *region.Region, _ int64) {
 	c.mu.Lock()
 	c.enters++
 	c.mu.Unlock()
 }
-func (c *eventCounter) Exit(t *Thread, r *region.Region) { c.mu.Lock(); c.exits++; c.mu.Unlock() }
-func (c *eventCounter) TaskCreateBegin(t *Thread, r *region.Region) {
+func (c *eventCounter) Exit(t *Thread, r *region.Region, _ int64) {
+	c.mu.Lock()
+	c.exits++
+	c.mu.Unlock()
+}
+func (c *eventCounter) TaskCreateBegin(t *Thread, r *region.Region, _ int64) {
 	c.mu.Lock()
 	c.createB++
 	c.mu.Unlock()
 }
-func (c *eventCounter) TaskCreateEnd(t *Thread, tk *Task) { c.mu.Lock(); c.createE++; c.mu.Unlock() }
-func (c *eventCounter) TaskBegin(t *Thread, tk *Task) {
+func (c *eventCounter) TaskCreateEnd(t *Thread, tk *Task, _ int64) {
+	c.mu.Lock()
+	c.createE++
+	c.mu.Unlock()
+}
+func (c *eventCounter) TaskBegin(t *Thread, tk *Task, _ int64) {
 	c.mu.Lock()
 	c.begins++
 	if c.running == nil {
@@ -545,7 +552,7 @@ func (c *eventCounter) TaskBegin(t *Thread, tk *Task) {
 	c.running[t.ID] = append(c.running[t.ID], tk)
 	c.mu.Unlock()
 }
-func (c *eventCounter) TaskEnd(t *Thread, tk, resume *Task) {
+func (c *eventCounter) TaskEnd(t *Thread, tk, resume *Task, _ int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ends++

@@ -139,8 +139,8 @@ func (t *Thread) NewTask(r *region.Region, fn TaskFunc, opts ...TaskOpt) {
 		team.rt.untiedDemoted.Add(1)
 	}
 
-	if l := team.rt.listener; l != nil {
-		l.TaskCreateBegin(t, r)
+	if rt := team.rt; rt.listeners != nil {
+		rt.listeners.TaskCreateBegin(t, r, rt.clk.Now())
 	}
 
 	tk := t.allocTask()
@@ -174,8 +174,8 @@ func (t *Thread) NewTask(r *region.Region, fn TaskFunc, opts ...TaskOpt) {
 		if !e.tryClaim() {
 			panic("omp: undeferred task already claimed")
 		}
-		if l := team.rt.listener; l != nil {
-			l.TaskCreateEnd(t, tk)
+		if rt := team.rt; rt.listeners != nil {
+			rt.listeners.TaskCreateEnd(t, tk, rt.clk.Now())
 		}
 		t.runTask(tk)
 		return
@@ -184,8 +184,8 @@ func (t *Thread) NewTask(r *region.Region, fn TaskFunc, opts ...TaskOpt) {
 	// Publish: creation-end event first — once published, another thread
 	// may execute and recycle the instance, so the creator must not
 	// touch tk afterwards (beyond the snapshot in the entries).
-	if l := team.rt.listener; l != nil {
-		l.TaskCreateEnd(t, tk)
+	if rt := team.rt; rt.listeners != nil {
+		rt.listeners.TaskCreateEnd(t, tk, rt.clk.Now())
 	}
 	e := claimEntry{task: tk, word: tk.claim.Load()}
 	if cur := t.current; cur != nil {
@@ -210,10 +210,7 @@ func (t *Thread) NewTask(r *region.Region, fn TaskFunc, opts ...TaskOpt) {
 // as in the paper's Table II. The region r is the taskwait region
 // metrics are attributed to.
 func (t *Thread) Taskwait(r *region.Region) {
-	team := t.team
-	if l := team.rt.listener; l != nil {
-		l.Enter(t, r)
-	}
+	t.Enter(r)
 	counter := t.childCounter()
 	var lad idleLadder
 	for counter.Load() > 0 {
@@ -228,9 +225,7 @@ func (t *Thread) Taskwait(r *region.Region) {
 		// notifier, so parking cannot miss the last decrement.
 		lad.step(t)
 	}
-	if l := team.rt.listener; l != nil {
-		l.Exit(t, r)
-	}
+	t.Exit(r)
 }
 
 // Taskyield models "#pragma omp taskyield" (OpenMP 3.1): a scheduling
@@ -238,16 +233,11 @@ func (t *Thread) Taskwait(r *region.Region) {
 // its queued children (the tied-task constraint applies as at taskwait).
 // The region r is the taskyield region metrics are attributed to.
 func (t *Thread) Taskyield(r *region.Region) {
-	team := t.team
-	if l := team.rt.listener; l != nil {
-		l.Enter(t, r)
-	}
+	t.Enter(r)
 	if tk := t.claimChildTask(); tk != nil {
 		t.runTask(tk)
 	}
-	if l := team.rt.listener; l != nil {
-		l.Exit(t, r)
-	}
+	t.Exit(r)
 }
 
 // claimChildTask claims the newest unclaimed child of the current task
@@ -311,16 +301,16 @@ func (t *Thread) runTask(tk *Task) {
 		t.maxStackDepth = t.stackDepth
 	}
 
-	l := team.rt.listener
-	if l != nil {
-		l.TaskBegin(t, tk)
+	rt := team.rt
+	if rt.listeners != nil {
+		rt.listeners.TaskBegin(t, tk, rt.clk.Now())
 	}
 	tk.fn(t)
 
 	t.stackDepth--
 	t.current = prev
-	if l != nil {
-		l.TaskEnd(t, tk, prev)
+	if rt.listeners != nil {
+		rt.listeners.TaskEnd(t, tk, prev, rt.clk.Now())
 	}
 
 	// Completion bookkeeping after all events: decrement the parent's

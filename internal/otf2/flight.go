@@ -162,9 +162,10 @@ type flightChunk struct {
 	ref     ChunkRef
 }
 
-// NewFlight creates a flight recorder reading time from clk, with rings
-// of ringChunks chunks (<= 0 picks DefaultFlightRingChunks) of
-// chunkEvents events (<= 0 picks trace.DefaultChunkEvents).
+// NewFlight creates a flight recorder whose runtime reads time from
+// clk, with rings of ringChunks chunks (<= 0 picks
+// DefaultFlightRingChunks) of chunkEvents events (<= 0 picks
+// trace.DefaultChunkEvents).
 func NewFlight(clk clock.Clock, ringChunks, chunkEvents int) *Flight {
 	if ringChunks <= 0 {
 		ringChunks = DefaultFlightRingChunks

@@ -227,7 +227,8 @@ func TestFlightConcurrentDump(t *testing.T) {
 	const threads, perThread, ring, chunk = 4, 20000, 3, 64
 	reg := region.NewRegistry()
 	work := reg.Register("work", "f.go", 1, region.Task)
-	f := NewFlight(clock.NewSystem(), ring, chunk)
+	clk := clock.NewSystem()
+	f := NewFlight(clk, ring, chunk)
 	ref := newRefFlight(ring, chunk)
 
 	var wg sync.WaitGroup
@@ -240,7 +241,7 @@ func TestFlightConcurrentDump(t *testing.T) {
 			<-start
 			for seq := uint64(0); seq < perThread; seq++ {
 				tk.ID = seq
-				f.Recorder().TaskBegin(th, tk)
+				f.Recorder().TaskBegin(th, tk, clk.Now())
 			}
 		}(id)
 	}

@@ -196,7 +196,7 @@ func TestReadAllSalvagesTruncatedPrefix(t *testing.T) {
 	aw := NewWriterSize(&buf, 1024)
 	for _, tid := range want.ThreadIDs() {
 		for _, ev := range want.Threads[tid] {
-			if err := aw.WriteEvent(tid, ev); err != nil {
+			if err := aw.WriteEvents(tid, []trace.Event{ev}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -267,15 +267,15 @@ func TestSlowSinkFlushDoesNotStallOtherThreads(t *testing.T) {
 
 	thA := &omp.Thread{ID: 0}
 	thB := &omp.Thread{ID: 1}
-	rec.ThreadBegin(thA)
-	rec.ThreadBegin(thB)
+	rec.ThreadBegin(thA, 0)
+	rec.ThreadBegin(thB, 0)
 
 	aBlocked := make(chan struct{})
 	go func() {
 		// ~70 KiB of encoded events: guaranteed to seal a 64 KiB writer
 		// chunk and hit the gated underlying write.
 		for i := 0; i < 64*1024; i++ {
-			rec.TaskBegin(thA, &omp.Task{ID: uint64(i), Region: task})
+			rec.TaskBegin(thA, &omp.Task{ID: uint64(i), Region: task}, 0)
 		}
 		close(aBlocked)
 	}()
@@ -369,7 +369,7 @@ func TestWriterDefsBeforeEvents(t *testing.T) {
 				// to race with chunk seals on the other threads.
 				r := reg.Register(fmt.Sprintf("r%d.%d", tid, i), "d.go", i, region.Task)
 				ts += 3
-				if err := w.WriteEvent(tid, trace.Event{Time: ts, Type: trace.EvTaskBegin, Region: r, TaskID: uint64(i)}); err != nil {
+				if err := w.WriteEvents(tid, []trace.Event{{Time: ts, Type: trace.EvTaskBegin, Region: r, TaskID: uint64(i)}}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -657,11 +657,6 @@ func (w *Writer) WriteEvents(thread int, events []trace.Event) error {
 	return w.Err()
 }
 
-// WriteEvent appends a single event of one thread.
-func (w *Writer) WriteEvent(thread int, ev trace.Event) error {
-	return w.WriteEvents(thread, []trace.Event{ev})
-}
-
 // Flush writes out every partially filled chunk buffer (in first-seen
 // thread order, for deterministic output) and flushes the underlying
 // buffered writer. The Writer remains usable.

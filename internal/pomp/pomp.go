@@ -11,7 +11,6 @@ package pomp
 
 import (
 	"repro/internal/core"
-	"repro/internal/measure"
 	"repro/internal/omp"
 	"repro/internal/region"
 )
@@ -19,36 +18,23 @@ import (
 // Function instruments a user function body (compiler instrumentation
 // analog): enter/exit events around fn, attributed to the current task.
 func Function(t *omp.Thread, r *region.Region, fn func()) {
-	l := t.Runtime().Listener()
-	if l != nil {
-		l.Enter(t, r)
-	}
+	t.Enter(r)
 	fn()
-	if l != nil {
-		l.Exit(t, r)
-	}
+	t.Exit(r)
 }
 
 // Enter emits a raw enter event (paired with Exit). Prefer Function.
-func Enter(t *omp.Thread, r *region.Region) {
-	if l := t.Runtime().Listener(); l != nil {
-		l.Enter(t, r)
-	}
-}
+func Enter(t *omp.Thread, r *region.Region) { t.Enter(r) }
 
 // Exit emits a raw exit event.
-func Exit(t *omp.Thread, r *region.Region) {
-	if l := t.Runtime().Listener(); l != nil {
-		l.Exit(t, r)
-	}
-}
+func Exit(t *omp.Thread, r *region.Region) { t.Exit(r) }
 
 // ParameterInt records an integer parameter on the current call path,
 // splitting the profile subtree by value — the parameter instrumentation
 // the paper inserts into the nqueens task to attribute statistics per
 // recursion depth (Table IV).
 func ParameterInt(t *omp.Thread, name string, value int64) {
-	if p := measure.Profile(t); p != nil {
+	if p := t.Profile; p != nil {
 		p.ParameterInt(name, value)
 	}
 }
@@ -56,14 +42,14 @@ func ParameterInt(t *omp.Thread, name string, value int64) {
 // ParameterString records a string parameter on the current call path
 // (Score-P's POMP2_Parameter_string counterpart).
 func ParameterString(t *omp.Thread, name, value string) {
-	if p := measure.Profile(t); p != nil {
+	if p := t.Profile; p != nil {
 		p.ParameterString(name, value)
 	}
 }
 
 // CurrentProfile returns the measuring thread profile, or nil when
 // uninstrumented. Advanced instrumentation (tests, adapters) may use it.
-func CurrentProfile(t *omp.Thread) *core.ThreadProfile { return measure.Profile(t) }
+func CurrentProfile(t *omp.Thread) *core.ThreadProfile { return t.Profile }
 
 // Task models an instrumented "#pragma omp task": creation events are
 // emitted by the runtime, execution events fire when the instance runs.

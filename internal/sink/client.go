@@ -18,29 +18,14 @@ import (
 	"repro/internal/trace"
 )
 
-// BackpressurePolicy selects what a Client does when its send buffer is
-// full because the daemon (or the network) is slower than the producer.
-type BackpressurePolicy int
-
-const (
-	// BackpressureBlock stalls the recording thread until the sender
-	// drains buffer space — no event is lost, the measured program pays
-	// the sink's latency (the default, matching a slow local disk).
-	BackpressureBlock BackpressurePolicy = iota
-	// BackpressureDrop discards whole event batches while the buffer is
-	// over its bound and counts them (Client.Dropped; the count also
-	// travels in the end-of-stream frame). The drop happens before
-	// encoding — per-thread timestamp deltas are computed at encode
-	// time, so the archive stream stays valid, it just has holes in the
-	// recording.
-	BackpressureDrop
-)
-
 // Client defaults.
 const (
 	// DefaultBufferBytes bounds the unacked archive bytes buffered
 	// between the encoding threads and the background sender — the
-	// backpressure debt a slow or absent daemon can impose.
+	// backpressure debt a slow or absent daemon can impose: a recording
+	// thread that finds the buffer full waits for the sender, so no
+	// event is lost and the measured program pays the sink's latency,
+	// as with a slow local disk.
 	DefaultBufferBytes = 1 << 20
 	// DefaultDialAttempts and DefaultDialBackoff shape the lazy-connect
 	// retry loop: backoff doubles per attempt with jitter (≈50ms,
@@ -78,7 +63,6 @@ type clientConfig struct {
 	token             uint64
 	bufBytes          int
 	replayBytes       int
-	policy            BackpressurePolicy
 	dialAttempts      int
 	dialBackoff       time.Duration
 	reconnectAttempts int
@@ -125,12 +109,6 @@ func WithReplayWindow(n int) ClientOption {
 			c.replayBytes = n
 		}
 	}
-}
-
-// WithBackpressure selects the full-buffer policy (default
-// BackpressureBlock).
-func WithBackpressure(p BackpressurePolicy) ClientOption {
-	return func(c *clientConfig) { c.policy = p }
 }
 
 // WithDialRetry shapes the connect retry loop: up to attempts dials,
@@ -203,8 +181,7 @@ type Client struct {
 	win *sendWindow
 	w   *otf2.Writer
 
-	err     atomic.Pointer[error]
-	dropped atomic.Int64
+	err atomic.Pointer[error]
 
 	resumes       atomic.Int64
 	gapBytes      atomic.Int64
@@ -283,7 +260,7 @@ func newClient(cfg clientConfig) (*Client, error) {
 		cfg.token = randomToken()
 	}
 	c := &Client{cfg: cfg, done: make(chan struct{})}
-	c.win = newSendWindow(cfg.bufBytes, cfg.replayBytes, cfg.policy == BackpressureBlock)
+	c.win = newSendWindow(cfg.bufBytes, cfg.replayBytes)
 	c.w = otf2.NewWriter(c.win, cfg.writerOpts...)
 	go c.run()
 	return c, nil
@@ -310,10 +287,6 @@ func (c *Client) Err() error {
 	}
 	return nil
 }
-
-// Dropped returns how many events the drop backpressure policy has
-// discarded so far.
-func (c *Client) Dropped() int64 { return c.dropped.Load() }
 
 // Resumes returns how many times the stream reconnected and resumed
 // after a mid-stream sever.
@@ -368,22 +341,15 @@ func (c *Client) terminal(reason error) {
 	c.fellBack.Store(true)
 }
 
-// WriteEvents implements trace.EventSink. The backpressure decision is
-// taken here, before encoding: a dropped batch never reaches the
-// archive writer, so the emitted byte stream stays a valid archive
-// (per-thread time deltas are computed at encode time). Batches of
-// different threads encode concurrently exactly as with a file sink.
+// WriteEvents implements trace.EventSink. It waits for window space
+// before encoding (backpressure); batches of different threads encode
+// concurrently exactly as with a file sink.
 func (c *Client) WriteEvents(thread int, events []trace.Event) error {
 	if err := c.Err(); err != nil {
 		return err
 	}
-	admit, err := c.win.admit()
-	if err != nil {
+	if err := c.win.admit(); err != nil {
 		return err
-	}
-	if !admit {
-		c.dropped.Add(int64(len(events)))
-		return nil
 	}
 	return c.w.WriteEvents(thread, events)
 }
@@ -676,10 +642,9 @@ func (c *Client) pump(conn net.Conn) error {
 			break
 		}
 	}
-	eos := make([]byte, 0, 1+binary.MaxVarintLen64)
-	eos = append(eos, frameEOS)
-	eos = binary.AppendUvarint(eos, uint64(c.dropped.Load()))
-	if _, err := conn.Write(eos); err != nil {
+	// The end-of-stream frame's dropped-event count is always 0: the
+	// client drops nothing (the daemon still reads and records it).
+	if _, err := conn.Write([]byte{frameEOS, 0}); err != nil {
 		return transient(fmt.Errorf("sink: end of stream: %w", err))
 	}
 	timeout := time.NewTimer(DefaultAckTimeout)

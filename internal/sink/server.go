@@ -38,8 +38,9 @@ type StreamInfo struct {
 	// the stream (a resumed stream re-sends frames, so this may exceed
 	// what a single pass over the payload would need).
 	Frames int64
-	// DroppedEvents is the client-reported backpressure drop count from
-	// the end-of-stream frame.
+	// DroppedEvents is the dropped-event count the end-of-stream frame
+	// reports. This build's client drops nothing and reports 0; the
+	// daemon records whatever a client sends.
 	DroppedEvents int64
 	// GapBytes counts archive bytes lost between the durable prefix
 	// and the client's resume point when the client declared an

@@ -340,69 +340,50 @@ func TestSplitAddr(t *testing.T) {
 	}
 }
 
-// TestDropPolicy fills the send buffer against a stalled reader and
-// checks dropped batches are counted, reported to the daemon, and leave
-// a valid (just sparser) archive.
-func TestDropPolicy(t *testing.T) {
+// TestEOSDroppedCount sends a raw stream whose end-of-stream frame
+// reports dropped events. This build's client always reports 0, but
+// the v2 frame carries a count, and the daemon records what it reads in
+// StreamInfo.DroppedEvents with the shard intact.
+func TestEOSDroppedCount(t *testing.T) {
 	srv, err := NewServer(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	batches := synthBatches(region.NewRegistry(), 1, 3, 10)
+	archive := archiveOf(t, batches)
 	c1, c2 := net.Pipe()
-	// Tiny buffer + tiny chunks: encoded bytes reach the framer fast.
-	cl, err := NewClientConn(c1,
-		WithStreamID("lossy"),
-		WithBufferBytes(2048),
-		WithBackpressure(BackpressureDrop),
-		WithWriterOptions(otf2.WithChunkBytes(256)))
-	if err != nil {
+	served := make(chan error, 1)
+	go func() { served <- srv.ServeConn(c2) }()
+	drained := make(chan struct{})
+	go func() { // hello, durable acks, the final ack
+		defer close(drained)
+		_, _ = io.Copy(io.Discard, c1)
+	}()
+	stream := append([]byte(Magic), ProtocolV2, byte(len("lossy")))
+	stream = append(stream, "lossy"...)
+	stream = binary.AppendUvarint(stream, 0x55)
+	stream = append(stream, framesOf(archive, 1000)...)
+	stream = append(stream, frameEOS, 42)
+	if _, err := c1.Write(stream); err != nil {
 		t.Fatal(err)
 	}
-
-	reg := region.NewRegistry()
-	task := reg.Register("work", "sink_test.go", 1, region.Task)
-	var written, total int64
-	tm := int64(0)
-	// No reader on c2 yet: the sender blocks on the handshake write,
-	// the framer fills, and the drop policy starts discarding batches.
-	for i := 0; i < 10_000 && cl.Dropped() == 0; i++ {
-		evs := []trace.Event{
-			{Time: tm, Type: trace.EvTaskBegin, Region: task, TaskID: uint64(i)},
-			{Time: tm + 1, Type: trace.EvTaskEnd, Region: task, TaskID: uint64(i)},
-		}
-		tm += 2
-		if err := cl.WriteEvents(0, evs); err != nil {
-			t.Fatal(err)
-		}
-		total += 2
-	}
-	if cl.Dropped() == 0 {
-		t.Fatal("drop policy never dropped against a stalled reader")
-	}
-	written = total - cl.Dropped()
-
-	// Now drain: serve the other end and finish the stream.
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.ServeConn(c2) }()
-	if err := cl.Close(); err != nil {
+	if err := <-served; err != nil {
 		t.Fatal(err)
 	}
-	if err := <-serveDone; err != nil {
-		t.Fatal(err)
-	}
+	_ = c1.Close()
+	<-drained
 
 	infos := srv.Streams()
-	if len(infos) != 1 || !infos[0].Complete {
-		t.Fatalf("streams = %+v", infos)
+	if len(infos) != 1 || !infos[0].Complete || infos[0].DroppedEvents != 42 {
+		t.Fatalf("streams = %+v, want one complete stream with 42 dropped events", infos)
 	}
-	if infos[0].DroppedEvents != cl.Dropped() {
-		t.Fatalf("daemon saw %d dropped events, client counted %d", infos[0].DroppedEvents, cl.Dropped())
-	}
-	// The shard is a valid, complete archive — the drops are holes in
-	// the recording, not damage to the byte stream.
 	tr := readTrace(t, filepath.Join(srv.Dir(), infos[0].File))
-	if n := int64(tr.NumEvents()); n != written {
-		t.Fatalf("shard holds %d events, want %d (total %d - dropped %d)", n, written, total, cl.Dropped())
+	want := 0
+	for _, evs := range batches[0] {
+		want += len(evs)
+	}
+	if n := tr.NumEvents(); n != want {
+		t.Fatalf("shard holds %d events, want %d", n, want)
 	}
 }
 
@@ -441,9 +422,6 @@ func TestBlockPolicyDeliversAll(t *testing.T) {
 	}
 	if err := <-serveDone; err != nil {
 		t.Fatal(err)
-	}
-	if cl.Dropped() != 0 {
-		t.Fatalf("block policy dropped %d events", cl.Dropped())
 	}
 	tr := readTrace(t, filepath.Join(srv.Dir(), "trace-patient.otf2"))
 	if tr.NumEvents() != total {

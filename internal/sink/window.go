@@ -22,8 +22,8 @@ import (
 // kept anyway, so a reconnect that finds the server's durable offset
 // regressed (daemon crash recovery truncates shards to a chunk
 // boundary) can still replay. Backpressure gates on the unsent backlog
-// [sent, end), bounded by maxUnacked: producers block (or drop batches)
-// when the sender falls that far behind — a dead connection stalls sent
+// [sent, end), bounded by maxUnacked: producers block when the sender
+// falls that far behind — a dead connection stalls sent
 // and trips the bound, so a lost daemon costs the measured program a
 // bounded stall, not unbounded memory. (The bound is deliberately not
 // on unacked bytes: the server acks in DefaultAckIntervalBytes strides,
@@ -71,7 +71,6 @@ type sendWindow struct {
 
 	maxUnacked int
 	retain     int
-	block      bool
 
 	closed bool
 	failed error
@@ -81,8 +80,8 @@ type sendWindow struct {
 	spillStart int64 // archive offset of the fallback file's first byte
 }
 
-func newSendWindow(maxUnacked, retain int, block bool) *sendWindow {
-	w := &sendWindow{maxUnacked: maxUnacked, retain: retain, block: block}
+func newSendWindow(maxUnacked, retain int) *sendWindow {
+	w := &sendWindow{maxUnacked: maxUnacked, retain: retain}
 	w.cond = sync.NewCond(&w.mu)
 	return w
 }
@@ -94,26 +93,24 @@ func (w *sendWindow) waitLocked() {
 	w.blockedNs += int64(time.Since(t))
 }
 
-// admit is the pre-encode backpressure gate. It returns (true, nil) to
-// encode, (false, nil) to drop the batch (drop policy, window full), or
-// an error once the stream has failed or been closed.
-func (w *sendWindow) admit() (bool, error) {
+// admit is the pre-encode backpressure gate: it waits for window space
+// and returns nil to encode, or an error once the stream has failed or
+// been closed.
+func (w *sendWindow) admit() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for {
 		switch {
 		case w.failed != nil:
-			return false, w.failed
+			return w.failed
 		case w.closed:
-			return false, fmt.Errorf("sink: write after Close")
+			return fmt.Errorf("sink: write after Close")
 		case w.spill != nil:
 			// Spilling to local disk: no window bound applies, the
 			// fallback archive takes everything.
-			return true, nil
+			return nil
 		case w.end-w.sent < int64(w.maxUnacked):
-			return true, nil
-		case !w.block:
-			return false, nil
+			return nil
 		}
 		w.waitLocked()
 	}
@@ -121,11 +118,9 @@ func (w *sendWindow) admit() (bool, error) {
 
 // Write implements io.Writer for the archive writer: p is appended to
 // the window (or, in spill mode, written straight to the fallback
-// archive). Under the block policy Write waits for window space — it
-// runs on the encoding thread, under the writer's io lock, exactly
-// where a slow file sink would block too; under the drop policy it
-// always appends, because dropping bytes mid-archive would corrupt the
-// stream — the bound is enforced on whole batches in admit instead.
+// archive). Write waits for window space — it runs on the encoding
+// thread, under the writer's io lock, exactly where a slow file sink
+// would block too.
 func (w *sendWindow) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -135,16 +130,14 @@ func (w *sendWindow) Write(p []byte) (int, error) {
 	if w.spill != nil {
 		return w.writeSpillLocked(p)
 	}
-	if w.block {
-		for w.end-w.sent >= int64(w.maxUnacked) && w.failed == nil && !w.closed && w.spill == nil {
-			w.waitLocked()
-		}
-		if w.failed != nil {
-			return 0, w.failed
-		}
-		if w.spill != nil {
-			return w.writeSpillLocked(p)
-		}
+	for w.end-w.sent >= int64(w.maxUnacked) && w.failed == nil && !w.closed && w.spill == nil {
+		w.waitLocked()
+	}
+	if w.failed != nil {
+		return 0, w.failed
+	}
+	if w.spill != nil {
+		return w.writeSpillLocked(p)
 	}
 	_, _ = w.store.Write(p) // never fails
 	w.end += int64(len(p))

@@ -9,7 +9,8 @@ import (
 
 // refWindow is the send window as it was while it kept its bytes in one
 // contiguous slice — appended to by Write, compacted lazily by ack,
-// copied into the sender's scratch by next — less its protocol-v1 mode.
+// copied into the sender's scratch by next — less its protocol-v1 mode
+// and its drop policy.
 // It is the reference the tests hold sendWindow to: the same calls must
 // leave the same offsets, hand the sender the same bytes and write the
 // same fallback file.
@@ -25,7 +26,6 @@ type refWindow struct {
 
 	maxUnacked int
 	retain     int
-	block      bool
 
 	closed bool
 	failed error
@@ -35,29 +35,25 @@ type refWindow struct {
 	spillStart int64
 }
 
-func newRefWindow(maxUnacked, retain int, block bool) *refWindow {
-	w := &refWindow{maxUnacked: maxUnacked, retain: retain, block: block}
+func newRefWindow(maxUnacked, retain int) *refWindow {
+	w := &refWindow{maxUnacked: maxUnacked, retain: retain}
 	w.cond = sync.NewCond(&w.mu)
 	return w
 }
 
 func (w *refWindow) end() int64 { return w.base + int64(len(w.buf)-w.head) }
 
-func (w *refWindow) admit() (bool, error) {
+func (w *refWindow) admit() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for {
 		switch {
 		case w.failed != nil:
-			return false, w.failed
+			return w.failed
 		case w.closed:
-			return false, fmt.Errorf("sink: write after Close")
-		case w.spill != nil:
-			return true, nil
-		case w.end()-w.sent < int64(w.maxUnacked):
-			return true, nil
-		case !w.block:
-			return false, nil
+			return fmt.Errorf("sink: write after Close")
+		case w.spill != nil, w.end()-w.sent < int64(w.maxUnacked):
+			return nil
 		}
 		w.cond.Wait()
 	}
@@ -72,16 +68,14 @@ func (w *refWindow) Write(p []byte) (int, error) {
 	if w.spill != nil {
 		return w.writeSpillLocked(p)
 	}
-	if w.block {
-		for w.end()-w.sent >= int64(w.maxUnacked) && w.failed == nil && !w.closed && w.spill == nil {
-			w.cond.Wait()
-		}
-		if w.failed != nil {
-			return 0, w.failed
-		}
-		if w.spill != nil {
-			return w.writeSpillLocked(p)
-		}
+	for w.end()-w.sent >= int64(w.maxUnacked) && w.failed == nil && !w.closed && w.spill == nil {
+		w.cond.Wait()
+	}
+	if w.failed != nil {
+		return 0, w.failed
+	}
+	if w.spill != nil {
+		return w.writeSpillLocked(p)
 	}
 	w.buf = append(w.buf, p...)
 	w.cond.Broadcast()

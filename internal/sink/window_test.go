@@ -53,7 +53,7 @@ func isStream(p []byte, off int64) bool {
 // stream.
 func TestWindowEvictionMovesNothing(t *testing.T) {
 	const total, retain, stride = 64 << 20, DefaultReplayBytes, DefaultAckIntervalBytes
-	w := newSendWindow(1<<20, retain, false)
+	w := newSendWindow(1<<20, retain)
 	chunk := make([]byte, stride)
 	views := make([][]byte, 0, 8)
 	sentAt := map[int64]*byte{} // where the byte at an offset lay when it was sent
@@ -90,7 +90,7 @@ func TestWindowEvictionMovesNothing(t *testing.T) {
 		t.Errorf("the window held %d bytes at most, want %d", w.highWater, retain+stride)
 	}
 	if w.blockedNs != 0 {
-		t.Errorf("producers waited %d ns under the drop policy", w.blockedNs)
+		t.Errorf("producers waited %d ns for a sender that kept up", w.blockedNs)
 	}
 
 	// The whole retained history replays, from where it lay when it was
@@ -124,7 +124,7 @@ func TestWindowEvictionMovesNothing(t *testing.T) {
 // stops allocating.
 func TestAckPastTheSenderKeepsItsBatch(t *testing.T) {
 	const batch = 4 * segment
-	w := newSendWindow(1<<20, 0, false)
+	w := newSendWindow(1<<20, 0)
 	chunk := make([]byte, batch)
 	var writing [][]byte // the batch the sender is still writing
 	for off := int64(0); off < 16*batch; off += batch {
@@ -221,9 +221,9 @@ func (p *windowPair) next(scratch []byte) {
 // its owners do to it — writes that fit in, fill and straddle segments,
 // the sender at every frame size, acks and rewinds at offsets that make
 // no sense, kicks, and each of the three ways a stream ends — at replay
-// windows below, at and above a segment, under both policies: after
-// every call the same offsets, to the sender the same bytes, to the
-// fallback file the same file.
+// windows below, at and above a segment: after every call the same
+// offsets, to the sender the same bytes, to the fallback file the same
+// file.
 func TestWindowMatchesReference(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
@@ -236,113 +236,110 @@ func TestWindowMatchesReference(t *testing.T) {
 	}
 	data := make([]byte, 300<<10)
 	for _, retain := range []int{0, 1, segment - 1, segment, 4 << 20} {
-		for _, block := range []bool{true, false} {
-			for seed := 0; seed < seeds; seed++ {
-				rng := rand.New(rand.NewSource(int64(seed)))
-				maxUnacked := []int{1 << 10, 100 << 10, 1 << 20}[rng.Intn(3)]
-				dir := t.TempDir()
-				p := &windowPair{t: t, w: newSendWindow(maxUnacked, retain, block), ref: newRefWindow(maxUnacked, retain, block)}
-				ended := 0 // steps since the stream closed, failed or began to spill
-				for p.step = 0; p.step < 400 && ended < 40; p.step++ {
-					r := p.ref
-					_, _, sent, end := r.snapshot()
-					over := r.failed != nil || r.closed || r.spill != nil
-					if over {
-						ended++
+		for seed := 0; seed < seeds; seed++ {
+			rng := rand.New(rand.NewSource(int64(seed)))
+			maxUnacked := []int{1 << 10, 100 << 10, 1 << 20}[rng.Intn(3)]
+			dir := t.TempDir()
+			p := &windowPair{t: t, w: newSendWindow(maxUnacked, retain), ref: newRefWindow(maxUnacked, retain)}
+			ended := 0 // steps since the stream closed, failed or began to spill
+			for p.step = 0; p.step < 400 && ended < 40; p.step++ {
+				r := p.ref
+				_, _, sent, end := r.snapshot()
+				over := r.failed != nil || r.closed || r.spill != nil
+				if over {
+					ended++
+				}
+				switch op := rng.Intn(100); {
+				case op < 40:
+					p.what = "Write"
+					if end-sent >= int64(maxUnacked) && !over {
+						continue // would wait for the sender
 					}
-					switch op := rng.Intn(100); {
-					case op < 40:
-						p.what = "Write"
-						if block && end-sent >= int64(maxUnacked) && !over {
-							continue // would wait for the sender
-						}
-						n := writeSizes[rng.Intn(len(writeSizes))]
-						if rng.Intn(3) == 0 {
-							n = 1 + rng.Intn(len(data))
-						}
-						// The bytes go where Write puts them: at the end, or
-						// into the fallback file, which continues there.
-						at := end
-						if r.spill != nil {
-							fi, err := r.spill.Stat()
-							if err != nil {
-								t.Fatal(err)
-							}
-							at = r.spillStart + fi.Size()
-						}
-						fillStream(data[:n], at)
-						p.write(data[:n])
-					case op < 65:
-						p.what = "next"
-						if sent == end && !over && !r.kicked {
-							continue // would wait for a producer
-						}
-						p.next(scratches[rng.Intn(len(scratches))])
-					case op < 85:
-						p.what = "ack"
-						n := rng.Int63n(end + 100<<10)
-						if rng.Intn(2) == 0 {
-							n = sent - 2*segment + rng.Int63n(4*segment)
-						}
-						p.w.ack(n)
-						r.ack(n)
-						p.check()
-					case op < 91:
-						p.what = "rewind"
-						base, _, _, _ := r.snapshot()
-						n := []int64{base - 1 - rng.Int63n(1000), base, base + rng.Int63n(end-base+1), end, end + 1 + rng.Int63n(1000)}[rng.Intn(5)]
-						if err, rerr := p.w.rewind(n), r.rewind(n); !sameError(err, rerr) {
-							p.failf("rewind(%d) = %v, reference %v", n, err, rerr)
-						}
-						p.check()
-					case op < 94:
-						p.what = "kick"
-						p.w.kick()
-						r.kick()
-						p.check()
-					case op < 97:
-						p.what = "admit"
-						if block && end-sent >= int64(maxUnacked) && !over {
-							continue
-						}
-						ok, err := p.w.admit()
-						if rok, rerr := r.admit(); ok != rok || !sameError(err, rerr) {
-							p.failf("admit = %v, %v; reference %v, %v", ok, err, rok, rerr)
-						}
-					case op < 98:
-						p.what = "beginSpill"
-						start, err := p.w.beginSpill(filepath.Join(dir, "w", "spill"))
-						if rstart, rerr := r.beginSpill(filepath.Join(dir, "ref", "spill")); start != rstart || !sameError(err, rerr) {
-							p.failf("beginSpill = %d, %v; reference %d, %v", start, err, rstart, rerr)
-						}
-						p.check()
-					case op < 99:
-						p.what = "failLatch"
-						err := fmt.Errorf("failure at step %d", p.step)
-						p.w.failLatch(err)
-						r.failLatch(err)
-						p.check()
-					default:
-						p.what = "closeStream"
-						p.w.closeStream()
-						r.closeStream()
-						p.check()
+					n := writeSizes[rng.Intn(len(writeSizes))]
+					if rng.Intn(3) == 0 {
+						n = 1 + rng.Intn(len(data))
 					}
+					// The bytes go where Write puts them: at the end, or
+					// into the fallback file, which continues there.
+					at := end
+					if r.spill != nil {
+						fi, err := r.spill.Stat()
+						if err != nil {
+							t.Fatal(err)
+						}
+						at = r.spillStart + fi.Size()
+					}
+					fillStream(data[:n], at)
+					p.write(data[:n])
+				case op < 65:
+					p.what = "next"
+					if sent == end && !over && !r.kicked {
+						continue // would wait for a producer
+					}
+					p.next(scratches[rng.Intn(len(scratches))])
+				case op < 85:
+					p.what = "ack"
+					n := rng.Int63n(end + 100<<10)
+					if rng.Intn(2) == 0 {
+						n = sent - 2*segment + rng.Int63n(4*segment)
+					}
+					p.w.ack(n)
+					r.ack(n)
+					p.check()
+				case op < 91:
+					p.what = "rewind"
+					base, _, _, _ := r.snapshot()
+					n := []int64{base - 1 - rng.Int63n(1000), base, base + rng.Int63n(end-base+1), end, end + 1 + rng.Int63n(1000)}[rng.Intn(5)]
+					if err, rerr := p.w.rewind(n), r.rewind(n); !sameError(err, rerr) {
+						p.failf("rewind(%d) = %v, reference %v", n, err, rerr)
+					}
+					p.check()
+				case op < 94:
+					p.what = "kick"
+					p.w.kick()
+					r.kick()
+					p.check()
+				case op < 97:
+					p.what = "admit"
+					if end-sent >= int64(maxUnacked) && !over {
+						continue
+					}
+					if err, rerr := p.w.admit(), r.admit(); !sameError(err, rerr) {
+						p.failf("admit = %v; reference %v", err, rerr)
+					}
+				case op < 98:
+					p.what = "beginSpill"
+					start, err := p.w.beginSpill(filepath.Join(dir, "w", "spill"))
+					if rstart, rerr := r.beginSpill(filepath.Join(dir, "ref", "spill")); start != rstart || !sameError(err, rerr) {
+						p.failf("beginSpill = %d, %v; reference %d, %v", start, err, rstart, rerr)
+					}
+					p.check()
+				case op < 99:
+					p.what = "failLatch"
+					err := fmt.Errorf("failure at step %d", p.step)
+					p.w.failLatch(err)
+					r.failLatch(err)
+					p.check()
+				default:
+					p.what = "closeStream"
+					p.w.closeStream()
+					r.closeStream()
+					p.check()
 				}
-				if err := errors.Join(p.w.finishSpill(), p.ref.finishSpill()); err != nil {
-					t.Fatal(err)
-				}
-				got, err := os.ReadFile(filepath.Join(dir, "w", "spill"))
-				want, rerr := os.ReadFile(filepath.Join(dir, "ref", "spill"))
-				if !bytes.Equal(got, want) || (err == nil) != (rerr == nil) {
-					t.Fatalf("retain %d, block %v, seed %d: fallback file of %d bytes (%v), reference %d bytes (%v)", retain, block, seed, len(got), err, len(want), rerr)
-				}
-				if !isStream(got, p.w.spillStart) {
-					t.Fatalf("retain %d, block %v, seed %d: the fallback file is not the stream from %d on", retain, block, seed, p.w.spillStart)
-				}
-				if p.w.highWater > int64(p.w.segments)*segment {
-					t.Fatalf("the window held %d bytes in %d segments", p.w.highWater, p.w.segments)
-				}
+			}
+			if err := errors.Join(p.w.finishSpill(), p.ref.finishSpill()); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(dir, "w", "spill"))
+			want, rerr := os.ReadFile(filepath.Join(dir, "ref", "spill"))
+			if !bytes.Equal(got, want) || (err == nil) != (rerr == nil) {
+				t.Fatalf("retain %d, seed %d: fallback file of %d bytes (%v), reference %d bytes (%v)", retain, seed, len(got), err, len(want), rerr)
+			}
+			if !isStream(got, p.w.spillStart) {
+				t.Fatalf("retain %d, seed %d: the fallback file is not the stream from %d on", retain, seed, p.w.spillStart)
+			}
+			if p.w.highWater > int64(p.w.segments)*segment {
+				t.Fatalf("the window held %d bytes in %d segments", p.w.highWater, p.w.segments)
 			}
 		}
 	}

@@ -23,7 +23,7 @@ import (
 // given thread.
 func flightEvent(f *otf2.Flight, clk *clock.Manual, th *omp.Thread, ts int64) {
 	clk.Set(ts)
-	f.Recorder().Enter(th, nil)
+	f.Recorder().Enter(th, nil, clk.Now())
 }
 
 // flightWindow dumps f's window and decodes it.
@@ -117,7 +117,7 @@ func TestFlightRecorderDefaultsAndAccessors(t *testing.T) {
 	th := &omp.Thread{ID: 5}
 	open := trace.NewFlightRecorder(clock.NewManual(7), 0, 4)
 	for i := 0; i < 6; i++ { // one block flushed (and dropped), two events open
-		open.Enter(th, nil)
+		open.Enter(th, nil, 7)
 	}
 	visits := 0
 	open.OpenBlocks(func(thread int, evs []trace.Event) {
@@ -130,7 +130,7 @@ func TestFlightRecorderDefaultsAndAccessors(t *testing.T) {
 		t.Fatalf("OpenBlocks visited %d threads, want 1", visits)
 	}
 	streaming := trace.NewStreamingRecorder(clock.NewManual(0), nopSink{}, 4)
-	streaming.Enter(&omp.Thread{ID: 0}, nil)
+	streaming.Enter(&omp.Thread{ID: 0}, nil, 0)
 	streaming.OpenBlocks(func(thread int, evs []trace.Event) {
 		if len(evs) != 0 {
 			t.Fatalf("a streaming recorder shows an open block: %v", evs)
@@ -237,7 +237,7 @@ func TestFlightRecorderConcurrentSnapshot(t *testing.T) {
 			<-start
 			for seq := uint64(0); seq < perThread; seq++ {
 				tk.ID = seq
-				f.Recorder().TaskBegin(th, tk)
+				f.Recorder().TaskBegin(th, tk, 0)
 			}
 		}(id)
 	}

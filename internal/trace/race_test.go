@@ -10,17 +10,18 @@ import (
 	"repro/internal/region"
 )
 
-// TestRecorderRaceUnderTee drives concurrent thread registration under
-// a (generic, unfused — the clocks differ) Tee with the profiling
-// measurement: each listener claims its own thread slot (Profile /
-// TraceData) while teams start and tasks migrate between threads. Run
-// with -race (CI does) to validate the slot contract.
+// TestRecorderRaceUnderTee drives concurrent thread registration on a
+// runtime holding the recorder beside the profiling measurement (each
+// made with a clock of its own; the runtime reads the first): each
+// listener claims its own thread slot (Profile / TraceData) while teams
+// start and tasks migrate between threads. Run with -race (CI does) to
+// validate the slot contract.
 func TestRecorderRaceUnderTee(t *testing.T) {
 	for run := 0; run < 3; run++ {
 		reg := region.NewRegistry()
 		m := measure.New()
 		rec, sink := newCollectingRecorder(clock.NewSystem())
-		rt := omp.NewRuntimeWithRegistry(NewTee(m, rec), reg)
+		rt := omp.NewRuntimeWithRegistry(omp.Listeners{m, rec}, reg)
 		par := reg.Register("par", "race.go", 1, region.Parallel)
 		task := reg.Register("work", "race.go", 2, region.Task)
 		tw := reg.Register("tw", "race.go", 3, region.Taskwait)
@@ -65,7 +66,7 @@ func TestStreamingRecorderRaceUnderTee(t *testing.T) {
 	sink := &countingSink{}
 	m := measure.New()
 	rec := NewStreamingRecorder(clock.NewSystem(), sink, 32)
-	rt := omp.NewRuntimeWithRegistry(NewTee(m, rec), reg)
+	rt := omp.NewRuntimeWithRegistry(omp.Listeners{m, rec}, reg)
 	par := reg.Register("par", "race.go", 1, region.Parallel)
 	task := reg.Register("work", "race.go", 2, region.Task)
 	tw := reg.Register("tw", "race.go", 3, region.Taskwait)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/stats"
 )
@@ -271,21 +270,4 @@ func FormatUtilization(w io.Writer, us []Utilization) {
 		fmt.Fprintf(w, "%-8d %7.1f%% %7.1f%% %7.1f%% %7.1f%% %10s\n",
 			u.ThreadID, u.TaskPct, u.SyncPct, u.CreatePct, u.OtherPct, stats.FormatNs(u.TotalNs))
 	}
-}
-
-// Sparkline returns a compact single-lane rendering for embedding in
-// logs: the state glyph sequence of one thread at the given width.
-func Sparkline(tr *Trace, tid, width int) string {
-	var sb strings.Builder
-	sub := &Trace{Threads: map[int][]Event{tid: tr.Threads[tid]}}
-	_ = RenderTimeline(&sb, sub, TimelineOptions{Width: width})
-	lines := strings.Split(sb.String(), "\n")
-	for _, l := range lines {
-		if strings.HasPrefix(l, "thread") {
-			if i := strings.IndexByte(l, '|'); i >= 0 {
-				return strings.Trim(l[i:], "|")
-			}
-		}
-	}
-	return ""
 }

@@ -147,9 +147,6 @@ func TestTimelineFromLiveRun(t *testing.T) {
 	if taskSum <= 0 {
 		t.Error("no task utilization measured")
 	}
-	if sl := Sparkline(tr, 0, 20); len(sl) != 20 {
-		t.Errorf("sparkline length = %d, want 20", len(sl))
-	}
 }
 
 func TestNestedTaskIntervalsStayTask(t *testing.T) {

@@ -6,14 +6,13 @@
 // synchronization point and the task switch event" and "the ratio of
 // overall management time to exclusive execution time for tasks".
 //
-// The Recorder implements omp.Listener; it can be combined with the
-// profiling measurement through a Tee. It stages each thread's events in
+// The Recorder implements omp.Listener; a runtime combines it with the
+// profiling measurement by holding both in an omp.Listeners, and stamps
+// both with one clock read per event. It stages each thread's events in
 // a block kept in the thread's omp.Thread.TraceData slot (bound at
 // ThreadBegin) and hands every full block to an EventSink, so recording
-// an event is lock-free and allocation-free in steady state; the
-// canonical profiling+tracing pair is additionally fused inside the Tee
-// to share one clock read per listener call. Analyses over recorded
-// traces live in analysis.go.
+// an event is lock-free and allocation-free in steady state. Analyses
+// over recorded traces live in analysis.go.
 package trace
 
 import (
@@ -23,7 +22,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/clock"
-	"repro/internal/measure"
 	"repro/internal/omp"
 	"repro/internal/region"
 )
@@ -114,9 +112,9 @@ type EventSink interface {
 // buffer is bound to the thread's omp.Thread.TraceData slot at
 // ThreadBegin, so recording an event is a slot load and an append — no
 // lock and no map lookup, also when the recorder shares the event
-// stream with the profiling measurement under a Tee (each listener kind
-// owns its own slot). The map of buffers is only consulted when a
-// thread registers, at Finish, or for threads that bypassed ThreadBegin.
+// stream with the profiling measurement (each listener kind owns its
+// own slot). The map of buffers is only consulted when a thread
+// registers, at Finish, or for threads that bypassed ThreadBegin.
 //
 // A thread's buffer is flushed to the sink whenever it reaches the
 // configured chunk size, so recording holds at most one chunk per thread
@@ -124,7 +122,7 @@ type EventSink interface {
 // also lets another goroutine read the events no flush has handed on
 // yet: the flight recorder's front half.
 type Recorder struct {
-	clk clock.Clock
+	clk clock.Clock // stamps the runtime's events (Clock); never read here
 
 	sink        EventSink
 	chunkEvents int
@@ -147,7 +145,8 @@ type Recorder struct {
 }
 
 // buffer is one thread's event run. rec identifies the owning recorder,
-// so two recorders in one Tee cannot mistake each other's slot claim.
+// so two recorders on one runtime cannot mistake each other's slot
+// claim.
 type buffer struct {
 	rec    *Recorder
 	events []Event
@@ -167,13 +166,13 @@ type buffer struct {
 // NewStreamingRecorder when chunkEvents <= 0.
 const DefaultChunkEvents = 4096
 
-// NewStreamingRecorder creates a recorder reading time from clk: whenever
-// a thread has accumulated chunkEvents events they are handed to sink
-// and the buffer is reset. Finish flushes the remaining partial chunks;
-// the recording lives in whatever the sink wrote. The first sink error
-// is latched (see Err) and recording continues by discarding — and
-// counting — flushed chunks, so a failing disk cannot stall or OOM the
-// instrumented run.
+// NewStreamingRecorder creates a recorder whose runtime reads time from
+// clk (Clock): whenever a thread has accumulated chunkEvents events
+// they are handed to sink and the buffer is reset. Finish flushes the
+// remaining partial chunks; the recording lives in whatever the sink
+// wrote. The first sink error is latched (see Err) and recording
+// continues by discarding — and counting — flushed chunks, so a failing
+// disk cannot stall or OOM the instrumented run.
 func NewStreamingRecorder(clk clock.Clock, sink EventSink, chunkEvents int) *Recorder {
 	if chunkEvents <= 0 {
 		chunkEvents = DefaultChunkEvents
@@ -238,7 +237,7 @@ func (r *Recorder) bufferFor(id int) *buffer {
 // buffer returns the per-thread buffer attached to t. The fast path is
 // the thread's TraceData slot (claimed at ThreadBegin); the slow path
 // registers the buffer, for threads that bypassed ThreadBegin (unit
-// tests) or when another recorder in the same Tee owns the slot.
+// tests) or when another recorder on the same runtime owns the slot.
 func (r *Recorder) buffer(t *omp.Thread) *buffer {
 	if b, ok := t.TraceData.(*buffer); ok && b.rec == r {
 		return b
@@ -250,12 +249,7 @@ func (r *Recorder) buffer(t *omp.Thread) *buffer {
 	return b
 }
 
-func (r *Recorder) record(t *omp.Thread, typ EventType, reg *region.Region, task uint64) {
-	r.recordAt(t, r.clk.Now(), typ, reg, task)
-}
-
-// recordAt appends one event with an explicit timestamp; the fused Tee
-// uses it to share a single clock read between profile and trace.
+// recordAt appends one event at now.
 func (r *Recorder) recordAt(t *omp.Thread, now int64, typ EventType, reg *region.Region, task uint64) {
 	b := r.buffer(t)
 	b.events = append(b.events, Event{Time: now, Type: typ, Region: reg, TaskID: task})
@@ -267,66 +261,68 @@ func (r *Recorder) recordAt(t *omp.Thread, now int64, typ EventType, reg *region
 	}
 }
 
-// recordEndAt appends tk's EvTaskEnd and the EvTaskSwitch to resume
-// (nil: the implicit task), both at now.
-func (r *Recorder) recordEndAt(t *omp.Thread, now int64, tk, resume *omp.Task) {
-	r.recordAt(t, now, EvTaskEnd, tk.Region, tk.ID)
-	if resume == nil {
-		r.recordAt(t, now, EvTaskSwitch, nil, 0)
-		return
-	}
-	r.recordAt(t, now, EvTaskSwitch, resume.Region, resume.ID)
-}
-
-// Record appends ev to t's stream at the time ev carries, reading no
-// clock: the way to replay a recorded stream into a recorder.
+// Record appends ev to t's stream at the time ev carries: the way to
+// replay a recorded stream into a recorder.
 func (r *Recorder) Record(t *omp.Thread, ev Event) {
 	r.recordAt(t, ev.Time, ev.Type, ev.Region, ev.TaskID)
 }
 
+// Clock returns the time source the recorder was made with, which a
+// runtime stamps its events from (omp.NewRuntime).
+func (r *Recorder) Clock() clock.Clock { return r.clk }
+
 // ThreadBegin implements omp.Listener: it claims the thread's TraceData
 // slot so that all later events from this thread reach their buffer
 // without locks or map lookups.
-func (r *Recorder) ThreadBegin(t *omp.Thread) {
+func (r *Recorder) ThreadBegin(t *omp.Thread, now int64) {
 	if t.TraceData == nil {
 		t.TraceData = r.bufferFor(t.ID)
 	}
-	r.record(t, EvThreadBegin, nil, 0)
+	r.recordAt(t, now, EvThreadBegin, nil, 0)
 }
 
 // ThreadEnd implements omp.Listener.
-func (r *Recorder) ThreadEnd(t *omp.Thread) {
-	r.record(t, EvThreadEnd, nil, 0)
+func (r *Recorder) ThreadEnd(t *omp.Thread, now int64) {
+	r.recordAt(t, now, EvThreadEnd, nil, 0)
 	if b, ok := t.TraceData.(*buffer); ok && b.rec == r {
 		t.TraceData = nil
 	}
 }
 
 // Enter implements omp.Listener.
-func (r *Recorder) Enter(t *omp.Thread, reg *region.Region) { r.record(t, EvEnter, reg, 0) }
+func (r *Recorder) Enter(t *omp.Thread, reg *region.Region, now int64) {
+	r.recordAt(t, now, EvEnter, reg, 0)
+}
 
 // Exit implements omp.Listener.
-func (r *Recorder) Exit(t *omp.Thread, reg *region.Region) { r.record(t, EvExit, reg, 0) }
+func (r *Recorder) Exit(t *omp.Thread, reg *region.Region, now int64) {
+	r.recordAt(t, now, EvExit, reg, 0)
+}
 
 // TaskCreateBegin implements omp.Listener.
-func (r *Recorder) TaskCreateBegin(t *omp.Thread, reg *region.Region) {
-	r.record(t, EvTaskCreateBegin, reg, 0)
+func (r *Recorder) TaskCreateBegin(t *omp.Thread, reg *region.Region, now int64) {
+	r.recordAt(t, now, EvTaskCreateBegin, reg, 0)
 }
 
 // TaskCreateEnd implements omp.Listener.
-func (r *Recorder) TaskCreateEnd(t *omp.Thread, tk *omp.Task) {
-	r.record(t, EvTaskCreateEnd, tk.Region, tk.ID)
+func (r *Recorder) TaskCreateEnd(t *omp.Thread, tk *omp.Task, now int64) {
+	r.recordAt(t, now, EvTaskCreateEnd, tk.Region, tk.ID)
 }
 
 // TaskBegin implements omp.Listener.
-func (r *Recorder) TaskBegin(t *omp.Thread, tk *omp.Task) {
-	r.record(t, EvTaskBegin, tk.Region, tk.ID)
+func (r *Recorder) TaskBegin(t *omp.Thread, tk *omp.Task, now int64) {
+	r.recordAt(t, now, EvTaskBegin, tk.Region, tk.ID)
 }
 
-// TaskEnd implements omp.Listener: the task's end and the switch to
-// resume, at one clock reading.
-func (r *Recorder) TaskEnd(t *omp.Thread, tk, resume *omp.Task) {
-	r.recordEndAt(t, r.clk.Now(), tk, resume)
+// TaskEnd implements omp.Listener: tk's EvTaskEnd and the EvTaskSwitch
+// to resume (nil: the implicit task), both at now.
+func (r *Recorder) TaskEnd(t *omp.Thread, tk, resume *omp.Task, now int64) {
+	r.recordAt(t, now, EvTaskEnd, tk.Region, tk.ID)
+	if resume == nil {
+		r.recordAt(t, now, EvTaskSwitch, nil, 0)
+		return
+	}
+	r.recordAt(t, now, EvTaskSwitch, resume.Region, resume.ID)
 }
 
 // Finish flushes the remaining partial chunks to the sink: the recording
@@ -348,161 +344,15 @@ func (r *Recorder) Finish() {
 	}
 }
 
-// Tee fans one runtime event stream out to several listeners (e.g.
-// profile + trace simultaneously, like Score-P's combined mode).
-//
-// The canonical profiling+tracing pair — a *measure.Measurement (filtered
-// or not) plus a *Recorder on the same clock, exactly what the default
-// tracing session wires — is fused: per listener call the Tee reads the
-// clock once and calls both listeners' timestamped entry points
-// directly, with no interface dispatch. Besides halving the clock cost,
-// fusing gives profile and trace identical timestamps for each event. Any other
-// combination takes the generic dispatch loop. Do not mutate Listeners
-// after NewTee; the fused fast path is derived from it.
-type Tee struct {
-	Listeners []omp.Listener
-
-	// Fused fast-path state: fr (and fm) are non-nil iff the tee is
-	// fused.
-	fm  *measure.Measurement
-	fr  *Recorder
-	clk clock.Clock
-}
-
-// NewTee combines listeners; nil entries are dropped.
-func NewTee(ls ...omp.Listener) *Tee {
-	t := &Tee{}
+// NewTee lists listeners for one runtime, nil entries dropped. It is a
+// forwarder kept for benchmark/probes.go, whose profile+trace probe
+// wires its pair by this name; ROADMAP item 3 removes it.
+func NewTee(ls ...omp.Listener) omp.Listeners {
+	var out omp.Listeners
 	for _, l := range ls {
 		if l != nil {
-			t.Listeners = append(t.Listeners, l)
+			out = append(out, l)
 		}
 	}
-	t.fuse()
-	return t
-}
-
-// fuse enables the concrete fast path when the tee is the canonical
-// profiling+tracing pair sharing one clock.
-func (te *Tee) fuse() {
-	if len(te.Listeners) != 2 {
-		return
-	}
-	m, ok := te.Listeners[0].(*measure.Measurement)
-	rec, ok2 := te.Listeners[1].(*Recorder)
-	// Different time sources: each listener must read its own.
-	if !ok || !ok2 || !sameClock(m.Clock(), rec.clk) {
-		return
-	}
-	te.fm, te.fr, te.clk = m, rec, rec.clk
-}
-
-// sameClock reports whether two clock interfaces hold the same
-// underlying time source. Only the known pointer-shaped clocks are
-// compared — anything else (e.g. clock.Func, which is not comparable)
-// conservatively reports false and disables fusing.
-func sameClock(a, b clock.Clock) bool {
-	switch ca := a.(type) {
-	case *clock.System:
-		cb, ok := b.(*clock.System)
-		return ok && ca == cb
-	case *clock.Manual:
-		cb, ok := b.(*clock.Manual)
-		return ok && ca == cb
-	}
-	return false
-}
-
-// ThreadBegin implements omp.Listener. Each listener claims its own
-// typed thread slot (Thread.Profile, Thread.TraceData), so registration
-// order does not matter.
-func (te *Tee) ThreadBegin(t *omp.Thread) {
-	for _, l := range te.Listeners {
-		l.ThreadBegin(t)
-	}
-}
-
-// ThreadEnd implements omp.Listener.
-func (te *Tee) ThreadEnd(t *omp.Thread) {
-	for _, l := range te.Listeners {
-		l.ThreadEnd(t)
-	}
-}
-
-// Enter implements omp.Listener.
-func (te *Tee) Enter(t *omp.Thread, reg *region.Region) {
-	if te.fr != nil {
-		now := te.clk.Now()
-		te.fm.EnterAt(t, reg, now)
-		te.fr.recordAt(t, now, EvEnter, reg, 0)
-		return
-	}
-	for _, l := range te.Listeners {
-		l.Enter(t, reg)
-	}
-}
-
-// Exit implements omp.Listener.
-func (te *Tee) Exit(t *omp.Thread, reg *region.Region) {
-	if te.fr != nil {
-		now := te.clk.Now()
-		te.fm.ExitAt(t, reg, now)
-		te.fr.recordAt(t, now, EvExit, reg, 0)
-		return
-	}
-	for _, l := range te.Listeners {
-		l.Exit(t, reg)
-	}
-}
-
-// TaskCreateBegin implements omp.Listener.
-func (te *Tee) TaskCreateBegin(t *omp.Thread, reg *region.Region) {
-	if te.fr != nil {
-		now := te.clk.Now()
-		te.fm.TaskCreateBeginAt(t, reg, now)
-		te.fr.recordAt(t, now, EvTaskCreateBegin, reg, 0)
-		return
-	}
-	for _, l := range te.Listeners {
-		l.TaskCreateBegin(t, reg)
-	}
-}
-
-// TaskCreateEnd implements omp.Listener.
-func (te *Tee) TaskCreateEnd(t *omp.Thread, tk *omp.Task) {
-	if te.fr != nil {
-		now := te.clk.Now()
-		te.fm.TaskCreateEndAt(t, tk, now)
-		te.fr.recordAt(t, now, EvTaskCreateEnd, tk.Region, tk.ID)
-		return
-	}
-	for _, l := range te.Listeners {
-		l.TaskCreateEnd(t, tk)
-	}
-}
-
-// TaskBegin implements omp.Listener.
-func (te *Tee) TaskBegin(t *omp.Thread, tk *omp.Task) {
-	if te.fr != nil {
-		now := te.clk.Now()
-		te.fm.TaskBeginAt(t, tk, now)
-		te.fr.recordAt(t, now, EvTaskBegin, tk.Region, tk.ID)
-		return
-	}
-	for _, l := range te.Listeners {
-		l.TaskBegin(t, tk)
-	}
-}
-
-// TaskEnd implements omp.Listener. Fused, its one clock reading is the
-// instance's end and the resumed task's switch in profile and trace.
-func (te *Tee) TaskEnd(t *omp.Thread, tk, resume *omp.Task) {
-	if te.fr != nil {
-		now := te.clk.Now()
-		te.fm.TaskEndAt(t, tk, resume, now)
-		te.fr.recordEndAt(t, now, tk, resume)
-		return
-	}
-	for _, l := range te.Listeners {
-		l.TaskEnd(t, tk, resume)
-	}
+	return out
 }

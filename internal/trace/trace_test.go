@@ -118,8 +118,7 @@ func TestTeeCombinesProfileAndTrace(t *testing.T) {
 	reg := region.NewRegistry()
 	m := measure.NewWithClock(clock.NewSystem(), reg)
 	rec, sink := newCollectingRecorder(clock.NewSystem())
-	tee := NewTee(m, rec)
-	rt := omp.NewRuntimeWithRegistry(tee, reg)
+	rt := omp.NewRuntimeWithRegistry(omp.Listeners{m, rec}, reg)
 
 	par := reg.Register("par", "t.go", 1, region.Parallel)
 	task := reg.Register("work", "t.go", 2, region.Task)
@@ -163,8 +162,8 @@ func TestTeeCombinesProfileAndTrace(t *testing.T) {
 
 func TestNewTeeDropsNil(t *testing.T) {
 	te := NewTee(nil, NewStreamingRecorder(clock.NewSystem(), dropSink{}, 0), nil)
-	if len(te.Listeners) != 1 {
-		t.Errorf("Tee kept %d listeners, want 1", len(te.Listeners))
+	if len(te) != 1 {
+		t.Errorf("NewTee kept %d listeners, want 1", len(te))
 	}
 }
 

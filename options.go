@@ -78,8 +78,7 @@ func WithoutProfiling() Option {
 // decodes it on first use, Results.TraceAnalysis and Bottlenecks scan
 // it, SaveExperiment copies it. For runs whose trace may outgrow memory
 // even so, use WithStreamingTrace. Combined with profiling (the default),
-// the session wires the fused profiling+tracing Tee: both listeners
-// share one clock read per event and see identical timestamps.
+// profile and trace take each event's one instant, read by the runtime.
 func WithTracing() Option {
 	return func(c *sessionConfig) {
 		c.tracing = true
@@ -279,7 +278,9 @@ func WithScheduler(kind SchedulerKind) Option {
 }
 
 // WithClock sets the measurement time source for profiles and traces
-// (default: the monotonic system clock). Tests use a manual clock for
+// (default: the monotonic system clock). In a session that profiles or
+// traces it stamps every listener event, WithListener extras included:
+// the runtime reads it once per event. Tests use a manual clock for
 // deterministic results.
 func WithClock(clk Clock) Option {
 	return func(c *sessionConfig) { c.clk = clk }
@@ -287,7 +288,8 @@ func WithClock(clk Clock) Option {
 
 // WithListener attaches an extra listener to the runtime's event
 // stream, alongside whatever the session itself wires up (custom
-// counters, debugging taps, ...).
+// counters, debugging taps, ...). It is called after them, with the
+// instant they got (the now argument); it should read no clock.
 func WithListener(extra Listener) Option {
 	return func(c *sessionConfig) {
 		if extra != nil {

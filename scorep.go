@@ -35,8 +35,10 @@ type TaskFunc = omp.TaskFunc
 type TaskOpt = omp.TaskOpt
 
 // Listener receives the runtime's POMP2-style event stream, one call
-// per instant: TaskEnd(t, tk, resume) is tk's end and the resumption of
-// resume (nil: the implicit task), read from the clock once.
+// per instant. The runtime reads the clock once per call and passes the
+// reading as every method's last argument, now, to each listener of the
+// session: TaskEnd(t, tk, resume, now) is tk's end and the resumption of
+// resume (nil: the implicit task) at now.
 type Listener = omp.Listener
 
 // ThreadProfile is one thread's (location's) profile.

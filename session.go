@@ -115,7 +115,7 @@ func NewSession(opts ...Option) *Session {
 		}
 	}
 	s.cfg = cfg
-	var listeners []Listener
+	var listeners omp.Listeners
 	if cfg.profiling {
 		s.m = measure.NewFilter(measure.NewWithClock(clk, region.Default), cfg.filters...)
 		listeners = append(listeners, s.m)
@@ -135,17 +135,10 @@ func NewSession(opts ...Option) *Session {
 		listeners = append(listeners, s.rec)
 	}
 	listeners = append(listeners, cfg.extra...)
-
-	var l Listener
-	switch len(listeners) {
-	case 0:
-		// Uninstrumented: the runtime skips all event emission.
-	case 1:
-		l = listeners[0]
-	default:
-		l = trace.NewTee(listeners...)
-	}
-	s.rt = omp.NewRuntime(l)
+	// No listener leaves the runtime uninstrumented; otherwise it stamps
+	// every event from the first listener's clock, clk when the session
+	// profiles or traces.
+	s.rt = omp.NewRuntime(listeners)
 	s.rt.Sched = cfg.sched
 	return s
 }

@@ -3,12 +3,14 @@ package scorep_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	scorep "repro"
+	"repro/internal/clock"
 )
 
 // runSessionWorkload executes a small deterministic task workload (one
@@ -174,17 +176,17 @@ func TestSessionFilter(t *testing.T) {
 // a user-supplied extra listener.
 type countingListener struct{ enters, events atomic.Int64 }
 
-func (c *countingListener) ThreadBegin(*scorep.Thread) { c.events.Add(1) }
-func (c *countingListener) ThreadEnd(*scorep.Thread)   { c.events.Add(1) }
-func (c *countingListener) Enter(*scorep.Thread, *scorep.Region) {
+func (c *countingListener) ThreadBegin(*scorep.Thread, int64) { c.events.Add(1) }
+func (c *countingListener) ThreadEnd(*scorep.Thread, int64)   { c.events.Add(1) }
+func (c *countingListener) Enter(*scorep.Thread, *scorep.Region, int64) {
 	c.enters.Add(1)
 	c.events.Add(1)
 }
-func (c *countingListener) Exit(*scorep.Thread, *scorep.Region)            { c.events.Add(1) }
-func (c *countingListener) TaskCreateBegin(*scorep.Thread, *scorep.Region) { c.events.Add(1) }
-func (c *countingListener) TaskCreateEnd(*scorep.Thread, *scorep.Task)     { c.events.Add(1) }
-func (c *countingListener) TaskBegin(*scorep.Thread, *scorep.Task)         { c.events.Add(1) }
-func (c *countingListener) TaskEnd(*scorep.Thread, *scorep.Task, *scorep.Task) {
+func (c *countingListener) Exit(*scorep.Thread, *scorep.Region, int64)            { c.events.Add(1) }
+func (c *countingListener) TaskCreateBegin(*scorep.Thread, *scorep.Region, int64) { c.events.Add(1) }
+func (c *countingListener) TaskCreateEnd(*scorep.Thread, *scorep.Task, int64)     { c.events.Add(1) }
+func (c *countingListener) TaskBegin(*scorep.Thread, *scorep.Task, int64)         { c.events.Add(1) }
+func (c *countingListener) TaskEnd(*scorep.Thread, *scorep.Task, *scorep.Task, int64) {
 	c.events.Add(2)
 }
 
@@ -197,6 +199,77 @@ func TestSessionWithListener(t *testing.T) {
 	}
 	if extra.enters.Load() == 0 {
 		t.Error("extra listener saw no Enter events")
+	}
+}
+
+// stampLog is a WithListener extra that keeps the instant of every
+// call, once per trace record (a TaskEnd is two: the end and the
+// switch), and checks against the session's counting clock that the
+// runtime read it exactly once for the call and no listener read it in
+// the call — a profile's creation at ThreadBegin aside, whose root
+// opens at its own reading (ROADMAP item 10). One thread, so that one
+// counter sees one thread's reads.
+type stampLog struct {
+	reads    *atomic.Int64
+	returned int64 // reads when the previous call returned
+	times    []int64
+	bad      []string
+}
+
+func (l *stampLog) stamp(method string, now int64, records int) {
+	if now != l.returned+1 || method != "ThreadBegin" && l.reads.Load() != now {
+		l.bad = append(l.bad, fmt.Sprintf("%s at %d: %d reads before it, %d after", method, now, now-l.returned, l.reads.Load()-now))
+	}
+	for ; records > 0; records-- {
+		l.times = append(l.times, now)
+	}
+	l.returned = l.reads.Load()
+}
+
+func (l *stampLog) ThreadBegin(_ *scorep.Thread, now int64) { l.stamp("ThreadBegin", now, 1) }
+func (l *stampLog) ThreadEnd(_ *scorep.Thread, now int64)   { l.stamp("ThreadEnd", now, 1) }
+func (l *stampLog) Enter(_ *scorep.Thread, _ *scorep.Region, now int64) {
+	l.stamp("Enter", now, 1)
+}
+func (l *stampLog) Exit(_ *scorep.Thread, _ *scorep.Region, now int64) { l.stamp("Exit", now, 1) }
+func (l *stampLog) TaskCreateBegin(_ *scorep.Thread, _ *scorep.Region, now int64) {
+	l.stamp("TaskCreateBegin", now, 1)
+}
+func (l *stampLog) TaskCreateEnd(_ *scorep.Thread, _ *scorep.Task, now int64) {
+	l.stamp("TaskCreateEnd", now, 1)
+}
+func (l *stampLog) TaskBegin(_ *scorep.Thread, _ *scorep.Task, now int64) {
+	l.stamp("TaskBegin", now, 1)
+}
+func (l *stampLog) TaskEnd(_ *scorep.Thread, _, _ *scorep.Task, now int64) {
+	l.stamp("TaskEnd", now, 2)
+}
+
+// TestSessionStampsEachEventOnce runs a profiling and tracing session
+// on a counting clock with an extra listener: the runtime reads the
+// clock once per listener call, and the extra listener sees, event for
+// event, the instants the trace records.
+func TestSessionStampsEachEventOnce(t *testing.T) {
+	var reads atomic.Int64
+	extra := &stampLog{reads: &reads}
+	s := scorep.NewSession(scorep.WithTracing(), scorep.WithListener(extra),
+		scorep.WithClock(clock.Func(func() int64 { return reads.Add(1) })))
+	runSessionWorkload(t, s, "once", 1, 8)
+	res, err := s.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range extra.bad {
+		t.Error(msg)
+	}
+	evs := res.Trace().Threads[0]
+	if len(evs) != len(extra.times) || len(evs) == 0 {
+		t.Fatalf("the trace holds %d records, the extra listener saw %d", len(evs), len(extra.times))
+	}
+	for i, ev := range evs {
+		if ev.Time != extra.times[i] {
+			t.Fatalf("record %d (%s) at %d, the extra listener's instant %d", i, ev.Type, ev.Time, extra.times[i])
+		}
 	}
 }
 
