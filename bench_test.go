@@ -276,12 +276,12 @@ func BenchmarkAblationNodePooling(b *testing.B) {
 			clk := clock.NewSystem()
 			p := core.NewThreadProfile(0, clk)
 			p.SetNodePooling(pooling)
-			p.Enter(bar)
+			p.EnterAt(bar, clk.Now())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.TaskBegin(task)
-				p.Enter(work)
-				p.Exit(work)
+				p.TaskBeginAt(task, clk.Now())
+				p.EnterAt(work, clk.Now())
+				p.ExitAt(work, clk.Now())
 				p.TaskEndAt(clk.Now())
 			}
 		})
@@ -300,8 +300,8 @@ func BenchmarkAblationClockCost(b *testing.B) {
 		p := core.NewThreadProfile(0, clk)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.Enter(work)
-			p.Exit(work)
+			p.EnterAt(work, clk.Now())
+			p.ExitAt(work, clk.Now())
 		}
 	}
 	b.Run("system-clock", func(b *testing.B) { run(b, clock.NewSystem()) })
@@ -362,12 +362,13 @@ func BenchmarkEnterExit(b *testing.B) {
 	b.Run("core", func(b *testing.B) {
 		reg := region.NewRegistry()
 		work := reg.Register("micro.work", "b.go", 1, region.UserFunction)
-		p := core.NewThreadProfile(0, clock.NewSystem())
+		clk := clock.NewSystem()
+		p := core.NewThreadProfile(0, clk)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.Enter(work)
-			p.Exit(work)
+			p.EnterAt(work, clk.Now())
+			p.ExitAt(work, clk.Now())
 		}
 	})
 	par := region.MustRegister("micro.par", "b.go", 10, region.Parallel)
@@ -401,11 +402,11 @@ func BenchmarkTaskBeginEnd(b *testing.B) {
 		bar := reg.Register("micro.barrier", "b.go", 2, region.ImplicitBarrier)
 		clk := clock.NewSystem()
 		p := core.NewThreadProfile(0, clk)
-		p.Enter(bar)
+		p.EnterAt(bar, clk.Now())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p.TaskBegin(task)
+			p.TaskBeginAt(task, clk.Now())
 			p.TaskEndAt(clk.Now())
 		}
 	})
@@ -456,10 +457,10 @@ func BenchmarkParameterInt(b *testing.B) {
 	bar := reg.Register("param.barrier", "b.go", 2, region.ImplicitBarrier)
 	clk := clock.NewSystem()
 	p := core.NewThreadProfile(0, clk)
-	p.Enter(bar)
+	p.EnterAt(bar, clk.Now())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.TaskBegin(task)
+		p.TaskBeginAt(task, clk.Now())
 		p.ParameterInt("depth", int64(i%14))
 		p.TaskEndAt(clk.Now())
 	}

@@ -53,7 +53,7 @@ func TestCommandLineTools(t *testing.T) {
 
 	repA := filepath.Join(dir, "a.json")
 	repB := filepath.Join(dir, "b.json")
-	tracePath := filepath.Join(dir, "t.jsonl")
+	tracePath := filepath.Join(dir, "t.otf2")
 
 	// scorep-bots: run, verify, save profiles.
 	out := run("scorep-bots", "-code", "fib", "-size", "tiny", "-threads", "2", "-json", repA)
@@ -111,33 +111,36 @@ func TestCommandLineTools(t *testing.T) {
 		t.Errorf("timeline from saved trace failed:\n%s", out)
 	}
 
-	// scorep-convert: JSONL -> binary archive -> JSONL round trip with
-	// stats; the reconstructed JSONL must be byte-identical and the
-	// archive must hit the format's compression target (<= 1/8 the
-	// bytes/event of JSONL on a real BOTS trace). fib tiny records
-	// ~50k events, enough that the archive's fixed header/definition
-	// overhead is irrelevant.
-	fibTracePath := filepath.Join(dir, "fib.jsonl")
+	// scorep-convert: a recorded archive dumps as JSONL with stats, the
+	// same text at every worker count, and the archive must hit the
+	// format's compression target (<= 1/8 the bytes/event of its JSONL
+	// dump on a real BOTS trace). fib tiny records ~50k events, enough
+	// that the archive's fixed header/definition overhead is irrelevant.
 	archivePath := filepath.Join(dir, "fib.otf2")
-	trace2Path := filepath.Join(dir, "fib2.jsonl")
-	run("scorep-timeline", "-code", "fib", "-size", "tiny", "-threads", "2", "-save", fibTracePath)
-	out = run("scorep-convert", "-in", fibTracePath, "-out", archivePath, "-stats")
-	if !strings.Contains(out, "format=otf2") {
-		t.Errorf("convert stats missing archive line:\n%s", out)
+	dumpPath := filepath.Join(dir, "fib.jsonl")
+	run("scorep-timeline", "-code", "fib", "-size", "tiny", "-threads", "2", "-save", archivePath)
+	out = run("scorep-convert", "-in", archivePath, "-out", dumpPath, "-stats", "-parallel", "1")
+	if !strings.Contains(out, "format=otf2") || !strings.Contains(out, "format=jsonl") {
+		t.Errorf("convert stats missing the archive or the dump line:\n%s", out)
 	}
-	run("scorep-convert", "-in", archivePath, "-out", trace2Path)
-	a, err := os.ReadFile(fibTracePath)
+	dump := func(path string, args ...string) []byte {
+		t.Helper()
+		out := filepath.Join(dir, "dump.jsonl")
+		run("scorep-convert", append([]string{"-in", path, "-out", out}, args...)...)
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want, err := os.ReadFile(dumpPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(trace2Path)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(dump(archivePath, "-parallel", "4"), want) {
+		t.Error("the JSONL dump at -parallel 4 differs from the one at -parallel 1")
 	}
-	if !bytes.Equal(a, b) {
-		t.Error("JSONL -> archive -> JSONL is not lossless")
-	}
-	fiJSON, err := os.Stat(fibTracePath)
+	fiJSON, err := os.Stat(dumpPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,6 +254,13 @@ func TestCommandLineTools(t *testing.T) {
 			t.Errorf("%v on a version-3 header: %v\n%s", args, err, b)
 		}
 	}
+	// A JSONL dump is no input: it is refused at the archive header, with
+	// the commit whose scorep-convert turns it into an archive.
+	for _, args := range [][]string{{"scorep-convert", "-in", dumpPath, "-stats"}, {"scorep-analyze", "-trace", dumpPath}} {
+		if b, err := exec.Command(bin[args[0]], args[1:]...).CombinedOutput(); err == nil || !strings.Contains(string(b), "72ec01f") {
+			t.Errorf("%v on a JSONL dump: %v\n%s", args, err, b)
+		}
+	}
 
 	// Compressed archives shrink and decode identically.
 	zPath := filepath.Join(dir, "fib-z.otf2")
@@ -267,6 +277,9 @@ func TestCommandLineTools(t *testing.T) {
 	}
 	if got := runOut("scorep-analyze", "-trace", zPath, "-json"); got != seqJSON {
 		t.Errorf("compressed archive analysis differs:\n%s", got)
+	}
+	if !bytes.Equal(dump(zPath), want) {
+		t.Error("the compressed archive dumps different JSONL")
 	}
 
 	// Query flags: an all-open window is a no-op, and analyzing a
@@ -319,15 +332,15 @@ func TestCommandLineTools(t *testing.T) {
 	mustFail("scorep-analyze", "-in", repA, "-parallel", "4") // -parallel is trace-analysis only
 	mustFail("scorep-report", "-in", repA, "-parallel", "2")  // -parallel is -diff only
 	// Query/compression flags apply to specific modes only.
-	mustFail("scorep-analyze", "-in", repA, "-window", ":")                         // a report holds no trace
-	mustFail("scorep-analyze", "-code", "fib", "-size", "tiny", "-tids", "0")       // live runs aren't sliceable
-	mustFail("scorep-analyze", "-trace", archivePath, "-compress")                  // -compress needs -save-trace
-	mustFail("scorep-analyze", "-trace", archivePath, "-window", "junk")            // malformed window
-	mustFail("scorep-timeline", "-code", "fib", "-size", "tiny", "-window", ":")    // live runs aren't sliceable
-	mustFail("scorep-timeline", "-in", archivePath, "-compress")                    // -compress needs -save
-	mustFail("scorep-convert", "-in", archivePath, "-out", trace2Path, "-compress") // JSONL can't compress
-	mustFail("scorep-convert", "-in", archivePath, "-stats", "-window", ":")        // a sub-trace needs -out
-	mustFail("scorep-report", "-in", repA, "-diff", repB, "-window", ":")           // diff has no trace section
-	mustFail("scorep-report", "-exp", expDir, "-csv", "-window", ":")               // CSV has no trace section
-	mustFail("scorep-report", "-in", repA, "-window", ":")                          // plain reports hold no trace
+	mustFail("scorep-analyze", "-in", repA, "-window", ":")                       // a report holds no trace
+	mustFail("scorep-analyze", "-code", "fib", "-size", "tiny", "-tids", "0")     // live runs aren't sliceable
+	mustFail("scorep-analyze", "-trace", archivePath, "-compress")                // -compress needs -save-trace
+	mustFail("scorep-analyze", "-trace", archivePath, "-window", "junk")          // malformed window
+	mustFail("scorep-timeline", "-code", "fib", "-size", "tiny", "-window", ":")  // live runs aren't sliceable
+	mustFail("scorep-timeline", "-in", archivePath, "-compress")                  // -compress needs -save
+	mustFail("scorep-convert", "-in", archivePath, "-out", dumpPath, "-compress") // JSONL can't compress
+	mustFail("scorep-convert", "-in", archivePath, "-stats", "-window", ":")      // a sub-trace needs -out
+	mustFail("scorep-report", "-in", repA, "-diff", repB, "-window", ":")         // diff has no trace section
+	mustFail("scorep-report", "-exp", expDir, "-csv", "-window", ":")             // CSV has no trace section
+	mustFail("scorep-report", "-in", repA, "-window", ":")                        // plain reports hold no trace
 }

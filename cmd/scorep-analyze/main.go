@@ -5,15 +5,15 @@
 //
 //	scorep-analyze -in report.json [-json]
 //
-// a saved event trace (JSONL or binary otf2-style archive by
-// extension; archives are analyzed streaming, in bounded memory, so
-// they may be far larger than RAM — by default in parallel, with one
-// decode/analysis worker per processor; -parallel pins the worker
-// count, and -parallel 1 forces the sequential path. The analysis is
-// identical at every worker count):
+// a saved event trace (a binary otf2-style archive, analyzed streaming,
+// in bounded memory, so it may be far larger than RAM — by default in
+// parallel, with one decode/analysis worker per processor; -parallel
+// pins the worker count, and -parallel 1 forces the sequential path.
+// The analysis is identical at every worker count. A JSONL dump is not
+// read: scorep-convert built at commit 72ec01f turns one into an
+// archive):
 //
 //	scorep-analyze -trace trace.otf2 [-parallel 4] [-bottlenecks] [-json]
-//	scorep-analyze -trace trace.jsonl
 //
 // -bottlenecks additionally runs the automatic bottleneck analysis
 // (wait-state classification, task-graph critical path with per-region
@@ -104,9 +104,9 @@ func main() {
 	rf := bots.RegisterRunFlags(flag.CommandLine, "")
 	var (
 		in          = flag.String("in", "", "saved report JSON to analyze")
-		tracePath   = flag.String("trace", "", "saved event trace to analyze (.otf2 = binary archive, otherwise JSONL)")
+		tracePath   = flag.String("trace", "", "saved event trace (a binary archive) to analyze")
 		expDir      = flag.String("exp", "", "experiment directory: analyze it (without -code) or write the live run's archive to it (with -code)")
-		saveTrace   = flag.String("save-trace", "", "save the live run's trace (format by extension)")
+		saveTrace   = flag.String("save-trace", "", "save the live run's trace (.otf2 = binary archive, otherwise a JSONL dump)")
 		parallel    = flag.Int("parallel", 0, "trace decode/analysis workers (0 = one per processor; results are identical at every count)")
 		asJSON      = flag.Bool("json", false, "emit the analysis as one JSON object instead of text")
 		bottlenecks = flag.Bool("bottlenecks", false, "with a trace-bearing input: run the automatic bottleneck analysis (wait states, critical path, what-if savings)")

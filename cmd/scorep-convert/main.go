@@ -1,22 +1,22 @@
-// Command scorep-convert converts event traces between the JSONL
-// stand-in format and the binary otf2-style archive format, in either
-// direction, picking each side's codec by file extension (".otf2" is
-// binary, anything else JSONL). The input may also be an experiment
-// archive directory (-exp), whose trace.otf2 is used. With -stats it
-// reports size, event count and bytes/event for both sides — plus, for
-// archives, the physical layout: format version, footer-index
-// presence, per-thread chunk counts and the event-chunk compression
-// ratio — the measurement behind the format's compression claim.
+// Command scorep-convert rewrites a binary otf2-style archive as another
+// archive or dumps it as JSONL text, picking the output's codec by file
+// extension (".otf2" is an archive, anything else a JSONL dump, which no
+// tool reads back). The input may also be an experiment archive
+// directory (-exp), whose trace.otf2 is used. With -stats it reports
+// size, event count and bytes/event for both sides — plus, for archives,
+// the physical layout: format version, footer-index presence,
+// per-thread chunk counts and the event-chunk compression ratio — the
+// measurement behind the format's compression claim.
 //
 // Archive inputs and outputs are format version 4, the seekable indexed
 // format; outputs take -compress (flate-compress each event chunk). An
 // archive of versions 1 to 3 is refused: scorep-convert built at commit
-// a6f702c converts it to version 4. -window t0:t1 and -threads a,b,c
-// convert only the matching sub-trace.
+// a6f702c converts it to version 4. A JSONL input is refused too:
+// scorep-convert built at commit 72ec01f converts it to an archive.
+// -window t0:t1 and -threads a,b,c convert only the matching sub-trace.
 //
 // Usage:
 //
-//	scorep-convert -in trace.jsonl -out trace.otf2 [-stats] [-compress]
 //	scorep-convert -in trace.otf2 -out trace.jsonl [-parallel 4]
 //	scorep-convert -in trace.otf2 -out trace-z.otf2 -compress
 //	scorep-convert -in trace.otf2 -out slice.otf2 -window 1000:2000 -threads 0,1
@@ -34,14 +34,13 @@ import (
 	"repro/internal/cliq"
 	"repro/internal/otf2"
 	"repro/internal/region"
-	"repro/internal/trace"
 )
 
 func main() {
 	var (
-		in       = flag.String("in", "", "input trace (.otf2 = binary archive, otherwise JSONL)")
+		in       = flag.String("in", "", "input trace: a binary archive (.otf2)")
 		expDir   = flag.String("exp", "", "input experiment directory (its trace.otf2 is converted)")
-		out      = flag.String("out", "", "output trace; format chosen by extension (optional with -stats)")
+		out      = flag.String("out", "", "output trace: .otf2 = binary archive, otherwise a JSONL dump (optional with -stats)")
 		stats    = flag.Bool("stats", false, "print size/event-count/bytes-per-event statistics (and archive layout)")
 		parallel = flag.Int("parallel", 0, "archive decode workers (0 = one per processor; the loaded trace is identical at every count)")
 		window   = flag.String("window", "", "convert only the inclusive time window t0:t1 (either bound may be empty)")
@@ -82,15 +81,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *out == "" && otf2.IsArchivePath(*in) {
-		// Inspect-only on an archive: count events streaming, in
-		// O(chunk) memory, so archives larger than RAM can be sized up.
+	if *out == "" {
+		// Inspect only: count events streaming, in O(chunk) memory, so
+		// archives larger than RAM can be sized up.
 		events, warning, err := otf2.CountFileEvents(*in)
 		if err != nil {
 			fail(err)
 		}
 		warn(warning)
-		printStats("in", *in, events)
+		printStats("in", *in, events, true)
 		return
 	}
 
@@ -101,54 +100,33 @@ func main() {
 	warn(warning)
 	events := tr.NumEvents()
 	if *stats {
-		printStats("in", *in, events)
+		printStats("in", *in, events, true)
 	}
 
-	if *out != "" {
-		if !otf2.IsArchivePath(*out) {
-			// JSONL cannot represent a region with an empty name (an
-			// empty "r" field reads back as no region); the binary
-			// format can. Flag the lossy case instead of hiding it.
-			if n := emptyNameRegionEvents(tr); n > 0 {
-				fmt.Fprintf(os.Stderr, "warning: %d events reference empty-named regions, which JSONL cannot represent; they will read back region-less\n", n)
-			}
-		}
-		var wopts []otf2.WriterOption
-		if *compress {
-			wopts = append(wopts, otf2.WithCompression(otf2.CompressionFlate))
-		}
-		if err := otf2.WriteFile(*out, tr, wopts...); err != nil {
-			fail(err)
-		}
-		if *stats {
-			printStats("out", *out, events)
-			ratio(*in, *out)
-		} else {
-			fmt.Printf("wrote %s (%d events, %d threads)\n", *out, events, len(tr.Threads))
-		}
+	var wopts []otf2.WriterOption
+	if *compress {
+		wopts = append(wopts, otf2.WithCompression(otf2.CompressionFlate))
+	}
+	if err := otf2.WriteFile(*out, tr, wopts...); err != nil {
+		fail(err)
+	}
+	if *stats {
+		printStats("out", *out, events, outIsArchive)
+		ratio(*in, *out)
+	} else {
+		fmt.Printf("wrote %s (%d events, %d threads)\n", *out, events, len(tr.Threads))
 	}
 }
 
-// emptyNameRegionEvents counts events whose region JSONL cannot round-trip.
-func emptyNameRegionEvents(tr *trace.Trace) int {
-	n := 0
-	for _, evs := range tr.Threads {
-		for _, ev := range evs {
-			if ev.Region != nil && ev.Region.Name == "" {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-func printStats(label, path string, events int) {
+// printStats reports a file's size and bytes/event, and an archive's
+// layout; the input is always an archive, the output one by extension.
+func printStats(label, path string, events int, archive bool) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		fail(err)
 	}
 	format := "jsonl"
-	if otf2.IsArchivePath(path) {
+	if archive {
 		format = "otf2"
 	}
 	perEvent := 0.0
@@ -157,7 +135,7 @@ func printStats(label, path string, events int) {
 	}
 	fmt.Printf("%-3s %s: format=%s size=%d bytes events=%d bytes/event=%.2f\n",
 		label, path, format, fi.Size(), events, perEvent)
-	if format == "otf2" {
+	if archive {
 		printArchiveStats(label, path)
 	}
 }

@@ -2,9 +2,10 @@
 // loads a saved trace or experiment archive) and renders per-thread
 // task timelines plus a utilization table — the plain-text counterpart
 // of the Vampir task views the paper's related work uses (Schmidl et
-// al. [16]). Trace files are JSONL or binary otf2-style archives,
-// chosen by extension (".otf2" is binary); traces truncated by a
-// crashed run render their intact prefix.
+// al. [16]). Saved traces are binary otf2-style archives; traces
+// truncated by a crashed run render their intact prefix. -save writes
+// an archive for an ".otf2" path and a JSONL text dump, which no tool
+// reads back, for any other.
 //
 // Saved traces (-in or -exp) can be rendered clipped to a slice of the
 // recording with -window t0:t1 (inclusive, either side open) and -tids
@@ -37,10 +38,10 @@ import (
 func main() {
 	rf := bots.RegisterRunFlags(flag.CommandLine, "")
 	var (
-		in       = flag.String("in", "", "saved trace to render (.otf2 = binary archive, otherwise JSONL)")
+		in       = flag.String("in", "", "saved trace (a binary archive) to render")
 		expDir   = flag.String("exp", "", "experiment directory: render its trace (without -code) or write the live run's archive to it (with -code)")
 		width    = flag.Int("width", 100, "timeline width in characters")
-		save     = flag.String("save", "", "also save the recorded trace (format by extension)")
+		save     = flag.String("save", "", "also save the recorded trace (.otf2 = binary archive, otherwise a JSONL dump)")
 		parallel = flag.Int("parallel", 0, "archive decode workers (0 = one per processor; the loaded trace is identical at every count)")
 		window   = flag.String("window", "", "render only the inclusive time window t0:t1 (either bound may be empty)")
 		tids     = flag.String("tids", "", "render only a comma-separated thread-ID subset")

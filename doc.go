@@ -452,9 +452,9 @@
 //     per shard or per fleet, and AnalyzeTraceArchive a bare archive
 //     stream (for AnalyzeTrace, AnalyzeBottlenecks,
 //     AnalyzeTraceArchiveBottlenecks, MergeBottleneckAnalyses,
-//     WriteTraceArchive and ReadTraceArchive); the tools read and write
-//     JSONL and render timelines (for the trace JSONL, timeline and
-//     utilization functions).
+//     WriteTraceArchive and ReadTraceArchive); the tools write JSONL
+//     dumps, which nothing reads back, and render timelines (for the
+//     trace JSONL, timeline and utilization functions).
 //
 // Results.Locations gives the raw per-thread profiles behind
 // Results.Report.
@@ -535,12 +535,17 @@
 // # Trace formats
 //
 // The runtime's event stream can be recorded as an event trace — the
-// OTF2/tracing side of Score-P the paper's conclusion points to. Two
-// on-disk formats exist:
+// OTF2/tracing side of Score-P the paper's conclusion points to. A
+// trace file is an archive; JSONL is a text dump of one, as otf2-print
+// is of an OTF2 archive:
 //
-//   - JSONL: one JSON object per event ("{"t":0,"ts":123,"ev":"ENTER",
-//     "r":"fib.task",...}"), human-greppable, ~100 bytes/event
-//     (scorep-convert -out x.jsonl, scorep-analyze -save-trace).
+//   - JSONL, output only: one JSON object per event
+//     ("{"t":0,"ts":123,"ev":"ENTER","r":"fib.task",...}"),
+//     human-greppable, ~100 bytes/event (scorep-convert -out x.jsonl,
+//     scorep-analyze -save-trace x.jsonl, scorep-timeline -save
+//     x.jsonl). No reader takes it back: given one, every tool fails at
+//     the archive header with an error naming commit 72ec01f, whose
+//     scorep-convert (-in t.jsonl -out t.otf2) turns it into an archive.
 //   - Binary archive: an OTF2-style chunked binary format, ~3.0-3.3
 //     bytes/event (an experiment's trace.otf2). The archive is
 //     a "SPOTF2\x00" + version header followed by self-describing
@@ -689,8 +694,7 @@
 // it selects every chunk of the query's threads, decodes each from 0,
 // runs each thread's clock on through its chunks and clips after that;
 // its hint is the recovered counts. An input without random access (a
-// pipe) is copied into memory and planned like any other. A JSONL file
-// is decoded whole and scanned or filtered as a Trace. Every path
+// pipe) is copied into memory and planned like any other. Every path
 // decodes events in one loop that writes through a pointer into its
 // destination and resolves regions in the table the definitions before
 // the chunk left (region IDs above 2^20 are corruption).

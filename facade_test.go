@@ -6,12 +6,11 @@ import (
 	"testing"
 
 	scorep "repro"
-	"repro/internal/region"
 	"repro/internal/trace"
 )
 
 // TestFacadeTraceAndTimeline exercises what the tools do with a
-// session's recording: analysis, JSONL round trip, timeline,
+// session's recording: analysis, JSONL dump, timeline,
 // utilization.
 func TestFacadeTraceAndTimeline(t *testing.T) {
 	par := scorep.RegisterRegion("fa.parallel", "facade_test.go", 1, scorep.RegionParallel)
@@ -49,12 +48,8 @@ func TestFacadeTraceAndTimeline(t *testing.T) {
 	if err := trace.WriteJSONL(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	back, err := trace.ReadJSONL(&buf, region.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumEvents() != tr.NumEvents() {
-		t.Error("trace JSONL round trip lost events")
+	if lines := strings.Count(buf.String(), "\n"); lines != tr.NumEvents() {
+		t.Errorf("trace JSONL dump has %d lines for %d events", lines, tr.NumEvents())
 	}
 
 	var tl bytes.Buffer

@@ -25,27 +25,27 @@ func buildProfile(nThreads, tasksPerThread int, taskNs, createNs, idleNs int64, 
 	for tid := 0; tid < nThreads; tid++ {
 		clk := clock.NewManual(0)
 		p := core.NewThreadProfile(tid, clk)
-		p.Enter(par)
+		p.EnterAt(par, clk.Now())
 		if !singleCreator || tid == 0 {
 			creations := tasksPerThread
 			if singleCreator {
 				creations = tasksPerThread * nThreads
 			}
 			for i := 0; i < creations; i++ {
-				p.Enter(create)
+				p.EnterAt(create, clk.Now())
 				clk.Advance(createNs)
-				p.Exit(create)
+				p.ExitAt(create, clk.Now())
 			}
 		}
-		p.Enter(bar)
+		p.EnterAt(bar, clk.Now())
 		for i := 0; i < tasksPerThread; i++ {
-			p.TaskBegin(task)
+			p.TaskBeginAt(task, clk.Now())
 			clk.Advance(taskNs)
 			p.TaskEndAt(clk.Now())
 		}
 		clk.Advance(idleNs)
-		p.Exit(bar)
-		p.Exit(par)
+		p.ExitAt(bar, clk.Now())
+		p.ExitAt(par, clk.Now())
 		p.Finish()
 		locs = append(locs, p)
 	}
@@ -82,16 +82,16 @@ func TestSmallTasksDetected(t *testing.T) {
 	create := reg.Register("work (create)", "a.go", 2, region.TaskCreate)
 	clk := clock.NewManual(0)
 	p := core.NewThreadProfile(0, clk)
-	p.Enter(bar)
+	p.EnterAt(bar, clk.Now())
 	for i := 0; i < 1000; i++ {
-		p.TaskBegin(task)
-		p.Enter(create) // tasks creating children, paying creation cost
+		p.TaskBeginAt(task, clk.Now())
+		p.EnterAt(create, clk.Now()) // tasks creating children, paying creation cost
 		clk.Advance(900)
-		p.Exit(create)
+		p.ExitAt(create, clk.Now())
 		clk.Advance(1000) // own work
 		p.TaskEndAt(clk.Now())
 	}
-	p.Exit(bar)
+	p.ExitAt(bar, clk.Now())
 	p.Finish()
 	rep := cube.Aggregate([]*core.ThreadProfile{p})
 
@@ -139,11 +139,11 @@ func TestDeepConcurrencyDetected(t *testing.T) {
 	task := reg.Register("work", "a.go", 2, region.Task)
 	clk := clock.NewManual(0)
 	p := core.NewThreadProfile(0, clk)
-	p.Enter(bar)
+	p.EnterAt(bar, clk.Now())
 	// Nest 100 suspended instances.
 	var open []*core.TaskInstance
 	for i := 0; i < 100; i++ {
-		open = append(open, p.TaskBegin(task))
+		open = append(open, p.TaskBeginAt(task, clk.Now()))
 		clk.Advance(10)
 	}
 	for i := len(open) - 1; i >= 0; i-- {
@@ -152,7 +152,7 @@ func TestDeepConcurrencyDetected(t *testing.T) {
 			p.TaskSwitchToAt(open[i-1], clk.Now())
 		}
 	}
-	p.Exit(bar)
+	p.ExitAt(bar, clk.Now())
 	p.Finish()
 	rep := cube.Aggregate([]*core.ThreadProfile{p})
 	fs := Analyze(rep, Thresholds{})

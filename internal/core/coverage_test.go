@@ -24,28 +24,28 @@ func TestNodeKindStrings(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	f := newFixture(t)
-	p := f.p
+	p, clk := f.p, f.clk
 	if p.Current() != p.Root() {
 		t.Error("Current should start at the root")
 	}
-	p.Enter(f.barR)
+	p.EnterAt(f.barR, clk.Now())
 	if p.Current().Region != f.barR || !p.Current().Open() || !p.Current().Running() {
 		t.Error("current node state wrong after Enter")
 	}
-	ti := p.TaskBegin(f.task)
+	ti := p.TaskBeginAt(f.task, clk.Now())
 	if ti.Root() == nil || ti.Current() != ti.Root() {
 		t.Error("instance accessors wrong after TaskBegin")
 	}
 	if p.Current() != ti.Root() {
 		t.Error("profile Current should be the instance position")
 	}
-	p.Enter(f.foo)
+	p.EnterAt(f.foo, clk.Now())
 	if ti.Current().Region != f.foo {
 		t.Error("instance current not advanced")
 	}
-	p.Exit(f.foo)
+	p.ExitAt(f.foo, clk.Now())
 	p.TaskEndAt(f.clk.Now())
-	p.Exit(f.barR)
+	p.ExitAt(f.barR, clk.Now())
 	p.Finish()
 }
 
@@ -54,14 +54,14 @@ func TestParameterOnImplicitTask(t *testing.T) {
 	// implicit task's tree and closes with the surrounding region.
 	f := newFixture(t)
 	p, clk := f.p, f.clk
-	p.Enter(f.foo)
+	p.EnterAt(f.foo, clk.Now())
 	p.ParameterInt("phase", 2)
 	clk.Advance(9)
-	p.Exit(f.foo) // closes the parameter node implicitly
-	p.Enter(f.foo)
+	p.ExitAt(f.foo, clk.Now()) // closes the parameter node implicitly
+	p.EnterAt(f.foo, clk.Now())
 	p.ParameterString("phase", "two")
 	clk.Advance(4)
-	p.Exit(f.foo)
+	p.ExitAt(f.foo, clk.Now())
 	p.Finish()
 
 	fooN := p.Root().FindChild(f.foo)
@@ -92,8 +92,8 @@ func TestDoubleEnterPanics(t *testing.T) {
 	bar := reg.Register("b", "c.go", 1, region.ImplicitBarrier)
 	task := reg.Register("t", "c.go", 2, region.Task)
 	p := NewThreadProfile(0, clk)
-	p.Enter(bar)
-	ti := p.TaskBegin(task)
+	p.EnterAt(bar, clk.Now())
+	ti := p.TaskBeginAt(task, clk.Now())
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(r.(string), "double enter") {
 			t.Fatalf("expected double-enter panic, got %v", r)
@@ -106,13 +106,13 @@ func TestPoolingDisabledStillCorrect(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
 	p.SetNodePooling(false)
-	p.Enter(f.barR)
+	p.EnterAt(f.barR, clk.Now())
 	for i := 0; i < 100; i++ {
-		p.TaskBegin(f.task)
+		p.TaskBeginAt(f.task, clk.Now())
 		clk.Advance(3)
 		p.TaskEndAt(clk.Now())
 	}
-	p.Exit(f.barR)
+	p.ExitAt(f.barR, clk.Now())
 	p.Finish()
 	tree := p.TaskRoot(f.task)
 	if tree.Dur.Count != 100 || tree.Dur.Sum != 300 {
@@ -132,7 +132,7 @@ func TestSwitchAfterFinishPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	f.p.TaskBegin(f.task)
+	f.p.TaskBeginAt(f.task, f.clk.Now())
 }
 
 func TestParamNodeNameRendering(t *testing.T) {

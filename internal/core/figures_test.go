@@ -50,17 +50,17 @@ func TestFigure1EventStreamToProfile(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
 
-	p.Enter(f.main) // t=0
+	p.EnterAt(f.main, clk.Now()) // t=0
 	clk.Advance(10)
-	p.Enter(f.foo) // t=10
+	p.EnterAt(f.foo, clk.Now()) // t=10
 	clk.Advance(20)
-	p.Exit(f.foo) // t=30
+	p.ExitAt(f.foo, clk.Now()) // t=30
 	clk.Advance(5)
-	p.Enter(f.bar) // t=35
+	p.EnterAt(f.bar, clk.Now()) // t=35
 	clk.Advance(40)
-	p.Exit(f.bar) // t=75
+	p.ExitAt(f.bar, clk.Now()) // t=75
 	clk.Advance(25)
-	p.Exit(f.main) // t=100
+	p.ExitAt(f.main, clk.Now()) // t=100
 	p.Finish()
 
 	mainN := p.Root().FindChild(f.main)
@@ -95,32 +95,32 @@ func TestFigure2InterleavedTaskFragments(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
 
-	p.Enter(f.par)
-	p.Enter(f.barR)
+	p.EnterAt(f.par, clk.Now())
+	p.EnterAt(f.barR, clk.Now())
 
 	// task1 starts, enters foo
-	t1 := p.TaskBegin(f.task) // t=0
+	t1 := p.TaskBeginAt(f.task, clk.Now()) // t=0
 	clk.Advance(10)
-	p.Enter(f.foo) // t=10
+	p.EnterAt(f.foo, clk.Now()) // t=10
 	clk.Advance(5)
 	// task1 suspended (taskwait inside foo omitted for stream parity),
 	// task2 starts and enters foo as well.
-	t2 := p.TaskBegin(f.task) // t=15: switch suspends t1
+	t2 := p.TaskBeginAt(f.task, clk.Now()) // t=15: switch suspends t1
 	clk.Advance(3)
-	p.Enter(f.foo) // t=18
+	p.EnterAt(f.foo, clk.Now()) // t=18
 	clk.Advance(7)
-	p.Exit(f.foo) // t=25: this exit must close t2's foo, not t1's
+	p.ExitAt(f.foo, clk.Now()) // t=25: this exit must close t2's foo, not t1's
 	clk.Advance(5)
 	p.TaskEndAt(clk.Now()) // t=30: t2 done (ran 15)
 	p.TaskSwitchToAt(t1, clk.Now())
 	clk.Advance(10)
-	p.Exit(f.foo) // t=40
+	p.ExitAt(f.foo, clk.Now()) // t=40
 	clk.Advance(2)
 	p.TaskEndAt(clk.Now()) // t=42
 	_ = t2
 
-	p.Exit(f.barR)
-	p.Exit(f.par)
+	p.ExitAt(f.barR, clk.Now())
+	p.ExitAt(f.par, clk.Now())
 	p.Finish()
 
 	tree := p.TaskRoot(f.task)
@@ -160,19 +160,19 @@ func TestFigure3ExecutingNodeAttribution(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
 
-	p.Enter(f.par) // t=0, parallel region
+	p.EnterAt(f.par, clk.Now()) // t=0, parallel region
 	clk.Advance(1)
-	p.Enter(f.crt) // create task, t=1
+	p.EnterAt(f.crt, clk.Now()) // create task, t=1
 	clk.Advance(1)
-	p.Exit(f.crt)          // t=2
-	p.Enter(f.barR)        // t=2 barrier
-	clk.Advance(2)         // waiting 2
-	p.TaskBegin(f.task)    // t=4
-	clk.Advance(5)         // task works 5
-	p.TaskEndAt(clk.Now()) // t=9
-	clk.Advance(1)         // waiting 1
-	p.Exit(f.barR)         // t=10
-	p.Exit(f.par)          // t=10
+	p.ExitAt(f.crt, clk.Now())       // t=2
+	p.EnterAt(f.barR, clk.Now())     // t=2 barrier
+	clk.Advance(2)                   // waiting 2
+	p.TaskBeginAt(f.task, clk.Now()) // t=4
+	clk.Advance(5)                   // task works 5
+	p.TaskEndAt(clk.Now())           // t=9
+	clk.Advance(1)                   // waiting 1
+	p.ExitAt(f.barR, clk.Now())      // t=10
+	p.ExitAt(f.par, clk.Now())       // t=10
 	p.Finish()
 
 	parN := p.Root().FindChild(f.par)
@@ -216,26 +216,26 @@ func TestFigure4SuspendResumeAtTaskwait(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
 
-	p.Enter(f.par)
-	p.Enter(f.barR) // implicit barrier; tasks execute inside
+	p.EnterAt(f.par, clk.Now())
+	p.EnterAt(f.barR, clk.Now()) // implicit barrier; tasks execute inside
 
-	t1 := p.TaskBegin(f.task) // t=0
-	clk.Advance(10)           // t1 works 10
-	p.Enter(f.tw)             // t1 enters taskwait, t=10
-	clk.Advance(2)            // waits 2 inside taskwait before switch
-	t2 := p.TaskBegin(f.task) // t=12; t1 suspended
-	clk.Advance(20)           // t2 works 20
-	p.TaskEndAt(clk.Now())    // t=32
+	t1 := p.TaskBeginAt(f.task, clk.Now()) // t=0
+	clk.Advance(10)                        // t1 works 10
+	p.EnterAt(f.tw, clk.Now())             // t1 enters taskwait, t=10
+	clk.Advance(2)                         // waits 2 inside taskwait before switch
+	t2 := p.TaskBeginAt(f.task, clk.Now()) // t=12; t1 suspended
+	clk.Advance(20)                        // t2 works 20
+	p.TaskEndAt(clk.Now())                 // t=32
 	_ = t2
 	p.TaskSwitchToAt(t1, clk.Now()) // resume t1
 	clk.Advance(3)                  // 3 more in taskwait
-	p.Exit(f.tw)                    // t=35
+	p.ExitAt(f.tw, clk.Now())       // t=35
 	clk.Advance(5)                  // 5 more work
 	p.TaskEndAt(clk.Now())          // t=40
 
 	clk.Advance(1)
-	p.Exit(f.barR)
-	p.Exit(f.par)
+	p.ExitAt(f.barR, clk.Now())
+	p.ExitAt(f.par, clk.Now())
 	p.Finish()
 
 	tree := p.TaskRoot(f.task)
@@ -280,9 +280,9 @@ func TestFigure4SuspendResumeAtTaskwait(t *testing.T) {
 func TestFig12TaskEndSwitchesToImplicit(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
-	p.Enter(f.par)
-	p.Enter(f.barR)
-	p.TaskBegin(f.task)
+	p.EnterAt(f.par, clk.Now())
+	p.EnterAt(f.barR, clk.Now())
+	p.TaskBeginAt(f.task, clk.Now())
 	if p.CurrentTask() == nil {
 		t.Fatal("task not current after TaskBegin")
 	}
@@ -295,8 +295,8 @@ func TestFig12TaskEndSwitchesToImplicit(t *testing.T) {
 	if p.Switches() != sw {
 		t.Error("redundant TaskSwitchToAt(nil) was counted as a switch")
 	}
-	p.Exit(f.barR)
-	p.Exit(f.par)
+	p.ExitAt(f.barR, clk.Now())
+	p.ExitAt(f.par, clk.Now())
 	p.Finish()
 }
 
@@ -309,20 +309,20 @@ func TestNestedTaskStubsStayUnderSchedulingPoint(t *testing.T) {
 	p, clk := f.p, f.clk
 	taskB := f.reg.Register("taskB", "f.go", 9, region.Task)
 
-	p.Enter(f.par)
-	p.Enter(f.barR)
-	tA := p.TaskBegin(f.task)
+	p.EnterAt(f.par, clk.Now())
+	p.EnterAt(f.barR, clk.Now())
+	tA := p.TaskBeginAt(f.task, clk.Now())
 	clk.Advance(5)
-	p.Enter(f.tw)
-	tB := p.TaskBegin(taskB) // nested switch
+	p.EnterAt(f.tw, clk.Now())
+	tB := p.TaskBeginAt(taskB, clk.Now()) // nested switch
 	clk.Advance(7)
 	p.TaskEndAt(clk.Now())
 	_ = tB
 	p.TaskSwitchToAt(tA, clk.Now())
-	p.Exit(f.tw)
+	p.ExitAt(f.tw, clk.Now())
 	p.TaskEndAt(clk.Now())
-	p.Exit(f.barR)
-	p.Exit(f.par)
+	p.ExitAt(f.barR, clk.Now())
+	p.ExitAt(f.par, clk.Now())
 	p.Finish()
 
 	barN := p.Root().FindChild(f.par).FindChild(f.barR)
@@ -351,15 +351,15 @@ func TestNestedTaskStubsStayUnderSchedulingPoint(t *testing.T) {
 func TestSameConstructSharesStubNode(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
-	p.Enter(f.par)
-	p.Enter(f.barR)
+	p.EnterAt(f.par, clk.Now())
+	p.EnterAt(f.barR, clk.Now())
 	for i := 0; i < 5; i++ {
-		p.TaskBegin(f.task)
+		p.TaskBeginAt(f.task, clk.Now())
 		clk.Advance(2)
 		p.TaskEndAt(clk.Now())
 	}
-	p.Exit(f.barR)
-	p.Exit(f.par)
+	p.ExitAt(f.barR, clk.Now())
+	p.ExitAt(f.par, clk.Now())
 	p.Finish()
 
 	barN := p.Root().FindChild(f.par).FindChild(f.barR)

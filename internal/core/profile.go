@@ -52,8 +52,10 @@ type ThreadProfile struct {
 	rootRegionLabel string
 }
 
-// NewThreadProfile creates the profile for thread id, reading time from
-// clk. The implicit task's root node is opened immediately.
+// NewThreadProfile creates the profile for thread id. Events take the
+// instant the runtime read for them (EnterAt, ExitAt, TaskBeginAt, ...);
+// clk times only the implicit task's root, which is opened immediately
+// and closed by Finish, and parameter nodes.
 func NewThreadProfile(id int, clk clock.Clock) *ThreadProfile {
 	p := &ThreadProfile{
 		ThreadID:        id,
@@ -131,15 +133,10 @@ func (p *ThreadProfile) InstancesBegun() int64 { return p.instancesBegun }
 // InstancesEnded returns the number of task instances that completed.
 func (p *ThreadProfile) InstancesEnded() int64 { return p.instancesEnded }
 
-// Enter records entering region r at the current time. The node is
-// created in (or found in) the call tree of the current task — the
-// instance tree for explicit tasks, the implicit tree otherwise.
-func (p *ThreadProfile) Enter(r *region.Region) {
-	p.EnterAt(r, p.clk.Now())
-}
-
-// EnterAt is Enter with an explicit timestamp: the measurement's path,
-// which takes the instant the runtime read for the event.
+// EnterAt records entering region r at now, the instant the runtime
+// read for the event. The node is created in (or found in) the call
+// tree of the current task — the instance tree for explicit tasks, the
+// implicit tree otherwise.
 func (p *ThreadProfile) EnterAt(r *region.Region, now int64) {
 	if p.finished {
 		panic("core: Enter after Finish")
@@ -158,14 +155,9 @@ func (p *ThreadProfile) EnterAt(r *region.Region, now int64) {
 	}
 }
 
-// Exit records leaving region r. Open parameter nodes nested below r are
-// closed implicitly. Exiting a region that is not the innermost open
-// region is an instrumentation error and panics.
-func (p *ThreadProfile) Exit(r *region.Region) {
-	p.ExitAt(r, p.clk.Now())
-}
-
-// ExitAt is Exit with an explicit timestamp (see EnterAt).
+// ExitAt records leaving region r at now. Open parameter nodes nested
+// below r are closed implicitly. Exiting a region that is not the
+// innermost open region is an instrumentation error and panics.
 func (p *ThreadProfile) ExitAt(r *region.Region, now int64) {
 	if p.finished {
 		panic("core: Exit after Finish")

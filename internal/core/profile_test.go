@@ -12,17 +12,17 @@ func TestParameterSplitsSubtree(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
 
-	p.Enter(f.par)
-	p.Enter(f.barR)
+	p.EnterAt(f.par, clk.Now())
+	p.EnterAt(f.barR, clk.Now())
 	// Three instances at depth 1, two at depth 2, with different runtimes.
 	for i, d := range []int64{1, 1, 1, 2, 2} {
-		p.TaskBegin(f.task)
+		p.TaskBeginAt(f.task, clk.Now())
 		p.ParameterInt("depth", d)
 		clk.Advance(int64(10 * (i + 1)))
 		p.TaskEndAt(clk.Now())
 	}
-	p.Exit(f.barR)
-	p.Exit(f.par)
+	p.ExitAt(f.barR, clk.Now())
+	p.ExitAt(f.par, clk.Now())
 	p.Finish()
 
 	tree := p.TaskRoot(f.task)
@@ -45,16 +45,16 @@ func TestParameterSplitsSubtree(t *testing.T) {
 func TestParameterNestsChildren(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
-	p.Enter(f.par)
-	p.Enter(f.barR)
-	p.TaskBegin(f.task)
+	p.EnterAt(f.par, clk.Now())
+	p.EnterAt(f.barR, clk.Now())
+	p.TaskBeginAt(f.task, clk.Now())
 	p.ParameterInt("depth", 7)
-	p.Enter(f.foo) // must land under the parameter node
+	p.EnterAt(f.foo, clk.Now()) // must land under the parameter node
 	clk.Advance(4)
-	p.Exit(f.foo)
+	p.ExitAt(f.foo, clk.Now())
 	p.TaskEndAt(clk.Now())
-	p.Exit(f.barR)
-	p.Exit(f.par)
+	p.ExitAt(f.barR, clk.Now())
+	p.ExitAt(f.par, clk.Now())
 	p.Finish()
 
 	d7 := p.TaskRoot(f.task).FindParam("depth", 7)
@@ -70,14 +70,14 @@ func TestParameterNestsChildren(t *testing.T) {
 func TestParameterStringSplitsSubtree(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
-	p.Enter(f.barR)
+	p.EnterAt(f.barR, clk.Now())
 	for i, phase := range []string{"init", "solve", "init", "solve", "solve"} {
-		p.TaskBegin(f.task)
+		p.TaskBeginAt(f.task, clk.Now())
 		p.ParameterString("phase", phase)
 		clk.Advance(int64(10 * (i + 1)))
 		p.TaskEndAt(clk.Now())
 	}
-	p.Exit(f.barR)
+	p.ExitAt(f.barR, clk.Now())
 	p.Finish()
 
 	tree := p.TaskRoot(f.task)
@@ -107,16 +107,16 @@ func TestParameterStringSplitsSubtree(t *testing.T) {
 func TestMixedParameterTypesStayDistinct(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
-	p.Enter(f.barR)
-	p.TaskBegin(f.task)
+	p.EnterAt(f.barR, clk.Now())
+	p.TaskBeginAt(f.task, clk.Now())
 	p.ParameterInt("x", 0)
 	clk.Advance(5)
 	p.TaskEndAt(clk.Now())
-	p.TaskBegin(f.task)
+	p.TaskBeginAt(f.task, clk.Now())
 	p.ParameterString("x", "0")
 	clk.Advance(7)
 	p.TaskEndAt(clk.Now())
-	p.Exit(f.barR)
+	p.ExitAt(f.barR, clk.Now())
 	p.Finish()
 	tree := p.TaskRoot(f.task)
 	if len(tree.Children) != 2 {
@@ -127,13 +127,13 @@ func TestMixedParameterTypesStayDistinct(t *testing.T) {
 func TestMaxActiveInstancesCounting(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
-	p.Enter(f.par)
-	p.Enter(f.barR)
+	p.EnterAt(f.par, clk.Now())
+	p.EnterAt(f.barR, clk.Now())
 	// Nest three suspended instances (recursion depth 3), like the
 	// recursive BOTS codes; max concurrent instance trees = 3 (Table II).
-	a := p.TaskBegin(f.task)
-	b := p.TaskBegin(f.task)
-	c := p.TaskBegin(f.task)
+	a := p.TaskBeginAt(f.task, clk.Now())
+	b := p.TaskBeginAt(f.task, clk.Now())
+	c := p.TaskBeginAt(f.task, clk.Now())
 	_ = a
 	if p.ActiveInstances() != 3 {
 		t.Errorf("active = %d, want 3", p.ActiveInstances())
@@ -144,8 +144,8 @@ func TestMaxActiveInstancesCounting(t *testing.T) {
 	p.TaskEndAt(clk.Now()) // b
 	p.TaskSwitchToAt(a, clk.Now())
 	p.TaskEndAt(clk.Now()) // a
-	p.Exit(f.barR)
-	p.Exit(f.par)
+	p.ExitAt(f.barR, clk.Now())
+	p.ExitAt(f.par, clk.Now())
 	p.Finish()
 
 	if p.MaxActiveInstances() != 3 {
@@ -163,18 +163,18 @@ func TestMaxActiveInstancesCounting(t *testing.T) {
 func TestInstanceRecyclingBoundsAllocation(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
-	p.Enter(f.par)
-	p.Enter(f.barR)
+	p.EnterAt(f.par, clk.Now())
+	p.EnterAt(f.barR, clk.Now())
 	// An instance whose root has two children: the recycled root must
 	// come back with room for both.
 	cycle := func() {
-		p.TaskBegin(f.task)
-		p.Enter(f.foo)
+		p.TaskBeginAt(f.task, clk.Now())
+		p.EnterAt(f.foo, clk.Now())
 		clk.Advance(1)
-		p.Exit(f.foo)
-		p.Enter(f.bar)
+		p.ExitAt(f.foo, clk.Now())
+		p.EnterAt(f.bar, clk.Now())
 		clk.Advance(1)
-		p.Exit(f.bar)
+		p.ExitAt(f.bar, clk.Now())
 		p.TaskEndAt(clk.Now())
 	}
 	for i := 0; i < 10000; i++ {
@@ -183,8 +183,8 @@ func TestInstanceRecyclingBoundsAllocation(t *testing.T) {
 	if a := testing.AllocsPerRun(100, cycle); a != 0 {
 		t.Errorf("a steady-state task cycle allocates %v times, want 0", a)
 	}
-	p.Exit(f.barR)
-	p.Exit(f.par)
+	p.ExitAt(f.barR, clk.Now())
+	p.ExitAt(f.par, clk.Now())
 	p.Finish()
 
 	if p.InstancesAllocated() != 1 {
@@ -201,12 +201,12 @@ func TestInstanceRecyclingBoundsAllocation(t *testing.T) {
 func TestVisitsVersusSamples(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
-	p.Enter(f.foo)
+	p.EnterAt(f.foo, clk.Now())
 	clk.Advance(5)
-	p.Exit(f.foo)
-	p.Enter(f.foo)
+	p.ExitAt(f.foo, clk.Now())
+	p.EnterAt(f.foo, clk.Now())
 	clk.Advance(7)
-	p.Exit(f.foo)
+	p.ExitAt(f.foo, clk.Now())
 	p.Finish()
 	n := p.Root().FindChild(f.foo)
 	if n.Visits != 2 || n.Dur.Count != 2 || n.Dur.Sum != 12 {
@@ -217,13 +217,13 @@ func TestVisitsVersusSamples(t *testing.T) {
 func TestRecursionCreatesChain(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
-	p.Enter(f.foo)
+	p.EnterAt(f.foo, clk.Now())
 	clk.Advance(1)
-	p.Enter(f.foo) // recursive call: child node, not re-entry
+	p.EnterAt(f.foo, clk.Now()) // recursive call: child node, not re-entry
 	clk.Advance(1)
-	p.Exit(f.foo)
+	p.ExitAt(f.foo, clk.Now())
 	clk.Advance(1)
-	p.Exit(f.foo)
+	p.ExitAt(f.foo, clk.Now())
 	p.Finish()
 	outer := p.Root().FindChild(f.foo)
 	inner := outer.FindChild(f.foo)
@@ -242,33 +242,33 @@ func TestMisuseDetection(t *testing.T) {
 		want string
 	}{
 		{"exit-without-enter", func(f *fixture) {
-			f.p.Exit(f.foo)
+			f.p.ExitAt(f.foo, f.clk.Now())
 		}, "does not match"},
 		{"mismatched-exit", func(f *fixture) {
-			f.p.Enter(f.foo)
-			f.p.Exit(f.bar)
+			f.p.EnterAt(f.foo, f.clk.Now())
+			f.p.ExitAt(f.bar, f.clk.Now())
 		}, "does not match"},
 		{"task-end-without-task", func(f *fixture) {
 			f.p.TaskEndAt(f.clk.Now())
 		}, "without active task"},
 		{"task-end-with-open-region", func(f *fixture) {
-			f.p.Enter(f.barR)
-			f.p.TaskBegin(f.task)
-			f.p.Enter(f.foo)
+			f.p.EnterAt(f.barR, f.clk.Now())
+			f.p.TaskBeginAt(f.task, f.clk.Now())
+			f.p.EnterAt(f.foo, f.clk.Now())
 			f.p.TaskEndAt(f.clk.Now())
 		}, "open region"},
 		{"finish-with-open-region", func(f *fixture) {
-			f.p.Enter(f.foo)
+			f.p.EnterAt(f.foo, f.clk.Now())
 			f.p.Finish()
 		}, "open region"},
 		{"finish-with-active-task", func(f *fixture) {
-			f.p.Enter(f.barR)
-			f.p.TaskBegin(f.task)
+			f.p.EnterAt(f.barR, f.clk.Now())
+			f.p.TaskBeginAt(f.task, f.clk.Now())
 			f.p.Finish()
 		}, "active explicit task"},
 		{"enter-after-finish", func(f *fixture) {
 			f.p.Finish()
-			f.p.Enter(f.foo)
+			f.p.EnterAt(f.foo, f.clk.Now())
 		}, "after Finish"},
 	}
 	for _, tc := range cases {
@@ -315,14 +315,14 @@ func TestTaskRootsOrderIsFirstCompletion(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
 	tB := f.reg.Register("taskB", "f.go", 30, region.Task)
-	p.Enter(f.barR)
-	p.TaskBegin(tB)
+	p.EnterAt(f.barR, clk.Now())
+	p.TaskBeginAt(tB, clk.Now())
 	p.TaskEndAt(clk.Now())
-	p.TaskBegin(f.task)
+	p.TaskBeginAt(f.task, clk.Now())
 	p.TaskEndAt(clk.Now())
-	p.TaskBegin(tB)
+	p.TaskBeginAt(tB, clk.Now())
 	p.TaskEndAt(clk.Now())
-	p.Exit(f.barR)
+	p.ExitAt(f.barR, clk.Now())
 	p.Finish()
 	roots := p.TaskRoots()
 	if len(roots) != 2 || roots[0].Region != tB || roots[1].Region != f.task {
@@ -337,23 +337,23 @@ func TestTaskRootsOrderIsFirstCompletion(t *testing.T) {
 func TestTimeConservation(t *testing.T) {
 	f := newFixture(t)
 	p, clk := f.p, f.clk
-	p.Enter(f.par)
-	p.Enter(f.barR)
+	p.EnterAt(f.par, clk.Now())
+	p.EnterAt(f.barR, clk.Now())
 	for i := 0; i < 3; i++ {
-		outer := p.TaskBegin(f.task)
+		outer := p.TaskBeginAt(f.task, clk.Now())
 		clk.Advance(10)
-		p.Enter(f.tw)
-		p.TaskBegin(f.task)
+		p.EnterAt(f.tw, clk.Now())
+		p.TaskBeginAt(f.task, clk.Now())
 		clk.Advance(5)
 		p.TaskEndAt(clk.Now())
 		p.TaskSwitchToAt(outer, clk.Now()) // runtime resumes the suspended task
 		clk.Advance(2)
-		p.Exit(f.tw)
+		p.ExitAt(f.tw, clk.Now())
 		p.TaskEndAt(clk.Now())
 		clk.Advance(1)
 	}
-	p.Exit(f.barR)
-	p.Exit(f.par)
+	p.ExitAt(f.barR, clk.Now())
+	p.ExitAt(f.par, clk.Now())
 	p.Finish()
 
 	barN := p.Root().FindChild(f.par).FindChild(f.barR)

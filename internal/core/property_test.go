@@ -42,7 +42,7 @@ func newStreamDriver(seed int64) *streamDriver {
 		d.regs = append(d.regs, reg.Register("fn"+string(rune('A'+i)), "s.go", 10+i, region.UserFunction))
 	}
 	d.p = NewThreadProfile(0, d.clk)
-	d.p.Enter(reg.Register("bar", "s.go", 3, region.ImplicitBarrier))
+	d.p.EnterAt(reg.Register("bar", "s.go", 3, region.ImplicitBarrier), d.clk.Now())
 	return d
 }
 
@@ -50,7 +50,7 @@ func newStreamDriver(seed int64) *streamDriver {
 // spawning nested instances at its taskwait), accumulating the model's
 // expected execution time.
 func (d *streamDriver) runTask(depth int) {
-	ti := d.p.TaskBegin(d.task)
+	ti := d.p.TaskBeginAt(d.task, d.clk.Now())
 	d.instancesAlive++
 	if d.instancesAlive > d.maxAlive {
 		d.maxAlive = d.instancesAlive
@@ -67,14 +67,14 @@ func (d *streamDriver) runTask(depth int) {
 			myTime += adv
 		case 1: // enter/exit a user region with work
 			r := d.regs[d.rng.Intn(len(d.regs))]
-			d.p.Enter(r)
+			d.p.EnterAt(r, d.clk.Now())
 			adv := int64(d.rng.Intn(30))
 			d.clk.Advance(adv)
 			myTime += adv
-			d.p.Exit(r)
+			d.p.ExitAt(r, d.clk.Now())
 		case 2: // taskwait with a nested instance (suspension)
 			if depth < 4 {
-				d.p.Enter(d.tw)
+				d.p.EnterAt(d.tw, d.clk.Now())
 				w1 := int64(d.rng.Intn(10))
 				d.clk.Advance(w1)
 				myTime += w1
@@ -83,7 +83,7 @@ func (d *streamDriver) runTask(depth int) {
 				w2 := int64(d.rng.Intn(10))
 				d.clk.Advance(w2)
 				myTime += w2
-				d.p.Exit(d.tw)
+				d.p.ExitAt(d.tw, d.clk.Now())
 			}
 		}
 	}
@@ -114,7 +114,7 @@ func TestRandomStreamsInvariants(t *testing.T) {
 		}
 		// close the barrier and finish
 		bar := d.p.cur
-		d.p.Exit(bar.Region)
+		d.p.ExitAt(bar.Region, d.clk.Now())
 		d.p.Finish()
 
 		tree := d.p.TaskRoot(d.task)
@@ -175,10 +175,10 @@ func TestQuickNestedRegionsBalance(t *testing.T) {
 			if op%3 == 0 && len(stack) > 0 { // exit
 				r := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				p.Exit(r)
+				p.ExitAt(r, clk.Now())
 			} else { // enter
 				r := regions[int(op)%len(regions)]
-				p.Enter(r)
+				p.EnterAt(r, clk.Now())
 				stack = append(stack, r)
 			}
 		}
@@ -186,7 +186,7 @@ func TestQuickNestedRegionsBalance(t *testing.T) {
 			r := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			clk.Advance(1)
-			p.Exit(r)
+			p.ExitAt(r, clk.Now())
 		}
 		p.Finish()
 		ok := true
@@ -215,11 +215,11 @@ func TestDeepRecursionProfile(t *testing.T) {
 	p := NewThreadProfile(0, clk)
 	const depth = 2000
 	for i := 0; i < depth; i++ {
-		p.Enter(fn)
+		p.EnterAt(fn, clk.Now())
 		clk.Advance(1)
 	}
 	for i := 0; i < depth; i++ {
-		p.Exit(fn)
+		p.ExitAt(fn, clk.Now())
 	}
 	p.Finish()
 	// Walk down: each level's inclusive = remaining time.

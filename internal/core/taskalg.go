@@ -23,17 +23,12 @@ func (ti *TaskInstance) Root() *Node { return ti.root }
 // Current returns the instance's current call-tree position.
 func (ti *TaskInstance) Current() *Node { return ti.cur }
 
-// TaskBegin records that a task instance of construct r starts executing
-// on this thread: it allocates the instance and its tree, performs the
-// implicit TaskSwitch to the instance (suspending whatever ran before and
-// entering the stub node under the implicit task's scheduling point), and
-// enters the task region in the instance tree — the TaskBegin action of
-// the paper's Fig. 12.
-func (p *ThreadProfile) TaskBegin(r *region.Region) *TaskInstance {
-	return p.TaskBeginAt(r, p.clk.Now())
-}
-
-// TaskBeginAt is TaskBegin with an explicit timestamp (see EnterAt).
+// TaskBeginAt records that a task instance of construct r starts
+// executing on this thread at now: it allocates the instance and its
+// tree, performs the implicit TaskSwitch to the instance (suspending
+// whatever ran before and entering the stub node under the implicit
+// task's scheduling point), and enters the task region in the instance
+// tree — the TaskBegin action of the paper's Fig. 12.
 func (p *ThreadProfile) TaskBeginAt(r *region.Region, now int64) *TaskInstance {
 	if p.finished {
 		panic("core: TaskBegin after Finish")

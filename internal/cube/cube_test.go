@@ -22,16 +22,16 @@ func buildTwoThreadProfiles(t *testing.T) ([]*core.ThreadProfile, *region.Regist
 	mk := func(tid int, taskTimes []int64) *core.ThreadProfile {
 		clk := clock.NewManual(0)
 		p := core.NewThreadProfile(tid, clk)
-		p.Enter(par)
-		p.Enter(bar)
+		p.EnterAt(par, clk.Now())
+		p.EnterAt(bar, clk.Now())
 		for _, d := range taskTimes {
-			p.TaskBegin(task)
+			p.TaskBeginAt(task, clk.Now())
 			clk.Advance(d)
 			p.TaskEndAt(clk.Now())
 		}
 		clk.Advance(5) // waiting
-		p.Exit(bar)
-		p.Exit(par)
+		p.ExitAt(bar, clk.Now())
+		p.ExitAt(par, clk.Now())
 		p.Finish()
 		return p
 	}
@@ -255,14 +255,14 @@ func TestParamChildrenSorted(t *testing.T) {
 	bar := reg.Register("b", "x.go", 2, region.ImplicitBarrier)
 	clk := clock.NewManual(0)
 	p := core.NewThreadProfile(0, clk)
-	p.Enter(bar)
+	p.EnterAt(bar, clk.Now())
 	for _, d := range []int64{5, 3, 9, 3} {
-		p.TaskBegin(task)
+		p.TaskBeginAt(task, clk.Now())
 		p.ParameterInt("depth", d)
 		clk.Advance(1)
 		p.TaskEndAt(clk.Now())
 	}
-	p.Exit(bar)
+	p.ExitAt(bar, clk.Now())
 	p.Finish()
 	rep := Aggregate([]*core.ThreadProfile{p})
 	ps := ParamChildren(rep.Tasks[0], "depth")

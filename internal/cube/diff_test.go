@@ -21,19 +21,19 @@ func buildReport(t *testing.T, reg *region.Registry, taskNs, idleNs int64, extra
 
 	clk := clock.NewManual(0)
 	p := core.NewThreadProfile(0, clk)
-	p.Enter(par)
+	p.EnterAt(par, clk.Now())
 	if extraRegion {
-		p.Enter(extra)
+		p.EnterAt(extra, clk.Now())
 		clk.Advance(7)
-		p.Exit(extra)
+		p.ExitAt(extra, clk.Now())
 	}
-	p.Enter(bar)
-	p.TaskBegin(task)
+	p.EnterAt(bar, clk.Now())
+	p.TaskBeginAt(task, clk.Now())
 	clk.Advance(taskNs)
 	p.TaskEndAt(clk.Now())
 	clk.Advance(idleNs)
-	p.Exit(bar)
-	p.Exit(par)
+	p.ExitAt(bar, clk.Now())
+	p.ExitAt(par, clk.Now())
 	p.Finish()
 	return Aggregate([]*core.ThreadProfile{p})
 }
@@ -100,16 +100,16 @@ func TestDiffOnlyInBTaskTree(t *testing.T) {
 	other := regB.Register("other", "d.go", 9, region.Task)
 	clk := clock.NewManual(0)
 	p := core.NewThreadProfile(0, clk)
-	p.Enter(par)
-	p.Enter(bar)
-	p.TaskBegin(task)
+	p.EnterAt(par, clk.Now())
+	p.EnterAt(bar, clk.Now())
+	p.TaskBeginAt(task, clk.Now())
 	clk.Advance(100)
 	p.TaskEndAt(clk.Now())
-	p.TaskBegin(other)
+	p.TaskBeginAt(other, clk.Now())
 	clk.Advance(5)
 	p.TaskEndAt(clk.Now())
-	p.Exit(bar)
-	p.Exit(par)
+	p.ExitAt(bar, clk.Now())
+	p.ExitAt(par, clk.Now())
 	p.Finish()
 	b := Aggregate([]*core.ThreadProfile{p})
 

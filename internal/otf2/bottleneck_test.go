@@ -80,9 +80,9 @@ func TestBottlenecksTruncatedSalvage(t *testing.T) {
 	}
 }
 
-// TestAnalyzeFileBottlenecks covers the file front-end: archive and
-// JSONL inputs produce the identical analysis, and a truncated archive
-// is downgraded to a warning.
+// TestAnalyzeFileBottlenecks covers the file front-end: raw and
+// compressed archives produce the identical analysis, and a truncated
+// archive is downgraded to a warning.
 func TestAnalyzeFileBottlenecks(t *testing.T) {
 	tr := benchTrace(2, 200)
 	dir := t.TempDir()
@@ -91,13 +91,13 @@ func TestAnalyzeFileBottlenecks(t *testing.T) {
 	if err := WriteFile(archivePath, tr); err != nil {
 		t.Fatal(err)
 	}
-	jsonlPath := dir + "/t.jsonl"
-	if err := WriteFile(jsonlPath, tr); err != nil {
+	flatePath := dir + "/t-flate.otf2"
+	if err := WriteFile(flatePath, tr, WithCompression(CompressionFlate)); err != nil {
 		t.Fatal(err)
 	}
 
 	want := bottleneck.Analyze(tr)
-	for _, path := range []string{archivePath, jsonlPath} {
+	for _, path := range []string{archivePath, flatePath} {
 		a, _, warn, err := AnalyzeFileBottlenecks(path, Query{}, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)

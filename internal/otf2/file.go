@@ -11,37 +11,27 @@ import (
 	"repro/internal/trace"
 )
 
-// ScanFile feeds the events of a trace file matching q to the consumers:
-// Scan for a binary archive (".otf2"), trace.Scan of the decoded file for
-// anything else (JSONL). It is the one way an analysis reads a file, and
-// with LoadFile the one place a cut archive becomes a warning: the
+// ScanFile feeds the events of the archive at path matching q to the
+// consumers through Scan. It is the one way an analysis reads a file,
+// and with LoadFile the one place a cut archive becomes a warning: the
 // typical state after a crashed or killed run delivers its intact prefix
 // and a human-readable warning ("" for an intact trace) instead of an
-// error. Anything else — I/O failures, corruption, a bad JSONL line —
-// still fails.
+// error. Anything else — I/O failures, corruption, a file that is no
+// archive (a JSONL dump among them) — still fails.
 func ScanFile(path string, q Query, workers int, consumers ...trace.Consumer) (QueryStats, string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return QueryStats{}, "", err
 	}
 	defer f.Close()
-	var st QueryStats
-	if IsArchivePath(path) {
-		st, err = Scan(f, q, workers, consumers...)
-	} else {
-		var tr *trace.Trace
-		if tr, err = trace.ReadJSONL(f, region.NewRegistry()); err == nil {
-			trace.Scan(tr, q, workers, consumers...)
-		}
-	}
+	st, err := Scan(f, q, workers, consumers...)
 	warning, err := salvage(err)
 	return st, warning, err
 }
 
-// LoadFile loads the sub-trace of a trace file matching q, in the format
-// chosen by its extension like ScanFile, interning regions into reg:
-// Load for an archive, the filtered decode for JSONL (always
-// sequential). A cut archive yields its intact prefix and a warning.
+// LoadFile loads the sub-trace of the archive at path matching q
+// through Load, interning regions into reg. A cut archive yields its
+// intact prefix and a warning, as in ScanFile.
 func LoadFile(path string, reg *region.Registry, q Query, workers int) (*trace.Trace, QueryStats, string, error) {
 	tr, st, err := loadFile(path, reg, q, workers)
 	warning, err := salvage(err)
@@ -56,14 +46,7 @@ func loadFile(path string, reg *region.Registry, q Query, workers int) (*trace.T
 		return nil, QueryStats{}, err
 	}
 	defer f.Close()
-	if IsArchivePath(path) {
-		return Load(f, reg, q, workers)
-	}
-	tr, err := trace.ReadJSONL(f, reg)
-	if err == nil && !q.All() {
-		tr = q.Filter(tr)
-	}
-	return tr, QueryStats{}, err
+	return Load(f, reg, q, workers)
 }
 
 // salvage applies the warn-and-continue policy to what reading a file
@@ -225,8 +208,9 @@ func IntactPrefixSize(path string) (int64, error) {
 }
 
 // WriteFile saves a trace to path in the format chosen by its
-// extension, creating or truncating the file. Writer options apply to
-// the archive format only (JSONL ignores them).
+// extension, creating or truncating the file: an archive for ".otf2", a
+// JSONL text dump (which no reader takes back) for anything else.
+// Writer options apply to the archive format only (JSONL ignores them).
 func WriteFile(path string, tr *trace.Trace, opts ...WriterOption) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -45,9 +45,12 @@ func TestReadFileLenientIntact(t *testing.T) {
 	dir := t.TempDir()
 	reg := region.NewRegistry()
 	tr := fileTestTrace(reg, 8)
-	for _, name := range []string{"t.otf2", "t.jsonl"} {
+	for name, opts := range map[string][]WriterOption{
+		"t.otf2":       nil,
+		"t-flate.otf2": {WithCompression(CompressionFlate)},
+	} {
 		path := filepath.Join(dir, name)
-		if err := WriteFile(path, tr); err != nil {
+		if err := WriteFile(path, tr, opts...); err != nil {
 			t.Fatal(err)
 		}
 		got, warning, err := loadWhole(path)
@@ -128,21 +131,21 @@ func TestReadFileLenientTruncated(t *testing.T) {
 	}
 }
 
-// TestAnalyzeFileFormatsAgree checks the two on-disk formats yield the
-// same analysis for the same trace.
+// TestAnalyzeFileFormatsAgree checks the raw and the flate-compressed
+// archive yield the same analysis for the same trace.
 func TestAnalyzeFileFormatsAgree(t *testing.T) {
 	dir := t.TempDir()
 	reg := region.NewRegistry()
 	tr := fileTestTrace(reg, 32)
-	jsonl := filepath.Join(dir, "t.jsonl")
+	flate := filepath.Join(dir, "t-flate.otf2")
 	archive := filepath.Join(dir, "t.otf2")
-	if err := WriteFile(jsonl, tr); err != nil {
+	if err := WriteFile(flate, tr, WithCompression(CompressionFlate)); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFile(archive, tr); err != nil {
 		t.Fatal(err)
 	}
-	aj, _, err := AnalyzeFile(jsonl, 1)
+	af, _, err := AnalyzeFile(flate, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +153,36 @@ func TestAnalyzeFileFormatsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(aj, aa) {
-		t.Errorf("JSONL and archive analyses differ:\njsonl:   %+v\narchive: %+v", aj, aa)
+	if !reflect.DeepEqual(af, aa) {
+		t.Errorf("compressed and raw archive analyses differ:\nflate: %+v\nraw:   %+v", af, aa)
+	}
+}
+
+// TestJSONLDumpIsRefused holds every file reader to "archives only": a
+// JSONL dump fails at the archive header, with an error naming the last
+// commit whose scorep-convert turns it into an archive, and has no
+// intact prefix.
+func TestJSONLDumpIsRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	if err := WriteFile(path, fileTestTrace(region.NewRegistry(), 8)); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "scorep-convert built at commit 72ec01f") {
+			t.Errorf("%s of a JSONL dump: err = %v, want the bad-magic error naming commit 72ec01f", what, err)
+		}
+	}
+	_, _, err := ScanFile(path, Query{}, 2, trace.NewAnalyzer())
+	refused("ScanFile", err)
+	_, _, _, err = LoadFile(path, region.NewRegistry(), Query{}, 2)
+	refused("LoadFile", err)
+	_, _, err = CountFileEvents(path)
+	refused("CountFileEvents", err)
+	_, err = StatFile(path)
+	refused("StatFile", err)
+	if n, err := IntactPrefixSize(path); n != 0 || err != nil {
+		t.Errorf("IntactPrefixSize of a JSONL dump = (%d, %v), want (0, nil)", n, err)
 	}
 }
 

@@ -19,7 +19,9 @@ var errVersion = errors.New("otf2: unsupported format version")
 // readHeaderAt validates the archive header of src: the magic and format
 // version 4, the only one this package reads. A source shorter than the
 // header is a cut archive. An older version is refused with the last
-// commit whose scorep-convert reads it and writes version 4.
+// commit whose scorep-convert reads it and writes version 4, and a file
+// that is no archive at all with the last commit whose scorep-convert
+// reads a JSONL trace: the readers take archives only.
 func readHeaderAt(src io.ReaderAt) error {
 	var hdr [headerLen]byte
 	if n, err := src.ReadAt(hdr[:], 0); n < len(hdr) {
@@ -29,7 +31,7 @@ func readHeaderAt(src io.ReaderAt) error {
 		return cutOrIOErr("reading header", err)
 	}
 	if string(hdr[:len(magic)]) != magic {
-		return corrupt("bad magic %q", hdr[:len(magic)])
+		return corrupt("bad magic %q: not an archive (a JSONL trace converts with scorep-convert built at commit 72ec01f)", hdr[:len(magic)])
 	}
 	switch v := hdr[len(magic)]; {
 	case v == version4:

@@ -1,15 +1,17 @@
 // Package otf2 implements a compact binary trace-archive format for the
 // runtime's event traces — the OTF2-style storage layer the paper's
 // tool chain (Score-P writing OTF2 archives, read by Scalasca/Vampir)
-// uses for event tracing. It replaces the verbose JSONL stand-in for
-// large runs: delta-encoded timestamps, a one-byte record head and
-// LEB128 variable-length integers bring the cost per event from ~100
-// bytes of JSON down to about 3.0 to 3.3 bytes, and the chunked,
-// streaming design lets both recording and analysis run in bounded
-// memory on traces far larger than RAM. Archives are seekable: sealed
-// event chunks may be block-compressed, and a footer index plus
-// fixed-size trailer let a reader open a time window or thread subset in
-// O(matching chunks) instead of O(archive).
+// uses for event tracing. It is the one trace file the readers take
+// (ScanFile, LoadFile); JSONL is only a text dump the writers produce
+// (WriteFile by extension) and nothing reads back. Delta-encoded
+// timestamps, a one-byte record head and LEB128 variable-length
+// integers bring the cost per event from ~100 bytes of JSON down to
+// about 3.0 to 3.3 bytes, and the chunked, streaming design lets both
+// recording and analysis run in bounded memory on traces far larger
+// than RAM. Archives are seekable: sealed event chunks may be
+// block-compressed, and a footer index plus fixed-size trailer let a
+// reader open a time window or thread subset in O(matching chunks)
+// instead of O(archive).
 //
 // # Archive layout
 //

@@ -189,8 +189,7 @@ type scanSource struct {
 }
 
 // scanSources builds the matrix's sources from one trace: every archive
-// kind behind every kind of reader and as a file, the trace itself, and
-// its JSONL file.
+// kind behind every kind of reader and as a file, and the trace itself.
 func scanSources(t *testing.T, tr *trace.Trace) []scanSource {
 	dir := t.TempDir()
 	write := func(opts ...WriterOption) []byte {
@@ -219,16 +218,6 @@ func scanSources(t *testing.T, tr *trace.Trace) []scanSource {
 			return QueryStats{}, "", nil
 		},
 	}}
-	jsonl := filepath.Join(dir, "t.jsonl")
-	if err := WriteFile(jsonl, tr); err != nil {
-		t.Fatal(err)
-	}
-	srcs = append(srcs, scanSource{
-		name: "jsonl-file", ref: tr, lenient: true,
-		scan: func(q Query, workers int, consumers ...trace.Consumer) (QueryStats, string, error) {
-			return ScanFile(jsonl, q, workers, consumers...)
-		},
-	})
 	return append(srcs, archiveSources(t, dir, kinds)...)
 }
 

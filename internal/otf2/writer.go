@@ -25,7 +25,7 @@ import (
 const DefaultChunkBytes = 16 * 1024
 
 // IsArchivePath reports whether path names a binary archive by
-// extension (".otf2"); anything else is treated as JSONL by the tools.
+// extension (".otf2"); WriteFile writes anything else as a JSONL dump.
 func IsArchivePath(p string) bool {
 	return strings.EqualFold(filepath.Ext(p), Ext)
 }

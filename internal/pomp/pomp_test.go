@@ -47,8 +47,8 @@ func TestFunctionWrapperUninstrumentedIsTransparent(t *testing.T) {
 	calls := 0
 	rt.Parallel(1, par, func(th *omp.Thread) {
 		Function(th, fn, func() { calls++ })
-		Enter(th, fn) // raw wrappers must be no-ops without a listener
-		Exit(th, fn)
+		th.Enter(fn) // raw events must be no-ops without a listener
+		th.Exit(fn)
 		ParameterInt(th, "x", 1)
 	})
 	if calls != 1 {
@@ -63,8 +63,8 @@ func TestTaskAndTaskwaitWrappers(t *testing.T) {
 	tw := reg.Register("tw", "p.go", 3, region.Taskwait)
 	ran := 0
 	rt.Parallel(1, par, func(th *omp.Thread) {
-		Task(th, task, func(*omp.Thread) { ran++ })
-		Taskwait(th, tw)
+		th.NewTask(task, func(*omp.Thread) { ran++ })
+		th.Taskwait(tw)
 	})
 	m.Finish()
 	if ran != 1 {
@@ -87,9 +87,9 @@ func TestParameterWrapperInsideTask(t *testing.T) {
 	rt.Parallel(1, par, func(th *omp.Thread) {
 		for i := 0; i < 4; i++ {
 			v := int64(i % 2)
-			Task(th, task, func(c *omp.Thread) { ParameterInt(c, "lvl", v) })
+			th.NewTask(task, func(c *omp.Thread) { ParameterInt(c, "lvl", v) })
 		}
-		Taskwait(th, tw)
+		th.Taskwait(tw)
 	})
 	m.Finish()
 	rep := cube.Aggregate(m.Locations())
@@ -109,15 +109,15 @@ func TestConstructWrappers(t *testing.T) {
 	loop := reg.Register("lp", "p.go", 6, region.Loop)
 
 	var singles, masters, iters int64
-	Parallel(rt, 2, par, func(th *omp.Thread) {
-		Single(th, single, func(*omp.Thread) { singles++ })
-		Barrier(th, bar)
-		Master(th, master, func(*omp.Thread) { masters++ })
-		Critical(th, crit, func(*omp.Thread) { iters++ })
-		For(th, loop, 10, func(_ *omp.Thread, i int) {
-			Critical(th, crit, func(*omp.Thread) { iters++ })
+	rt.Parallel(2, par, func(th *omp.Thread) {
+		th.Single(single, func(*omp.Thread) { singles++ })
+		th.Barrier(bar)
+		th.Master(master, func(*omp.Thread) { masters++ })
+		th.Critical(crit, func(*omp.Thread) { iters++ })
+		th.For(loop, 10, func(_ *omp.Thread, i int) {
+			th.Critical(crit, func(*omp.Thread) { iters++ })
 		})
-		Barrier(th, bar)
+		th.Barrier(bar)
 	})
 	m.Finish()
 	if singles != 1 || masters != 1 || iters != 12 {
@@ -143,10 +143,10 @@ func TestRawEnterExitAndStringParam(t *testing.T) {
 	task := reg.Register("t", "p.go", 3, region.Task)
 	tw := reg.Register("tw", "p.go", 4, region.Taskwait)
 	rt.Parallel(1, par, func(th *omp.Thread) {
-		Enter(th, fn)
-		Exit(th, fn)
-		Task(th, task, func(c *omp.Thread) { ParameterString(c, "mode", "fast") })
-		Taskwait(th, tw)
+		th.Enter(fn)
+		th.Exit(fn)
+		th.NewTask(task, func(c *omp.Thread) { ParameterString(c, "mode", "fast") })
+		th.Taskwait(tw)
 	})
 	m.Finish()
 	rep := cube.Aggregate(m.Locations())
@@ -165,8 +165,8 @@ func TestTaskyieldWrapper(t *testing.T) {
 	ty := reg.Register("yield", "p.go", 3, region.Taskwait)
 	ran := 0
 	rt.Parallel(1, par, func(th *omp.Thread) {
-		Task(th, task, func(c *omp.Thread) {
-			Task(c, task, func(*omp.Thread) { ran++ })
+		th.NewTask(task, func(c *omp.Thread) {
+			c.NewTask(task, func(*omp.Thread) { ran++ })
 			c.Taskyield(ty)
 		})
 	})
@@ -179,15 +179,4 @@ func TestTaskyieldWrapper(t *testing.T) {
 	if tree == nil || tree.Find("yield") == nil {
 		t.Error("taskyield region missing from task tree")
 	}
-}
-
-func TestCurrentProfileAccessor(t *testing.T) {
-	m, rt, reg := setup(t)
-	par := reg.Register("par", "p.go", 1, region.Parallel)
-	rt.Parallel(1, par, func(th *omp.Thread) {
-		if CurrentProfile(th) == nil {
-			t.Error("no profile on instrumented thread")
-		}
-	})
-	m.Finish()
 }

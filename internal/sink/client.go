@@ -288,8 +288,10 @@ func (c *Client) Err() error {
 	return nil
 }
 
-// Resumes returns how many times the stream reconnected and resumed
-// after a mid-stream sever.
+// Resumes returns how many times the daemon answered the handshake by
+// resuming the stream: a reconnect after a mid-stream sever, or a
+// connect retried after the daemon had registered the stream but before
+// its hello arrived. It equals the shard's StreamInfo.Resumes.
 func (c *Client) Resumes() int64 { return c.resumes.Load() }
 
 // GapBytes returns the size of the unresumable gap the client declared
@@ -403,12 +405,12 @@ func (c *Client) run() {
 	defer c.win.release()
 	reconnects := 0
 	for {
-		conn, durable, err := c.connect(reconnects > 0)
+		conn, durable, resumed, err := c.connect(reconnects > 0)
 		if err != nil {
 			c.terminal(err)
 			return
 		}
-		if reconnects > 0 {
+		if resumed {
 			c.resumes.Add(1)
 		}
 		if err := c.win.rewind(durable); err != nil {
@@ -436,8 +438,9 @@ func (c *Client) run() {
 
 // connect dials (with jittered doubling backoff, an attempt cap and an
 // elapsed-time budget) and completes the handshake, returning the
-// connection and the server's durable offset for this stream.
-func (c *Client) connect(reconnect bool) (net.Conn, int64, error) {
+// connection, the server's durable offset for this stream and whether
+// the server resumed it.
+func (c *Client) connect(reconnect bool) (net.Conn, int64, bool, error) {
 	attempts, backoff, budget := c.cfg.dialAttempts, c.cfg.dialBackoff, DefaultDialBudget
 	what := "connect"
 	if reconnect {
@@ -472,18 +475,18 @@ func (c *Client) connect(reconnect bool) (net.Conn, int64, error) {
 			lastErr = err
 			continue
 		}
-		durable, err := c.handshake(conn)
+		durable, status, err := c.handshake(conn)
 		if err != nil {
 			_ = conn.Close()
 			lastErr = err
 			continue
 		}
-		return conn, durable, nil
+		return conn, durable, status == helloResumed, nil
 	}
 	if lastErr == nil {
 		lastErr = errors.New("budget exhausted before any attempt")
 	}
-	return nil, 0, fmt.Errorf("sink: %s: %w", what, lastErr)
+	return nil, 0, false, fmt.Errorf("sink: %s: %w", what, lastErr)
 }
 
 // jitterBackoff spreads a backoff over [d/2, d), so a fleet of clients
@@ -497,8 +500,9 @@ func jitterBackoff(d time.Duration) time.Duration {
 }
 
 // handshake writes the client handshake on conn and reads the server
-// hello, returning the durable offset to resume from.
-func (c *Client) handshake(conn net.Conn) (int64, error) {
+// hello, returning the durable offset to resume from and the hello's
+// status (helloNew or helloResumed).
+func (c *Client) handshake(conn net.Conn) (int64, byte, error) {
 	_ = conn.SetDeadline(time.Now().Add(DefaultAckTimeout))
 	defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	hs := make([]byte, 0, len(Magic)+1+2*binary.MaxVarintLen64+len(c.cfg.streamID))
@@ -508,38 +512,38 @@ func (c *Client) handshake(conn net.Conn) (int64, error) {
 	hs = append(hs, c.cfg.streamID...)
 	hs = binary.AppendUvarint(hs, c.cfg.token)
 	if _, err := conn.Write(hs); err != nil {
-		return 0, fmt.Errorf("handshake: %w", err)
+		return 0, 0, fmt.Errorf("handshake: %w", err)
 	}
 	// Read the hello byte by byte: nothing may be buffered past it,
 	// the ack reader owns every later byte.
 	cr := &connByteReader{c: conn}
 	kind, err := cr.ReadByte()
 	if err != nil {
-		return 0, fmt.Errorf("reading hello: %w", err)
+		return 0, 0, fmt.Errorf("reading hello: %w", err)
 	}
 	switch kind {
 	case frameHello:
 		status, err := cr.ReadByte()
 		if err != nil {
-			return 0, fmt.Errorf("reading hello: %w", err)
+			return 0, 0, fmt.Errorf("reading hello: %w", err)
 		}
 		if status != helloNew && status != helloResumed {
-			return 0, fmt.Errorf("reading hello: unknown status %d", status)
+			return 0, 0, fmt.Errorf("reading hello: unknown status %d", status)
 		}
 		durable, err := binary.ReadUvarint(cr)
 		if err != nil {
-			return 0, fmt.Errorf("reading hello durable offset: %w", err)
+			return 0, 0, fmt.Errorf("reading hello durable offset: %w", err)
 		}
-		return int64(durable), nil
+		return int64(durable), status, nil
 	case ackByte:
 		// The server refused with a final ack instead of a hello.
 		status, err := cr.ReadByte()
 		if err != nil {
-			return 0, fmt.Errorf("reading hello: %w", err)
+			return 0, 0, fmt.Errorf("reading hello: %w", err)
 		}
-		return 0, fmt.Errorf("daemon refused stream (status %d)", status)
+		return 0, 0, fmt.Errorf("daemon refused stream (status %d)", status)
 	default:
-		return 0, fmt.Errorf("reading hello: unexpected frame %q", kind)
+		return 0, 0, fmt.Errorf("reading hello: unexpected frame %q", kind)
 	}
 }
 

@@ -87,6 +87,7 @@ func TestSeverMidFrameResume(t *testing.T) {
 			}
 			work, refs := streamWorkload(t, t.TempDir(), streams, 30, 20)
 
+			resumes := make([]int64, streams) // each client's count
 			var wg sync.WaitGroup
 			for i := 0; i < streams; i++ {
 				wg.Add(1)
@@ -120,7 +121,7 @@ func TestSeverMidFrameResume(t *testing.T) {
 						t.Errorf("stream %d: Close = %v", i, err)
 						return
 					}
-					if cl.Resumes() == 0 {
+					if resumes[i] = cl.Resumes(); resumes[i] == 0 {
 						t.Errorf("stream %d: sever produced no resume", i)
 					}
 					if cl.GapBytes() != 0 {
@@ -142,6 +143,9 @@ func TestSeverMidFrameResume(t *testing.T) {
 				st, ok := infos[id]
 				if !ok || !st.Complete || st.Resumes == 0 || st.GapBytes != 0 {
 					t.Fatalf("stream %s info = %+v, want complete with resumes and no gap", id, st)
+				}
+				if st.Resumes != resumes[i] {
+					t.Errorf("stream %s: the server counts %d resumes, the client %d", id, st.Resumes, resumes[i])
 				}
 				mustEqualFiles(t, id, refs[i], filepath.Join(srv.Dir(), st.File))
 			}
@@ -202,6 +206,7 @@ func TestDaemonCrashRestartResume(t *testing.T) {
 			half := make(chan int, streams) // streams that wrote half
 			goOn := make(chan struct{})     // restart done, finish writing
 			errs := make(chan error, streams)
+			resumes := make([]int64, streams) // each client's count, read after errs
 			for i := 0; i < streams; i++ {
 				go func(i int) {
 					cl, err := Dial("unix://"+sock,
@@ -234,6 +239,7 @@ func TestDaemonCrashRestartResume(t *testing.T) {
 						errs <- fmt.Errorf("stream %d: gap of %d bytes", i, cl.GapBytes())
 						return
 					}
+					resumes[i] = cl.Resumes()
 					errs <- nil
 				}(i)
 			}
@@ -283,6 +289,9 @@ func TestDaemonCrashRestartResume(t *testing.T) {
 				}
 				if st.Resumes == 0 {
 					t.Fatalf("stream %s recorded no resume across the restart", id)
+				}
+				if st.Resumes != resumes[i] {
+					t.Errorf("stream %s: the server counts %d resumes, the client %d", id, st.Resumes, resumes[i])
 				}
 				mustEqualFiles(t, id, refs[i], filepath.Join(dir, st.File))
 			}
@@ -548,6 +557,71 @@ func TestDiskFaultOneShard(t *testing.T) {
 			}
 		})
 	}
+}
+
+// severBeforeHello is a client connection that dies after the server
+// registered its stream and before the server's hello reaches the
+// client: its first read waits until the server lists the stream, then
+// closes the connection instead of reading.
+type severBeforeHello struct {
+	net.Conn
+	srv *Server
+}
+
+func (c *severBeforeHello) Read([]byte) (int, error) {
+	for deadline := time.Now().Add(5 * time.Second); len(c.srv.Streams()) == 0; {
+		if time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	_ = c.Conn.Close()
+	return 0, io.ErrUnexpectedEOF
+}
+
+// TestResumeOnFirstConnectIsCounted severs the client's first
+// connection between the server's registration of the stream and its
+// hello. The initial connect loop dials again, the server resumes the
+// stream it registered, and the client must count that resume as the
+// server does: Client.Resumes equals the shard's StreamInfo.Resumes.
+func TestResumeOnFirstConnectIsCounted(t *testing.T) {
+	srv, addr := startServer(t)
+	network, address, err := SplitAddr(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dials atomic.Int32
+	dial := func() (net.Conn, error) {
+		conn, err := net.Dial(network, address)
+		if err == nil && dials.Add(1) == 1 {
+			conn = &severBeforeHello{Conn: conn, srv: srv}
+		}
+		return conn, err
+	}
+	cl, err := NewClient(dial, WithStreamID("r1"), WithDialRetry(3, time.Millisecond),
+		WithWriterOptions(otf2.WithChunkBytes(512)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := synthBatches(region.NewRegistry(), 2, 3, 20)
+	streamAll(t, cl, batches)
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	infos := srv.Streams()
+	if len(infos) != 1 || !infos[0].Complete {
+		t.Fatalf("streams = %+v, want one complete stream", infos)
+	}
+	if dials.Load() != 2 || infos[0].Resumes != 1 || cl.Resumes() != infos[0].Resumes {
+		t.Fatalf("%d dials; the server counts %d resumes, the client %d; want 2 dials and one resume on both sides",
+			dials.Load(), infos[0].Resumes, cl.Resumes())
+	}
+	local := filepath.Join(t.TempDir(), "local.otf2")
+	writeLocal(t, local, batches, otf2.WithChunkBytes(512))
+	mustEqualFiles(t, "shard", local, filepath.Join(srv.Dir(), infos[0].File))
 }
 
 // TestHandshakeReadDeadline connects and sends nothing: the server must

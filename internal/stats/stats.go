@@ -5,10 +5,7 @@
 // maximum and the number of samples").
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Dur aggregates int64 nanosecond duration samples.
 // The zero value is an empty aggregate ready for use.
@@ -93,40 +90,6 @@ func FormatNs(ns int64) string {
 		return fmt.Sprintf("%dns", ns)
 	}
 }
-
-// Welford accumulates running mean and variance for float64 samples.
-// The experiment harness uses it to report run-to-run spread, which the
-// paper needed for the floorplan class-A/class-B discussion (Section V-A).
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add records one sample.
-func (w *Welford) Add(x float64) {
-	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-}
-
-// N returns the number of samples.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the running mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the sample variance (0 for fewer than two samples).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
 
 // Median returns the median of xs, or 0 for an empty slice. xs is not
 // modified. Medians are used by the overhead experiments because the

@@ -135,37 +135,6 @@ func TestDurString(t *testing.T) {
 	}
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Errorf("n = %d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Errorf("mean = %f, want 5", w.Mean())
-	}
-	// Sample variance of this classic dataset is 32/7.
-	if math.Abs(w.Variance()-32.0/7.0) > 1e-12 {
-		t.Errorf("variance = %f, want %f", w.Variance(), 32.0/7.0)
-	}
-	if math.Abs(w.Stddev()-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Errorf("stddev = %f", w.Stddev())
-	}
-}
-
-func TestWelfordFewSamples(t *testing.T) {
-	var w Welford
-	if w.Variance() != 0 || w.Mean() != 0 {
-		t.Error("empty welford nonzero")
-	}
-	w.Add(3)
-	if w.Variance() != 0 {
-		t.Error("single-sample variance nonzero")
-	}
-}
-
 func TestMedian(t *testing.T) {
 	cases := []struct {
 		in   []float64

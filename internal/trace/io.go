@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/region"
 )
 
 // jsonEvent is the serialized record form (JSON Lines, one event per
@@ -47,56 +45,4 @@ func WriteJSONL(w io.Writer, tr *Trace) error {
 		}
 	}
 	return bw.Flush()
-}
-
-var typeByName = func() map[string]EventType {
-	m := make(map[string]EventType, len(evNames))
-	for t, n := range evNames {
-		m[n] = t
-	}
-	return m
-}()
-
-var regionTypeByName = func() map[string]region.Type {
-	m := make(map[string]region.Type)
-	for t := region.UserFunction; t <= region.Parameter; t++ {
-		m[t.String()] = t
-	}
-	return m
-}()
-
-// ReadJSONL deserializes a trace written by WriteJSONL, interning
-// regions into reg.
-func ReadJSONL(r io.Reader, reg *region.Registry) (*Trace, error) {
-	tr := &Trace{Threads: make(map[int][]Event)}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var je jsonEvent
-		if err := json.Unmarshal(sc.Bytes(), &je); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		typ, ok := typeByName[je.Type]
-		if !ok {
-			return nil, fmt.Errorf("trace: line %d: unknown event type %q", line, je.Type)
-		}
-		ev := Event{Time: je.Time, Type: typ, TaskID: je.TaskID}
-		if je.Region != "" {
-			rt, ok := regionTypeByName[je.RType]
-			if !ok {
-				return nil, fmt.Errorf("trace: line %d: unknown region type %q", line, je.RType)
-			}
-			ev.Region = reg.Register(je.Region, je.File, je.Line, rt)
-		}
-		tr.Threads[je.Thread] = append(tr.Threads[je.Thread], ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: line %d: %w", line+1, err)
-	}
-	return tr, nil
 }
