@@ -178,7 +178,7 @@ func main() {
 		consumers := []trace.Consumer{ta}
 		var bc *bottleneck.Collector
 		if *bottlenecks {
-			bc = bottleneck.NewCollector(*parallel)
+			bc = bottleneck.NewCollector()
 			consumers = append(consumers, bc)
 		}
 		qst, warning, err := otf2.ScanFile(*tracePath, query, *parallel, consumers...)

@@ -29,6 +29,19 @@
 // bookkeeping is driven through the same trace.SyncCoverage state
 // machine as ThreadAnalysis.IdleInSync, so the two layers share one
 // definition of sync coverage by construction.
+//
+// Finish builds only what its questions read. As a thread's records
+// are appended, the collector keeps their order, the count of its
+// timeline's segments and, from a stack of the tasks it suspended, the
+// link from each resumed fragment to the task's previous one; so the
+// critical-path walk, which visits tens to hundreds of segments, learns
+// when a task was suspended from one link. Only where links cannot
+// tell — a task whose fragments lie on more than one thread or were not
+// resumed in stack order, or a thread whose clock ran backwards — is
+// the table of every task's fragment ends laid out, at the first such
+// question. A creator's pending windows are laid out when an idle span
+// of another thread first asks for them, so a one-thread recording
+// builds none.
 // Analysis results carry region *names*, never *region.Region pointers,
 // so results from different Registry instances compare equal.
 package bottleneck
@@ -194,6 +207,7 @@ const (
 	fragFirst = 1 << iota // began via EvTaskBegin: the task's very first fragment
 	fragGap               // a dispatch gap [gapStart, start) ended at its begin
 	fragOpens             // the first begin the task table took for its task
+	fragDone              // its task's own EvTaskEnd closed it
 )
 
 // frag is one executed task fragment, together with the readiness
@@ -206,6 +220,12 @@ type frag struct {
 	gapStart int64
 	slot     int32
 	flags    uint8
+}
+
+// taskFrag is a fragment of task, by its place in its thread's frags.
+type taskFrag struct {
+	task uint64
+	frag int32
 }
 
 // barrierVisit is one enter/exit of an explicit or implicit barrier
@@ -240,14 +260,34 @@ type threadCollector struct {
 
 	created []taskCreate
 	frags   []frag // in stream order: starts and ends ascend with the clock
+	// links[i] is the place in frags of the previous fragment of
+	// frags[i]'s task, or -1: set when a begin resumes the task on top of
+	// suspended, the stack of the fragments closed without their task's
+	// end, each pushed when the next fragment begins.
+	links     []int32
+	suspended []taskFrag
+	// unordered is set when a fragment began before the thread's first
+	// event or the end of the fragment before it, or ended before it
+	// began: the thread's clock ran backwards.
+	unordered bool
 	// The thread's task ends, in stream order: ends are the places in
 	// frags of the fragments their task's own EvTaskEnd closed, strayEnds
-	// the EvTaskEnds of a task other than the one running.
-	ends      []int32
-	strayEnds []taskStamp
-	idles     []span
-	barriers  []barrierVisit
-	barStack  []barrierVisit // open barrier enters (exit pending)
+	// the EvTaskEnds of a task other than the one running. The flags are
+	// set when a list is not in (time, task) order; lastEnd is the last
+	// of ends.
+	ends                        []int32
+	strayEnds                   []taskStamp
+	lastEnd                     taskStamp
+	endsUnsorted, strayUnsorted bool
+	idles                       []span
+	barriers                    []barrierVisit
+	barStack                    []barrierVisit // open barrier enters (exit pending)
+
+	// segments counts the pieces of the thread's timeline that its
+	// fragments before the last add, up to segEnd, the latest of its
+	// first event and their ends (countSegments).
+	segments int
+	segEnd   int64
 
 	// idLo and idHi bound the task ids of created and frags, and
 	// createdLo those of created: the task table is laid out by them.
@@ -286,18 +326,20 @@ func (tc *threadCollector) reserve(n int) {
 		return
 	}
 	tc.frags = make([]frag, 0, n/fragShare+n/64+16)
+	tc.links = make([]int32, 0, cap(tc.frags))
 	tc.created = make([]taskCreate, 0, n/createShare+n/64+16)
 	tc.ends = make([]int32, 0, n/createShare+n/64+16)
 	tc.idles = make([]span, 0, n/idleShare+16)
 }
 
-// push appends v, doubling a full buffer: a stream of n records copies
-// fewer than n of them, where append's growth by a quarter copies 4n.
-func push[T any](s []T, v T) []T {
-	if len(s) == cap(s) {
-		s = slices.Grow(s, max(len(s), 64))
+// push appends v to *s in place, doubling a full buffer: a stream of n
+// records copies fewer than n of them, where append's growth by a
+// quarter copies 4n. Only a growth writes the slice's pointer back.
+func push[T any](s *[]T, v T) {
+	if len(*s) == cap(*s) {
+		*s = slices.Grow(*s, max(len(*s), 64))
 	}
-	return append(s, v)
+	*s = append(*s, v)
 }
 
 func barrierRegion(r *region.Region) bool {
@@ -327,7 +369,7 @@ func (tc *threadCollector) regionID(r *region.Region) int32 {
 
 func (tc *threadCollector) observe(ev *trace.Event) {
 	if !tc.firstValid {
-		tc.firstTime = ev.Time
+		tc.firstTime, tc.segEnd = ev.Time, ev.Time
 		tc.firstValid = true
 	}
 	tc.lastTime = ev.Time
@@ -349,7 +391,7 @@ func (tc *threadCollector) observe(ev *trace.Event) {
 				// Trailing idle: the tail of the instance no fragment
 				// or dispatch gap covered.
 				if ev.Time > tc.coverEnd {
-					tc.idles = push(tc.idles, span{tc.coverEnd, ev.Time})
+					push(&tc.idles, span{tc.coverEnd, ev.Time})
 				}
 			}
 		}
@@ -357,13 +399,13 @@ func (tc *threadCollector) observe(ev *trace.Event) {
 			b := tc.barStack[len(tc.barStack)-1]
 			tc.barStack = tc.barStack[:len(tc.barStack)-1]
 			b.exit = ev.Time
-			tc.barriers = push(tc.barriers, b)
+			push(&tc.barriers, b)
 		}
 	case trace.EvTaskCreateBegin:
 		tc.inCreate = true
 	case trace.EvTaskCreateEnd:
 		if tc.inCreate {
-			tc.created = push(tc.created, taskCreate{id: ev.TaskID, end: ev.Time, region: tc.regionID(ev.Region)})
+			push(&tc.created, taskCreate{id: ev.TaskID, end: ev.Time, region: tc.regionID(ev.Region)})
 			tc.inCreate = false
 			tc.noteID(ev.TaskID)
 			tc.createdLo = min(tc.createdLo, ev.TaskID)
@@ -372,10 +414,21 @@ func (tc *threadCollector) observe(ev *trace.Event) {
 		tc.endFragment(ev.Time)
 		tc.beginFragment(ev.Time, ev.TaskID, fragFirst)
 	case trace.EvTaskEnd:
-		if last := len(tc.frags) - 1; tc.inFrag && tc.frags[last].task == ev.TaskID {
-			tc.ends = push(tc.ends, int32(last))
+		e := taskStamp{ev.TaskID, ev.Time}
+		last := len(tc.frags) - 1
+		done := tc.inFrag && tc.frags[last].task == ev.TaskID
+		if done {
+			if len(tc.ends) > 0 && compareStamps(e, tc.lastEnd) < 0 {
+				tc.endsUnsorted = true
+			}
+			push(&tc.ends, int32(last))
+			tc.lastEnd = e
+			tc.frags[last].flags |= fragDone
 		} else {
-			tc.strayEnds = append(tc.strayEnds, taskStamp{ev.TaskID, ev.Time})
+			if n := len(tc.strayEnds); n > 0 && compareStamps(e, tc.strayEnds[n-1]) < 0 {
+				tc.strayUnsorted = true
+			}
+			tc.strayEnds = append(tc.strayEnds, e)
 		}
 		tc.endFragment(ev.Time)
 		if tc.sc.Depth > 0 {
@@ -397,6 +450,9 @@ func (tc *threadCollector) endFragment(t int64) {
 	}
 	f := &tc.frags[len(tc.frags)-1]
 	f.end = t
+	if t < f.start {
+		tc.unordered = true
+	}
 	tc.sc.Cover(t - f.start)
 	if tc.sc.Depth > 0 {
 		tc.coverEnd = t
@@ -404,13 +460,46 @@ func (tc *threadCollector) endFragment(t int64) {
 	tc.inFrag = false
 }
 
+// pieces counts the pieces of a timeline counted up to end that the
+// closed fragment f adds: the implicit-task filler before it and
+// itself. It returns them and the timeline's new end.
+func pieces(f *frag, end int64) (int, int64) {
+	n := 0
+	if f.start > end {
+		n++
+	}
+	if f.end > f.start {
+		n++
+	}
+	return n, max(end, f.end)
+}
+
+// beginFragment opens a fragment of task at t. The fragment before it
+// is closed: its pieces are counted, and unless its task's end closed
+// it, the task is suspended.
 func (tc *threadCollector) beginFragment(t int64, task uint64, flags uint8) {
+	if last := len(tc.frags) - 1; last >= 0 {
+		p := &tc.frags[last]
+		n, end := pieces(p, tc.segEnd)
+		tc.segments, tc.segEnd = tc.segments+n, end
+		if p.flags&fragDone == 0 {
+			tc.suspended = append(tc.suspended, taskFrag{p.task, int32(last)})
+		}
+	}
+	link := int32(-1)
+	if n := len(tc.suspended); n > 0 && tc.suspended[n-1].task == task {
+		link = tc.suspended[n-1].frag
+		tc.suspended = tc.suspended[:n-1]
+	}
+	if t < tc.segEnd {
+		tc.unordered = true
+	}
 	f := frag{task: task, start: t, end: t, flags: flags}
 	if start, _, ok := tc.sc.TakeDispatch(t); ok {
 		// Idle between the last covered span and the (possibly
 		// re-stamped) readiness the gap starts at.
 		if tc.sc.Depth > 0 && start > tc.coverEnd {
-			tc.idles = push(tc.idles, span{tc.coverEnd, start})
+			push(&tc.idles, span{tc.coverEnd, start})
 		}
 		f.gapStart = start
 		f.flags |= fragGap
@@ -420,10 +509,11 @@ func (tc *threadCollector) beginFragment(t int64, task uint64, flags uint8) {
 	} else if tc.sc.Depth > 0 && t > tc.coverEnd {
 		// Fragment begins with no open readiness (e.g. directly after a
 		// suspension): the uncovered span before it is idle.
-		tc.idles = push(tc.idles, span{tc.coverEnd, t})
+		push(&tc.idles, span{tc.coverEnd, t})
 		tc.coverEnd = t
 	}
-	tc.frags = push(tc.frags, f)
+	push(&tc.frags, f)
+	push(&tc.links, link)
 	tc.inFrag = true
 	tc.noteID(task)
 }
@@ -449,17 +539,14 @@ func (tc *threadCollector) closedFrags() []frag {
 // reflect.DeepEqual-identical however the runs were cut and at every
 // worker count.
 type Collector struct {
-	mu         sync.Mutex
-	threads    map[int]*threadCollector
-	events     map[int]int // the scan's hint: buffers are sized by it
-	concurrent bool
+	mu      sync.Mutex
+	threads map[int]*threadCollector
+	events  map[int]int // the scan's hint: buffers are sized by it
 }
 
-// NewCollector returns an empty collector for a scan on workers
-// goroutines (<= 0: one per processor). With more than one, Finish
-// builds its path tables beside the classification instead of after it.
-func NewCollector(workers int) *Collector {
-	return &Collector{threads: make(map[int]*threadCollector), concurrent: trace.Workers(workers) > 1}
+// NewCollector returns an empty collector.
+func NewCollector() *Collector {
+	return &Collector{threads: make(map[int]*threadCollector)}
 }
 
 // Hint implements trace.Consumer: a thread's record buffers are made
@@ -486,7 +573,7 @@ func (c *Collector) Consume(tid int, events []trace.Event) {
 // analysis. All Consume calls must have returned; the collector must not
 // be reused afterwards.
 func (c *Collector) Finish() *Analysis {
-	return finish(c.observed(), c.concurrent)
+	return finish(c.observed())
 }
 
 // observed lists the threads that observed an event, by tid: those an
@@ -508,7 +595,7 @@ func (c *Collector) observed() []*threadCollector {
 func Analyze(tr *trace.Trace) *Analysis { return AnalyzeQuery(tr, trace.Query{}, 1) }
 
 func AnalyzeQuery(tr *trace.Trace, q trace.Query, workers int) *Analysis {
-	c := NewCollector(workers)
+	c := NewCollector()
 	trace.Scan(tr, q, workers, c)
 	return c.Finish()
 }

@@ -10,12 +10,15 @@ import (
 	"repro/internal/analyze"
 )
 
-// Counts for tests. Of the two slow paths finish can take: a record
-// stream that was not in time order had to be sorted, and the ids a
+// Counts for tests. Of the three slow paths finish can take: a record
+// stream that was not in time order had to be sorted; the ids a
 // recording creates were spread too wide for the dense part of the task
-// table, so that the side table took some of them. Of the work
-// classifyIdle did: search probes made and windows walked or laid out.
-var sortFallbacks, sparseTables, classifySteps atomic.Int64
+// table, so that the side table took some of them; and the walk asked
+// when a task was suspended that links could not tell, so that every
+// task's fragment ends were laid out. Of the work classifyIdle did:
+// search probes made and windows walked or laid out, and creators whose
+// pending windows it laid out.
+var sortFallbacks, sparseTables, fragTables, classifySteps, pendingBuilds atomic.Int64
 
 // regionNames numbers the region names an analysis reports, so that
 // tallies are indexed or keyed by a small integer. Names, not
@@ -49,6 +52,12 @@ func (n *regionNames) id(name string) int32 {
 
 // taskInfo is the merged cross-thread view of one task instance.
 // Threads are positions in the sorted thread list.
+//
+// A task's fragments are linked when all lie on one thread and each but
+// the first resumed the task from the thread's stack of suspended ones:
+// then the first is its one unlinked fragment. unlinked is set at the
+// first, stray at a second, which sends the task's suspension times to
+// the fragment table.
 type taskInfo struct {
 	createEnd   int64
 	firstBegin  int64
@@ -57,16 +66,16 @@ type taskInfo struct {
 	region      int32
 	created     bool
 	hasBegin    bool
+	unlinked    bool
+	stray       bool
 }
 
 // finish merges the per-thread raw material of the threads that
 // observed an event, in tid order, and runs classification and
 // critical-path reconstruction. Every pass takes the threads in that
 // order and breaks ties deterministically, so the result is identical
-// however the observation was sharded. With concurrent set, the
-// critical path's lookup tables, which depend on nothing classification
-// computes, are built beside it on a second goroutine.
-func finish(tcs []*threadCollector, concurrent bool) *Analysis {
+// however the observation was sharded.
+func finish(tcs []*threadCollector) *Analysis {
 	a := &Analysis{PerThread: make(map[int]*ThreadWaits, len(tcs)), Threads: len(tcs)}
 	if len(tcs) == 0 {
 		a.CriticalPath.Regions = []PathRegion{}
@@ -87,11 +96,6 @@ func finish(tcs []*threadCollector, concurrent bool) *Analysis {
 
 	names := newRegionNames()
 	tasks := mergeTasks(tcs, names)
-	tables := make(chan pathTables, 1)
-	buildTables := func() { tables <- newPathTables(tcs, tasks) }
-	if concurrent {
-		go buildTables()
-	}
 	waits := &waitTally{names: names, index: make(map[waitKey]int), states: []WaitState{}}
 
 	classifyDispatchGaps(perThread, tcs, tasks, waits)
@@ -99,10 +103,7 @@ func finish(tcs []*threadCollector, concurrent bool) *Analysis {
 	classifyIdle(perThread, tcs, tasks, a.EndTime, visits, waits)
 
 	a.WaitStates = waits.sorted()
-	if !concurrent {
-		buildTables()
-	}
-	buildCriticalPath(a, tcs, tasks, <-tables, visits, names)
+	buildCriticalPath(a, tcs, tasks, newPathTables(tcs, tasks), visits, names)
 	a.Findings = emitFindings(a)
 	return a
 }
@@ -166,7 +167,8 @@ func newTaskSlots(tcs []*threadCollector) (taskSlots, int) {
 // and fragment records and writes every record's slot. Iteration is in
 // sorted-tid order; duplicate records for one task id (malformed or
 // windowed traces) keep the first seen in that order, and the fragment
-// that gave a task its first begin is marked fragOpens.
+// that gave a task its first begin is marked fragOpens. A task with a
+// second unlinked fragment is marked stray.
 //
 // The table is one slab of values. Task ids are handed out by one
 // counter, so those a recording creates are dense: the slab is dense
@@ -209,11 +211,16 @@ func mergeTasks(tcs []*threadCollector, names *regionNames) []taskInfo {
 		for i := range tc.frags {
 			f := &tc.frags[i]
 			f.slot = slots.slot(f.task)
-			if t := &tasks[f.slot]; f.flags&fragFirst != 0 && !t.hasBegin {
+			t := &tasks[f.slot]
+			if f.flags&fragFirst != 0 && !t.hasBegin {
 				f.flags |= fragOpens
 				t.hasBegin = true
 				t.beginThread = int32(ti)
 				t.firstBegin = f.start
+			}
+			if tc.links[i] < 0 {
+				t.stray = t.unlinked
+				t.unlinked = true
 			}
 		}
 	}
@@ -562,7 +569,7 @@ type pendingSet struct {
 	sortedEndAt                 int
 }
 
-func newPendingSet(tc *threadCollector, tasks []taskInfo, endTime int64, steps *int64) pendingSet {
+func newPendingSet(tc *threadCollector, tasks []taskInfo, endTime int64, steps *int64) *pendingSet {
 	windowEnd := func(c taskCreate) int64 {
 		if c.slot < 0 {
 			return c.end // a repeated creation: no window
@@ -578,48 +585,81 @@ func newPendingSet(tc *threadCollector, tasks []taskInfo, endTime int64, steps *
 		sortFallbacks.Add(1)
 		slices.SortFunc(tc.created, byStart)
 	}
-	p := pendingSet{windowSet: newWindowSet(len(tc.created), steps), created: tc.created}
+	p := &pendingSet{windowSet: newWindowSet(len(tc.created), steps), created: tc.created}
 	for i, c := range tc.created {
 		p.start[i], p.end[i] = c.end, windowEnd(c)
 	}
 	p.seal()
+	pendingBuilds.Add(1)
 	return p
 }
 
-// sortEnds gives every creator's pending set its window ends in
-// ascending order. A window ends at its task's first begin, and the
-// first begins of one thread come in its stream order: walking each
-// thread's fragments lays every creator's ends out as ascending runs,
-// one per begin thread, and a last run of the windows whose task never
-// began, which end at endTime. The runs are merged; only a clock that
-// ran backwards makes that a sort.
-func sortEnds(pending []pendingSet, tcs []*threadCollector, tasks []taskInfo, endTime int64, steps *int64) {
-	bounds := make([][]int, len(pending)) // every creator's runs
-	for c := range pending {
-		pending[c].sortedEnd = make([]int64, 0, len(pending[c].end))
-		bounds[c] = make([]int, 1, len(tcs)+2)
+// pendingSets are the creators' pending sets, by place in the thread
+// list, each laid out when an idle span of another thread first asks
+// for it.
+type pendingSets struct {
+	sets     []*pendingSet
+	unsorted bool // a set was laid out since sortEnds last ran
+	tcs      []*threadCollector
+	tasks    []taskInfo
+	endTime  int64
+	steps    *int64
+}
+
+func (ps *pendingSets) of(c int) *pendingSet {
+	if ps.sets[c] == nil {
+		ps.sets[c] = newPendingSet(ps.tcs[c], ps.tasks, ps.endTime, ps.steps)
+		ps.unsorted = true
 	}
-	for _, tc := range tcs {
+	return ps.sets[c]
+}
+
+// sortEnds gives every pending set laid out so far its window ends in
+// ascending order, unless it has them already. A window ends at its
+// task's first begin, and the first begins of one thread come in its
+// stream order: walking each thread's fragments lays every creator's
+// ends out as ascending runs, one per begin thread, and a last run of
+// the windows whose task never began, which end at endTime. The runs are
+// merged; only a clock that ran backwards makes that a sort.
+func (ps *pendingSets) sortEnds() {
+	if !ps.unsorted {
+		return
+	}
+	ps.unsorted = false
+	bounds := make([][]int, len(ps.sets)) // the runs of every set to sort
+	for c, p := range ps.sets {
+		if p != nil && p.sortedEnd == nil {
+			p.sortedEnd = make([]int64, 0, len(p.end))
+			bounds[c] = make([]int, 1, len(ps.tcs)+2)
+		}
+	}
+	for _, tc := range ps.tcs {
 		for i := range tc.frags {
 			// A window that would end at or before its creation's end was
 			// dropped by newPendingSet.
 			f := &tc.frags[i]
-			if t := &tasks[f.slot]; f.flags&fragOpens != 0 && t.created && t.firstBegin > t.createEnd {
-				pending[t.creator].sortedEnd = append(pending[t.creator].sortedEnd, t.firstBegin)
+			if t := &ps.tasks[f.slot]; f.flags&fragOpens != 0 && t.created && t.firstBegin > t.createEnd && bounds[t.creator] != nil {
+				p := ps.sets[t.creator]
+				p.sortedEnd = append(p.sortedEnd, t.firstBegin)
 			}
 		}
-		for c := range pending {
-			bounds[c] = append(bounds[c], len(pending[c].sortedEnd))
+		for c, b := range bounds {
+			if b != nil {
+				bounds[c] = append(b, len(ps.sets[c].sortedEnd))
+			}
 		}
 	}
-	for c := range pending {
-		p := &pending[c]
-		for len(p.sortedEnd) < len(p.end) {
-			p.sortedEnd = append(p.sortedEnd, endTime)
+	for c, b := range bounds {
+		if b == nil {
+			continue
 		}
-		bounds[c] = append(bounds[c], len(p.end))
-		p.sortedEnd = mergeRuns(p.sortedEnd, bounds[c], cmp.Compare[int64])
-		*steps += int64(len(p.end) * bits.Len(uint(len(bounds[c]))))
+		p := ps.sets[c]
+		for len(p.sortedEnd) < len(p.end) {
+			p.sortedEnd = append(p.sortedEnd, ps.endTime)
+		}
+		b = append(b, len(p.end))
+		p.sortedEnd = mergeRuns(p.sortedEnd, b, cmp.Compare[int64])
+		*ps.steps += int64(len(p.end) * bits.Len(uint(len(b))))
 	}
 }
 
@@ -691,20 +731,17 @@ type idleScratch struct {
 // Starved-thief takes precedence over barrier imbalance: work that
 // existed but was not distributed is the actionable diagnosis.
 //
-// Every creator's pending windows and every thread's barrier waits are
-// laid out once as a windowSet, and an idle span asks them by rank
-// search: the cost is at most O((windows + idle spans x threads +
-// barrier visits) x log), plus the windows and waits that start inside
-// a span, which for the disjoint spans of a well-formed stream are each
-// walked once per victim. No answer depends on the order of the spans.
+// A creator's pending windows, laid out when another thread's idle span
+// first asks for them, and every thread's barrier waits are each laid
+// out once as a windowSet, and an idle span asks them by rank search:
+// the cost is at most O((windows + idle spans x threads + barrier
+// visits) x log), plus the windows and waits that start inside a span,
+// which for the disjoint spans of a well-formed stream are each walked
+// once per victim. No answer depends on the order of the spans.
 func classifyIdle(perThread []ThreadWaits, tcs []*threadCollector, tasks []taskInfo, endTime int64, visits barrierVisits, waits *waitTally) {
 	var steps int64
-	pending := make([]pendingSet, len(tcs))
-	for ti, tc := range tcs {
-		pending[ti] = newPendingSet(tc, tasks, endTime, &steps)
-	}
+	pending := pendingSets{sets: make([]*pendingSet, len(tcs)), tcs: tcs, tasks: tasks, endTime: endTime, steps: &steps}
 	var s idleScratch
-	endsSorted := false
 	for ti, tc := range tcs {
 		tw := &perThread[ti]
 		// Barrier wait windows for this thread: [arrival, lastArrival]
@@ -734,12 +771,12 @@ func classifyIdle(perThread []ThreadWaits, tcs []*threadCollector, tasks []taskI
 			// cause is the creator with the largest summed overlap, the
 			// region its single most-overlapping task.
 			s.overlaps, s.creators = s.overlaps[:0], s.creators[:0]
-			for c := range pending {
+			for c := range tcs {
 				if c == ti {
 					continue
 				}
 				n := len(s.overlaps)
-				if s.overlaps = pending[c].cover(s.overlaps, idle); len(s.overlaps) > n {
+				if s.overlaps = pending.of(c).cover(s.overlaps, idle); len(s.overlaps) > n {
 					s.creators = append(s.creators, c)
 				}
 			}
@@ -750,18 +787,15 @@ func classifyIdle(perThread []ThreadWaits, tcs []*threadCollector, tasks []taskI
 				// holder's sum is not needed.
 				cause := s.creators[0]
 				if len(s.creators) > 1 {
-					if !endsSorted {
-						sortEnds(pending, tcs, tasks, endTime, &steps)
-						endsSorted = true
-					}
-					most := pending[cause].held(idle)
+					pending.sortEnds()
+					most := pending.sets[cause].held(idle)
 					for _, c := range s.creators[1:] {
-						if h := pending[c].held(idle); h > most {
+						if h := pending.sets[c].held(idle); h > most {
 							cause, most = c, h
 						}
 					}
 				}
-				region := tasks[pending[cause].heaviest(idle).slot].region
+				region := tasks[pending.sets[cause].heaviest(idle).slot].region
 				waits.add(analyze.StarvedThief, tc.tid, tcs[cause].tid, region, starved)
 				tw.StarvedWait += starved
 			}

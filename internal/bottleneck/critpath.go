@@ -6,32 +6,56 @@ import (
 	"sort"
 )
 
-// pathTables are what the critical-path walk looks up at a resumed
-// fragment besides the threads' own task ends: every task's fragment
-// ends by task slot (fragEnds[fragOffsets[s]:fragOffsets[s+1]],
-// ascending), for the suspension window the join must fall in.
+// pathTables answers what the critical-path walk looks up at a resumed
+// fragment besides the threads' own task ends: when its task was
+// suspended, which opens the window the join must fall in. Links answer
+// it; where they cannot, every task's fragment ends by task slot
+// (fragEnds[fragOffsets[s]:fragOffsets[s+1]], ascending), laid out at
+// the first such question.
 type pathTables struct {
+	tcs         []*threadCollector
+	tasks       []taskInfo
 	fragOffsets []int32
 	fragEnds    []int64
 }
 
-// newPathTables lays out the fragment ends by slot and puts every
-// thread's task ends in the order joinEdge searches them in.
-func newPathTables(tcs []*threadCollector, tasks []taskInfo) pathTables {
+// newPathTables puts every thread's task ends in the order joinEdge
+// searches them in.
+func newPathTables(tcs []*threadCollector, tasks []taskInfo) *pathTables {
 	for _, tc := range tcs {
 		tc.orderEnds()
 	}
-	var pt pathTables
-	pt.fragOffsets, pt.fragEnds = fragmentEnds(tcs, tasks)
-	return pt
+	return &pathTables{tcs: tcs, tasks: tasks}
 }
 
-// suspendedAt is when the task in slot, resumed at start, was
-// suspended: the latest of its fragment ends at or before start, or -1.
-func (pt *pathTables) suspendedAt(slot int32, start int64) int64 {
-	mine := pt.fragEnds[pt.fragOffsets[slot]:pt.fragOffsets[slot+1]]
-	if i := sort.Search(len(mine), func(i int) bool { return mine[i] > start }); i > 0 {
-		return mine[i-1]
+// suspendedAt is when the task of fragment fi of thread w, resumed at
+// start, was suspended: the latest end of the task's closed fragments
+// at or before start, or -1.
+//
+// Where the thread's fragments ascend from its first event on and the
+// task's are linked, start is the fragment's own, the task's fragment
+// ends ascend in stream order, and no later fragment ends before this
+// one starts unless this one took no time: the answer is then start,
+// and otherwise the end of the fragment linked before it.
+func (pt *pathTables) suspendedAt(w, fi int, start int64) int64 {
+	tc := pt.tcs[w]
+	f := &tc.frags[fi]
+	if tc.unordered || pt.tasks[f.slot].stray {
+		if pt.fragOffsets == nil {
+			fragTables.Add(1)
+			pt.fragOffsets, pt.fragEnds = fragmentEnds(pt.tcs, pt.tasks)
+		}
+		mine := pt.fragEnds[pt.fragOffsets[f.slot]:pt.fragOffsets[f.slot+1]]
+		if i := sort.Search(len(mine), func(i int) bool { return mine[i] > start }); i > 0 {
+			return mine[i-1]
+		}
+		return -1
+	}
+	if f.end == f.start && fi < len(tc.closedFrags()) {
+		return f.start
+	}
+	if prev := tc.links[fi]; prev >= 0 {
+		return tc.frags[prev].end
 	}
 	return -1
 }
@@ -42,19 +66,20 @@ func compareStamps(a, b taskStamp) int {
 
 // orderEnds puts both lists of the thread's task ends in (time, task)
 // order. Stream order is that unless the clock ran backwards, or stood
-// still over two ends out of id order: only then is a list sorted,
-// counted by sortFallbacks.
+// still over two ends out of id order, as observe noted: only then is a
+// list sorted, counted by sortFallbacks.
 func (tc *threadCollector) orderEnds() {
-	byEnd := func(x, y int32) int {
-		return compareStamps(taskStamp{tc.frags[x].task, tc.frags[x].end}, taskStamp{tc.frags[y].task, tc.frags[y].end})
-	}
-	if !slices.IsSortedFunc(tc.ends, byEnd) {
+	if tc.endsUnsorted {
 		sortFallbacks.Add(1)
-		slices.SortFunc(tc.ends, byEnd)
+		slices.SortFunc(tc.ends, func(x, y int32) int {
+			return compareStamps(taskStamp{tc.frags[x].task, tc.frags[x].end}, taskStamp{tc.frags[y].task, tc.frags[y].end})
+		})
+		tc.endsUnsorted = false
 	}
-	if !slices.IsSortedFunc(tc.strayEnds, compareStamps) {
+	if tc.strayUnsorted {
 		sortFallbacks.Add(1)
 		slices.SortFunc(tc.strayEnds, compareStamps)
+		tc.strayUnsorted = false
 	}
 }
 
@@ -131,18 +156,13 @@ func fragmentEnds(tcs []*threadCollector, tasks []taskInfo) (offsets []int32, en
 // countSegments is the number of pieces in tc's gap-free timeline over
 // [firstTime, lastTime]: its fragments, the implicit-task filler
 // between them, and a fragment still open at stream end (a truncated
-// trace), closed at the last observed time.
+// trace), closed at the last observed time. The pieces of the
+// fragments before the last were counted as the next one began.
 func (tc *threadCollector) countSegments() int {
-	n := 0
-	cur := tc.firstTime
-	for _, f := range tc.closedFrags() {
-		if f.start > cur {
-			n++
-		}
-		if f.end > f.start {
-			n++
-		}
-		cur = max(cur, f.end)
+	n, cur := tc.segments, tc.segEnd
+	if !tc.inFrag && len(tc.frags) > 0 {
+		last, end := pieces(&tc.frags[len(tc.frags)-1], cur)
+		n, cur = n+last, end
 	}
 	if tc.inFrag && tc.lastTime > cur {
 		if open := tc.frags[len(tc.frags)-1]; open.start > cur {
@@ -212,7 +232,7 @@ func (tc *threadCollector) segmentAt(t int64) (fi int, start int64, ok bool) {
 // JoinWait + Other == Length. If the walk gets stuck before the global
 // start (a thread began later than the recording with no inbound
 // edge), the remainder is Other.
-func buildCriticalPath(a *Analysis, tcs []*threadCollector, tasks []taskInfo, pt pathTables, visits barrierVisits, names *regionNames) {
+func buildCriticalPath(a *Analysis, tcs []*threadCollector, tasks []taskInfo, pt *pathTables, visits barrierVisits, names *regionNames) {
 	cp := &a.CriticalPath
 	cp.StartTime = a.StartTime
 	cp.EndTime = a.EndTime
@@ -287,7 +307,7 @@ func buildCriticalPath(a *Analysis, tcs []*threadCollector, tasks []taskInfo, pt
 		// in the suspension window, which opened at the task's previous
 		// fragment end; each thread's ends are searched for it. Without
 		// a candidate the walk continues backward on this thread.
-		if end, thread, ok := joinEdge(tcs, pt.suspendedAt(f.slot, start), t, f.task); ok {
+		if end, thread, ok := joinEdge(tcs, pt.suspendedAt(w, fi, start), t, f.task); ok {
 			cp.JoinWait += back(end.time)
 			w = thread
 		}

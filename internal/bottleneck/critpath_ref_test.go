@@ -59,13 +59,41 @@ func referenceLatestEnd(ends []completion, from, to int64, task uint64) (complet
 	return completion{}, false
 }
 
-// checkJoins lays out the records of tcs as finish does, holds joinEdge
-// to referenceLatestEnd over them and returns what differs. The query
-// the walk makes at a resumed fragment depends on the fragment alone —
-// its task, its start, and when the task was suspended before it — so
-// every fragment's is asked, those the walk meets among them; then 200
-// random queries drawn from seed, over the ends' own times and tasks,
-// to hit every tie.
+// referenceSuspensions is, for every fragment of tcs by thread and
+// place, when its task was suspended before it by brute force: the
+// latest end at or before the fragment's start of the task's closed
+// fragments on any thread, or -1.
+func referenceSuspensions(tcs []*threadCollector) [][]int64 {
+	ends := map[uint64][]int64{}
+	for _, tc := range tcs {
+		for _, f := range tc.closedFrags() {
+			ends[f.task] = append(ends[f.task], f.end)
+		}
+	}
+	out := make([][]int64, len(tcs))
+	for ti, tc := range tcs {
+		out[ti] = make([]int64, len(tc.frags))
+		for i, f := range tc.frags {
+			latest, found := int64(-1), false
+			for _, e := range ends[f.task] {
+				if e <= f.start && (!found || e > latest) {
+					latest, found = e, true
+				}
+			}
+			out[ti][i] = latest
+		}
+	}
+	return out
+}
+
+// checkJoins lays out the records of tcs as finish does, holds the
+// suspension time the walk looks up at every fragment to
+// referenceSuspensions and joinEdge to referenceLatestEnd over them, and
+// returns what differs. The query the walk makes at a resumed fragment
+// depends on the fragment alone — its task, its start, and when the
+// task was suspended before it — so every fragment's is asked, those
+// the walk meets among them; then 200 random queries drawn from seed,
+// over the ends' own times and tasks, to hit every tie.
 func checkJoins(tcs []*threadCollector, seed int64) []string {
 	pt := newPathTables(tcs, mergeTasks(tcs, newRegionNames()))
 	rng := rand.New(rand.NewSource(seed))
@@ -79,10 +107,13 @@ func checkJoins(tcs []*threadCollector, seed int64) []string {
 			bad = append(bad, fmt.Sprintf("join into task %d in [%d, %d]: got %+v (%v), want %+v (%v)", task, from, to, got, ok, want, wantOK))
 		}
 	}
-	for _, tc := range tcs {
-		for i := range tc.frags {
-			f := &tc.frags[i]
-			check(pt.suspendedAt(f.slot, f.start), f.start, f.task)
+	for ti, suspended := range referenceSuspensions(tcs) {
+		for i, want := range suspended {
+			f := &tcs[ti].frags[i]
+			if got := pt.suspendedAt(ti, i, f.start); got != want {
+				bad = append(bad, fmt.Sprintf("task %d resumed at %d on thread %d: suspended at %d, want %d", f.task, f.start, tcs[ti].tid, got, want))
+			}
+			check(want, f.start, f.task)
 		}
 	}
 	if len(ref) == 0 {

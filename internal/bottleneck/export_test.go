@@ -15,8 +15,13 @@ func JoinMismatches(c *Collector, seed int64) []string {
 }
 
 // SlowPaths returns how many times an analysis so far has sorted a
-// record stream out of time order, and how many task tables had created
-// ids too spread for their dense part.
-func SlowPaths() (sortFallback, sparseTable int64) {
-	return sortFallbacks.Load(), sparseTables.Load()
+// record stream out of time order, how many task tables had created ids
+// too spread for their dense part, and how many walks laid out every
+// task's fragment ends because links could not tell a suspension time.
+func SlowPaths() (sortFallback, sparseTable, fragTable int64) {
+	return sortFallbacks.Load(), sparseTables.Load(), fragTables.Load()
 }
+
+// PendingSets returns how many creators' pending windows the analyses
+// so far have laid out.
+func PendingSets() int64 { return pendingBuilds.Load() }

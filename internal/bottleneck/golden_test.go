@@ -95,7 +95,7 @@ func goldenQueries(tr *trace.Trace) []trace.Query {
 
 // recordTrace runs one BOTS kernel under a clock that ticks once per
 // read and returns its trace.
-func recordTrace(t *testing.T, c goldenCase) *trace.Trace {
+func recordTrace(t testing.TB, c goldenCase) *trace.Trace {
 	t.Helper()
 	var ticks atomic.Int64
 	s := scorep.NewSession(scorep.WithTracing(), scorep.WithoutProfiling(), scorep.WithScheduler(c.sched),
@@ -183,7 +183,7 @@ func TestGoldenAnalyses(t *testing.T) {
 						t.Errorf("query %d %+v workers=%d in memory:\n got %s\nwant %s", i, q, workers, got, want[i])
 					}
 					for name, archive := range archives {
-						c := bottleneck.NewCollector(workers)
+						c := bottleneck.NewCollector()
 						if _, err := otf2.Scan(bytes.NewReader(archive), q, workers, c); err != nil {
 							t.Fatal(err)
 						}

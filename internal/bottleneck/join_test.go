@@ -32,7 +32,7 @@ func TestJoinSearchOnRecordings(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, q := range goldenQueries(tr) {
-				c := bottleneck.NewCollector(1)
+				c := bottleneck.NewCollector()
 				trace.Scan(tr, q, 1, c)
 				if bad := bottleneck.JoinMismatches(c, int64(i)); len(bad) > 0 {
 					t.Errorf("query %d %+v: %d joins differ, first %s", i, q, len(bad), bad[0])

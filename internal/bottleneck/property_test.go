@@ -28,7 +28,7 @@ func checkInvariants(t *testing.T, tr *trace.Trace, wellFormed bool) bool {
 		tids = append(tids, tid)
 	}
 	sort.Ints(tids)
-	c := NewCollector(1)
+	c := NewCollector()
 	for _, tid := range tids {
 		for _, ev := range tr.Threads[tid] {
 			c.Consume(tid, []trace.Event{ev}) // the shortest runs a scan can cut

@@ -110,18 +110,18 @@ func TestTailWindowsSortNothing(t *testing.T) {
 					want = slices.Compact(want)
 					sides += len(want)
 
-					sorts, sparse := bottleneck.SlowPaths()
-					c := bottleneck.NewCollector(1)
+					sorts, sparse, _ := bottleneck.SlowPaths()
+					c := bottleneck.NewCollector()
 					trace.Scan(tr, q, 1, c)
 					if got := bottleneck.SideTable(c); !slices.Equal(got, want) {
 						t.Errorf("side table %v, want the ids below the lowest created, %v", got, want)
 					}
 					got := c.Finish()
-					if s, p := bottleneck.SlowPaths(); s != sorts || p != sparse {
+					if s, p, _ := bottleneck.SlowPaths(); s != sorts || p != sparse {
 						t.Errorf("%d sort fallbacks and %d sparse tables, want none", s-sorts, p-sparse)
 					}
 
-					oracle := bottleneck.NewCollector(1)
+					oracle := bottleneck.NewCollector()
 					trace.Scan(renumbered(w), trace.Query{}, 1, oracle)
 					if side := bottleneck.SideTable(oracle); len(side) != 0 {
 						t.Fatalf("renumbered window has side table %v", side)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -57,12 +58,19 @@ func renderNode(w io.Writer, n *Node, depth int, r *Report, opt RenderOptions) {
 		stats.FormatNs(n.Dur.Sum), stats.FormatNs(n.ExclusiveSum()),
 		stats.FormatNs(int64(n.Dur.Mean())), stats.FormatNs(n.Dur.Min), stats.FormatNs(n.Dur.Max))
 	if opt.PerThread {
-		for tid := 0; tid < r.NumThreads; tid++ {
-			if d, ok := n.PerThreadDur[tid]; ok {
-				fmt.Fprintf(w, "%s  [thread %d] visits=%d incl=%s excl=%s\n",
-					indent, tid, n.PerThreadVisits[tid], stats.FormatNs(d.Sum),
-					stats.FormatNs(n.ExclusiveSumThread(tid)))
+		// The node's threads, not every number below NumThreads, which a
+		// report read back may set to anything.
+		tids := make([]int, 0, len(n.PerThreadDur))
+		for tid := range n.PerThreadDur {
+			if tid >= 0 && tid < r.NumThreads {
+				tids = append(tids, tid)
 			}
+		}
+		slices.Sort(tids)
+		for _, tid := range tids {
+			fmt.Fprintf(w, "%s  [thread %d] visits=%d incl=%s excl=%s\n",
+				indent, tid, n.PerThreadVisits[tid], stats.FormatNs(n.PerThreadDur[tid].Sum),
+				stats.FormatNs(n.ExclusiveSumThread(tid)))
 		}
 	}
 	for _, c := range n.Children {
@@ -209,7 +217,12 @@ func toJSONNode(n *Node) *jsonNode {
 	return jn
 }
 
-func fromJSONNode(jn *jsonNode, reg *region.Registry, parent *Node) *Node {
+// fromJSONNode builds the tree jn encodes. A null node, or a stub with
+// no region, which names itself by its region, is an error.
+func fromJSONNode(jn *jsonNode, reg *region.Registry, parent *Node) (*Node, error) {
+	if jn == nil {
+		return nil, fmt.Errorf("cube: report has a null node")
+	}
 	n := &Node{
 		Kind:       kindFromName[jn.Kind],
 		ParamName:  jn.ParamName,
@@ -231,10 +244,17 @@ func fromJSONNode(jn *jsonNode, reg *region.Registry, parent *Node) *Node {
 			n.PerThreadVisits[tid] = d.Visits
 		}
 	}
-	for _, jc := range jn.Children {
-		n.Children = append(n.Children, fromJSONNode(jc, reg, n))
+	if n.Kind == core.KindStub && n.Region == nil {
+		return nil, fmt.Errorf("cube: report has a stub node with no region")
 	}
-	return n
+	for _, jc := range jn.Children {
+		c, err := fromJSONNode(jc, reg, n)
+		if err != nil {
+			return nil, err
+		}
+		n.Children = append(n.Children, c)
+	}
+	return n, nil
 }
 
 // WriteJSON serializes the report (regions flattened by name/file/line).
@@ -259,7 +279,9 @@ func WriteJSON(w io.Writer, r *Report) error {
 }
 
 // ReadJSON deserializes a report written by WriteJSON, interning regions
-// into reg (use a fresh registry to keep the default one clean).
+// into reg (use a fresh registry to keep the default one clean). A
+// report with a null node, a stub with no region or a task tree with no
+// region, which is looked up by its region's name, is an error.
 func ReadJSON(rd io.Reader, reg *region.Registry) (*Report, error) {
 	var jr jsonReport
 	if err := json.NewDecoder(rd).Decode(&jr); err != nil {
@@ -268,10 +290,14 @@ func ReadJSON(rd io.Reader, reg *region.Registry) (*Report, error) {
 	if jr.Main == nil {
 		return nil, fmt.Errorf("cube: report has no main tree")
 	}
+	main, err := fromJSONNode(jr.Main, reg, nil)
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{
 		NumThreads:             jr.NumThreads,
 		MaxConcurrent:          jr.MaxConcurrent,
-		Main:                   fromJSONNode(jr.Main, reg, nil),
+		Main:                   main,
 		MaxConcurrentPerThread: make(map[int]int),
 	}
 	for k, v := range jr.MaxPerThread {
@@ -279,7 +305,14 @@ func ReadJSON(rd io.Reader, reg *region.Registry) (*Report, error) {
 		rep.MaxConcurrentPerThread[tid] = v
 	}
 	for _, jt := range jr.Tasks {
-		rep.Tasks = append(rep.Tasks, fromJSONNode(jt, reg, nil))
+		t, err := fromJSONNode(jt, reg, nil)
+		if err != nil {
+			return nil, err
+		}
+		if t.Region == nil {
+			return nil, fmt.Errorf("cube: report has a task tree with no region")
+		}
+		rep.Tasks = append(rep.Tasks, t)
 	}
 	return rep, nil
 }

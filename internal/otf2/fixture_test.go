@@ -184,7 +184,7 @@ type fixtureJSON struct {
 // at workers workers.
 func fixtureAnalysis(t *testing.T, name string, workers int) []byte {
 	t.Helper()
-	a, c := trace.NewAnalyzer(), bottleneck.NewCollector(workers)
+	a, c := trace.NewAnalyzer(), bottleneck.NewCollector()
 	_, warning, err := ScanFile(fixturePath(name), Query{}, workers, a, c)
 	if err != nil || (warning != "") != strings.HasSuffix(name, "-cut") {
 		t.Fatalf("%s: scan: warning %q, err %v", name, warning, err)

@@ -56,7 +56,7 @@ func AnalyzeFileQuery(path string, q Query, workers int) (*trace.Analysis, Query
 
 // AnalyzeFileBottlenecks is ScanFile into a bottleneck.Collector.
 func AnalyzeFileBottlenecks(path string, q Query, workers int) (*bottleneck.Analysis, QueryStats, string, error) {
-	c := bottleneck.NewCollector(workers)
+	c := bottleneck.NewCollector()
 	st, warning, err := ScanFile(path, q, workers, c)
 	if err != nil {
 		return nil, st, "", err

@@ -39,7 +39,7 @@ func analyzeParallel(r io.Reader, workers int) (*trace.Analysis, error) {
 }
 
 func analyzeBottlenecks(r io.Reader, q Query, workers int) (*bottleneck.Analysis, QueryStats, error) {
-	c := bottleneck.NewCollector(workers)
+	c := bottleneck.NewCollector()
 	st, err := Scan(r, q, workers, c)
 	if err != nil && !errors.Is(err, ErrTruncated) {
 		return nil, st, err
@@ -73,7 +73,7 @@ func analyzeSequential(r io.Reader) (*trace.Analysis, error) {
 // goroutine.
 func refAnalyses(tr *trace.Trace, q Query) (*trace.Analysis, *bottleneck.Analysis) {
 	f := q.Filter(tr)
-	a, c := trace.NewAnalyzer(), bottleneck.NewCollector(1)
+	a, c := trace.NewAnalyzer(), bottleneck.NewCollector()
 	for _, tid := range f.ThreadIDs() {
 		a.Consume(tid, f.Threads[tid])
 		c.Consume(tid, f.Threads[tid])
@@ -339,7 +339,7 @@ func TestScanMatrix(t *testing.T) {
 				var read []int64
 				for _, set := range []string{"analyzer", "collector", "both"} {
 					label := fmt.Sprintf("%s %v workers=%d %s", src.name, q, workers, set)
-					a, c := trace.NewAnalyzer(), bottleneck.NewCollector(workers)
+					a, c := trace.NewAnalyzer(), bottleneck.NewCollector()
 					ca, cc := checking(t, label, q, a), checking(t, label, q, c)
 					var consumers []trace.Consumer
 					if set != "collector" {

@@ -25,7 +25,7 @@ func analyzeTrace(tr *scorep.Trace, q scorep.TraceQuery, workers int) *scorep.Tr
 
 // analyzeBottlenecks is analyzeTrace's twin for the bottleneck analysis.
 func analyzeBottlenecks(tr *scorep.Trace, q scorep.TraceQuery, workers int) *scorep.BottleneckAnalysis {
-	c := bottleneck.NewCollector(workers)
+	c := bottleneck.NewCollector()
 	trace.Scan(tr, q, workers, c)
 	return c.Finish()
 }

@@ -81,7 +81,7 @@ func (s *traceSource) analysisOf(workers int, q TraceQuery) (*TraceAnalysis, Tra
 
 // bottlenecksOf scans the part matching q into the bottleneck analysis.
 func (s *traceSource) bottlenecksOf(workers int, q TraceQuery) (*BottleneckAnalysis, TraceQueryStats, error) {
-	c := bottleneck.NewCollector(workers)
+	c := bottleneck.NewCollector()
 	st, err := s.scan(workers, q, c)
 	if err != nil || !s.recorded() {
 		return nil, st, err
