@@ -179,10 +179,12 @@
 // side: Experiment.AnalysisParallelism is the budget they share, so
 // min(workers, shards) shards are scanned at a time, each with
 // workers / that many workers (at least one), and the results merge in
-// shard order, identical at every setting. Each shard file is read
-// under its own lock, not one lock for the experiment. A fleet summary
-// names a shard by its stream id, or by its file name where the id is
-// empty or shared with another shard.
+// shard order, identical at every setting. A bottleneck pass finishes on
+// the workers of its scan — its per-thread classification runs side by
+// side within them — so a shard's lane of one worker finishes serially.
+// Each shard file is read under its own lock, not one lock for the
+// experiment. A fleet summary names a shard by its stream id, or by its
+// file name where the id is empty or shared with another shard.
 //
 // The wire protocol (version 2) is reimplementable from this
 // paragraph and the next section's first. All integers are unsigned

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bottleneck"
@@ -309,10 +308,14 @@ type Experiment struct {
 	// AnalysisParallelism is the worker count used to decode and
 	// analyze the archived trace (<= 0: one per processor). Per-thread
 	// trace streams are independent, so the result is identical at
-	// every setting. A fleet's shards share it: FleetTraceAnalysis and
-	// FleetBottlenecks analyse up to that many shards side by side,
-	// splitting the workers between them. Set it before the first
-	// Trace/TraceAnalysis call; the loaded artifacts are cached.
+	// every setting. The bottleneck analysis finishes on the same
+	// workers as the scan that fed it: its per-thread classification
+	// runs side by side within this budget. A fleet's shards share it:
+	// FleetTraceAnalysis and FleetBottlenecks analyse up to that many
+	// shards side by side, splitting the workers between them, so a
+	// shard given one worker scans and finishes serially. Set it before
+	// the first Trace/TraceAnalysis call; the loaded artifacts are
+	// cached.
 	AnalysisParallelism int
 
 	mu          sync.Mutex // guards the profile, the findings and the shard list
@@ -570,22 +573,7 @@ func eachShard[T any](e *Experiment, analyse func(*traceSource, int) (T, error))
 	lanes := min(workers, n)
 	each := max(workers/lanes, 1)
 	out, errs := make([]T, n), make([]error, n)
-	var next atomic.Int64
-	lane := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			out[i], errs[i] = locked(&e.shardSrcs[i], each, analyse)
-		}
-	}
-	var wg sync.WaitGroup
-	for range lanes - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lane()
-		}()
-	}
-	lane()
-	wg.Wait()
+	trace.Each(n, lanes, func(_, i int) { out[i], errs[i] = locked(&e.shardSrcs[i], each, analyse) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -39,9 +39,19 @@
 // tell — a task whose fragments lie on more than one thread or were not
 // resumed in stack order, or a thread whose clock ran backwards — is
 // the table of every task's fragment ends laid out, at the first such
-// question. A creator's pending windows are laid out when an idle span
-// of another thread first asks for them, so a one-thread recording
-// builds none.
+// question. A creator's pending windows are laid out only where an idle
+// span of another thread will ask for them, so a one-thread recording
+// builds none; the sorted window ends that weigh two creators against
+// each other come from the walk that builds the task table.
+//
+// Finish shares the budget of the scan that fed it: the worker count
+// the scan hinted. The creators' pending windows, and then each thread's
+// dispatch gaps and idle spans, are laid out and classified side by
+// side on that many goroutines, each thread with its own search
+// fingers and its own tally, merged in thread order. At one worker —
+// a fleet shard's lane — no goroutine starts. The task table and the
+// critical-path walk stay serial.
+//
 // Analysis results carry region *names*, never *region.Region pointers,
 // so results from different Registry instances compare equal.
 package bottleneck
@@ -206,7 +216,6 @@ type taskStamp struct {
 const (
 	fragFirst = 1 << iota // began via EvTaskBegin: the task's very first fragment
 	fragGap               // a dispatch gap [gapStart, start) ended at its begin
-	fragOpens             // the first begin the task table took for its task
 	fragDone              // its task's own EvTaskEnd closed it
 )
 
@@ -535,13 +544,19 @@ func (tc *threadCollector) closedFrags() []frag {
 // Collector is the bottleneck analysis as a trace.Consumer: it gathers
 // each thread's raw material as the runs of a scan arrive — a thread's
 // in order and one at a time, different threads' possibly from different
-// goroutines at once — and Finish classifies. The Analysis is
+// goroutines at once — and Finish classifies, sharing the scan's worker
+// budget: its per-thread stages run side by side on as many goroutines
+// as the scan had workers, and on the calling goroutine alone at one
+// worker, as a fleet's shard has. The Analysis is
 // reflect.DeepEqual-identical however the runs were cut and at every
 // worker count.
 type Collector struct {
 	mu      sync.Mutex
 	threads map[int]*threadCollector
-	events  map[int]int // the scan's hint: buffers are sized by it
+	// The scan's hint: Finish runs on its workers, and buffers are sized
+	// by its events. A collector fed without a hint finishes on one.
+	workers int
+	events  map[int]int
 }
 
 // NewCollector returns an empty collector.
@@ -550,8 +565,11 @@ func NewCollector() *Collector {
 }
 
 // Hint implements trace.Consumer: a thread's record buffers are made
-// once, at its first run, for a stream of the length the source gave.
-func (c *Collector) Hint(threadEvents map[int]int) { c.events = threadEvents }
+// once, at its first run, for a stream of the length the source gave,
+// and Finish runs on the scan's workers.
+func (c *Collector) Hint(workers int, threadEvents map[int]int) {
+	c.workers, c.events = workers, threadEvents
+}
 
 // Consume feeds one in-order run of thread tid's events. The lock covers
 // only the thread lookup; the scan of the run is unlocked, owned by the
@@ -569,11 +587,11 @@ func (c *Collector) Consume(tid int, events []trace.Event) {
 	}
 }
 
-// Finish runs classification and path reconstruction and returns the
-// analysis. All Consume calls must have returned; the collector must not
-// be reused afterwards.
+// Finish runs classification and path reconstruction, on the workers
+// the scan hinted, and returns the analysis. All Consume calls must have
+// returned; the collector must not be reused afterwards.
 func (c *Collector) Finish() *Analysis {
-	return finish(c.observed())
+	return finish(c.observed(), c.workers)
 }
 
 // observed lists the threads that observed an event, by tid: those an

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/analyze"
+	"repro/internal/trace"
 )
 
 // Counts for tests. Of the three slow paths finish can take: a record
@@ -74,8 +75,11 @@ type taskInfo struct {
 // observed an event, in tid order, and runs classification and
 // critical-path reconstruction. Every pass takes the threads in that
 // order and breaks ties deterministically, so the result is identical
-// however the observation was sharded.
-func finish(tcs []*threadCollector) *Analysis {
+// however the observation was sharded. The per-thread stages — the
+// creators' pending sets, then each thread's waits — run side by side on
+// up to workers goroutines, each writing only its own thread's share:
+// its set, its ThreadWaits, its tally, its search fingers.
+func finish(tcs []*threadCollector, workers int) *Analysis {
 	a := &Analysis{PerThread: make(map[int]*ThreadWaits, len(tcs)), Threads: len(tcs)}
 	if len(tcs) == 0 {
 		a.CriticalPath.Regions = []PathRegion{}
@@ -95,14 +99,18 @@ func finish(tcs []*threadCollector) *Analysis {
 	a.WallTime = a.EndTime - a.StartTime
 
 	names := newRegionNames()
-	tasks := mergeTasks(tcs, names)
-	waits := &waitTally{names: names, index: make(map[waitKey]int), states: []WaitState{}}
-
-	classifyDispatchGaps(perThread, tcs, tasks, waits)
+	tasks, begins := mergeTasks(tcs, names)
 	visits := matchBarriers(a, tcs, names)
-	classifyIdle(perThread, tcs, tasks, a.EndTime, visits, waits)
+	cl := &classifier{tcs: tcs, tasks: tasks, visits: visits, pending: layoutPending(tcs, tasks, begins, a.EndTime, workers)}
+	tallies := make([]waitTally, len(tcs))
+	scratch := make([]idleScratch, max(min(workers, len(tcs)), 1))
+	trace.Each(len(tcs), workers, func(w, ti int) {
+		tallies[ti] = waitTally{names: names, index: make(map[waitKey]int)}
+		cl.classifyDispatchGaps(ti, &perThread[ti], &tallies[ti])
+		cl.classifyIdle(ti, &perThread[ti], &tallies[ti], &scratch[w])
+	})
 
-	a.WaitStates = waits.sorted()
+	a.WaitStates = mergeTallies(tallies)
 	buildCriticalPath(a, tcs, tasks, newPathTables(tcs, tasks), visits, names)
 	a.Findings = emitFindings(a)
 	return a
@@ -163,12 +171,21 @@ func newTaskSlots(tcs []*threadCollector) (taskSlots, int) {
 	return s, len(s.side) + int(hi-s.cut) + 1
 }
 
+// beginRuns are the first begins of one creator's tasks that end a
+// pending window: a run per begin thread, each ascending in that
+// thread's stream order unless its clock ran backwards. bounds delimit
+// the runs.
+type beginRuns struct {
+	ends   []int64
+	bounds []int
+}
+
 // mergeTasks builds the global task table from all threads' creation
 // and fragment records and writes every record's slot. Iteration is in
 // sorted-tid order; duplicate records for one task id (malformed or
-// windowed traces) keep the first seen in that order, and the fragment
-// that gave a task its first begin is marked fragOpens. A task with a
-// second unlinked fragment is marked stray.
+// windowed traces) keep the first seen in that order, a task's first
+// begin among them. A task with a second unlinked fragment is marked
+// stray.
 //
 // The table is one slab of values. Task ids are handed out by one
 // counter, so those a recording creates are dense: the slab is dense
@@ -182,10 +199,15 @@ func newTaskSlots(tcs []*threadCollector) (taskSlots, int) {
 // records, so the table's size follows the records, never the ids;
 // where the created ids spread wider (ids no recorder hands out), it
 // holds the top twice-the-records ids and the rest go to the side.
-func mergeTasks(tcs []*threadCollector, names *regionNames) []taskInfo {
+//
+// The creations are taken before the fragments, so that a task's
+// creation is known at the fragment that opens it: with three threads or
+// more, where one idle span can lie under the windows of two creators,
+// the window ends are left as each creator's beginRuns on the way.
+func mergeTasks(tcs []*threadCollector, names *regionNames) ([]taskInfo, []beginRuns) {
 	slots, size := newTaskSlots(tcs)
 	if size == 0 {
-		return nil
+		return nil, nil
 	}
 	tasks := make([]taskInfo, size)
 	for ti, tc := range tcs {
@@ -208,23 +230,47 @@ func mergeTasks(tcs []*threadCollector, names *regionNames) []taskInfo {
 			t.createEnd = c.end
 			t.region = regions[c.region]
 		}
+	}
+	var begins []beginRuns
+	if len(tcs) >= 3 {
+		created := 0
+		for _, tc := range tcs {
+			created += len(tc.created)
+		}
+		ends, bounds := make([]int64, created), make([]int, len(tcs)*(len(tcs)+2))
+		begins = make([]beginRuns, len(tcs))
+		for c, tc := range tcs {
+			n, m := len(tc.created), len(tcs)+2
+			begins[c] = beginRuns{ends: ends[:0:n], bounds: bounds[:1:m]}
+			ends, bounds = ends[n:], bounds[m:]
+		}
+	}
+	for ti, tc := range tcs {
 		for i := range tc.frags {
 			f := &tc.frags[i]
 			f.slot = slots.slot(f.task)
 			t := &tasks[f.slot]
 			if f.flags&fragFirst != 0 && !t.hasBegin {
-				f.flags |= fragOpens
 				t.hasBegin = true
 				t.beginThread = int32(ti)
 				t.firstBegin = f.start
+				// A window that would end at or before its creation's end
+				// is none.
+				if begins != nil && t.created && f.start > t.createEnd {
+					r := &begins[t.creator]
+					r.ends = append(r.ends, f.start)
+				}
 			}
 			if tc.links[i] < 0 {
 				t.stray = t.unlinked
 				t.unlinked = true
 			}
 		}
+		for c := range begins {
+			begins[c].bounds = append(begins[c].bounds, len(begins[c].ends))
+		}
 	}
-	return tasks
+	return tasks, begins
 }
 
 // mergeRuns puts flat, the concatenation of runs delimited by bounds,
@@ -287,7 +333,8 @@ func mergeNeighbours[T any](s []T, mid int, tmp []T, cmp func(a, b T) int) []T {
 }
 
 // waitTally aggregates classified waits per (kind, victim, cause,
-// region).
+// region). Each thread's waits go to a tally of its own: every key
+// names its victim, so no two tallies share one.
 type waitTally struct {
 	names  *regionNames
 	index  map[waitKey]int
@@ -324,6 +371,30 @@ func (t *waitTally) sorted() []WaitState {
 	return t.states
 }
 
+// mergeTallies concatenates the threads' tallies, in thread order, and
+// orders the states.
+func mergeTallies(tallies []waitTally) []WaitState {
+	n := 0
+	for _, t := range tallies {
+		n += len(t.states)
+	}
+	all := waitTally{states: make([]WaitState, 0, n)}
+	for _, t := range tallies {
+		all.states = append(all.states, t.states...)
+	}
+	return all.sorted()
+}
+
+// classifier holds what the classification of every thread's waits
+// reads: nothing in it is written while threads are classified side by
+// side.
+type classifier struct {
+	tcs     []*threadCollector
+	tasks   []taskInfo
+	visits  barrierVisits
+	pending []*pendingSet // by creator; nil where no idle span asks
+}
+
 // classifyDispatchGaps splits every dispatch gap into a late-spawn
 // portion (the gap overlapped the spawned task's creation, and the
 // creator is a different thread) and a plain-dispatch remainder.
@@ -333,24 +404,23 @@ func (t *waitTally) sorted() []WaitState {
 // g.start < T.createEnd, the span [g.start, min(T.createEnd, g.end)] is
 // LateTaskSpawn wait caused by c on T's region. Everything else —
 // resume gaps, self-created tasks, tasks whose creation fell outside
-// the window — is plain dispatch latency.
-func classifyDispatchGaps(perThread []ThreadWaits, tcs []*threadCollector, tasks []taskInfo, waits *waitTally) {
-	for ti, tc := range tcs {
-		tw := &perThread[ti]
-		for i := range tc.frags {
-			f := &tc.frags[i]
-			gapLen := f.start - f.gapStart
-			if f.flags&fragGap == 0 || gapLen <= 0 {
-				continue
-			}
-			late := int64(0)
-			if t := &tasks[f.slot]; f.flags&fragFirst != 0 && t.created && int(t.creator) != ti && f.gapStart < t.createEnd {
-				late = min(t.createEnd, f.start) - f.gapStart
-				waits.add(analyze.LateTaskSpawn, tc.tid, tcs[t.creator].tid, t.region, late)
-			}
-			tw.LateSpawnWait += late
-			tw.PlainDispatchWait += gapLen - late
+// the window — is plain dispatch latency. It classifies thread ti's gaps
+// into tw and waits.
+func (cl *classifier) classifyDispatchGaps(ti int, tw *ThreadWaits, waits *waitTally) {
+	tc := cl.tcs[ti]
+	for i := range tc.frags {
+		f := &tc.frags[i]
+		gapLen := f.start - f.gapStart
+		if f.flags&fragGap == 0 || gapLen <= 0 {
+			continue
 		}
+		late := int64(0)
+		if t := &cl.tasks[f.slot]; f.flags&fragFirst != 0 && t.created && int(t.creator) != ti && f.gapStart < t.createEnd {
+			late = min(t.createEnd, f.start) - f.gapStart
+			waits.add(analyze.LateTaskSpawn, tc.tid, cl.tcs[t.creator].tid, t.region, late)
+		}
+		tw.LateSpawnWait += late
+		tw.PlainDispatchWait += gapLen - late
 	}
 }
 
@@ -503,33 +573,40 @@ func rank(xs []int64, t int64, finger *int, steps *int64) int {
 // the running maximum of their ends. The windows that can overlap a
 // span then lie in one index range, found by two searches in whatever
 // order the spans come: before it every window has ended, after it none
-// has started.
+// has started. Once sealed it is only read, through windowReaders.
 type windowSet struct {
 	start, end, maxEnd []int64
-	startAt, maxEndAt  int    // fingers of the searches
-	steps              *int64 // search probes made and windows walked
 }
 
 // newWindowSet returns a set of n windows for the caller to fill and
 // seal.
-func newWindowSet(n int, steps *int64) windowSet {
+func newWindowSet(n int) windowSet {
 	slab := make([]int64, 3*n)
-	return windowSet{start: slab[:n], end: slab[n : 2*n], maxEnd: slab[2*n:], steps: steps}
+	return windowSet{start: slab[:n], end: slab[n : 2*n], maxEnd: slab[2*n:]}
 }
 
-func (w *windowSet) seal() {
+func (w *windowSet) seal(steps *int64) {
 	m := int64(math.MinInt64)
 	for i, e := range w.end {
 		m = max(m, e)
 		w.maxEnd[i] = m
 	}
-	*w.steps += int64(len(w.end))
+	*steps += int64(len(w.end))
+}
+
+// windowReader searches a windowSet for one thread: its fingers are
+// where that thread's own last searches ended, so that threads reading
+// one set side by side never share one.
+type windowReader struct {
+	*windowSet
+	startAt, maxEndAt int    // fingers of the searches
+	steps             *int64 // search probes made and windows walked
 }
 
 // overlapping returns the index range outside which no window overlaps
 // s: window lo is the first to end after s starts, window hi the first
 // to start at or after the end of s.
-func (w *windowSet) overlapping(s span) (lo, hi int) {
+func (w *windowReader) overlapping(s span) (lo, hi int) {
 	return rank(w.maxEnd, s.start+1, &w.maxEndAt, w.steps), rank(w.start, s.end, &w.startAt, w.steps)
 }
 
@@ -537,7 +614,7 @@ func (w *windowSet) overlapping(s span) (lo, hi int) {
 // ascending. It walks the windows that start inside s and stops at one
 // that reaches the end of s: a span inside a long window costs the two
 // searches, however many windows are open around it.
-func (w *windowSet) cover(out []span, s span) []span {
+func (w *windowReader) cover(out []span, s span) []span {
 	lo, hi := w.overlapping(s)
 	i := lo
 	for ; i < hi; i++ {
@@ -563,13 +640,15 @@ func (w *windowSet) cover(out []span, s span) []span {
 type pendingSet struct {
 	windowSet
 	created []taskCreate
-	// For held: the ends in ascending order (sortEnds), and the prefix
-	// sums of the starts and of the sorted ends, built at its first call.
+	// For held, with three threads or more: the ends in ascending order,
+	// and the prefix sums of the starts and of the sorted ends.
 	sortedEnd, startSum, endSum []int64
-	sortedEndAt                 int
 }
 
-func newPendingSet(tc *threadCollector, tasks []taskInfo, endTime int64, steps *int64) *pendingSet {
+// newPendingSet lays out the pending windows of tc's creations, each
+// window's end computed once (twice where tc's clock ran backwards), and
+// from runs, where given, what held reads.
+func newPendingSet(tc *threadCollector, tasks []taskInfo, endTime int64, runs *beginRuns, steps *int64) *pendingSet {
 	windowEnd := func(c taskCreate) int64 {
 		if c.slot < 0 {
 			return c.end // a repeated creation: no window
@@ -579,111 +658,106 @@ func newPendingSet(tc *threadCollector, tasks []taskInfo, endTime int64, steps *
 		}
 		return endTime
 	}
-	tc.created = slices.DeleteFunc(tc.created, func(c taskCreate) bool { return windowEnd(c) <= c.end })
 	byStart := func(a, b taskCreate) int { return cmp.Or(cmp.Compare(a.end, b.end), cmp.Compare(a.id, b.id)) }
-	if !slices.IsSortedFunc(tc.created, byStart) {
+	n := len(tc.created)
+	slab := make([]int64, 3*n)
+	start, end := slab[:0:n], slab[n:n:2*n]
+	created, ordered := tc.created[:0], true
+	for _, c := range tc.created {
+		e := windowEnd(c)
+		if e <= c.end {
+			continue
+		}
+		if k := len(created); k > 0 && byStart(created[k-1], c) > 0 {
+			ordered = false
+		}
+		created, start, end = append(created, c), append(start, c.end), append(end, e)
+	}
+	tc.created = created
+	if !ordered {
 		sortFallbacks.Add(1)
-		slices.SortFunc(tc.created, byStart)
+		slices.SortFunc(created, byStart)
+		for i, c := range created {
+			start[i], end[i] = c.end, windowEnd(c)
+		}
 	}
-	p := &pendingSet{windowSet: newWindowSet(len(tc.created), steps), created: tc.created}
-	for i, c := range tc.created {
-		p.start[i], p.end[i] = c.end, windowEnd(c)
+	p := &pendingSet{windowSet: windowSet{start: start, end: end, maxEnd: slab[2*n : 2*n+len(created)]}, created: created}
+	p.seal(steps)
+	if runs != nil {
+		p.sumWindows(runs, endTime, steps)
 	}
-	p.seal()
 	pendingBuilds.Add(1)
 	return p
 }
 
-// pendingSets are the creators' pending sets, by place in the thread
-// list, each laid out when an idle span of another thread first asks
-// for it.
-type pendingSets struct {
-	sets     []*pendingSet
-	unsorted bool // a set was laid out since sortEnds last ran
-	tcs      []*threadCollector
-	tasks    []taskInfo
-	endTime  int64
-	steps    *int64
+// sumWindows lays out what held reads: the window ends in ascending
+// order, and the prefix sums of the starts and of those ends. A window
+// ends at its task's first begin, which mergeTasks left in runs, one
+// ascending run per begin thread; the windows whose task never began
+// end at endTime, a last run. The runs are merged; only a clock that
+// ran backwards makes that a sort.
+func (p *pendingSet) sumWindows(runs *beginRuns, endTime int64, steps *int64) {
+	n := len(p.end)
+	ends := runs.ends
+	for len(ends) < n {
+		ends = append(ends, endTime)
+	}
+	bounds := append(runs.bounds, n)
+	p.sortedEnd = mergeRuns(ends, bounds, cmp.Compare[int64])
+	slab := make([]int64, 2*n+2)
+	p.startSum, p.endSum = slab[:n+1], slab[n+1:]
+	for i := range n {
+		p.startSum[i+1] = p.startSum[i] + p.start[i]
+		p.endSum[i+1] = p.endSum[i] + p.sortedEnd[i]
+	}
+	*steps += int64(n*bits.Len(uint(len(bounds))) + n)
 }
 
-func (ps *pendingSets) of(c int) *pendingSet {
-	if ps.sets[c] == nil {
-		ps.sets[c] = newPendingSet(ps.tcs[c], ps.tasks, ps.endTime, ps.steps)
-		ps.unsorted = true
+// layoutPending lays out the pending sets that idle spans will ask for,
+// one creator's on each worker at a time: a creator's where another
+// thread has an idle span of positive length, so that a one-thread
+// recording lays out none.
+func layoutPending(tcs []*threadCollector, tasks []taskInfo, begins []beginRuns, endTime int64, workers int) []*pendingSet {
+	var idle []int // threads with an idle span of positive length: two tell all
+	for ti, tc := range tcs {
+		if len(idle) < 2 && slices.ContainsFunc(tc.idles, func(s span) bool { return s.end > s.start }) {
+			idle = append(idle, ti)
+		}
 	}
-	return ps.sets[c]
+	sets := make([]*pendingSet, len(tcs))
+	trace.Each(len(tcs), workers, func(_, c int) {
+		if len(idle) == 2 || len(idle) == 1 && idle[0] != c {
+			var runs *beginRuns
+			if begins != nil {
+				runs = &begins[c]
+			}
+			var steps int64
+			sets[c] = newPendingSet(tcs[c], tasks, endTime, runs, &steps)
+			classifySteps.Add(steps)
+		}
+	})
+	return sets
 }
 
-// sortEnds gives every pending set laid out so far its window ends in
-// ascending order, unless it has them already. A window ends at its
-// task's first begin, and the first begins of one thread come in its
-// stream order: walking each thread's fragments lays every creator's
-// ends out as ascending runs, one per begin thread, and a last run of
-// the windows whose task never began, which end at endTime. The runs are
-// merged; only a clock that ran backwards makes that a sort.
-func (ps *pendingSets) sortEnds() {
-	if !ps.unsorted {
-		return
-	}
-	ps.unsorted = false
-	bounds := make([][]int, len(ps.sets)) // the runs of every set to sort
-	for c, p := range ps.sets {
-		if p != nil && p.sortedEnd == nil {
-			p.sortedEnd = make([]int64, 0, len(p.end))
-			bounds[c] = make([]int, 1, len(ps.tcs)+2)
-		}
-	}
-	for _, tc := range ps.tcs {
-		for i := range tc.frags {
-			// A window that would end at or before its creation's end was
-			// dropped by newPendingSet.
-			f := &tc.frags[i]
-			if t := &ps.tasks[f.slot]; f.flags&fragOpens != 0 && t.created && t.firstBegin > t.createEnd && bounds[t.creator] != nil {
-				p := ps.sets[t.creator]
-				p.sortedEnd = append(p.sortedEnd, t.firstBegin)
-			}
-		}
-		for c, b := range bounds {
-			if b != nil {
-				bounds[c] = append(b, len(ps.sets[c].sortedEnd))
-			}
-		}
-	}
-	for c, b := range bounds {
-		if b == nil {
-			continue
-		}
-		p := ps.sets[c]
-		for len(p.sortedEnd) < len(p.end) {
-			p.sortedEnd = append(p.sortedEnd, ps.endTime)
-		}
-		b = append(b, len(p.end))
-		p.sortedEnd = mergeRuns(p.sortedEnd, b, cmp.Compare[int64])
-		*ps.steps += int64(len(p.end) * bits.Len(uint(len(b))))
-	}
+// pendingReader is one thread's windowReader of a creator's pending
+// set.
+type pendingReader struct {
+	windowReader
+	set         *pendingSet
+	sortedEndAt int
 }
 
 // held is the summed overlap of the windows with s, each window counted
 // for itself. What the windows cover before a time t is
 // sum(min(t, end)) - sum(min(t, start)), which the prefix sums give from
-// the rank of t among the starts and among the ends sortEnds ordered;
-// the overlap with s is the difference of two such. The sums wrap on a
-// long recording and the result is exact all the same: the arithmetic
-// is modulo 2^64 and the true value is at most windows x span.
-func (p *pendingSet) held(s span) int64 {
-	n := len(p.start)
-	if p.startSum == nil {
-		slab := make([]int64, 2*n+2)
-		p.startSum, p.endSum = slab[:n+1], slab[n+1:]
-		for i := range n {
-			p.startSum[i+1] = p.startSum[i] + p.start[i]
-			p.endSum[i+1] = p.endSum[i] + p.sortedEnd[i]
-		}
-		*p.steps += int64(n)
-	}
+// the rank of t among the starts and among the sorted ends; the overlap
+// with s is the difference of two such. The sums wrap on a long
+// recording and the result is exact all the same: the arithmetic is
+// modulo 2^64 and the true value is at most windows x span.
+func (r *pendingReader) held(s span) int64 {
 	before := func(t int64) int64 {
-		i, j := rank(p.start, t, &p.startAt, p.steps), rank(p.sortedEnd, t, &p.sortedEndAt, p.steps)
-		return p.endSum[j] - p.startSum[i] + t*int64(i-j)
+		i, j := rank(r.start, t, &r.startAt, r.steps), rank(r.set.sortedEnd, t, &r.sortedEndAt, r.steps)
+		return r.set.endSum[j] - r.set.startSum[i] + t*int64(i-j)
 	}
 	return before(s.end) - before(s.start)
 }
@@ -695,139 +769,145 @@ func (p *pendingSet) held(s span) int64 {
 // or to reach the end of s: a window around the whole span always wins
 // — is the earliest created, the smallest id since a creator's ids
 // ascend. The windows that start inside s are compared one by one.
-func (p *pendingSet) heaviest(s span) *taskCreate {
+func (r *pendingReader) heaviest(s span) *taskCreate {
 	best, bestTime := -1, int64(0)
-	k := rank(p.start, s.start+1, &p.startAt, p.steps)
+	k := rank(r.start, s.start+1, &r.startAt, r.steps)
 	if k > 0 {
-		if m := min(p.maxEnd[k-1], s.end); m > s.start {
-			best, bestTime = rank(p.maxEnd, m, &p.maxEndAt, p.steps), m-s.start
+		if m := min(r.maxEnd[k-1], s.end); m > s.start {
+			best, bestTime = rank(r.maxEnd, m, &r.maxEndAt, r.steps), m-s.start
 		}
 	}
 	i := k
-	for ; i < len(p.start) && p.start[i] < s.end; i++ {
-		d := min(p.end[i], s.end) - p.start[i]
-		if d > bestTime || d == bestTime && p.created[i].id < p.created[best].id {
+	for ; i < len(r.start) && r.start[i] < s.end; i++ {
+		d := min(r.end[i], s.end) - r.start[i]
+		if d > bestTime || d == bestTime && r.set.created[i].id < r.set.created[best].id {
 			best, bestTime = i, d
 		}
 	}
-	*p.steps += int64(i - k)
-	return &p.created[best]
+	*r.steps += int64(i - k)
+	return &r.set.created[best]
 }
 
-// idleScratch is the working memory classifyIdle reuses from one idle
-// span to the next.
+// idleScratch is the working memory a worker's classifyIdle reuses from
+// one idle span to the next, and from one thread to the next.
 type idleScratch struct {
 	overlaps  []span
 	remainder []span
-	creators  []int   // threads holding work during the span, ascending
-	barVisits []int32 // the thread's barrier waits, as places in its visit list
+	creators  []int           // threads holding work during the span, ascending
+	barVisits []int32         // the thread's barrier waits, as places in its visit list
+	pending   []pendingReader // the thread's readers of the creators' sets, by creator
+	steps     int64           // search probes made and windows walked for the thread
 }
 
-// classifyIdle splits every idle span inside a sync region into a
-// starved-thief portion (overlap with another thread's
+// classifyIdle splits every idle span of thread ti inside a sync region
+// into a starved-thief portion (overlap with another thread's
 // created-but-unstarted tasks), a barrier-imbalance portion (the
 // remainder that falls between this thread's arrival and the last
-// arrival of a matched barrier instance), and unclassified idle.
-// Starved-thief takes precedence over barrier imbalance: work that
-// existed but was not distributed is the actionable diagnosis.
+// arrival of a matched barrier instance), and unclassified idle, into tw
+// and waits. Starved-thief takes precedence over barrier imbalance: work
+// that existed but was not distributed is the actionable diagnosis.
 //
-// A creator's pending windows, laid out when another thread's idle span
-// first asks for them, and every thread's barrier waits are each laid
-// out once as a windowSet, and an idle span asks them by rank search:
-// the cost is at most O((windows + idle spans x threads + barrier
-// visits) x log), plus the windows and waits that start inside a span,
-// which for the disjoint spans of a well-formed stream are each walked
-// once per victim. No answer depends on the order of the spans.
-func classifyIdle(perThread []ThreadWaits, tcs []*threadCollector, tasks []taskInfo, endTime int64, visits barrierVisits, waits *waitTally) {
-	var steps int64
-	pending := pendingSets{sets: make([]*pendingSet, len(tcs)), tcs: tcs, tasks: tasks, endTime: endTime, steps: &steps}
-	var s idleScratch
-	for ti, tc := range tcs {
-		tw := &perThread[ti]
-		// Barrier wait windows for this thread: [arrival, lastArrival]
-		// of every matched instance it participated in where it was not
-		// the last arriver.
-		mine := visits.byInstance[ti]
-		s.barVisits = s.barVisits[:0]
-		for i, v := range mine {
-			if v.inst.lastThread != ti && v.inst.lastArrival > v.enter {
-				s.barVisits = append(s.barVisits, int32(i))
-			}
-		}
-		slices.SortFunc(s.barVisits, func(x, y int32) int { return cmp.Compare(mine[x].enter, mine[y].enter) })
-		bars := newWindowSet(len(s.barVisits), &steps)
-		for i, v := range s.barVisits {
-			bars.start[i], bars.end[i] = mine[v].enter, mine[v].inst.lastArrival
-		}
-		bars.seal()
-
-		for _, idle := range tc.idles {
-			idleLen := idle.end - idle.start
-			if idleLen <= 0 {
-				continue
-			}
-			// Starved-thief: overlap with other threads' pending tasks.
-			// The classified portion is the union of the overlaps; the
-			// cause is the creator with the largest summed overlap, the
-			// region its single most-overlapping task.
-			s.overlaps, s.creators = s.overlaps[:0], s.creators[:0]
-			for c := range tcs {
-				if c == ti {
-					continue
-				}
-				n := len(s.overlaps)
-				if s.overlaps = pending.of(c).cover(s.overlaps, idle); len(s.overlaps) > n {
-					s.creators = append(s.creators, c)
-				}
-			}
-			merged := mergeSpans(s.overlaps)
-			starved := totalTime(merged)
-			if starved > 0 {
-				// The largest holder; of equals, the smallest tid. A lone
-				// holder's sum is not needed.
-				cause := s.creators[0]
-				if len(s.creators) > 1 {
-					pending.sortEnds()
-					most := pending.sets[cause].held(idle)
-					for _, c := range s.creators[1:] {
-						if h := pending.sets[c].held(idle); h > most {
-							cause, most = c, h
-						}
-					}
-				}
-				region := tasks[pending.sets[cause].heaviest(idle).slot].region
-				waits.add(analyze.StarvedThief, tc.tid, tcs[cause].tid, region, starved)
-				tw.StarvedWait += starved
-			}
-
-			// Barrier imbalance: the unclaimed remainder intersected
-			// with this thread's barrier wait windows.
-			s.remainder = subtractSpans(s.remainder[:0], idle, merged)
-			var barrier int64
-			for _, r := range s.remainder {
-				s.overlaps = bars.cover(s.overlaps[:0], r)
-				barrier += totalTime(s.overlaps)
-			}
-			if barrier > 0 {
-				// Attribute to the first instance, in instance order,
-				// whose wait window overlaps the idle span.
-				lo, hi := bars.overlapping(idle)
-				first := int32(len(mine))
-				for i := lo; i < hi; i++ {
-					if bars.end[i] > idle.start {
-						first = min(first, s.barVisits[i])
-					}
-				}
-				steps += int64(hi - lo)
-				inst := mine[first].inst
-				waits.add(analyze.BarrierImbalance, tc.tid, tcs[inst.lastThread].tid, inst.region, barrier)
-				tw.BarrierWait += barrier
-			}
-
-			tw.UnclassifiedIdle += idleLen - starved - barrier
+// The creators' pending windows and the thread's barrier waits are each
+// laid out once as a windowSet, and an idle span asks them by rank
+// search, the thread's own fingers in hand: the cost is at most
+// O((windows + idle spans x threads + barrier visits) x log), plus the
+// windows and waits that start inside a span, which for the disjoint
+// spans of a well-formed stream are each walked once per victim. No
+// answer depends on the order of the spans.
+func (cl *classifier) classifyIdle(ti int, tw *ThreadWaits, waits *waitTally, s *idleScratch) {
+	tc := cl.tcs[ti]
+	s.steps = 0
+	// Barrier wait windows for this thread: [arrival, lastArrival] of
+	// every matched instance it participated in where it was not the
+	// last arriver.
+	mine := cl.visits.byInstance[ti]
+	s.barVisits = s.barVisits[:0]
+	for i, v := range mine {
+		if v.inst.lastThread != ti && v.inst.lastArrival > v.enter {
+			s.barVisits = append(s.barVisits, int32(i))
 		}
 	}
-	classifySteps.Add(steps)
+	slices.SortFunc(s.barVisits, func(x, y int32) int { return cmp.Compare(mine[x].enter, mine[y].enter) })
+	barSet := newWindowSet(len(s.barVisits))
+	for i, v := range s.barVisits {
+		barSet.start[i], barSet.end[i] = mine[v].enter, mine[v].inst.lastArrival
+	}
+	barSet.seal(&s.steps)
+	bars := windowReader{windowSet: &barSet, steps: &s.steps}
+	pending := s.pending[:0]
+	for c, p := range cl.pending {
+		var r pendingReader
+		if p != nil && c != ti {
+			r = pendingReader{windowReader: windowReader{windowSet: &p.windowSet, steps: &s.steps}, set: p}
+		}
+		pending = append(pending, r)
+	}
+	s.pending = pending
+	for _, idle := range tc.idles {
+		idleLen := idle.end - idle.start
+		if idleLen <= 0 {
+			continue
+		}
+		// Starved-thief: overlap with other threads' pending tasks. The
+		// classified portion is the union of the overlaps; the cause is
+		// the creator with the largest summed overlap, the region its
+		// single most-overlapping task.
+		s.overlaps, s.creators = s.overlaps[:0], s.creators[:0]
+		for c := range cl.tcs {
+			if c == ti {
+				continue
+			}
+			n := len(s.overlaps)
+			if s.overlaps = pending[c].cover(s.overlaps, idle); len(s.overlaps) > n {
+				s.creators = append(s.creators, c)
+			}
+		}
+		merged := mergeSpans(s.overlaps)
+		starved := totalTime(merged)
+		if starved > 0 {
+			// The largest holder; of equals, the smallest tid. A lone
+			// holder's sum is not needed.
+			cause := s.creators[0]
+			if len(s.creators) > 1 {
+				most := pending[cause].held(idle)
+				for _, c := range s.creators[1:] {
+					if h := pending[c].held(idle); h > most {
+						cause, most = c, h
+					}
+				}
+			}
+			region := cl.tasks[pending[cause].heaviest(idle).slot].region
+			waits.add(analyze.StarvedThief, tc.tid, cl.tcs[cause].tid, region, starved)
+			tw.StarvedWait += starved
+		}
+
+		// Barrier imbalance: the unclaimed remainder intersected with
+		// this thread's barrier wait windows.
+		s.remainder = subtractSpans(s.remainder[:0], idle, merged)
+		var barrier int64
+		for _, r := range s.remainder {
+			s.overlaps = bars.cover(s.overlaps[:0], r)
+			barrier += totalTime(s.overlaps)
+		}
+		if barrier > 0 {
+			// Attribute to the first instance, in instance order, whose
+			// wait window overlaps the idle span.
+			lo, hi := bars.overlapping(idle)
+			first := int32(len(mine))
+			for i := lo; i < hi; i++ {
+				if bars.end[i] > idle.start {
+					first = min(first, s.barVisits[i])
+				}
+			}
+			s.steps += int64(hi - lo)
+			inst := mine[first].inst
+			waits.add(analyze.BarrierImbalance, tc.tid, cl.tcs[inst.lastThread].tid, inst.region, barrier)
+			tw.BarrierWait += barrier
+		}
+
+		tw.UnclassifiedIdle += idleLen - starved - barrier
+	}
+	classifySteps.Add(s.steps)
 }
 
 // totalTime sums the lengths of spans.

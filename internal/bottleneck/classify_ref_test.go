@@ -47,9 +47,12 @@ func referenceWaits(tr *trace.Trace, q trace.Query) ([]ThreadWaits, []WaitState)
 		perThread[i].ThreadID = tc.tid
 	}
 	names := newRegionNames()
-	tasks := mergeTasks(tcs, names)
+	tasks, _ := mergeTasks(tcs, names)
 	waits := &waitTally{names: names, index: make(map[waitKey]int), states: []WaitState{}}
-	classifyDispatchGaps(perThread, tcs, tasks, waits)
+	cl := &classifier{tcs: tcs, tasks: tasks}
+	for ti := range tcs {
+		cl.classifyDispatchGaps(ti, &perThread[ti], waits)
+	}
 	visits := matchBarriers(a, tcs, names)
 	classifyIdleReference(perThread, tcs, pendingWindows(a.EndTime, tcs, tasks), visits, waits)
 	return perThread, waits.sorted()

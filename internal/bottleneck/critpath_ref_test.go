@@ -95,7 +95,8 @@ func referenceSuspensions(tcs []*threadCollector) [][]int64 {
 // the walk meets among them; then 200 random queries drawn from seed,
 // over the ends' own times and tasks, to hit every tie.
 func checkJoins(tcs []*threadCollector, seed int64) []string {
-	pt := newPathTables(tcs, mergeTasks(tcs, newRegionNames()))
+	tasks, _ := mergeTasks(tcs, newRegionNames())
+	pt := newPathTables(tcs, tasks)
 	rng := rand.New(rand.NewSource(seed))
 	ref := completions(tcs)
 	var bad []string

@@ -1,5 +1,11 @@
 package bottleneck
 
+import (
+	"math/rand"
+
+	"repro/internal/trace"
+)
+
 // SideTable returns the side table of the task table c's records lay
 // out: the task ids below its dense part, ascending.
 func SideTable(c *Collector) []uint64 {
@@ -25,3 +31,23 @@ func SlowPaths() (sortFallback, sparseTable, fragTable int64) {
 // PendingSets returns how many creators' pending windows the analyses
 // so far have laid out.
 func PendingSets() int64 { return pendingBuilds.Load() }
+
+// RandomTrace is the random task graph seed draws, as
+// TestRandomTaskGraphs draws them, with one thread's clock run
+// backwards mid-stream when backwards is set.
+func RandomTrace(seed int64, backwards bool) *trace.Trace {
+	rng := rand.New(rand.NewSource(seed))
+	tr := randomTrace(rng, randomConfig(rng))
+	if backwards {
+		backwardsClocks(rng, tr)
+	}
+	return tr
+}
+
+// GeneratedTrace is a random task graph of seed on threads threads over
+// phases barrier-separated phases, in each of which a random subset of
+// the threads creates up to eight roots whose tasks nest three deep:
+// some 800 events a phase at four threads.
+func GeneratedTrace(seed int64, threads, phases int) *trace.Trace {
+	return randomTrace(rand.New(rand.NewSource(seed)), genConfig{Threads: threads, Roots: 8, Phases: phases, MaxDepth: 3, Grid: 1})
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+	"time"
 
 	scorep "repro"
 	"repro/internal/bots"
@@ -65,23 +66,45 @@ func TestFinishBuildsOnlyWhatItAsks(t *testing.T) {
 
 // BenchmarkCollectFinish times a whole bottleneck pass — the collector
 // fed one thread's run at a time, then Finish — over recorded fib small
-// streams of one and two threads.
+// streams of one and two threads on one worker, and over a generated
+// four-thread graph of 1.15 M events on one and two workers, the scan's,
+// which Finish shares: there scan-ms and finish-ms split the pass.
 func BenchmarkCollectFinish(b *testing.B) {
+	type input struct {
+		name    string
+		tr      *trace.Trace
+		workers []int
+	}
+	var inputs []input
 	for _, threads := range []int{1, 2} {
 		c := goldenCase{bots.FibSpec, bots.SizeSmall, scorep.SchedWorkStealing, threads}
-		tr := recordTrace(b, c)
-		events := 0
-		for _, evs := range tr.Threads {
-			events += len(evs)
-		}
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				c := bottleneck.NewCollector()
-				trace.Scan(tr, trace.Query{}, 1, c)
-				c.Finish()
+		inputs = append(inputs, input{fmt.Sprintf("threads=%d", threads), recordTrace(b, c), []int{1}})
+	}
+	inputs = append(inputs, input{"generated/threads=4", bottleneck.GeneratedTrace(1, 4, 1500), []int{1, 2}})
+	for _, in := range inputs {
+		events := in.tr.NumEvents()
+		for _, workers := range in.workers {
+			name := in.name
+			if len(in.workers) > 1 {
+				name = fmt.Sprintf("%s/workers=%d", in.name, workers)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				var scan, finish time.Duration
+				for b.Loop() {
+					t0 := time.Now()
+					c := bottleneck.NewCollector()
+					trace.Scan(in.tr, trace.Query{}, workers, c)
+					t1 := time.Now()
+					c.Finish()
+					scan, finish = scan+t1.Sub(t0), finish+time.Since(t1)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+				if len(in.workers) > 1 {
+					b.ReportMetric(float64(scan.Nanoseconds())/float64(b.N)/1e6, "scan-ms")
+					b.ReportMetric(float64(finish.Nanoseconds())/float64(b.N)/1e6, "finish-ms")
+				}
+			})
+		}
 	}
 }

@@ -15,8 +15,10 @@ import (
 // checkInvariants analyzes tr and reports what breaks: the critical
 // path must partition into its buckets, every thread's wait buckets
 // must be non-negative and add up to the dispatch gaps and idle spans
-// collected for it, the analysis must not depend on the worker count —
-// whole, over its middle half or over its last 2 % — and neither must
+// collected for it, the analysis must not depend on the worker count of
+// the scan and of Finish, which shares it — one (a collector fed
+// without a hint) against three, whole, over its middle half or over
+// its last 2 % — and neither must
 // the join search find other edges than the merged list of every task
 // end. The waits
 // of a well-formed trace, whole and windowed, must be those the

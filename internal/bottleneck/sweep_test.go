@@ -94,7 +94,7 @@ func TestClassifyIdleScaling(t *testing.T) {
 			n += len(tc.created) + len(tc.idles) + len(tc.barriers)
 		}
 		before := classifySteps.Load()
-		finish(tcs)
+		finish(tcs, 1)
 		got := float64(classifySteps.Load() - before)
 		if bound := float64(n) * math.Log2(float64(n)); n < 2*tasks || got > bound {
 			t.Errorf("%d tasks: %v steps for %d windows, idle spans and barrier visits, want at most n log2 n = %.0f", tasks, got, n, bound)
@@ -135,7 +135,7 @@ func BenchmarkFinishProducerConsumer(b *testing.B) {
 				b.StopTimer()
 				tcs := collect(tr, trace.Query{})
 				b.StartTimer()
-				finish(tcs)
+				finish(tcs, 1)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tasks), "ns/task")
 		})

@@ -61,7 +61,7 @@ func salvage(err error) (warning string, _ error) {
 // eventCount is the consumer that counts what a scan delivers.
 type eventCount struct{ n atomic.Int64 }
 
-func (*eventCount) Hint(map[int]int) {}
+func (*eventCount) Hint(int, map[int]int) {}
 
 func (c *eventCount) Consume(_ int, events []trace.Event) { c.n.Add(int64(len(events))) }
 

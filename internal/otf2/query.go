@@ -52,9 +52,10 @@ func Scan(r io.Reader, q Query, workers int, consumers ...trace.Consumer) (Query
 	if err != nil {
 		return p.st, err
 	}
+	workers = trace.Workers(workers)
 	all := trace.Consumers(consumers)
-	all.Hint(p.threadEvents())
-	return p.st, p.analyze(trace.Workers(workers), all.Consume)
+	all.Hint(workers, p.threadEvents())
+	return p.st, p.analyze(workers, all.Consume)
 }
 
 // Load decodes the sub-trace of an archive matching q into memory,

@@ -101,15 +101,18 @@ func checking(t *testing.T, label string, q Query, next trace.Consumer) *contrac
 	return &contractChecker{t: t, label: label, q: q, next: next, busy: map[int]bool{}, received: map[int]int{}}
 }
 
-func (c *contractChecker) Hint(threadEvents map[int]int) {
+func (c *contractChecker) Hint(workers int, threadEvents map[int]int) {
 	c.mu.Lock()
 	if len(c.received) > 0 {
 		c.t.Errorf("%s: hint after a run", c.label)
 	}
 	c.mu.Unlock()
+	if workers < 1 {
+		c.t.Errorf("%s: hinted %d workers", c.label, workers)
+	}
 	c.hints.Add(1)
 	c.hint = threadEvents
-	c.next.Hint(threadEvents)
+	c.next.Hint(workers, threadEvents)
 }
 
 func (c *contractChecker) Consume(tid int, events []trace.Event) {

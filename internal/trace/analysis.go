@@ -70,7 +70,7 @@ func NewAnalyzer() *Analyzer {
 }
 
 // Hint implements Consumer; the state machines keep nothing per event.
-func (a *Analyzer) Hint(map[int]int) {}
+func (a *Analyzer) Hint(int, map[int]int) {}
 
 // Consume feeds one in-order run of thread tid's events. The lock covers
 // only the thread lookup; the per-event scan runs unlocked, owned by the

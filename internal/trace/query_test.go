@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/region"
@@ -190,6 +191,49 @@ func TestAnalyzeQueryMatchesFilterReference(t *testing.T) {
 		}
 		if got := a.Finish(); !reflect.DeepEqual(got, want) {
 			t.Errorf("clipped runs of %v != Analyze(Filter):\n got %+v\nwant %+v", q, got, want)
+		}
+	}
+}
+
+// scanRecorder is a consumer that records a scan's hint and the length
+// of every run it delivers.
+type scanRecorder struct {
+	workers int
+	hint    map[int]int
+	mu      sync.Mutex
+	runs    map[int][]int
+}
+
+func (r *scanRecorder) Hint(workers int, threadEvents map[int]int) {
+	r.workers, r.hint = workers, threadEvents
+}
+
+func (r *scanRecorder) Consume(tid int, events []Event) {
+	r.mu.Lock()
+	r.runs[tid] = append(r.runs[tid], len(events))
+	r.mu.Unlock()
+}
+
+// TestWindowedScanHints: a windowed scan of a trace in memory hints
+// each time-ordered thread's exact share of the window, found by binary
+// search, and delivers it as one run; a thread whose clock ran backwards
+// is not hinted, and its matching events arrive all the same. The hint
+// carries the scan's worker count.
+func TestWindowedScanHints(t *testing.T) {
+	tr := queryTestTrace()
+	tr.Threads[3] = []Event{{Time: 50, Type: EvEnter}, {Time: 70, Type: EvExit}, {Time: 30, Type: EvEnter}, {Time: 31, Type: EvExit}}
+	q := Query{Windowed: true, MinTime: 25, MaxTime: 60}
+	for _, workers := range []int{1, 4} {
+		r := &scanRecorder{runs: map[int][]int{}}
+		Scan(tr, q, workers, r)
+		if r.workers != workers {
+			t.Errorf("workers=%d: hinted %d workers", workers, r.workers)
+		}
+		if want := map[int]int{0: 4, 1: 2}; !reflect.DeepEqual(r.hint, want) {
+			t.Errorf("workers=%d: hint %v, want %v", workers, r.hint, want)
+		}
+		if want := map[int][]int{0: {4}, 1: {2}, 3: {1, 2}}; !reflect.DeepEqual(r.runs, want) {
+			t.Errorf("workers=%d: runs %v, want %v", workers, r.runs, want)
 		}
 	}
 }
